@@ -4,10 +4,21 @@ time-to-altitude integration of a thrust profile.
 The climb follows the aircraft's speed schedule exactly; acceleration
 between the CAS and Mach legs is absorbed by the energy share factor
 rather than integrated explicitly.
+
+For a fixed aircraft, mass, altitude refinement and temperature offset the
+climb rate factors as ``rocd = k(h) * (T(h) - D(h))``: everything but the
+thrust ``T`` is fixed.  :func:`integrate_climb` therefore keeps a
+:class:`ClimbKernel` per ``(perf, mass, profile grid bytes, h_start, h_end,
+delta_T, n_nodes)`` in a bounded LRU cache.  It holds the refined nodes, the
+split at the CAS-Mach crossover, and per node the drag, true airspeed,
+temperature ratio, energy share and ``m g0``; a call only interpolates the
+thrust and applies :func:`rocd`'s arithmetic in the same order, so results
+are bit-identical to evaluating :func:`rocd` at the nodes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -108,6 +119,22 @@ def energy_share(
     return float(f) if np.ndim(f) == 0 else f
 
 
+def _rate_factors(
+    perf: "AircraftPerformance",
+    mass: float,
+    h: float | np.ndarray,
+    delta_T: float,
+    phi: float = 0.0,
+) -> tuple:
+    """The thrust-independent factors of the climb rate at altitude:
+    temperature ratio, drag, true airspeed and energy share factor."""
+    state = isa_state(h, delta_T)
+    v_tas, mach = schedule_speed(perf.schedule, state)
+    d = drag(perf, mass, state, v_tas, phi)
+    f = energy_share(mach, h, perf.schedule)
+    return (state.T - delta_T) / state.T, d, v_tas, f
+
+
 def rocd(
     perf: "AircraftPerformance",
     mass: float,
@@ -122,11 +149,9 @@ def rocd(
     through the nominal mass, scaled by the temperature ratio and the
     energy share factor.  Negative results are returned as-is.
     """
-    state = isa_state(h, delta_T)
-    v_tas, mach = schedule_speed(perf.schedule, state)
-    d = drag(perf, mass, state, v_tas, phi)
-    f = energy_share(mach, h, perf.schedule)
-    r = ((state.T - delta_T) / state.T) * ((np.asarray(t_hr, dtype=float) - d) * v_tas) / (mass * G0) * f
+    ratio, d, v_tas, f = _rate_factors(perf, mass, h, delta_T, phi)
+    # ClimbKernel.rates repeats this expression in this order
+    r = ratio * ((np.asarray(t_hr, dtype=float) - d) * v_tas) / (mass * G0) * f
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -137,6 +162,88 @@ def time_from_rocd(h: np.ndarray, rocd_values: np.ndarray) -> np.ndarray:
     inv = 1.0 / r
     seg = 0.5 * np.diff(h) * (inv[1:] + inv[:-1])
     return np.concatenate(([0.0], np.cumsum(seg)))
+
+
+@dataclass(frozen=True, eq=False)
+class ClimbKernel:
+    """The thrust-independent part of one climb, on its refined nodes.
+
+    The rate nodes ``h_rate`` are the quadrature nodes of the left part
+    (``h_rate[:n_left]``, up to and including the CAS-Mach crossover) and
+    then of the right part; without a crossover inside the span there is
+    one part and ``n_left == h_rate.size``.  Per rate node the kernel holds
+    the temperature ratio, drag, true airspeed and energy share factor, each
+    evaluated where :func:`rocd` would be: the left part's last node, the
+    crossover itself, is evaluated just below it for the CAS-leg limit.
+    ``h`` and ``v_tas`` are the output altitudes and schedule airspeeds.
+    Every array is read-only.
+    """
+
+    h_rate: np.ndarray
+    ratio: np.ndarray
+    drag: np.ndarray
+    v_rate: np.ndarray
+    share: np.ndarray
+    mg: float
+    n_left: int
+    h: np.ndarray
+    v_tas: np.ndarray
+
+    def rates(self, thrust: np.ndarray) -> np.ndarray:
+        """Climb rate (m/s) at the rate nodes for thrust (N) at those nodes,
+        in :func:`rocd`'s operation order."""
+        return self.ratio * ((thrust - self.drag) * self.v_rate) / self.mg * self.share
+
+
+@functools.lru_cache(maxsize=64)
+def _climb_kernel(
+    perf: "AircraftPerformance",
+    mass: float,
+    grid_bytes: bytes,
+    h_start: float,
+    h_end: float,
+    delta_T: float,
+    n_nodes: int,
+) -> ClimbKernel:
+    grid = np.frombuffer(grid_bytes)
+    base = np.linspace(h_start, h_end, n_nodes)
+    inner = grid[(grid > h_start) & (grid < h_end)]
+    nodes = np.unique(np.concatenate([base, inner]))
+    h_cross = crossover_altitude(perf.schedule)
+
+    if not h_start < h_cross < h_end:
+        parts = [(nodes, nodes)]
+        h_out = nodes
+    else:
+        left = np.append(nodes[nodes < h_cross], h_cross)
+        right = np.append(h_cross, nodes[nodes > h_cross])
+        # evaluate the left endpoint just below the crossover to pick up the
+        # CAS-leg limit of the energy share factor
+        left_eval = left.copy()
+        left_eval[-1] = np.nextafter(h_cross, h_start)
+        parts = [(left, left_eval), (right, right)]
+        h_out = np.concatenate([left[:-1], right])
+    # each part is evaluated on its own, exactly as rocd would see it
+    factors = [_rate_factors(perf, mass, h_eval, delta_T) for _, h_eval in parts]
+    ratio, d, v_rate, f = (np.concatenate(col) for col in zip(*factors))
+    if len(parts) == 1:
+        v_tas = v_rate
+    else:
+        v_tas, _ = schedule_speed(perf.schedule, isa_state(h_out, delta_T))
+    kernel = ClimbKernel(
+        h_rate=np.concatenate([h for h, _ in parts]),
+        ratio=ratio,
+        drag=d,
+        v_rate=v_rate,
+        share=f,
+        mg=mass * G0,
+        n_left=parts[0][0].size,
+        h=h_out,
+        v_tas=v_tas,
+    )
+    for name in ("h_rate", "ratio", "drag", "v_rate", "share", "h", "v_tas"):
+        getattr(kernel, name).setflags(write=False)
+    return kernel
 
 
 def integrate_climb(
@@ -157,6 +264,12 @@ def integrate_climb(
     there and the jump is handled with one-sided limits.  Raises
     ``InfeasibleClimbError`` if the climb rate drops to the floor anywhere
     on the refinement.
+
+    Everything except the thrust is taken from a :class:`ClimbKernel`
+    cached per ``(perf, mass, grid bytes, h_start, h_end, delta_T,
+    n_nodes)`` (at most 64 kept, least recently used dropped first).  The
+    rates are bit-identical to evaluating :func:`rocd` at the nodes, and
+    the returned arrays are the caller's own.
     """
     global _integration_calls
     if not h_start < h_end:
@@ -171,44 +284,23 @@ def integrate_climb(
         raise DomainError("n_nodes must be at least 2")
 
     _integration_calls += 1
-    base = np.linspace(h_start, h_end, n_nodes)
-    inner = grid[(grid > h_start) & (grid < h_end)]
-    nodes = np.unique(np.concatenate([base, inner]))
-    h_cross = crossover_altitude(perf.schedule)
+    kernel = _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end, delta_T, n_nodes)
+    r = kernel.rates(np.interp(kernel.h_rate, grid, thrust_profile.values))
+    bad = r <= ROCD_FLOOR
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise InfeasibleClimbError(
+            f"climb rate {float(r[i]):.3f} m/s at {float(kernel.h_rate[i]):.0f} m "
+            f"is at or below the {ROCD_FLOOR} m/s floor",
+            altitude_m=float(kernel.h_rate[i]),
+        )
 
-    def rates(h_nodes: np.ndarray, h_eval: np.ndarray) -> np.ndarray:
-        thrust = np.interp(h_nodes, grid, thrust_profile.values)
-        r = rocd(perf, mass, thrust, h_eval, delta_T)
-        bad = r <= ROCD_FLOOR
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise InfeasibleClimbError(
-                f"climb rate {float(r[i]):.3f} m/s at {float(h_nodes[i]):.0f} m "
-                f"is at or below the {ROCD_FLOOR} m/s floor",
-                altitude_m=float(h_nodes[i]),
-            )
-        return r
-
-    if not h_start < h_cross < h_end:
-        r = rates(nodes, nodes)
-        v_tas, _ = schedule_speed(perf.schedule, isa_state(nodes, delta_T))
-        return ClimbTrajectory(t=time_from_rocd(nodes, r), h=nodes, rocd=r, v_tas=v_tas)
-
-    left = np.append(nodes[nodes < h_cross], h_cross)
-    right = np.append(h_cross, nodes[nodes > h_cross])
-    # evaluate the left endpoint just below the crossover to pick up the
-    # CAS-leg limit of the energy share factor
-    left_eval = left.copy()
-    left_eval[-1] = np.nextafter(h_cross, h_start)
-    r_left = rates(left, left_eval)
-    r_right = rates(right, right)
-    t_left = time_from_rocd(left, r_left)
-    t_right = time_from_rocd(right, r_right) + t_left[-1]
-    h_out = np.concatenate([left[:-1], right])
-    v_tas, _ = schedule_speed(perf.schedule, isa_state(h_out, delta_T))
-    return ClimbTrajectory(
-        t=np.concatenate([t_left[:-1], t_right]),
-        h=h_out,
-        rocd=np.concatenate([r_left[:-1], r_right]),
-        v_tas=v_tas,
-    )
+    n = kernel.n_left
+    if n == r.size:
+        t = time_from_rocd(kernel.h, r)
+    else:
+        t_left = time_from_rocd(kernel.h_rate[:n], r[:n])
+        t_right = time_from_rocd(kernel.h_rate[n:], r[n:]) + t_left[-1]
+        t = np.concatenate([t_left[:-1], t_right])
+        r = np.concatenate([r[:n - 1], r[n:]])
+    return ClimbTrajectory(t=t, h=kernel.h.copy(), rocd=r, v_tas=kernel.v_tas.copy())

@@ -348,7 +348,7 @@ def run_report(
                            type_code, exc)
             continue
         reports.append(report)
-        _write_type_artifacts(out, models[type_code], catalog[type_code], artifacts)
+        _write_type_artifacts(out, models[type_code], catalog[type_code], artifacts, level)
 
     reports.sort(key=lambda r: (-r.n_f, r.type_code))
     lines = [REPORT_HEADER] + [_format_row(r) for r in reports]
@@ -367,13 +367,14 @@ def _write_type_artifacts(
     model: GenerativeClimbModel,
     perf: AircraftPerformance,
     artifacts: dict,
+    level: float,
 ) -> None:
     from .generative import bound_profiles
 
     code = model.type_code
     grid = model.basis.grid
     mean_recon = model.mean_profile().values
-    lo_profile, up_profile = bound_profiles(model)
+    lo_profile, up_profile = bound_profiles(model, level)
     rows = ["h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N"]
     min_level = min_level_thrust(perf, grid)
     nominal = artifacts["nominal_profile"].values

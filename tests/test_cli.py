@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from climbgen.cli import main
+from climbgen.generative import bound_profiles, load_model
 
 
 SCENARIO = {
@@ -75,6 +77,20 @@ class TestWorkflow:
         text = (workdir / "eval" / "metrics_report.csv").read_text()
         assert text.splitlines()[0].startswith("type_code")
         assert len(text.splitlines()) == 2
+
+    def test_evaluate_level_sets_profile_envelope(self, workdir):
+        assert main(["evaluate", "--model-dir", str(workdir / "models"),
+                     "--test", str(workdir / "prep" / "test.csv"),
+                     "--out", str(workdir / "eval90"), "--seed", "2", "--level", "0.90"]) == 0
+        lines = (workdir / "eval90" / "profiles_NBJT.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        model = load_model(workdir / "models" / "model_NBJT.json")
+        lower, upper = bound_profiles(model, 0.90)
+        lower95, _ = bound_profiles(model, 0.95)
+        assert np.array_equal(table[:, header.index("lower_N")], lower.values)
+        assert np.array_equal(table[:, header.index("upper_N")], upper.values)
+        assert not np.array_equal(lower.values, lower95.values)
 
     @pytest.mark.parametrize("command", ["sample", "bounds", "predict"])
     def test_commands_deterministic(self, workdir, command, tmp_path):

@@ -1,5 +1,6 @@
 """Climb physics tests: drag, energy share factor, climb rate, integration."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -17,7 +18,9 @@ from climbgen.atmosphere import (
     fl_to_m,
     isa_state,
     mach_to_tas,
+    schedule_speed,
 )
+from climbgen import dynamics
 from climbgen.dynamics import (
     ROCD_FLOOR,
     drag,
@@ -205,11 +208,150 @@ class TestIntegrateClimb:
             integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0] - 500.0, grid[-1])
 
     def test_call_counter_increments(self, nbjt):
+        # once per call: on a kernel miss, on a hit, and on an infeasible climb
         grid = default_grid()
-        profile = ThrustProfile(grid, nominal_thrust(nbjt, grid))
-        before = integration_call_count()
-        integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1])
-        assert integration_call_count() == before + 1
+        feasible = ThrustProfile(grid, nominal_thrust(nbjt, grid))
+        infeasible = ThrustProfile(grid, min_level_thrust(nbjt, grid) - 5000.0)
+        dynamics._climb_kernel.cache_clear()
+        for profile, n_nodes in ((feasible, 1000), (feasible, 1000), (feasible, 1200),
+                                 (infeasible, 1000)):
+            before = integration_call_count()
+            try:
+                integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1],
+                                n_nodes=n_nodes)
+            except InfeasibleClimbError:
+                pass
+            assert integration_call_count() == before + 1
 
     def test_floor_constant(self):
         assert ROCD_FLOOR == 0.5
+
+
+def reference_climb(perf, mass, profile, h_start, h_end, delta_T=0.0, n_nodes=1000):
+    """Node-by-node integration through rocd, without the cached kernel."""
+    grid = profile.grid
+    base = np.linspace(h_start, h_end, n_nodes)
+    nodes = np.unique(np.concatenate([base, grid[(grid > h_start) & (grid < h_end)]]))
+    h_cross = crossover_altitude(perf.schedule)
+
+    def rates(h_nodes, h_eval):
+        r = rocd(perf, mass, np.interp(h_nodes, grid, profile.values), h_eval, delta_T)
+        bad = r <= ROCD_FLOOR
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise InfeasibleClimbError(
+                f"climb rate {float(r[i]):.3f} m/s at {float(h_nodes[i]):.0f} m "
+                f"is at or below the {ROCD_FLOOR} m/s floor",
+                altitude_m=float(h_nodes[i]),
+            )
+        return r
+
+    if not h_start < h_cross < h_end:
+        r = rates(nodes, nodes)
+        v_tas, _ = schedule_speed(perf.schedule, isa_state(nodes, delta_T))
+        return time_from_rocd(nodes, r), nodes, r, v_tas
+    left = np.append(nodes[nodes < h_cross], h_cross)
+    right = np.append(h_cross, nodes[nodes > h_cross])
+    left_eval = left.copy()
+    left_eval[-1] = np.nextafter(h_cross, h_start)
+    r_left = rates(left, left_eval)
+    r_right = rates(right, right)
+    t_left = time_from_rocd(left, r_left)
+    t_right = time_from_rocd(right, r_right) + t_left[-1]
+    h_out = np.concatenate([left[:-1], right])
+    v_tas, _ = schedule_speed(perf.schedule, isa_state(h_out, delta_T))
+    return (np.concatenate([t_left[:-1], t_right]), h_out,
+            np.concatenate([r_left[:-1], r_right]), v_tas)
+
+
+def assert_same_climb(traj, expected):
+    for got, want in zip((traj.t, traj.h, traj.rocd, traj.v_tas), expected):
+        assert np.array_equal(got, want)
+
+
+def bumpy_profile(perf, grid, seed=0):
+    rng = np.random.default_rng(seed)
+    return ThrustProfile(grid, nominal_thrust(perf, grid) + rng.normal(0.0, 2000.0, grid.size))
+
+
+class TestClimbKernel:
+    SPANS = {"crossover": (fl_to_m(150.0), fl_to_m(325.0)),
+             "cas_leg_only": (fl_to_m(150.0), fl_to_m(280.0))}
+
+    @pytest.mark.parametrize("delta_T", [-15.0, 0.0, 15.0])
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    @pytest.mark.parametrize("n_nodes", [1000, 2000])
+    def test_rates_bit_identical_to_rocd_at_nodes(self, nbjt, delta_T, span, n_nodes):
+        h1, h2 = self.SPANS[span]
+        grid = default_grid()
+        assert (h1 < crossover_altitude(nbjt.schedule) < h2) == (span == "crossover")
+        profile = bumpy_profile(nbjt, grid)
+        mass = nbjt.nominal_mass
+        traj = integrate_climb(nbjt, mass, profile, h1, h2, delta_T, n_nodes)
+        thrust = np.interp(traj.h, grid, profile.values)
+        assert np.array_equal(traj.rocd, rocd(nbjt, mass, thrust, traj.h, delta_T))
+        assert_same_climb(traj, reference_climb(nbjt, mass, profile, h1, h2, delta_T, n_nodes))
+        # the left part's last rate node is taken just below the crossover
+        kernel = dynamics._climb_kernel(nbjt, mass, grid.tobytes(), h1, h2, delta_T, n_nodes)
+        if span == "crossover":
+            n = kernel.n_left
+            h_cross = crossover_altitude(nbjt.schedule)
+            assert kernel.h_rate[n - 1] == kernel.h_rate[n] == h_cross
+            below = np.nextafter(h_cross, h1)
+            thrust_cross = np.interp(h_cross, grid, profile.values)
+            r = kernel.rates(np.interp(kernel.h_rate, grid, profile.values))
+            assert r[n - 1] == rocd(nbjt, mass, thrust_cross, below, delta_T)
+            assert r[n - 1] != r[n]
+        else:
+            assert kernel.n_left == kernel.h_rate.size
+
+    def test_each_key_component_gives_a_fresh_result(self, catalog, nbjt):
+        grid = default_grid()
+        h1, h2 = float(grid[0]), float(grid[-1])
+        shifted = np.concatenate([[h1], grid[1:-1] + 7.0, [h2]])
+        base = dict(perf=nbjt, mass=nbjt.nominal_mass, grid=grid, h_start=h1, h_end=h2,
+                    delta_T=0.0, n_nodes=1000)
+        variants = [
+            dict(perf=dataclasses.replace(nbjt, c_d0=nbjt.c_d0 * 1.05)),
+            dict(perf=catalog["WBJT"], mass=catalog["WBJT"].nominal_mass),
+            dict(mass=nbjt.nominal_mass * 0.97),
+            dict(delta_T=10.0),
+            dict(grid=shifted),
+            dict(h_start=h1 + 250.0),
+            dict(h_end=h2 - 250.0),
+            dict(n_nodes=1500),
+        ]
+        for change in [{}] + variants:
+            case = {**base, **change}
+            profile = bumpy_profile(case["perf"], case["grid"], seed=3)
+            args = (case["perf"], case["mass"], profile, case["h_start"], case["h_end"],
+                    case["delta_T"], case["n_nodes"])
+            integrate_climb(nbjt, nbjt.nominal_mass, bumpy_profile(nbjt, grid), h1, h2)  # base key
+            assert_same_climb(integrate_climb(*args), reference_climb(*args))
+
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    def test_returned_arrays_do_not_alias_the_cache(self, nbjt, span):
+        h1, h2 = self.SPANS[span]
+        profile = bumpy_profile(nbjt, default_grid())
+        args = (nbjt, nbjt.nominal_mass, profile, h1, h2)
+        first = integrate_climb(*args)
+        for array in (first.t, first.h, first.rocd, first.v_tas):
+            array[:] = -1.0
+        assert_same_climb(integrate_climb(*args), reference_climb(*args))
+
+    @pytest.mark.parametrize("where", ["left", "right"])
+    def test_infeasible_message_and_altitude_match_reference(self, nbjt, where):
+        grid = default_grid()
+        h_cross = crossover_altitude(nbjt.schedule)
+        floor = min_level_thrust(nbjt, grid)
+        weak = (grid > 6000.0) if where == "left" else (grid > h_cross + 200.0)
+        profile = ThrustProfile(grid, np.where(weak, floor - 3000.0, nominal_thrust(nbjt, grid)))
+        args = (nbjt, nbjt.nominal_mass, profile, float(grid[0]), float(grid[-1]))
+        with pytest.raises(InfeasibleClimbError) as want:
+            reference_climb(*args)
+        for _ in range(2):   # a kernel miss, then a hit
+            with pytest.raises(InfeasibleClimbError) as got:
+                integrate_climb(*args)
+            assert str(got.value) == str(want.value)
+            assert got.value.altitude_m == want.value.altitude_m
+        assert (want.value.altitude_m < h_cross) == (where == "left")
