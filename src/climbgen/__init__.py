@@ -48,7 +48,6 @@ from .performance import (
 from .pipeline import (
     DatasetSplit,
     FleetScenario,
-    RadarBlip,
     Trajectory,
     TypeScenario,
     filter_climbs,
@@ -67,7 +66,6 @@ __all__ = [
     "FleetScenario",
     "FpcaBasis",
     "GenerativeClimbModel",
-    "RadarBlip",
     "SpeedSchedule",
     "ThrustProfile",
     "Trajectory",

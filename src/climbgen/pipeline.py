@@ -5,10 +5,20 @@ CSV schema (UTF-8, header required)::
 
     flight_id,type_code,t_s,alt_ft[,lat,lon]
 
+One line holds one row: a row never spans lines.  The file is read in
+blocks of lines that are split into columns and validated as arrays, so
+no object is built per row.  A line with a quote is parsed on its own by
+``csv.reader``; a quoted field left open at the end of its line makes the
+row malformed.  Malformed rows are logged by line number and skipped;
+lat/lon must parse when present but are not kept.
+
 Blips are grouped by flight, sorted by time, deduplicated (first blip per
-timestamp wins), and annotated with a derived climb rate: central finite
-differences of altitude over time (one-sided at the ends) followed by a
-3-point median filter to suppress altitude-quantization spikes.
+timestamp wins, which is the earliest line in the file), and annotated
+with a derived climb rate: central finite differences of altitude over
+time (one-sided at the ends) followed by a 3-point median filter to
+suppress altitude-quantization spikes.  A flight whose blips carry more
+than one type code, or that has fewer than 2 distinct timestamps, is
+dropped with a warning.
 """
 
 from __future__ import annotations
@@ -17,7 +27,9 @@ import csv
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -34,28 +46,9 @@ logger = logging.getLogger(__name__)
 _HEADER = ["flight_id", "type_code", "t_s", "alt_ft"]
 _HEADER_LATLON = _HEADER + ["lat", "lon"]
 ALT_MAX_FT = 60000.0
+BLOCK_LINES = 1 << 15   # lines per parse block: bounds the field strings held at once
 MAX_REDRAWS = 100
 TRUTH_GRID_SIZE = 200
-
-
-@dataclass(frozen=True)
-class RadarBlip:
-    """One surveillance return; lateral position is carried but unused."""
-
-    flight_id: str
-    type_code: str
-    t_s: float
-    alt_ft: float
-    lat: float | None = None
-    lon: float | None = None
-
-    def __post_init__(self):
-        if not self.flight_id or not self.type_code:
-            raise DomainError("blip needs a flight_id and type_code")
-        if not math.isfinite(self.t_s):
-            raise DomainError("blip time must be finite")
-        if not math.isfinite(self.alt_ft) or not 0.0 <= self.alt_ft <= ALT_MAX_FT:
-            raise DomainError(f"blip altitude {self.alt_ft} outside [0, {ALT_MAX_FT:.0f}] ft")
 
 
 @dataclass(eq=False)
@@ -97,10 +90,11 @@ def fnum(x: float) -> str:
 def median3(x: np.ndarray) -> np.ndarray:
     """3-point running median; endpoints pass through unchanged."""
     x = np.asarray(x, dtype=float)
-    if x.size < 3:
-        return x.copy()
     out = x.copy()
-    out[1:-1] = np.median(np.vstack([x[:-2], x[1:-1], x[2:]]), axis=0)
+    if x.size >= 3:
+        a, b, c = x[:-2], x[1:-1], x[2:]
+        # the median of three, exactly as np.median gives it for finite input
+        out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
     return out
 
 
@@ -115,63 +109,173 @@ def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray) -> np.ndarray:
     return median3(r * 60.0)
 
 
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        raise DataError(f"blip file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
+                        f"at byte {exc.start}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
+
+
+def _split_block(block: list[str], first_line_no: int, n_fields: int
+                 ) -> tuple[list[list[str]], np.ndarray, list[tuple[int, str]]]:
+    """Field columns, line numbers and field-count errors of one block.
+
+    A line with ``n_fields - 1`` commas and no quote splits on commas,
+    which is what ``csv.reader`` does with it; any other non-blank line
+    is parsed by ``csv.reader`` on its own.
+    """
+    n = len(block)
+    plain = (
+        (np.fromiter(map(str.count, block, repeat(",")), int, n) == n_fields - 1)
+        & ~np.fromiter(map(str.__contains__, block, repeat('"')), bool, n)
+    )
+    plain_lines = block if plain.all() else list(compress(block, plain))
+    fields = ",".join(plain_lines).split(",") if plain_lines else []
+    columns = [fields[k::n_fields] for k in range(n_fields)]
+    line_no = (np.flatnonzero(plain) + first_line_no).tolist()
+    errors = []
+    for i in np.flatnonzero(~plain).tolist():
+        line = block[i]
+        if not line:
+            continue
+        try:
+            # a second, empty line is left unread unless a quote is still open
+            rows = list(csv.reader((line, "")))
+        except csv.Error as exc:
+            errors.append((first_line_no + i, str(exc)))
+            continue
+        if len(rows) != 2:
+            errors.append((first_line_no + i, "quoted field not closed on its line"))
+        elif len(rows[0]) != n_fields:
+            errors.append((first_line_no + i, f"expected {n_fields} fields, got {len(rows[0])}"))
+        else:
+            for column, field in zip(columns, rows[0]):
+                column.append(field)
+            line_no.append(first_line_no + i)
+    return columns, np.array(line_no, dtype=np.int64), errors
+
+
+def _floats(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Python ``float`` of each field (NaN where it fails) and the mask of
+    fields that do not parse."""
+    n = len(fields)
+    try:
+        return np.fromiter(map(float, fields), float, n), np.zeros(n, bool)
+    except ValueError:
+        pass
+    values, bad = np.full(n, np.nan), np.zeros(n, bool)
+    for i, field in enumerate(fields):
+        try:
+            values[i] = float(field)
+        except ValueError:
+            bad[i] = True
+    return values, bad
+
+
+def _empty(fields: list[str]) -> np.ndarray:
+    return np.fromiter(map(operator.not_, fields), bool, len(fields))
+
+
+def _row_error(row: list[str]) -> str:
+    """The first check a rejected row fails, in the order they are made:
+    numbers parse (time, altitude, then any non-empty lat/lon), id and
+    type are non-empty, time is finite, altitude is in range."""
+    try:
+        t_s, alt_ft = float(row[2]), float(row[3])
+        for field in row[4:]:
+            if field:
+                float(field)
+    except ValueError as exc:
+        return str(exc)
+    if not row[0] or not row[1]:
+        return "blip needs a flight_id and type_code"
+    if not math.isfinite(t_s):
+        return "blip time must be finite"
+    return f"blip altitude {alt_ft} outside [0, {ALT_MAX_FT:.0f}] ft"
+
+
+def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
+    """Integer code of each name, adding unseen names to ``index``."""
+    for name in dict.fromkeys(names):
+        index.setdefault(name, len(index))
+    return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+
+
 def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
-    Malformed rows are logged with their line number, skipped, and
-    counted; an empty or header-less file raises ``DataError``.
+    The file is parsed in blocks of ``BLOCK_LINES`` lines into numeric
+    columns; no object is built per row.  Malformed rows are logged with
+    their line number, skipped, and counted; an unreadable, empty or
+    header-less file raises ``DataError``.
     """
     path = Path(csv_path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"blip file not found: {path}") from None
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    if header == _HEADER:
-        has_latlon = False
-    elif header == _HEADER_LATLON:
-        has_latlon = True
-    else:
+    lines = _read_lines(path)
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = next(csv.reader(lines[:1]))
+    if header not in (_HEADER, _HEADER_LATLON):
         raise DataError(
             f"{path}: header must be exactly {','.join(_HEADER)} "
             f"or {','.join(_HEADER_LATLON)}"
         )
 
-    flights: dict[str, list[RadarBlip]] = {}
+    flight_index: dict[str, int] = {}
+    type_index: dict[str, int] = {}
+    parts = []
     skipped = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != len(header):
-                raise DomainError(f"expected {len(header)} fields, got {len(row)}")
-            blip = RadarBlip(
-                flight_id=row[0],
-                type_code=row[1],
-                t_s=float(row[2]),
-                alt_ft=float(row[3]),
-                lat=float(row[4]) if has_latlon and row[4] else None,
-                lon=float(row[5]) if has_latlon and row[5] else None,
-            )
-        except (DomainError, ValueError) as exc:
-            logger.warning("%s line %d: %s; row skipped", path, line_no, exc)
-            skipped += 1
-            continue
-        flights.setdefault(blip.flight_id, []).append(blip)
+    for start in range(1, len(lines), BLOCK_LINES):
+        columns, line_no, errors = _split_block(
+            lines[start:start + BLOCK_LINES], start + 1, len(header))
+        flight_ids, type_codes = columns[0], columns[1]
+        t_s, bad = _floats(columns[2])
+        alt_ft, bad_alt = _floats(columns[3])
+        bad |= bad_alt
+        for column in columns[4:]:   # lat/lon: checked where present, not kept
+            bad |= _floats([field or "0" for field in column])[1]
+        bad |= _empty(flight_ids) | _empty(type_codes) | ~np.isfinite(t_s)
+        bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
+        if bad.any():
+            errors += [(int(line_no[i]), _row_error([column[i] for column in columns]))
+                       for i in np.flatnonzero(bad).tolist()]
+            keep = ~bad
+            flight_ids = list(compress(flight_ids, keep))
+            type_codes = list(compress(type_codes, keep))
+            t_s, alt_ft, line_no = t_s[keep], alt_ft[keep], line_no[keep]
+        for line, reason in sorted(errors):
+            logger.warning("%s line %d: %s; row skipped", path, line, reason)
+        skipped += len(errors)
+        parts.append((_codes(flight_ids, flight_index), _codes(type_codes, type_index),
+                      t_s, alt_ft, line_no))
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
-    if not flights:
+    if not flight_index:
         raise DataError(f"{path}: no valid blip rows")
 
+    # rank the flight codes in sorted() order of their ids
+    flight_ids = sorted(flight_index)
+    rank = np.empty(len(flight_ids), np.int64)
+    rank[[flight_index[f] for f in flight_ids]] = np.arange(len(flight_ids))
+    flight, type_code, t_s, alt_ft, line_no = (np.concatenate(c) for c in zip(*parts))
+    flight = rank[flight]
+    # by flight, then time, then line: the first blip of a timestamp is the earliest line
+    order = np.lexsort((line_no, t_s, flight))
+    flight, type_code, t_s, alt_ft = flight[order], type_code[order], t_s[order], alt_ft[order]
+    type_names = list(type_index)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(flight)) + 1, [flight.size])).tolist()
+
     trajectories = []
-    for flight_id in sorted(flights):
-        blips = sorted(flights[flight_id], key=lambda b: b.t_s)
-        t_arr = np.array([b.t_s for b in blips])
-        alt_arr = np.array([b.alt_ft for b in blips])
+    for flight_id, a, b in zip(flight_ids, bounds[:-1], bounds[1:]):
+        if np.any(type_code[a:b] != type_code[a]):
+            types = sorted(type_names[c] for c in np.unique(type_code[a:b]))
+            logger.warning("flight %s: mixed type codes %s; dropped", flight_id, ", ".join(types))
+            continue
+        t_arr, alt_arr = t_s[a:b], alt_ft[a:b]
         keep = np.concatenate(([True], np.diff(t_arr) > 0.0))
         t_arr, alt_arr = t_arr[keep], alt_arr[keep]
         if t_arr.size < 2:
@@ -180,7 +284,7 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
         trajectories.append(
             Trajectory(
                 flight_id=flight_id,
-                type_code=blips[0].type_code,
+                type_code=type_names[type_code[a]],
                 t_s=t_arr,
                 alt_ft=alt_arr,
                 rocd_fpm=derive_rocd(t_arr, alt_arr),

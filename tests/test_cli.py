@@ -1,10 +1,15 @@
 """End-to-end command-line workflow tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import climbgen
 from climbgen.cli import main
 from climbgen.generative import bound_profiles, load_model
 
@@ -126,6 +131,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
         assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("kind", ["latin1", "directory"])
+    def test_unreadable_csv_is_data_error(self, tmp_path, kind):
+        bad = tmp_path / "blips.csv"
+        if kind == "latin1":
+            bad.write_bytes("flight_id,type_code,t_s,alt_ft\nA\xe9,NBJT,0.0,1000\n".encode("latin-1"))
+        else:
+            bad.mkdir()
+        src = str(Path(climbgen.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "climbgen.cli", "prepare", "--csv", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert str(bad) in proc.stderr
 
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())

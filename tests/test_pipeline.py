@@ -1,7 +1,10 @@
 """Ingestion, climb filtering, splitting, and fleet simulation tests."""
 
+import csv
 import json
 import logging
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from climbgen.pipeline import (
 )
 
 HEADER = "flight_id,type_code,t_s,alt_ft"
+HEADER_LATLON = HEADER + ",lat,lon"
 
 
 def csv_file(tmp_path, lines, name="blips.csv"):
@@ -48,6 +52,113 @@ def level_rows(flight_id, alt, t_start, duration, dt=10.0, type_code="NBJT"):
         f"{flight_id},{type_code},{t_start + k * dt},{alt}"
         for k in range(int(duration / dt) + 1)
     ]
+
+
+def reference_ingest(csv_path):
+    """The row-by-row ingest that the columnar one replaced: one csv.reader
+    over the whole file and one validated blip per row, grouped in a dict.
+    Returns the trajectories and the warnings it logged, in order."""
+    path = Path(csv_path)
+    reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    header = next(reader)
+    has_latlon = len(header) == 6
+    warnings = []
+    flights = {}
+    skipped = 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise DomainError(f"expected {len(header)} fields, got {len(row)}")
+            t_s, alt_ft = float(row[2]), float(row[3])
+            if has_latlon and row[4]:
+                float(row[4])
+            if has_latlon and row[5]:
+                float(row[5])
+            if not row[0] or not row[1]:
+                raise DomainError("blip needs a flight_id and type_code")
+            if not math.isfinite(t_s):
+                raise DomainError("blip time must be finite")
+            if not math.isfinite(alt_ft) or not 0.0 <= alt_ft <= pipeline.ALT_MAX_FT:
+                raise DomainError(f"blip altitude {alt_ft} outside [0, 60000] ft")
+        except (DomainError, ValueError) as exc:
+            warnings.append(f"{path} line {line_no}: {exc}; row skipped")
+            skipped += 1
+            continue
+        flights.setdefault(row[0], []).append((t_s, alt_ft, row[1]))
+    if skipped:
+        warnings.append(f"{path}: skipped {skipped} malformed row(s)")
+    if not flights:
+        raise DataError(f"{path}: no valid blip rows")
+    trajectories = []
+    for flight_id in sorted(flights):
+        blips = sorted(flights[flight_id], key=lambda b: b[0])
+        t_arr = np.array([b[0] for b in blips])
+        alt_arr = np.array([b[1] for b in blips])
+        keep = np.concatenate(([True], np.diff(t_arr) > 0.0))
+        t_arr, alt_arr = t_arr[keep], alt_arr[keep]
+        if t_arr.size < 2:
+            warnings.append(f"flight {flight_id}: fewer than 2 distinct blips; dropped")
+            continue
+        trajectories.append(Trajectory(flight_id=flight_id, type_code=blips[0][2], t_s=t_arr,
+                                       alt_ft=alt_arr, rocd_fpm=derive_rocd(t_arr, alt_arr)))
+    return trajectories, warnings
+
+
+# Rows that every ingest must reject, by check; "{f}" and "{c}" are a flight
+# id and its type.  4- and 6-column forms.
+MALFORMED = {
+    4: ["{f},{c},5.0", "{f},{c},5.0,1000,7", "{f},{c},abc,1000", "{f},{c},5.0,1O00",
+        ",{c},5.0,1000", "{f},,5.0,1000", "{f},{c},inf,1000", "{f},{c},nan,1000",
+        "{f},{c},-inf,1000", "{f},{c},5.0,-25", "{f},{c},5.0,60000.5", "{f},{c},5.0,inf",
+        "{f},{c},5.0,nan", '{f},{c},"5,0",1000', ",{c},abc,-5", ",{c},inf,1000",
+        "{f},{c},nan,abc", "{f},,inf,-5", " ", '""', '"{f},{c}",1,2'],
+    6: ["{f},{c},5.0,1000", "{f},{c},5.0,1000,1,2,3", "{f},{c},abc,1000,1,2",
+        "{f},{c},5.0,1000,north,2", "{f},{c},5.0,1000,1,east", "{f},{c},5.0,1000,,x",
+        ",{c},5.0,1000,,", "{f},,5.0,1000,1,", "{f},{c},nan,1000,1,2", "{f},{c},5.0,70000,,",
+        '{f},{c},"5,0",1000,,', ",{c},5.0,-1,x,", "{f},{c},inf,1000,x,", "{f},{c},5.0,abc,x,",
+        "{f},{c},5.0,1000,x,y", ",{c},inf,1000,,", "{f},{c},inf,-5,,"],
+}
+
+
+def random_blip_file(tmp_path, seed, latlon):
+    """A shuffled blip file with blank lines, duplicate timestamps, one-blip
+    flights, quoted fields (some with commas) and every malformed kind; no
+    quote is left open and no flight mixes types."""
+    rng = np.random.default_rng(seed)
+    rows, types = [], []
+    for k in range(int(rng.integers(3, 7))):
+        flight_id = ["F{k}", "F,{k}", 'F"{k}'][k % 3].format(k=k)
+        type_code = ["NBJT", "WBJT"][int(rng.integers(2))]
+        types.append(type_code)
+        n = 1 if k == 1 else int(rng.integers(2, 40))
+        t = np.round(rng.uniform(0.0, 3000.0) + np.cumsum(rng.choice([0.5, 4.0, 6.0], n)), 1)
+        alt = np.round((rng.uniform(5000.0, 30000.0) + 30.0 * (t - t[0])) / 25.0) * 25.0
+        dup = rng.random(n) < 0.15
+        t = np.concatenate([t, t[dup]])
+        alt = np.concatenate([alt, alt[dup] + 25.0])
+        for ti, ai in zip(t, alt):
+            fields = [flight_id, type_code, repr(float(ti)), repr(float(ai))]
+            if latlon:
+                fields += [repr(float(x)) if rng.random() < 0.8 else "" for x in rng.normal(size=2)]
+            quote = rng.random(len(fields)) < 0.05
+            if "," in flight_id:
+                quote[0] = True
+            rows.append(",".join('"' + x.replace('"', '""') + '"' if q else x
+                                 for x, q in zip(fields, quote)))
+    rows += [bad.format(f="F0", c=types[0]) for bad in MALFORMED[6 if latlon else 4]]
+    rows += [""] * 5
+    lines = [HEADER_LATLON if latlon else HEADER] + [rows[i] for i in rng.permutation(len(rows))]
+    return csv_file(tmp_path, lines, f"random{seed}.csv")
+
+
+def assert_same_trajectories(got, want):
+    assert [t.flight_id for t in got] == [t.flight_id for t in want]
+    for a, b in zip(got, want):
+        assert a.type_code == b.type_code
+        for field in ("t_s", "alt_ft", "rocd_fpm"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 class TestIngest:
@@ -120,6 +231,49 @@ class TestIngest:
             assert np.array_equal(a.alt_ft, b.alt_ft)
             assert np.array_equal(a.rocd_fpm, b.rocd_fpm)
 
+    @pytest.mark.parametrize("block_lines", [None, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_ingest(self, tmp_path, caplog, monkeypatch, seed, block_lines):
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        path = random_blip_file(tmp_path, seed, latlon=seed % 2 == 1)
+        want, want_warnings = reference_ingest(path)
+        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+            got = ingest(path)
+        assert_same_trajectories(got, want)
+        assert [r.getMessage() for r in caplog.records] == want_warnings
+        assert len(want_warnings) > len(MALFORMED[6 if seed % 2 else 4])
+
+    def test_stray_quote_skips_only_its_line(self, tmp_path, caplog):
+        lines = ([HEADER] + ramp_flight("A", 10000, 20000, 2000)[:10]
+                 + ['B,NBJT,0.0,"10000.0'] + ramp_flight("C", 10000, 30000, 250, dt=4.0)[:500])
+        assert len(lines) == 512
+        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+            trajectories = ingest(csv_file(tmp_path, lines))
+        assert [(t.flight_id, t.n_blips) for t in trajectories] == [("A", 10), ("C", 500)]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert "line 12: quoted field not closed on its line; row skipped" in messages[0]
+        assert "skipped 1 malformed row(s)" in messages[1]
+
+    def test_field_over_csv_size_limit_skipped(self, tmp_path, caplog):
+        lines = [HEADER] + ramp_flight("A", 10000, 20000, 2000) + [f'A,NBJT,"{"9" * 200000}",1']
+        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+            trajectories = ingest(csv_file(tmp_path, lines))
+        assert [t.flight_id for t in trajectories] == ["A"]
+        assert "field larger than field limit" in caplog.records[0].getMessage()
+        assert "skipped 1 malformed row(s)" in caplog.records[1].getMessage()
+
+    def test_mixed_type_flight_dropped(self, tmp_path, caplog):
+        mixed = ramp_flight("M", 10000, 20000, 2000)
+        mixed[3] = mixed[3].replace("NBJT", "WBJT")
+        lines = [HEADER] + ramp_flight("A", 10000, 20000, 2000) + mixed
+        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+            trajectories = ingest(csv_file(tmp_path, lines))
+        assert [t.flight_id for t in trajectories] == ["A"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "flight M: mixed type codes NBJT, WBJT; dropped"]
+
 
 class TestFilterClimbs:
     def make(self, tmp_path, rows, name):
@@ -173,6 +327,15 @@ class TestFilterClimbs:
     def test_median3(self):
         x = np.array([1.0, 9.0, 2.0, 3.0])
         assert np.array_equal(median3(x), np.array([1.0, 2.0, 3.0, 3.0]))
+
+    def test_median3_equals_np_median(self):
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 2, 3, 4, 50, 1000):
+            for x in (rng.normal(size=n), rng.integers(-3, 4, size=n) * 25.0):
+                want = x.copy()
+                if n >= 3:
+                    want[1:-1] = np.median(np.vstack([x[:-2], x[1:-1], x[2:]]), axis=0)
+                assert median3(x).tobytes() == want.tobytes()
 
 
 class TestSplit:
