@@ -19,8 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, generative, learning, performance, pipeline
-from .pipeline import fnum
-from .errors import ClimbgenError, DataError, ValidationError
+from .dynamics import integrate_climb
+from .errors import ClimbgenError, DataError, TooFewFlightsError, ValidationError
+from .performance import nominal_thrust
+from .pipeline import write_columns
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +65,10 @@ def _load_catalog(args) -> dict[str, performance.AircraftPerformance]:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
     return out
 
 
@@ -123,28 +128,16 @@ def _cmd_fit(args) -> int:
         if type_code not in catalog:
             logger.warning("type %s missing from the performance catalog; skipped", type_code)
             continue
-        perf = catalog[type_code]
-        profiles = []
-        for tr in by_type[type_code]:
-            try:
-                profiles.append(learning.profile_from_flight(perf, tr, grid))
-            except ClimbgenError as exc:
-                logger.warning("%s", exc)
-        if len(profiles) < learning.MIN_FIT_PROFILES:
-            logger.warning("type %s: only %d usable flights; skipped", type_code, len(profiles))
+        try:
+            model = generative.fit_type_model(catalog[type_code], by_type[type_code], grid,
+                                              args.max_modes, interval_fl=(fl_low, fl_high))
+        except TooFewFlightsError as exc:
+            logger.warning("%s; skipped", exc)
             continue
-        basis = learning.fit_fpca(profiles, n_max=args.max_modes)
-        weights = [learning.project_weights(basis, p) for p in profiles]
-        model = generative.GenerativeClimbModel(
-            type_code=type_code,
-            basis=basis,
-            weights=generative.fit_weight_distribution(weights),
-            interval_fl=(fl_low, fl_high),
-            n_flights_fit=len(profiles),
-        )
         generative.save_model(model, out / f"model_{type_code}.json")
         fitted += 1
-        print(f"fitted {type_code}: {len(profiles)} flights, "
+        basis = model.basis
+        print(f"fitted {type_code}: {model.n_flights_fit} flights, "
               f"{basis.n_modes} modes, ev={np.round(basis.explained_variance, 4).tolist()}")
     if fitted == 0:
         raise DataError("no type had enough usable flights to fit")
@@ -155,12 +148,8 @@ def _cmd_sample(args) -> int:
     out = _out_dir(args)
     model = generative.load_model(args.model)
     profiles = generative.sample_thrust(model, args.count, args.seed)
-    rows = ["sample_id,h_m,thrust_N"]
-    for s, profile in enumerate(profiles):
-        for h, v in zip(profile.grid, profile.values):
-            rows.append(f"{s},{fnum(h)},{fnum(v)}")
     path = out / f"samples_{model.type_code}.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    evaluation.write_samples_csv(path, profiles)
     print(f"wrote {args.count} sampled profiles to {path}")
     return EXIT_OK
 
@@ -173,19 +162,15 @@ def _cmd_bounds(args) -> int:
         raise ValidationError(f"type {model.type_code} missing from the performance catalog")
     perf = catalog[model.type_code]
     lower, upper = generative.bound_profiles(model, args.level)
-    mean_profile = model.mean_profile()
-    rows = ["h_m,lower_N,mean_N,upper_N"]
-    for j in range(model.basis.grid.size):
-        rows.append(f"{fnum(model.basis.grid[j])},{fnum(lower.values[j])},"
-                    f"{fnum(mean_profile.values[j])},{fnum(upper.values[j])}")
-    (out / f"bounds_thrust_{model.type_code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
+                  model.basis.grid, lower.values, model.mean_profile().values, upper.values)
 
+    # the bound climbs of generative.bound_trajectories, from the envelope above
     h0, h1 = float(model.basis.grid[0]), float(model.basis.grid[-1])
-    slow, fast = generative.bound_trajectories(model, perf, perf.nominal_mass, h0, h1, args.level)
-    rows = ["h_m,t_fast_s,t_slow_s"]
-    for j in range(slow.h.size):
-        rows.append(f"{fnum(slow.h[j])},{fnum(fast.t[j])},{fnum(slow.t[j])}")
-    (out / f"bounds_time_{model.type_code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    slow = integrate_climb(perf, perf.nominal_mass, lower, h0, h1)
+    fast = integrate_climb(perf, perf.nominal_mass, upper, h0, h1)
+    write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
+                  slow.h, fast.t, slow.t)
     print(f"wrote thrust and time bounds for {model.type_code} at level {args.level}")
     return EXIT_OK
 
@@ -197,9 +182,6 @@ def _cmd_predict(args) -> int:
     if model.type_code not in catalog:
         raise ValidationError(f"type {model.type_code} missing from the performance catalog")
     perf = catalog[model.type_code]
-    from .dynamics import integrate_climb
-    from .performance import nominal_thrust
-
     grid = model.basis.grid
     h0, h1 = float(grid[0]), float(grid[-1])
     mean_traj = integrate_climb(perf, perf.nominal_mass, model.mean_profile(), h0, h1)
@@ -207,11 +189,8 @@ def _cmd_predict(args) -> int:
         perf, perf.nominal_mass,
         learning.ThrustProfile(grid.copy(), nominal_thrust(perf, grid)), h0, h1,
     )
-    rows = ["h_m,t_model_s,t_nominal_s"]
-    for j in range(mean_traj.h.size):
-        rows.append(f"{fnum(mean_traj.h[j])},{fnum(mean_traj.t[j])},{fnum(nominal_traj.t[j])}")
     path = out / f"predict_{model.type_code}.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_columns(path, "h_m,t_model_s,t_nominal_s", mean_traj.h, mean_traj.t, nominal_traj.t)
     model_sample = evaluation.arrival_times(mean_traj)
     nominal_sample = evaluation.arrival_times(nominal_traj)
     summary = {

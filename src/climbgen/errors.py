@@ -3,10 +3,14 @@
 Two broad families matter to the CLI: ``ValidationError`` (bad inputs,
 bad files, bad configuration; exit code 2) and ``DataError`` (the inputs
 were well formed but the data cannot support the requested operation;
-exit code 3).
+exit code 3).  ``read_json`` maps every way a JSON input can fail to be
+read onto one of these classes, with the path in the message.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class ClimbgenError(Exception):
@@ -45,6 +49,10 @@ class FlightRejectedError(DataError):
     """A flight has too little usable data to fit a thrust profile."""
 
 
+class TooFewFlightsError(DataError):
+    """Too few of a type's flights give a thrust profile to fit a model."""
+
+
 class InfeasibleClimbError(DataError):
     """Climb rate fell to or below the feasibility floor.
 
@@ -62,3 +70,21 @@ class DegenerateModelError(DataError):
 
 class DegenerateNodeError(DataError):
     """All basis modes vanish at the requested grid node."""
+
+
+def read_json(path: Path, what: str, error: type[ClimbgenError]):
+    """The parsed content of a UTF-8 JSON file.
+
+    A missing, unreadable (e.g. a directory) or non-UTF-8 file, or text
+    that is not JSON, raises ``error`` naming ``what`` and the path.
+    """
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None

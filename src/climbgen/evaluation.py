@@ -4,6 +4,12 @@ and the per-type evaluation report.
 All arrival times are zero-referenced at the flight's upward crossing of
 the reference flight level (FL150 by default), so observed, predicted,
 and sampled climbs share a common origin.
+
+``evaluate_type`` builds each type's thrust envelope once and integrates
+it into the slow and fast bound climbs; the plot-ready artifacts reuse
+that envelope and are written column-wise by ``pipeline.write_columns``
+(shortest float text, each distinct value formatted once).  The metrics
+table keeps its fixed decimal format.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ import numpy as np
 from .atmosphere import FT
 from .dynamics import ClimbTrajectory, integrate_climb
 from .errors import DataError, DomainError, InfeasibleClimbError
-from .generative import GenerativeClimbModel, bound_trajectories, sample_thrust
+from .generative import GenerativeClimbModel, bound_profiles, sample_thrust
 from .learning import ThrustProfile
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
-from .pipeline import DatasetSplit, Trajectory, fnum
+from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
 
 logger = logging.getLogger(__name__)
 
@@ -248,7 +254,10 @@ def evaluate_type(
     mean_traj = integrate_climb(perf, mass, model.mean_profile(), h0, h1)
     nominal_profile = ThrustProfile(grid.copy(), nominal_thrust(perf, grid))
     nominal_traj = integrate_climb(perf, mass, nominal_profile, h0, h1)
-    slow, fast = bound_trajectories(model, perf, mass, h0, h1, level)
+    # the bound climbs of generative.bound_trajectories, keeping the envelope
+    lower, upper = bound_profiles(model, level)
+    slow = integrate_climb(perf, mass, lower, h0, h1)
+    fast = integrate_climb(perf, mass, upper, h0, h1)
 
     observed = []
     for tr in test_trajectories:
@@ -301,6 +310,7 @@ def evaluate_type(
         "nominal_traj": nominal_traj,
         "slow": slow,
         "fast": fast,
+        "envelope": (lower, upper),
         "profiles": profiles,
         "sampled_trajs": sampled_trajs,
         "observed": observed,
@@ -348,7 +358,7 @@ def run_report(
                            type_code, exc)
             continue
         reports.append(report)
-        _write_type_artifacts(out, models[type_code], catalog[type_code], artifacts, level)
+        _write_type_artifacts(out, models[type_code], catalog[type_code], artifacts)
 
     reports.sort(key=lambda r: (-r.n_f, r.type_code))
     lines = [REPORT_HEADER] + [_format_row(r) for r in reports]
@@ -362,62 +372,65 @@ def run_report(
     return reports
 
 
+def write_samples_csv(path: str | Path, profiles: list[ThrustProfile]) -> None:
+    """Sampled thrust profiles, one row per sample and grid node."""
+    write_columns(
+        path, "sample_id,h_m,thrust_N",
+        repeat_each([str(s) for s in range(len(profiles))], [p.grid.size for p in profiles]),
+        np.concatenate([p.grid for p in profiles]),
+        np.concatenate([p.values for p in profiles]),
+    )
+
+
 def _write_type_artifacts(
     out: Path,
     model: GenerativeClimbModel,
     perf: AircraftPerformance,
     artifacts: dict,
-    level: float,
 ) -> None:
-    from .generative import bound_profiles
-
     code = model.type_code
     grid = model.basis.grid
-    mean_recon = model.mean_profile().values
-    lo_profile, up_profile = bound_profiles(model, level)
-    rows = ["h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N"]
-    min_level = min_level_thrust(perf, grid)
-    nominal = artifacts["nominal_profile"].values
-    for j in range(grid.size):
-        rows.append(
-            f"{fnum(grid[j])},{fnum(mean_recon[j])},{fnum(lo_profile.values[j])},"
-            f"{fnum(up_profile.values[j])},{fnum(nominal[j])},{fnum(min_level[j])}"
-        )
-    (out / f"profiles_{code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    lower, upper = artifacts["envelope"]
+    write_columns(
+        out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
+        grid, model.mean_profile().values, lower.values, upper.values,
+        artifacts["nominal_profile"].values, min_level_thrust(perf, grid),
+    )
 
-    rows = ["sample_id,h_m,thrust_N"]
-    for s, profile in enumerate(artifacts["profiles"]):
-        for j in range(grid.size):
-            rows.append(f"{s},{fnum(grid[j])},{fnum(profile.values[j])}")
-    (out / f"sampled_thrust_{code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_samples_csv(out / f"sampled_thrust_{code}.csv", artifacts["profiles"])
 
-    rows = ["series,h_m,t_s"]
-    for name in ("mean_traj", "nominal_traj", "slow", "fast"):
-        traj = artifacts[name]
-        for h, t in zip(traj.h, traj.t):
-            rows.append(f"{name},{fnum(h)},{fnum(t)}")
-    for s, traj in enumerate(artifacts["sampled_trajs"]):
-        for h, t in zip(traj.h[::10], traj.t[::10]):
-            rows.append(f"sample_{s},{fnum(h)},{fnum(t)}")
-    (out / f"trajectories_model_{code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    curves = [(name, artifacts[name].h, artifacts[name].t)
+              for name in ("mean_traj", "nominal_traj", "slow", "fast")]
+    curves += [(f"sample_{s}", traj.h[::10], traj.t[::10])
+               for s, traj in enumerate(artifacts["sampled_trajs"])]
+    names, h, t = zip(*curves)
+    write_columns(
+        out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
+        repeat_each(names, [x.size for x in h]), np.concatenate(h), np.concatenate(t),
+    )
 
-    rows = ["flight_id,t_s,alt_ft"]
-    for sample in artifacts["observed"]:
-        rows.append(f"{sample.flight_id},{fnum(sample.t_fl250)},25000.0")
-        rows.append(f"{sample.flight_id},{fnum(sample.t_fl325)},32500.0")
-    (out / f"arrivals_test_{code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    observed = artifacts["observed"]
+    obs250 = np.array([s.t_fl250 for s in observed])
+    obs325 = np.array([s.t_fl325 for s in observed])
+    write_columns(
+        out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
+        repeat_each([s.flight_id for s in observed], [2] * len(observed)),
+        np.column_stack((obs250, obs325)).ravel(),
+        ["25000.0", "32500.0"] * len(observed),
+    )
 
     gen250, gen325 = artifacts["generated"]
-    obs250 = np.array([s.t_fl250 for s in artifacts["observed"]])
-    obs325 = np.array([s.t_fl325 for s in artifacts["observed"]])
-    rows = ["fl,t_s,density_test,density_generated"]
-    for fl, obs, gen in ((250, obs250, gen250), (325, obs325, gen325)):
+    fls, xs, dps, dqs = [], [], [], []
+    for fl, obs, gen in (("250", obs250, gen250), ("325", obs325, gen325)):
         bw_p = silverman_bandwidth(obs)
         bw_q = silverman_bandwidth(gen)
         pad = 3.0 * max(bw_p, bw_q)
-        xs = np.linspace(min(obs.min(), gen.min()) - pad, max(obs.max(), gen.max()) + pad, 256)
-        dp = kde_density(obs, xs, bw_p)
-        dq = kde_density(gen, xs, bw_q)
-        for x, a, b in zip(xs, dp, dq):
-            rows.append(f"{fl},{fnum(x)},{fnum(a)},{fnum(b)}")
-    (out / f"kde_{code}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        x = np.linspace(min(obs.min(), gen.min()) - pad, max(obs.max(), gen.max()) + pad, 256)
+        fls += [fl] * x.size
+        xs.append(x)
+        dps.append(kde_density(obs, x, bw_p))
+        dqs.append(kde_density(gen, x, bw_q))
+    write_columns(
+        out / f"kde_{code}.csv", "fl,t_s,density_test,density_generated",
+        fls, np.concatenate(xs), np.concatenate(dps), np.concatenate(dqs),
+    )

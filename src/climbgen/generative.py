@@ -18,6 +18,7 @@ exactly on the ellipsoid surface.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,15 +28,29 @@ import numpy as np
 
 from .dynamics import ClimbTrajectory, integrate_climb
 from .errors import (
+    ClimbgenError,
     DegenerateModelError,
     DegenerateNodeError,
     DomainError,
     ModelFileError,
+    TooFewFlightsError,
+    read_json,
 )
-from .learning import FpcaBasis, ThrustProfile
+from .learning import (
+    MAX_COMPONENTS,
+    MIN_FIT_PROFILES,
+    FpcaBasis,
+    ThrustProfile,
+    fit_fpca,
+    profile_from_flight,
+    project_weights,
+)
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
+    from .pipeline import Trajectory
+
+logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 MIN_FIT_WEIGHTS = 10
@@ -102,6 +117,39 @@ def fit_weight_distribution(weight_vectors: Sequence[np.ndarray]) -> WeightDistr
         )
     w = np.stack([np.asarray(v, dtype=float) for v in weight_vectors])
     return WeightDistribution(mu=w.mean(axis=0), var=w.var(axis=0, ddof=1))
+
+
+def fit_type_model(
+    perf: "AircraftPerformance",
+    trajectories: Sequence["Trajectory"],
+    grid: np.ndarray,
+    n_max: int = MAX_COMPONENTS,
+    interval_fl: tuple[float, float] = (150.0, 325.0),
+) -> GenerativeClimbModel:
+    """Fit one type's model: a thrust profile per flight on ``grid``, the
+    fPCA basis, each profile's weights and their Gaussian fit.
+
+    A flight whose profile raises ``ClimbgenError`` is skipped with a
+    warning; fewer than ``MIN_FIT_PROFILES`` profiles raise
+    ``TooFewFlightsError``.  ``interval_fl`` is the flight-level span
+    ``grid`` was built for, kept in the model as its provenance.
+    """
+    profiles = []
+    for tr in trajectories:
+        try:
+            profiles.append(profile_from_flight(perf, tr, grid))
+        except ClimbgenError as exc:
+            logger.warning("%s", exc)
+    if len(profiles) < MIN_FIT_PROFILES:
+        raise TooFewFlightsError(f"type {perf.type_code}: only {len(profiles)} usable flights")
+    basis = fit_fpca(profiles, n_max=n_max)
+    return GenerativeClimbModel(
+        type_code=perf.type_code,
+        basis=basis,
+        weights=fit_weight_distribution([project_weights(basis, p) for p in profiles]),
+        interval_fl=interval_fl,
+        n_flights_fit=len(profiles),
+    )
 
 
 def sample_weights(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
@@ -270,12 +318,7 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
     """Load a model file, refusing unknown schema versions and validating
     the basis invariants."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ModelFileError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(f"model file {path} is corrupted: {exc}") from None
+    doc = read_json(path, "model file", ModelFileError)
     if not isinstance(doc, dict) or set(doc) != _MODEL_KEYS:
         raise ModelFileError(f"model file {path} does not match the expected schema")
     if doc["schema_version"] != SCHEMA_VERSION:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dynamics
 from .atmosphere import SpeedSchedule, isa_state, schedule_speed
-from .errors import DomainError, ModelValidityError, ValidationError
+from .errors import DomainError, ModelValidityError, ValidationError, read_json
 
 PERF_H_MAX = 15000.0   # m, validity ceiling of the thrust model
 
@@ -140,12 +140,7 @@ def load_performance(path: str | Path) -> dict[str, AircraftPerformance]:
     The result is sorted by type code so loading is order-independent.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"performance file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"performance file {path} is not valid JSON: {exc}") from None
+    raw = read_json(path, "performance file", ValidationError)
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"performance file {path} must be a non-empty JSON array")
     catalog: dict[str, AircraftPerformance] = {}

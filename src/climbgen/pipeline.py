@@ -1,5 +1,6 @@
-"""Radar-blip ingestion, climb filtering, train/test splitting, and the
-synthetic fleet simulator used for verification.
+"""Radar-blip ingestion, climb filtering, train/test splitting, the
+synthetic fleet simulator used for verification, and the CSV writer that
+every artifact goes through.
 
 CSV schema (UTF-8, header required)::
 
@@ -19,6 +20,13 @@ time (one-sided at the ends) followed by a 3-point median filter to
 suppress altitude-quantization spikes.  A flight whose blips carry more
 than one type code, or that has fewer than 2 distinct timestamps, is
 dropped with a warning.
+
+Every CSV the package writes goes through ``write_columns``: whole
+columns, not rows, are formatted.  A number is written as
+``repr(float(x))``, the shortest text that reads back to the same float,
+and each distinct bit pattern in a column is formatted once, so the few
+values radar columns repeat (scan times, quantized altitudes, the grid)
+cost one ``repr`` each.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +45,7 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import integrate_climb
-from .errors import DataError, DomainError, InfeasibleClimbError, ScenarioError
+from .errors import DataError, DomainError, InfeasibleClimbError, ScenarioError, read_json
 from .learning import ThrustProfile
 from .performance import AircraftPerformance, nominal_thrust
 
@@ -46,7 +54,7 @@ logger = logging.getLogger(__name__)
 _HEADER = ["flight_id", "type_code", "t_s", "alt_ft"]
 _HEADER_LATLON = _HEADER + ["lat", "lon"]
 ALT_MAX_FT = 60000.0
-BLOCK_LINES = 1 << 15   # lines per parse block: bounds the field strings held at once
+BLOCK_LINES = 1 << 15   # lines per parse or write block: bounds the strings held at once
 MAX_REDRAWS = 100
 TRUTH_GRID_SIZE = 200
 
@@ -82,9 +90,48 @@ class DatasetSplit:
     seed: int
 
 
-def fnum(x: float) -> str:
-    """Shortest exact decimal form of a float (numpy scalars unwrapped)."""
-    return repr(float(x))
+def _float_texts(values) -> list[str]:
+    """``repr(float(v))`` of each value: the shortest decimal that reads
+    back to the same float.
+
+    Each distinct bit pattern is formatted once and the texts gathered by
+    the inverse index, so a column that repeats a few values (scan times,
+    quantized altitudes, a shared grid) costs one sort, not one ``repr``
+    per row.  Comparing bit patterns keeps ``-0.0`` apart from ``0.0``.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def repeat_each(texts: Sequence[str], counts: Sequence[int]) -> list[str]:
+    """A text column holding ``texts[i]`` ``counts[i]`` times in a row."""
+    column: list[str] = []
+    for text, count in zip(texts, counts):
+        column += [text] * count
+    return column
+
+
+def write_columns(path: str | Path, header: str, *columns) -> None:
+    """Write equal-length columns as a CSV file under a ``header`` line.
+
+    A column is a list of ready texts or an array of numbers, written as
+    ``_float_texts`` gives it.  Every line, the last one included, ends in
+    a newline; no rows give exactly ``header + "\\n"``.  Rows are joined
+    and written ``BLOCK_LINES`` at a time, so the whole file's text is
+    never held at once.
+    """
+    if header.count(",") + 1 != len(columns):
+        raise ValueError(f"header {header!r} does not name {len(columns)} columns")
+    texts = [c if isinstance(c, list) else _float_texts(c) for c in columns]
+    if len({len(t) for t in texts}) > 1:
+        raise ValueError(f"columns of {header!r} differ in length")
+    rows = map(",".join, zip(*texts))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        while block := list(islice(rows, BLOCK_LINES)):
+            fh.write("\n".join(block) + "\n")
 
 
 def median3(x: np.ndarray) -> np.ndarray:
@@ -297,11 +344,15 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
 def write_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path) -> None:
     """Write trajectories back out in the ingest schema (4-column form)."""
-    lines = [",".join(_HEADER)]
-    for tr in sorted(trajectories, key=lambda t: t.flight_id):
-        for t, alt in zip(tr.t_s, tr.alt_ft):
-            lines.append(f"{tr.flight_id},{tr.type_code},{fnum(t)},{fnum(alt)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ordered = sorted(trajectories, key=lambda t: t.flight_id)
+    counts = [tr.n_blips for tr in ordered]
+    write_columns(
+        path, ",".join(_HEADER),
+        repeat_each([tr.flight_id for tr in ordered], counts),
+        repeat_each([tr.type_code for tr in ordered], counts),
+        np.concatenate([tr.t_s for tr in ordered] or [np.empty(0)]),
+        np.concatenate([tr.alt_ft for tr in ordered] or [np.empty(0)]),
+    )
 
 
 def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray,
@@ -433,12 +484,7 @@ class FleetScenario:
 
 def load_scenario(path: str | Path) -> FleetScenario:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "scenario file", ScenarioError)
     try:
         types = {
             code: TypeScenario(
@@ -520,7 +566,9 @@ def simulate_fleet(
     h0, h1 = fl_to_m(scenario.fl_start), fl_to_m(scenario.fl_end)
     grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
 
-    lines = [",".join(_HEADER)]
+    flight_ids: list[str] = []
+    type_codes: list[str] = []
+    times, alts = [], []
     truth: dict[str, dict] = {}
     counts: dict[str, int] = {}
     for type_code in sorted(scenario.types):
@@ -551,8 +599,10 @@ def simulate_fleet(
                 alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
             if scenario.quantization_ft > 0.0:
                 alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
-            for t, a in zip(t_blips, alt):
-                lines.append(f"{flight_id},{type_code},{fnum(t)},{fnum(a)}")
+            flight_ids += [flight_id] * t_blips.size
+            type_codes += [type_code] * t_blips.size
+            times.append(t_blips)
+            alts.append(alt)
             truth[flight_id] = {
                 "type_code": type_code,
                 "thrust_bias_n": spec.thrust_bias_n,
@@ -560,7 +610,8 @@ def simulate_fleet(
             }
         counts[type_code] = spec.count
 
-    Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_columns(csv_path, ",".join(_HEADER), flight_ids, type_codes,
+                  np.concatenate(times), np.concatenate(alts))
     Path(truth_path).write_text(
         json.dumps({"seed": seed, "flights": truth}, sort_keys=True, indent=1) + "\n",
         encoding="utf-8",

@@ -57,16 +57,5 @@ def small_world(catalog, tmp_path_factory):
                             truth_path=truth_path)
     trajectories = pipeline.filter_climbs(pipeline.ingest(csv_path))
     split_data = pipeline.split(trajectories, seed=5)
-    perf = catalog["NBJT"]
-    grid = learning.default_grid()
-    profiles = [learning.profile_from_flight(perf, tr, grid) for tr in split_data.train]
-    basis = learning.fit_fpca(profiles)
-    weights = [learning.project_weights(basis, p) for p in profiles]
-    model = generative.GenerativeClimbModel(
-        type_code="NBJT",
-        basis=basis,
-        weights=generative.fit_weight_distribution(weights),
-        interval_fl=(150.0, 325.0),
-        n_flights_fit=len(profiles),
-    )
+    model = generative.fit_type_model(catalog["NBJT"], split_data.train, learning.default_grid())
     return model, split_data, csv_path, truth_path

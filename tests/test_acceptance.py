@@ -30,29 +30,14 @@ from climbgen.learning import (
     default_grid,
     fit_fpca,
     invert_thrust,
-    project_weights,
     select_components,
     trapezoid_weights,
 )
 
 
 def _fit_type(catalog, code, split_data, n_max=learning.MAX_COMPONENTS):
-    perf = catalog[code]
-    grid = default_grid()
-    profiles = [
-        learning.profile_from_flight(perf, tr, grid)
-        for tr in split_data.train
-        if tr.type_code == code
-    ]
-    basis = fit_fpca(profiles, n_max=n_max)
-    weights = [project_weights(basis, p) for p in profiles]
-    return GenerativeClimbModel(
-        type_code=code,
-        basis=basis,
-        weights=generative.fit_weight_distribution(weights),
-        interval_fl=(150.0, 325.0),
-        n_flights_fit=len(profiles),
-    )
+    flights = [tr for tr in split_data.train if tr.type_code == code]
+    return generative.fit_type_model(catalog[code], flights, default_grid(), n_max)
 
 
 @pytest.fixture(scope="module")

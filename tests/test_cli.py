@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import climbgen
+from climbgen import generative
 from climbgen.cli import main
 from climbgen.generative import bound_profiles, load_model
 
@@ -68,6 +69,19 @@ class TestWorkflow:
                      "--level", "0.95", "--out", str(workdir / "bounds")]) == 0
         assert (workdir / "bounds" / "bounds_thrust_NBJT.csv").exists()
         assert (workdir / "bounds" / "bounds_time_NBJT.csv").exists()
+
+    def test_bounds_builds_the_envelope_once(self, workdir, monkeypatch):
+        original = generative.bound_profiles
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(generative, "bound_profiles", counting)
+        assert main(["bounds", "--model", str(workdir / "models" / "model_NBJT.json"),
+                     "--level", "0.9", "--out", str(workdir / "bounds90")]) == 0
+        assert len(calls) == 1
 
     def test_predict(self, workdir):
         assert main(["predict", "--model", str(workdir / "models" / "model_NBJT.json"),
@@ -147,6 +161,30 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert str(bad) in proc.stderr
+
+    @pytest.mark.parametrize("case", ["model-dir", "model-latin1", "scenario-dir",
+                                      "scenario-latin1", "perf-dir", "perf-latin1", "out-file"])
+    def test_unreadable_input_is_validation_error(self, tmp_path, case):
+        kind, _, fault = case.partition("-")
+        bad = tmp_path / f"{kind}.json"
+        if fault == "dir":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"type_code": "NBJ\xe9"}')
+        command = {
+            "model": ["predict", "--model", str(bad), "--out", str(tmp_path / "o")],
+            "scenario": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")],
+            "perf": ["fit", "--perf-file", str(bad), "--train", str(tmp_path / "none.csv"),
+                     "--out", str(tmp_path / "o")],
+            "out": ["prepare", "--csv", str(tmp_path / "none.csv"), "--out", str(bad)],
+        }[kind]
+        src = str(Path(climbgen.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "climbgen.cli", *command],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert str(bad) in proc.stderr
 

@@ -1,12 +1,13 @@
 """Arrival-time metrics, KL divergence, coverage, and report tests."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from climbgen import generative, pipeline
+from climbgen import evaluation, generative, pipeline
 from climbgen.dynamics import ClimbTrajectory
 from climbgen.errors import DataError
 from climbgen.evaluation import (
@@ -225,3 +226,39 @@ class TestRunReport:
         run_report({"NBJT": generative.load_model(model_path)}, split_data, catalog,
                    tmp_path / "out", seed=1)
         assert hashlib.sha256(model_path.read_bytes()).hexdigest() == digest_before
+
+    def test_one_envelope_per_evaluated_type(self, small_world, catalog, tmp_path, monkeypatch):
+        """evaluate builds each type's envelope once, also for a type whose
+        slow bound climb is infeasible, and writes it unchanged."""
+        model, split_data, _, _ = small_world
+        wide = generative.GenerativeClimbModel(
+            "WIDE", model.basis,
+            generative.WeightDistribution(model.weights.mu, model.weights.var * 1e4),
+            model.interval_fl, model.n_flights_fit)
+        test = split_data.test + [dataclasses.replace(tr, type_code="WIDE")
+                                  for tr in split_data.test]
+        data = pipeline.DatasetSplit(train=[], test=test, seed=0)
+        catalog = {**catalog, "WIDE": dataclasses.replace(catalog["NBJT"], type_code="WIDE")}
+        original = generative.bound_profiles
+        calls = []
+
+        def counting(m, *args, **kwargs):
+            calls.append(m.type_code)
+            return original(m, *args, **kwargs)
+
+        for module in (generative, evaluation):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+        reports = run_report({"NBJT": model, "WIDE": wide}, data, catalog, tmp_path,
+                             seed=2, level=0.9)
+        assert calls == ["NBJT", "WIDE"]
+        assert [r.type_code for r in reports] == ["NBJT"]
+        assert not (tmp_path / "profiles_WIDE.csv").exists()
+
+        lines = (tmp_path / "profiles_NBJT.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        lower, upper = original(model, 0.9)
+        assert np.array_equal(table[:, header.index("lower_N")], lower.values)
+        assert np.array_equal(table[:, header.index("upper_N")], upper.values)

@@ -2,6 +2,7 @@
 ellipsoid tangency bounds, and persistence."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from climbgen.errors import (
     DegenerateNodeError,
     DomainError,
     ModelFileError,
+    TooFewFlightsError,
 )
 from climbgen.generative import (
     GenerativeClimbModel,
@@ -22,6 +24,7 @@ from climbgen.generative import (
     bound_trajectories,
     bound_weights,
     confidence_radius,
+    fit_type_model,
     fit_weight_distribution,
     load_model,
     sample_thrust,
@@ -29,6 +32,7 @@ from climbgen.generative import (
     save_model,
 )
 from climbgen.learning import FpcaBasis, default_grid, trapezoid_weights
+from climbgen.pipeline import Trajectory
 
 
 def make_model(grid=None, mean_level=85000.0, variances=(9e6, 4e6, 1e6),
@@ -85,6 +89,24 @@ class TestFitWeightDistribution:
         basis = fit_fpca(profiles, n_max=4)
         dist = fit_weight_distribution([project_weights(basis, p) for p in profiles])
         assert np.all(np.abs(dist.mu) < 1e-9 * np.sqrt(dist.var))
+
+
+class TestFitTypeModel:
+    def test_rejected_flight_skipped_with_warning(self, small_world, catalog, caplog):
+        model, split_data, _, _ = small_world
+        short = Trajectory("SHORT", "NBJT", [0.0, 6.0], [20000.0, 20100.0], [1000.0, 1000.0])
+        with caplog.at_level(logging.WARNING, logger="climbgen.generative"):
+            again = fit_type_model(catalog["NBJT"], [short] + split_data.train, default_grid())
+        assert "flight SHORT" in caplog.text
+        assert again.type_code == "NBJT" and again.interval_fl == (150.0, 325.0)
+        assert again.n_flights_fit == model.n_flights_fit == len(split_data.train)
+        assert np.array_equal(again.basis.modes, model.basis.modes)
+        assert np.array_equal(again.weights.var, model.weights.var)
+
+    def test_too_few_flights(self, small_world, catalog):
+        _, split_data, _, _ = small_world
+        with pytest.raises(TooFewFlightsError, match="NBJT: only 9 usable flights"):
+            fit_type_model(catalog["NBJT"], split_data.train[:9], default_grid())
 
 
 class TestSampleThrust:

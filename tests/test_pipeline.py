@@ -24,6 +24,7 @@ from climbgen.pipeline import (
     simulate_fleet,
     split,
     truth_modes,
+    write_columns,
     write_trajectories_csv,
 )
 
@@ -120,6 +121,34 @@ MALFORMED = {
         '{f},{c},"5,0",1000,,', ",{c},5.0,-1,x,", "{f},{c},inf,1000,x,", "{f},{c},5.0,abc,x,",
         "{f},{c},5.0,1000,x,y", ",{c},inf,1000,,", "{f},{c},inf,-5,,"],
 }
+
+
+def reference_write(path, header, *columns):
+    """The row loop that write_columns replaced: one ``repr(float(x))``
+    call per number, rows joined by newlines, one trailing newline."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(x if isinstance(x, str) else repr(float(x)) for x in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# values whose text is easy to get wrong: signed zeros, NaN payloads,
+# infinities, either side of repr's switch to exponent form, subnormals
+AWKWARD = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-5,
+     5e-324, -5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308, 0.1, 1 / 3, 25.0, 6.0],
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+def random_float_column(rng, n):
+    """Repeats of a small pool (like scan times and quantized altitudes),
+    awkward values and fresh random floats, shuffled together."""
+    pool = np.round(rng.uniform(0.0, 40000.0, 7) / 25.0) * 25.0
+    values = np.concatenate([rng.choice(pool, n // 2), rng.choice(AWKWARD, n // 4),
+                             rng.standard_normal(n - n // 2 - n // 4) * 10.0 ** rng.integers(-20, 20)])
+    return rng.permutation(values)
 
 
 def random_blip_file(tmp_path, seed, latlon):
@@ -273,6 +302,57 @@ class TestIngest:
         assert [t.flight_id for t in trajectories] == ["A"]
         assert [r.getMessage() for r in caplog.records] == [
             "flight M: mixed type codes NBJT, WBJT; dropped"]
+
+
+class TestWriteColumns:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_write(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        ids = [f"F{i}" for i in rng.integers(0, 5, n)]
+        columns = (
+            ids,
+            random_float_column(rng, n),
+            random_float_column(rng, n).astype(np.float32),
+            rng.integers(-2**62, 2**62, n) // 10 ** rng.integers(0, 19, n),
+            ["25000.0", "32500.0"] * (n // 2) + ["x"] * (n % 2),
+            random_float_column(rng, n)[::-1],   # a strided view
+        )
+        header = "id,a,b,c,d,e"
+        write_columns(tmp_path / "new.csv", header, *columns)
+        reference_write(tmp_path / "old.csv", header, *columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_signed_zero_and_nan_payloads_keep_their_text(self, tmp_path):
+        write_columns(tmp_path / "z.csv", "v", AWKWARD)
+        reference_write(tmp_path / "r.csv", "v", AWKWARD)
+        text = (tmp_path / "z.csv").read_text()
+        assert text == (tmp_path / "r.csv").read_text()
+        assert text.splitlines()[1:3] == ["0.0", "-0.0"]
+        assert "1e+16" in text and "0.0001" in text and "5e-324" in text
+
+    def test_zero_rows_write_only_the_header(self, tmp_path):
+        write_columns(tmp_path / "e.csv", "a,b", [], np.empty(0))
+        reference_write(tmp_path / "r.csv", "a,b", [], np.empty(0))
+        assert (tmp_path / "e.csv").read_bytes() == b"a,b\n" == (tmp_path / "r.csv").read_bytes()
+        write_trajectories_csv([], tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == HEADER + "\n"
+
+    def test_header_and_lengths_must_match(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "x.csv", "a,b", np.zeros(2))
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "x.csv", "a,b", np.zeros(2), np.zeros(3))
+
+    def test_trajectories_csv_matches_reference_write(self, tmp_path):
+        lines = [HEADER] + ramp_flight("B", 8000, 35000, 1700) + ramp_flight("A", 9000, 34000, 2100)
+        trajectories = ingest(csv_file(tmp_path, lines))
+        write_trajectories_csv(trajectories, tmp_path / "new.csv")
+        rows = [(tr.flight_id, tr.type_code, t, a)
+                for tr in sorted(trajectories, key=lambda tr: tr.flight_id)
+                for t, a in zip(tr.t_s, tr.alt_ft)]
+        reference_write(tmp_path / "old.csv", HEADER, *map(list, zip(*rows)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestFilterClimbs:
