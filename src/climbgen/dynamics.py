@@ -5,15 +5,16 @@ The climb follows the aircraft's speed schedule exactly; acceleration
 between the CAS and Mach legs is absorbed by the energy share factor
 rather than integrated explicitly.
 
-For a fixed aircraft, mass, altitude refinement and temperature offset the
-climb rate factors as ``rocd = k(h) * (T(h) - D(h))``: everything but the
-thrust ``T`` is fixed.  :func:`integrate_climb` therefore keeps a
-:class:`ClimbKernel` per ``(perf, mass, profile grid bytes, h_start, h_end,
-delta_T, n_nodes)`` in a bounded LRU cache.  It holds the refined nodes, the
-split at the CAS-Mach crossover, and per node the drag, true airspeed,
-temperature ratio, energy share and ``m g0``; a call only interpolates the
-thrust and applies :func:`rocd`'s arithmetic in the same order, so results
-are bit-identical to evaluating :func:`rocd` at the nodes.
+For a fixed aircraft, mass and temperature offset the climb rate factors
+as ``rocd = k(h) * (T(h) - D(h))``: everything but the thrust ``T`` is
+fixed.  :func:`rate_factors` is the only code that computes those factors;
+:func:`rocd`, ``learning.invert_thrust`` and ``performance.min_level_thrust``
+all read them.  :func:`integrate_climb` keeps a :class:`ClimbKernel` per
+``(perf, mass, profile grid bytes, h_start, h_end, delta_T, n_nodes)`` in a
+bounded LRU cache.  It holds the refined nodes, the split at the CAS-Mach
+crossover, the rate factors per node and ``m g0``; a call only interpolates
+the thrust and applies :func:`rocd`'s arithmetic in the same order, so
+results are bit-identical to evaluating :func:`rocd` at the nodes.
 """
 
 from __future__ import annotations
@@ -58,14 +59,12 @@ class ClimbTrajectory:
     """Time at altitude for one integrated climb.
 
     ``t`` is seconds from the start altitude, strictly increasing; ``h``
-    is metres; ``rocd`` the pointwise climb rate in m/s; ``v_tas`` the
-    schedule true airspeed in m/s.
+    is metres; ``rocd`` the pointwise climb rate in m/s.
     """
 
     t: np.ndarray
     h: np.ndarray
     rocd: np.ndarray
-    v_tas: np.ndarray | None = None
 
     def time_at(self, h_query: float | np.ndarray) -> float | np.ndarray:
         """Interpolate the arrival time at an altitude within the span."""
@@ -77,11 +76,10 @@ def drag(
     mass: float,
     state: AtmosphereState,
     v_tas: float | np.ndarray,
-    phi: float = 0.0,
 ) -> float | np.ndarray:
-    """Aerodynamic drag from the parabolic polar, in N."""
+    """Aerodynamic drag from the parabolic polar in wings-level flight, in N."""
     q = 0.5 * state.rho * np.asarray(v_tas, dtype=float) ** 2 * perf.wing_area
-    c_lift = mass * G0 / (q * np.cos(phi))
+    c_lift = mass * G0 / q
     d = q * (perf.c_d0 + perf.c_d2 * c_lift**2)
     return float(d) if np.ndim(d) == 0 else d
 
@@ -119,18 +117,19 @@ def energy_share(
     return float(f) if np.ndim(f) == 0 else f
 
 
-def _rate_factors(
+def rate_factors(
     perf: "AircraftPerformance",
     mass: float,
     h: float | np.ndarray,
-    delta_T: float,
-    phi: float = 0.0,
+    delta_T: float = 0.0,
 ) -> tuple:
-    """The thrust-independent factors of the climb rate at altitude:
-    temperature ratio, drag, true airspeed and energy share factor."""
+    """The thrust-independent factors ``(ratio, D, V, f)`` of the climb rate
+    at altitude: temperature ratio ``(T - delta_T) / T``, drag (N) at
+    ``mass`` and schedule speed, schedule true airspeed (m/s) and energy
+    share factor, so that ``rocd = ratio * (thrust - D) * V / (mass g0) * f``."""
     state = isa_state(h, delta_T)
     v_tas, mach = schedule_speed(perf.schedule, state)
-    d = drag(perf, mass, state, v_tas, phi)
+    d = drag(perf, mass, state, v_tas)
     f = energy_share(mach, h, perf.schedule)
     return (state.T - delta_T) / state.T, d, v_tas, f
 
@@ -141,7 +140,6 @@ def rocd(
     t_hr: float | np.ndarray,
     h: float | np.ndarray,
     delta_T: float = 0.0,
-    phi: float = 0.0,
 ) -> float | np.ndarray:
     """Rate of climb (m/s) for a given engine thrust at altitude.
 
@@ -149,7 +147,7 @@ def rocd(
     through the nominal mass, scaled by the temperature ratio and the
     energy share factor.  Negative results are returned as-is.
     """
-    ratio, d, v_tas, f = _rate_factors(perf, mass, h, delta_T, phi)
+    ratio, d, v_tas, f = rate_factors(perf, mass, h, delta_T)
     # ClimbKernel.rates repeats this expression in this order
     r = ratio * ((np.asarray(t_hr, dtype=float) - d) * v_tas) / (mass * G0) * f
     return float(r) if np.ndim(r) == 0 else r
@@ -175,8 +173,7 @@ class ClimbKernel:
     the temperature ratio, drag, true airspeed and energy share factor, each
     evaluated where :func:`rocd` would be: the left part's last node, the
     crossover itself, is evaluated just below it for the CAS-leg limit.
-    ``h`` and ``v_tas`` are the output altitudes and schedule airspeeds.
-    Every array is read-only.
+    ``h`` holds the output altitudes.  Every array is read-only.
     """
 
     h_rate: np.ndarray
@@ -187,7 +184,6 @@ class ClimbKernel:
     mg: float
     n_left: int
     h: np.ndarray
-    v_tas: np.ndarray
 
     def rates(self, thrust: np.ndarray) -> np.ndarray:
         """Climb rate (m/s) at the rate nodes for thrust (N) at those nodes,
@@ -224,12 +220,8 @@ def _climb_kernel(
         parts = [(left, left_eval), (right, right)]
         h_out = np.concatenate([left[:-1], right])
     # each part is evaluated on its own, exactly as rocd would see it
-    factors = [_rate_factors(perf, mass, h_eval, delta_T) for _, h_eval in parts]
+    factors = [rate_factors(perf, mass, h_eval, delta_T) for _, h_eval in parts]
     ratio, d, v_rate, f = (np.concatenate(col) for col in zip(*factors))
-    if len(parts) == 1:
-        v_tas = v_rate
-    else:
-        v_tas, _ = schedule_speed(perf.schedule, isa_state(h_out, delta_T))
     kernel = ClimbKernel(
         h_rate=np.concatenate([h for h, _ in parts]),
         ratio=ratio,
@@ -239,9 +231,8 @@ def _climb_kernel(
         mg=mass * G0,
         n_left=parts[0][0].size,
         h=h_out,
-        v_tas=v_tas,
     )
-    for name in ("h_rate", "ratio", "drag", "v_rate", "share", "h", "v_tas"):
+    for name in ("h_rate", "ratio", "drag", "v_rate", "share", "h"):
         getattr(kernel, name).setflags(write=False)
     return kernel
 
@@ -303,4 +294,4 @@ def integrate_climb(
         t_right = time_from_rocd(kernel.h_rate[n:], r[n:]) + t_left[-1]
         t = np.concatenate([t_left[:-1], t_right])
         r = np.concatenate([r[:n - 1], r[n:]])
-    return ClimbTrajectory(t=t, h=kernel.h.copy(), rocd=r, v_tas=kernel.v_tas.copy())
+    return ClimbTrajectory(t=t, h=kernel.h.copy(), rocd=r)

@@ -9,7 +9,7 @@ number of modes.  For the thrust value at one grid node, the extreme
 weights over that ellipsoid have the closed form
 
     w_pm = mu_w +- sqrt(q) * (c o n_hat),   c = sqrt(diag variances),
-    n_hat = (a o c) / ||a o c||_2,          a_i = phi_i(h_k),
+    n_hat = (a o c) / ||a o c||_2,          a_i = psi_i(h_k),
 
 which are the tangency points of the constant-thrust hyperplanes, and lie
 exactly on the ellipsoid surface.
@@ -347,6 +347,8 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
         )
     except (DomainError, DegenerateModelError, TypeError, ValueError, IndexError) as exc:
         raise ModelFileError(f"model file {path} is invalid: {exc}") from None
+    if basis.grid.ndim != 1 or basis.grid.size < 2:
+        raise ModelFileError(f"model file {path}: grid needs at least 2 nodes")
     if np.any(np.diff(basis.grid) <= 0.0):
         raise ModelFileError(f"model file {path}: grid is not strictly increasing")
     _check_orthonormal(model.basis)

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .atmosphere import FT, G0, fl_to_m, isa_state, schedule_speed
-from .dynamics import energy_share
+from .atmosphere import FT, G0, fl_to_m
+from .dynamics import rate_factors
 from .errors import DegenerateConditionError, DomainError, FlightRejectedError
 
 if TYPE_CHECKING:
@@ -70,7 +70,7 @@ class FpcaBasis:
     """Mean function plus orthonormal modes on a common grid.
 
     ``modes`` has shape (n, n_g); each row satisfies the quadrature
-    orthonormality ``sum_j w_j phi_i(h_j) phi_k(h_j) = delta_ik``.
+    orthonormality ``sum_j w_j psi_i(h_j) psi_k(h_j) = delta_ik``.
     ``explained_variance`` holds the retained modes' fractions of total
     variance, non-increasing.
     """
@@ -95,7 +95,7 @@ class FpcaBasis:
         return self.modes.shape[0]
 
     def reconstruct(self, weights: np.ndarray) -> np.ndarray:
-        """Evaluate mean + sum_i w_i phi_i on the grid."""
+        """Evaluate mean + sum_i w_i psi_i on the grid."""
         return self.mean + np.asarray(weights, dtype=float) @ self.modes
 
 
@@ -105,32 +105,27 @@ def invert_thrust(
     rocd_obs: float | np.ndarray,
     h: float | np.ndarray,
     delta_T: float = 0.0,
-    phi: float = 0.0,
 ) -> float | np.ndarray:
     """Effective thrust that reproduces an observed climb rate.
 
-    Exact rearrangement of the total-energy climb-rate equation solved
-    for thrust, at the given mass and the schedule speed:
+    The algebraic inverse of :func:`climbgen.dynamics.rocd` on the same
+    rate factors (temperature ratio, drag D, true airspeed V and energy
+    share f at the given mass and the schedule speed):
 
-        T_hr = [2 g0^2 c_D2 m^2 / (cos^2(phi) rho V S)
-                + rocd * T / (f(M) (T - dT)) * m g0
-                + c_D0 rho V^3 S / 2] / V
+        T_hr = D + rocd * m g0 / (ratio * V * f)
+
+    so zero climb gives exactly the drag,
+    :func:`climbgen.performance.min_level_thrust`.
     """
     r = np.asarray(rocd_obs, dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("rocd_obs must be finite")
-    state = isa_state(h, delta_T)
-    v_tas, mach = schedule_speed(perf.schedule, state)
-    f = energy_share(mach, h, perf.schedule)
+    ratio, d, v_tas, f = rate_factors(perf, mass, h, delta_T)
     if np.any(np.asarray(f) == 0.0):
         raise DegenerateConditionError("energy share factor is zero")
-    if np.any(np.asarray(state.T) - delta_T <= 0.0):
+    if np.any(np.asarray(ratio) <= 0.0):
         raise DegenerateConditionError("temperature ratio is non-positive")
-    cos_phi = np.cos(phi)
-    induced = 2.0 * G0**2 * perf.c_d2 * mass**2 / (cos_phi**2 * state.rho * v_tas * perf.wing_area)
-    climb = r * state.T / (f * (state.T - delta_T)) * mass * G0
-    parasitic = 0.5 * perf.c_d0 * state.rho * v_tas**3 * perf.wing_area
-    t = (induced + climb + parasitic) / v_tas
+    t = d + r * (mass * G0) / (ratio * v_tas * f)
     return float(t) if np.ndim(t) == 0 else t
 
 

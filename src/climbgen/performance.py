@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .atmosphere import SpeedSchedule, isa_state, schedule_speed
+from .atmosphere import SpeedSchedule
 from .errors import DomainError, ModelValidityError, ValidationError, read_json
 
 PERF_H_MAX = 15000.0   # m, validity ceiling of the thrust model
@@ -93,10 +93,9 @@ def nominal_thrust(perf: AircraftPerformance, h: float | np.ndarray) -> float | 
 def min_level_thrust(
     perf: AircraftPerformance, h: float | np.ndarray, delta_T: float = 0.0
 ) -> float | np.ndarray:
-    """Thrust for zero climb rate: the drag at nominal mass and schedule speed."""
-    state = isa_state(h, delta_T)
-    v_tas, _ = schedule_speed(perf.schedule, state)
-    return dynamics.drag(perf, perf.nominal_mass, state, v_tas)
+    """Thrust for zero climb rate: the drag factor of
+    :func:`climbgen.dynamics.rate_factors` at nominal mass."""
+    return dynamics.rate_factors(perf, perf.nominal_mass, h, delta_T)[1]
 
 
 def _record_to_performance(record: dict, index: int) -> AircraftPerformance:

@@ -486,6 +486,9 @@ def load_scenario(path: str | Path) -> FleetScenario:
     path = Path(path)
     doc = read_json(path, "scenario file", ScenarioError)
     try:
+        specs = doc["types"]
+        if not isinstance(specs, dict):
+            raise TypeError('"types" must be a JSON object')
         types = {
             code: TypeScenario(
                 count=int(spec["count"]),
@@ -496,7 +499,7 @@ def load_scenario(path: str | Path) -> FleetScenario:
                 contam_frac=float(spec.get("contam_frac", 0.1)),
                 contam_scale=float(spec.get("contam_scale", 3.0)),
             )
-            for code, spec in doc["types"].items()
+            for code, spec in specs.items()
         }
         return FleetScenario(
             types=types,

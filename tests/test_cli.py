@@ -25,6 +25,14 @@ SCENARIO = {
 }
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(climbgen.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "climbgen.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Run the full pipeline once; commands under test share the outputs."""
@@ -153,13 +161,7 @@ class TestExitCodes:
             bad.write_bytes("flight_id,type_code,t_s,alt_ft\nA\xe9,NBJT,0.0,1000\n".encode("latin-1"))
         else:
             bad.mkdir()
-        src = str(Path(climbgen.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "climbgen.cli", "prepare", "--csv", str(bad),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli("prepare", "--csv", str(bad), "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert str(bad) in proc.stderr
@@ -180,13 +182,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")],
             "out": ["prepare", "--csv", str(tmp_path / "none.csv"), "--out", str(bad)],
         }[kind]
-        src = str(Path(climbgen.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "climbgen.cli", *command],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli(*command)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert str(bad) in proc.stderr
+
+    @pytest.mark.parametrize("types", [[], "NBJT", 3, None], ids=["array", "string", "number", "null"])
+    def test_scenario_types_not_an_object_is_validation_error(self, tmp_path, types):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO, "types": types}))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(bad) in proc.stderr
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_model_grid_under_two_nodes_is_validation_error(self, tmp_path, workdir, n_nodes):
+        doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
+        doc["grid_m"] = doc["grid_m"][:n_nodes]
+        doc["mean_N"] = doc["mean_N"][:n_nodes]
+        doc["modes"] = [mode[:n_nodes] for mode in doc["modes"]]
+        bad = tmp_path / "model_short.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("sample", "--model", str(bad), "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "at least 2 nodes" in proc.stderr
 
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())

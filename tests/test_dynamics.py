@@ -27,6 +27,7 @@ from climbgen.dynamics import (
     energy_share,
     integrate_climb,
     integration_call_count,
+    rate_factors,
     rocd,
     time_from_rocd,
 )
@@ -51,7 +52,7 @@ class TestDrag:
         assert d2 == pytest.approx(4.0 * d1, rel=1e-12)
 
     def test_reference_value_against_oracle(self, nbjt):
-        # independent evaluation of D = q S (cD0 + cD2 (m g / (q S cos phi))^2)
+        # independent evaluation of D = q S (cD0 + cD2 (m g / (q S))^2)
         h, v, m = 6000.0, 210.0, 64000.0
         T = 288.15 - 0.0065 * h
         p = 101325.0 * (T / 288.15) ** (9.80665 / (0.0065 * 287.05287))
@@ -60,10 +61,6 @@ class TestDrag:
         cl = m * 9.80665 / (q * nbjt.wing_area)
         oracle = q * nbjt.wing_area * (nbjt.c_d0 + nbjt.c_d2 * cl * cl)
         assert drag(nbjt, m, isa_state(h), v) == pytest.approx(oracle, rel=1e-12)
-
-    def test_bank_angle_increases_induced_drag(self, nbjt):
-        state = isa_state(6000.0)
-        assert drag(nbjt, 64000.0, state, 210.0, phi=0.3) > drag(nbjt, 64000.0, state, 210.0)
 
 
 class TestEnergyShare:
@@ -114,6 +111,20 @@ class TestRocd:
         assert r15 != r0
         ratio = (state.T - 15.0) / state.T
         assert ratio < 1.0
+
+    @pytest.mark.parametrize("delta_T", [-15.0, 0.0, 15.0])
+    def test_rocd_applies_rate_factors(self, nbjt, delta_T):
+        h = np.linspace(fl_to_m(150.0), fl_to_m(325.0), 50)
+        mass = nbjt.nominal_mass
+        t_hr = nominal_thrust(nbjt, h)
+        ratio, d, v, f = rate_factors(nbjt, mass, h, delta_T)
+        state = isa_state(h, delta_T)
+        v_sched, mach = schedule_speed(nbjt.schedule, state)
+        assert np.array_equal(v, v_sched)
+        assert np.array_equal(d, drag(nbjt, mass, state, v_sched))
+        assert np.array_equal(f, energy_share(mach, h, nbjt.schedule))
+        assert np.array_equal(rocd(nbjt, mass, t_hr, h, delta_T),
+                              ratio * ((t_hr - d) * v) / (mass * G0) * f)
 
     def test_composed_closed_form_oracle(self, nbjt):
         # independent chain: ISA -> TAS -> drag -> ESF -> climb-rate formula
@@ -248,8 +259,7 @@ def reference_climb(perf, mass, profile, h_start, h_end, delta_T=0.0, n_nodes=10
 
     if not h_start < h_cross < h_end:
         r = rates(nodes, nodes)
-        v_tas, _ = schedule_speed(perf.schedule, isa_state(nodes, delta_T))
-        return time_from_rocd(nodes, r), nodes, r, v_tas
+        return time_from_rocd(nodes, r), nodes, r
     left = np.append(nodes[nodes < h_cross], h_cross)
     right = np.append(h_cross, nodes[nodes > h_cross])
     left_eval = left.copy()
@@ -258,14 +268,12 @@ def reference_climb(perf, mass, profile, h_start, h_end, delta_T=0.0, n_nodes=10
     r_right = rates(right, right)
     t_left = time_from_rocd(left, r_left)
     t_right = time_from_rocd(right, r_right) + t_left[-1]
-    h_out = np.concatenate([left[:-1], right])
-    v_tas, _ = schedule_speed(perf.schedule, isa_state(h_out, delta_T))
-    return (np.concatenate([t_left[:-1], t_right]), h_out,
-            np.concatenate([r_left[:-1], r_right]), v_tas)
+    return (np.concatenate([t_left[:-1], t_right]), np.concatenate([left[:-1], right]),
+            np.concatenate([r_left[:-1], r_right]))
 
 
 def assert_same_climb(traj, expected):
-    for got, want in zip((traj.t, traj.h, traj.rocd, traj.v_tas), expected):
+    for got, want in zip((traj.t, traj.h, traj.rocd), expected, strict=True):
         assert np.array_equal(got, want)
 
 
@@ -335,7 +343,7 @@ class TestClimbKernel:
         profile = bumpy_profile(nbjt, default_grid())
         args = (nbjt, nbjt.nominal_mass, profile, h1, h2)
         first = integrate_climb(*args)
-        for array in (first.t, first.h, first.rocd, first.v_tas):
+        for array in (first.t, first.h, first.rocd):
             array[:] = -1.0
         assert_same_climb(integrate_climb(*args), reference_climb(*args))
 

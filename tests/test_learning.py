@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from climbgen.atmosphere import FT, G0, fl_to_m, isa_state, schedule_speed
-from climbgen.dynamics import energy_share, integrate_climb, rocd
-from climbgen.errors import DomainError, FlightRejectedError
+from climbgen import learning
+from climbgen.dynamics import energy_share, integrate_climb, rate_factors, rocd
+from climbgen.errors import DegenerateConditionError, DomainError, FlightRejectedError
 from climbgen.learning import (
     FpcaBasis,
     ThrustProfile,
@@ -35,11 +36,11 @@ def make_traj(flight_id, t, alt_ft, rocd_fpm):
 
 class TestInvertThrust:
     def test_zero_climb_matches_min_level_thrust(self, nbjt):
-        for fl in (170.0, 250.0, 310.0):
-            h = fl_to_m(fl)
-            assert invert_thrust(nbjt, nbjt.nominal_mass, 0.0, h) == pytest.approx(
-                min_level_thrust(nbjt, h), rel=1e-12
-            )
+        for delta_T in (-15.0, 0.0, 15.0):
+            for fl in (170.0, 250.0, 310.0):
+                h = fl_to_m(fl)
+                t_hr = invert_thrust(nbjt, nbjt.nominal_mass, 0.0, h, delta_T)
+                assert t_hr == min_level_thrust(nbjt, h, delta_T)
 
     @pytest.mark.parametrize("r", [2.54, 10.0, 20.0])
     def test_forward_round_trip(self, nbjt, r):
@@ -47,6 +48,15 @@ class TestInvertThrust:
             h = fl_to_m(fl)
             t_hr = invert_thrust(nbjt, nbjt.nominal_mass, r, h)
             assert rocd(nbjt, nbjt.nominal_mass, t_hr, h) == pytest.approx(r, rel=1e-9)
+
+    @pytest.mark.parametrize("delta_T", [-15.0, 10.0, 15.0])
+    def test_forward_round_trip_with_temperature_offset(self, catalog, delta_T):
+        h = np.linspace(fl_to_m(150.0), fl_to_m(325.0), 200)
+        r = np.linspace(2.54, 20.0, h.size)
+        for perf in catalog.values():
+            t_hr = invert_thrust(perf, perf.nominal_mass, r, h, delta_T)
+            back = rocd(perf, perf.nominal_mass, t_hr, h, delta_T)
+            assert np.max(np.abs(back - r) / r) <= 1e-12, perf.type_code
 
     def test_affine_in_rocd_with_known_slope(self, nbjt):
         h = fl_to_m(200.0)
@@ -63,6 +73,17 @@ class TestInvertThrust:
     def test_rejects_nonfinite_rocd(self, nbjt):
         with pytest.raises(DomainError):
             invert_thrust(nbjt, nbjt.nominal_mass, float("nan"), 6000.0)
+
+    @pytest.mark.parametrize("index, message", [(0, "temperature ratio"), (3, "energy share")])
+    def test_rejects_degenerate_rate_factor(self, nbjt, monkeypatch, index, message):
+        def degenerate(*args):
+            factors = list(rate_factors(*args))
+            factors[index] = np.where(args[2] > 8000.0, 0.0, factors[index])
+            return tuple(factors)
+
+        monkeypatch.setattr(learning, "rate_factors", degenerate)
+        with pytest.raises(DegenerateConditionError, match=message):
+            invert_thrust(nbjt, nbjt.nominal_mass, 5.0, np.array([6000.0, 9000.0]))
 
 
 class TestProfileFromFlight:
