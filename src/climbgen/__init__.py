@@ -12,7 +12,6 @@ from .atmosphere import (
     crossover_altitude,
     fl_to_m,
     isa_state,
-    m_to_fl,
     mach_to_tas,
 )
 from .dynamics import ClimbTrajectory, drag, energy_share, integrate_climb, rocd
@@ -43,7 +42,6 @@ from .performance import (
     load_performance,
     min_level_thrust,
     nominal_thrust,
-    save_performance,
 )
 from .pipeline import (
     DatasetSplit,
@@ -90,7 +88,6 @@ __all__ = [
     "isa_state",
     "load_model",
     "load_performance",
-    "m_to_fl",
     "mach_to_tas",
     "min_level_thrust",
     "nominal_thrust",
@@ -99,7 +96,6 @@ __all__ = [
     "rocd",
     "sample_thrust",
     "save_model",
-    "save_performance",
     "select_components",
     "simulate_fleet",
     "split",

@@ -2,9 +2,9 @@
 conversions (CAS / TAS / Mach) and the CAS-Mach crossover altitude.
 
 All altitudes are metres internally; flight levels (hundreds of feet) are
-converted at API boundaries with :func:`fl_to_m` / :func:`m_to_fl`.  The
-temperature offset ``delta_T`` shifts the temperature used for density and
-the speed of sound; pressure follows the unmodified standard profile.
+converted at API boundaries with :func:`fl_to_m`.  The temperature offset
+``delta_T`` shifts the temperature used for density and the speed of
+sound; pressure follows the unmodified standard profile.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ FT = 0.3048           # m per foot
 def fl_to_m(fl: float) -> float:
     """Convert a flight level (hundreds of feet) to metres."""
     return fl * 100.0 * FT
-
-
-def m_to_fl(h: float) -> float:
-    """Convert metres to a flight level (hundreds of feet)."""
-    return h / (100.0 * FT)
 
 
 @dataclass(frozen=True)
@@ -112,6 +107,11 @@ def pressure_to_altitude(p: float) -> float:
     return H_TROPOPAUSE + R_AIR * T_TROPOPAUSE / G0 * np.log(P_TROPOPAUSE / p)
 
 
+def speed_of_sound(state: AtmosphereState) -> float | np.ndarray:
+    """Speed of sound sqrt(kappa R (T + dT)) in m/s."""
+    return np.sqrt(KAPPA * R_AIR * (state.T + state.delta_T))
+
+
 def cas_to_tas(v_cas: float | np.ndarray, state: AtmosphereState) -> float | np.ndarray:
     """True airspeed from calibrated airspeed, full compressible conversion."""
     v = np.asarray(v_cas, dtype=float)
@@ -128,12 +128,8 @@ def mach_to_tas(mach: float | np.ndarray, state: AtmosphereState) -> float | np.
     m = np.asarray(mach, dtype=float)
     if not np.all(np.isfinite(m)) or np.any(m < 0.0):
         raise DomainError("mach must be finite and non-negative")
-    tas = m * np.sqrt(KAPPA * R_AIR * (state.T + state.delta_T))
+    tas = m * speed_of_sound(state)
     return float(tas) if np.ndim(tas) == 0 else tas
-
-
-def speed_of_sound(state: AtmosphereState) -> float | np.ndarray:
-    return np.sqrt(KAPPA * R_AIR * (state.T + state.delta_T))
 
 
 @functools.lru_cache(maxsize=256)

@@ -20,7 +20,13 @@ import numpy as np
 
 from . import evaluation, generative, learning, performance, pipeline
 from .dynamics import integrate_climb
-from .errors import ClimbgenError, DataError, TooFewFlightsError, ValidationError
+from .errors import (
+    ClimbgenError,
+    DataError,
+    DegenerateModelError,
+    TooFewFlightsError,
+    ValidationError,
+)
 from .performance import nominal_thrust
 from .pipeline import write_columns
 
@@ -131,7 +137,7 @@ def _cmd_fit(args) -> int:
         try:
             model = generative.fit_type_model(catalog[type_code], by_type[type_code], grid,
                                               args.max_modes, interval_fl=(fl_low, fl_high))
-        except TooFewFlightsError as exc:
+        except (TooFewFlightsError, DegenerateModelError) as exc:
             logger.warning("%s; skipped", exc)
             continue
         generative.save_model(model, out / f"model_{type_code}.json")
@@ -140,7 +146,7 @@ def _cmd_fit(args) -> int:
         print(f"fitted {type_code}: {model.n_flights_fit} flights, "
               f"{basis.n_modes} modes, ev={np.round(basis.explained_variance, 4).tolist()}")
     if fitted == 0:
-        raise DataError("no type had enough usable flights to fit")
+        raise DataError("no type could be fitted")
     return EXIT_OK
 
 
@@ -218,7 +224,7 @@ def _cmd_evaluate(args) -> int:
     if not models:
         raise ValidationError(f"no model_*.json files under {model_dir}")
     test_trajectories = pipeline.ingest(args.test)
-    split_data = pipeline.DatasetSplit(train=[], test=test_trajectories, seed=args.seed)
+    split_data = pipeline.DatasetSplit(train=[], test=test_trajectories)
     reports = evaluation.run_report(models, split_data, catalog, out,
                                     seed=args.seed, level=args.level)
     for report in reports:

@@ -10,8 +10,8 @@ as ``rocd = k(h) * (T(h) - D(h))``: everything but the thrust ``T`` is
 fixed.  :func:`rate_factors` is the only code that computes those factors;
 :func:`rocd`, ``learning.invert_thrust`` and ``performance.min_level_thrust``
 all read them.  :func:`integrate_climb` keeps a :class:`ClimbKernel` per
-``(perf, mass, profile grid bytes, h_start, h_end, delta_T, n_nodes)`` in a
-bounded LRU cache.  It holds the refined nodes, the split at the CAS-Mach
+``(perf, mass, profile grid bytes, h_start, h_end, delta_T)`` in a bounded
+LRU cache.  It holds the refined nodes, the split at the CAS-Mach
 crossover, the rate factors per node and ``m g0``; a call only interpolates
 the thrust and applies :func:`rocd`'s arithmetic in the same order, so
 results are bit-identical to evaluating :func:`rocd` at the nodes.
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from .performance import AircraftPerformance
 
 ROCD_FLOOR = 0.5      # m/s; below this a climb is declared infeasible
-DEFAULT_NODES = 1000  # quadrature refinement of the thrust-profile grid
+N_NODES = 1000        # uniform quadrature nodes per climb; the profile grid's nodes are added
 
 _integration_calls = 0
 
@@ -59,12 +59,11 @@ class ClimbTrajectory:
     """Time at altitude for one integrated climb.
 
     ``t`` is seconds from the start altitude, strictly increasing; ``h``
-    is metres; ``rocd`` the pointwise climb rate in m/s.
+    is metres.
     """
 
     t: np.ndarray
     h: np.ndarray
-    rocd: np.ndarray
 
     def time_at(self, h_query: float | np.ndarray) -> float | np.ndarray:
         """Interpolate the arrival time at an altitude within the span."""
@@ -199,10 +198,9 @@ def _climb_kernel(
     h_start: float,
     h_end: float,
     delta_T: float,
-    n_nodes: int,
 ) -> ClimbKernel:
     grid = np.frombuffer(grid_bytes)
-    base = np.linspace(h_start, h_end, n_nodes)
+    base = np.linspace(h_start, h_end, N_NODES)
     inner = grid[(grid > h_start) & (grid < h_end)]
     nodes = np.unique(np.concatenate([base, inner]))
     h_cross = crossover_altitude(perf.schedule)
@@ -244,12 +242,11 @@ def integrate_climb(
     h_start: float,
     h_end: float,
     delta_T: float = 0.0,
-    n_nodes: int = DEFAULT_NODES,
 ) -> ClimbTrajectory:
     """Integrate time-at-altitude for a climb driven by a thrust profile.
 
     Thrust is linearly interpolated from the profile grid onto a uniform
-    ``n_nodes`` refinement augmented with the profile's own nodes, and
+    ``N_NODES`` refinement augmented with the profile's own nodes, and
     1/ROCD is integrated by the trapezoidal rule.  The energy share factor
     switches branch at the CAS-Mach crossover, so the quadrature is split
     there and the jump is handled with one-sided limits.  Raises
@@ -257,10 +254,10 @@ def integrate_climb(
     on the refinement.
 
     Everything except the thrust is taken from a :class:`ClimbKernel`
-    cached per ``(perf, mass, grid bytes, h_start, h_end, delta_T,
-    n_nodes)`` (at most 64 kept, least recently used dropped first).  The
-    rates are bit-identical to evaluating :func:`rocd` at the nodes, and
-    the returned arrays are the caller's own.
+    cached per ``(perf, mass, grid bytes, h_start, h_end, delta_T)`` (at
+    most 64 kept, least recently used dropped first).  The rates behind
+    ``t`` are bit-identical to evaluating :func:`rocd` at the nodes, and the
+    returned arrays are the caller's own.
     """
     global _integration_calls
     if not h_start < h_end:
@@ -271,11 +268,9 @@ def integrate_climb(
             f"thrust profile spans [{grid[0]:.1f}, {grid[-1]:.1f}] m, "
             f"requested [{h_start:.1f}, {h_end:.1f}] m"
         )
-    if n_nodes < 2:
-        raise DomainError("n_nodes must be at least 2")
 
     _integration_calls += 1
-    kernel = _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end, delta_T, n_nodes)
+    kernel = _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end, delta_T)
     r = kernel.rates(np.interp(kernel.h_rate, grid, thrust_profile.values))
     bad = r <= ROCD_FLOOR
     if np.any(bad):
@@ -293,5 +288,4 @@ def integrate_climb(
         t_left = time_from_rocd(kernel.h_rate[:n], r[:n])
         t_right = time_from_rocd(kernel.h_rate[n:], r[n:]) + t_left[-1]
         t = np.concatenate([t_left[:-1], t_right])
-        r = np.concatenate([r[:n - 1], r[n:]])
-    return ClimbTrajectory(t=t, h=kernel.h.copy(), rocd=r)
+    return ClimbTrajectory(t=t, h=kernel.h.copy())

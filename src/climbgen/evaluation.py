@@ -2,8 +2,8 @@
 and the per-type evaluation report.
 
 All arrival times are zero-referenced at the flight's upward crossing of
-the reference flight level (FL150 by default), so observed, predicted,
-and sampled climbs share a common origin.
+the reference flight level ``REF_FL`` (FL150), so observed, predicted, and
+sampled climbs share a common origin.
 
 ``evaluate_type`` builds each type's thrust envelope once and integrates
 it into the slow and fast bound climbs; the plot-ready artifacts reuse
@@ -35,6 +35,7 @@ REF_FL = 150.0
 REPORT_FLS = (250.0, 325.0)
 EXTRAP_TOL_FT = 500.0   # how far beyond the data a boundary crossing may be extrapolated
 KDE_GRID_SIZE = 1024
+KDE_PLOT_SIZE = 256     # points per flight level in kde_<type>.csv
 DENSITY_FLOOR = 1e-12
 MIN_KL_SAMPLES = 20
 
@@ -109,21 +110,18 @@ def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float
     return None
 
 
-def arrival_times(
-    traj: Trajectory | ClimbTrajectory,
-    fls: tuple[float, float] = REPORT_FLS,
-    ref_fl: float = REF_FL,
-) -> ArrivalSample | None:
-    """Arrival times at the report flight levels, zero-referenced at the
-    reference crossing; None when the trajectory does not span them."""
+def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
+    """Arrival times at the report flight levels ``REPORT_FLS``,
+    zero-referenced at the ``REF_FL`` crossing; None when the trajectory
+    does not span them."""
     t, alt = _time_alt_arrays(traj)
     if t.size < 2:
         return None
-    t0 = _crossing_time(t, alt, ref_fl * 100.0)
+    t0 = _crossing_time(t, alt, REF_FL * 100.0)
     if t0 is None:
         return None
     times = []
-    for fl in fls:
+    for fl in REPORT_FLS:
         tq = _crossing_time(t, alt, fl * 100.0)
         if tq is None:
             return None
@@ -160,25 +158,33 @@ def kde_density(sample: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.nd
     return dens
 
 
+def _kde_pair(p: np.ndarray, q: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A shared grid of ``size`` points and the kernel densities of ``p``
+    and ``q`` on it.
+
+    Each density uses its sample's Silverman bandwidth; the grid spans both
+    samples plus three of the larger bandwidth on either side.
+    """
+    bw_p = silverman_bandwidth(p)
+    bw_q = silverman_bandwidth(q)
+    pad = 3.0 * max(bw_p, bw_q)
+    grid = np.linspace(min(p.min(), q.min()) - pad, max(p.max(), q.max()) + pad, size)
+    return grid, kde_density(p, grid, bw_p), kde_density(q, grid, bw_q)
+
+
 def kl_divergence(sample_p: np.ndarray, sample_q: np.ndarray) -> float:
     """KL(P || Q) in nats between kernel density estimates of two samples.
 
-    Both densities use Silverman bandwidths, share an evaluation grid
-    spanning both samples plus three bandwidths, and are floored at 1e-12
-    before integrating by the trapezoidal rule.
+    The densities of ``_kde_pair`` on ``KDE_GRID_SIZE`` points are floored
+    at 1e-12 before integrating by the trapezoidal rule.
     """
     p = np.asarray(sample_p, dtype=float)
     q = np.asarray(sample_q, dtype=float)
     if p.size < MIN_KL_SAMPLES or q.size < MIN_KL_SAMPLES:
         raise DataError(f"kl_divergence: need at least {MIN_KL_SAMPLES} points per sample")
-    bw_p = silverman_bandwidth(p)
-    bw_q = silverman_bandwidth(q)
-    pad = 3.0 * max(bw_p, bw_q)
-    lo = min(p.min(), q.min()) - pad
-    hi = max(p.max(), q.max()) + pad
-    grid = np.linspace(lo, hi, KDE_GRID_SIZE)
-    dens_p = np.maximum(kde_density(p, grid, bw_p), DENSITY_FLOOR)
-    dens_q = np.maximum(kde_density(q, grid, bw_q), DENSITY_FLOOR)
+    grid, dens_p, dens_q = _kde_pair(p, q, KDE_GRID_SIZE)
+    dens_p = np.maximum(dens_p, DENSITY_FLOOR)
+    dens_q = np.maximum(dens_q, DENSITY_FLOOR)
     kl = float(np.trapezoid(dens_p * np.log(dens_p / dens_q), grid))
     return max(kl, 0.0)   # quadrature truncation can dip epsilon-negative
 
@@ -189,18 +195,17 @@ def coverage(
     fast: ClimbTrajectory,
     fl_low: float = 150.0,
     fl_high: float = 325.0,
-    ref_fl: float = REF_FL,
 ) -> float:
-    """Percentage of in-interval test blips whose zero-referenced time lies
-    within [fast.t(alt), slow.t(alt)]."""
+    """Percentage of in-interval test blips whose time, zero-referenced at
+    the ``REF_FL`` crossing, lies within [fast.t(alt), slow.t(alt)]."""
     low_ft, high_ft = fl_low * 100.0, fl_high * 100.0
     inside = 0
     total = 0
     for tr in test_trajectories:
-        t0 = _crossing_time(tr.t_s, tr.alt_ft, ref_fl * 100.0)
+        t0 = _crossing_time(tr.t_s, tr.alt_ft, REF_FL * 100.0)
         if t0 is None:
             logger.warning("coverage: flight %s has no FL%.0f crossing; skipped",
-                           tr.flight_id, ref_fl)
+                           tr.flight_id, REF_FL)
             continue
         mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
         if not np.any(mask):
@@ -420,17 +425,9 @@ def _write_type_artifacts(
     )
 
     gen250, gen325 = artifacts["generated"]
-    fls, xs, dps, dqs = [], [], [], []
-    for fl, obs, gen in (("250", obs250, gen250), ("325", obs325, gen325)):
-        bw_p = silverman_bandwidth(obs)
-        bw_q = silverman_bandwidth(gen)
-        pad = 3.0 * max(bw_p, bw_q)
-        x = np.linspace(min(obs.min(), gen.min()) - pad, max(obs.max(), gen.max()) + pad, 256)
-        fls += [fl] * x.size
-        xs.append(x)
-        dps.append(kde_density(obs, x, bw_p))
-        dqs.append(kde_density(gen, x, bw_q))
+    curves = [_kde_pair(obs250, gen250, KDE_PLOT_SIZE), _kde_pair(obs325, gen325, KDE_PLOT_SIZE)]
     write_columns(
         out / f"kde_{code}.csv", "fl,t_s,density_test,density_generated",
-        fls, np.concatenate(xs), np.concatenate(dps), np.concatenate(dqs),
+        ["250"] * KDE_PLOT_SIZE + ["325"] * KDE_PLOT_SIZE,
+        *(np.concatenate(column) for column in zip(*curves)),
     )

@@ -53,7 +53,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-MIN_FIT_WEIGHTS = 10
 
 _MODEL_KEYS = {
     "schema_version",
@@ -111,9 +110,9 @@ class GenerativeClimbModel:
 def fit_weight_distribution(weight_vectors: Sequence[np.ndarray]) -> WeightDistribution:
     """Gaussian fit of projected weights: sample mean and unbiased
     per-coordinate variances (off-diagonals discarded)."""
-    if len(weight_vectors) < MIN_FIT_WEIGHTS:
+    if len(weight_vectors) < MIN_FIT_PROFILES:
         raise DomainError(
-            f"need at least {MIN_FIT_WEIGHTS} weight vectors, got {len(weight_vectors)}"
+            f"need at least {MIN_FIT_PROFILES} weight vectors, got {len(weight_vectors)}"
         )
     w = np.stack([np.asarray(v, dtype=float) for v in weight_vectors])
     return WeightDistribution(mu=w.mean(axis=0), var=w.var(axis=0, ddof=1))
@@ -131,8 +130,10 @@ def fit_type_model(
 
     A flight whose profile raises ``ClimbgenError`` is skipped with a
     warning; fewer than ``MIN_FIT_PROFILES`` profiles raise
-    ``TooFewFlightsError``.  ``interval_fl`` is the flight-level span
-    ``grid`` was built for, kept in the model as its provenance.
+    ``TooFewFlightsError``, and a weight coordinate without variance raises
+    ``DegenerateModelError``; both name the type.  ``interval_fl`` is the
+    flight-level span ``grid`` was built for, kept in the model as its
+    provenance.
     """
     profiles = []
     for tr in trajectories:
@@ -143,10 +144,14 @@ def fit_type_model(
     if len(profiles) < MIN_FIT_PROFILES:
         raise TooFewFlightsError(f"type {perf.type_code}: only {len(profiles)} usable flights")
     basis = fit_fpca(profiles, n_max=n_max)
+    try:
+        weights = fit_weight_distribution([project_weights(basis, p) for p in profiles])
+    except DegenerateModelError as exc:
+        raise DegenerateModelError(f"type {perf.type_code}: {exc}") from None
     return GenerativeClimbModel(
         type_code=perf.type_code,
         basis=basis,
-        weights=fit_weight_distribution([project_weights(basis, p) for p in profiles]),
+        weights=weights,
         interval_fl=interval_fl,
         n_flights_fit=len(profiles),
     )

@@ -24,18 +24,19 @@ if TYPE_CHECKING:
     from .performance import AircraftPerformance
     from .pipeline import Trajectory
 
-DEFAULT_GRID_SIZE = 100
+GRID_SIZE = 100
 MIN_PROFILE_BLIPS = 4
 MIN_FIT_PROFILES = 10
 MAX_COMPONENTS = 10
 _KNEE_TOL = 1e-6
 
 
-def default_grid(fl_low: float = 150.0, fl_high: float = 325.0, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Equally spaced altitude grid (metres) spanning a flight-level interval."""
+def default_grid(fl_low: float = 150.0, fl_high: float = 325.0) -> np.ndarray:
+    """``GRID_SIZE`` equally spaced altitudes (metres) spanning a
+    flight-level interval."""
     if not fl_low < fl_high:
         raise DomainError(f"need fl_low < fl_high, got {fl_low} >= {fl_high}")
-    return np.linspace(fl_to_m(fl_low), fl_to_m(fl_high), size)
+    return np.linspace(fl_to_m(fl_low), fl_to_m(fl_high), GRID_SIZE)
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:

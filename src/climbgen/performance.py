@@ -22,7 +22,6 @@ archetypes (narrow-body jet, wide-body jet, corporate jet) under
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -149,28 +148,6 @@ def load_performance(path: str | Path) -> dict[str, AircraftPerformance]:
             raise ValidationError(f"duplicate type code {perf.type_code}")
         catalog[perf.type_code] = perf
     return {code: catalog[code] for code in sorted(catalog)}
-
-
-def save_performance(catalog: dict[str, AircraftPerformance], path: str | Path) -> None:
-    """Write a catalog back to the JSON parameter format (round-trip safe)."""
-    records = []
-    for code in sorted(catalog):
-        perf = catalog[code]
-        records.append(
-            {
-                "type_code": perf.type_code,
-                "c_D0": perf.c_d0,
-                "c_D2": perf.c_d2,
-                "S_m2": perf.wing_area,
-                "m_nom_kg": perf.nominal_mass,
-                "v_cas_ms": perf.schedule.v_cas,
-                "mach": perf.schedule.mach,
-                "c_T1_N": perf.c_t1,
-                "c_T2_m": perf.c_t2,
-                "c_T3_per_m2": perf.c_t3,
-            }
-        )
-    Path(path).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
 
 
 def default_catalog_path() -> Path:

@@ -46,7 +46,7 @@ import numpy as np
 from .atmosphere import FT, fl_to_m
 from .dynamics import integrate_climb
 from .errors import DataError, DomainError, InfeasibleClimbError, ScenarioError, read_json
-from .learning import ThrustProfile
+from .learning import MIN_PROFILE_BLIPS, ThrustProfile
 from .performance import AircraftPerformance, nominal_thrust
 
 logger = logging.getLogger(__name__)
@@ -57,6 +57,7 @@ ALT_MAX_FT = 60000.0
 BLOCK_LINES = 1 << 15   # lines per parse or write block: bounds the strings held at once
 MAX_REDRAWS = 100
 TRUTH_GRID_SIZE = 200
+TRAIN_SHARE = 2.0 / 3.0
 
 
 @dataclass(eq=False)
@@ -87,7 +88,6 @@ class DatasetSplit:
 
     train: list[Trajectory]
     test: list[Trajectory]
-    seed: int
 
 
 def _float_texts(values) -> list[str]:
@@ -383,10 +383,12 @@ def filter_climbs(
     fl_low: float = 150.0,
     fl_high: float = 325.0,
     rocd_min_fpm: float = 500.0,
-    min_blips: int = 4,
 ) -> list[Trajectory]:
     """Keep flights that climb through [fl_low, fl_high] and, within each,
-    the blips inside the interval with climb rate >= ``rocd_min_fpm``."""
+    the blips inside the interval with climb rate >= ``rocd_min_fpm``.
+
+    A flight needs ``learning.MIN_PROFILE_BLIPS`` such blips, the number
+    its thrust profile needs."""
     low_ft, high_ft = fl_low * 100.0, fl_high * 100.0
     kept = []
     for tr in trajectories:
@@ -398,7 +400,7 @@ def filter_climbs(
             & (tr.alt_ft <= high_ft)
             & (tr.rocd_fpm >= rocd_min_fpm)
         )
-        if int(np.count_nonzero(mask)) < min_blips:
+        if int(np.count_nonzero(mask)) < MIN_PROFILE_BLIPS:
             continue
         kept.append(
             Trajectory(
@@ -413,20 +415,19 @@ def filter_climbs(
     return kept
 
 
-def split(trajectories: Sequence[Trajectory], ratio: float = 2.0 / 3.0, seed: int = 0) -> DatasetSplit:
-    """Random flight-level train/test partition, deterministic per seed."""
+def split(trajectories: Sequence[Trajectory], seed: int = 0) -> DatasetSplit:
+    """Random flight-level train/test partition, ``TRAIN_SHARE`` of the
+    flights for training, deterministic per seed."""
     if not trajectories:
         raise DataError("cannot split an empty trajectory set")
-    if not 0.0 < ratio < 1.0:
-        raise DomainError(f"ratio must lie in (0, 1), got {ratio}")
     ordered = sorted(trajectories, key=lambda tr: tr.flight_id)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
-    n_train = int(round(ratio * len(ordered)))
+    n_train = int(round(TRAIN_SHARE * len(ordered)))
     train_idx = set(perm[:n_train].tolist())
     train = [tr for i, tr in enumerate(ordered) if i in train_idx]
     test = [tr for i, tr in enumerate(ordered) if i not in train_idx]
-    return DatasetSplit(train=train, test=test, seed=seed)
+    return DatasetSplit(train=train, test=test)
 
 
 @dataclass(frozen=True)
@@ -464,8 +465,6 @@ class FleetScenario:
     """Synthetic fleet description: counts, truth family, and sampling."""
 
     types: dict[str, TypeScenario]
-    fl_low: float = 150.0
-    fl_high: float = 325.0
     fl_start: float = 140.0
     fl_end: float = 335.0
     blip_interval_s: float = 6.0
@@ -476,10 +475,18 @@ class FleetScenario:
     def __post_init__(self):
         if not self.types:
             raise DomainError("scenario must define at least one type")
-        if not self.fl_start < self.fl_low < self.fl_high < self.fl_end:
-            raise DomainError("need fl_start < fl_low < fl_high < fl_end")
+        if not self.fl_start < self.fl_end:
+            raise DomainError("need fl_start < fl_end")
         if self.blip_interval_s <= 0.0:
             raise DomainError("blip_interval_s must be positive")
+
+
+def _count(code: str, spec: dict) -> int:
+    count = spec["count"]
+    # bool is an int subclass, but JSON true is not a count
+    if type(count) is not int:
+        raise TypeError(f'type {code}: "count" must be a JSON integer, got {json.dumps(count)}')
+    return count
 
 
 def load_scenario(path: str | Path) -> FleetScenario:
@@ -491,7 +498,7 @@ def load_scenario(path: str | Path) -> FleetScenario:
             raise TypeError('"types" must be a JSON object')
         types = {
             code: TypeScenario(
-                count=int(spec["count"]),
+                count=_count(code, spec),
                 thrust_bias_n=float(spec.get("thrust_bias_n", 0.0)),
                 mode_sds=tuple(float(s) for s in spec.get("mode_sds", ())),
                 weight_dist=str(spec.get("weight_dist", "normal")),
@@ -503,8 +510,6 @@ def load_scenario(path: str | Path) -> FleetScenario:
         }
         return FleetScenario(
             types=types,
-            fl_low=float(doc.get("fl_low", 150.0)),
-            fl_high=float(doc.get("fl_high", 325.0)),
             fl_start=float(doc.get("fl_start", 140.0)),
             fl_end=float(doc.get("fl_end", 335.0)),
             blip_interval_s=float(doc.get("blip_interval_s", 6.0)),

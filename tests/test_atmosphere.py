@@ -26,7 +26,6 @@ from climbgen.atmosphere import (
     crossover_altitude,
     fl_to_m,
     isa_state,
-    m_to_fl,
     mach_to_tas,
     schedule_speed,
 )
@@ -199,7 +198,6 @@ class TestCrossover:
 class TestUnits:
     def test_flight_level_round_trip(self):
         assert fl_to_m(325.0) == pytest.approx(32500 * 0.3048)
-        assert m_to_fl(fl_to_m(150.0)) == pytest.approx(150.0)
         assert FT == 0.3048
 
     def test_schedule_validation(self):

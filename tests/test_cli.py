@@ -196,6 +196,17 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert str(bad) in proc.stderr
 
+    @pytest.mark.parametrize("count", [1.9, True, "3"], ids=["fraction", "true", "string"])
+    def test_scenario_count_not_an_integer_is_validation_error(self, tmp_path, count):
+        nbjt = {**SCENARIO["types"]["NBJT"], "count": count}
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO, "types": {"NBJT": nbjt}}))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert '"count" must be a JSON integer' in proc.stderr
+        assert not (tmp_path / "o" / "blips.csv").exists()
+
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_model_grid_under_two_nodes_is_validation_error(self, tmp_path, workdir, n_nodes):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
@@ -216,3 +227,41 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         assert main(["sample", "--model", str(bad), "--out", str(tmp_path / "o"),
                      "--seed", "1"]) == 2
+
+
+class TestDegenerateType:
+    """A type whose flights all fly the same climb has no weight variance:
+    ``fit`` skips it by name and fits the others."""
+
+    SCENARIO = {
+        "types": {
+            "NBJT": {"count": 16},
+            "WBJT": {"count": 30, "thrust_bias_n": -5000.0, "mode_sds": [1.7e5, 0.8e5]},
+        },
+        "quantization_ft": 0.0,
+    }
+
+    @pytest.fixture(scope="class")
+    def blips(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("degenerate")
+        scenario = root / "scenario.json"
+        scenario.write_text(json.dumps(self.SCENARIO))
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(root), "--seed", "1"]) == 0
+        return root / "blips.csv"
+
+    def test_other_types_are_fitted(self, blips, tmp_path):
+        proc = run_cli("fit", "--train", str(blips), "--out", str(tmp_path / "models"))
+        assert proc.returncode == 0, proc.stderr
+        assert "type NBJT: zero variance in a weight coordinate" in proc.stderr
+        assert "fitted WBJT" in proc.stdout
+        assert [p.name for p in (tmp_path / "models").iterdir()] == ["model_WBJT.json"]
+
+    def test_no_fitted_type_is_data_error(self, blips, tmp_path):
+        lines = blips.read_text().splitlines()
+        alone = tmp_path / "nbjt.csv"
+        alone.write_text("\n".join([lines[0]] + [x for x in lines[1:] if ",NBJT," in x]) + "\n")
+        proc = run_cli("fit", "--train", str(alone), "--out", str(tmp_path / "models"))
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "type NBJT: zero variance in a weight coordinate" in proc.stderr
+        assert not list((tmp_path / "models").iterdir())

@@ -22,6 +22,7 @@ from climbgen.atmosphere import (
 )
 from climbgen import dynamics
 from climbgen.dynamics import (
+    N_NODES,
     ROCD_FLOOR,
     drag,
     energy_share,
@@ -150,13 +151,14 @@ class TestRocd:
 
 class TestIntegrateClimb:
     def test_constant_rocd_exact(self, nbjt):
-        # thrust profile built so the climb rate is exactly 7 m/s at every
-        # quadrature node (interval kept below the crossover so the rate is
-        # smooth); the integral of a constant is exact
+        # thrust profile built on the integrator's own refinement, so the
+        # climb rate is exactly 7 m/s at every quadrature node (interval kept
+        # below the crossover so the rate is smooth); the integral of a
+        # constant is exact
         h1, h2 = fl_to_m(150.0), fl_to_m(280.0)
-        nodes = np.linspace(h1, h2, 400)
+        nodes = np.linspace(h1, h2, N_NODES)
         profile = ThrustProfile(nodes, invert_thrust(nbjt, nbjt.nominal_mass, 7.0, nodes))
-        traj = integrate_climb(nbjt, nbjt.nominal_mass, profile, h1, h2, n_nodes=400)
+        traj = integrate_climb(nbjt, nbjt.nominal_mass, profile, h1, h2)
         assert traj.t[-1] == pytest.approx((h2 - h1) / 7.0, rel=1e-9)
         assert np.all(np.diff(traj.t) > 0.0)
         assert traj.t[0] == 0.0
@@ -189,8 +191,8 @@ class TestIntegrateClimb:
         grid = default_grid()
         true_thrust = nominal_thrust(nbjt, grid) - 4000.0
         profile = ThrustProfile(grid, true_thrust)
-        traj = integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1])
-        rocd_at_nodes = np.interp(grid, traj.h, traj.rocd)
+        h, r = node_rates(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1])
+        rocd_at_nodes = np.interp(grid, h, r)
         recovered = invert_thrust(nbjt, nbjt.nominal_mass, rocd_at_nodes, grid)
         assert np.max(np.abs(recovered - true_thrust) / true_thrust) < 1e-3
         assert np.max(np.abs(recovered - true_thrust) / true_thrust) < 1e-9
@@ -204,10 +206,13 @@ class TestIntegrateClimb:
         assert t_boost < t_base
 
     def test_quadrature_refinement_converged(self, nbjt):
+        # doubling the refinement of the reference moves the climb time by
+        # less than 1e-6
         grid = default_grid()
         profile = ThrustProfile(grid, nominal_thrust(nbjt, grid))
-        t1 = integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1], n_nodes=1000).t[-1]
-        t2 = integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1], n_nodes=2000).t[-1]
+        args = (nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1])
+        t1 = integrate_climb(*args).t[-1]
+        t2 = reference_climb(*args, n_nodes=2 * N_NODES)[0][-1]
         assert abs(t2 - t1) / t1 < 1e-6
 
     def test_bad_bounds_rejected(self, nbjt):
@@ -224,12 +229,12 @@ class TestIntegrateClimb:
         feasible = ThrustProfile(grid, nominal_thrust(nbjt, grid))
         infeasible = ThrustProfile(grid, min_level_thrust(nbjt, grid) - 5000.0)
         dynamics._climb_kernel.cache_clear()
-        for profile, n_nodes in ((feasible, 1000), (feasible, 1000), (feasible, 1200),
-                                 (infeasible, 1000)):
+        for profile, delta_T in ((feasible, 0.0), (feasible, 0.0), (feasible, 5.0),
+                                 (infeasible, 0.0)):
             before = integration_call_count()
             try:
                 integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1],
-                                n_nodes=n_nodes)
+                                delta_T)
             except InfeasibleClimbError:
                 pass
             assert integration_call_count() == before + 1
@@ -238,8 +243,9 @@ class TestIntegrateClimb:
         assert ROCD_FLOOR == 0.5
 
 
-def reference_climb(perf, mass, profile, h_start, h_end, delta_T=0.0, n_nodes=1000):
-    """Node-by-node integration through rocd, without the cached kernel."""
+def reference_climb(perf, mass, profile, h_start, h_end, delta_T=0.0, n_nodes=N_NODES):
+    """Node-by-node integration through rocd, without the cached kernel:
+    the times, the altitudes and the climb rates at them."""
     grid = profile.grid
     base = np.linspace(h_start, h_end, n_nodes)
     nodes = np.unique(np.concatenate([base, grid[(grid > h_start) & (grid < h_end)]]))
@@ -272,8 +278,19 @@ def reference_climb(perf, mass, profile, h_start, h_end, delta_T=0.0, n_nodes=10
             np.concatenate([r_left[:-1], r_right]))
 
 
-def assert_same_climb(traj, expected):
-    for got, want in zip((traj.t, traj.h, traj.rocd), expected, strict=True):
+def node_rates(perf, mass, profile, h_start, h_end, delta_T=0.0):
+    """The cached kernel's climb rates at the output altitudes of a climb,
+    the left part's crossover node dropped as the times drop it."""
+    grid = profile.grid
+    kernel = dynamics._climb_kernel(perf, mass, grid.tobytes(), h_start, h_end, delta_T)
+    r = kernel.rates(np.interp(kernel.h_rate, grid, profile.values))
+    n = kernel.n_left
+    return kernel.h, (r if n == r.size else np.concatenate([r[:n - 1], r[n:]]))
+
+
+def assert_same_climb(args, expected):
+    traj = integrate_climb(*args)
+    for got, want in zip((traj.t, traj.h, node_rates(*args)[1]), expected, strict=True):
         assert np.array_equal(got, want)
 
 
@@ -288,19 +305,20 @@ class TestClimbKernel:
 
     @pytest.mark.parametrize("delta_T", [-15.0, 0.0, 15.0])
     @pytest.mark.parametrize("span", sorted(SPANS))
-    @pytest.mark.parametrize("n_nodes", [1000, 2000])
+    @pytest.mark.parametrize("n_nodes", [N_NODES])
     def test_rates_bit_identical_to_rocd_at_nodes(self, nbjt, delta_T, span, n_nodes):
         h1, h2 = self.SPANS[span]
         grid = default_grid()
         assert (h1 < crossover_altitude(nbjt.schedule) < h2) == (span == "crossover")
         profile = bumpy_profile(nbjt, grid)
         mass = nbjt.nominal_mass
-        traj = integrate_climb(nbjt, mass, profile, h1, h2, delta_T, n_nodes)
-        thrust = np.interp(traj.h, grid, profile.values)
-        assert np.array_equal(traj.rocd, rocd(nbjt, mass, thrust, traj.h, delta_T))
-        assert_same_climb(traj, reference_climb(nbjt, mass, profile, h1, h2, delta_T, n_nodes))
+        args = (nbjt, mass, profile, h1, h2, delta_T)
+        h, r = node_rates(*args)
+        assert np.array_equal(r, rocd(nbjt, mass, np.interp(h, grid, profile.values), h, delta_T))
+        # the integrator's refinement is the reference's at n_nodes
+        assert_same_climb(args, reference_climb(*args, n_nodes=n_nodes))
         # the left part's last rate node is taken just below the crossover
-        kernel = dynamics._climb_kernel(nbjt, mass, grid.tobytes(), h1, h2, delta_T, n_nodes)
+        kernel = dynamics._climb_kernel(nbjt, mass, grid.tobytes(), h1, h2, delta_T)
         if span == "crossover":
             n = kernel.n_left
             h_cross = crossover_altitude(nbjt.schedule)
@@ -318,7 +336,7 @@ class TestClimbKernel:
         h1, h2 = float(grid[0]), float(grid[-1])
         shifted = np.concatenate([[h1], grid[1:-1] + 7.0, [h2]])
         base = dict(perf=nbjt, mass=nbjt.nominal_mass, grid=grid, h_start=h1, h_end=h2,
-                    delta_T=0.0, n_nodes=1000)
+                    delta_T=0.0)
         variants = [
             dict(perf=dataclasses.replace(nbjt, c_d0=nbjt.c_d0 * 1.05)),
             dict(perf=catalog["WBJT"], mass=catalog["WBJT"].nominal_mass),
@@ -327,15 +345,14 @@ class TestClimbKernel:
             dict(grid=shifted),
             dict(h_start=h1 + 250.0),
             dict(h_end=h2 - 250.0),
-            dict(n_nodes=1500),
         ]
         for change in [{}] + variants:
             case = {**base, **change}
             profile = bumpy_profile(case["perf"], case["grid"], seed=3)
             args = (case["perf"], case["mass"], profile, case["h_start"], case["h_end"],
-                    case["delta_T"], case["n_nodes"])
+                    case["delta_T"])
             integrate_climb(nbjt, nbjt.nominal_mass, bumpy_profile(nbjt, grid), h1, h2)  # base key
-            assert_same_climb(integrate_climb(*args), reference_climb(*args))
+            assert_same_climb(args, reference_climb(*args))
 
     @pytest.mark.parametrize("span", sorted(SPANS))
     def test_returned_arrays_do_not_alias_the_cache(self, nbjt, span):
@@ -343,9 +360,9 @@ class TestClimbKernel:
         profile = bumpy_profile(nbjt, default_grid())
         args = (nbjt, nbjt.nominal_mass, profile, h1, h2)
         first = integrate_climb(*args)
-        for array in (first.t, first.h, first.rocd):
+        for array in (first.t, first.h):
             array[:] = -1.0
-        assert_same_climb(integrate_climb(*args), reference_climb(*args))
+        assert_same_climb(args, reference_climb(*args))
 
     @pytest.mark.parametrize("where", ["left", "right"])
     def test_infeasible_message_and_altitude_match_reference(self, nbjt, where):

@@ -131,8 +131,8 @@ class TestCoverage:
     @pytest.fixture()
     def bands(self):
         h = np.linspace(4572.0, 9906.0, 200)
-        fast = ClimbTrajectory(t=(h - h[0]) / 12.0, h=h, rocd=np.full(h.size, 12.0))
-        slow = ClimbTrajectory(t=(h - h[0]) / 6.0, h=h, rocd=np.full(h.size, 6.0))
+        fast = ClimbTrajectory(t=(h - h[0]) / 12.0, h=h)
+        slow = ClimbTrajectory(t=(h - h[0]) / 6.0, h=h)
         return slow, fast
 
     def test_trajectory_inside_counts_fully(self, bands):
@@ -150,8 +150,8 @@ class TestCoverage:
         # the limiting case of level -> 1: bands far wider than any flight
         _, split_data, _, _ = small_world
         h = np.linspace(4572.0, 9906.0, 200)
-        fast = ClimbTrajectory(t=(h - h[0]) / 100.0, h=h, rocd=np.full(h.size, 100.0))
-        slow = ClimbTrajectory(t=(h - h[0]) / 0.01, h=h, rocd=np.full(h.size, 0.01))
+        fast = ClimbTrajectory(t=(h - h[0]) / 100.0, h=h)
+        slow = ClimbTrajectory(t=(h - h[0]) / 0.01, h=h)
         assert coverage(split_data.test, slow, fast) == pytest.approx(100.0)
 
     def test_tiny_level_far_below_nominal(self, small_world, nbjt):
@@ -211,7 +211,7 @@ class TestRunReport:
 
     def test_empty_test_set_succeeds_with_empty_table(self, small_world, catalog, tmp_path):
         model, _, _, _ = small_world
-        empty = pipeline.DatasetSplit(train=[], test=[], seed=0)
+        empty = pipeline.DatasetSplit(train=[], test=[])
         reports = run_report({"NBJT": model}, empty, catalog, tmp_path / "out", seed=0)
         assert reports == []
         text = (tmp_path / "out" / "metrics_report.csv").read_text()
@@ -237,7 +237,7 @@ class TestRunReport:
             model.interval_fl, model.n_flights_fit)
         test = split_data.test + [dataclasses.replace(tr, type_code="WIDE")
                                   for tr in split_data.test]
-        data = pipeline.DatasetSplit(train=[], test=test, seed=0)
+        data = pipeline.DatasetSplit(train=[], test=test)
         catalog = {**catalog, "WIDE": dataclasses.replace(catalog["NBJT"], type_code="WIDE")}
         original = generative.bound_profiles
         calls = []

@@ -16,7 +16,6 @@ from climbgen.performance import (
     load_performance,
     min_level_thrust,
     nominal_thrust,
-    save_performance,
 )
 
 TWO_TYPES = [
@@ -64,12 +63,6 @@ class TestLoadPerformance:
         bad = [dict(TWO_TYPES[0], c_D0=-0.01)]
         with pytest.raises(ValidationError, match="(?i)c_d0"):
             load_performance(write_perf(tmp_path, bad))
-
-    def test_round_trip_identical(self, tmp_path):
-        catalog = load_performance(write_perf(tmp_path, TWO_TYPES))
-        save_performance(catalog, tmp_path / "copy.json")
-        again = load_performance(tmp_path / "copy.json")
-        assert again == catalog
 
     def test_unknown_field_rejected(self, tmp_path):
         bad = [dict(TWO_TYPES[0], wingspan_m=35.0)]

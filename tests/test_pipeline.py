@@ -454,10 +454,6 @@ class TestSplit:
         with pytest.raises(DataError):
             split([], seed=0)
 
-    def test_bad_ratio_rejected(self):
-        with pytest.raises(DomainError):
-            split(self.make_trajs(10), ratio=1.5)
-
 
 class TestSimulateFleet:
     def test_fixed_seed_byte_identical(self, catalog, tmp_path):
