@@ -168,13 +168,13 @@ def _cmd_bounds(args) -> int:
         raise ValidationError(f"type {model.type_code} missing from the performance catalog")
     perf = catalog[model.type_code]
     lower, upper = generative.bound_profiles(model, args.level)
-    write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
-                  model.basis.grid, lower.values, model.mean_profile().values, upper.values)
-
-    # the bound climbs of generative.bound_trajectories, from the envelope above
+    # the bound climbs of generative.bound_trajectories, from the envelope
+    # above; both are integrated before either file is written
     h0, h1 = float(model.basis.grid[0]), float(model.basis.grid[-1])
     slow = integrate_climb(perf, perf.nominal_mass, lower, h0, h1)
     fast = integrate_climb(perf, perf.nominal_mass, upper, h0, h1)
+    write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
+                  model.basis.grid, lower.values, model.mean_profile().values, upper.values)
     write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
                   slow.h, fast.t, slow.t)
     print(f"wrote thrust and time bounds for {model.type_code} at level {args.level}")

@@ -5,16 +5,17 @@ The climb follows the aircraft's speed schedule exactly; acceleration
 between the CAS and Mach legs is absorbed by the energy share factor
 rather than integrated explicitly.
 
-For a fixed aircraft, mass and temperature offset the climb rate factors
-as ``rocd = k(h) * (T(h) - D(h))``: everything but the thrust ``T`` is
-fixed.  :func:`rate_factors` is the only code that computes those factors;
-:func:`rocd`, ``learning.invert_thrust`` and ``performance.min_level_thrust``
-all read them.  :func:`integrate_climb` keeps a :class:`ClimbKernel` per
+For a fixed aircraft, mass and temperature offset the climb rate is
+``rocd = k(h) * (T(h) - D(h))``: the thrust ``T`` is the only free input,
+``D`` is the drag and ``k`` the climb-rate gain.  :func:`rate_factors` is
+the only code that computes ``(D, k)``; :func:`rocd`,
+``learning.invert_thrust`` and ``performance.min_level_thrust`` all read
+them.  :func:`integrate_climb` keeps a :class:`ClimbKernel` per
 ``(perf, mass, profile grid bytes, h_start, h_end, delta_T)`` in a bounded
 LRU cache.  It holds the refined nodes, the split at the CAS-Mach
-crossover, the rate factors per node and ``m g0``; a call only interpolates
-the thrust and applies :func:`rocd`'s arithmetic in the same order, so
-results are bit-identical to evaluating :func:`rocd` at the nodes.
+crossover and ``(D, k)`` per node; a call only interpolates the thrust and
+applies :func:`rocd`'s expression, so results are bit-identical to
+evaluating :func:`rocd` at the nodes.
 """
 
 from __future__ import annotations
@@ -122,15 +123,17 @@ def rate_factors(
     h: float | np.ndarray,
     delta_T: float = 0.0,
 ) -> tuple:
-    """The thrust-independent factors ``(ratio, D, V, f)`` of the climb rate
-    at altitude: temperature ratio ``(T - delta_T) / T``, drag (N) at
-    ``mass`` and schedule speed, schedule true airspeed (m/s) and energy
-    share factor, so that ``rocd = ratio * (thrust - D) * V / (mass g0) * f``."""
+    """The thrust-independent factors ``(D, k)`` of the climb rate at
+    altitude, so that ``rocd = k * (thrust - D)``: the drag ``D`` (N) at
+    ``mass`` and schedule speed, and the gain ``k = ratio * V * f / (mass g0)``
+    (m/s per N) from the temperature ratio ``(T - delta_T) / T``, the
+    schedule true airspeed ``V`` and the energy share factor ``f``."""
     state = isa_state(h, delta_T)
     v_tas, mach = schedule_speed(perf.schedule, state)
     d = drag(perf, mass, state, v_tas)
     f = energy_share(mach, h, perf.schedule)
-    return (state.T - delta_T) / state.T, d, v_tas, f
+    ratio = (state.T - delta_T) / state.T
+    return d, ratio * v_tas * f / (mass * G0)
 
 
 def rocd(
@@ -144,11 +147,11 @@ def rocd(
 
     Excess power (thrust minus drag, times TAS) is converted to climb rate
     through the nominal mass, scaled by the temperature ratio and the
-    energy share factor.  Negative results are returned as-is.
+    energy share factor: ``k * (thrust - D)`` with :func:`rate_factors`.
+    Negative results are returned as-is.
     """
-    ratio, d, v_tas, f = rate_factors(perf, mass, h, delta_T)
-    # ClimbKernel.rates repeats this expression in this order
-    r = ratio * ((np.asarray(t_hr, dtype=float) - d) * v_tas) / (mass * G0) * f
+    d, k = rate_factors(perf, mass, h, delta_T)
+    r = k * (np.asarray(t_hr, dtype=float) - d)
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -169,25 +172,21 @@ class ClimbKernel:
     (``h_rate[:n_left]``, up to and including the CAS-Mach crossover) and
     then of the right part; without a crossover inside the span there is
     one part and ``n_left == h_rate.size``.  Per rate node the kernel holds
-    the temperature ratio, drag, true airspeed and energy share factor, each
+    the drag and the climb-rate gain of :func:`rate_factors`, each
     evaluated where :func:`rocd` would be: the left part's last node, the
     crossover itself, is evaluated just below it for the CAS-leg limit.
     ``h`` holds the output altitudes.  Every array is read-only.
     """
 
     h_rate: np.ndarray
-    ratio: np.ndarray
     drag: np.ndarray
-    v_rate: np.ndarray
-    share: np.ndarray
-    mg: float
+    gain: np.ndarray
     n_left: int
     h: np.ndarray
 
     def rates(self, thrust: np.ndarray) -> np.ndarray:
-        """Climb rate (m/s) at the rate nodes for thrust (N) at those nodes,
-        in :func:`rocd`'s operation order."""
-        return self.ratio * ((thrust - self.drag) * self.v_rate) / self.mg * self.share
+        """Climb rate (m/s) at the rate nodes for thrust (N) at those nodes."""
+        return self.gain * (thrust - self.drag)
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,18 +218,15 @@ def _climb_kernel(
         h_out = np.concatenate([left[:-1], right])
     # each part is evaluated on its own, exactly as rocd would see it
     factors = [rate_factors(perf, mass, h_eval, delta_T) for _, h_eval in parts]
-    ratio, d, v_rate, f = (np.concatenate(col) for col in zip(*factors))
+    d, k = (np.concatenate(col) for col in zip(*factors))
     kernel = ClimbKernel(
         h_rate=np.concatenate([h for h, _ in parts]),
-        ratio=ratio,
         drag=d,
-        v_rate=v_rate,
-        share=f,
-        mg=mass * G0,
+        gain=k,
         n_left=parts[0][0].size,
         h=h_out,
     )
-    for name in ("h_rate", "ratio", "drag", "v_rate", "share", "h"):
+    for name in ("h_rate", "drag", "gain", "h"):
         getattr(kernel, name).setflags(write=False)
     return kernel
 

@@ -65,7 +65,8 @@ class InfeasibleClimbError(DataError):
 
 
 class DegenerateModelError(DataError):
-    """Fitted weight distribution has a zero-variance coordinate."""
+    """Fitted thrust profiles, or a coordinate of their weights, have no
+    variance."""
 
 
 class DegenerateNodeError(DataError):

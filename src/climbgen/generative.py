@@ -5,7 +5,9 @@ chi-square ellipsoid, and JSON persistence.
 The weight covariance is stored diagonal-only (the basis is orthonormal,
 so cross-covariances vanish in expectation); the confidence region is the
 axis-aligned ellipsoid whose radius is the chi-square quantile for the
-number of modes.  For the thrust value at one grid node, the extreme
+number of modes, found by bisection on the chi-square CDF, which at an
+integer number of degrees of freedom is a finite sum (Abramowitz &
+Stegun 26.4.4-26.4.5).  For the thrust value at one grid node, the extreme
 weights over that ellipsoid have the closed form
 
     w_pm = mu_w +- sqrt(q) * (c o n_hat),   c = sqrt(diag variances),
@@ -130,10 +132,10 @@ def fit_type_model(
 
     A flight whose profile raises ``ClimbgenError`` is skipped with a
     warning; fewer than ``MIN_FIT_PROFILES`` profiles raise
-    ``TooFewFlightsError``, and a weight coordinate without variance raises
-    ``DegenerateModelError``; both name the type.  ``interval_fl`` is the
-    flight-level span ``grid`` was built for, kept in the model as its
-    provenance.
+    ``TooFewFlightsError``, and profiles or a weight coordinate without
+    variance raise ``DegenerateModelError``; both name the type.
+    ``interval_fl`` is the flight-level span ``grid`` was built for, kept
+    in the model as its provenance.
     """
     profiles = []
     for tr in trajectories:
@@ -143,8 +145,8 @@ def fit_type_model(
             logger.warning("%s", exc)
     if len(profiles) < MIN_FIT_PROFILES:
         raise TooFewFlightsError(f"type {perf.type_code}: only {len(profiles)} usable flights")
-    basis = fit_fpca(profiles, n_max=n_max)
     try:
+        basis = fit_fpca(profiles, n_max=n_max)
         weights = fit_weight_distribution([project_weights(basis, p) for p in profiles])
     except DegenerateModelError as exc:
         raise DegenerateModelError(f"type {perf.type_code}: {exc}") from None
@@ -172,58 +174,31 @@ def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[Th
     return [ThrustProfile(model.basis.grid.copy(), row) for row in values]
 
 
-def _regularized_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), series / continued fraction."""
-    if x < 0.0 or a <= 0.0:
-        raise DomainError("require x >= 0 and a > 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        # series representation
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(500):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    # continued fraction for the upper tail (modified Lentz)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    frac = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    upper = math.exp(-x + a * math.log(x) - math.lgamma(a)) * frac
-    return 1.0 - upper
-
-
 def confidence_radius(n: int, level: float) -> float:
-    """Chi-square quantile with ``n`` degrees of freedom at ``level``,
-    by bisection on the regularized incomplete-gamma CDF."""
+    """Chi-square quantile with ``n`` degrees of freedom at ``level``, by
+    bisection on the chi-square CDF.  At integer ``n`` that CDF is the
+    finite sum of Abramowitz & Stegun eqs. 26.4.4-26.4.5:
+
+        P(x) = H - exp(-x/2) * sum_j (x/2)^j / Gamma(j + 1),   j = a, a + 1, ... < n/2,
+
+    with ``a = 0, H = 1`` for even ``n`` and ``a = 1/2, H = erf(sqrt(x/2))``
+    for odd ``n``.  Each term is formed in log space, so neither a power of
+    a large ``x/2`` overflows nor ``exp(-x/2)`` underflows on its own."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
 
+    a = 0.5 * (n % 2)
+    terms = [(k + a, math.lgamma(k + a + 1.0)) for k in range(n // 2)]
+
     def cdf(x: float) -> float:
-        return _regularized_lower_gamma(n / 2.0, x / 2.0)
+        half = 0.5 * x
+        log_half = math.log(half)
+        tail = 0.0
+        for j, log_gamma in terms:
+            tail += math.exp(j * log_half - half - log_gamma)
+        return (math.erf(math.sqrt(half)) if a else 1.0) - tail
 
     hi = float(max(n, 1))
     while cdf(hi) < level:

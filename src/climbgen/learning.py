@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .atmosphere import FT, G0, fl_to_m
+from .atmosphere import FT, fl_to_m
 from .dynamics import rate_factors
-from .errors import DegenerateConditionError, DomainError, FlightRejectedError
+from .errors import DegenerateConditionError, DegenerateModelError, DomainError, FlightRejectedError
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
@@ -110,10 +110,10 @@ def invert_thrust(
     """Effective thrust that reproduces an observed climb rate.
 
     The algebraic inverse of :func:`climbgen.dynamics.rocd` on the same
-    rate factors (temperature ratio, drag D, true airspeed V and energy
-    share f at the given mass and the schedule speed):
+    rate factors (drag D and climb-rate gain k at the given mass and the
+    schedule speed):
 
-        T_hr = D + rocd * m g0 / (ratio * V * f)
+        T_hr = D + rocd / k
 
     so zero climb gives exactly the drag,
     :func:`climbgen.performance.min_level_thrust`.
@@ -121,12 +121,10 @@ def invert_thrust(
     r = np.asarray(rocd_obs, dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("rocd_obs must be finite")
-    ratio, d, v_tas, f = rate_factors(perf, mass, h, delta_T)
-    if np.any(np.asarray(f) == 0.0):
-        raise DegenerateConditionError("energy share factor is zero")
-    if np.any(np.asarray(ratio) <= 0.0):
-        raise DegenerateConditionError("temperature ratio is non-positive")
-    t = d + r * (mass * G0) / (ratio * v_tas * f)
+    d, k = rate_factors(perf, mass, h, delta_T)
+    if not np.all(k > 0.0):
+        raise DegenerateConditionError("climb-rate gain is not positive")
+    t = d + r / k
     return float(t) if np.ndim(t) == 0 else t
 
 
@@ -208,7 +206,8 @@ def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> 
     common grid; eigenvalues are reported as fractions of total variance
     and the retained count is min(n_max, knee of the cumulative curve).
     Mode signs are fixed so each mode's quadrature integral is
-    non-negative (tie: first non-zero node positive).
+    non-negative (tie: first non-zero node positive).  Profiles whose total
+    variance is round-off raise ``DegenerateModelError``.
     """
     if len(profiles) < MIN_FIT_PROFILES:
         raise DomainError(f"need at least {MIN_FIT_PROFILES} profiles, got {len(profiles)}")
@@ -238,11 +237,7 @@ def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> 
     # round-off floor: centering identical profiles leaves eigenvalue dust
     scale = float(np.mean(x**2)) * float(grid[-1] - grid[0])
     if total <= 1e-20 * max(scale, 1e-300):
-        # zero variance: all profiles identical; keep one arbitrary mode
-        mode = evecs[:, 0] / sqrt_w
-        mode = _fix_sign(mode, w)
-        return FpcaBasis(grid=grid.copy(), mean=mean, modes=mode[None, :],
-                         explained_variance=np.array([0.0]))
+        raise DegenerateModelError("the thrust profiles have no variance")
 
     fractions = evals / total
     n_keep = min(n_max, select_components(fractions), x.shape[0] - 1)

@@ -92,9 +92,9 @@ def nominal_thrust(perf: AircraftPerformance, h: float | np.ndarray) -> float | 
 def min_level_thrust(
     perf: AircraftPerformance, h: float | np.ndarray, delta_T: float = 0.0
 ) -> float | np.ndarray:
-    """Thrust for zero climb rate: the drag factor of
+    """Thrust for zero climb rate: the drag ``D`` of
     :func:`climbgen.dynamics.rate_factors` at nominal mass."""
-    return dynamics.rate_factors(perf, perf.nominal_mass, h, delta_T)[1]
+    return dynamics.rate_factors(perf, perf.nominal_mass, h, delta_T)[0]
 
 
 def _record_to_performance(record: dict, index: int) -> AircraftPerformance:

@@ -32,6 +32,7 @@ cost one ``repr`` each.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -489,13 +490,29 @@ def _count(code: str, spec: dict) -> int:
     return count
 
 
+def _check_keys(where: str, doc, cls) -> None:
+    """Raise unless ``doc`` is a JSON object whose keys all name fields of
+    the dataclass ``cls``."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+
+
 def load_scenario(path: str | Path) -> FleetScenario:
+    """Load a scenario file.  Its top-level keys are the fields of
+    :class:`FleetScenario` and each type's keys those of
+    :class:`TypeScenario`; an unknown key raises ``ScenarioError``."""
     path = Path(path)
     doc = read_json(path, "scenario file", ScenarioError)
     try:
+        _check_keys("the scenario", doc, FleetScenario)
         specs = doc["types"]
         if not isinstance(specs, dict):
             raise TypeError('"types" must be a JSON object')
+        for code, spec in specs.items():
+            _check_keys(f"type {code}", spec, TypeScenario)
         types = {
             code: TypeScenario(
                 count=_count(code, spec),

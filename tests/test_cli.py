@@ -78,6 +78,18 @@ class TestWorkflow:
         assert (workdir / "bounds" / "bounds_thrust_NBJT.csv").exists()
         assert (workdir / "bounds" / "bounds_time_NBJT.csv").exists()
 
+    def test_bounds_on_an_infeasible_climb_writes_no_file(self, workdir, tmp_path):
+        model = load_model(workdir / "models" / "model_NBJT.json")
+        wide = generative.GenerativeClimbModel(
+            model.type_code, model.basis,
+            generative.WeightDistribution(model.weights.mu, model.weights.var * 1e4),
+            model.interval_fl, model.n_flights_fit)
+        generative.save_model(wide, tmp_path / "model_NBJT.json")
+        out = tmp_path / "bounds"
+        assert main(["bounds", "--model", str(tmp_path / "model_NBJT.json"),
+                     "--level", "0.95", "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
+
     def test_bounds_builds_the_envelope_once(self, workdir, monkeypatch):
         original = generative.bound_profiles
         calls = []
@@ -207,6 +219,21 @@ class TestExitCodes:
         assert '"count" must be a JSON integer' in proc.stderr
         assert not (tmp_path / "o" / "blips.csv").exists()
 
+    @pytest.mark.parametrize("where, key", [("scenario", "quantisation_ft"), ("scenario", "fl_low"),
+                                            ("type", "thrust_bias")],
+                             ids=["misspelt", "removed", "per-type"])
+    def test_scenario_unknown_key_is_validation_error(self, tmp_path, where, key):
+        doc = json.loads(json.dumps(SCENARIO))
+        (doc if where == "scenario" else doc["types"]["NBJT"])[key] = 5.0
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"unknown key(s) {key}" in proc.stderr
+        assert ("type NBJT: " in proc.stderr) == (where == "type")
+        assert not (tmp_path / "o" / "blips.csv").exists()
+
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_model_grid_under_two_nodes_is_validation_error(self, tmp_path, workdir, n_nodes):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
@@ -230,29 +257,25 @@ class TestExitCodes:
 
 
 class TestDegenerateType:
-    """A type whose flights all fly the same climb has no weight variance:
-    ``fit`` skips it by name and fits the others."""
+    """A type whose flights all fly the same climb has thrust profiles
+    without variance: ``fit`` skips it by name, whatever its flight count,
+    and fits the others."""
 
-    SCENARIO = {
-        "types": {
-            "NBJT": {"count": 16},
-            "WBJT": {"count": 30, "thrust_bias_n": -5000.0, "mode_sds": [1.7e5, 0.8e5]},
-        },
-        "quantization_ft": 0.0,
-    }
+    WBJT = {"count": 30, "thrust_bias_n": -5000.0, "mode_sds": [1.7e5, 0.8e5]}
 
-    @pytest.fixture(scope="class")
-    def blips(self, tmp_path_factory):
+    @pytest.fixture(scope="class", params=[16, 20, 24])
+    def blips(self, request, tmp_path_factory):
         root = tmp_path_factory.mktemp("degenerate")
         scenario = root / "scenario.json"
-        scenario.write_text(json.dumps(self.SCENARIO))
+        scenario.write_text(json.dumps({"types": {"NBJT": {"count": request.param}, "WBJT": self.WBJT},
+                                        "quantization_ft": 0.0}))
         assert main(["simulate", "--scenario", str(scenario), "--out", str(root), "--seed", "1"]) == 0
         return root / "blips.csv"
 
     def test_other_types_are_fitted(self, blips, tmp_path):
         proc = run_cli("fit", "--train", str(blips), "--out", str(tmp_path / "models"))
         assert proc.returncode == 0, proc.stderr
-        assert "type NBJT: zero variance in a weight coordinate" in proc.stderr
+        assert "type NBJT: the thrust profiles have no variance" in proc.stderr
         assert "fitted WBJT" in proc.stdout
         assert [p.name for p in (tmp_path / "models").iterdir()] == ["model_WBJT.json"]
 
@@ -263,5 +286,5 @@ class TestDegenerateType:
         proc = run_cli("fit", "--train", str(alone), "--out", str(tmp_path / "models"))
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "type NBJT: zero variance in a weight coordinate" in proc.stderr
+        assert "type NBJT: the thrust profiles have no variance" in proc.stderr
         assert not list((tmp_path / "models").iterdir())

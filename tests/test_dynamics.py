@@ -118,14 +118,14 @@ class TestRocd:
         h = np.linspace(fl_to_m(150.0), fl_to_m(325.0), 50)
         mass = nbjt.nominal_mass
         t_hr = nominal_thrust(nbjt, h)
-        ratio, d, v, f = rate_factors(nbjt, mass, h, delta_T)
+        d, k = rate_factors(nbjt, mass, h, delta_T)
         state = isa_state(h, delta_T)
-        v_sched, mach = schedule_speed(nbjt.schedule, state)
-        assert np.array_equal(v, v_sched)
-        assert np.array_equal(d, drag(nbjt, mass, state, v_sched))
-        assert np.array_equal(f, energy_share(mach, h, nbjt.schedule))
-        assert np.array_equal(rocd(nbjt, mass, t_hr, h, delta_T),
-                              ratio * ((t_hr - d) * v) / (mass * G0) * f)
+        v, mach = schedule_speed(nbjt.schedule, state)
+        ratio = (state.T - delta_T) / state.T
+        f = energy_share(mach, h, nbjt.schedule)
+        assert np.array_equal(d, drag(nbjt, mass, state, v))
+        assert np.array_equal(k, ratio * v * f / (mass * G0))
+        assert np.array_equal(rocd(nbjt, mass, t_hr, h, delta_T), k * (t_hr - d))
 
     def test_composed_closed_form_oracle(self, nbjt):
         # independent chain: ISA -> TAS -> drag -> ESF -> climb-rate formula

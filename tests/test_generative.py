@@ -151,8 +151,8 @@ class TestConfidenceRadius:
         assert confidence_radius(2, 0.95) == pytest.approx(5.9915, abs=1e-4)
         assert confidence_radius(2, 0.95) == pytest.approx(-2.0 * np.log(0.05), rel=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30])
-    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 10, 30])
+    @pytest.mark.parametrize("level", [0.05, 0.5, 0.9, 0.95, 0.99])
     def test_matches_scipy(self, n, level):
         assert confidence_radius(n, level) == pytest.approx(
             scipy.stats.chi2.ppf(level, n), rel=1e-9

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from climbgen.atmosphere import FT, G0, fl_to_m, isa_state, schedule_speed
-from climbgen import learning
+from climbgen import dynamics
 from climbgen.dynamics import energy_share, integrate_climb, rate_factors, rocd
-from climbgen.errors import DegenerateConditionError, DomainError, FlightRejectedError
+from climbgen.errors import DegenerateConditionError, DegenerateModelError, DomainError, FlightRejectedError
 from climbgen.learning import (
     FpcaBasis,
     ThrustProfile,
@@ -74,16 +74,22 @@ class TestInvertThrust:
         with pytest.raises(DomainError):
             invert_thrust(nbjt, nbjt.nominal_mass, float("nan"), 6000.0)
 
-    @pytest.mark.parametrize("index, message", [(0, "temperature ratio"), (3, "energy share")])
-    def test_rejects_degenerate_rate_factor(self, nbjt, monkeypatch, index, message):
-        def degenerate(*args):
-            factors = list(rate_factors(*args))
-            factors[index] = np.where(args[2] > 8000.0, 0.0, factors[index])
-            return tuple(factors)
-
-        monkeypatch.setattr(learning, "rate_factors", degenerate)
-        with pytest.raises(DegenerateConditionError, match=message):
-            invert_thrust(nbjt, nbjt.nominal_mass, 5.0, np.array([6000.0, 9000.0]))
+    @pytest.mark.parametrize("cause", ["energy share", "temperature ratio"])
+    def test_rejects_degenerate_rate_factor(self, nbjt, monkeypatch, cause):
+        # each cause leaves the climb-rate gain positive at 6000 m and zero
+        # or negative at 9000 m
+        delta_T = 0.0
+        if cause == "energy share":
+            share = dynamics.energy_share
+            monkeypatch.setattr(dynamics, "energy_share", lambda mach, h, schedule: np.where(
+                np.asarray(h) > 8000.0, 0.0, share(mach, h, schedule)))
+        else:
+            delta_T = 240.0   # (T - delta_T) / T <= 0 where the ISA T <= 240 K, above 7408 m
+        h = np.array([6000.0, 9000.0])
+        _, k = rate_factors(nbjt, nbjt.nominal_mass, h, delta_T)
+        assert k[0] > 0.0 >= k[1]
+        with pytest.raises(DegenerateConditionError, match="climb-rate gain"):
+            invert_thrust(nbjt, nbjt.nominal_mass, 5.0, h, delta_T)
 
 
 class TestProfileFromFlight:
@@ -155,10 +161,8 @@ class TestFitFpca:
         grid = default_grid()
         values = 90000.0 - 2.0 * (grid - grid[0])
         profiles = [ThrustProfile(grid, values.copy()) for _ in range(12)]
-        basis = fit_fpca(profiles)
-        assert basis.mean == pytest.approx(values)
-        assert basis.n_modes == 1
-        assert basis.explained_variance == pytest.approx([0.0], abs=1e-15)
+        with pytest.raises(DegenerateModelError, match="no variance"):
+            fit_fpca(profiles)
 
     def test_rank_one_construction(self):
         grid = default_grid()
