@@ -37,27 +37,12 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
-    try:
-        low, high = text.upper().split(":")
-        fl_low = float(low.removeprefix("FL"))
-        fl_high = float(high.removeprefix("FL"))
-    except (ValueError, AttributeError):
-        raise ValidationError(f"interval must look like FL150:FL325, got {text!r}") from None
-    if not fl_low < fl_high:
-        raise ValidationError(f"interval must be increasing, got {text!r}")
-    return fl_low, fl_high
-
-
 def _add_common(parser: argparse.ArgumentParser, *, perf: bool = False,
-                interval: bool = False, seed: bool = False, level: bool = False) -> None:
+                seed: bool = False, level: bool = False) -> None:
     parser.add_argument("--out", required=True, help="output directory")
     if perf:
         parser.add_argument("--perf-file", default=None,
                             help="aircraft performance JSON (default: shipped catalog)")
-    if interval:
-        parser.add_argument("--interval", default="FL150:FL325",
-                            help="modeled flight-level interval, e.g. FL150:FL325")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="random seed")
     if level:
@@ -93,9 +78,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_prepare(args) -> int:
     out = _out_dir(args)
-    fl_low, fl_high = _parse_interval(args.interval)
     trajectories = pipeline.ingest(args.csv)
-    filtered = pipeline.filter_climbs(trajectories, fl_low, fl_high, args.rocd_min)
+    filtered = pipeline.filter_climbs(trajectories)
     if not filtered:
         raise DataError("no flights survive the climb filter")
     split_data = pipeline.split(filtered, seed=args.seed)
@@ -107,8 +91,8 @@ def _cmd_prepare(args) -> int:
         "train": len(split_data.train),
         "test": len(split_data.test),
         "seed": args.seed,
-        "interval_fl": [fl_low, fl_high],
-        "rocd_min_fpm": args.rocd_min,
+        "interval_fl": list(learning.INTERVAL_FL),
+        "rocd_min_fpm": pipeline.ROCD_MIN_FPM,
     }
     (out / "prepare_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1) + "\n", encoding="utf-8"
@@ -121,8 +105,7 @@ def _cmd_prepare(args) -> int:
 def _cmd_fit(args) -> int:
     out = _out_dir(args)
     catalog = _load_catalog(args)
-    fl_low, fl_high = _parse_interval(args.interval)
-    grid = learning.default_grid(fl_low, fl_high)
+    grid = learning.default_grid()
     trajectories = pipeline.ingest(args.train)
 
     by_type: dict[str, list[pipeline.Trajectory]] = {}
@@ -136,7 +119,7 @@ def _cmd_fit(args) -> int:
             continue
         try:
             model = generative.fit_type_model(catalog[type_code], by_type[type_code], grid,
-                                              args.max_modes, interval_fl=(fl_low, fl_high))
+                                              args.max_modes)
         except (TooFewFlightsError, DegenerateModelError) as exc:
             logger.warning("%s; skipped", exc)
             continue
@@ -250,17 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, perf=True, seed=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("prepare", help="ingest, filter climbs, and split train/test")
+    p = sub.add_parser("prepare", help="ingest, filter climbs through the modeled window, "
+                                       "and split train/test")
     p.add_argument("--csv", required=True, help="blip CSV file")
-    p.add_argument("--rocd-min", type=float, default=500.0, help="blip climb-rate floor, ft/min")
-    _add_common(p, interval=True, seed=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("fit", help="fit a generative model per aircraft type")
     p.add_argument("--train", required=True, help="training blip CSV")
     p.add_argument("--max-modes", type=int, default=learning.MAX_COMPONENTS,
                    help="upper bound on retained modes")
-    _add_common(p, perf=True, interval=True)
+    _add_common(p, perf=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("sample", help="sample synthetic thrust profiles from a model")

@@ -2,8 +2,10 @@
 and the per-type evaluation report.
 
 All arrival times are zero-referenced at the flight's upward crossing of
-the reference flight level ``REF_FL`` (FL150), so observed, predicted, and
-sampled climbs share a common origin.
+the reference flight level ``REF_FL``, the bottom of the modeled window
+``learning.INTERVAL_FL``, so observed, predicted, and sampled climbs share
+a common origin.  The second report level is the window's top, and
+coverage counts the test blips inside the window.
 
 ``evaluate_type`` builds each type's thrust envelope once and integrates
 it into the slow and fast bound climbs; the plot-ready artifacts reuse
@@ -25,14 +27,14 @@ from .atmosphere import FT
 from .dynamics import ClimbTrajectory, integrate_climb
 from .errors import DataError, DomainError, InfeasibleClimbError
 from .generative import GenerativeClimbModel, bound_profiles, sample_thrust
-from .learning import ThrustProfile
+from .learning import INTERVAL_FL, ThrustProfile
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
 from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
 
 logger = logging.getLogger(__name__)
 
-REF_FL = 150.0
-REPORT_FLS = (250.0, 325.0)
+REF_FL = INTERVAL_FL[0]
+REPORT_FLS = (250.0, INTERVAL_FL[1])
 EXTRAP_TOL_FT = 500.0   # how far beyond the data a boundary crossing may be extrapolated
 KDE_GRID_SIZE = 1024
 KDE_PLOT_SIZE = 256     # points per flight level in kde_<type>.csv
@@ -193,12 +195,11 @@ def coverage(
     test_trajectories: list[Trajectory],
     slow: ClimbTrajectory,
     fast: ClimbTrajectory,
-    fl_low: float = 150.0,
-    fl_high: float = 325.0,
 ) -> float:
-    """Percentage of in-interval test blips whose time, zero-referenced at
-    the ``REF_FL`` crossing, lies within [fast.t(alt), slow.t(alt)]."""
-    low_ft, high_ft = fl_low * 100.0, fl_high * 100.0
+    """Percentage of the test blips inside ``INTERVAL_FL`` whose time,
+    zero-referenced at the ``REF_FL`` crossing, lies within
+    [fast.t(alt), slow.t(alt)]."""
+    low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     inside = 0
     total = 0
     for tr in test_trajectories:
@@ -296,8 +297,7 @@ def evaluate_type(
 
     kl250 = kl_divergence(obs250, gen250)
     kl325 = kl_divergence(obs325, gen325)
-    cov = coverage(test_trajectories, slow, fast,
-                   fl_low=model.interval_fl[0], fl_high=model.interval_fl[1])
+    cov = coverage(test_trajectories, slow, fast)
 
     report = MetricsReport(
         type_code=model.type_code,
@@ -421,13 +421,13 @@ def _write_type_artifacts(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
         repeat_each([s.flight_id for s in observed], [2] * len(observed)),
         np.column_stack((obs250, obs325)).ravel(),
-        ["25000.0", "32500.0"] * len(observed),
+        [repr(fl * 100.0) for fl in REPORT_FLS] * len(observed),
     )
 
     gen250, gen325 = artifacts["generated"]
     curves = [_kde_pair(obs250, gen250, KDE_PLOT_SIZE), _kde_pair(obs325, gen325, KDE_PLOT_SIZE)]
     write_columns(
         out / f"kde_{code}.csv", "fl,t_s,density_test,density_generated",
-        ["250"] * KDE_PLOT_SIZE + ["325"] * KDE_PLOT_SIZE,
+        repeat_each([f"{fl:.0f}" for fl in REPORT_FLS], [KDE_PLOT_SIZE] * len(REPORT_FLS)),
         *(np.concatenate(column) for column in zip(*curves)),
     )

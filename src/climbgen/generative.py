@@ -15,6 +15,10 @@ weights over that ellipsoid have the closed form
 
 which are the tangency points of the constant-thrust hyperplanes, and lie
 exactly on the ellipsoid surface.
+
+Every model covers the one modeled window ``learning.INTERVAL_FL``.  Its
+file still records that window as ``interval_fl``, and ``load_model``
+refuses a file that records another one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import (
     read_json,
 )
 from .learning import (
+    INTERVAL_FL,
     MAX_COMPONENTS,
     MIN_FIT_PROFILES,
     FpcaBasis,
@@ -97,7 +102,6 @@ class GenerativeClimbModel:
     type_code: str
     basis: FpcaBasis
     weights: WeightDistribution
-    interval_fl: tuple[float, float]
     n_flights_fit: int
 
     def __post_init__(self):
@@ -125,7 +129,6 @@ def fit_type_model(
     trajectories: Sequence["Trajectory"],
     grid: np.ndarray,
     n_max: int = MAX_COMPONENTS,
-    interval_fl: tuple[float, float] = (150.0, 325.0),
 ) -> GenerativeClimbModel:
     """Fit one type's model: a thrust profile per flight on ``grid``, the
     fPCA basis, each profile's weights and their Gaussian fit.
@@ -134,8 +137,6 @@ def fit_type_model(
     warning; fewer than ``MIN_FIT_PROFILES`` profiles raise
     ``TooFewFlightsError``, and profiles or a weight coordinate without
     variance raise ``DegenerateModelError``; both name the type.
-    ``interval_fl`` is the flight-level span ``grid`` was built for, kept
-    in the model as its provenance.
     """
     profiles = []
     for tr in trajectories:
@@ -154,7 +155,6 @@ def fit_type_model(
         type_code=perf.type_code,
         basis=basis,
         weights=weights,
-        interval_fl=interval_fl,
         n_flights_fit=len(profiles),
     )
 
@@ -212,7 +212,7 @@ def confidence_radius(n: int, level: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(hi, 1.0):
+        if hi - lo <= 1e-14 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -282,7 +282,7 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "type_code": model.type_code,
-        "interval_fl": [float(model.interval_fl[0]), float(model.interval_fl[1])],
+        "interval_fl": list(INTERVAL_FL),
         "grid_m": [float(v) for v in model.basis.grid],
         "mean_N": [float(v) for v in model.basis.mean],
         "modes": [[float(v) for v in row] for row in model.basis.modes],
@@ -295,8 +295,10 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GenerativeClimbModel:
-    """Load a model file, refusing unknown schema versions and validating
-    the basis invariants."""
+    """Load a model file, refusing unknown schema versions, a window other
+    than ``INTERVAL_FL``, a ``type_code`` that is not a non-empty string and
+    an ``n_flights_fit`` that is not a JSON integer >= 1, and validating the
+    basis invariants."""
     path = Path(path)
     doc = read_json(path, "model file", ModelFileError)
     if not isinstance(doc, dict) or set(doc) != _MODEL_KEYS:
@@ -306,6 +308,16 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
             f"unsupported schema version {doc['schema_version']!r} "
             f"(supported: {SCHEMA_VERSION})"
         )
+    if doc["interval_fl"] != list(INTERVAL_FL):
+        raise ModelFileError(f"model file {path}: interval_fl must be the modeled window "
+                             f"{list(INTERVAL_FL)}, got {json.dumps(doc['interval_fl'])}")
+    if not isinstance(doc["type_code"], str) or not doc["type_code"]:
+        raise ModelFileError(f"model file {path}: type_code must be a non-empty string, "
+                             f"got {json.dumps(doc['type_code'])}")
+    # bool is an int subclass, but JSON true is not a flight count
+    if type(doc["n_flights_fit"]) is not int or doc["n_flights_fit"] < 1:
+        raise ModelFileError(f"model file {path}: n_flights_fit must be a JSON integer >= 1, "
+                             f"got {json.dumps(doc['n_flights_fit'])}")
     try:
         basis = FpcaBasis(
             grid=np.array(doc["grid_m"], dtype=float),
@@ -317,13 +329,11 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
             mu=np.array(doc["mu_w"], dtype=float),
             var=np.array(doc["sigma_diag"], dtype=float),
         )
-        interval = (float(doc["interval_fl"][0]), float(doc["interval_fl"][1]))
         model = GenerativeClimbModel(
-            type_code=str(doc["type_code"]),
+            type_code=doc["type_code"],
             basis=basis,
             weights=weights,
-            interval_fl=interval,
-            n_flights_fit=int(doc["n_flights_fit"]),
+            n_flights_fit=doc["n_flights_fit"],
         )
     except (DomainError, DegenerateModelError, TypeError, ValueError, IndexError) as exc:
         raise ModelFileError(f"model file {path} is invalid: {exc}") from None

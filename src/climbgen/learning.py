@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     from .performance import AircraftPerformance
     from .pipeline import Trajectory
 
+INTERVAL_FL = (150.0, 325.0)   # the modeled climb window, flight levels
 GRID_SIZE = 100
 MIN_PROFILE_BLIPS = 4
 MIN_FIT_PROFILES = 10
@@ -31,12 +32,10 @@ MAX_COMPONENTS = 10
 _KNEE_TOL = 1e-6
 
 
-def default_grid(fl_low: float = 150.0, fl_high: float = 325.0) -> np.ndarray:
-    """``GRID_SIZE`` equally spaced altitudes (metres) spanning a
-    flight-level interval."""
-    if not fl_low < fl_high:
-        raise DomainError(f"need fl_low < fl_high, got {fl_low} >= {fl_high}")
-    return np.linspace(fl_to_m(fl_low), fl_to_m(fl_high), GRID_SIZE)
+def default_grid() -> np.ndarray:
+    """``GRID_SIZE`` equally spaced altitudes (metres) spanning the modeled
+    window ``INTERVAL_FL``."""
+    return np.linspace(fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]), GRID_SIZE)
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:

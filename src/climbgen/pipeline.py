@@ -21,6 +21,10 @@ suppress altitude-quantization spikes.  A flight whose blips carry more
 than one type code, or that has fewer than 2 distinct timestamps, is
 dropped with a warning.
 
+``filter_climbs`` keeps the flights that climb through the one modeled
+window, ``learning.INTERVAL_FL``, and of each only the blips inside it
+that climb at ``ROCD_MIN_FPM`` or more.
+
 Every CSV the package writes goes through ``write_columns``: whole
 columns, not rows, are formatted.  A number is written as
 ``repr(float(x))``, the shortest text that reads back to the same float,
@@ -47,7 +51,7 @@ import numpy as np
 from .atmosphere import FT, fl_to_m
 from .dynamics import integrate_climb
 from .errors import DataError, DomainError, InfeasibleClimbError, ScenarioError, read_json
-from .learning import MIN_PROFILE_BLIPS, ThrustProfile
+from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile
 from .performance import AircraftPerformance, nominal_thrust
 
 logger = logging.getLogger(__name__)
@@ -57,6 +61,7 @@ _HEADER_LATLON = _HEADER + ["lat", "lon"]
 ALT_MAX_FT = 60000.0
 BLOCK_LINES = 1 << 15   # lines per parse or write block: bounds the strings held at once
 MAX_REDRAWS = 100
+ROCD_MIN_FPM = 500.0    # climb-rate floor of a kept blip
 TRUTH_GRID_SIZE = 200
 TRAIN_SHARE = 2.0 / 3.0
 
@@ -379,18 +384,14 @@ def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray,
     )
 
 
-def filter_climbs(
-    trajectories: Sequence[Trajectory],
-    fl_low: float = 150.0,
-    fl_high: float = 325.0,
-    rocd_min_fpm: float = 500.0,
-) -> list[Trajectory]:
-    """Keep flights that climb through [fl_low, fl_high] and, within each,
-    the blips inside the interval with climb rate >= ``rocd_min_fpm``.
+def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
+    """Keep flights that climb through the modeled window
+    ``learning.INTERVAL_FL`` and, within each, the blips inside the window
+    with climb rate >= ``ROCD_MIN_FPM``.
 
     A flight needs ``learning.MIN_PROFILE_BLIPS`` such blips, the number
     its thrust profile needs."""
-    low_ft, high_ft = fl_low * 100.0, fl_high * 100.0
+    low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     kept = []
     for tr in trajectories:
         med = median3(tr.alt_ft)
@@ -399,7 +400,7 @@ def filter_climbs(
         mask = (
             (tr.alt_ft >= low_ft)
             & (tr.alt_ft <= high_ft)
-            & (tr.rocd_fpm >= rocd_min_fpm)
+            & (tr.rocd_fpm >= ROCD_MIN_FPM)
         )
         if int(np.count_nonzero(mask)) < MIN_PROFILE_BLIPS:
             continue
@@ -500,6 +501,16 @@ def _check_keys(where: str, doc, cls) -> None:
         raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
+# how a scenario value becomes its field; every other field is a float
+_FIELD_TYPES = {"mode_sds": lambda sds: tuple(float(s) for s in sds), "weight_dist": str}
+
+
+def _given_fields(doc: dict, skip: str) -> dict:
+    """The keys ``doc`` gives, but ``skip``, as dataclass field values: a
+    key the file leaves out takes its default from the dataclass."""
+    return {key: _FIELD_TYPES.get(key, float)(value) for key, value in doc.items() if key != skip}
+
+
 def load_scenario(path: str | Path) -> FleetScenario:
     """Load a scenario file.  Its top-level keys are the fields of
     :class:`FleetScenario` and each type's keys those of
@@ -513,27 +524,9 @@ def load_scenario(path: str | Path) -> FleetScenario:
             raise TypeError('"types" must be a JSON object')
         for code, spec in specs.items():
             _check_keys(f"type {code}", spec, TypeScenario)
-        types = {
-            code: TypeScenario(
-                count=_count(code, spec),
-                thrust_bias_n=float(spec.get("thrust_bias_n", 0.0)),
-                mode_sds=tuple(float(s) for s in spec.get("mode_sds", ())),
-                weight_dist=str(spec.get("weight_dist", "normal")),
-                t_dof=float(spec.get("t_dof", 6.0)),
-                contam_frac=float(spec.get("contam_frac", 0.1)),
-                contam_scale=float(spec.get("contam_scale", 3.0)),
-            )
-            for code, spec in specs.items()
-        }
-        return FleetScenario(
-            types=types,
-            fl_start=float(doc.get("fl_start", 140.0)),
-            fl_end=float(doc.get("fl_end", 335.0)),
-            blip_interval_s=float(doc.get("blip_interval_s", 6.0)),
-            alt_noise_ft=float(doc.get("alt_noise_ft", 0.0)),
-            quantization_ft=float(doc.get("quantization_ft", 25.0)),
-            delta_t_k=float(doc.get("delta_t_k", 0.0)),
-        )
+        types = {code: TypeScenario(count=_count(code, spec), **_given_fields(spec, "count"))
+                 for code, spec in specs.items()}
+        return FleetScenario(types=types, **_given_fields(doc, "types"))
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise ScenarioError(f"scenario file {path} is invalid: {exc}") from None
 

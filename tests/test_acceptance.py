@@ -205,8 +205,7 @@ class TestAcceptance:
                               for i in range(n)])
             basis = FpcaBasis(grid=grid, mean=np.zeros(grid.size), modes=modes,
                               explained_variance=np.full(n, 1.0 / n))
-            model = GenerativeClimbModel("X", basis, WeightDistribution(mu, var),
-                                         (150.0, 325.0), 50)
+            model = GenerativeClimbModel("X", basis, WeightDistribution(mu, var), 50)
             k = int(rng.integers(0, grid.size))
             a = modes[:, k]
             radius = confidence_radius(n, 0.95)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ class TestWorkflow:
         wide = generative.GenerativeClimbModel(
             model.type_code, model.basis,
             generative.WeightDistribution(model.weights.mu, model.weights.var * 1e4),
-            model.interval_fl, model.n_flights_fit)
+            model.n_flights_fit)
         generative.save_model(wide, tmp_path / "model_NBJT.json")
         out = tmp_path / "bounds"
         assert main(["bounds", "--model", str(tmp_path / "model_NBJT.json"),
@@ -158,8 +159,46 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
 
     def test_bad_interval_is_validation_error(self, tmp_path, workdir):
-        assert main(["prepare", "--csv", str(workdir / "sim" / "blips.csv"),
-                     "--out", str(tmp_path / "o"), "--interval", "garbage"]) == 2
+        # the modeled window is fixed, so --interval is not an option
+        proc = run_cli("prepare", "--csv", str(workdir / "sim" / "blips.csv"),
+                       "--out", str(tmp_path / "o"), "--interval", "FL160:FL320")
+        assert proc.returncode == 2, proc.stderr
+        assert "unrecognized arguments: --interval" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "fit"])
+    def test_window_flags_are_gone(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--interval" not in text and "--rocd-min" not in text
+        data = "--csv" if command == "prepare" else "--train"
+        for flag, value in (("--interval", "FL150:FL325"), ("--rocd-min", "500")):
+            with pytest.raises(SystemExit) as info:
+                main([command, data, str(tmp_path / "blips.csv"), "--out", str(tmp_path / "o"),
+                      flag, value])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("interval_fl", [145.0, 330.0]),
+        ("n_flights_fit", 2.5), ("n_flights_fit", True), ("n_flights_fit", -4),
+        ("n_flights_fit", 0), ("n_flights_fit", "7"),
+        ("type_code", 17), ("type_code", ""), ("type_code", None),
+    ], ids=["window", "n-fraction", "n-true", "n-negative", "n-zero", "n-string",
+            "type-number", "type-empty", "type-null"])
+    def test_model_provenance_not_valid_is_validation_error(self, tmp_path, workdir, key, value):
+        doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "model_bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("sample", "--model", str(bad), "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(bad) in proc.stderr and key in proc.stderr
+        assert f"got {json.dumps(value)}" in proc.stderr
+        assert not list((tmp_path / "o").iterdir())
 
     def test_bad_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -288,3 +327,29 @@ class TestDegenerateType:
         assert "Traceback" not in proc.stderr
         assert "type NBJT: the thrust profiles have no variance" in proc.stderr
         assert not list((tmp_path / "models").iterdir())
+
+
+class TestReadme:
+    """The README quick start runs as written."""
+
+    def test_quick_start_runs_as_written(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Quick start", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = iter(block.splitlines())
+        commands = []
+        for line in lines:
+            words = shlex.split(line, comments=True)
+            if words[:2] == ["cat", ">"]:
+                # a heredoc: cat > FILE <<'EOF' ... EOF
+                heredoc = list(iter(lines.__next__, "EOF"))
+                (tmp_path / words[2]).write_text("\n".join(heredoc) + "\n")
+            elif words:
+                assert words[0] == "climbgen", line
+                commands.append(words[1:])
+        assert [c[0] for c in commands] == ["simulate", "prepare", "fit", "sample",
+                                            "bounds", "predict", "evaluate"]
+        monkeypatch.chdir(tmp_path)   # the quick start's relative paths land here
+        for argv in commands:
+            assert main(argv) == 0, argv
+        assert (tmp_path / "report" / "metrics_report.csv").exists()

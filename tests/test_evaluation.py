@@ -234,7 +234,7 @@ class TestRunReport:
         wide = generative.GenerativeClimbModel(
             "WIDE", model.basis,
             generative.WeightDistribution(model.weights.mu, model.weights.var * 1e4),
-            model.interval_fl, model.n_flights_fit)
+            model.n_flights_fit)
         test = split_data.test + [dataclasses.replace(tr, type_code="WIDE")
                                   for tr in split_data.test]
         data = pipeline.DatasetSplit(train=[], test=test)

@@ -31,7 +31,7 @@ from climbgen.generative import (
     sample_weights,
     save_model,
 )
-from climbgen.learning import FpcaBasis, default_grid, trapezoid_weights
+from climbgen.learning import INTERVAL_FL, FpcaBasis, default_grid, trapezoid_weights
 from climbgen.pipeline import Trajectory
 
 
@@ -51,7 +51,7 @@ def make_model(grid=None, mean_level=85000.0, variances=(9e6, 4e6, 1e6),
     )
     weights = WeightDistribution(mu=np.array(mu, float), var=np.array(variances, float))
     return GenerativeClimbModel(type_code=type_code, basis=basis, weights=weights,
-                                interval_fl=(150.0, 325.0), n_flights_fit=100)
+                                n_flights_fit=100)
 
 
 class TestFitWeightDistribution:
@@ -98,7 +98,7 @@ class TestFitTypeModel:
         with caplog.at_level(logging.WARNING, logger="climbgen.generative"):
             again = fit_type_model(catalog["NBJT"], [short] + split_data.train, default_grid())
         assert "flight SHORT" in caplog.text
-        assert again.type_code == "NBJT" and again.interval_fl == (150.0, 325.0)
+        assert again.type_code == "NBJT"
         assert again.n_flights_fit == model.n_flights_fit == len(split_data.train)
         assert np.array_equal(again.basis.modes, model.basis.modes)
         assert np.array_equal(again.weights.var, model.weights.var)
@@ -158,6 +158,13 @@ class TestConfidenceRadius:
             scipy.stats.chi2.ppf(level, n), rel=1e-9
         )
 
+    @pytest.mark.parametrize("level", [1e-6, 1e-10])
+    def test_small_level_matches_scipy(self, level):
+        # a quantile far below 1 still converges to a relative tolerance
+        assert confidence_radius(1, level) == pytest.approx(
+            scipy.stats.chi2.ppf(level, 1), rel=1e-9, abs=0.0
+        )
+
     def test_tiny_level_gives_tiny_radius(self):
         assert confidence_radius(2, 1e-10) < 1e-8
 
@@ -175,8 +182,8 @@ class TestBoundWeights:
         mode = np.full(grid.size, 1.0 / np.sqrt(length))
         basis = FpcaBasis(grid=grid, mean=np.full(grid.size, 8e4), modes=mode[None, :],
                           explained_variance=np.array([1.0]))
-        model = GenerativeClimbModel("X", basis, WeightDistribution(np.array([5.0]), np.array([4.0])),
-                                     (150.0, 325.0), 50)
+        model = GenerativeClimbModel("X", basis,
+                                     WeightDistribution(np.array([5.0]), np.array([4.0])), 50)
         lo, up = bound_weights(model, 10, level=0.95)
         sigma = 2.0
         z = np.sqrt(confidence_radius(1, 0.95))
@@ -207,8 +214,7 @@ class TestBoundWeights:
                               for i in range(n)])
             basis = FpcaBasis(grid=grid, mean=np.zeros(grid.size), modes=modes,
                               explained_variance=np.linspace(0.5, 0.1, n) / np.sum(np.linspace(0.5, 0.1, n)))
-            model = GenerativeClimbModel("X", basis, WeightDistribution(mu, var),
-                                         (150.0, 325.0), 50)
+            model = GenerativeClimbModel("X", basis, WeightDistribution(mu, var), 50)
             k = int(rng.integers(0, grid.size))
             a = modes[:, k]
             radius = confidence_radius(n, 0.95)
@@ -247,8 +253,7 @@ class TestBoundWeights:
         norm = np.sqrt(np.sum(trapezoid_weights(grid) * mode**2))
         basis = FpcaBasis(grid=grid, mean=np.zeros(grid.size), modes=(mode / norm)[None, :],
                           explained_variance=np.array([1.0]))
-        model = GenerativeClimbModel("X", basis, WeightDistribution(np.zeros(1), np.ones(1)),
-                                     (150.0, 325.0), 50)
+        model = GenerativeClimbModel("X", basis, WeightDistribution(np.zeros(1), np.ones(1)), 50)
         with pytest.raises(DegenerateNodeError):
             bound_weights(model, 0, 0.95)
 
@@ -333,7 +338,7 @@ class TestPersistence:
         assert np.array_equal(lo_a.values, lo_b.values)
         assert np.array_equal(up_a.values, up_b.values)
         assert loaded.n_flights_fit == model.n_flights_fit
-        assert loaded.interval_fl == model.interval_fl
+        assert json.loads(path.read_text())["interval_fl"] == list(INTERVAL_FL)
 
     def test_save_load_save_byte_identical(self, tmp_path):
         model = make_model()
@@ -360,6 +365,17 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFileError, match="version"):
             load_model(path)
+
+    def test_other_window_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(make_model(), path)
+        doc = json.loads(path.read_text())
+        doc["interval_fl"] = [145.0, 330.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        assert "[145.0, 330.0]" in str(info.value) and "[150.0, 325.0]" in str(info.value)
 
     def test_unknown_keys_refused(self, tmp_path):
         model = make_model()

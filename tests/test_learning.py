@@ -8,6 +8,7 @@ from climbgen import dynamics
 from climbgen.dynamics import energy_share, integrate_climb, rate_factors, rocd
 from climbgen.errors import DegenerateConditionError, DegenerateModelError, DomainError, FlightRejectedError
 from climbgen.learning import (
+    GRID_SIZE,
     FpcaBasis,
     ThrustProfile,
     default_grid,
@@ -228,7 +229,7 @@ class TestFitFpca:
 
     def test_grid_mismatch(self):
         grid = default_grid()
-        other = default_grid(150.0, 300.0)
+        other = np.linspace(fl_to_m(150.0), fl_to_m(300.0), GRID_SIZE)
         profiles = [ThrustProfile(grid, np.zeros(grid.size)) for _ in range(9)]
         profiles.append(ThrustProfile(other, np.zeros(other.size)))
         with pytest.raises(DomainError):
@@ -293,6 +294,6 @@ class TestProjectWeights:
         assert np.max(np.abs(inner)) < 1e-8
 
     def test_grid_mismatch_rejected(self, basis):
-        other = default_grid(150.0, 300.0)
+        other = np.linspace(fl_to_m(150.0), fl_to_m(300.0), GRID_SIZE)
         with pytest.raises(DomainError):
             project_weights(basis, ThrustProfile(other, np.zeros(other.size)))

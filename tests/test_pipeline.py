@@ -557,6 +557,11 @@ class TestScenarioFile:
         assert scenario.blip_interval_s == 4.0
         assert scenario.quantization_ft == 25.0    # default
 
+    def test_left_out_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"types": {"NBJT": {"count": 3}}}))
+        assert load_scenario(path) == FleetScenario(types={"NBJT": TypeScenario(count=3)})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(tmp_path / "missing.json")
