@@ -105,7 +105,6 @@ def _cmd_prepare(args) -> int:
 def _cmd_fit(args) -> int:
     out = _out_dir(args)
     catalog = _load_catalog(args)
-    grid = learning.default_grid()
     trajectories = pipeline.ingest(args.train)
 
     by_type: dict[str, list[pipeline.Trajectory]] = {}
@@ -118,7 +117,7 @@ def _cmd_fit(args) -> int:
             logger.warning("type %s missing from the performance catalog; skipped", type_code)
             continue
         try:
-            model = generative.fit_type_model(catalog[type_code], by_type[type_code], grid,
+            model = generative.fit_type_model(catalog[type_code], by_type[type_code],
                                               args.max_modes)
         except (TooFewFlightsError, DegenerateModelError) as exc:
             logger.warning("%s; skipped", exc)

@@ -10,7 +10,10 @@ read onto one of these classes, with the path in the message.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
+
+_TYPE_CODE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 class ClimbgenError(Exception):
@@ -89,3 +92,10 @@ def read_json(path: Path, what: str, error: type[ClimbgenError]):
         raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def check_type_code(code, where: str, error: type[ClimbgenError]) -> None:
+    """Raise ``error`` naming ``where`` unless ``code`` can name files such
+    as ``model_<type>.json``: a string that ``_TYPE_CODE`` matches whole."""
+    if not isinstance(code, str) or not _TYPE_CODE.fullmatch(code):
+        raise error(f"{where}: type_code must match {_TYPE_CODE.pattern}, got {json.dumps(code)}")

@@ -16,9 +16,9 @@ weights over that ellipsoid have the closed form
 which are the tangency points of the constant-thrust hyperplanes, and lie
 exactly on the ellipsoid surface.
 
-Every model covers the one modeled window ``learning.INTERVAL_FL``.  Its
-file still records that window as ``interval_fl``, and ``load_model``
-refuses a file that records another one.
+Every model covers the one modeled window ``learning.INTERVAL_FL`` on
+``learning.default_grid()``.  Its file records them as ``interval_fl`` and
+``grid_m``, and ``load_model`` refuses a file that records others.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import (
     DomainError,
     ModelFileError,
     TooFewFlightsError,
+    check_type_code,
     read_json,
 )
 from .learning import (
@@ -48,6 +49,7 @@ from .learning import (
     MIN_FIT_PROFILES,
     FpcaBasis,
     ThrustProfile,
+    default_grid,
     fit_fpca,
     profile_from_flight,
     project_weights,
@@ -127,11 +129,11 @@ def fit_weight_distribution(weight_vectors: Sequence[np.ndarray]) -> WeightDistr
 def fit_type_model(
     perf: "AircraftPerformance",
     trajectories: Sequence["Trajectory"],
-    grid: np.ndarray,
     n_max: int = MAX_COMPONENTS,
 ) -> GenerativeClimbModel:
-    """Fit one type's model: a thrust profile per flight on ``grid``, the
-    fPCA basis, each profile's weights and their Gaussian fit.
+    """Fit one type's model: a thrust profile per flight, which inverts
+    the climb rates of the blips it is given, the fPCA basis, each
+    profile's weights and their Gaussian fit.
 
     A flight whose profile raises ``ClimbgenError`` is skipped with a
     warning; fewer than ``MIN_FIT_PROFILES`` profiles raise
@@ -141,7 +143,7 @@ def fit_type_model(
     profiles = []
     for tr in trajectories:
         try:
-            profiles.append(profile_from_flight(perf, tr, grid))
+            profiles.append(profile_from_flight(perf, tr))
         except ClimbgenError as exc:
             logger.warning("%s", exc)
     if len(profiles) < MIN_FIT_PROFILES:
@@ -296,9 +298,10 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> GenerativeClimbModel:
     """Load a model file, refusing unknown schema versions, a window other
-    than ``INTERVAL_FL``, a ``type_code`` that is not a non-empty string and
-    an ``n_flights_fit`` that is not a JSON integer >= 1, and validating the
-    basis invariants."""
+    than ``INTERVAL_FL``, a ``type_code`` that ``errors.check_type_code``
+    refuses, an ``n_flights_fit`` that is not a JSON integer >= 1 and a
+    grid other than ``default_grid()``, and validating the basis
+    invariants."""
     path = Path(path)
     doc = read_json(path, "model file", ModelFileError)
     if not isinstance(doc, dict) or set(doc) != _MODEL_KEYS:
@@ -311,9 +314,7 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
     if doc["interval_fl"] != list(INTERVAL_FL):
         raise ModelFileError(f"model file {path}: interval_fl must be the modeled window "
                              f"{list(INTERVAL_FL)}, got {json.dumps(doc['interval_fl'])}")
-    if not isinstance(doc["type_code"], str) or not doc["type_code"]:
-        raise ModelFileError(f"model file {path}: type_code must be a non-empty string, "
-                             f"got {json.dumps(doc['type_code'])}")
+    check_type_code(doc["type_code"], f"model file {path}", ModelFileError)
     # bool is an int subclass, but JSON true is not a flight count
     if type(doc["n_flights_fit"]) is not int or doc["n_flights_fit"] < 1:
         raise ModelFileError(f"model file {path}: n_flights_fit must be a JSON integer >= 1, "
@@ -341,6 +342,8 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
         raise ModelFileError(f"model file {path}: grid needs at least 2 nodes")
     if np.any(np.diff(basis.grid) <= 0.0):
         raise ModelFileError(f"model file {path}: grid is not strictly increasing")
+    if not np.array_equal(basis.grid, default_grid()):
+        raise ModelFileError(f"model file {path}: grid_m is not the modeled window's grid")
     _check_orthonormal(model.basis)
     return model
 

@@ -1,6 +1,10 @@
 """Extraction of per-flight effective thrust profiles from observed climb
 rates, and the functional-PCA basis fitted to a set of profiles.
 
+A climb rate is derived where it is read, by ``derive_rocd`` on the blips
+at hand: central differences (one-sided at the ends), then a 3-point
+median filter against altitude-quantization spikes.
+
 The effective thrust absorbs thrust, mass, and speed-schedule
 misspecification: it is whatever thrust makes the total-energy model
 reproduce the observed climb rate at nominal mass and schedule speed.
@@ -36,6 +40,29 @@ def default_grid() -> np.ndarray:
     """``GRID_SIZE`` equally spaced altitudes (metres) spanning the modeled
     window ``INTERVAL_FL``."""
     return np.linspace(fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]), GRID_SIZE)
+
+
+def median3(x: np.ndarray) -> np.ndarray:
+    """3-point running median; endpoints pass through unchanged."""
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    if x.size >= 3:
+        a, b, c = x[:-2], x[1:-1], x[2:]
+        # the median of three, exactly as np.median gives it for finite input
+        out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    return out
+
+
+def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray) -> np.ndarray:
+    """Climb rate (ft/min) of at least 2 blips by central differences,
+    median-filtered."""
+    n = t_s.size
+    r = np.empty(n)
+    r[0] = (alt_ft[1] - alt_ft[0]) / (t_s[1] - t_s[0])
+    r[-1] = (alt_ft[-1] - alt_ft[-2]) / (t_s[-1] - t_s[-2])
+    if n > 2:
+        r[1:-1] = (alt_ft[2:] - alt_ft[:-2]) / (t_s[2:] - t_s[:-2])
+    return median3(r * 60.0)
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -130,16 +157,17 @@ def invert_thrust(
 def profile_from_flight(
     perf: "AircraftPerformance",
     traj: "Trajectory",
-    grid: np.ndarray,
     delta_T: float = 0.0,
 ) -> ThrustProfile:
-    """Per-flight effective thrust on the common grid.
+    """Per-flight effective thrust on ``default_grid()``.
 
-    Inverts the climb-rate equation at every blip inside the grid's
-    altitude span, then interpolates the (altitude, thrust) samples onto
-    the grid; outside the blip coverage the nearest value is held.
+    Inverts the climb rates ``derive_rocd`` gives on the flight's blips at
+    every blip inside the grid's altitude span, then interpolates the
+    (altitude, thrust) samples onto the grid; outside the blip coverage
+    the nearest value is held.
     Duplicate altitudes (quantization) are averaged before interpolation.
     """
+    grid = default_grid()
     alt_m = traj.alt_ft * FT
     inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
     n_inside = int(np.count_nonzero(inside))
@@ -149,7 +177,7 @@ def profile_from_flight(
             f"interval, need at least {MIN_PROFILE_BLIPS}"
         )
     h = alt_m[inside]
-    rocd_ms = traj.rocd_fpm[inside] * FT / 60.0
+    rocd_ms = derive_rocd(traj.t_s, traj.alt_ft)[inside] * FT / 60.0
     thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h, delta_T)
 
     order = np.argsort(h, kind="stable")
@@ -165,7 +193,7 @@ def profile_from_flight(
         raise FlightRejectedError(
             f"flight {traj.flight_id}: blips collapse to a single altitude"
         )
-    return ThrustProfile(grid=grid.copy(), values=np.interp(grid, h_sorted, t_sorted))
+    return ThrustProfile(grid=grid, values=np.interp(grid, h_sorted, t_sorted))
 
 
 def select_components(explained_variance: Sequence[float]) -> int:

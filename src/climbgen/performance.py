@@ -4,7 +4,8 @@ profile, loaded from an open JSON parameter file.
 File format: a JSON array with one record per aircraft type and exactly
 these keys::
 
-    type_code      ICAO-style designator (string)
+    type_code      ICAO-style designator (string); a letter or digit, then
+                   letters, digits, "_", "." or "-"
     c_D0           parasitic drag coefficient
     c_D2           induced drag coefficient
     S_m2           reference wing area, m^2
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import dynamics
 from .atmosphere import SpeedSchedule
-from .errors import DomainError, ModelValidityError, ValidationError, read_json
+from .errors import DomainError, ModelValidityError, ValidationError, check_type_code, read_json
 
 PERF_H_MAX = 15000.0   # m, validity ceiling of the thrust model
 
@@ -107,8 +108,7 @@ def _record_to_performance(record: dict, index: int) -> AircraftPerformance:
     if unknown:
         raise ValidationError(f"record {index}: unknown field(s) {', '.join(sorted(unknown))}")
     type_code = record["type_code"]
-    if not isinstance(type_code, str) or not type_code:
-        raise ValidationError(f"record {index}: type_code must be a non-empty string")
+    check_type_code(type_code, f"record {index}", ValidationError)
     values = {}
     for key in _FILE_KEYS[1:]:
         try:

@@ -13,17 +13,15 @@ no object is built per row.  A line with a quote is parsed on its own by
 row malformed.  Malformed rows are logged by line number and skipped;
 lat/lon must parse when present but are not kept.
 
-Blips are grouped by flight, sorted by time, deduplicated (first blip per
-timestamp wins, which is the earliest line in the file), and annotated
-with a derived climb rate: central finite differences of altitude over
-time (one-sided at the ends) followed by a 3-point median filter to
-suppress altitude-quantization spikes.  A flight whose blips carry more
-than one type code, or that has fewer than 2 distinct timestamps, is
-dropped with a warning.
+Blips are grouped by flight, sorted by time and deduplicated (first blip
+per timestamp wins, which is the earliest line in the file).  A flight
+whose blips carry more than one type code, or that has fewer than 2
+distinct timestamps, is dropped with a warning.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
 window, ``learning.INTERVAL_FL``, and of each only the blips inside it
-that climb at ``ROCD_MIN_FPM`` or more.
+that climb at ``ROCD_MIN_FPM`` or more, by the climb rates
+``learning.derive_rocd`` gives on the whole flight.
 
 Every CSV the package writes goes through ``write_columns``: whole
 columns, not rows, are formatted.  A number is written as
@@ -51,7 +49,7 @@ import numpy as np
 from .atmosphere import FT, fl_to_m
 from .dynamics import integrate_climb
 from .errors import DataError, DomainError, InfeasibleClimbError, ScenarioError, read_json
-from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile
+from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, derive_rocd, median3
 from .performance import AircraftPerformance, nominal_thrust
 
 logger = logging.getLogger(__name__)
@@ -68,18 +66,16 @@ TRAIN_SHARE = 2.0 / 3.0
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-ordered blips of one flight with derived climb rates (ft/min)."""
+    """Time-ordered blips of one flight."""
 
     flight_id: str
     type_code: str
     t_s: np.ndarray
     alt_ft: np.ndarray
-    rocd_fpm: np.ndarray
 
     def __post_init__(self):
         self.t_s = np.asarray(self.t_s, dtype=float)
         self.alt_ft = np.asarray(self.alt_ft, dtype=float)
-        self.rocd_fpm = np.asarray(self.rocd_fpm, dtype=float)
         if np.any(np.diff(self.t_s) <= 0.0):
             raise DomainError(f"flight {self.flight_id}: timestamps not strictly increasing")
 
@@ -138,28 +134,6 @@ def write_columns(path: str | Path, header: str, *columns) -> None:
         fh.write(header + "\n")
         while block := list(islice(rows, BLOCK_LINES)):
             fh.write("\n".join(block) + "\n")
-
-
-def median3(x: np.ndarray) -> np.ndarray:
-    """3-point running median; endpoints pass through unchanged."""
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    if x.size >= 3:
-        a, b, c = x[:-2], x[1:-1], x[2:]
-        # the median of three, exactly as np.median gives it for finite input
-        out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-    return out
-
-
-def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray) -> np.ndarray:
-    """Climb rate (ft/min) by central differences, median-filtered."""
-    n = t_s.size
-    r = np.empty(n)
-    r[0] = (alt_ft[1] - alt_ft[0]) / (t_s[1] - t_s[0])
-    r[-1] = (alt_ft[-1] - alt_ft[-2]) / (t_s[-1] - t_s[-2])
-    if n > 2:
-        r[1:-1] = (alt_ft[2:] - alt_ft[:-2]) / (t_s[2:] - t_s[:-2])
-    return median3(r * 60.0)
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -334,15 +308,7 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
         if t_arr.size < 2:
             logger.warning("flight %s: fewer than 2 distinct blips; dropped", flight_id)
             continue
-        trajectories.append(
-            Trajectory(
-                flight_id=flight_id,
-                type_code=type_names[type_code[a]],
-                t_s=t_arr,
-                alt_ft=alt_arr,
-                rocd_fpm=derive_rocd(t_arr, alt_arr),
-            )
-        )
+        trajectories.append(Trajectory(flight_id, type_names[type_code[a]], t_arr, alt_arr))
     if not trajectories:
         raise DataError(f"{path}: no usable flights")
     return trajectories
@@ -387,32 +353,23 @@ def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray,
 def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
     """Keep flights that climb through the modeled window
     ``learning.INTERVAL_FL`` and, within each, the blips inside the window
-    with climb rate >= ``ROCD_MIN_FPM``.
+    whose climb rate, derived on the whole flight, is >= ``ROCD_MIN_FPM``.
 
-    A flight needs ``learning.MIN_PROFILE_BLIPS`` such blips, the number
-    its thrust profile needs."""
+    A flight that lies wholly inside the window, a partial pickup or a
+    flight this filter has cut, keeps every blip: its end rates are
+    one-sided, and cutting by them would make a second pass cut blips the
+    first one kept.  A flight needs ``learning.MIN_PROFILE_BLIPS`` kept
+    blips, the number its thrust profile needs."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     kept = []
     for tr in trajectories:
-        med = median3(tr.alt_ft)
-        if not _climbed_through(tr.alt_ft, med, low_ft, high_ft):
+        if not _climbed_through(tr.alt_ft, median3(tr.alt_ft), low_ft, high_ft):
             continue
-        mask = (
-            (tr.alt_ft >= low_ft)
-            & (tr.alt_ft <= high_ft)
-            & (tr.rocd_fpm >= ROCD_MIN_FPM)
-        )
-        if int(np.count_nonzero(mask)) < MIN_PROFILE_BLIPS:
-            continue
-        kept.append(
-            Trajectory(
-                flight_id=tr.flight_id,
-                type_code=tr.type_code,
-                t_s=tr.t_s[mask],
-                alt_ft=tr.alt_ft[mask],
-                rocd_fpm=tr.rocd_fpm[mask],
-            )
-        )
+        keep = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
+        if not keep.all():
+            keep &= derive_rocd(tr.t_s, tr.alt_ft) >= ROCD_MIN_FPM
+        if int(np.count_nonzero(keep)) >= MIN_PROFILE_BLIPS:
+            kept.append(Trajectory(tr.flight_id, tr.type_code, tr.t_s[keep], tr.alt_ft[keep]))
     logger.info("filter_climbs: kept %d of %d flights", len(kept), len(trajectories))
     return kept
 

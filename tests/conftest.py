@@ -57,5 +57,5 @@ def small_world(catalog, tmp_path_factory):
                             truth_path=truth_path)
     trajectories = pipeline.filter_climbs(pipeline.ingest(csv_path))
     split_data = pipeline.split(trajectories, seed=5)
-    model = generative.fit_type_model(catalog["NBJT"], split_data.train, learning.default_grid())
+    model = generative.fit_type_model(catalog["NBJT"], split_data.train)
     return model, split_data, csv_path, truth_path

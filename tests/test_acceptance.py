@@ -37,7 +37,7 @@ from climbgen.learning import (
 
 def _fit_type(catalog, code, split_data, n_max=learning.MAX_COMPONENTS):
     flights = [tr for tr in split_data.train if tr.type_code == code]
-    return generative.fit_type_model(catalog[code], flights, default_grid(), n_max)
+    return generative.fit_type_model(catalog[code], flights, n_max)
 
 
 @pytest.fixture(scope="module")

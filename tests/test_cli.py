@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import climbgen
-from climbgen import generative
+from climbgen import generative, performance
 from climbgen.cli import main
-from climbgen.generative import bound_profiles, load_model
+from climbgen.generative import bound_profiles, fit_type_model, load_model, save_model
+from climbgen.pipeline import filter_climbs, ingest, split
 
 
 SCENARIO = {
@@ -186,8 +187,10 @@ class TestExitCodes:
         ("n_flights_fit", 2.5), ("n_flights_fit", True), ("n_flights_fit", -4),
         ("n_flights_fit", 0), ("n_flights_fit", "7"),
         ("type_code", 17), ("type_code", ""), ("type_code", None),
+        ("type_code", "A/B"), ("type_code", "../NBJT"), ("type_code", "NB JT"),
     ], ids=["window", "n-fraction", "n-true", "n-negative", "n-zero", "n-string",
-            "type-number", "type-empty", "type-null"])
+            "type-number", "type-empty", "type-null",
+            "type-slash", "type-parent", "type-space"])
     def test_model_provenance_not_valid_is_validation_error(self, tmp_path, workdir, key, value):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         doc[key] = value
@@ -286,6 +289,36 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "at least 2 nodes" in proc.stderr
 
+    def test_model_grid_off_the_modeled_grid_is_validation_error(self, tmp_path, workdir):
+        doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
+        doc["grid_m"] = [h + 100.0 for h in doc["grid_m"]]
+        models = tmp_path / "models"
+        models.mkdir()
+        bad = models / "model_NBJT.json"
+        bad.write_text(json.dumps(doc))
+        for command in (["sample", "--model", str(bad), "--seed", "1"],
+                        ["evaluate", "--model-dir", str(models),
+                         "--test", str(workdir / "prep" / "test.csv")]):
+            proc = run_cli(*command, "--out", str(tmp_path / command[0]))
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert str(bad) in proc.stderr and "grid_m" in proc.stderr
+            assert not list((tmp_path / command[0]).iterdir())
+
+    def test_catalog_type_code_not_a_file_name_is_validation_error(self, tmp_path):
+        records = json.loads(performance.default_catalog_path().read_text())
+        nbjt = next(r for r in records if r["type_code"] == "NBJT")
+        perf = tmp_path / "perf.json"
+        perf.write_text(json.dumps(records + [{**nbjt, "type_code": "A/B"}]))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, "types": {"A/B": SCENARIO["types"]["NBJT"]}}))
+        proc = run_cli("simulate", "--scenario", str(scenario), "--perf-file", str(perf),
+                       "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "record 3: type_code" in proc.stderr and '"A/B"' in proc.stderr
+        assert not (tmp_path / "o" / "blips.csv").exists()
+
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         doc["schema_version"] = 42
@@ -293,6 +326,29 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         assert main(["sample", "--model", str(bad), "--out", str(tmp_path / "o"),
                      "--seed", "1"]) == 2
+
+
+class TestRateRule:
+    """A fit inverts the climb rates of the blips it is given, so fitting the
+    filtered flights in process and fitting the train.csv that prepare
+    writes from them give the same model file."""
+
+    def test_in_process_fit_matches_prepare_then_fit(self, catalog, tmp_path):
+        nbjt = {"count": 150, "thrust_bias_n": -2500.0, "mode_sds": [9e4, 5e4, 3e4]}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"types": {"NBJT": nbjt}, "blip_interval_s": 6.0,
+                                        "alt_noise_ft": 0.0, "quantization_ft": 25.0}))
+        blips = tmp_path / "sim" / "blips.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(blips.parent),
+                     "--seed", "3"]) == 0
+        assert main(["prepare", "--csv", str(blips), "--out", str(tmp_path / "prep"),
+                     "--seed", "3"]) == 0
+        assert main(["fit", "--train", str(tmp_path / "prep" / "train.csv"),
+                     "--out", str(tmp_path / "models")]) == 0
+        train = split(filter_climbs(ingest(blips)), seed=3).train
+        save_model(fit_type_model(catalog["NBJT"], train), tmp_path / "in_process.json")
+        assert ((tmp_path / "in_process.json").read_bytes()
+                == (tmp_path / "models" / "model_NBJT.json").read_bytes())
 
 
 class TestDegenerateType:

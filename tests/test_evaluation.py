@@ -24,10 +24,7 @@ from climbgen.pipeline import Trajectory
 
 
 def make_traj(flight_id, t, alt_ft):
-    t = np.asarray(t, float)
-    alt_ft = np.asarray(alt_ft, float)
-    return Trajectory(flight_id=flight_id, type_code="NBJT", t_s=t, alt_ft=alt_ft,
-                      rocd_fpm=pipeline.derive_rocd(t, alt_ft))
+    return Trajectory(flight_id=flight_id, type_code="NBJT", t_s=t, alt_ft=alt_ft)
 
 
 def constant_rate_traj(flight_id, alt0, alt1, rate_fpm, dt=5.0):

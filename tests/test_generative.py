@@ -94,9 +94,9 @@ class TestFitWeightDistribution:
 class TestFitTypeModel:
     def test_rejected_flight_skipped_with_warning(self, small_world, catalog, caplog):
         model, split_data, _, _ = small_world
-        short = Trajectory("SHORT", "NBJT", [0.0, 6.0], [20000.0, 20100.0], [1000.0, 1000.0])
+        short = Trajectory("SHORT", "NBJT", [0.0, 6.0], [20000.0, 20100.0])
         with caplog.at_level(logging.WARNING, logger="climbgen.generative"):
-            again = fit_type_model(catalog["NBJT"], [short] + split_data.train, default_grid())
+            again = fit_type_model(catalog["NBJT"], [short] + split_data.train)
         assert "flight SHORT" in caplog.text
         assert again.type_code == "NBJT"
         assert again.n_flights_fit == model.n_flights_fit == len(split_data.train)
@@ -106,7 +106,7 @@ class TestFitTypeModel:
     def test_too_few_flights(self, small_world, catalog):
         _, split_data, _, _ = small_world
         with pytest.raises(TooFewFlightsError, match="NBJT: only 9 usable flights"):
-            fit_type_model(catalog["NBJT"], split_data.train[:9], default_grid())
+            fit_type_model(catalog["NBJT"], split_data.train[:9])
 
 
 class TestSampleThrust:

@@ -20,7 +20,7 @@ from climbgen.learning import (
     trapezoid_weights,
 )
 from climbgen.performance import min_level_thrust, nominal_thrust
-from climbgen.pipeline import Trajectory, derive_rocd
+from climbgen.pipeline import Trajectory
 
 
 def orthonormal_shapes(grid, count):
@@ -30,9 +30,9 @@ def orthonormal_shapes(grid, count):
     return np.stack([np.sqrt(2.0 / length) * np.cos((i + 1) * np.pi * u) for i in range(count)])
 
 
-def make_traj(flight_id, t, alt_ft, rocd_fpm):
+def make_traj(flight_id, t, alt_ft):
     return Trajectory(flight_id=flight_id, type_code="NBJT", t_s=np.asarray(t, float),
-                      alt_ft=np.asarray(alt_ft, float), rocd_fpm=np.asarray(rocd_fpm, float))
+                      alt_ft=np.asarray(alt_ft, float))
 
 
 class TestInvertThrust:
@@ -97,18 +97,17 @@ class TestProfileFromFlight:
     def test_blips_on_grid_nodes_is_identity(self, nbjt):
         grid = default_grid()
         alt_ft = grid / FT
-        t = np.linspace(0.0, 900.0, grid.size)
-        traj = make_traj("F1", t, alt_ft, np.full(grid.size, 2000.0))
-        profile = profile_from_flight(nbjt, traj, grid)
+        t = (alt_ft - alt_ft[0]) * 60.0 / 2000.0   # a constant 2000 ft/min
+        traj = make_traj("F1", t, alt_ft)
+        profile = profile_from_flight(nbjt, traj)
         expected = invert_thrust(nbjt, nbjt.nominal_mass, 2000.0 * FT / 60.0, grid)
         assert profile.values == pytest.approx(expected, rel=1e-12)
 
     def test_three_blips_rejected(self, nbjt):
         grid = default_grid()
-        traj = make_traj("F2", [0.0, 10.0, 20.0], [16000.0, 16300.0, 16600.0],
-                         [1800.0, 1800.0, 1800.0])
+        traj = make_traj("F2", [0.0, 10.0, 20.0], [16000.0, 16300.0, 16600.0])
         with pytest.raises(FlightRejectedError):
-            profile_from_flight(nbjt, traj, grid)
+            profile_from_flight(nbjt, traj)
 
     def test_linear_thrust_recovered_from_dense_blips(self, nbjt):
         # synthetic flight with known linear thrust, noise-free dense blips
@@ -119,8 +118,8 @@ class TestProfileFromFlight:
         traj_phys = integrate_climb(nbjt, nbjt.nominal_mass, true, span[0], span[-1])
         t_blips = np.arange(0.0, traj_phys.t[-1], 2.0)
         alt_ft = np.interp(t_blips, traj_phys.t, traj_phys.h) / FT
-        traj = make_traj("F3", t_blips, alt_ft, derive_rocd(t_blips, alt_ft))
-        recovered = profile_from_flight(nbjt, traj, grid)
+        traj = make_traj("F3", t_blips, alt_ft)
+        recovered = profile_from_flight(nbjt, traj)
         reference = np.interp(grid, true.grid, true.values)
         rms = np.sqrt(np.mean((recovered.values - reference) ** 2))
         assert rms / np.sqrt(np.mean(reference**2)) < 0.005
@@ -129,9 +128,9 @@ class TestProfileFromFlight:
         grid = default_grid()
         # blips cover only the middle of the interval
         alt_ft = np.linspace(20000.0, 28000.0, 30)
-        t = np.linspace(0.0, 300.0, 30)
-        traj = make_traj("F4", t, alt_ft, np.full(30, 1800.0))
-        profile = profile_from_flight(nbjt, traj, grid)
+        t = (alt_ft - alt_ft[0]) * 60.0 / 1800.0   # a constant 1800 ft/min
+        traj = make_traj("F4", t, alt_ft)
+        profile = profile_from_flight(nbjt, traj)
         first_inside = invert_thrust(nbjt, nbjt.nominal_mass, 1800.0 * FT / 60.0,
                                      alt_ft[0] * FT)
         assert profile.values[0] == pytest.approx(first_inside, rel=1e-12)

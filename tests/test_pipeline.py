@@ -11,16 +11,14 @@ import pytest
 
 from climbgen import pipeline
 from climbgen.errors import DataError, DomainError, ScenarioError
-from climbgen.learning import default_grid, profile_from_flight
+from climbgen.learning import default_grid, derive_rocd, median3, profile_from_flight
 from climbgen.pipeline import (
     FleetScenario,
     Trajectory,
     TypeScenario,
-    derive_rocd,
     filter_climbs,
     ingest,
     load_scenario,
-    median3,
     simulate_fleet,
     split,
     truth_modes,
@@ -103,7 +101,7 @@ def reference_ingest(csv_path):
             warnings.append(f"flight {flight_id}: fewer than 2 distinct blips; dropped")
             continue
         trajectories.append(Trajectory(flight_id=flight_id, type_code=blips[0][2], t_s=t_arr,
-                                       alt_ft=alt_arr, rocd_fpm=derive_rocd(t_arr, alt_arr)))
+                                       alt_ft=alt_arr))
     return trajectories, warnings
 
 
@@ -186,7 +184,7 @@ def assert_same_trajectories(got, want):
     assert [t.flight_id for t in got] == [t.flight_id for t in want]
     for a, b in zip(got, want):
         assert a.type_code == b.type_code
-        for field in ("t_s", "alt_ft", "rocd_fpm"):
+        for field in ("t_s", "alt_ft"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
@@ -200,7 +198,7 @@ class TestIngest:
     def test_constant_ramp_rocd(self, tmp_path):
         lines = [HEADER] + ramp_flight("A", 10000, 30000, 2000)
         traj = ingest(csv_file(tmp_path, lines))[0]
-        assert traj.rocd_fpm[1:-1] == pytest.approx(2000.0, abs=1.0)
+        assert derive_rocd(traj.t_s, traj.alt_ft)[1:-1] == pytest.approx(2000.0, abs=1.0)
 
     def test_shuffled_rows_identical(self, tmp_path):
         rows = ramp_flight("A", 10000, 20000, 2000) + ramp_flight("B", 5000, 15000, 1500)
@@ -212,7 +210,6 @@ class TestIngest:
             assert a.flight_id == b.flight_id
             assert np.array_equal(a.t_s, b.t_s)
             assert np.array_equal(a.alt_ft, b.alt_ft)
-            assert np.array_equal(a.rocd_fpm, b.rocd_fpm)
 
     def test_malformed_rows_skipped_with_line_numbers(self, tmp_path, caplog):
         lines = [HEADER] + ramp_flight("A", 10000, 20000, 2000)
@@ -258,7 +255,6 @@ class TestIngest:
             assert a.flight_id == b.flight_id
             assert np.array_equal(a.t_s, b.t_s)
             assert np.array_equal(a.alt_ft, b.alt_ft)
-            assert np.array_equal(a.rocd_fpm, b.rocd_fpm)
 
     @pytest.mark.parametrize("block_lines", [None, 3])
     @pytest.mark.parametrize("seed", range(8))
@@ -355,6 +351,11 @@ class TestWriteColumns:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def kept_rates(flight, kept):
+    """The climb rates of the whole flight at the blips ``filter_climbs`` kept."""
+    return derive_rocd(flight.t_s, flight.alt_ft)[np.isin(flight.t_s, kept.t_s)]
+
+
 class TestFilterClimbs:
     def make(self, tmp_path, rows, name):
         return ingest(csv_file(tmp_path, [HEADER] + rows, name))
@@ -365,7 +366,7 @@ class TestFilterClimbs:
         assert len(kept) == 1
         assert np.all(kept[0].alt_ft >= 15000.0)
         assert np.all(kept[0].alt_ft <= 32500.0)
-        assert np.all(kept[0].rocd_fpm >= 500.0)
+        assert np.all(kept_rates(trajs[0], kept[0]) >= 500.0)
 
     def test_topping_out_excluded(self, tmp_path):
         rows = ramp_flight("A", 9000, 30000, 2000) + level_rows("A", 30000, 700.0, 300.0)
@@ -381,8 +382,21 @@ class TestFilterClimbs:
         kept = filter_climbs(trajs)
         assert len(kept) == 1
         # the level blips inside the interval are gone
-        assert np.all(kept[0].rocd_fpm >= 500.0)
+        assert np.all(kept_rates(trajs[0], kept[0]) >= 500.0)
         assert kept[0].n_blips < trajs[0].n_blips
+
+    def test_flight_inside_the_window_kept_whole(self, tmp_path):
+        # a partial pickup, like a flight this filter has cut, has one-sided
+        # end rates, so none of its blips is cut by rate, level ones included
+        up1 = ramp_flight("A", 16000, 22000, 2000)
+        level = level_rows("A", 22000, 190.0, 100.0)
+        up2 = ramp_flight("A", 22000, 30000, 2000, t0=300.0)
+        trajs = self.make(tmp_path, up1 + level + up2[1:], "w.csv")
+        assert np.any(derive_rocd(trajs[0].t_s, trajs[0].alt_ft) < 500.0)
+        kept = filter_climbs(trajs)
+        assert len(kept) == 1
+        assert np.array_equal(kept[0].t_s, trajs[0].t_s)
+        assert np.array_equal(kept[0].alt_ft, trajs[0].alt_ft)
 
     def test_descending_flight_excluded(self, tmp_path):
         trajs = self.make(tmp_path, ramp_flight("A", 35000, 9000, -2000), "d.csv")
@@ -402,7 +416,6 @@ class TestFilterClimbs:
             assert a.flight_id == b.flight_id
             assert np.array_equal(a.t_s, b.t_s)
             assert np.array_equal(a.alt_ft, b.alt_ft)
-            assert np.array_equal(a.rocd_fpm, b.rocd_fpm)
 
     def test_median3(self):
         x = np.array([1.0, 9.0, 2.0, 3.0])
@@ -422,8 +435,7 @@ class TestSplit:
     def make_trajs(self, n):
         return [
             Trajectory(flight_id=f"F{i:04d}", type_code="NBJT",
-                       t_s=np.array([0.0, 10.0]), alt_ft=np.array([10000.0, 10300.0]),
-                       rocd_fpm=np.array([1800.0, 1800.0]))
+                       t_s=np.array([0.0, 10.0]), alt_ft=np.array([10000.0, 10300.0]))
             for i in range(n)
         ]
 
@@ -503,7 +515,7 @@ class TestSimulateFleet:
         modes = truth_modes(span, 2)
         base = pipeline.nominal_thrust(fast, span) - 1500.0
         for tr in filter_climbs(ingest(tmp_path / "b.csv")):
-            recovered = profile_from_flight(fast, tr, grid)
+            recovered = profile_from_flight(fast, tr)
             w = np.array(truth[tr.flight_id]["weights"])
             reference = np.interp(grid, span, base + w @ modes)
             rms = np.sqrt(np.mean((recovered.values - reference) ** 2))
