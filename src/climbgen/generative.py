@@ -344,14 +344,14 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
         raise ModelFileError(f"model file {path}: grid is not strictly increasing")
     if not np.array_equal(basis.grid, default_grid()):
         raise ModelFileError(f"model file {path}: grid_m is not the modeled window's grid")
-    _check_orthonormal(model.basis)
+    _check_orthonormal(model.basis, path)
     return model
 
 
-def _check_orthonormal(basis: FpcaBasis, tol: float = 1e-6) -> None:
+def _check_orthonormal(basis: FpcaBasis, path: Path, tol: float = 1e-6) -> None:
     from .learning import trapezoid_weights
 
     w = trapezoid_weights(basis.grid)
     gram = basis.modes @ (w[:, None] * basis.modes.T)
     if not np.allclose(gram, np.eye(basis.n_modes), atol=tol):
-        raise ModelFileError("basis modes are not orthonormal")
+        raise ModelFileError(f"model file {path}: basis modes are not orthonormal")

@@ -6,12 +6,14 @@ CSV schema (UTF-8, header required)::
 
     flight_id,type_code,t_s,alt_ft[,lat,lon]
 
-One line holds one row: a row never spans lines.  The file is read in
-blocks of lines that are split into columns and validated as arrays, so
-no object is built per row.  A line with a quote is parsed on its own by
-``csv.reader``; a quoted field left open at the end of its line makes the
-row malformed.  Malformed rows are logged by line number and skipped;
-lat/lon must parse when present but are not kept.
+One line holds one row: a row never spans lines, and lines are split as
+``str.splitlines`` splits them.  The file is read ``BLOCK_LINES`` lines
+at a time and never held whole; each block is split into columns and
+validated as arrays, so no object is built per row.  A line with a quote
+is parsed on its own by ``csv.reader``; a quoted field left open at the
+end of its line makes the row malformed.  Malformed rows are logged by
+line number and skipped; lat/lon must parse when present but are not
+kept.
 
 Blips are grouped by flight, sorted by time and deduplicated (first blip
 per timestamp wins, which is the earliest line in the file).  A flight
@@ -22,6 +24,9 @@ distinct timestamps, is dropped with a warning.
 window, ``learning.INTERVAL_FL``, and of each only the blips inside it
 that climb at ``ROCD_MIN_FPM`` or more, by the climb rates
 ``learning.derive_rocd`` gives on the whole flight.
+
+``simulate_fleet`` simulates one type at a time and writes its blips as
+soon as the type is done.
 
 Every CSV the package writes goes through ``write_columns``: whole
 columns, not rows, are formatted.  A number is written as
@@ -40,9 +45,9 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -126,24 +131,46 @@ def write_columns(path: str | Path, header: str, *columns) -> None:
     """
     if header.count(",") + 1 != len(columns):
         raise ValueError(f"header {header!r} does not name {len(columns)} columns")
-    texts = [c if isinstance(c, list) else _float_texts(c) for c in columns]
-    if len({len(t) for t in texts}) > 1:
+    if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of {header!r} differ in length")
-    rows = map(",".join, zip(*texts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        while block := list(islice(rows, BLOCK_LINES)):
-            fh.write("\n".join(block) + "\n")
+        _write_rows(fh, *columns)
 
 
-def _read_lines(path: Path) -> list[str]:
+def _write_rows(fh, *columns) -> None:
+    """Write equal-length columns, as ``write_columns`` takes them, to an
+    open file as CSV rows, ``BLOCK_LINES`` rows at a time."""
+    texts = [c if isinstance(c, list) else _float_texts(c) for c in columns]
+    rows = map(",".join, zip(*texts))
+    while block := list(islice(rows, BLOCK_LINES)):
+        fh.write("\n".join(block) + "\n")
+
+
+def _line_blocks(path: Path) -> Iterator[list[str]]:
+    """The lines of a blip file, as ``read_text().splitlines()`` gives
+    them, in blocks; the whole file is never held.
+
+    A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``,
+    decoded as UTF-8 and split by ``str.splitlines``.  No multibyte UTF-8
+    character holds the byte ``b"\\n"``, and a block ends only after one,
+    so every character and every ``"\\r\\n"`` pair lies inside one block,
+    and the other separators of ``str.splitlines`` split lines within it.
+    """
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        with open(path, "rb") as fh:
+            offset = 0
+            while data := b"".join(islice(fh, BLOCK_LINES)):
+                try:
+                    lines = data.decode("utf-8").splitlines()
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
+                                    f"at byte {offset + exc.start}") from None
+                offset += len(data)
+                del data   # only the lines are held while the block is parsed
+                yield lines
     except FileNotFoundError:
         raise DataError(f"blip file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
-                        f"at byte {exc.start}") from None
     except OSError as exc:
         raise DataError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
 
@@ -164,7 +191,7 @@ def _split_block(block: list[str], first_line_no: int, n_fields: int
     plain_lines = block if plain.all() else list(compress(block, plain))
     fields = ",".join(plain_lines).split(",") if plain_lines else []
     columns = [fields[k::n_fields] for k in range(n_fields)]
-    line_no = (np.flatnonzero(plain) + first_line_no).tolist()
+    parsed_line_no = []   # of the lines csv.reader parses
     errors = []
     for i in np.flatnonzero(~plain).tolist():
         line = block[i]
@@ -183,8 +210,10 @@ def _split_block(block: list[str], first_line_no: int, n_fields: int
         else:
             for column, field in zip(columns, rows[0]):
                 column.append(field)
-            line_no.append(first_line_no + i)
-    return columns, np.array(line_no, dtype=np.int64), errors
+            parsed_line_no.append(first_line_no + i)
+    line_no = np.concatenate((np.flatnonzero(plain) + first_line_no,
+                              np.array(parsed_line_no, dtype=np.int64)))
+    return columns, line_no, errors
 
 
 def _floats(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -230,20 +259,59 @@ def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
     """Integer code of each name, adding unseen names to ``index``."""
     for name in dict.fromkeys(names):
         index.setdefault(name, len(index))
-    return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    return np.fromiter(map(index.__getitem__, names), np.int32, len(names))
+
+
+def _parse_block(path: Path, lines: list[str], first_line_no: int, n_fields: int,
+                 flight_index: dict[str, int], type_index: dict[str, int]
+                 ) -> tuple[tuple[np.ndarray, ...], int]:
+    """The flight and type codes, times, altitudes and line numbers of the
+    valid rows of one block, and the number of rows skipped.  Each skipped
+    row is logged with its line number, in line order.  The block's field
+    strings are freed when this returns, before the next block is read."""
+    columns, line_no, errors = _split_block(lines, first_line_no, n_fields)
+    flight_ids, type_codes = columns[0], columns[1]
+    t_s, bad = _floats(columns[2])
+    alt_ft, bad_alt = _floats(columns[3])
+    bad |= bad_alt
+    for column in columns[4:]:   # lat/lon: checked where present, not kept
+        bad |= _floats([field or "0" for field in column])[1]
+    bad |= _empty(flight_ids) | _empty(type_codes) | ~np.isfinite(t_s)
+    bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
+    if bad.any():
+        errors += [(int(line_no[i]), _row_error([column[i] for column in columns]))
+                   for i in np.flatnonzero(bad).tolist()]
+        keep = ~bad
+        flight_ids = list(compress(flight_ids, keep))
+        type_codes = list(compress(type_codes, keep))
+        t_s, alt_ft, line_no = t_s[keep], alt_ft[keep], line_no[keep]
+    for line, reason in sorted(errors):
+        logger.warning("%s line %d: %s; row skipped", path, line, reason)
+    return (_codes(flight_ids, flight_index), _codes(type_codes, type_index),
+            t_s, alt_ft, line_no), len(errors)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts joined into one array; the list is emptied, so each part
+    is freed as soon as it is copied."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
-    The file is parsed in blocks of ``BLOCK_LINES`` lines into numeric
-    columns; no object is built per row.  Malformed rows are logged with
-    their line number, skipped, and counted; an unreadable, empty or
-    header-less file raises ``DataError``.
+    The file is read ``BLOCK_LINES`` lines at a time and never held whole;
+    each block is parsed into numeric columns, and no object is built per
+    row.  Malformed rows are logged with their line number, skipped, and
+    counted; an unreadable, empty or header-less file raises
+    ``DataError``.
     """
     path = Path(csv_path)
-    lines = _read_lines(path)
-    if not lines:
+    blocks = _line_blocks(path)
+    lines = next(blocks, None)
+    if lines is None:
         raise DataError(f"{path}: empty file")
     header = next(csv.reader(lines[:1]))
     if header not in (_HEADER, _HEADER_LATLON):
@@ -254,31 +322,17 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
     flight_index: dict[str, int] = {}
     type_index: dict[str, int] = {}
-    parts = []
+    # one list of per-block arrays for each of flight, type, time, altitude and line
+    parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
     skipped = 0
-    for start in range(1, len(lines), BLOCK_LINES):
-        columns, line_no, errors = _split_block(
-            lines[start:start + BLOCK_LINES], start + 1, len(header))
-        flight_ids, type_codes = columns[0], columns[1]
-        t_s, bad = _floats(columns[2])
-        alt_ft, bad_alt = _floats(columns[3])
-        bad |= bad_alt
-        for column in columns[4:]:   # lat/lon: checked where present, not kept
-            bad |= _floats([field or "0" for field in column])[1]
-        bad |= _empty(flight_ids) | _empty(type_codes) | ~np.isfinite(t_s)
-        bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
-        if bad.any():
-            errors += [(int(line_no[i]), _row_error([column[i] for column in columns]))
-                       for i in np.flatnonzero(bad).tolist()]
-            keep = ~bad
-            flight_ids = list(compress(flight_ids, keep))
-            type_codes = list(compress(type_codes, keep))
-            t_s, alt_ft, line_no = t_s[keep], alt_ft[keep], line_no[keep]
-        for line, reason in sorted(errors):
-            logger.warning("%s line %d: %s; row skipped", path, line, reason)
-        skipped += len(errors)
-        parts.append((_codes(flight_ids, flight_index), _codes(type_codes, type_index),
-                      t_s, alt_ft, line_no))
+    first_line_no = 2
+    for lines in chain([lines[1:]], blocks):
+        columns, n_skipped = _parse_block(path, lines, first_line_no, len(header),
+                                          flight_index, type_index)
+        first_line_no += len(lines)
+        skipped += n_skipped
+        for part, values in zip(parts, columns):
+            part.append(values)
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
     if not flight_index:
@@ -286,13 +340,20 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
     # rank the flight codes in sorted() order of their ids
     flight_ids = sorted(flight_index)
-    rank = np.empty(len(flight_ids), np.int64)
+    rank = np.empty(len(flight_ids), np.int32)
     rank[[flight_index[f] for f in flight_ids]] = np.arange(len(flight_ids))
-    flight, type_code, t_s, alt_ft, line_no = (np.concatenate(c) for c in zip(*parts))
+    flight, type_code, t_s, alt_ft, line_no = map(_concat, parts)
     flight = rank[flight]
-    # by flight, then time, then line: the first blip of a timestamp is the earliest line
+    # by flight, then time, then line: the first blip of a timestamp is the
+    # earliest line.  Each column is gathered on its own, so one copy at a
+    # time is made.
     order = np.lexsort((line_no, t_s, flight))
-    flight, type_code, t_s, alt_ft = flight[order], type_code[order], t_s[order], alt_ft[order]
+    del line_no
+    flight = flight[order]
+    type_code = type_code[order]
+    t_s = t_s[order]
+    alt_ft = alt_ft[order]
+    del order
     type_names = list(type_index)
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(flight)) + 1, [flight.size])).tolist()
 
@@ -519,6 +580,52 @@ def _draw_weights(spec: TypeScenario, rng: np.random.Generator) -> np.ndarray:
     return sds * z / np.sqrt(spec.t_dof / (spec.t_dof - 2.0))
 
 
+def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetScenario,
+                   rng: np.random.Generator, truth: dict[str, dict]
+                   ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The flight id, time and altitude columns of one type's blips; each
+    flight's ground truth is added to ``truth``."""
+    spec = scenario.types[type_code]
+    h0, h1 = fl_to_m(scenario.fl_start), fl_to_m(scenario.fl_end)
+    grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
+    base = nominal_thrust(perf, grid) + spec.thrust_bias_n
+    modes = truth_modes(grid, len(spec.mode_sds))
+    flight_ids: list[str] = []
+    times, alts = [], []
+    for i in range(spec.count):
+        flight_id = f"{type_code}-{i:05d}"
+        for attempt in range(MAX_REDRAWS + 1):
+            weights = _draw_weights(spec, rng)
+            values = base + weights @ modes if weights.size else base.copy()
+            try:
+                traj = integrate_climb(
+                    perf, perf.nominal_mass, ThrustProfile(grid, values),
+                    h0, h1, delta_T=scenario.delta_t_k,
+                )
+            except InfeasibleClimbError:
+                if attempt == MAX_REDRAWS:
+                    raise ScenarioError(
+                        f"{type_code}: no feasible thrust draw in {MAX_REDRAWS} attempts"
+                    ) from None
+                continue
+            break
+        t_blips = np.arange(0.0, traj.t[-1], scenario.blip_interval_s)
+        alt = np.interp(t_blips, traj.t, traj.h) / FT
+        if scenario.alt_noise_ft > 0.0:
+            alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
+        if scenario.quantization_ft > 0.0:
+            alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+        flight_ids += [flight_id] * t_blips.size
+        times.append(t_blips)
+        alts.append(alt)
+        truth[flight_id] = {
+            "type_code": type_code,
+            "thrust_bias_n": spec.thrust_bias_n,
+            "weights": [float(w) for w in weights],
+        }
+    return flight_ids, np.concatenate(times), np.concatenate(alts)
+
+
 def simulate_fleet(
     catalog: dict[str, AircraftPerformance],
     scenario: FleetScenario,
@@ -533,62 +640,33 @@ def simulate_fleet(
     at the blip interval with optional Gaussian noise and altitude
     quantization.  Infeasible draws are retried up to 100 times.  Output
     is byte-identical for a fixed seed.
+
+    Types are simulated in sorted order, and each type's blips are written
+    as soon as the type is done, so only one type's columns are held at a
+    time.  A ``ScenarioError`` leaves no blip file.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
         raise ScenarioError(f"scenario types missing from the catalog: {', '.join(missing)}")
     rng = np.random.default_rng(seed)
-    h0, h1 = fl_to_m(scenario.fl_start), fl_to_m(scenario.fl_end)
-    grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
-
-    flight_ids: list[str] = []
-    type_codes: list[str] = []
-    times, alts = [], []
     truth: dict[str, dict] = {}
-    counts: dict[str, int] = {}
-    for type_code in sorted(scenario.types):
-        spec = scenario.types[type_code]
-        perf = catalog[type_code]
-        base = nominal_thrust(perf, grid) + spec.thrust_bias_n
-        modes = truth_modes(grid, len(spec.mode_sds))
-        for i in range(spec.count):
-            flight_id = f"{type_code}-{i:05d}"
-            for attempt in range(MAX_REDRAWS + 1):
-                weights = _draw_weights(spec, rng)
-                values = base + weights @ modes if weights.size else base.copy()
-                try:
-                    traj = integrate_climb(
-                        perf, perf.nominal_mass, ThrustProfile(grid, values),
-                        h0, h1, delta_T=scenario.delta_t_k,
-                    )
-                except InfeasibleClimbError:
-                    if attempt == MAX_REDRAWS:
-                        raise ScenarioError(
-                            f"{type_code}: no feasible thrust draw in {MAX_REDRAWS} attempts"
-                        ) from None
-                    continue
-                break
-            t_blips = np.arange(0.0, traj.t[-1], scenario.blip_interval_s)
-            alt = np.interp(t_blips, traj.t, traj.h) / FT
-            if scenario.alt_noise_ft > 0.0:
-                alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
-            if scenario.quantization_ft > 0.0:
-                alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
-            flight_ids += [flight_id] * t_blips.size
-            type_codes += [type_code] * t_blips.size
-            times.append(t_blips)
-            alts.append(alt)
-            truth[flight_id] = {
-                "type_code": type_code,
-                "thrust_bias_n": spec.thrust_bias_n,
-                "weights": [float(w) for w in weights],
-            }
-        counts[type_code] = spec.count
-
-    write_columns(csv_path, ",".join(_HEADER), flight_ids, type_codes,
-                  np.concatenate(times), np.concatenate(alts))
+    csv_path = Path(csv_path)
+    # written beside the blip file and renamed over it once complete, so a
+    # failed run leaves no partial blip file
+    partial = csv_path.with_name(csv_path.name + ".part")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(",".join(_HEADER) + "\n")
+            for type_code in sorted(scenario.types):
+                flight_ids, t_s, alt_ft = _simulate_type(catalog[type_code], type_code,
+                                                         scenario, rng, truth)
+                _write_rows(fh, flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(csv_path)
     Path(truth_path).write_text(
         json.dumps({"seed": seed, "flights": truth}, sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
     )
-    return counts
+    return {type_code: scenario.types[type_code].count for type_code in sorted(scenario.types)}

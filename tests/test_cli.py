@@ -305,6 +305,22 @@ class TestExitCodes:
             assert str(bad) in proc.stderr and "grid_m" in proc.stderr
             assert not list((tmp_path / command[0]).iterdir())
 
+    def test_model_modes_not_orthonormal_name_the_file(self, tmp_path, workdir):
+        doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
+        doc["modes"][0] = [2.0 * v for v in doc["modes"][0]]
+        models = tmp_path / "models"
+        models.mkdir()
+        bad = models / "model_NBJT.json"
+        bad.write_text(json.dumps(doc))
+        for command in (["sample", "--model", str(bad), "--seed", "1"],
+                        ["evaluate", "--model-dir", str(models),
+                         "--test", str(workdir / "prep" / "test.csv")]):
+            proc = run_cli(*command, "--out", str(tmp_path / command[0]))
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert f"model file {bad}: basis modes are not orthonormal" in proc.stderr
+            assert not list((tmp_path / command[0]).iterdir())
+
     def test_catalog_type_code_not_a_file_name_is_validation_error(self, tmp_path):
         records = json.loads(performance.default_catalog_path().read_text())
         nbjt = next(r for r in records if r["type_code"] == "NBJT")

@@ -4,6 +4,8 @@ import csv
 import json
 import logging
 import math
+import tracemalloc
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +270,63 @@ class TestIngest:
         assert_same_trajectories(got, want)
         assert [r.getMessage() for r in caplog.records] == want_warnings
         assert len(want_warnings) > len(MALFORMED[6 if seed % 2 else 4])
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    def test_every_line_separator_matches_reference_ingest(self, tmp_path, caplog, monkeypatch,
+                                                           block_lines):
+        # blocks are cut after b"\n" only; every other separator that
+        # str.splitlines knows must still split lines inside a block
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        separators = cycle(["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                            "\u2028", "\u2029", "\n"])
+        rows = []
+        for k, flight_id in enumerate(["Fé", "F✈", "F𝔉", "Ωmega"]):
+            rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)[:6]
+        rows.insert(7, "F✈,NBJT,abc,1000")
+        pieces = [HEADER]
+        for i, row in enumerate(rows):
+            pieces += [next(separators) * (2 if i % 5 == 0 else 1), row]
+        path = tmp_path / "separators.csv"
+        path.write_text("".join(pieces), encoding="utf-8", newline="")
+        assert not path.read_bytes().endswith(b"\n")
+        want, want_warnings = reference_ingest(path)
+        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+            got = ingest(path)
+        assert [t.flight_id for t in want] == ["Fé", "F✈", "F𝔉", "Ωmega"]
+        assert_same_trajectories(got, want)
+        assert [r.getMessage() for r in caplog.records] == want_warnings
+        assert len(want_warnings) == 2
+
+    def test_bad_byte_in_a_later_block_gives_its_offset_in_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
+        lines = [HEADER] + ramp_flight("A", 15000, 20000, 2000)
+        data = ("\n".join(lines) + "\n").encode() + b"B,NBJT,0.0,1\xff00\n"
+        path = tmp_path / "blips.csv"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert whole.value.start == offset and len(lines) > 2 * pipeline.BLOCK_LINES
+        with pytest.raises(DataError, match=f"not UTF-8 text: invalid start byte at byte {offset}$"):
+            ingest(path)
+
+    def test_peak_memory_is_one_block_plus_the_columns(self, tmp_path):
+        # the file's text and line list are never held: the traced peak is
+        # the parsed columns plus one block's strings, about 86 B/row here;
+        # holding the whole text and its line list as well takes about 234
+        n = 8 * pipeline.BLOCK_LINES
+        k = np.arange(n)
+        path = tmp_path / "blips.csv"
+        write_columns(path, HEADER, [f"F{i:04d}" for i in (k // 1000).tolist()], ["NBJT"] * n,
+                      (k % 1000) * 6.0, 15000.0 + (k % 1000) * 25.0)
+        tracemalloc.start()
+        try:
+            trajectories = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(tr.n_blips for tr in trajectories) == n
+        assert peak / n < 128.0, f"{peak / n:.0f} B/row"
 
     def test_stray_quote_skips_only_its_line(self, tmp_path, caplog):
         lines = ([HEADER] + ramp_flight("A", 10000, 20000, 2000)[:10]
@@ -544,6 +603,15 @@ class TestSimulateFleet:
         with pytest.raises(ScenarioError):
             simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
                            truth_path=tmp_path / "t.json")
+
+    def test_infeasible_second_type_leaves_no_blip_file(self, catalog, tmp_path):
+        # the first type's blips are written before the second fails
+        scenario = FleetScenario(types={"NBJT": TypeScenario(count=2),
+                                        "WBJT": TypeScenario(count=2, thrust_bias_n=-1e6)})
+        with pytest.raises(ScenarioError, match="WBJT: no feasible thrust draw"):
+            simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
+                           truth_path=tmp_path / "t.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_type_rejected(self, catalog, tmp_path):
         scenario = FleetScenario(types={"ZZZZ": TypeScenario(count=1)})
