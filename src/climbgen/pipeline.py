@@ -6,14 +6,14 @@ CSV schema (UTF-8, header required)::
 
     flight_id,type_code,t_s,alt_ft[,lat,lon]
 
-One line holds one row: a row never spans lines, and lines are split as
-``str.splitlines`` splits them.  The file is read ``BLOCK_LINES`` lines
-at a time and never held whole; each block is split into columns and
-validated as arrays, so no object is built per row.  A line with a quote
-is parsed on its own by ``csv.reader``; a quoted field left open at the
-end of its line makes the row malformed.  Malformed rows are logged by
-line number and skipped; lat/lon must parse when present but are not
-kept.
+The file is read in the one dialect ``write_columns`` writes: a row is
+one line of fields joined by commas, and a field holds no comma, no quote
+and no line break.  Lines are split as ``str.splitlines`` splits them,
+and a line with a quote or the wrong number of commas is a malformed row.
+The file is read ``BLOCK_LINES`` lines at a time and never held whole;
+each block is split into columns and validated as arrays, so no object is
+built per row.  Malformed rows are logged by line number and skipped;
+lat/lon must parse when present but are not kept.
 
 Blips are grouped by flight, sorted by time and deduplicated (first blip
 per timestamp wins, which is the earliest line in the file).  A flight
@@ -38,14 +38,13 @@ cost one ``repr`` each.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -175,45 +174,23 @@ def _line_blocks(path: Path) -> Iterator[list[str]]:
         raise DataError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
 
 
-def _split_block(block: list[str], first_line_no: int, n_fields: int
+def _split_block(block: list[str], n_fields: int
                  ) -> tuple[list[list[str]], np.ndarray, list[tuple[int, str]]]:
-    """Field columns, line numbers and field-count errors of one block.
+    """Field columns of the rows of one block, the index in the block of
+    each row's line, and the malformed lines' indices and reasons.
 
-    A line with ``n_fields - 1`` commas and no quote splits on commas,
-    which is what ``csv.reader`` does with it; any other non-blank line
-    is parsed by ``csv.reader`` on its own.
+    A row is a line of exactly ``n_fields - 1`` commas and no quote, split
+    on its commas; any other non-blank line is malformed.
     """
     n = len(block)
-    plain = (
-        (np.fromiter(map(str.count, block, repeat(",")), int, n) == n_fields - 1)
-        & ~np.fromiter(map(str.__contains__, block, repeat('"')), bool, n)
-    )
-    plain_lines = block if plain.all() else list(compress(block, plain))
-    fields = ",".join(plain_lines).split(",") if plain_lines else []
-    columns = [fields[k::n_fields] for k in range(n_fields)]
-    parsed_line_no = []   # of the lines csv.reader parses
-    errors = []
-    for i in np.flatnonzero(~plain).tolist():
-        line = block[i]
-        if not line:
-            continue
-        try:
-            # a second, empty line is left unread unless a quote is still open
-            rows = list(csv.reader((line, "")))
-        except csv.Error as exc:
-            errors.append((first_line_no + i, str(exc)))
-            continue
-        if len(rows) != 2:
-            errors.append((first_line_no + i, "quoted field not closed on its line"))
-        elif len(rows[0]) != n_fields:
-            errors.append((first_line_no + i, f"expected {n_fields} fields, got {len(rows[0])}"))
-        else:
-            for column, field in zip(columns, rows[0]):
-                column.append(field)
-            parsed_line_no.append(first_line_no + i)
-    line_no = np.concatenate((np.flatnonzero(plain) + first_line_no,
-                              np.array(parsed_line_no, dtype=np.int64)))
-    return columns, line_no, errors
+    quoted = np.fromiter(map(str.__contains__, block, repeat('"')), bool, n)
+    rows = (np.fromiter(map(str.count, block, repeat(",")), int, n) == n_fields - 1) & ~quoted
+    row_lines = block if rows.all() else list(compress(block, rows))
+    fields = ",".join(row_lines).split(",") if row_lines else []
+    errors = [(i, 'a field holds a quote (")' if quoted[i]
+               else f"expected {n_fields} fields, got {block[i].count(',') + 1}")
+              for i in np.flatnonzero(~rows).tolist() if block[i]]
+    return [fields[k::n_fields] for k in range(n_fields)], np.flatnonzero(rows), errors
 
 
 def _floats(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +242,11 @@ def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
 def _parse_block(path: Path, lines: list[str], first_line_no: int, n_fields: int,
                  flight_index: dict[str, int], type_index: dict[str, int]
                  ) -> tuple[tuple[np.ndarray, ...], int]:
-    """The flight and type codes, times, altitudes and line numbers of the
-    valid rows of one block, and the number of rows skipped.  Each skipped
+    """The flight and type codes, times and altitudes of the valid rows of
+    one block, in line order, and the number of rows skipped.  Each skipped
     row is logged with its line number, in line order.  The block's field
     strings are freed when this returns, before the next block is read."""
-    columns, line_no, errors = _split_block(lines, first_line_no, n_fields)
+    columns, row_line, errors = _split_block(lines, n_fields)
     flight_ids, type_codes = columns[0], columns[1]
     t_s, bad = _floats(columns[2])
     alt_ft, bad_alt = _floats(columns[3])
@@ -279,16 +256,16 @@ def _parse_block(path: Path, lines: list[str], first_line_no: int, n_fields: int
     bad |= _empty(flight_ids) | _empty(type_codes) | ~np.isfinite(t_s)
     bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
     if bad.any():
-        errors += [(int(line_no[i]), _row_error([column[i] for column in columns]))
+        errors += [(int(row_line[i]), _row_error([column[i] for column in columns]))
                    for i in np.flatnonzero(bad).tolist()]
         keep = ~bad
         flight_ids = list(compress(flight_ids, keep))
         type_codes = list(compress(type_codes, keep))
-        t_s, alt_ft, line_no = t_s[keep], alt_ft[keep], line_no[keep]
-    for line, reason in sorted(errors):
-        logger.warning("%s line %d: %s; row skipped", path, line, reason)
+        t_s, alt_ft = t_s[keep], alt_ft[keep]
+    for i, reason in sorted(errors):
+        logger.warning("%s line %d: %s; row skipped", path, first_line_no + i, reason)
     return (_codes(flight_ids, flight_index), _codes(type_codes, type_index),
-            t_s, alt_ft, line_no), len(errors)
+            t_s, alt_ft), len(errors)
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -304,16 +281,17 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
     The file is read ``BLOCK_LINES`` lines at a time and never held whole;
     each block is parsed into numeric columns, and no object is built per
-    row.  Malformed rows are logged with their line number, skipped, and
-    counted; an unreadable, empty or header-less file raises
-    ``DataError``.
+    row.  A row is a line of fields joined by commas, none of them quoted,
+    as ``write_columns`` writes it.  Malformed rows are logged with their
+    line number, skipped, and counted; an unreadable or empty file, or one
+    whose first line is not the header, raises ``DataError``.
     """
     path = Path(csv_path)
     blocks = _line_blocks(path)
     lines = next(blocks, None)
     if lines is None:
         raise DataError(f"{path}: empty file")
-    header = next(csv.reader(lines[:1]))
+    header = lines[0].split(",")
     if header not in (_HEADER, _HEADER_LATLON):
         raise DataError(
             f"{path}: header must be exactly {','.join(_HEADER)} "
@@ -322,8 +300,8 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
     flight_index: dict[str, int] = {}
     type_index: dict[str, int] = {}
-    # one list of per-block arrays for each of flight, type, time, altitude and line
-    parts: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+    # one list of per-block arrays for each of flight, type, time and altitude
+    parts: tuple[list[np.ndarray], ...] = ([], [], [], [])
     skipped = 0
     first_line_no = 2
     for lines in chain([lines[1:]], blocks):
@@ -342,13 +320,12 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     flight_ids = sorted(flight_index)
     rank = np.empty(len(flight_ids), np.int32)
     rank[[flight_index[f] for f in flight_ids]] = np.arange(len(flight_ids))
-    flight, type_code, t_s, alt_ft, line_no = map(_concat, parts)
+    flight, type_code, t_s, alt_ft = map(_concat, parts)
     flight = rank[flight]
-    # by flight, then time, then line: the first blip of a timestamp is the
-    # earliest line.  Each column is gathered on its own, so one copy at a
-    # time is made.
-    order = np.lexsort((line_no, t_s, flight))
-    del line_no
+    # the rows are in line order and the sort by flight, then time, is
+    # stable, so the first blip of a timestamp is the earliest line.  Each
+    # column is gathered on its own, so one copy at a time is made.
+    order = np.lexsort((t_s, flight))
     flight = flight[order]
     type_code = type_code[order]
     t_s = t_s[order]
@@ -376,16 +353,25 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
 
 def write_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path) -> None:
-    """Write trajectories back out in the ingest schema (4-column form)."""
+    """Write trajectories back out in the ingest schema (4-column form),
+    sorted by flight id.
+
+    Whole flights go through ``_write_rows`` a group at a time: a group is
+    the flights whose first row falls in the same ``BLOCK_LINES`` rows, so
+    the whole file's text columns are never held at once.
+    """
     ordered = sorted(trajectories, key=lambda t: t.flight_id)
-    counts = [tr.n_blips for tr in ordered]
-    write_columns(
-        path, ",".join(_HEADER),
-        repeat_each([tr.flight_id for tr in ordered], counts),
-        repeat_each([tr.type_code for tr in ordered], counts),
-        np.concatenate([tr.t_s for tr in ordered] or [np.empty(0)]),
-        np.concatenate([tr.alt_ft for tr in ordered] or [np.empty(0)]),
-    )
+    first_rows = np.cumsum([0] + [tr.n_blips for tr in ordered[:-1]])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(_HEADER) + "\n")
+        for _, pairs in groupby(zip((first_rows // BLOCK_LINES).tolist(), ordered),
+                                key=operator.itemgetter(0)):
+            group = [tr for _, tr in pairs]
+            counts = [tr.n_blips for tr in group]
+            _write_rows(fh, repeat_each([tr.flight_id for tr in group], counts),
+                        repeat_each([tr.type_code for tr in group], counts),
+                        np.concatenate([tr.t_s for tr in group]),
+                        np.concatenate([tr.alt_ft for tr in group]))
 
 
 def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray,

@@ -208,6 +208,13 @@ class TestExitCodes:
         bad.write_text("wrong,header\n1,2\n")
         assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
 
+    def test_quoted_header_is_data_error(self, tmp_path, capsys):
+        # the header is read as write_columns writes it: no field is quoted
+        bad = tmp_path / "quoted.csv"
+        bad.write_text('"flight_id","type_code","t_s","alt_ft"\nA,NBJT,0.0,1000\nA,NBJT,6.0,1100\n')
+        assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "header must be exactly flight_id,type_code,t_s,alt_ft" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["latin1", "directory"])
     def test_unreadable_csv_is_data_error(self, tmp_path, kind):
         bad = tmp_path / "blips.csv"

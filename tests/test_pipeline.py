@@ -1,6 +1,5 @@
 """Ingestion, climb filtering, splitting, and fleet simulation tests."""
 
-import csv
 import json
 import logging
 import math
@@ -56,20 +55,24 @@ def level_rows(flight_id, alt, t_start, duration, dt=10.0, type_code="NBJT"):
 
 
 def reference_ingest(csv_path):
-    """The row-by-row ingest that the columnar one replaced: one csv.reader
-    over the whole file and one validated blip per row, grouped in a dict.
-    Returns the trajectories and the warnings it logged, in order."""
+    """The row-by-row ingest that the columnar one replaced, in the one
+    dialect write_columns writes: each line split on its commas, a line
+    with a quote malformed, and one validated blip per row, grouped in a
+    dict.  Returns the trajectories and the warnings it logged, in order."""
     path = Path(csv_path)
-    reader = csv.reader(path.read_text(encoding="utf-8").splitlines())
-    header = next(reader)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
     has_latlon = len(header) == 6
     warnings = []
     flights = {}
     skipped = 0
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
+        row = line.split(",")
         try:
+            if '"' in line:
+                raise DomainError('a field holds a quote (")')
             if len(row) != len(header):
                 raise DomainError(f"expected {len(header)} fields, got {len(row)}")
             t_s, alt_ft = float(row[2]), float(row[3])
@@ -153,8 +156,10 @@ def random_float_column(rng, n):
 
 def random_blip_file(tmp_path, seed, latlon):
     """A shuffled blip file with blank lines, duplicate timestamps, one-blip
-    flights, quoted fields (some with commas) and every malformed kind; no
-    quote is left open and no flight mixes types."""
+    flights and every malformed kind; no flight mixes types.  Some fields
+    are quoted, as csv.writer would quote them, and some ids hold a comma
+    (``F,{k}``) or a quote (``F"{k}``): no field of the one dialect does,
+    so those lines test the rejection path."""
     rng = np.random.default_rng(seed)
     rows, types = [], []
     for k in range(int(rng.integers(3, 7))):
@@ -180,6 +185,40 @@ def random_blip_file(tmp_path, seed, latlon):
     rows += [""] * 5
     lines = [HEADER_LATLON if latlon else HEADER] + [rows[i] for i in rng.permutation(len(rows))]
     return csv_file(tmp_path, lines, f"random{seed}.csv")
+
+
+# text that no field of the one dialect holds (a comma, quotes, every line
+# separator of str.splitlines) and text that any field may hold (multibyte
+# characters, spaces and controls that separate no lines)
+BENIGN = ["é", "✈", "𝔉", " ", "  ", "\t", "\x1f", "\x00"]
+HOSTILE = [",", '"', '""', '"Q', 'Q"', "\r\n", "\r", "\n", "\v", "\f", "\x1c", "\x1d",
+           "\x1e", "\x85", "\u2028", "\u2029"] + BENIGN
+
+
+def hostile_blip_file(tmp_path, seed):
+    """A shuffled blip file in which each ``HOSTILE`` text sits at the
+    start, middle or end of three flights' fields: of one id, of one id
+    then quoted as csv.writer quotes it, and of one type."""
+    rng = np.random.default_rng(seed)
+
+    def insert(text, piece):
+        at = [0, len(text) // 2, len(text)][int(rng.integers(3))]
+        return text[:at] + piece + text[at:]
+
+    rows = []
+    for j, piece in enumerate(HOSTILE):
+        quoted = '"' + insert(f"F{3 * j + 1}", piece).replace('"', '""') + '"'
+        flights = [(insert(f"F{3 * j}", piece), "NBJT"), (quoted, "NBJT"),
+                   (f"F{3 * j + 2}", insert("WBJT", piece))]
+        for flight_id, type_code in flights:
+            t = np.round(rng.uniform(0.0, 3000.0) + np.cumsum(rng.choice([0.5, 4.0, 6.0], 12)), 1)
+            alt = np.round((rng.uniform(5000.0, 30000.0) + 30.0 * (t - t[0])) / 25.0) * 25.0
+            rows += [f"{flight_id},{type_code},{ti!r},{ai!r}"
+                     for ti, ai in zip(t.tolist(), alt.tolist())]
+    lines = [HEADER] + [rows[i] for i in rng.permutation(len(rows))]
+    path = tmp_path / f"hostile{seed}.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    return path
 
 
 def assert_same_trajectories(got, want):
@@ -297,6 +336,25 @@ class TestIngest:
         assert [r.getMessage() for r in caplog.records] == want_warnings
         assert len(want_warnings) == 2
 
+    @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hostile_ids_survive_write_and_ingest(self, tmp_path, caplog, monkeypatch, seed,
+                                                  block_lines):
+        # every flight ingest returns has an id and type that write_columns
+        # writes back on one line, field for field
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+            first = ingest(hostile_blip_file(tmp_path, seed))
+        for text in BENIGN:
+            assert any(text in tr.flight_id for tr in first)
+            assert any(text in tr.type_code for tr in first)
+        write_trajectories_csv(first, tmp_path / "once.csv")
+        again = ingest(tmp_path / "once.csv")
+        assert_same_trajectories(again, first)
+        write_trajectories_csv(again, tmp_path / "twice.csv")
+        assert (tmp_path / "twice.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+
     def test_bad_byte_in_a_later_block_gives_its_offset_in_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
         lines = [HEADER] + ramp_flight("A", 15000, 20000, 2000)
@@ -337,16 +395,20 @@ class TestIngest:
         assert [(t.flight_id, t.n_blips) for t in trajectories] == [("A", 10), ("C", 500)]
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 2
-        assert "line 12: quoted field not closed on its line; row skipped" in messages[0]
+        assert 'line 12: a field holds a quote ("); row skipped' in messages[0]
         assert "skipped 1 malformed row(s)" in messages[1]
 
     def test_field_over_csv_size_limit_skipped(self, tmp_path, caplog):
-        lines = [HEADER] + ramp_flight("A", 10000, 20000, 2000) + [f'A,NBJT,"{"9" * 200000}",1']
+        # no size limit applies to a field; this one, longer than csv's
+        # default limit, is skipped for its quote, and only its line
+        rows = ramp_flight("A", 10000, 20000, 2000)
+        lines = [HEADER] + rows[:3] + [f'A,NBJT,"{"9" * 200000}",1'] + rows[3:]
         with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
             trajectories = ingest(csv_file(tmp_path, lines))
-        assert [t.flight_id for t in trajectories] == ["A"]
-        assert "field larger than field limit" in caplog.records[0].getMessage()
-        assert "skipped 1 malformed row(s)" in caplog.records[1].getMessage()
+        assert [(t.flight_id, t.n_blips) for t in trajectories] == [("A", len(rows))]
+        assert [r.getMessage() for r in caplog.records] == [
+            f'{tmp_path / "blips.csv"} line 5: a field holds a quote ("); row skipped',
+            f"{tmp_path / 'blips.csv'}: skipped 1 malformed row(s)"]
 
     def test_mixed_type_flight_dropped(self, tmp_path, caplog):
         mixed = ramp_flight("M", 10000, 20000, 2000)
@@ -392,6 +454,22 @@ class TestWriteColumns:
         assert (tmp_path / "e.csv").read_bytes() == b"a,b\n" == (tmp_path / "r.csv").read_bytes()
         write_trajectories_csv([], tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == HEADER + "\n"
+
+    def test_trajectories_csv_peak_memory_is_one_group_of_flights(self, tmp_path):
+        # flights are written a group of about BLOCK_LINES rows at a time:
+        # the traced peak is one group's texts, about 24 B/row here; the
+        # whole file's text columns at once take about 82
+        k = np.arange(1000.0)
+        trajectories = [Trajectory(f"F{i:04d}", "NBJT", k * 6.0, 15000.0 + k * 25.0)
+                        for i in range(8 * pipeline.BLOCK_LINES // 1000)]
+        n = 1000 * len(trajectories)
+        tracemalloc.start()
+        try:
+            write_trajectories_csv(trajectories, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 40.0, f"{peak / n:.0f} B/row"
 
     def test_header_and_lengths_must_match(self, tmp_path):
         with pytest.raises(ValueError):
