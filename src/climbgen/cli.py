@@ -10,7 +10,6 @@ data errors (well-formed inputs that cannot support the operation).  Set
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -19,15 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, generative, learning, performance, pipeline
-from .dynamics import integrate_climb
 from .errors import (
     ClimbgenError,
     DataError,
     DegenerateModelError,
     TooFewFlightsError,
     ValidationError,
+    write_json,
 )
-from .performance import nominal_thrust
 from .pipeline import write_columns
 
 logger = logging.getLogger(__name__)
@@ -94,9 +92,7 @@ def _cmd_prepare(args) -> int:
         "interval_fl": list(learning.INTERVAL_FL),
         "rocd_min_fpm": pipeline.ROCD_MIN_FPM,
     }
-    (out / "prepare_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_json(out / "prepare_summary.json", summary)
     print(f"kept {len(filtered)}/{len(trajectories)} flights -> "
           f"{len(split_data.train)} train / {len(split_data.test)} test")
     return EXIT_OK
@@ -117,8 +113,7 @@ def _cmd_fit(args) -> int:
             logger.warning("type %s missing from the performance catalog; skipped", type_code)
             continue
         try:
-            model = generative.fit_type_model(catalog[type_code], by_type[type_code],
-                                              args.max_modes)
+            model = generative.fit_type_model(catalog[type_code], by_type[type_code])
         except (TooFewFlightsError, DegenerateModelError) as exc:
             logger.warning("%s; skipped", exc)
             continue
@@ -142,19 +137,23 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    out = _out_dir(args)
+def _model_and_perf(args):
+    """The model of ``--model`` and its type's performance record."""
     catalog = _load_catalog(args)
     model = generative.load_model(args.model)
     if model.type_code not in catalog:
         raise ValidationError(f"type {model.type_code} missing from the performance catalog")
-    perf = catalog[model.type_code]
+    return model, catalog[model.type_code]
+
+
+def _cmd_bounds(args) -> int:
+    out = _out_dir(args)
+    model, perf = _model_and_perf(args)
     lower, upper = generative.bound_profiles(model, args.level)
     # the bound climbs of generative.bound_trajectories, from the envelope
     # above; both are integrated before either file is written
-    h0, h1 = float(model.basis.grid[0]), float(model.basis.grid[-1])
-    slow = integrate_climb(perf, perf.nominal_mass, lower, h0, h1)
-    fast = integrate_climb(perf, perf.nominal_mass, upper, h0, h1)
+    slow = evaluation.model_climb(perf, lower)
+    fast = evaluation.model_climb(perf, upper)
     write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
                   model.basis.grid, lower.values, model.mean_profile().values, upper.values)
     write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
@@ -165,32 +164,17 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_predict(args) -> int:
     out = _out_dir(args)
-    catalog = _load_catalog(args)
-    model = generative.load_model(args.model)
-    if model.type_code not in catalog:
-        raise ValidationError(f"type {model.type_code} missing from the performance catalog")
-    perf = catalog[model.type_code]
-    grid = model.basis.grid
-    h0, h1 = float(grid[0]), float(grid[-1])
-    mean_traj = integrate_climb(perf, perf.nominal_mass, model.mean_profile(), h0, h1)
-    nominal_traj = integrate_climb(
-        perf, perf.nominal_mass,
-        learning.ThrustProfile(grid.copy(), nominal_thrust(perf, grid)), h0, h1,
-    )
+    model, perf = _model_and_perf(args)
+    mean_traj = evaluation.model_climb(perf, model.mean_profile())
+    nominal_traj = evaluation.model_climb(perf, evaluation.nominal_profile(perf))
     path = out / f"predict_{model.type_code}.csv"
     write_columns(path, "h_m,t_model_s,t_nominal_s", mean_traj.h, mean_traj.t, nominal_traj.t)
-    model_sample = evaluation.arrival_times(mean_traj)
-    nominal_sample = evaluation.arrival_times(nominal_traj)
-    summary = {
-        "type_code": model.type_code,
-        "model_t_fl250_s": model_sample.t_fl250 if model_sample else None,
-        "model_t_fl325_s": model_sample.t_fl325 if model_sample else None,
-        "nominal_t_fl250_s": nominal_sample.t_fl250 if nominal_sample else None,
-        "nominal_t_fl325_s": nominal_sample.t_fl325 if nominal_sample else None,
-    }
-    (out / f"predict_{model.type_code}.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    summary = {"type_code": model.type_code}
+    for name, traj in (("model", mean_traj), ("nominal", nominal_traj)):
+        sample = evaluation.arrival_times(traj)
+        summary[f"{name}_t_fl250_s"] = sample.t_fl250 if sample else None
+        summary[f"{name}_t_fl325_s"] = sample.t_fl325 if sample else None
+    write_json(out / f"predict_{model.type_code}.json", summary)
     print(f"wrote mean and nominal climb predictions to {path}")
     return EXIT_OK
 
@@ -240,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a generative model per aircraft type")
     p.add_argument("--train", required=True, help="training blip CSV")
-    p.add_argument("--max-modes", type=int, default=learning.MAX_COMPONENTS,
-                   help="upper bound on retained modes")
     _add_common(p, perf=True)
     p.set_defaults(func=_cmd_fit)
 

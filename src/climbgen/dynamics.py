@@ -47,13 +47,6 @@ if TYPE_CHECKING:
 ROCD_FLOOR = 0.5      # m/s; below this a climb is declared infeasible
 N_NODES = 1000        # uniform quadrature nodes per climb; the profile grid's nodes are added
 
-_integration_calls = 0
-
-
-def integration_call_count() -> int:
-    """Number of integrate_climb invocations so far (test instrumentation)."""
-    return _integration_calls
-
 
 @dataclass(eq=False)
 class ClimbTrajectory:
@@ -255,7 +248,6 @@ def integrate_climb(
     ``t`` are bit-identical to evaluating :func:`rocd` at the nodes, and the
     returned arrays are the caller's own.
     """
-    global _integration_calls
     if not h_start < h_end:
         raise DomainError(f"need h_start < h_end, got {h_start} >= {h_end}")
     grid = thrust_profile.grid
@@ -265,7 +257,6 @@ def integrate_climb(
             f"requested [{h_start:.1f}, {h_end:.1f}] m"
         )
 
-    _integration_calls += 1
     kernel = _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end, delta_T)
     r = kernel.rates(np.interp(kernel.h_rate, grid, thrust_profile.values))
     bad = r <= ROCD_FLOOR

@@ -4,13 +4,16 @@ Two broad families matter to the CLI: ``ValidationError`` (bad inputs,
 bad files, bad configuration; exit code 2) and ``DataError`` (the inputs
 were well formed but the data cannot support the requested operation;
 exit code 3).  ``read_json`` maps every way a JSON input can fail to be
-read onto one of these classes, with the path in the message.
+read onto one of these classes, with the path in the message, and
+``json_number`` is the one rule for a number in one.  ``write_json``
+writes every JSON artifact, as ``pipeline.write_columns`` does every CSV.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 _TYPE_CODE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
@@ -90,8 +93,23 @@ def read_json(path: Path, what: str, error: type[ClimbgenError]):
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer past int_max_str_digits
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as a JSON artifact: keys sorted, indent 1, a final
+    newline, UTF-8.  The same document always gives the same bytes."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+
+def json_number(value, where: str) -> float:
+    """``value``, read from a JSON input, as a float.  Raise ``ValueError``
+    naming ``where`` unless it is a finite JSON number: ``true``, text,
+    ``null``, ``NaN``, ``Infinity`` and integers past the float range are not."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{where} must be a finite number, got {json.dumps(value)}")
 
 
 def check_type_code(code, where: str, error: type[ClimbgenError]) -> None:

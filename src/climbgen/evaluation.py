@@ -7,27 +7,27 @@ the reference flight level ``REF_FL``, the bottom of the modeled window
 a common origin.  The second report level is the window's top, and
 coverage counts the test blips inside the window.
 
-``evaluate_type`` builds each type's thrust envelope once and integrates
-it into the slow and fast bound climbs; the plot-ready artifacts reuse
-that envelope and are written column-wise by ``pipeline.write_columns``
-(shortest float text, each distinct value formatted once).  The metrics
-table keeps its fixed decimal format.
+``model_climb``, a thrust profile's climb through the modeled window at
+nominal mass, is the climb that every model query and score uses:
+``evaluate_type`` and the CLI's ``predict`` and ``bounds`` all call it.
+Each type's thrust envelope is built once and reused by the plot-ready
+artifacts.  CSV artifacts are written by ``pipeline.write_columns`` and
+JSON ones by ``errors.write_json``.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atmosphere import FT
+from .atmosphere import FT, fl_to_m
 from .dynamics import ClimbTrajectory, integrate_climb
-from .errors import DataError, DomainError, InfeasibleClimbError
+from .errors import DataError, DomainError, InfeasibleClimbError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_thrust
-from .learning import INTERVAL_FL, ThrustProfile
+from .learning import INTERVAL_FL, ThrustProfile, default_grid
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
 from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
 
@@ -223,26 +223,33 @@ def coverage(
     return 100.0 * inside / total
 
 
-def _format_row(report: MetricsReport) -> str:
-    return ",".join(
-        [
-            report.type_code,
-            str(report.n_f),
-            f"{report.mae_fl250_model:.4f}",
-            f"{report.mae_fl250_nominal:.4f}",
-            f"{report.mae_fl325_model:.4f}",
-            f"{report.mae_fl325_nominal:.4f}",
-            f"{report.kl_fl250:.6f}",
-            f"{report.kl_fl325:.6f}",
-            f"{report.coverage_pct:.4f}",
-        ]
-    )
-
-
-REPORT_HEADER = (
-    "type_code,n_f,mae_fl250_model_s,mae_fl250_nominal_s,"
-    "mae_fl325_model_s,mae_fl325_nominal_s,kl_fl250_nats,kl_fl325_nats,coverage_pct"
+# metrics_report.csv: (column, MetricsReport field, format) per column
+_REPORT_COLUMNS = (
+    ("type_code", "type_code", "{}"),
+    ("n_f", "n_f", "{}"),
+    ("mae_fl250_model_s", "mae_fl250_model", "{:.4f}"),
+    ("mae_fl250_nominal_s", "mae_fl250_nominal", "{:.4f}"),
+    ("mae_fl325_model_s", "mae_fl325_model", "{:.4f}"),
+    ("mae_fl325_nominal_s", "mae_fl325_nominal", "{:.4f}"),
+    ("kl_fl250_nats", "kl_fl250", "{:.6f}"),
+    ("kl_fl325_nats", "kl_fl325", "{:.6f}"),
+    ("coverage_pct", "coverage_pct", "{:.4f}"),
 )
+REPORT_HEADER = ",".join(column for column, _, _ in _REPORT_COLUMNS)
+
+
+def nominal_profile(perf: AircraftPerformance) -> ThrustProfile:
+    """The nominal max-climb thrust of ``perf`` on ``learning.default_grid()``."""
+    grid = default_grid()
+    return ThrustProfile(grid, nominal_thrust(perf, grid))
+
+
+def model_climb(perf: AircraftPerformance, profile: ThrustProfile) -> ClimbTrajectory:
+    """The climb ``profile`` drives through the modeled window
+    ``INTERVAL_FL`` at ``perf.nominal_mass``: the one climb that every
+    prediction, bound, sample and score integrates."""
+    return integrate_climb(perf, perf.nominal_mass, profile,
+                           fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]))
 
 
 def evaluate_type(
@@ -253,17 +260,13 @@ def evaluate_type(
     level: float = 0.95,
 ) -> tuple[MetricsReport, dict]:
     """Metrics for one aircraft type plus plot-ready artifacts."""
-    grid = model.basis.grid
-    h0, h1 = float(grid[0]), float(grid[-1])
-    mass = perf.nominal_mass
-
-    mean_traj = integrate_climb(perf, mass, model.mean_profile(), h0, h1)
-    nominal_profile = ThrustProfile(grid.copy(), nominal_thrust(perf, grid))
-    nominal_traj = integrate_climb(perf, mass, nominal_profile, h0, h1)
+    mean_traj = model_climb(perf, model.mean_profile())
+    nominal = nominal_profile(perf)
+    nominal_traj = model_climb(perf, nominal)
     # the bound climbs of generative.bound_trajectories, keeping the envelope
     lower, upper = bound_profiles(model, level)
-    slow = integrate_climb(perf, mass, lower, h0, h1)
-    fast = integrate_climb(perf, mass, upper, h0, h1)
+    slow = model_climb(perf, lower)
+    fast = model_climb(perf, upper)
 
     observed = []
     for tr in test_trajectories:
@@ -286,7 +289,7 @@ def evaluate_type(
     gen250, gen325 = [], []
     sampled_trajs = []
     for profile in profiles:
-        traj = integrate_climb(perf, mass, profile, h0, h1)
+        traj = model_climb(perf, profile)
         sampled_trajs.append(traj)
         sample = arrival_times(traj)
         if sample is not None:
@@ -318,9 +321,9 @@ def evaluate_type(
         "envelope": (lower, upper),
         "profiles": profiles,
         "sampled_trajs": sampled_trajs,
-        "observed": observed,
+        "observed": (observed, obs250, obs325),
         "generated": (gen250, gen325),
-        "nominal_profile": nominal_profile,
+        "nominal_profile": nominal,
     }
     return report, artifacts
 
@@ -366,12 +369,10 @@ def run_report(
         _write_type_artifacts(out, models[type_code], catalog[type_code], artifacts)
 
     reports.sort(key=lambda r: (-r.n_f, r.type_code))
-    lines = [REPORT_HEADER] + [_format_row(r) for r in reports]
-    (out / "metrics_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "metrics_report.json").write_text(
-        json.dumps([r.__dict__ for r in reports], sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_columns(out / "metrics_report.csv", REPORT_HEADER,
+                  *([fmt.format(getattr(r, field)) for r in reports]
+                    for _, field, fmt in _REPORT_COLUMNS))
+    write_json(out / "metrics_report.json", [r.__dict__ for r in reports])
     if not reports:
         logger.warning("run_report: empty test set or no evaluable types")
     return reports
@@ -414,9 +415,7 @@ def _write_type_artifacts(
         repeat_each(names, [x.size for x in h]), np.concatenate(h), np.concatenate(t),
     )
 
-    observed = artifacts["observed"]
-    obs250 = np.array([s.t_fl250 for s in observed])
-    obs325 = np.array([s.t_fl325 for s in observed])
+    observed, obs250, obs325 = artifacts["observed"]
     write_columns(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
         repeat_each([s.flight_id for s in observed], [2] * len(observed)),

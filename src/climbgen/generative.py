@@ -42,6 +42,7 @@ from .errors import (
     TooFewFlightsError,
     check_type_code,
     read_json,
+    write_json,
 )
 from .learning import (
     INTERVAL_FL,
@@ -293,15 +294,15 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
         "sigma_diag": [float(v) for v in model.weights.var],
         "n_flights_fit": int(model.n_flights_fit),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(path, doc)
 
 
 def load_model(path: str | Path) -> GenerativeClimbModel:
     """Load a model file, refusing unknown schema versions, a window other
     than ``INTERVAL_FL``, a ``type_code`` that ``errors.check_type_code``
-    refuses, an ``n_flights_fit`` that is not a JSON integer >= 1 and a
-    grid other than ``default_grid()``, and validating the basis
-    invariants."""
+    refuses, an ``n_flights_fit`` that is not a JSON integer >= 1, a
+    non-finite number in the basis or weights and a grid other than
+    ``default_grid()``, and validating the basis invariants."""
     path = Path(path)
     doc = read_json(path, "model file", ModelFileError)
     if not isinstance(doc, dict) or set(doc) != _MODEL_KEYS:

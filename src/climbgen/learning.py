@@ -99,7 +99,7 @@ class FpcaBasis:
     ``modes`` has shape (n, n_g); each row satisfies the quadrature
     orthonormality ``sum_j w_j psi_i(h_j) psi_k(h_j) = delta_ik``.
     ``explained_variance`` holds the retained modes' fractions of total
-    variance, non-increasing.
+    variance, non-increasing.  Every array must be finite.
     """
 
     grid: np.ndarray
@@ -116,6 +116,9 @@ class FpcaBasis:
             raise DomainError("basis arrays are dimensionally inconsistent")
         if self.explained_variance.shape != (self.modes.shape[0],):
             raise DomainError("one explained-variance entry per mode required")
+        for name in ("grid", "mean", "modes", "explained_variance"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"basis {name} must be finite")
 
     @property
     def n_modes(self) -> int:

@@ -2,7 +2,8 @@
 profile, loaded from an open JSON parameter file.
 
 File format: a JSON array with one record per aircraft type and exactly
-these keys::
+these keys, each but ``type_code`` a finite JSON number
+(``errors.json_number``)::
 
     type_code      ICAO-style designator (string); a letter or digit, then
                    letters, digits, "_", "." or "-"
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import dynamics
 from .atmosphere import SpeedSchedule
-from .errors import DomainError, ModelValidityError, ValidationError, check_type_code, read_json
+from .errors import (DomainError, ModelValidityError, ValidationError, check_type_code,
+                     json_number, read_json)
 
 PERF_H_MAX = 15000.0   # m, validity ceiling of the thrust model
 
@@ -109,12 +111,10 @@ def _record_to_performance(record: dict, index: int) -> AircraftPerformance:
         raise ValidationError(f"record {index}: unknown field(s) {', '.join(sorted(unknown))}")
     type_code = record["type_code"]
     check_type_code(type_code, f"record {index}", ValidationError)
-    values = {}
-    for key in _FILE_KEYS[1:]:
-        try:
-            values[key] = float(record[key])
-        except (TypeError, ValueError):
-            raise ValidationError(f"{type_code}: field {key} is not a number") from None
+    try:
+        values = {key: json_number(record[key], f"field {key}") for key in _FILE_KEYS[1:]}
+    except ValueError as exc:
+        raise ValidationError(f"{type_code}: {exc}") from None
     try:
         schedule = SpeedSchedule(v_cas=values["v_cas_ms"], mach=values["mach"])
     except DomainError as exc:

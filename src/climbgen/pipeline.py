@@ -28,8 +28,9 @@ that climb at ``ROCD_MIN_FPM`` or more, by the climb rates
 ``simulate_fleet`` simulates one type at a time and writes its blips as
 soon as the type is done.
 
-Every CSV the package writes goes through ``write_columns``: whole
-columns, not rows, are formatted.  A number is written as
+Every CSV artifact goes through ``write_columns`` or its row writer, and
+every JSON artifact through ``errors.write_json``.  Whole columns, not
+rows, are formatted.  A number is written as
 ``repr(float(x))``, the shortest text that reads back to the same float,
 and each distinct bit pattern in a column is formatted once, so the few
 values radar columns repeat (scan times, quantized altitudes, the grid)
@@ -52,7 +53,8 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import integrate_climb
-from .errors import DataError, DomainError, InfeasibleClimbError, ScenarioError, read_json
+from .errors import (DataError, DomainError, InfeasibleClimbError, ScenarioError, json_number,
+                     read_json, write_json)
 from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, derive_rocd, median3
 from .performance import AircraftPerformance, nominal_thrust
 
@@ -293,9 +295,10 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")
     if header not in (_HEADER, _HEADER_LATLON):
+        mark = " (the file starts with a UTF-8 byte-order mark)" if lines[0][:1] == "\ufeff" else ""
         raise DataError(
             f"{path}: header must be exactly {','.join(_HEADER)} "
-            f"or {','.join(_HEADER_LATLON)}"
+            f"or {','.join(_HEADER_LATLON)}{mark}"
         )
 
     flight_index: dict[str, int] = {}
@@ -485,6 +488,9 @@ class FleetScenario:
             raise DomainError("need fl_start < fl_end")
         if self.blip_interval_s <= 0.0:
             raise DomainError("blip_interval_s must be positive")
+        for name in ("alt_noise_ft", "quantization_ft"):
+            if getattr(self, name) < 0.0:
+                raise DomainError(f"{name} must not be negative")
 
 
 def _count(code: str, spec: dict) -> int:
@@ -505,14 +511,16 @@ def _check_keys(where: str, doc, cls) -> None:
         raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
-# how a scenario value becomes its field; every other field is a float
-_FIELD_TYPES = {"mode_sds": lambda sds: tuple(float(s) for s in sds), "weight_dist": str}
+# how a scenario value becomes its field; every other field is one number
+_FIELD_TYPES = {"mode_sds": lambda sds, key: tuple(json_number(s, f"{key} entry") for s in sds),
+                "weight_dist": lambda text, key: str(text)}
 
 
 def _given_fields(doc: dict, skip: str) -> dict:
     """The keys ``doc`` gives, but ``skip``, as dataclass field values: a
     key the file leaves out takes its default from the dataclass."""
-    return {key: _FIELD_TYPES.get(key, float)(value) for key, value in doc.items() if key != skip}
+    return {key: _FIELD_TYPES.get(key, json_number)(value, f'"{key}"')
+            for key, value in doc.items() if key != skip}
 
 
 def load_scenario(path: str | Path) -> FleetScenario:
@@ -651,8 +659,5 @@ def simulate_fleet(
         partial.unlink(missing_ok=True)
         raise
     partial.replace(csv_path)
-    Path(truth_path).write_text(
-        json.dumps({"seed": seed, "flights": truth}, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    write_json(truth_path, {"seed": seed, "flights": truth})
     return {type_code: scenario.types[type_code].count for type_code in sorted(scenario.types)}

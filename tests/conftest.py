@@ -25,6 +25,26 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` puts a wrapper in place of
+    ``module.name`` for the test and returns the list to which it appends
+    each call's positional arguments."""
+
+    def install(module, name: str) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return load_performance(default_catalog_path())

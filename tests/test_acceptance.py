@@ -16,7 +16,7 @@ import scipy.optimize
 from climbgen import evaluation, generative, learning, pipeline
 from climbgen.atmosphere import fl_to_m
 from climbgen.cli import main
-from climbgen.dynamics import integration_call_count, rocd
+from climbgen.dynamics import rocd
 from climbgen.generative import (
     GenerativeClimbModel,
     WeightDistribution,
@@ -280,14 +280,14 @@ class TestAcceptance:
                        f"retained {model.basis.n_modes} modes (want 3 +- 1)")
         assert 2 <= model.basis.n_modes <= 4
 
-    def test_cheap_bounds(self, well_specified_run, catalog, acceptance_log):
+    def test_cheap_bounds(self, well_specified_run, catalog, acceptance_log, count_calls):
         model, _, _ = well_specified_run
         perf = catalog[model.type_code]
         grid = model.basis.grid
-        before = integration_call_count()
+        integrations = count_calls(generative, "integrate_climb")
         bound_trajectories(model, perf, perf.nominal_mass,
                            float(grid[0]), float(grid[-1]), 0.95)
-        calls = integration_call_count() - before
+        calls = len(integrations)
         ok = calls == 2
         acceptance_log("cheap bounds", ok,
                        f"{calls} integrator calls beyond the mean (want exactly 2)")

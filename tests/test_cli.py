@@ -1,6 +1,7 @@
 """End-to-end command-line workflow tests."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import climbgen
-from climbgen import generative, performance
+from climbgen import evaluation, generative, performance
 from climbgen.cli import main
 from climbgen.generative import bound_profiles, fit_type_model, load_model, save_model
 from climbgen.pipeline import filter_climbs, ingest, split
@@ -104,6 +105,13 @@ class TestWorkflow:
         assert main(["bounds", "--model", str(workdir / "models" / "model_NBJT.json"),
                      "--level", "0.9", "--out", str(workdir / "bounds90")]) == 0
         assert len(calls) == 1
+
+    def test_predict_and_bounds_climb_through_model_climb(self, workdir, tmp_path, count_calls):
+        climbs = count_calls(evaluation, "model_climb")
+        model = str(workdir / "models" / "model_NBJT.json")
+        assert main(["predict", "--model", model, "--out", str(tmp_path)]) == 0
+        assert main(["bounds", "--model", model, "--out", str(tmp_path)]) == 0
+        assert len(climbs) == 4   # mean and nominal, then slow and fast
 
     def test_predict(self, workdir):
         assert main(["predict", "--model", str(workdir / "models" / "model_NBJT.json"),
@@ -282,6 +290,57 @@ class TestExitCodes:
         assert f"unknown key(s) {key}" in proc.stderr
         assert ("type NBJT: " in proc.stderr) == (where == "type")
         assert not (tmp_path / "o" / "blips.csv").exists()
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("scenario", "blip_interval_s", math.nan), ("scenario", "quantization_ft", math.inf),
+        ("scenario", "alt_noise_ft", True), ("type", "thrust_bias_n", -math.inf),
+        ("type", "contam_frac", "0.1"), ("type", "mode_sds", [1e5, True]),
+    ], ids=["nan", "infinity", "true", "minus-infinity", "text", "mode-sd-true"])
+    def test_scenario_number_not_finite_is_validation_error(self, tmp_path, capsys,
+                                                            where, key, value):
+        doc = json.loads(json.dumps(SCENARIO))
+        (doc if where == "scenario" else doc["types"]["NBJT"])[key] = value
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f'"{key}"' in err and "must be a finite number" in err
+        assert not (tmp_path / "o" / "blips.csv").exists()
+
+    def test_integer_too_long_to_read_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(SCENARIO)[:-1] + ', "delta_t_k": ' + "1" * 5000 + "}")
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"scenario file {bad} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["alt_noise_ft", "quantization_ft"])
+    def test_scenario_negative_noise_is_validation_error(self, tmp_path, capsys, key):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO, key: -5.0}))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"{key} must not be negative" in err
+        assert not (tmp_path / "o" / "blips.csv").exists()
+
+    def test_byte_order_mark_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bom.csv"
+        bad.write_bytes(b"\xef\xbb\xbfflight_id,type_code,t_s,alt_ft\n"
+                        b"A,NBJT,0.0,16000\nA,NBJT,6.0,16100\n")
+        assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
+        assert "starts with a UTF-8 byte-order mark" in capsys.readouterr().err
+        assert not list((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("key", ["explained_variance", "mean_N", "modes"])
+    def test_model_array_not_finite_names_the_file(self, tmp_path, workdir, capsys, key):
+        doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
+        (doc["modes"][0] if key == "modes" else doc[key])[0] = math.nan
+        bad = tmp_path / "model_bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("sample", "predict"):
+            assert main([command, "--model", str(bad), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert f"model file {bad} is invalid" in err and "must be finite" in err
+            assert not list((tmp_path / command).iterdir())
 
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_model_grid_under_two_nodes_is_validation_error(self, tmp_path, workdir, n_nodes):

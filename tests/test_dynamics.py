@@ -27,7 +27,6 @@ from climbgen.dynamics import (
     drag,
     energy_share,
     integrate_climb,
-    integration_call_count,
     rate_factors,
     rocd,
     time_from_rocd,
@@ -223,21 +222,24 @@ class TestIntegrateClimb:
         with pytest.raises(DomainError):
             integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0] - 500.0, grid[-1])
 
-    def test_call_counter_increments(self, nbjt):
-        # once per call: on a kernel miss, on a hit, and on an infeasible climb
+    def test_call_counter_increments(self, nbjt, count_calls):
+        # once per call: on a kernel miss, on a hit, and on an infeasible climb;
+        # a kernel is built only for a span and temperature offset not seen before
+        calls = count_calls(dynamics, "integrate_climb")
         grid = default_grid()
         feasible = ThrustProfile(grid, nominal_thrust(nbjt, grid))
         infeasible = ThrustProfile(grid, min_level_thrust(nbjt, grid) - 5000.0)
         dynamics._climb_kernel.cache_clear()
-        for profile, delta_T in ((feasible, 0.0), (feasible, 0.0), (feasible, 5.0),
-                                 (infeasible, 0.0)):
-            before = integration_call_count()
+        for profile, delta_T, misses in ((feasible, 0.0, 1), (feasible, 0.0, 1),
+                                         (feasible, 5.0, 2), (infeasible, 0.0, 2)):
+            before = len(calls)
             try:
-                integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1],
-                                delta_T)
+                dynamics.integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0], grid[-1],
+                                         delta_T)
             except InfeasibleClimbError:
                 pass
-            assert integration_call_count() == before + 1
+            assert len(calls) == before + 1
+            assert dynamics._climb_kernel.cache_info().misses == misses
 
     def test_floor_constant(self):
         assert ROCD_FLOOR == 0.5

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from climbgen import evaluation, generative, pipeline
-from climbgen.dynamics import ClimbTrajectory
+from climbgen.dynamics import ClimbTrajectory, integrate_climb
 from climbgen.errors import DataError
 from climbgen.evaluation import (
     ArrivalSample,
@@ -20,6 +20,8 @@ from climbgen.evaluation import (
     run_report,
     silverman_bandwidth,
 )
+from climbgen.learning import default_grid
+from climbgen.performance import nominal_thrust
 from climbgen.pipeline import Trajectory
 
 
@@ -175,6 +177,20 @@ class TestCoverage:
         slow, fast = bands
         with pytest.raises(DataError):
             coverage([], slow, fast)
+
+
+class TestModelClimb:
+    def test_the_window_climb_at_nominal_mass(self, small_world, catalog):
+        model = small_world[0]
+        perf = catalog["NBJT"]
+        grid = default_grid()
+        nominal = evaluation.nominal_profile(perf)
+        assert np.array_equal(nominal.grid, grid)
+        assert np.array_equal(nominal.values, nominal_thrust(perf, grid))
+        for profile in (model.mean_profile(), nominal):
+            got = evaluation.model_climb(perf, profile)
+            want = integrate_climb(perf, perf.nominal_mass, profile, grid[0], grid[-1])
+            assert np.array_equal(got.t, want.t) and np.array_equal(got.h, want.h)
 
 
 class TestRunReport:

@@ -9,7 +9,7 @@ import pytest
 import scipy.optimize
 import scipy.stats
 
-from climbgen.dynamics import integration_call_count
+from climbgen import generative
 from climbgen.errors import (
     DegenerateModelError,
     DegenerateNodeError,
@@ -303,13 +303,13 @@ class TestBoundProfiles:
 
 
 class TestBoundTrajectories:
-    def test_ordering_and_cost(self, nbjt):
+    def test_ordering_and_cost(self, nbjt, count_calls):
         model = make_model(mean_level=100000.0, variances=(4e6, 2e6, 1e6))
         grid = model.basis.grid
-        before = integration_call_count()
+        calls = count_calls(generative, "integrate_climb")
         slow, fast = bound_trajectories(model, nbjt, nbjt.nominal_mass,
                                         float(grid[0]), float(grid[-1]), 0.95)
-        assert integration_call_count() == before + 2
+        assert len(calls) == 2
         assert np.all(fast.t <= slow.t + 1e-9)
         from climbgen.dynamics import integrate_climb
         mean_traj = integrate_climb(nbjt, nbjt.nominal_mass, model.mean_profile(),

@@ -64,6 +64,13 @@ class TestLoadPerformance:
         with pytest.raises(ValidationError, match="(?i)c_d0"):
             load_performance(write_perf(tmp_path, bad))
 
+    @pytest.mark.parametrize("value", [True, math.nan, -math.inf, "0.025", None],
+                             ids=["true", "nan", "minus-infinity", "text", "null"])
+    def test_field_not_a_finite_number_names_field(self, tmp_path, value):
+        bad = [dict(TWO_TYPES[0], c_D0=value)]
+        with pytest.raises(ValidationError, match="AAA1: field c_D0 must be a finite number"):
+            load_performance(write_perf(tmp_path, bad))
+
     def test_unknown_field_rejected(self, tmp_path):
         bad = [dict(TWO_TYPES[0], wingspan_m=35.0)]
         with pytest.raises(ValidationError, match="wingspan_m"):
