@@ -35,6 +35,17 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, perf: bool = False,
                 seed: bool = False, level: bool = False) -> None:
     parser.add_argument("--out", required=True, help="output directory")
@@ -42,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser, *, perf: bool = False,
         parser.add_argument("--perf-file", default=None,
                             help="aircraft performance JSON (default: shipped catalog)")
     if seed:
-        parser.add_argument("--seed", type=int, default=0, help="random seed")
+        parser.add_argument("--seed", type=_seed, default=0, help="random seed (>= 0)")
     if level:
         parser.add_argument("--level", type=float, default=0.95, help="confidence level")
 
@@ -183,10 +194,14 @@ def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
     catalog = _load_catalog(args)
     model_dir = Path(args.model_dir)
-    models = {}
+    models, files = {}, {}
     for path in sorted(model_dir.glob("model_*.json")):
         model = generative.load_model(path)
+        if model.type_code in files:
+            raise ValidationError(f"{files[model.type_code]} and {path} both hold a model "
+                                  f"of type {model.type_code}")
         models[model.type_code] = model
+        files[model.type_code] = path
     if not models:
         raise ValidationError(f"no model_*.json files under {model_dir}")
     test_trajectories = pipeline.ingest(args.test)

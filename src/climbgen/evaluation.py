@@ -10,9 +10,12 @@ coverage counts the test blips inside the window.
 ``model_climb``, a thrust profile's climb through the modeled window at
 nominal mass, is the climb that every model query and score uses:
 ``evaluate_type`` and the CLI's ``predict`` and ``bounds`` all call it.
-Each type's thrust envelope is built once and reused by the plot-ready
-artifacts.  CSV artifacts are written by ``pipeline.write_columns`` and
-JSON ones by ``errors.write_json``.
+``evaluate_type`` scores one type and only then writes its five
+plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
+it a type at a time and holds nothing of a type while it scores the
+next.  Each type's thrust envelope is built once and reused by
+``profiles_<type>.csv``.  CSV artifacts are written by
+``pipeline.write_columns`` and JSON ones by ``errors.write_json``.
 """
 
 from __future__ import annotations
@@ -80,12 +83,6 @@ class MetricsReport:
             raise DomainError(f"{self.type_code}: metrics out of range")
 
 
-def _time_alt_arrays(traj: Trajectory | ClimbTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(traj, ClimbTrajectory):
-        return traj.t, traj.h / FT
-    return traj.t_s, traj.alt_ft
-
-
 def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float | None:
     """Time of the first upward crossing of ``target_ft``.
 
@@ -116,7 +113,10 @@ def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
     """Arrival times at the report flight levels ``REPORT_FLS``,
     zero-referenced at the ``REF_FL`` crossing; None when the trajectory
     does not span them."""
-    t, alt = _time_alt_arrays(traj)
+    if isinstance(traj, ClimbTrajectory):
+        t, alt, flight_id = traj.t, traj.h / FT, "model"
+    else:
+        t, alt, flight_id = traj.t_s, traj.alt_ft, traj.flight_id
     if t.size < 2:
         return None
     t0 = _crossing_time(t, alt, REF_FL * 100.0)
@@ -128,7 +128,6 @@ def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
         if tq is None:
             return None
         times.append(tq - t0)
-    flight_id = traj.flight_id if isinstance(traj, Trajectory) else "model"
     return ArrivalSample(flight_id=flight_id, t_fl250=times[0], t_fl325=times[1])
 
 
@@ -256,10 +255,19 @@ def evaluate_type(
     model: GenerativeClimbModel,
     perf: AircraftPerformance,
     test_trajectories: list[Trajectory],
+    out: str | Path,
     seed: int,
     level: float = 0.95,
-) -> tuple[MetricsReport, dict]:
-    """Metrics for one aircraft type plus plot-ready artifacts."""
+) -> MetricsReport:
+    """Score one aircraft type, then write its five plot-ready CSVs
+    (``profiles``, ``sampled_thrust``, ``trajectories_model``,
+    ``arrivals_test`` and ``kde_<type>.csv``) under ``out``.
+
+    Every climb is integrated and the report built before the first file
+    is written, so a type that raises writes none.  A sampled climb is
+    kept only as its arrival times and a copy of every tenth node.
+    """
+    code = model.type_code
     mean_traj = model_climb(perf, model.mean_profile())
     nominal = nominal_profile(perf)
     nominal_traj = model_climb(perf, nominal)
@@ -276,21 +284,23 @@ def evaluate_type(
             continue
         observed.append(sample)
     if not observed:
-        raise DataError(f"{model.type_code}: no test flight spans the report levels")
+        raise DataError(f"{code}: no test flight spans the report levels")
     obs250 = np.array([s.t_fl250 for s in observed])
     obs325 = np.array([s.t_fl325 for s in observed])
 
     pred_model = arrival_times(mean_traj)
     pred_nominal = arrival_times(nominal_traj)
     if pred_model is None or pred_nominal is None:
-        raise DataError(f"{model.type_code}: model trajectories do not span the report levels")
+        raise DataError(f"{code}: model trajectories do not span the report levels")
 
+    curves = [(name, traj.h, traj.t) for name, traj in (
+        ("mean_traj", mean_traj), ("nominal_traj", nominal_traj), ("slow", slow), ("fast", fast))]
     profiles = sample_thrust(model, len(observed), seed)
     gen250, gen325 = [], []
-    sampled_trajs = []
-    for profile in profiles:
+    for k, profile in enumerate(profiles):
         traj = model_climb(perf, profile)
-        sampled_trajs.append(traj)
+        # copies: a slice is a view that would keep the whole climb alive
+        curves.append((f"sample_{k}", traj.h[::10].copy(), traj.t[::10].copy()))
         sample = arrival_times(traj)
         if sample is not None:
             gen250.append(sample.t_fl250)
@@ -298,34 +308,44 @@ def evaluate_type(
     gen250 = np.array(gen250)
     gen325 = np.array(gen325)
 
-    kl250 = kl_divergence(obs250, gen250)
-    kl325 = kl_divergence(obs325, gen325)
-    cov = coverage(test_trajectories, slow, fast)
-
     report = MetricsReport(
-        type_code=model.type_code,
+        type_code=code,
         n_f=model.n_flights_fit,
         mae_fl250_model=mae(pred_model.t_fl250, obs250),
         mae_fl250_nominal=mae(pred_nominal.t_fl250, obs250),
         mae_fl325_model=mae(pred_model.t_fl325, obs325),
         mae_fl325_nominal=mae(pred_nominal.t_fl325, obs325),
-        kl_fl250=kl250,
-        kl_fl325=kl325,
-        coverage_pct=cov,
+        kl_fl250=kl_divergence(obs250, gen250),
+        kl_fl325=kl_divergence(obs325, gen325),
+        coverage_pct=coverage(test_trajectories, slow, fast),
     )
-    artifacts = {
-        "mean_traj": mean_traj,
-        "nominal_traj": nominal_traj,
-        "slow": slow,
-        "fast": fast,
-        "envelope": (lower, upper),
-        "profiles": profiles,
-        "sampled_trajs": sampled_trajs,
-        "observed": (observed, obs250, obs325),
-        "generated": (gen250, gen325),
-        "nominal_profile": nominal,
-    }
-    return report, artifacts
+
+    out = Path(out)
+    grid = model.basis.grid
+    write_columns(
+        out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
+        grid, model.mean_profile().values, lower.values, upper.values,
+        nominal.values, min_level_thrust(perf, grid),
+    )
+    write_samples_csv(out / f"sampled_thrust_{code}.csv", profiles)
+    names, h, t = zip(*curves)
+    write_columns(
+        out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
+        repeat_each(names, [x.size for x in h]), np.concatenate(h), np.concatenate(t),
+    )
+    write_columns(
+        out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
+        repeat_each([s.flight_id for s in observed], [2] * len(observed)),
+        np.column_stack((obs250, obs325)).ravel(),
+        [repr(fl * 100.0) for fl in REPORT_FLS] * len(observed),
+    )
+    kde = [_kde_pair(obs250, gen250, KDE_PLOT_SIZE), _kde_pair(obs325, gen325, KDE_PLOT_SIZE)]
+    write_columns(
+        out / f"kde_{code}.csv", "fl,t_s,density_test,density_generated",
+        repeat_each([f"{fl:.0f}" for fl in REPORT_FLS], [KDE_PLOT_SIZE] * len(REPORT_FLS)),
+        *(np.concatenate(column) for column in zip(*kde)),
+    )
+    return report
 
 
 def run_report(
@@ -336,8 +356,11 @@ def run_report(
     seed: int = 0,
     level: float = 0.95,
 ) -> list[MetricsReport]:
-    """Evaluate every test-set type with a fitted model; emit the metrics
-    table (CSV + JSON twin) and plot-ready CSV artifacts under out_dir."""
+    """Evaluate every test-set type with a fitted model, one type at a
+    time: ``evaluate_type`` writes each type's plot-ready CSVs under
+    out_dir once the type is scored, and nothing of a type is held while
+    the next is scored.  A type whose bound climb is unbounded is skipped
+    and writes no file.  Last comes the metrics table (CSV + JSON twin)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -354,19 +377,11 @@ def run_report(
             logger.warning("no performance record for type %s; row skipped", type_code)
             continue
         try:
-            report, artifacts = evaluate_type(
-                models[type_code],
-                catalog[type_code],
-                by_type[type_code],
-                seed=seed + index,
-                level=level,
-            )
+            reports.append(evaluate_type(models[type_code], catalog[type_code],
+                                         by_type[type_code], out, seed=seed + index, level=level))
         except InfeasibleClimbError as exc:
             logger.warning("type %s: bound climb unbounded (%s); row skipped",
                            type_code, exc)
-            continue
-        reports.append(report)
-        _write_type_artifacts(out, models[type_code], catalog[type_code], artifacts)
 
     reports.sort(key=lambda r: (-r.n_f, r.type_code))
     write_columns(out / "metrics_report.csv", REPORT_HEADER,
@@ -385,48 +400,4 @@ def write_samples_csv(path: str | Path, profiles: list[ThrustProfile]) -> None:
         repeat_each([str(s) for s in range(len(profiles))], [p.grid.size for p in profiles]),
         np.concatenate([p.grid for p in profiles]),
         np.concatenate([p.values for p in profiles]),
-    )
-
-
-def _write_type_artifacts(
-    out: Path,
-    model: GenerativeClimbModel,
-    perf: AircraftPerformance,
-    artifacts: dict,
-) -> None:
-    code = model.type_code
-    grid = model.basis.grid
-    lower, upper = artifacts["envelope"]
-    write_columns(
-        out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
-        grid, model.mean_profile().values, lower.values, upper.values,
-        artifacts["nominal_profile"].values, min_level_thrust(perf, grid),
-    )
-
-    write_samples_csv(out / f"sampled_thrust_{code}.csv", artifacts["profiles"])
-
-    curves = [(name, artifacts[name].h, artifacts[name].t)
-              for name in ("mean_traj", "nominal_traj", "slow", "fast")]
-    curves += [(f"sample_{s}", traj.h[::10], traj.t[::10])
-               for s, traj in enumerate(artifacts["sampled_trajs"])]
-    names, h, t = zip(*curves)
-    write_columns(
-        out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
-        repeat_each(names, [x.size for x in h]), np.concatenate(h), np.concatenate(t),
-    )
-
-    observed, obs250, obs325 = artifacts["observed"]
-    write_columns(
-        out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
-        repeat_each([s.flight_id for s in observed], [2] * len(observed)),
-        np.column_stack((obs250, obs325)).ravel(),
-        [repr(fl * 100.0) for fl in REPORT_FLS] * len(observed),
-    )
-
-    gen250, gen325 = artifacts["generated"]
-    curves = [_kde_pair(obs250, gen250, KDE_PLOT_SIZE), _kde_pair(obs325, gen325, KDE_PLOT_SIZE)]
-    write_columns(
-        out / f"kde_{code}.csv", "fl,t_s,density_test,density_generated",
-        repeat_each([f"{fl:.0f}" for fl in REPORT_FLS], [KDE_PLOT_SIZE] * len(REPORT_FLS)),
-        *(np.concatenate(column) for column in zip(*curves)),
     )

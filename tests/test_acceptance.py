@@ -103,8 +103,8 @@ def well_specified_run(catalog, tmp_path_factory):
     trajectories = pipeline.filter_climbs(pipeline.ingest(tmp / "blips.csv"))
     split_data = pipeline.split(trajectories, seed=1)
     model = _fit_type(catalog, "NBJT", split_data)
-    report, _ = evaluation.evaluate_type(model, catalog["NBJT"], split_data.test,
-                                         seed=7008)
+    report = evaluation.evaluate_type(model, catalog["NBJT"], split_data.test, tmp,
+                                      seed=7008)
     return model, report, len(split_data.test)
 
 

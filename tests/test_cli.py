@@ -410,6 +410,38 @@ class TestExitCodes:
                      "--seed", "1"]) == 2
 
 
+    def test_two_models_of_one_type_are_validation_error(self, tmp_path, workdir, capsys):
+        doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "model_NBJT.json").write_text(json.dumps(doc))
+        (models / "model_NBJT_old.json").write_text(json.dumps({**doc, "n_flights_fit": 7}))
+        assert main(["evaluate", "--model-dir", str(models),
+                     "--test", str(workdir / "prep" / "test.csv"),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(models / "model_NBJT.json") in err
+        assert str(models / "model_NBJT_old.json") in err
+        assert not (tmp_path / "o" / "metrics_report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "prepare", "sample", "evaluate"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, command, seed, tmp_path, workdir,
+                                                 capsys):
+        models = workdir / "models"
+        args = {
+            "simulate": ["--scenario", str(tmp_path / "scenario.json")],
+            "prepare": ["--csv", str(workdir / "sim" / "blips.csv")],
+            "sample": ["--model", str(models / "model_NBJT.json")],
+            "evaluate": ["--model-dir", str(models), "--test", str(workdir / "prep" / "test.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *args, "--out", str(tmp_path / "o"), "--seed", seed])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 class TestRateRule:
     """A fit inverts the climb rates of the blips it is given, so fitting the
     filtered flights in process and fitting the train.csv that prepare

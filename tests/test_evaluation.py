@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,7 +268,8 @@ class TestRunReport:
                              seed=2, level=0.9)
         assert calls == ["NBJT", "WIDE"]
         assert [r.type_code for r in reports] == ["NBJT"]
-        assert not (tmp_path / "profiles_WIDE.csv").exists()
+        assert not list(tmp_path.glob("*_WIDE.csv"))
+        assert len(list(tmp_path.glob("*_NBJT.csv"))) == 5
 
         lines = (tmp_path / "profiles_NBJT.csv").read_text().splitlines()
         header = lines[0].split(",")
@@ -275,3 +277,30 @@ class TestRunReport:
         lower, upper = original(model, 0.9)
         assert np.array_equal(table[:, header.index("lower_N")], lower.values)
         assert np.array_equal(table[:, header.index("upper_N")], upper.values)
+
+    def test_one_type_held_at_a_time(self, small_world, catalog, tmp_path):
+        """Scoring a second type holds nothing of the first: two types of
+        500+ test flights peak within 15% of one.  Smaller types cannot
+        tell the two apart, as the per-type state is then too small."""
+        model, split_data, _, _ = small_world
+        copies = -(-500 // len(split_data.test))
+        nbjt = [dataclasses.replace(tr, flight_id=f"{tr.flight_id}.{k}")
+                for k in range(copies) for tr in split_data.test]
+        nbju = [dataclasses.replace(tr, type_code="NBJU") for tr in nbjt]
+        models = {"NBJT": model, "NBJU": dataclasses.replace(model, type_code="NBJU")}
+        catalog = {**catalog, "NBJU": dataclasses.replace(catalog["NBJT"], type_code="NBJU")}
+
+        def peak(test, out):
+            tracemalloc.start()
+            try:
+                reports = run_report(models, pipeline.DatasetSplit(train=[], test=test),
+                                     catalog, out, seed=3)
+                return tracemalloc.get_traced_memory()[1], reports
+            finally:
+                tracemalloc.stop()
+
+        one, reports = peak(nbjt, tmp_path / "one")
+        assert len(reports) == 1
+        two, reports = peak(nbjt + nbju, tmp_path / "two")
+        assert len(reports) == 2
+        assert two <= 1.15 * one, (one, two)
