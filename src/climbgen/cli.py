@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate, prepare, fit, sample, bounds, predict,
 evaluate.
 
-All outputs land under the directory given by --out.  Exit codes: 0 on
-success, 2 on validation errors (bad arguments, files, or schemas), 3 on
-data errors (well-formed inputs that cannot support the operation).  Set
+Outputs land under --out, which the first file written makes.  Exit
+codes: 0 on success; 2 on a validation error (bad arguments, schemas, or
+a missing or unreadable input) or an OS error writing an output; 3 on a
+data error (well-formed inputs that cannot support the operation).  Set
 ``CLIMBGEN_LOG`` to a level name (DEBUG, INFO, ...) to control logging.
 """
 
@@ -63,17 +64,8 @@ def _load_catalog(args) -> dict[str, performance.AircraftPerformance]:
     return performance.load_performance(path)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
-    return out
-
-
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     catalog = _load_catalog(args)
     scenario = pipeline.load_scenario(args.scenario)
     counts = pipeline.simulate_fleet(
@@ -86,7 +78,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     trajectories = pipeline.ingest(args.csv)
     filtered = pipeline.filter_climbs(trajectories)
     if not filtered:
@@ -110,7 +102,6 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    out = _out_dir(args)
     catalog = _load_catalog(args)
     trajectories = pipeline.ingest(args.train)
 
@@ -128,7 +119,7 @@ def _cmd_fit(args) -> int:
         except (TooFewFlightsError, DegenerateModelError) as exc:
             logger.warning("%s; skipped", exc)
             continue
-        generative.save_model(model, out / f"model_{type_code}.json")
+        generative.save_model(model, Path(args.out) / f"model_{type_code}.json")
         fitted += 1
         basis = model.basis
         print(f"fitted {type_code}: {model.n_flights_fit} flights, "
@@ -139,10 +130,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    out = _out_dir(args)
     model = generative.load_model(args.model)
     profiles = generative.sample_thrust(model, args.count, args.seed)
-    path = out / f"samples_{model.type_code}.csv"
+    path = Path(args.out) / f"samples_{model.type_code}.csv"
     evaluation.write_samples_csv(path, profiles)
     print(f"wrote {args.count} sampled profiles to {path}")
     return EXIT_OK
@@ -158,7 +148,7 @@ def _model_and_perf(args):
 
 
 def _cmd_bounds(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     model, perf = _model_and_perf(args)
     lower, upper = generative.bound_profiles(model, args.level)
     # the bound climbs of generative.bound_trajectories, from the envelope
@@ -174,7 +164,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     model, perf = _model_and_perf(args)
     mean_traj = evaluation.model_climb(perf, model.mean_profile())
     nominal_traj = evaluation.model_climb(perf, evaluation.nominal_profile(perf))
@@ -191,7 +181,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     catalog = _load_catalog(args)
     model_dir = Path(args.model_dir)
     models, files = {}, {}
@@ -281,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ClimbgenError as exc:
+    except (ClimbgenError, OSError) as exc:   # an OSError names the output it could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -99,8 +99,11 @@ def read_json(path: Path, what: str, error: type[ClimbgenError]):
 
 def write_json(path: str | Path, doc) -> None:
     """Write ``doc`` as a JSON artifact: keys sorted, indent 1, a final
-    newline, UTF-8.  The same document always gives the same bytes."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    newline, UTF-8, making the file's directory if it is missing.  The same
+    document always gives the same bytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def json_number(value, where: str) -> float:

@@ -84,22 +84,26 @@ class MetricsReport:
 
 
 def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float | None:
-    """Time of the first upward crossing of ``target_ft``.
+    """Time of the first upward crossing of ``target_ft``: the first exact
+    hit or the first segment that brackets the target, whichever comes
+    first.  A segment that ends on the first exact hit counts as that hit.
 
     Falls back to a short linear extrapolation from the boundary segment
     when the data start just above / end just below the target (clipped
     trajectories); returns None when the target is out of reach.
     """
-    exact = np.flatnonzero(alt_ft == target_ft)
-    if exact.size:
-        return float(t[exact[0]])
-    below = alt_ft[:-1] <= target_ft
-    above = alt_ft[1:] >= target_ft
-    idx = np.flatnonzero(below & above)
-    if idx.size:
-        i = int(idx[0])
-        frac = (target_ft - alt_ft[i]) / (alt_ft[i + 1] - alt_ft[i])
-        return float(t[i] + frac * (t[i + 1] - t[i]))
+    # Data that start above the target cross it only after their first
+    # blip at or below it; from there, the first blip at or above the
+    # target is the exact hit, or ends the first bracketing segment.
+    start = 0
+    if alt_ft[0] > target_ft:
+        start = int(np.argmax(alt_ft <= target_ft))
+    k = start + int(np.argmax(alt_ft[start:] >= target_ft))
+    if alt_ft[start] <= target_ft <= alt_ft[k]:
+        if alt_ft[k] == target_ft:
+            return float(t[k])
+        frac = (target_ft - alt_ft[k - 1]) / (alt_ft[k] - alt_ft[k - 1])
+        return float(t[k - 1] + frac * (t[k] - t[k - 1]))
     if alt_ft[0] > target_ft >= alt_ft[0] - EXTRAP_TOL_FT and alt_ft[1] > alt_ft[0]:
         slope = (t[1] - t[0]) / (alt_ft[1] - alt_ft[0])
         return float(t[0] - slope * (alt_ft[0] - target_ft))
@@ -362,7 +366,6 @@ def run_report(
     the next is scored.  A type whose bound climb is unbounded is skipped
     and writes no file.  Last comes the metrics table (CSV + JSON twin)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     by_type: dict[str, list[Trajectory]] = {}
     for tr in split_data.test:

@@ -266,17 +266,16 @@ def bound_trajectories(
     h_start: float,
     h_end: float,
     level: float = 0.95,
-    delta_T: float = 0.0,
 ) -> tuple[ClimbTrajectory, ClimbTrajectory]:
-    """Slow and fast bounding climbs: exactly one integration per envelope.
+    """Slow and fast ISA bounding climbs: exactly one integration per envelope.
 
     The slow trajectory uses the lower thrust envelope, the fast one the
     upper; an infeasible lower envelope raises ``InfeasibleClimbError``
     naming the failing altitude.
     """
     lower, upper = bound_profiles(model, level)
-    slow = integrate_climb(perf, mass, lower, h_start, h_end, delta_T)
-    fast = integrate_climb(perf, mass, upper, h_start, h_end, delta_T)
+    slow = integrate_climb(perf, mass, lower, h_start, h_end)
+    fast = integrate_climb(perf, mass, upper, h_start, h_end)
     return slow, fast
 
 

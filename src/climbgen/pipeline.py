@@ -26,10 +26,14 @@ that climb at ``ROCD_MIN_FPM`` or more, by the climb rates
 ``learning.derive_rocd`` gives on the whole flight.
 
 ``simulate_fleet`` simulates one type at a time and writes its blips as
-soon as the type is done.
+soon as the type is done.  Every climb flies ``SIMULATED_FL``, the modeled
+window with 10 FL to spare on each side, and "student_t" weights are drawn
+with ``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
 
 Every CSV artifact goes through ``write_columns`` or its row writer, and
-every JSON artifact through ``errors.write_json``.  Whole columns, not
+every JSON artifact through ``errors.write_json``; each makes its file's
+directory when it is missing, so a failure before the first write leaves
+no output directory behind.  Whole columns, not
 rows, are formatted.  A number is written as
 ``repr(float(x))``, the shortest text that reads back to the same float,
 and each distinct bit pattern in a column is formatted once, so the few
@@ -53,8 +57,8 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import integrate_climb
-from .errors import (DataError, DomainError, InfeasibleClimbError, ScenarioError, json_number,
-                     read_json, write_json)
+from .errors import (DataError, DomainError, InfeasibleClimbError, ScenarioError, ValidationError,
+                     json_number, read_json, write_json)
 from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, derive_rocd, median3
 from .performance import AircraftPerformance, nominal_thrust
 
@@ -66,6 +70,8 @@ ALT_MAX_FT = 60000.0
 BLOCK_LINES = 1 << 15   # lines per parse or write block: bounds the strings held at once
 MAX_REDRAWS = 100
 ROCD_MIN_FPM = 500.0    # climb-rate floor of a kept blip
+SIMULATED_FL = (INTERVAL_FL[0] - 10.0, INTERVAL_FL[1] + 10.0)   # brackets the modeled window
+STUDENT_T_DOF = 6.0     # degrees of freedom of "student_t" weight draws
 TRUTH_GRID_SIZE = 200
 TRAIN_SHARE = 2.0 / 3.0
 
@@ -128,12 +134,13 @@ def write_columns(path: str | Path, header: str, *columns) -> None:
     ``_float_texts`` gives it.  Every line, the last one included, ends in
     a newline; no rows give exactly ``header + "\\n"``.  Rows are joined
     and written ``BLOCK_LINES`` at a time, so the whole file's text is
-    never held at once.
+    never held at once.  The file's directory is made if it is missing.
     """
     if header.count(",") + 1 != len(columns):
         raise ValueError(f"header {header!r} does not name {len(columns)} columns")
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of {header!r} differ in length")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         _write_rows(fh, *columns)
@@ -157,6 +164,7 @@ def _line_blocks(path: Path) -> Iterator[list[str]]:
     character holds the byte ``b"\\n"``, and a block ends only after one,
     so every character and every ``"\\r\\n"`` pair lies inside one block,
     and the other separators of ``str.splitlines`` split lines within it.
+    A missing or unreadable file raises ``ValidationError``.
     """
     try:
         with open(path, "rb") as fh:
@@ -171,9 +179,9 @@ def _line_blocks(path: Path) -> Iterator[list[str]]:
                 del data   # only the lines are held while the block is parsed
                 yield lines
     except FileNotFoundError:
-        raise DataError(f"blip file not found: {path}") from None
+        raise ValidationError(f"blip file not found: {path}") from None
     except OSError as exc:
-        raise DataError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
+        raise ValidationError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
 
 
 def _split_block(block: list[str], n_fields: int
@@ -285,8 +293,9 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     each block is parsed into numeric columns, and no object is built per
     row.  A row is a line of fields joined by commas, none of them quoted,
     as ``write_columns`` writes it.  Malformed rows are logged with their
-    line number, skipped, and counted; an unreadable or empty file, or one
-    whose first line is not the header, raises ``DataError``.
+    line number, skipped, and counted.  A missing or unreadable file is a
+    ``ValidationError``; non-UTF-8 text, an empty file or a wrong header a
+    ``DataError``.
     """
     path = Path(csv_path)
     blocks = _line_blocks(path)
@@ -361,10 +370,11 @@ def write_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path)
 
     Whole flights go through ``_write_rows`` a group at a time: a group is
     the flights whose first row falls in the same ``BLOCK_LINES`` rows, so
-    the whole file's text columns are never held at once.
+    the text columns of the whole file are never held at once.
     """
     ordered = sorted(trajectories, key=lambda t: t.flight_id)
     first_rows = np.cumsum([0] + [tr.n_blips for tr in ordered[:-1]])
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_HEADER) + "\n")
         for _, pairs in groupby(zip((first_rows // BLOCK_LINES).tolist(), ordered),
@@ -454,7 +464,6 @@ class TypeScenario:
     thrust_bias_n: float = 0.0
     mode_sds: tuple[float, ...] = ()
     weight_dist: str = "normal"
-    t_dof: float = 6.0
     contam_frac: float = 0.1
     contam_scale: float = 3.0
 
@@ -463,8 +472,6 @@ class TypeScenario:
             raise DomainError("count must be at least 1")
         if self.weight_dist not in ("normal", "student_t", "contaminated"):
             raise DomainError(f"unknown weight_dist {self.weight_dist!r}")
-        if self.weight_dist == "student_t" and self.t_dof <= 2.0:
-            raise DomainError("t_dof must exceed 2 for finite variance")
         if not 0.0 <= self.contam_frac < 1.0 or self.contam_scale <= 0.0:
             raise DomainError("contamination parameters out of range")
 
@@ -474,8 +481,6 @@ class FleetScenario:
     """Synthetic fleet description: counts, truth family, and sampling."""
 
     types: dict[str, TypeScenario]
-    fl_start: float = 140.0
-    fl_end: float = 335.0
     blip_interval_s: float = 6.0
     alt_noise_ft: float = 0.0
     quantization_ft: float = 25.0
@@ -484,8 +489,6 @@ class FleetScenario:
     def __post_init__(self):
         if not self.types:
             raise DomainError("scenario must define at least one type")
-        if not self.fl_start < self.fl_end:
-            raise DomainError("need fl_start < fl_end")
         if self.blip_interval_s <= 0.0:
             raise DomainError("blip_interval_s must be positive")
         for name in ("alt_noise_ft", "quantization_ft"):
@@ -570,8 +573,8 @@ def _draw_weights(spec: TypeScenario, rng: np.random.Generator) -> np.ndarray:
         scale = spec.contam_scale if rng.random() < spec.contam_frac else 1.0
         return scale * sds * rng.standard_normal(sds.size)
     # Student t scaled to unit variance, so sds are the target deviations
-    z = rng.standard_t(spec.t_dof, size=sds.size)
-    return sds * z / np.sqrt(spec.t_dof / (spec.t_dof - 2.0))
+    z = rng.standard_t(STUDENT_T_DOF, size=sds.size)
+    return sds * z / np.sqrt(STUDENT_T_DOF / (STUDENT_T_DOF - 2.0))
 
 
 def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetScenario,
@@ -580,7 +583,7 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
     """The flight id, time and altitude columns of one type's blips; each
     flight's ground truth is added to ``truth``."""
     spec = scenario.types[type_code]
-    h0, h1 = fl_to_m(scenario.fl_start), fl_to_m(scenario.fl_end)
+    h0, h1 = fl_to_m(SIMULATED_FL[0]), fl_to_m(SIMULATED_FL[1])
     grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
     base = nominal_thrust(perf, grid) + spec.thrust_bias_n
     modes = truth_modes(grid, len(spec.mode_sds))
@@ -630,7 +633,7 @@ def simulate_fleet(
     """Generate a synthetic radar CSV plus a ground-truth sidecar.
 
     Each flight draws a true thrust profile (nominal + bias + weighted
-    cosine modes), is integrated through [fl_start, fl_end], and sampled
+    cosine modes), is integrated through ``SIMULATED_FL``, and sampled
     at the blip interval with optional Gaussian noise and altitude
     quantization.  Infeasible draws are retried up to 100 times.  Output
     is byte-identical for a fixed seed.
@@ -648,6 +651,7 @@ def simulate_fleet(
     # written beside the blip file and renamed over it once complete, so a
     # failed run leaves no partial blip file
     partial = csv_path.with_name(csv_path.name + ".part")
+    partial.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             fh.write(",".join(_HEADER) + "\n")

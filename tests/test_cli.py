@@ -91,7 +91,7 @@ class TestWorkflow:
         out = tmp_path / "bounds"
         assert main(["bounds", "--model", str(tmp_path / "model_NBJT.json"),
                      "--level", "0.95", "--out", str(out)]) == 3
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bounds_builds_the_envelope_once(self, workdir, monkeypatch):
         original = generative.bound_profiles
@@ -209,7 +209,7 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert str(bad) in proc.stderr and key in proc.stderr
         assert f"got {json.dumps(value)}" in proc.stderr
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     def test_bad_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -223,17 +223,64 @@ class TestExitCodes:
         assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "header must be exactly flight_id,type_code,t_s,alt_ft" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["latin1", "directory"])
+    @pytest.mark.parametrize("kind", ["latin1", "header"])
     def test_unreadable_csv_is_data_error(self, tmp_path, kind):
         bad = tmp_path / "blips.csv"
         if kind == "latin1":
             bad.write_bytes("flight_id,type_code,t_s,alt_ft\nA\xe9,NBJT,0.0,1000\n".encode("latin-1"))
         else:
-            bad.mkdir()
+            bad.write_text("flight_id,type,t_s,alt_ft\nA,NBJT,0.0,1000\n")
         proc = run_cli("prepare", "--csv", str(bad), "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert str(bad) in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["prepare", "fit"])
+    def test_missing_or_unreadable_csv_is_validation_error(self, tmp_path, command, kind):
+        # a blip file that cannot be opened is a bad argument, as a JSON input is
+        bad = tmp_path / "blips.csv"
+        if kind == "directory":
+            bad.mkdir()
+        flag = "--csv" if command == "prepare" else "--train"
+        proc = run_cli(command, flag, str(bad), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        message = "blip file not found" if kind == "missing" else "cannot read blip file"
+        assert f"error: {message}" in proc.stderr and str(bad) in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "prepare", "fit", "sample", "bounds",
+                                         "predict", "evaluate"])
+    def test_missing_input_leaves_no_out_directory(self, tmp_path, workdir, command, capsys):
+        missing = str(tmp_path / "missing")
+        args = {
+            "simulate": ["--scenario", missing],
+            "prepare": ["--csv", missing],
+            "fit": ["--train", missing],
+            "sample": ["--model", missing],
+            "bounds": ["--model", missing],
+            "predict": ["--model", missing],
+            "evaluate": ["--model-dir", str(workdir / "models"), "--test", missing],
+        }[command]
+        assert main([command, *args, "--out", str(tmp_path / "o")]) == 2
+        assert missing in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "prepare"])
+    def test_unwritable_output_is_validation_error(self, tmp_path, workdir, command):
+        # an output path that is a directory cannot be written as a file
+        argv, name = {
+            "predict": (["predict", "--model", str(workdir / "models" / "model_NBJT.json")],
+                        "predict_NBJT.csv"),
+            "prepare": (["prepare", "--csv", str(workdir / "sim" / "blips.csv")], "train.csv"),
+        }[command]
+        (tmp_path / "o" / name).mkdir(parents=True)
+        proc = run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(tmp_path / "o" / name) in proc.stderr
 
     @pytest.mark.parametrize("case", ["model-dir", "model-latin1", "scenario-dir",
                                       "scenario-latin1", "perf-dir", "perf-latin1", "out-file"])
@@ -249,8 +296,10 @@ class TestExitCodes:
             "scenario": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")],
             "perf": ["fit", "--perf-file", str(bad), "--train", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "o")],
-            "out": ["prepare", "--csv", str(tmp_path / "none.csv"), "--out", str(bad)],
+            "out": ["simulate", "--scenario", str(tmp_path / "one.json"), "--out", str(bad)],
         }[kind]
+        # a valid scenario, so that the --out that is a file is what fails
+        (tmp_path / "one.json").write_text(json.dumps({"types": {"NBJT": {"count": 1}}}))
         proc = run_cli(*command)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -274,11 +323,12 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stdout
         assert "Traceback" not in proc.stderr
         assert '"count" must be a JSON integer' in proc.stderr
-        assert not (tmp_path / "o" / "blips.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where, key", [("scenario", "quantisation_ft"), ("scenario", "fl_low"),
-                                            ("type", "thrust_bias")],
-                             ids=["misspelt", "removed", "per-type"])
+                                            ("type", "thrust_bias"), ("scenario", "fl_start"),
+                                            ("scenario", "fl_end"), ("type", "t_dof")],
+                             ids=["misspelt", "removed", "per-type", "fl-start", "fl-end", "t-dof"])
     def test_scenario_unknown_key_is_validation_error(self, tmp_path, where, key):
         doc = json.loads(json.dumps(SCENARIO))
         (doc if where == "scenario" else doc["types"]["NBJT"])[key] = 5.0
@@ -289,7 +339,7 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert f"unknown key(s) {key}" in proc.stderr
         assert ("type NBJT: " in proc.stderr) == (where == "type")
-        assert not (tmp_path / "o" / "blips.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("where, key, value", [
         ("scenario", "blip_interval_s", math.nan), ("scenario", "quantization_ft", math.inf),
@@ -305,7 +355,7 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and f'"{key}"' in err and "must be a finite number" in err
-        assert not (tmp_path / "o" / "blips.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_integer_too_long_to_read_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "scenario.json"
@@ -320,7 +370,7 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and f"{key} must not be negative" in err
-        assert not (tmp_path / "o" / "blips.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_byte_order_mark_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bom.csv"
@@ -328,7 +378,7 @@ class TestExitCodes:
                         b"A,NBJT,0.0,16000\nA,NBJT,6.0,16100\n")
         assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
         assert "starts with a UTF-8 byte-order mark" in capsys.readouterr().err
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["explained_variance", "mean_N", "modes"])
     def test_model_array_not_finite_names_the_file(self, tmp_path, workdir, capsys, key):
@@ -340,7 +390,7 @@ class TestExitCodes:
             assert main([command, "--model", str(bad), "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert f"model file {bad} is invalid" in err and "must be finite" in err
-            assert not list((tmp_path / command).iterdir())
+            assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("n_nodes", [0, 1])
     def test_model_grid_under_two_nodes_is_validation_error(self, tmp_path, workdir, n_nodes):
@@ -369,7 +419,7 @@ class TestExitCodes:
             assert proc.returncode == 2, proc.stderr
             assert "Traceback" not in proc.stderr
             assert str(bad) in proc.stderr and "grid_m" in proc.stderr
-            assert not list((tmp_path / command[0]).iterdir())
+            assert not (tmp_path / command[0]).exists()
 
     def test_model_modes_not_orthonormal_name_the_file(self, tmp_path, workdir):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
@@ -385,7 +435,7 @@ class TestExitCodes:
             assert proc.returncode == 2, proc.stderr
             assert "Traceback" not in proc.stderr
             assert f"model file {bad}: basis modes are not orthonormal" in proc.stderr
-            assert not list((tmp_path / command[0]).iterdir())
+            assert not (tmp_path / command[0]).exists()
 
     def test_catalog_type_code_not_a_file_name_is_validation_error(self, tmp_path):
         records = json.loads(performance.default_catalog_path().read_text())
@@ -399,7 +449,7 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "record 3: type_code" in proc.stderr and '"A/B"' in proc.stderr
-        assert not (tmp_path / "o" / "blips.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
@@ -422,7 +472,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(models / "model_NBJT.json") in err
         assert str(models / "model_NBJT_old.json") in err
-        assert not (tmp_path / "o" / "metrics_report.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "prepare", "sample", "evaluate"])
     @pytest.mark.parametrize("seed", ["-1", "x"])
@@ -496,7 +546,7 @@ class TestDegenerateType:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "type NBJT: the thrust profiles have no variance" in proc.stderr
-        assert not list((tmp_path / "models").iterdir())
+        assert not (tmp_path / "models").exists()
 
 
 class TestReadme:

@@ -52,6 +52,24 @@ class TestArrivalTimes:
         sample = arrival_times(traj)
         assert sample.t_fl250 == pytest.approx(200.0)
 
+    def test_first_crossing_before_a_later_exact_hit(self):
+        # the climb crosses FL150 at t = 5, dips back, and lands on it at t = 30
+        t = np.array([0.0, 10.0, 20.0, 30.0])
+        alt = np.array([14900.0, 15100.0, 14950.0, 15000.0])
+        assert evaluation._crossing_time(t, alt, 15000.0) == 5.0
+        traj = make_traj("E", [0.0, 10.0, 20.0, 30.0, 40.0, 50.0],
+                         [14900.0, 15100.0, 14950.0, 15000.0, 25000.0, 32500.0])
+        sample = arrival_times(traj)
+        assert (sample.t_fl250, sample.t_fl325) == (35.0, 45.0)
+
+    def test_exact_hits_and_data_that_start_above(self):
+        # a monotone climb onto the level keeps the blip's own timestamp
+        t = np.array([0.0, 7.0, 19.0])
+        assert evaluation._crossing_time(t, np.array([14900.0, 15000.0, 15100.0]), 15000.0) == 7.0
+        # data that start above the level cross it after their first return
+        assert evaluation._crossing_time(t, np.array([15100.0, 15000.0, 14900.0]), 15000.0) == 7.0
+        assert evaluation._crossing_time(t, np.array([15100.0, 14900.0, 15100.0]), 15000.0) == 13.0
+
     def test_non_spanning_trajectory_excluded(self):
         traj = make_traj("C", [0.0, 100.0, 200.0], [16000.0, 20000.0, 24000.0])
         assert arrival_times(traj) is None

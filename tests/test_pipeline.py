@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from climbgen import pipeline
+from climbgen import evaluation, pipeline
 from climbgen.errors import DataError, DomainError, ScenarioError
 from climbgen.learning import default_grid, derive_rocd, median3, profile_from_flight
 from climbgen.pipeline import (
@@ -645,10 +645,7 @@ class TestSimulateFleet:
                        truth_path=tmp_path / "t.json")
         truth = json.loads((tmp_path / "t.json").read_text())["flights"]
         grid = default_grid()
-        span = np.linspace(
-            pipeline.fl_to_m(scenario.fl_start), pipeline.fl_to_m(scenario.fl_end),
-            pipeline.TRUTH_GRID_SIZE,
-        )
+        span = np.linspace(*map(pipeline.fl_to_m, pipeline.SIMULATED_FL), pipeline.TRUTH_GRID_SIZE)
         modes = truth_modes(span, 2)
         base = pipeline.nominal_thrust(fast, span) - 1500.0
         for tr in filter_climbs(ingest(tmp_path / "b.csv")):
@@ -657,6 +654,15 @@ class TestSimulateFleet:
             reference = np.interp(grid, span, base + w @ modes)
             rms = np.sqrt(np.mean((recovered.values - reference) ** 2))
             assert rms / np.sqrt(np.mean(reference**2)) < 0.005
+
+    def test_every_climb_brackets_the_modeled_window(self, catalog, tmp_path):
+        scenario = FleetScenario(types={"NBJT": TypeScenario(count=3, mode_sds=(1e5,))})
+        simulate_fleet(catalog, scenario, seed=2, csv_path=tmp_path / "b.csv",
+                       truth_path=tmp_path / "t.json")
+        low, high = (fl * 100.0 for fl in pipeline.INTERVAL_FL)
+        for tr in ingest(tmp_path / "b.csv"):
+            assert tr.alt_ft[0] < low and tr.alt_ft[-1] > high
+            assert evaluation.arrival_times(tr) is not None
 
     def test_zero_variance_spread_below_one_second(self, catalog, tmp_path):
         scenario = FleetScenario(
@@ -702,8 +708,7 @@ class TestScenarioFile:
     def test_round_trip(self, tmp_path):
         doc = {
             "types": {"NBJT": {"count": 10, "thrust_bias_n": -2000.0,
-                               "mode_sds": [1e5, 5e4], "weight_dist": "student_t",
-                               "t_dof": 5.0}},
+                               "mode_sds": [1e5, 5e4], "weight_dist": "student_t"}},
             "blip_interval_s": 4.0,
             "alt_noise_ft": 15.0,
         }
