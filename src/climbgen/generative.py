@@ -34,7 +34,6 @@ import numpy as np
 
 from .dynamics import ClimbTrajectory, integrate_climb
 from .errors import (
-    ClimbgenError,
     DegenerateModelError,
     DegenerateNodeError,
     DomainError,
@@ -52,9 +51,10 @@ from .learning import (
     ThrustProfile,
     default_grid,
     fit_fpca,
-    profile_from_flight,
+    flight_profiles,
     project_weights,
 )
+from .pipeline import flight_blocks
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
@@ -136,17 +136,21 @@ def fit_type_model(
     the climb rates of the blips it is given, the fPCA basis, each
     profile's weights and their Gaussian fit.
 
-    A flight whose profile raises ``ClimbgenError`` is skipped with a
-    warning; fewer than ``MIN_FIT_PROFILES`` profiles raise
-    ``TooFewFlightsError``, and profiles or a weight coordinate without
-    variance raise ``DegenerateModelError``; both name the type.
+    The profiles are made by ``learning.flight_profiles`` a block of
+    ``pipeline.flight_blocks`` at a time, so at most
+    ``pipeline.BLOCK_LINES`` blips are inverted at once.  A flight it
+    rejects is skipped with a warning, in flight order; fewer than
+    ``MIN_FIT_PROFILES`` profiles raise ``TooFewFlightsError``, and
+    profiles or a weight coordinate without variance raise
+    ``DegenerateModelError``; both name the type.
     """
     profiles = []
-    for tr in trajectories:
-        try:
-            profiles.append(profile_from_flight(perf, tr))
-        except ClimbgenError as exc:
-            logger.warning("%s", exc)
+    for block, offsets, t_s, alt_ft in flight_blocks(trajectories):
+        for profile in flight_profiles(perf, [tr.flight_id for tr in block], t_s, alt_ft, offsets):
+            if isinstance(profile, ThrustProfile):
+                profiles.append(profile)
+            else:
+                logger.warning("%s", profile)
     if len(profiles) < MIN_FIT_PROFILES:
         raise TooFewFlightsError(f"type {perf.type_code}: only {len(profiles)} usable flights")
     try:

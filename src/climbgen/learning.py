@@ -3,7 +3,17 @@ rates, and the functional-PCA basis fitted to a set of profiles.
 
 A climb rate is derived where it is read, by ``derive_rocd`` on the blips
 at hand: central differences (one-sided at the ends), then a 3-point
-median filter against altitude-quantization spikes.
+median filter against altitude-quantization spikes.  It takes the joined
+columns of many flights with their offsets, and no difference or median
+spans two flights.
+
+``flight_profiles`` profiles a block of flights at once: one
+``derive_rocd``, one ``invert_thrust`` (so one ``dynamics.rate_factors``
+call), one sort by flight and altitude to average duplicate altitudes,
+then one interpolation per flight.  ``generative.fit_type_model`` hands it
+the blocks of ``pipeline.flight_blocks``, at most ``pipeline.BLOCK_LINES``
+blips each, so the arrays held at once stay bounded;
+``profile_from_flight`` is its one-flight call.
 
 The effective thrust absorbs thrust, mass, and speed-schedule
 misspecification: it is whatever thrust makes the total-energy model
@@ -22,7 +32,8 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import rate_factors
-from .errors import DegenerateConditionError, DegenerateModelError, DomainError, FlightRejectedError
+from .errors import (ClimbgenError, DegenerateConditionError, DegenerateModelError, DomainError,
+                     FlightRejectedError)
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
@@ -42,27 +53,45 @@ def default_grid() -> np.ndarray:
     return np.linspace(fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]), GRID_SIZE)
 
 
-def median3(x: np.ndarray) -> np.ndarray:
-    """3-point running median; endpoints pass through unchanged."""
+def median3(x: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+    """3-point running median within each flight; each flight's end
+    points pass through unchanged.
+
+    ``offsets`` are the flights' first indices into ``x`` followed by its
+    length, and no flight is empty; without them ``x`` is one flight.
+    """
     x = np.asarray(x, dtype=float)
     out = x.copy()
     if x.size >= 3:
         a, b, c = x[:-2], x[1:-1], x[2:]
         # the median of three, exactly as np.median gives it for finite input
         out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+    if offsets is not None:
+        offsets = np.asarray(offsets)
+        ends = np.concatenate((offsets[:-1], offsets[1:] - 1))
+        out[ends] = x[ends]
     return out
 
 
-def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray) -> np.ndarray:
-    """Climb rate (ft/min) of at least 2 blips by central differences,
-    median-filtered."""
-    n = t_s.size
-    r = np.empty(n)
-    r[0] = (alt_ft[1] - alt_ft[0]) / (t_s[1] - t_s[0])
-    r[-1] = (alt_ft[-1] - alt_ft[-2]) / (t_s[-1] - t_s[-2])
-    if n > 2:
+def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray,
+                offsets: np.ndarray | None = None) -> np.ndarray:
+    """Climb rate (ft/min) of each blip by central differences (one-sided
+    at a flight's ends), median-filtered within each flight.
+
+    ``offsets`` are the flights' first indices into the columns followed
+    by their length; without them the columns are one flight.  Each flight
+    has at least 2 blips, and no difference or median spans two flights.
+    """
+    offsets = np.array([0, t_s.size]) if offsets is None else np.asarray(offsets)
+    first, last = offsets[:-1], offsets[1:] - 1
+    r = np.empty(t_s.size)
+    # the differences across two flights are overwritten below; their
+    # times need not differ
+    with np.errstate(divide="ignore", invalid="ignore"):
         r[1:-1] = (alt_ft[2:] - alt_ft[:-2]) / (t_s[2:] - t_s[:-2])
-    return median3(r * 60.0)
+    r[first] = (alt_ft[first + 1] - alt_ft[first]) / (t_s[first + 1] - t_s[first])
+    r[last] = (alt_ft[last] - alt_ft[last - 1]) / (t_s[last] - t_s[last - 1])
+    return median3(r * 60.0, offsets)
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -157,46 +186,92 @@ def invert_thrust(
     return float(t) if np.ndim(t) == 0 else t
 
 
+def flight_profiles(
+    perf: "AircraftPerformance",
+    flight_ids: Sequence[str],
+    t_s: np.ndarray,
+    alt_ft: np.ndarray,
+    offsets: np.ndarray,
+    delta_T: float = 0.0,
+) -> list[ThrustProfile | ClimbgenError]:
+    """Effective thrust on ``default_grid()`` of each flight of joined blip
+    columns, or the error that rejects the flight.
+
+    ``offsets`` are the flights' first indices into ``t_s`` and ``alt_ft``
+    followed by their length.  A flight needs ``MIN_PROFILE_BLIPS`` blips
+    inside the grid's altitude span.  The climb rates ``derive_rocd`` gives
+    on each such flight's blips are inverted at its blips inside the span,
+    by one ``invert_thrust`` call for all flights; then each flight's
+    (altitude, thrust) samples, duplicate altitudes (quantization)
+    averaged, are interpolated onto the grid, and outside the blip
+    coverage the nearest value is held.  If the inversion refuses the
+    joined blips, each flight is inverted on its own, so only the flights
+    it refuses are rejected.
+    """
+    grid = default_grid()
+    offsets = np.asarray(offsets)
+    sizes = np.diff(offsets)
+    flight = np.repeat(np.arange(sizes.size), sizes)
+    alt_m = alt_ft * FT
+    inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
+    n_inside = np.bincount(flight[inside], minlength=sizes.size)
+    results: list = [
+        FlightRejectedError(f"flight {flight_id}: {n} blips in the altitude interval, "
+                            f"need at least {MIN_PROFILE_BLIPS}")
+        if n < MIN_PROFILE_BLIPS else None
+        for flight_id, n in zip(flight_ids, n_inside.tolist())
+    ]
+    fitted = n_inside >= MIN_PROFILE_BLIPS
+    indices = np.flatnonzero(fitted).tolist()
+    if not indices:
+        return results
+    rows = fitted[flight]
+    rocd = derive_rocd(t_s[rows], alt_ft[rows], np.concatenate(([0], np.cumsum(sizes[fitted]))))
+    rocd_ms = rocd[inside[rows]] * FT / 60.0
+    inside &= rows
+    h, flight = alt_m[inside], flight[inside]
+    try:
+        thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h, delta_T)
+    except ClimbgenError as exc:
+        if len(indices) == 1:
+            results[indices[0]] = exc
+        else:   # each flight on its own, so that only those it refuses are rejected
+            for i in indices:
+                a, b = offsets[i], offsets[i + 1]
+                results[i:i + 1] = flight_profiles(perf, flight_ids[i:i + 1], t_s[a:b],
+                                                   alt_ft[a:b], [0, b - a], delta_T)
+        return results
+
+    # each flight's samples by altitude, each altitude's thrusts averaged
+    order = np.lexsort((h, flight))
+    h, flight, thrust = h[order], flight[order], thrust[order]
+    start = np.flatnonzero(np.concatenate(([True], (h[1:] != h[:-1])
+                                           | (flight[1:] != flight[:-1]))))
+    thrust = np.add.reduceat(thrust, start) / np.diff(np.append(start, h.size))
+    h, flight = h[start], flight[start]
+    stops = np.cumsum(np.bincount(flight, minlength=sizes.size)).tolist()
+    for i in indices:
+        a, b = (stops[i - 1] if i else 0), stops[i]
+        if b - a < 2:
+            results[i] = FlightRejectedError(
+                f"flight {flight_ids[i]}: blips collapse to a single altitude")
+        else:
+            results[i] = ThrustProfile(grid=grid, values=np.interp(grid, h[a:b], thrust[a:b]))
+    return results
+
+
 def profile_from_flight(
     perf: "AircraftPerformance",
     traj: "Trajectory",
     delta_T: float = 0.0,
 ) -> ThrustProfile:
-    """Per-flight effective thrust on ``default_grid()``.
-
-    Inverts the climb rates ``derive_rocd`` gives on the flight's blips at
-    every blip inside the grid's altitude span, then interpolates the
-    (altitude, thrust) samples onto the grid; outside the blip coverage
-    the nearest value is held.
-    Duplicate altitudes (quantization) are averaged before interpolation.
-    """
-    grid = default_grid()
-    alt_m = traj.alt_ft * FT
-    inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
-    n_inside = int(np.count_nonzero(inside))
-    if n_inside < MIN_PROFILE_BLIPS:
-        raise FlightRejectedError(
-            f"flight {traj.flight_id}: {n_inside} blips in the altitude "
-            f"interval, need at least {MIN_PROFILE_BLIPS}"
-        )
-    h = alt_m[inside]
-    rocd_ms = derive_rocd(traj.t_s, traj.alt_ft)[inside] * FT / 60.0
-    thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h, delta_T)
-
-    order = np.argsort(h, kind="stable")
-    h_sorted = h[order]
-    t_sorted = np.asarray(thrust)[order]
-    uniq, start = np.unique(h_sorted, return_index=True)
-    if uniq.size < h_sorted.size:
-        sums = np.add.reduceat(t_sorted, start)
-        counts = np.diff(np.append(start, h_sorted.size))
-        t_sorted = sums / counts
-        h_sorted = uniq
-    if h_sorted.size < 2:
-        raise FlightRejectedError(
-            f"flight {traj.flight_id}: blips collapse to a single altitude"
-        )
-    return ThrustProfile(grid=grid, values=np.interp(grid, h_sorted, t_sorted))
+    """Effective thrust on ``default_grid()`` of one flight, by
+    :func:`flight_profiles`; a rejected flight raises its error."""
+    (profile,) = flight_profiles(perf, [traj.flight_id], traj.t_s, traj.alt_ft,
+                                 [0, traj.n_blips], delta_T)
+    if isinstance(profile, ClimbgenError):
+        raise profile
+    return profile
 
 
 def select_components(explained_variance: Sequence[float]) -> int:

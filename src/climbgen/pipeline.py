@@ -18,12 +18,19 @@ lat/lon must parse when present but are not kept.
 Blips are grouped by flight, sorted by time and deduplicated (first blip
 per timestamp wins, which is the earliest line in the file).  A flight
 whose blips carry more than one type code, or that has fewer than 2
-distinct timestamps, is dropped with a warning.
+distinct timestamps, is dropped with a warning.  The checks are one
+vectorized pass over the sorted columns, not a loop over flights.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
 window, ``learning.INTERVAL_FL``, and of each only the blips inside it
 that climb at ``ROCD_MIN_FPM`` or more, by the climb rates
-``learning.derive_rocd`` gives on the whole flight.
+``learning.derive_rocd`` gives on the whole flight.  It works on the
+blocks of ``flight_blocks``: runs of whole flights of at most
+``BLOCK_LINES`` blips, with their offsets into the joined ``t_s`` and
+``alt_ft`` columns.  Each block takes one ``median3`` and one
+``derive_rocd``, each within the flights, so the arrays held at once stay
+bounded however large the fleet.  ``write_trajectories_csv`` writes the
+same blocks.
 
 ``simulate_fleet`` simulates one type at a time and writes its blips as
 soon as the type is done.  Every climb flies ``SIMULATED_FL``, the modeled
@@ -43,15 +50,16 @@ cost one ``repr`` each.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,7 +96,7 @@ class Trajectory:
     def __post_init__(self):
         self.t_s = np.asarray(self.t_s, dtype=float)
         self.alt_ft = np.asarray(self.alt_ft, dtype=float)
-        if np.any(np.diff(self.t_s) <= 0.0):
+        if np.any(self.t_s[1:] <= self.t_s[:-1]):
             raise DomainError(f"flight {self.flight_id}: timestamps not strictly increasing")
 
     @property
@@ -344,70 +352,103 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     alt_ft = alt_ft[order]
     del order
     type_names = list(type_index)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(flight)) + 1, [flight.size])).tolist()
-
-    trajectories = []
-    for flight_id, a, b in zip(flight_ids, bounds[:-1], bounds[1:]):
-        if np.any(type_code[a:b] != type_code[a]):
-            types = sorted(type_names[c] for c in np.unique(type_code[a:b]))
-            logger.warning("flight %s: mixed type codes %s; dropped", flight_id, ", ".join(types))
-            continue
-        t_arr, alt_arr = t_s[a:b], alt_ft[a:b]
-        keep = np.concatenate(([True], np.diff(t_arr) > 0.0))
-        t_arr, alt_arr = t_arr[keep], alt_arr[keep]
-        if t_arr.size < 2:
-            logger.warning("flight %s: fewer than 2 distinct blips; dropped", flight_id)
-            continue
-        trajectories.append(Trajectory(flight_id, type_names[type_code[a]], t_arr, alt_arr))
-    if not trajectories:
+    # one pass over the sorted rows: the flight codes run 0, 1, ... in order
+    first = np.empty(flight.size, bool)
+    first[0] = True
+    np.not_equal(flight[1:], flight[:-1], out=first[1:])
+    mixed = np.zeros(len(flight_ids), bool)
+    mixed[flight[1:][(type_code[1:] != type_code[:-1]) & ~first[1:]]] = True
+    keep = np.diff(t_s, prepend=-np.inf) > 0.0   # the first blip of each timestamp
+    keep |= first
+    counts = np.bincount(flight[keep], minlength=len(flight_ids))
+    usable = ~mixed & (counts >= 2)
+    bounds = np.append(np.flatnonzero(first), flight.size)
+    for f in np.flatnonzero(~usable).tolist():
+        if mixed[f]:
+            types = sorted(type_names[c] for c in np.unique(type_code[bounds[f]:bounds[f + 1]]))
+            logger.warning("flight %s: mixed type codes %s; dropped", flight_ids[f],
+                           ", ".join(types))
+        else:
+            logger.warning("flight %s: fewer than 2 distinct blips; dropped", flight_ids[f])
+    if not usable.any():
         raise DataError(f"{path}: no usable flights")
-    return trajectories
+    flight_types = type_code[bounds[:-1][usable]].tolist()
+    keep &= usable[flight]
+    del flight, type_code, first
+    if not keep.all():
+        t_s, alt_ft = t_s[keep], alt_ft[keep]
+    stops = np.cumsum(counts[usable]).tolist()
+    return [Trajectory(flight_id, type_names[code], t_s[a:b], alt_ft[a:b])
+            for flight_id, code, a, b in zip(compress(flight_ids, usable), flight_types,
+                                             [0] + stops[:-1], stops)]
+
+
+def _joined(block: list[Trajectory]) -> tuple[list[Trajectory], np.ndarray, np.ndarray, np.ndarray]:
+    return (block, np.cumsum([0] + [tr.n_blips for tr in block]),
+            np.concatenate([tr.t_s for tr in block]), np.concatenate([tr.alt_ft for tr in block]))
+
+
+def flight_blocks(trajectories: Iterable[Trajectory]
+                  ) -> Iterator[tuple[list[Trajectory], np.ndarray, np.ndarray, np.ndarray]]:
+    """Consecutive runs of whole flights, each of at most ``BLOCK_LINES``
+    blips (a longer flight is a block of its own), with the flights'
+    first indices into the block's joined ``t_s`` and ``alt_ft`` columns
+    followed by their length, and those two columns."""
+    block: list[Trajectory] = []
+    n_blips = 0
+    for tr in trajectories:
+        if block and n_blips + tr.n_blips > BLOCK_LINES:
+            yield _joined(block)
+            block, n_blips = [], 0
+        block.append(tr)
+        n_blips += tr.n_blips
+    if block:
+        yield _joined(block)
 
 
 def write_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path) -> None:
     """Write trajectories back out in the ingest schema (4-column form),
     sorted by flight id.
 
-    Whole flights go through ``_write_rows`` a group at a time: a group is
-    the flights whose first row falls in the same ``BLOCK_LINES`` rows, so
-    the text columns of the whole file are never held at once.
+    Whole flights go through ``_write_rows`` a block of ``flight_blocks``
+    at a time, so the text columns of the whole file are never held at
+    once.
     """
-    ordered = sorted(trajectories, key=lambda t: t.flight_id)
-    first_rows = np.cumsum([0] + [tr.n_blips for tr in ordered[:-1]])
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_HEADER) + "\n")
-        for _, pairs in groupby(zip((first_rows // BLOCK_LINES).tolist(), ordered),
-                                key=operator.itemgetter(0)):
-            group = [tr for _, tr in pairs]
-            counts = [tr.n_blips for tr in group]
-            _write_rows(fh, repeat_each([tr.flight_id for tr in group], counts),
-                        repeat_each([tr.type_code for tr in group], counts),
-                        np.concatenate([tr.t_s for tr in group]),
-                        np.concatenate([tr.alt_ft for tr in group]))
+        for block, offsets, t_s, alt_ft in flight_blocks(
+                sorted(trajectories, key=lambda t: t.flight_id)):
+            counts = np.diff(offsets).tolist()
+            _write_rows(fh, repeat_each([tr.flight_id for tr in block], counts),
+                        repeat_each([tr.type_code for tr in block], counts), t_s, alt_ft)
 
 
-def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray,
-                     low_ft: float, high_ft: float) -> bool:
+def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray, offsets: np.ndarray,
+                     flight: np.ndarray, low_ft: float, high_ft: float) -> np.ndarray:
+    """Whether each flight of a block climbs through ``[low_ft, high_ft]``:
+    once its median altitude reaches ``low_ft`` it reaches ``high_ft``
+    without falling back under ``low_ft``.  A flight that lies wholly
+    inside the window and ends higher than it starts also counts.
+    ``flight`` is each blip's flight in the block."""
     tol = 1e-6
-    idx = np.flatnonzero(med_alt >= low_ft)
-    if idx.size == 0:
-        return False
-    enter = int(idx[0])
-    if med_alt[enter] < high_ft:
-        later = np.flatnonzero(med_alt[enter:] >= high_ft)
-        if later.size:
-            j = enter + int(later[0])
-            return not np.any(med_alt[enter:j] < low_ft)
+    starts, last = offsets[:-1], offsets[1:] - 1
+    index = np.arange(raw_alt.size)
+    none = raw_alt.size
+    enter = np.minimum.reduceat(np.where(med_alt >= low_ft, index, none), starts)
+    entered = enter < none
+    after = index >= enter[flight]
+    top = np.minimum.reduceat(np.where(after & (med_alt >= high_ft), index, none), starts)
+    crossed = entered & (med_alt[np.minimum(enter, none - 1)] < high_ft) & (top < none)
+    dipped = np.logical_or.reduceat(after & (index < top[flight]) & (med_alt < low_ft), starts)
     # No observed crossing of the top boundary.  Monotone-overall climbs
     # that lie entirely inside the interval are retained: these are partial
     # radar pickups or the output of a previous filter pass (this keeps the
     # filter idempotent).
-    return (
-        raw_alt.min() >= low_ft - tol
-        and raw_alt.max() <= high_ft + tol
-        and med_alt[-1] > med_alt[0]
-    )
+    within = ((np.minimum.reduceat(raw_alt, starts) >= low_ft - tol)
+              & (np.maximum.reduceat(raw_alt, starts) <= high_ft + tol)
+              & (med_alt[last] > med_alt[starts]))
+    return entered & np.where(crossed, ~dipped, within)
 
 
 def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
@@ -419,17 +460,28 @@ def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
     flight this filter has cut, keeps every blip: its end rates are
     one-sided, and cutting by them would make a second pass cut blips the
     first one kept.  A flight needs ``learning.MIN_PROFILE_BLIPS`` kept
-    blips, the number its thrust profile needs."""
+    blips, the number its thrust profile needs.
+
+    The flights are filtered a block of ``flight_blocks`` at a time, by one
+    ``median3`` and one ``derive_rocd`` per block, each within the flights."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     kept = []
-    for tr in trajectories:
-        if not _climbed_through(tr.alt_ft, median3(tr.alt_ft), low_ft, high_ft):
-            continue
-        keep = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
-        if not keep.all():
-            keep &= derive_rocd(tr.t_s, tr.alt_ft) >= ROCD_MIN_FPM
-        if int(np.count_nonzero(keep)) >= MIN_PROFILE_BLIPS:
-            kept.append(Trajectory(tr.flight_id, tr.type_code, tr.t_s[keep], tr.alt_ft[keep]))
+    # a flight of fewer than 2 blips neither climbs nor has a rate
+    for block, offsets, t_s, alt_ft in flight_blocks(tr for tr in trajectories if tr.n_blips >= 2):
+        flight = np.repeat(np.arange(len(block)), np.diff(offsets))
+        climbed = _climbed_through(alt_ft, median3(alt_ft, offsets), offsets, flight,
+                                   low_ft, high_ft)
+        keep = (alt_ft >= low_ft) & (alt_ft <= high_ft)
+        whole = np.logical_and.reduceat(keep, offsets[:-1])
+        keep &= whole[flight] | (derive_rocd(t_s, alt_ft, offsets) >= ROCD_MIN_FPM)
+        keep &= climbed[flight]
+        counts = np.bincount(flight[keep], minlength=len(block))
+        accepted = counts >= MIN_PROFILE_BLIPS
+        keep &= accepted[flight]
+        t_s, alt_ft = t_s[keep], alt_ft[keep]
+        stops = np.cumsum(counts[accepted]).tolist()
+        kept += [Trajectory(tr.flight_id, tr.type_code, t_s[a:b], alt_ft[a:b])
+                 for tr, a, b in zip(compress(block, accepted), [0] + stops[:-1], stops)]
     logger.info("filter_climbs: kept %d of %d flights", len(kept), len(trajectories))
     return kept
 
@@ -640,7 +692,8 @@ def simulate_fleet(
 
     Types are simulated in sorted order, and each type's blips are written
     as soon as the type is done, so only one type's columns are held at a
-    time.  A ``ScenarioError`` leaves no blip file.
+    time.  A ``ScenarioError`` leaves no blip file and no directory that
+    this call made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
@@ -649,8 +702,9 @@ def simulate_fleet(
     truth: dict[str, dict] = {}
     csv_path = Path(csv_path)
     # written beside the blip file and renamed over it once complete, so a
-    # failed run leaves no partial blip file
+    # failed run leaves no partial blip file, nor a directory made for it
     partial = csv_path.with_name(csv_path.name + ".part")
+    made = [d for d in (partial.parent, *partial.parent.parents) if not d.exists()]
     partial.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(partial, "w", encoding="utf-8") as fh:
@@ -661,6 +715,9 @@ def simulate_fleet(
                 _write_rows(fh, flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
     except BaseException:
         partial.unlink(missing_ok=True)
+        for directory in made:   # deepest first
+            with contextlib.suppress(OSError):   # something else wrote there
+                directory.rmdir()
         raise
     partial.replace(csv_path)
     write_json(truth_path, {"seed": seed, "flights": truth})

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from climbgen import generative, learning, pipeline
@@ -79,3 +80,39 @@ def small_world(catalog, tmp_path_factory):
     split_data = pipeline.split(trajectories, seed=5)
     model = generative.fit_type_model(catalog["NBJT"], split_data.train)
     return model, split_data, csv_path, truth_path
+
+
+@pytest.fixture(scope="session")
+def radar_fleet(catalog, tmp_path_factory):
+    """Flights as radar gives them, in an order that mixes their kinds:
+    the climbs of a seeded fleet with 25 ft quantization and 30 ft noise,
+    each followed by a flight of another kind in turn: a pickup wholly
+    inside the modeled window, two 2-blip flights with the same times, a
+    3-blip flight, a level flight inside the window and a climb with one
+    altitude missing (NaN)."""
+    tmp = tmp_path_factory.mktemp("radar_fleet")
+    scenario = pipeline.FleetScenario(
+        types={"NBJT": pipeline.TypeScenario(count=40, thrust_bias_n=-2000.0,
+                                             mode_sds=(1.0e5, 5e4))},
+        alt_noise_ft=30.0, quantization_ft=25.0,
+    )
+    pipeline.simulate_fleet(catalog, scenario, seed=17, csv_path=tmp / "blips.csv",
+                            truth_path=tmp / "truth.json")
+    low_ft, high_ft = (fl * 100.0 for fl in learning.INTERVAL_FL)
+    flights = []
+    for i, climb in enumerate(pipeline.ingest(tmp / "blips.csv")):
+        flights.append(climb)
+        name, t, alt = climb.flight_id, climb.t_s, climb.alt_ft
+        inside = (alt >= low_ft) & (alt <= high_ft)
+        j = 3 * i
+        extra = [
+            [(f"{name}/in", t[inside], alt[inside])],
+            [(f"{name}/2a", t[j:j + 2], alt[j:j + 2]), (f"{name}/2b", t[j:j + 2], alt[j:j + 2])],
+            [(f"{name}/3", t[j:j + 3], alt[j:j + 3])],
+            [(f"{name}/level", t[:8], np.full(8, 20000.0))],
+            [(f"{name}/nan", t, np.where(np.arange(t.size) == np.flatnonzero(inside)[5],
+                                         np.nan, alt))],
+        ][i % 5]
+        flights += [pipeline.Trajectory(flight_id, "NBJT", t_s, alt_ft)
+                    for flight_id, t_s, alt_ft in extra]
+    return flights

@@ -3,14 +3,16 @@ ellipsoid tangency bounds, and persistence."""
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
 
-from climbgen import generative
+from climbgen import generative, pipeline
 from climbgen.errors import (
+    ClimbgenError,
     DegenerateModelError,
     DegenerateNodeError,
     DomainError,
@@ -31,8 +33,9 @@ from climbgen.generative import (
     sample_weights,
     save_model,
 )
-from climbgen.learning import INTERVAL_FL, FpcaBasis, default_grid, trapezoid_weights
-from climbgen.pipeline import Trajectory
+from climbgen.learning import (INTERVAL_FL, FpcaBasis, default_grid, fit_fpca, profile_from_flight,
+                               trapezoid_weights)
+from climbgen.pipeline import Trajectory, flight_blocks
 
 
 def make_model(grid=None, mean_level=85000.0, variances=(9e6, 4e6, 1e6),
@@ -102,6 +105,51 @@ class TestFitTypeModel:
         assert again.n_flights_fit == model.n_flights_fit == len(split_data.train)
         assert np.array_equal(again.basis.modes, model.basis.modes)
         assert np.array_equal(again.weights.var, model.weights.var)
+
+    def test_blocks_fit_each_flight_as_it_is_profiled_alone(self, radar_fleet, catalog, caplog,
+                                                           monkeypatch):
+        nbjt = catalog["NBJT"]
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", 700)
+        assert len(list(flight_blocks(radar_fleet))) >= 5
+        fitted = []   # the profiles fit_type_model hands the fPCA fit
+
+        def recording(profiles, n_max):
+            fitted.append(profiles)
+            return fit_fpca(profiles, n_max)
+
+        monkeypatch.setattr(generative, "fit_fpca", recording)
+        with caplog.at_level(logging.WARNING, logger="climbgen.generative"):
+            model = fit_type_model(nbjt, radar_fleet)
+        alone, rejected = [], []
+        for tr in radar_fleet:
+            try:
+                alone.append(profile_from_flight(nbjt, tr))
+            except ClimbgenError as exc:
+                rejected.append(str(exc))
+        assert [r.getMessage() for r in caplog.records] == rejected
+        assert model.n_flights_fit == len(alone) == len(fitted[0])
+        assert [p.values.tobytes() for p in fitted[0]] == [p.values.tobytes() for p in alone]
+        # every kind of rejection is among them
+        for reason in ("blips in the altitude interval", "collapse to a single altitude",
+                       "rocd_obs must be finite"):
+            assert any(reason in text for text in rejected), reason
+
+    def test_peak_memory_is_one_block_plus_the_profiles(self, catalog):
+        # the flights are profiled a block of BLOCK_LINES blips at a time:
+        # the traced peak is the profiles plus one block's arrays, about
+        # 13 B per blip here; the whole fleet in one block takes about 98
+        k = np.arange(1000.0)
+        trajectories = [Trajectory(f"F{i:04d}", "NBJT", k * 4.0, 5000.0 + k * (40.0 + i % 7))
+                        for i in range(8 * pipeline.BLOCK_LINES // 1000)]
+        n = 1000 * len(trajectories)
+        tracemalloc.start()
+        try:
+            model = fit_type_model(catalog["NBJT"], trajectories)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.n_flights_fit == len(trajectories)
+        assert peak / n < 32.0, f"{peak / n:.0f} B/blip"
 
     def test_too_few_flights(self, small_world, catalog):
         _, split_data, _, _ = small_world

@@ -6,12 +6,15 @@ import pytest
 from climbgen.atmosphere import FT, G0, fl_to_m, isa_state, schedule_speed
 from climbgen import dynamics
 from climbgen.dynamics import energy_share, integrate_climb, rate_factors, rocd
-from climbgen.errors import DegenerateConditionError, DegenerateModelError, DomainError, FlightRejectedError
+from climbgen.errors import (ClimbgenError, DegenerateConditionError, DegenerateModelError,
+                             DomainError, FlightRejectedError)
 from climbgen.learning import (
     GRID_SIZE,
+    MIN_PROFILE_BLIPS,
     FpcaBasis,
     ThrustProfile,
     default_grid,
+    derive_rocd,
     fit_fpca,
     invert_thrust,
     profile_from_flight,
@@ -93,7 +96,41 @@ class TestInvertThrust:
             invert_thrust(nbjt, nbjt.nominal_mass, 5.0, h, delta_T)
 
 
+def reference_profile(perf, traj):
+    """The flight-by-flight profile that the block one replaced."""
+    grid = default_grid()
+    alt_m = traj.alt_ft * FT
+    inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
+    n_inside = int(np.count_nonzero(inside))
+    if n_inside < MIN_PROFILE_BLIPS:
+        raise FlightRejectedError(f"flight {traj.flight_id}: {n_inside} blips in the altitude "
+                                  f"interval, need at least {MIN_PROFILE_BLIPS}")
+    h = alt_m[inside]
+    rocd_ms = derive_rocd(traj.t_s, traj.alt_ft)[inside] * FT / 60.0
+    thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h)
+    order = np.argsort(h, kind="stable")
+    h_sorted, t_sorted = h[order], thrust[order]
+    uniq, start = np.unique(h_sorted, return_index=True)
+    if uniq.size < h_sorted.size:
+        t_sorted = np.add.reduceat(t_sorted, start) / np.diff(np.append(start, h_sorted.size))
+        h_sorted = uniq
+    if h_sorted.size < 2:
+        raise FlightRejectedError(f"flight {traj.flight_id}: blips collapse to a single altitude")
+    return ThrustProfile(grid, np.interp(grid, h_sorted, t_sorted))
+
+
 class TestProfileFromFlight:
+    def test_matches_the_flight_by_flight_profile(self, nbjt, radar_fleet):
+        for traj in radar_fleet:
+            try:
+                want = reference_profile(nbjt, traj)
+            except ClimbgenError as exc:
+                with pytest.raises(type(exc)) as got:
+                    profile_from_flight(nbjt, traj)
+                assert str(got.value) == str(exc)
+            else:
+                assert profile_from_flight(nbjt, traj).values.tobytes() == want.values.tobytes()
+
     def test_blips_on_grid_nodes_is_identity(self, nbjt):
         grid = default_grid()
         alt_ft = grid / FT

@@ -12,12 +12,14 @@ import pytest
 
 from climbgen import evaluation, pipeline
 from climbgen.errors import DataError, DomainError, ScenarioError
-from climbgen.learning import default_grid, derive_rocd, median3, profile_from_flight
+from climbgen.learning import (INTERVAL_FL, MIN_PROFILE_BLIPS, default_grid, derive_rocd, median3,
+                               profile_from_flight)
 from climbgen.pipeline import (
     FleetScenario,
     Trajectory,
     TypeScenario,
     filter_climbs,
+    flight_blocks,
     ingest,
     load_scenario,
     simulate_fleet,
@@ -493,6 +495,32 @@ def kept_rates(flight, kept):
     return derive_rocd(flight.t_s, flight.alt_ft)[np.isin(flight.t_s, kept.t_s)]
 
 
+def reference_filter_climbs(trajectories):
+    """The flight-by-flight filter that the block one replaced."""
+    low_ft, high_ft = (fl * 100.0 for fl in INTERVAL_FL)
+    kept = []
+    for tr in trajectories:
+        raw, med = tr.alt_ft, median3(tr.alt_ft)
+        entered = np.flatnonzero(med >= low_ft)
+        if entered.size == 0:
+            continue
+        enter = int(entered[0])
+        top = np.flatnonzero(med[enter:] >= high_ft)
+        if med[enter] < high_ft and top.size:
+            climbed = not np.any(med[enter:enter + int(top[0])] < low_ft)
+        else:
+            climbed = (raw.min() >= low_ft - 1e-6 and raw.max() <= high_ft + 1e-6
+                       and med[-1] > med[0])
+        if not climbed:
+            continue
+        keep = (raw >= low_ft) & (raw <= high_ft)
+        if not keep.all():
+            keep &= derive_rocd(tr.t_s, raw) >= pipeline.ROCD_MIN_FPM
+        if np.count_nonzero(keep) >= MIN_PROFILE_BLIPS:
+            kept.append(Trajectory(tr.flight_id, tr.type_code, tr.t_s[keep], raw[keep]))
+    return kept
+
+
 class TestFilterClimbs:
     def make(self, tmp_path, rows, name):
         return ingest(csv_file(tmp_path, [HEADER] + rows, name))
@@ -553,6 +581,41 @@ class TestFilterClimbs:
             assert a.flight_id == b.flight_id
             assert np.array_equal(a.t_s, b.t_s)
             assert np.array_equal(a.alt_ft, b.alt_ft)
+
+    @pytest.mark.parametrize("block_lines", [400, 3000])
+    def test_blocks_filter_each_flight_as_it_is_filtered_alone(self, radar_fleet, monkeypatch,
+                                                              block_lines):
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        assert len(list(flight_blocks(radar_fleet))) >= 3
+        together = filter_climbs(radar_fleet)
+        assert_same_trajectories(together, [kept for tr in radar_fleet
+                                            for kept in filter_climbs([tr])])
+        assert_same_trajectories(together, reference_filter_climbs(radar_fleet))
+        # climbs are cut, pickups inside the window kept whole, short flights dropped
+        by_id = {tr.flight_id: tr for tr in radar_fleet}
+        assert any(kept.n_blips < np.count_nonzero((by_id[kept.flight_id].alt_ft >= 15000.0)
+                                                   & (by_id[kept.flight_id].alt_ft <= 32500.0))
+                   for kept in together)
+        pickups = [kept for kept in together if kept.flight_id.endswith("/in")]
+        assert pickups and all(kept.n_blips == by_id[kept.flight_id].n_blips for kept in pickups)
+        assert not any(kept.flight_id.endswith(("/2a", "/2b", "/3")) for kept in together)
+
+    def test_peak_memory_is_one_block_plus_the_kept_blips(self):
+        # the flights are filtered a block of BLOCK_LINES blips at a time:
+        # the traced peak is the kept blips plus one block's arrays, about
+        # 15 B per blip here; the whole fleet in one block takes about 74
+        k = np.arange(1000.0)
+        trajectories = [Trajectory(f"F{i:04d}", "NBJT", k * 4.0, 5000.0 + k * (40.0 + i % 7))
+                        for i in range(8 * pipeline.BLOCK_LINES // 1000)]
+        n = 1000 * len(trajectories)
+        tracemalloc.start()
+        try:
+            kept = filter_climbs(trajectories)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == len(trajectories)
+        assert peak / n < 32.0, f"{peak / n:.0f} B/blip"
 
     def test_median3(self):
         x = np.array([1.0, 9.0, 2.0, 3.0])
@@ -696,6 +759,16 @@ class TestSimulateFleet:
             simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
                            truth_path=tmp_path / "t.json")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", ["NBJT", "WBJT"])
+    def test_infeasible_type_leaves_no_directory(self, catalog, tmp_path, failing):
+        types = {"NBJT": TypeScenario(count=2), "WBJT": TypeScenario(count=2)}
+        types[failing] = TypeScenario(count=1, thrust_bias_n=-1e6)
+        with pytest.raises(ScenarioError, match=f"{failing}: no feasible thrust draw"):
+            simulate_fleet(catalog, FleetScenario(types=types), seed=1,
+                           csv_path=tmp_path / "out" / "sim" / "b.csv",
+                           truth_path=tmp_path / "out" / "sim" / "t.json")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_type_rejected(self, catalog, tmp_path):
         scenario = FleetScenario(types={"ZZZZ": TypeScenario(count=1)})
