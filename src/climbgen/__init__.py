@@ -17,12 +17,10 @@ from .atmosphere import (
 from .dynamics import ClimbTrajectory, drag, energy_share, integrate_climb, rocd
 from .generative import (
     GenerativeClimbModel,
-    WeightDistribution,
     bound_profiles,
     bound_trajectories,
     bound_weights,
     confidence_radius,
-    fit_weight_distribution,
     load_model,
     sample_thrust,
     save_model,
@@ -68,7 +66,6 @@ __all__ = [
     "ThrustProfile",
     "Trajectory",
     "TypeScenario",
-    "WeightDistribution",
     "bound_profiles",
     "bound_trajectories",
     "bound_weights",
@@ -80,7 +77,6 @@ __all__ = [
     "energy_share",
     "filter_climbs",
     "fit_fpca",
-    "fit_weight_distribution",
     "fl_to_m",
     "ingest",
     "integrate_climb",

@@ -2,15 +2,18 @@
 thrust profiles, analytic confidence bounds from tangency points on the
 chi-square ellipsoid, and JSON persistence.
 
-The weight covariance is stored diagonal-only (the basis is orthonormal,
-so cross-covariances vanish in expectation); the confidence region is the
+The weight density is ``N(0, diag(basis.variance))``, read straight from
+``learning.fit_fpca``: the training profiles' weights are their
+projections onto the eigenvectors of the covariance it decomposes, so
+their sample mean is 0 and their cross-covariances vanish exactly in
+sample, not only in expectation.  The confidence region is the
 axis-aligned ellipsoid whose radius is the chi-square quantile for the
 number of modes, found by bisection on the chi-square CDF, which at an
 integer number of degrees of freedom is a finite sum (Abramowitz &
 Stegun 26.4.4-26.4.5).  For the thrust value at one grid node, the extreme
 weights over that ellipsoid have the closed form
 
-    w_pm = mu_w +- sqrt(q) * (c o n_hat),   c = sqrt(diag variances),
+    w_pm = +- sqrt(q) * (c o n_hat),        c = sqrt(basis.variance),
     n_hat = (a o c) / ||a o c||_2,          a_i = psi_i(h_k),
 
 which are the tangency points of the constant-thrust hyperplanes, and lie
@@ -52,7 +55,6 @@ from .learning import (
     default_grid,
     fit_fpca,
     flight_profiles,
-    project_weights,
 )
 from .pipeline import flight_blocks
 
@@ -62,7 +64,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MODEL_KEYS = {
     "schema_version",
@@ -71,60 +73,30 @@ _MODEL_KEYS = {
     "grid_m",
     "mean_N",
     "modes",
-    "explained_variance",
-    "mu_w",
-    "sigma_diag",
+    "variance",
+    "total_variance",
     "n_flights_fit",
 }
 
 
 @dataclass(eq=False)
-class WeightDistribution:
-    """Mean and per-coordinate variances of the fitted weight density."""
-
-    mu: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.var = np.asarray(self.var, dtype=float)
-        if self.mu.shape != self.var.shape or self.mu.ndim != 1:
-            raise DomainError("mu and var must be 1-d arrays of equal length")
-        if np.any(~np.isfinite(self.mu)) or np.any(~np.isfinite(self.var)):
-            raise DomainError("weight distribution parameters must be finite")
-        if np.any(self.var <= 0.0):
-            raise DegenerateModelError(
-                "zero variance in a weight coordinate; retain fewer modes"
-            )
-
-
-@dataclass(eq=False)
 class GenerativeClimbModel:
-    """Fitted per-type model: basis, weight distribution, and provenance."""
+    """Fitted per-type model: the basis, which is also the weight
+    density, and provenance."""
 
     type_code: str
     basis: FpcaBasis
-    weights: WeightDistribution
     n_flights_fit: int
 
-    def __post_init__(self):
-        if self.weights.mu.size != self.basis.n_modes:
-            raise DomainError("weight distribution dimension does not match the basis")
-
     def mean_profile(self) -> ThrustProfile:
-        """Reconstruction at the mean weights."""
-        return ThrustProfile(self.basis.grid.copy(), self.basis.reconstruct(self.weights.mu))
+        """Reconstruction at the mean weights, which are 0."""
+        return ThrustProfile(self.basis.grid.copy(), self.basis.mean.copy())
 
 
-def fit_weight_distribution(weight_vectors: Sequence[np.ndarray]) -> WeightDistribution:
-    """Gaussian fit of projected weights: sample mean and unbiased
-    per-coordinate variances (off-diagonals discarded)."""
-    if len(weight_vectors) < MIN_FIT_PROFILES:
-        raise DomainError(
-            f"need at least {MIN_FIT_PROFILES} weight vectors, got {len(weight_vectors)}"
-        )
-    w = np.stack([np.asarray(v, dtype=float) for v in weight_vectors])
-    return WeightDistribution(mu=w.mean(axis=0), var=w.var(axis=0, ddof=1))
+def fit_weight_distribution(basis: FpcaBasis) -> np.ndarray:
+    """The weight variances, ``basis.variance``.  Kept only until the
+    benchmark's span table (``bench/spans.py`` ``WRAPPED``) drops this name."""
+    return basis.variance
 
 
 def fit_type_model(
@@ -133,15 +105,14 @@ def fit_type_model(
     n_max: int = MAX_COMPONENTS,
 ) -> GenerativeClimbModel:
     """Fit one type's model: a thrust profile per flight, which inverts
-    the climb rates of the blips it is given, the fPCA basis, each
-    profile's weights and their Gaussian fit.
+    the climb rates of the blips it is given, and the fPCA basis.
 
     The profiles are made by ``learning.flight_profiles`` a block of
     ``pipeline.flight_blocks`` at a time, so at most
     ``pipeline.BLOCK_LINES`` blips are inverted at once.  A flight it
     rejects is skipped with a warning, in flight order; fewer than
     ``MIN_FIT_PROFILES`` profiles raise ``TooFewFlightsError``, and
-    profiles or a weight coordinate without variance raise
+    profiles or a retained mode without variance raise
     ``DegenerateModelError``; both name the type.
     """
     profiles = []
@@ -155,15 +126,10 @@ def fit_type_model(
         raise TooFewFlightsError(f"type {perf.type_code}: only {len(profiles)} usable flights")
     try:
         basis = fit_fpca(profiles, n_max=n_max)
-        weights = fit_weight_distribution([project_weights(basis, p) for p in profiles])
     except DegenerateModelError as exc:
         raise DegenerateModelError(f"type {perf.type_code}: {exc}") from None
-    return GenerativeClimbModel(
-        type_code=perf.type_code,
-        basis=basis,
-        weights=weights,
-        n_flights_fit=len(profiles),
-    )
+    return GenerativeClimbModel(type_code=perf.type_code, basis=basis,
+                                n_flights_fit=len(profiles))
 
 
 def sample_weights(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
@@ -171,8 +137,8 @@ def sample_weights(model: GenerativeClimbModel, count: int, seed: int) -> np.nda
     if count < 1:
         raise DomainError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, model.weights.mu.size))
-    return model.weights.mu + z * np.sqrt(model.weights.var)
+    z = rng.standard_normal((count, model.basis.n_modes))
+    return z * np.sqrt(model.basis.variance)
 
 
 def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[ThrustProfile]:
@@ -233,15 +199,14 @@ def bound_weights(
     if not 0 <= k < n_g:
         raise DomainError(f"node index {k} outside [0, {n_g - 1}]")
     a = model.basis.modes[:, k]
-    c = np.sqrt(model.weights.var)
+    c = np.sqrt(model.basis.variance)
     n_vec = a * c
     norm = float(np.linalg.norm(n_vec))
     if norm <= 1e-300 or norm <= 1e-15 * float(np.max(c)):
         raise DegenerateNodeError(f"all modes vanish at grid node {k}")
     n_hat = n_vec / norm
-    radius = math.sqrt(confidence_radius(model.weights.mu.size, level))
-    offset = radius * (c * n_hat)
-    return model.weights.mu - offset, model.weights.mu + offset
+    offset = math.sqrt(confidence_radius(model.basis.n_modes, level)) * (c * n_hat)
+    return -offset, offset
 
 
 def bound_profiles(
@@ -292,22 +257,27 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
         "grid_m": [float(v) for v in model.basis.grid],
         "mean_N": [float(v) for v in model.basis.mean],
         "modes": [[float(v) for v in row] for row in model.basis.modes],
-        "explained_variance": [float(v) for v in model.basis.explained_variance],
-        "mu_w": [float(v) for v in model.weights.mu],
-        "sigma_diag": [float(v) for v in model.weights.var],
+        "variance": [float(v) for v in model.basis.variance],
+        "total_variance": model.basis.total_variance,
         "n_flights_fit": int(model.n_flights_fit),
     }
     write_json(path, doc)
 
 
 def load_model(path: str | Path) -> GenerativeClimbModel:
-    """Load a model file, refusing unknown schema versions, a window other
-    than ``INTERVAL_FL``, a ``type_code`` that ``errors.check_type_code``
-    refuses, an ``n_flights_fit`` that is not a JSON integer >= 1, a
-    non-finite number in the basis or weights and a grid other than
-    ``default_grid()``, and validating the basis invariants."""
+    """Load a model file, refusing a schema-1 file (fitted before the
+    weight density was the spectrum) and unknown schema versions, a window
+    other than ``INTERVAL_FL``, a ``type_code`` that
+    ``errors.check_type_code`` refuses, an ``n_flights_fit`` that is not a
+    JSON integer >= 1, a non-finite number in the basis, a variance that is
+    not positive and non-increasing, a ``total_variance`` below the sum of
+    ``variance`` and a grid other than ``default_grid()``, and validating
+    the basis invariants."""
     path = Path(path)
     doc = read_json(path, "model file", ModelFileError)
+    if isinstance(doc, dict) and doc.get("schema_version") == 1:
+        raise ModelFileError(f"model file {path} has schema 1, which this version no longer "
+                             f"reads; re-run climbgen fit")
     if not isinstance(doc, dict) or set(doc) != _MODEL_KEYS:
         raise ModelFileError(f"model file {path} does not match the expected schema")
     if doc["schema_version"] != SCHEMA_VERSION:
@@ -328,17 +298,8 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
             grid=np.array(doc["grid_m"], dtype=float),
             mean=np.array(doc["mean_N"], dtype=float),
             modes=np.array(doc["modes"], dtype=float),
-            explained_variance=np.array(doc["explained_variance"], dtype=float),
-        )
-        weights = WeightDistribution(
-            mu=np.array(doc["mu_w"], dtype=float),
-            var=np.array(doc["sigma_diag"], dtype=float),
-        )
-        model = GenerativeClimbModel(
-            type_code=doc["type_code"],
-            basis=basis,
-            weights=weights,
-            n_flights_fit=doc["n_flights_fit"],
+            variance=np.array(doc["variance"], dtype=float),
+            total_variance=doc["total_variance"],
         )
     except (DomainError, DegenerateModelError, TypeError, ValueError, IndexError) as exc:
         raise ModelFileError(f"model file {path} is invalid: {exc}") from None
@@ -348,8 +309,14 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
         raise ModelFileError(f"model file {path}: grid is not strictly increasing")
     if not np.array_equal(basis.grid, default_grid()):
         raise ModelFileError(f"model file {path}: grid_m is not the modeled window's grid")
-    _check_orthonormal(model.basis, path)
-    return model
+    if np.any(np.diff(basis.variance) > 0.0):
+        raise ModelFileError(f"model file {path}: variance is not non-increasing")
+    # the kept eigenvalues' sum, up to the round-off of summing in another order
+    if basis.total_variance < np.sum(basis.variance) * (1.0 - 1e-12):
+        raise ModelFileError(f"model file {path}: total_variance is below the sum of variance")
+    _check_orthonormal(basis, path)
+    return GenerativeClimbModel(type_code=doc["type_code"], basis=basis,
+                                n_flights_fit=doc["n_flights_fit"])
 
 
 def _check_orthonormal(basis: FpcaBasis, path: Path, tol: float = 1e-6) -> None:

@@ -123,39 +123,48 @@ class ThrustProfile:
 
 @dataclass(eq=False)
 class FpcaBasis:
-    """Mean function plus orthonormal modes on a common grid.
+    """Mean function plus orthonormal modes on a common grid, and the
+    spectrum of the covariance they diagonalize.
 
     ``modes`` has shape (n, n_g); each row satisfies the quadrature
     orthonormality ``sum_j w_j psi_i(h_j) psi_k(h_j) = delta_ik``.
-    ``explained_variance`` holds the retained modes' fractions of total
-    variance, non-increasing.  Every array must be finite.
+    ``variance`` holds the retained modes' eigenvalues (N^2 m), which are
+    also the variances of the fitted weight density ``N(0, diag(variance))``;
+    ``total_variance`` is the sum of all eigenvalues, retained or not.
+    Every value must be finite; a variance that is not positive raises
+    ``DegenerateModelError``.
     """
 
     grid: np.ndarray
     mean: np.ndarray
     modes: np.ndarray
-    explained_variance: np.ndarray
+    variance: np.ndarray
+    total_variance: float
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.mean = np.asarray(self.mean, dtype=float)
         self.modes = np.atleast_2d(np.asarray(self.modes, dtype=float))
-        self.explained_variance = np.asarray(self.explained_variance, dtype=float)
+        self.variance = np.asarray(self.variance, dtype=float)
+        self.total_variance = float(self.total_variance)
         if self.mean.shape != self.grid.shape or self.modes.shape[1] != self.grid.size:
             raise DomainError("basis arrays are dimensionally inconsistent")
-        if self.explained_variance.shape != (self.modes.shape[0],):
-            raise DomainError("one explained-variance entry per mode required")
-        for name in ("grid", "mean", "modes", "explained_variance"):
+        if self.variance.shape != (self.modes.shape[0],):
+            raise DomainError("one variance entry per mode required")
+        for name in ("grid", "mean", "modes", "variance", "total_variance"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DomainError(f"basis {name} must be finite")
+        if np.any(self.variance <= 0.0):
+            raise DegenerateModelError("zero variance in a weight coordinate; retain fewer modes")
+
+    @property
+    def explained_variance(self) -> np.ndarray:
+        """The retained modes' fractions of the total variance."""
+        return self.variance / self.total_variance
 
     @property
     def n_modes(self) -> int:
         return self.modes.shape[0]
-
-    def reconstruct(self, weights: np.ndarray) -> np.ndarray:
-        """Evaluate mean + sum_i w_i psi_i on the grid."""
-        return self.mean + np.asarray(weights, dtype=float) @ self.modes
 
 
 def invert_thrust(
@@ -305,11 +314,17 @@ def select_components(explained_variance: Sequence[float]) -> int:
 
 
 def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> FpcaBasis:
-    """Fit the mean and orthonormal modes of a set of thrust profiles.
+    """Fit the mean, the orthonormal modes and their eigenvalues of a set
+    of thrust profiles.
 
-    Eigen-decomposes the quadrature-weighted sample covariance on the
-    common grid; eigenvalues are reported as fractions of total variance
-    and the retained count is min(n_max, knee of the cumulative curve).
+    Eigen-decomposes the quadrature-weighted sample covariance (ddof 1)
+    on the common grid; the retained count is min(n_max, knee of the
+    cumulative curve of the eigenvalues' fractions of the total).  The
+    profiles' ``project_weights`` then have sample mean 0 and sample
+    covariance exactly ``diag(variance)``, the fPCA score identity
+    (Ramsay & Silverman 2005, ch. 8), so the basis is also the fitted
+    weight density.  The covariance is summed by ``np.einsum`` without
+    BLAS, so the result does not depend on the BLAS thread count.
     Mode signs are fixed so each mode's quadrature integral is
     non-negative (tie: first non-zero node positive).  Profiles whose total
     variance is round-off raise ``DegenerateModelError``.
@@ -328,7 +343,7 @@ def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> 
     x = np.stack([p.values for p in profiles])
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
+    cov = np.einsum("ij,ik->jk", centered, centered, optimize=False) / (x.shape[0] - 1)
 
     w = trapezoid_weights(grid)
     sqrt_w = np.sqrt(w)
@@ -344,14 +359,13 @@ def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> 
     if total <= 1e-20 * max(scale, 1e-300):
         raise DegenerateModelError("the thrust profiles have no variance")
 
-    fractions = evals / total
-    n_keep = min(n_max, select_components(fractions), x.shape[0] - 1)
+    n_keep = min(n_max, select_components(evals / total), x.shape[0] - 1)
     n_keep = max(n_keep, 1)
     modes = np.empty((n_keep, grid.size))
     for i in range(n_keep):
         modes[i] = _fix_sign(evecs[:, i] / sqrt_w, w)
-    return FpcaBasis(grid=grid.copy(), mean=mean, modes=modes,
-                     explained_variance=fractions[:n_keep])
+    return FpcaBasis(grid=grid.copy(), mean=mean, modes=modes, variance=evals[:n_keep],
+                     total_variance=total)
 
 
 def _fix_sign(mode: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from climbgen.cli import main
 from climbgen.dynamics import rocd
 from climbgen.generative import (
     GenerativeClimbModel,
-    WeightDistribution,
     bound_trajectories,
     bound_weights,
     confidence_radius,
@@ -203,15 +202,16 @@ class TestAcceptance:
             mu = rng.normal(0.0, 8.0, n)
             modes = np.stack([np.sqrt(2.0 / length) * np.cos((i + 1) * np.pi * u)
                               for i in range(n)])
-            basis = FpcaBasis(grid=grid, mean=np.zeros(grid.size), modes=modes,
-                              explained_variance=np.full(n, 1.0 / n))
-            model = GenerativeClimbModel("X", basis, WeightDistribution(mu, var), 50)
+            # an off-centre ellipsoid: its centre mu is the basis mean's offset
+            basis = FpcaBasis(grid=grid, mean=mu @ modes, modes=modes, variance=var,
+                              total_variance=var.sum())
+            model = GenerativeClimbModel("X", basis, 50)
             k = int(rng.integers(0, grid.size))
             a = modes[:, k]
             radius = confidence_radius(n, 0.95)
             w_lo, w_up = bound_weights(model, k, 0.95)
             for w in (w_lo, w_up):
-                q = float(np.sum((w - mu) ** 2 / var))
+                q = float(np.sum(w**2 / var))
                 worst_surface = max(worst_surface, abs(q - radius) / radius)
 
             coeff = a * np.sqrt(radius * var)
@@ -227,7 +227,7 @@ class TestAcceptance:
                 if res.success:
                     best = max(best, -res.fun)
             numeric = float(a @ mu) + best
-            analytic = float(a @ w_up)
+            analytic = float(basis.mean[k] + a @ w_up)
             worst_gap = max(worst_gap, abs(analytic - numeric) / max(abs(numeric), 1e-30))
         elapsed = time.perf_counter() - start
         ok = worst_gap < 1e-6 and worst_surface < 1e-9 and elapsed < 10.0

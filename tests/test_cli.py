@@ -1,5 +1,6 @@
 """End-to-end command-line workflow tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -28,10 +29,12 @@ SCENARIO = {
 }
 
 
-def run_cli(*args):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def run_cli(*args, env=None):
+    """Run the CLI in a fresh interpreter, as a user would, with ``env``
+    added to the environment."""
     src = str(Path(climbgen.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "climbgen.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -83,10 +86,9 @@ class TestWorkflow:
 
     def test_bounds_on_an_infeasible_climb_writes_no_file(self, workdir, tmp_path):
         model = load_model(workdir / "models" / "model_NBJT.json")
-        wide = generative.GenerativeClimbModel(
-            model.type_code, model.basis,
-            generative.WeightDistribution(model.weights.mu, model.weights.var * 1e4),
-            model.n_flights_fit)
+        basis = dataclasses.replace(model.basis, variance=model.basis.variance * 1e4,
+                                    total_variance=model.basis.total_variance * 1e4)
+        wide = generative.GenerativeClimbModel(model.type_code, basis, model.n_flights_fit)
         generative.save_model(wide, tmp_path / "model_NBJT.json")
         out = tmp_path / "bounds"
         assert main(["bounds", "--model", str(tmp_path / "model_NBJT.json"),
@@ -380,10 +382,13 @@ class TestExitCodes:
         assert "starts with a UTF-8 byte-order mark" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", ["explained_variance", "mean_N", "modes"])
+    @pytest.mark.parametrize("key", ["variance", "total_variance", "mean_N", "modes"])
     def test_model_array_not_finite_names_the_file(self, tmp_path, workdir, capsys, key):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
-        (doc["modes"][0] if key == "modes" else doc[key])[0] = math.nan
+        if key == "total_variance":
+            doc[key] = math.inf
+        else:
+            (doc["modes"][0] if key == "modes" else doc[key])[0] = math.nan
         bad = tmp_path / "model_bad.json"
         bad.write_text(json.dumps(doc))
         for command in ("sample", "predict"):
@@ -451,13 +456,17 @@ class TestExitCodes:
         assert "record 3: type_code" in proc.stderr and '"A/B"' in proc.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_unknown_model_version_is_validation_error(self, tmp_path, workdir):
+    def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
-        doc["schema_version"] = 42
         bad = tmp_path / "model_bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["sample", "--model", str(bad), "--out", str(tmp_path / "o"),
-                     "--seed", "1"]) == 2
+        for version, message in ((42, "unsupported schema version 42"),
+                                 (1, f"model file {bad} has schema 1")):
+            bad.write_text(json.dumps({**doc, "schema_version": version}))
+            assert main(["sample", "--model", str(bad), "--out", str(tmp_path / "o"),
+                         "--seed", "1"]) == 2
+            err = capsys.readouterr().err
+            assert message in err
+        assert "re-run climbgen fit" in err
 
 
     def test_two_models_of_one_type_are_validation_error(self, tmp_path, workdir, capsys):
@@ -573,3 +582,23 @@ class TestReadme:
         for argv in commands:
             assert main(argv) == 0, argv
         assert (tmp_path / "report" / "metrics_report.csv").exists()
+
+
+def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The installed-package quick start's fit (90 NBJT flights) writes the
+    same model bytes with one BLAS thread as with two."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"types": {"NBJT": {
+        "count": 90, "thrust_bias_n": -2500.0, "mode_sds": [9e4, 5e4, 3e4]}}}))
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "sim"),
+                 "--seed", "7"]) == 0
+    assert main(["prepare", "--csv", str(tmp_path / "sim" / "blips.csv"),
+                 "--out", str(tmp_path / "prep"), "--seed", "7"]) == 0
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"models{threads}"
+        proc = run_cli("fit", "--train", str(tmp_path / "prep" / "train.csv"), "--out", str(out),
+                       env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        models.append((out / "model_NBJT.json").read_bytes())
+    assert models[0] == models[1]

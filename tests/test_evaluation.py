@@ -263,10 +263,9 @@ class TestRunReport:
         """evaluate builds each type's envelope once, also for a type whose
         slow bound climb is infeasible, and writes it unchanged."""
         model, split_data, _, _ = small_world
-        wide = generative.GenerativeClimbModel(
-            "WIDE", model.basis,
-            generative.WeightDistribution(model.weights.mu, model.weights.var * 1e4),
-            model.n_flights_fit)
+        basis = dataclasses.replace(model.basis, variance=model.basis.variance * 1e4,
+                                    total_variance=model.basis.total_variance * 1e4)
+        wide = generative.GenerativeClimbModel("WIDE", basis, model.n_flights_fit)
         test = split_data.test + [dataclasses.replace(tr, type_code="WIDE")
                                   for tr in split_data.test]
         data = pipeline.DatasetSplit(train=[], test=test)

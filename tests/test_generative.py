@@ -1,5 +1,5 @@
-"""Generative weight model tests: fitting, sampling, chi-square radius,
-ellipsoid tangency bounds, and persistence."""
+"""Generative weight model tests: the fitted weight density, sampling,
+chi-square radius, ellipsoid tangency bounds, and persistence."""
 
 import json
 import logging
@@ -21,25 +21,25 @@ from climbgen.errors import (
 )
 from climbgen.generative import (
     GenerativeClimbModel,
-    WeightDistribution,
     bound_profiles,
     bound_trajectories,
     bound_weights,
     confidence_radius,
     fit_type_model,
-    fit_weight_distribution,
     load_model,
     sample_thrust,
     sample_weights,
     save_model,
 )
 from climbgen.learning import (INTERVAL_FL, FpcaBasis, default_grid, fit_fpca, profile_from_flight,
-                               trapezoid_weights)
+                               project_weights, trapezoid_weights)
 from climbgen.pipeline import Trajectory, flight_blocks
 
 
 def make_model(grid=None, mean_level=85000.0, variances=(9e6, 4e6, 1e6),
                mu=(0.0, 0.0, 0.0), type_code="NBJT"):
+    """Cosine modes; the weights ``mu`` of an off-centre ellipsoid are
+    folded into the basis mean, since the weight density is centred."""
     grid = default_grid() if grid is None else grid
     length = grid[-1] - grid[0]
     u = (grid - grid[0]) / length
@@ -48,50 +48,45 @@ def make_model(grid=None, mean_level=85000.0, variances=(9e6, 4e6, 1e6),
     ])
     basis = FpcaBasis(
         grid=grid,
-        mean=mean_level - 1.5 * (grid - grid[0]),
+        mean=mean_level - 1.5 * (grid - grid[0]) + np.array(mu, float) @ modes,
         modes=modes,
-        explained_variance=np.array([0.6, 0.3, 0.1])[: len(variances)],
+        variance=np.array(variances, float),
+        total_variance=1.1 * sum(variances),
     )
-    weights = WeightDistribution(mu=np.array(mu, float), var=np.array(variances, float))
-    return GenerativeClimbModel(type_code=type_code, basis=basis, weights=weights,
-                                n_flights_fit=100)
+    return GenerativeClimbModel(type_code=type_code, basis=basis, n_flights_fit=100)
+
+
+def schema_1(doc):
+    """A schema-2 model document in the schema-1 layout, which stored the
+    weight mean and the spectrum twice."""
+    old = {k: v for k, v in doc.items() if k not in ("variance", "total_variance")}
+    return {**old, "schema_version": 1, "mu_w": [0.0] * len(doc["variance"]),
+            "sigma_diag": doc["variance"],
+            "explained_variance": [v / doc["total_variance"] for v in doc["variance"]]}
 
 
 class TestFitWeightDistribution:
+    """The fitted weight density is N(0, diag(basis.variance))."""
+
     def test_all_equal_weights_degenerate(self):
-        with pytest.raises(DegenerateModelError):
-            fit_weight_distribution([np.array([1.0, 2.0])] * 12)
-
-    def test_sampling_recovery_within_five_percent(self):
-        rng = np.random.default_rng(0)
-        draws = rng.standard_normal((100_000, 2)) * np.sqrt([4.0, 1.0])
-        dist = fit_weight_distribution(list(draws))
-        assert dist.var == pytest.approx([4.0, 1.0], rel=0.05)
-        assert dist.mu == pytest.approx([0.0, 0.0], abs=0.05)
-
-    def test_too_few_vectors(self):
-        with pytest.raises(DomainError):
-            fit_weight_distribution([np.zeros(2)] * 9)
-
-    def test_unbiased_variance(self):
-        vectors = [np.array([v]) for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)]
-        dist = fit_weight_distribution(vectors)
-        assert dist.var[0] == pytest.approx(np.var(np.arange(1.0, 11.0), ddof=1))
-
-    def test_projected_training_weights_centered(self):
-        # projections of the training set onto its own basis average to zero
-        # (the mean function is already subtracted)
-        from climbgen.learning import ThrustProfile, fit_fpca, project_weights
-
+        # a mode along which every weight is equal has zero variance
         grid = default_grid()
-        rng = np.random.default_rng(31)
-        profiles = [
-            ThrustProfile(grid, 88000.0 + 3000.0 * rng.standard_normal(grid.size))
-            for _ in range(24)
-        ]
-        basis = fit_fpca(profiles, n_max=4)
-        dist = fit_weight_distribution([project_weights(basis, p) for p in profiles])
-        assert np.all(np.abs(dist.mu) < 1e-9 * np.sqrt(dist.var))
+        with pytest.raises(DegenerateModelError):
+            FpcaBasis(grid=grid, mean=np.zeros(grid.size),
+                      modes=np.full((1, grid.size), 1.0 / np.sqrt(grid[-1] - grid[0])),
+                      variance=np.zeros(1), total_variance=1.0)
+
+    def test_projected_training_weights_centered(self, small_world, catalog):
+        # the fPCA score identity: the training profiles' weights have sample
+        # mean 0 and sample covariance (ddof 1) exactly diag(variance)
+        model, split_data, _, _ = small_world
+        basis = model.basis
+        profiles = [profile_from_flight(catalog["NBJT"], tr) for tr in split_data.train]
+        w = np.stack([project_weights(basis, p) for p in profiles])
+        assert len(profiles) == model.n_flights_fit
+        assert np.all(np.abs(w.mean(axis=0)) <= 1e-9 * np.sqrt(basis.variance))
+        cov = np.cov(w, rowvar=False, ddof=1)
+        assert np.max(np.abs(cov - np.diag(basis.variance))) <= 1e-9 * basis.variance[0]
 
 
 class TestFitTypeModel:
@@ -104,7 +99,7 @@ class TestFitTypeModel:
         assert again.type_code == "NBJT"
         assert again.n_flights_fit == model.n_flights_fit == len(split_data.train)
         assert np.array_equal(again.basis.modes, model.basis.modes)
-        assert np.array_equal(again.weights.var, model.weights.var)
+        assert np.array_equal(again.basis.variance, model.basis.variance)
 
     def test_blocks_fit_each_flight_as_it_is_profiled_alone(self, radar_fleet, catalog, caplog,
                                                            monkeypatch):
@@ -175,9 +170,9 @@ class TestSampleThrust:
         model = make_model(mu=(500.0, -200.0, 100.0))
         n = 100_000
         values = np.stack([p.values for p in sample_thrust(model, n, seed=42)])
-        recon = model.basis.reconstruct(model.weights.mu)
+        recon = model.mean_profile().values
         pointwise_sd = np.sqrt(
-            np.sum(model.weights.var[:, None] * model.basis.modes**2, axis=0)
+            np.sum(model.basis.variance[:, None] * model.basis.modes**2, axis=0)
         )
         se = pointwise_sd / np.sqrt(n)
         assert np.all(np.abs(values.mean(axis=0) - recon) < 3.0 * se + 1e-9)
@@ -229,14 +224,13 @@ class TestBoundWeights:
         length = grid[-1] - grid[0]
         mode = np.full(grid.size, 1.0 / np.sqrt(length))
         basis = FpcaBasis(grid=grid, mean=np.full(grid.size, 8e4), modes=mode[None, :],
-                          explained_variance=np.array([1.0]))
-        model = GenerativeClimbModel("X", basis,
-                                     WeightDistribution(np.array([5.0]), np.array([4.0])), 50)
+                          variance=np.array([4.0]), total_variance=4.0)
+        model = GenerativeClimbModel("X", basis, 50)
         lo, up = bound_weights(model, 10, level=0.95)
         sigma = 2.0
         z = np.sqrt(confidence_radius(1, 0.95))
-        assert up[0] == pytest.approx(5.0 + z * sigma, rel=1e-9)
-        assert lo[0] == pytest.approx(5.0 - z * sigma, rel=1e-9)
+        assert up[0] == pytest.approx(z * sigma, rel=1e-9)
+        assert lo[0] == pytest.approx(-z * sigma, rel=1e-9)
         assert z == pytest.approx(1.959963984540054, rel=1e-9)
 
     def test_points_on_ellipsoid_surface(self):
@@ -244,7 +238,7 @@ class TestBoundWeights:
         radius = confidence_radius(3, 0.95)
         for k in (0, 17, 50, 99):
             for w in bound_weights(model, k, 0.95):
-                q = np.sum((w - model.weights.mu) ** 2 / model.weights.var)
+                q = np.sum(w**2 / model.basis.variance)
                 assert q == pytest.approx(radius, rel=1e-9)
 
     def test_matches_constrained_optimization(self):
@@ -260,9 +254,10 @@ class TestBoundWeights:
             u = (grid - grid[0]) / length
             modes = np.stack([np.sqrt(2.0 / length) * np.cos((i + 1) * np.pi * u)
                               for i in range(n)])
-            basis = FpcaBasis(grid=grid, mean=np.zeros(grid.size), modes=modes,
-                              explained_variance=np.linspace(0.5, 0.1, n) / np.sum(np.linspace(0.5, 0.1, n)))
-            model = GenerativeClimbModel("X", basis, WeightDistribution(mu, var), 50)
+            # the ellipsoid's centre mu is the basis mean's offset
+            basis = FpcaBasis(grid=grid, mean=mu @ modes, modes=modes, variance=var,
+                              total_variance=var.sum())
+            model = GenerativeClimbModel("X", basis, 50)
             k = int(rng.integers(0, grid.size))
             a = modes[:, k]
             radius = confidence_radius(n, 0.95)
@@ -291,7 +286,7 @@ class TestBoundWeights:
             assert np.isfinite(best)
             numeric_max = float(a @ mu) + best
             _, w_up = bound_weights(model, k, 0.95)
-            assert float(a @ w_up) == pytest.approx(numeric_max, rel=1e-6)
+            assert float(basis.mean[k] + a @ w_up) == pytest.approx(numeric_max, rel=1e-6)
 
     def test_degenerate_node(self):
         grid = default_grid()
@@ -300,8 +295,8 @@ class TestBoundWeights:
         mode = np.sqrt(2.0 / length) * np.sin(np.pi * u)   # vanishes at both ends
         norm = np.sqrt(np.sum(trapezoid_weights(grid) * mode**2))
         basis = FpcaBasis(grid=grid, mean=np.zeros(grid.size), modes=(mode / norm)[None, :],
-                          explained_variance=np.array([1.0]))
-        model = GenerativeClimbModel("X", basis, WeightDistribution(np.zeros(1), np.ones(1)), 50)
+                          variance=np.ones(1), total_variance=1.0)
+        model = GenerativeClimbModel("X", basis, 50)
         with pytest.raises(DegenerateNodeError):
             bound_weights(model, 0, 0.95)
 
@@ -343,7 +338,7 @@ class TestBoundProfiles:
         direction = rng.standard_normal((1_000_000, 3))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radius = np.sqrt(confidence_radius(3, 0.95))
-        w_surface = model.weights.mu + radius * direction * np.sqrt(model.weights.var)
+        w_surface = radius * direction * np.sqrt(model.basis.variance)
         for k in (0, 33, 99):
             node_values = model.basis.mean[k] + w_surface @ model.basis.modes[:, k]
             assert upper.values[k] >= node_values.max()
@@ -409,10 +404,25 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["schema_version"] = 99
+        for bad, match in (({**doc, "schema_version": 99}, "version"),
+                           (schema_1(doc), "has schema 1.*re-run climbgen fit")):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ModelFileError, match=match):
+                load_model(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("variance", [9e6, 4e6, 0.0], "zero variance"),
+        ("variance", [9e6, 4e6, 5e6], "variance is not non-increasing"),
+        ("total_variance", 1e7, "total_variance is below the sum of variance"),
+    ], ids=["zero", "increasing", "total-below-sum"])
+    def test_spectrum_out_of_contract_refused(self, tmp_path, key, value, message):
+        path = tmp_path / "model.json"
+        save_model(make_model(), path)
+        doc = {**json.loads(path.read_text()), key: value}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFileError, match="version"):
+        with pytest.raises(ModelFileError, match=message) as info:
             load_model(path)
+        assert str(path) in str(info.value)
 
     def test_other_window_refused(self, tmp_path):
         path = tmp_path / "model.json"
