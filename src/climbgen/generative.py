@@ -43,6 +43,7 @@ from .errors import (
     ModelFileError,
     TooFewFlightsError,
     check_type_code,
+    json_number,
     read_json,
     write_json,
 )
@@ -264,12 +265,23 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
     write_json(path, doc)
 
 
+def _json_numbers(value, where: str):
+    """A JSON number, or an array of numbers or of such arrays, with every
+    number but a float read by ``errors.json_number`` naming ``where``.  A
+    float is a JSON number, and ``FpcaBasis`` refuses a non-finite one for
+    the whole array."""
+    if isinstance(value, list):
+        return [_json_numbers(entry, where) for entry in value]
+    return value if type(value) is float else json_number(value, where)
+
+
 def load_model(path: str | Path) -> GenerativeClimbModel:
     """Load a model file, refusing a schema-1 file (fitted before the
     weight density was the spectrum) and unknown schema versions, a window
     other than ``INTERVAL_FL``, a ``type_code`` that
     ``errors.check_type_code`` refuses, an ``n_flights_fit`` that is not a
-    JSON integer >= 1, a non-finite number in the basis, a variance that is
+    JSON integer >= 1, a basis entry that ``errors.json_number`` refuses
+    (text, ``true``, ``null``, a non-finite number), a variance that is
     not positive and non-increasing, a ``total_variance`` below the sum of
     ``variance`` and a grid other than ``default_grid()``, and validating
     the basis invariants."""
@@ -295,11 +307,11 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
                              f"got {json.dumps(doc['n_flights_fit'])}")
     try:
         basis = FpcaBasis(
-            grid=np.array(doc["grid_m"], dtype=float),
-            mean=np.array(doc["mean_N"], dtype=float),
-            modes=np.array(doc["modes"], dtype=float),
-            variance=np.array(doc["variance"], dtype=float),
-            total_variance=doc["total_variance"],
+            grid=_json_numbers(doc["grid_m"], '"grid_m" entry'),
+            mean=_json_numbers(doc["mean_N"], '"mean_N" entry'),
+            modes=_json_numbers(doc["modes"], '"modes" entry'),
+            variance=_json_numbers(doc["variance"], '"variance" entry'),
+            total_variance=_json_numbers(doc["total_variance"], '"total_variance"'),
         )
     except (DomainError, DegenerateModelError, TypeError, ValueError, IndexError) as exc:
         raise ModelFileError(f"model file {path} is invalid: {exc}") from None

@@ -10,10 +10,16 @@ The file is read in the one dialect ``write_columns`` writes: a row is
 one line of fields joined by commas, and a field holds no comma, no quote
 and no line break.  Lines are split as ``str.splitlines`` splits them,
 and a line with a quote or the wrong number of commas is a malformed row.
-The file is read ``BLOCK_LINES`` lines at a time and never held whole;
-each block is split into columns and validated as arrays, so no object is
-built per row.  Malformed rows are logged by line number and skipped;
-lat/lon must parse when present but are not kept.
+The file is read ``BLOCK_LINES`` lines at a time and never held whole.
+Each block is parsed by position arithmetic on its code units (its bytes
+when ASCII, else its UTF-32 units): the positions of its newlines, commas
+and quotes give every line's and field's bounds; a decimal ``-?D+.D+`` of
+at most 16 digits is read as an integer over a power of ten, which equals
+``float``'s value bit for bit, and every other number goes through
+``float``; an id or type equal to the row's before shares its code, so
+only the head of each run becomes a string.  No object is built per row.
+Malformed rows are logged by line number and skipped; lat/lon must parse
+when present but are not kept.
 
 Blips are grouped by flight, sorted by time and deduplicated (first blip
 per timestamp wins, which is the earliest line in the file).  A flight
@@ -55,9 +61,8 @@ import dataclasses
 import json
 import logging
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -163,15 +168,23 @@ def _write_rows(fh, *columns) -> None:
         fh.write("\n".join(block) + "\n")
 
 
-def _line_blocks(path: Path) -> Iterator[list[str]]:
-    """The lines of a blip file, as ``read_text().splitlines()`` gives
-    them, in blocks; the whole file is never held.
+_OTHER_SEPARATORS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_DIGITS = 16            # most digits a number read by position may have
+_NUMBER_WIDTH = _DIGITS + 2   # a sign, the digits and the point
+_RUN_WIDTH = 32         # widest id or type compared in place with the row before
+_POW10 = np.array([float(10 ** k) for k in range(_NUMBER_WIDTH)])   # exact doubles
+
+
+def _text_blocks(path: Path) -> Iterator[str]:
+    """The text of a blip file in blocks whose lines are those of
+    ``read_text().splitlines()``, each line ended by ``"\\n"``; the whole
+    file is never held.
 
     A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``,
-    decoded as UTF-8 and split by ``str.splitlines``.  No multibyte UTF-8
-    character holds the byte ``b"\\n"``, and a block ends only after one,
-    so every character and every ``"\\r\\n"`` pair lies inside one block,
-    and the other separators of ``str.splitlines`` split lines within it.
+    decoded as UTF-8.  No multibyte UTF-8 character holds the byte
+    ``b"\\n"``, and a block ends only after one, so every character and
+    every ``"\\r\\n"`` pair lies inside one block.  A block that holds any
+    other separator of ``str.splitlines`` is rewritten with ``"\\n"`` alone.
     A missing or unreadable file raises ``ValidationError``.
     """
     try:
@@ -179,57 +192,126 @@ def _line_blocks(path: Path) -> Iterator[list[str]]:
             offset = 0
             while data := b"".join(islice(fh, BLOCK_LINES)):
                 try:
-                    lines = data.decode("utf-8").splitlines()
+                    text = data.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
                                     f"at byte {offset + exc.start}") from None
                 offset += len(data)
-                del data   # only the lines are held while the block is parsed
-                yield lines
+                del data   # only the text is held while the block is parsed
+                if any(separator in text for separator in _OTHER_SEPARATORS):
+                    text = "\n".join(text.splitlines()) + "\n"
+                elif not text.endswith("\n"):
+                    text += "\n"
+                yield text
     except FileNotFoundError:
         raise ValidationError(f"blip file not found: {path}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
 
 
-def _split_block(block: list[str], n_fields: int
-                 ) -> tuple[list[list[str]], np.ndarray, list[tuple[int, str]]]:
-    """Field columns of the rows of one block, the index in the block of
-    each row's line, and the malformed lines' indices and reasons.
+def _units(text: str) -> np.ndarray:
+    """The code units of a text, one per character: its bytes when it is
+    ASCII, else its UTF-32 units."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), np.uint8)
+    return np.frombuffer(text.encode("utf-32-le"), np.uint32)
+
+
+def _split_block(units: np.ndarray, n_fields: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """The bounds of the fields of the rows of one block, as ``n_fields``
+    rows of starts and of ends with one column per row, the index in the
+    block of each row's line, and the malformed lines' indices and reasons.
 
     A row is a line of exactly ``n_fields - 1`` commas and no quote, split
-    on its commas; any other non-blank line is malformed.
+    on its commas; any other non-blank line is malformed.  The positions of
+    every comma and ``"\\n"``, and of every ``'"'``, give each line's bounds,
+    comma count and quote flag, and each row's field bounds.
     """
-    n = len(block)
-    quoted = np.fromiter(map(str.__contains__, block, repeat('"')), bool, n)
-    rows = (np.fromiter(map(str.count, block, repeat(",")), int, n) == n_fields - 1) & ~quoted
-    row_lines = block if rows.all() else list(compress(block, rows))
-    fields = ",".join(row_lines).split(",") if row_lines else []
-    errors = [(i, 'a field holds a quote (")' if quoted[i]
-               else f"expected {n_fields} fields, got {block[i].count(',') + 1}")
-              for i in np.flatnonzero(~rows).tolist() if block[i]]
-    return [fields[k::n_fields] for k in range(n_fields)], np.flatnonzero(rows), errors
+    separators = np.flatnonzero((units == ord(",")) | (units == ord("\n")))
+    line_end = np.flatnonzero(units[separators] == ord("\n"))   # indices into separators
+    n_commas = np.diff(line_end, prepend=-1) - 1
+    ends = separators[line_end]
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    quoted = np.diff(np.searchsorted(np.flatnonzero(units == ord('"')), ends), prepend=0) > 0
+    rows = (n_commas == n_fields - 1) & ~quoted
+    errors = [(i, 'a field holds a quote (")' if quoted[i] else f"expected {n_fields} fields, "
+               f"got {n_commas[i] + 1}") for i in np.flatnonzero(~rows & (ends > starts)).tolist()]
+    row_line = np.flatnonzero(rows)
+    # row k of ``before`` is the separator before field k, or the row's end
+    before = np.concatenate(([-1], separators))[np.add.outer(np.arange(1 - n_fields, 2),
+                                                               line_end[row_line])]
+    return before[:-1] + 1, before[1:], row_line, errors
 
 
-def _floats(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Python ``float`` of each field (NaN where it fails) and the mask of
-    fields that do not parse."""
-    n = len(fields)
-    try:
-        return np.fromiter(map(float, fields), float, n), np.zeros(n, bool)
-    except ValueError:
-        pass
-    values, bad = np.full(n, np.nan), np.zeros(n, bool)
-    for i, field in enumerate(fields):
+def _is_digit(units: np.ndarray) -> np.ndarray:
+    return units - units.dtype.type(ord("0")) < 10   # unsigned: a unit below "0" wraps high
+
+
+def _numbers(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Python ``float`` of each field ``text[starts[i]:ends[i]]`` (NaN where
+    it fails) and the mask of fields that do not parse.
+
+    A field ``-?D+.D+`` of at most ``_DIGITS`` digits whose digits, read as
+    one integer M, are at most 2**53 is read by position: M / 10**k, with k
+    its fraction digits.  M and 10**k (k < 16) are exact doubles, so the
+    one correctly rounded division gives ``float``'s value bit for bit
+    (Clinger 1990, "How to read floating point numbers accurately"), and a
+    ``-`` negates it, ``-0.0`` included.  Every other field goes through
+    ``float`` itself: exponents, spaces, underscores, a ``+``, non-ASCII
+    digits, nan, inf and text that is no number.
+    """
+    width = ends - starts
+    # each field's last ``cap`` units, right-aligned: row j is the unit
+    # ``cap - j`` before the field's end.  A field wider than ``cap`` (then
+    # ``_NUMBER_WIDTH``) has more digits than the fast path reads.
+    cap = min(int(width.max(initial=0)), _NUMBER_WIDTH)
+    window = units[np.maximum(np.add.outer(np.arange(-cap, 0), ends), 0)]
+    inside = np.arange(cap, 0, -1)[:, None] <= width
+    value = window - units.dtype.type(ord("0"))
+    digit = (value < 10) & inside
+    point = (window == ord(".")) & inside
+    value *= digit
+    mantissa = np.zeros(width.size, np.int64)
+    fraction = np.zeros(width.size, np.int64)
+    for j in range(cap):   # Horner's rule, left to right, over the digits
+        np.multiply(mantissa, 10, out=mantissa, where=~point[j])
+        mantissa += value[j]
+        fraction[point[j]] = cap - 1 - j
+    n_digits = digit.sum(axis=0)
+    minus = units[starts] == ord("-")
+    fast = ((point.sum(axis=0) == 1) & (n_digits <= _DIGITS) & (n_digits + 1 + minus == width)
+            & _is_digit(units[starts + minus]) & _is_digit(units[ends - 1])
+            & (mantissa <= 2 ** 53))
+    values = mantissa / _POW10[fraction]
+    np.negative(values, out=values, where=minus)
+    bad = np.zeros(width.size, bool)
+    for i in np.flatnonzero(~fast).tolist():
         try:
-            values[i] = float(field)
+            values[i] = float(text[starts[i]:ends[i]])
         except ValueError:
-            bad[i] = True
+            values[i], bad[i] = math.nan, True
     return values, bad
 
 
-def _empty(fields: list[str]) -> np.ndarray:
-    return np.fromiter(map(operator.not_, fields), bool, len(fields))
+def _run_codes(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               index: dict[str, int]) -> np.ndarray:
+    """Integer code of each field ``text[starts[i]:ends[i]]``, adding unseen
+    texts to ``index``.  A field of the same width and units as the field
+    before it, compared in place up to ``_RUN_WIDTH`` units, takes its code;
+    only the head of each run is sliced and looked up."""
+    width = ends - starts
+    cap = min(int(width.max(initial=0)), _RUN_WIDTH)
+    same = (width[1:] == width[:-1]) & (width[1:] <= cap)
+    for j in range(cap):
+        unit = units[np.minimum(starts + j, units.size - 1)]
+        same &= (unit[1:] == unit[:-1]) | (width[1:] <= j)
+    head = np.ones(width.size, bool)
+    head[1:] = ~same
+    codes = [index.setdefault(text[a:b], len(index))
+             for a, b in zip(starts[head].tolist(), ends[head].tolist())]
+    return np.array(codes, np.int32)[np.cumsum(head) - 1]
 
 
 def _row_error(row: list[str]) -> str:
@@ -250,39 +332,33 @@ def _row_error(row: list[str]) -> str:
     return f"blip altitude {alt_ft} outside [0, {ALT_MAX_FT:.0f}] ft"
 
 
-def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
-    """Integer code of each name, adding unseen names to ``index``."""
-    for name in dict.fromkeys(names):
-        index.setdefault(name, len(index))
-    return np.fromiter(map(index.__getitem__, names), np.int32, len(names))
-
-
-def _parse_block(path: Path, lines: list[str], first_line_no: int, n_fields: int,
+def _parse_block(path: Path, text: str, first_line_no: int, n_fields: int,
                  flight_index: dict[str, int], type_index: dict[str, int]
                  ) -> tuple[tuple[np.ndarray, ...], int]:
     """The flight and type codes, times and altitudes of the valid rows of
     one block, in line order, and the number of rows skipped.  Each skipped
-    row is logged with its line number, in line order.  The block's field
-    strings are freed when this returns, before the next block is read."""
-    columns, row_line, errors = _split_block(lines, n_fields)
-    flight_ids, type_codes = columns[0], columns[1]
-    t_s, bad = _floats(columns[2])
-    alt_ft, bad_alt = _floats(columns[3])
-    bad |= bad_alt
-    for column in columns[4:]:   # lat/lon: checked where present, not kept
-        bad |= _floats([field or "0" for field in column])[1]
-    bad |= _empty(flight_ids) | _empty(type_codes) | ~np.isfinite(t_s)
+    row is logged with its line number, in line order.  Only the text of
+    run heads, of numbers off the fast path and of skipped rows is sliced
+    into strings."""
+    units = _units(text)
+    starts, ends, row_line, errors = _split_block(units, n_fields)
+    numbers, bad = _numbers(text, units, starts[2:].ravel(), ends[2:].ravel())
+    numbers, bad = numbers.reshape(n_fields - 2, -1), bad.reshape(n_fields - 2, -1)
+    t_s, alt_ft = numbers[0], numbers[1]
+    empty = starts == ends
+    bad[2:] &= ~empty[4:]   # lat/lon: checked where present, not kept
+    bad = bad.any(axis=0) | empty[0] | empty[1] | ~np.isfinite(t_s)
     bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
     if bad.any():
-        errors += [(int(row_line[i]), _row_error([column[i] for column in columns]))
+        errors += [(int(row_line[i]), _row_error([text[a:b] for a, b in zip(starts[:, i],
+                                                                            ends[:, i])]))
                    for i in np.flatnonzero(bad).tolist()]
         keep = ~bad
-        flight_ids = list(compress(flight_ids, keep))
-        type_codes = list(compress(type_codes, keep))
-        t_s, alt_ft = t_s[keep], alt_ft[keep]
+        starts, ends, t_s, alt_ft = starts[:, keep], ends[:, keep], t_s[keep], alt_ft[keep]
     for i, reason in sorted(errors):
         logger.warning("%s line %d: %s; row skipped", path, first_line_no + i, reason)
-    return (_codes(flight_ids, flight_index), _codes(type_codes, type_index),
+    return (_run_codes(text, units, starts[0], ends[0], flight_index),
+            _run_codes(text, units, starts[1], ends[1], type_index),
             t_s, alt_ft), len(errors)
 
 
@@ -298,21 +374,27 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
     The file is read ``BLOCK_LINES`` lines at a time and never held whole;
-    each block is parsed into numeric columns, and no object is built per
-    row.  A row is a line of fields joined by commas, none of them quoted,
-    as ``write_columns`` writes it.  Malformed rows are logged with their
+    each block is parsed by position arithmetic on its code units into
+    numeric columns, with strings made only of run heads of ids and types,
+    of numbers off the decimal fast path and of rejected rows.  Every value
+    and every rejection is ``float``'s.  A row is a line of fields joined by
+    commas, none of them quoted, as ``write_columns`` writes it; a block
+    that holds a line separator other than ``"\\n"`` is first rewritten
+    with ``"\\n"`` alone.  Malformed rows are logged with their
     line number, skipped, and counted.  A missing or unreadable file is a
     ``ValidationError``; non-UTF-8 text, an empty file or a wrong header a
     ``DataError``.
     """
     path = Path(csv_path)
-    blocks = _line_blocks(path)
-    lines = next(blocks, None)
-    if lines is None:
+    blocks = _text_blocks(path)
+    text = next(blocks, None)
+    if text is None:
         raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header_line, text = text.split("\n", 1)
+    header = header_line.split(",")
     if header not in (_HEADER, _HEADER_LATLON):
-        mark = " (the file starts with a UTF-8 byte-order mark)" if lines[0][:1] == "\ufeff" else ""
+        mark = (" (the file starts with a UTF-8 byte-order mark)" if header_line[:1] == "\ufeff"
+                else "")
         raise DataError(
             f"{path}: header must be exactly {','.join(_HEADER)} "
             f"or {','.join(_HEADER_LATLON)}{mark}"
@@ -324,10 +406,10 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     parts: tuple[list[np.ndarray], ...] = ([], [], [], [])
     skipped = 0
     first_line_no = 2
-    for lines in chain([lines[1:]], blocks):
-        columns, n_skipped = _parse_block(path, lines, first_line_no, len(header),
+    for text in chain([text], blocks):
+        columns, n_skipped = _parse_block(path, text, first_line_no, len(header),
                                           flight_index, type_index)
-        first_line_no += len(lines)
+        first_line_no += text.count("\n")
         skipped += n_skipped
         for part, values in zip(parts, columns):
             part.append(values)

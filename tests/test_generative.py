@@ -424,6 +424,22 @@ class TestPersistence:
             load_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("spoil", [json.dumps, lambda value: True], ids=["text", "true"])
+    @pytest.mark.parametrize("key", ["grid_m", "mean_N", "modes", "variance", "total_variance"])
+    def test_basis_entries_that_are_no_json_number_refused(self, tmp_path, key, spoil):
+        # each of the key's numbers as JSON text, or as true
+        path = tmp_path / "model.json"
+        save_model(make_model(), path)
+        doc = json.loads(path.read_text())
+        value = doc[key]
+        doc[key] = (spoil(value) if key == "total_variance"
+                    else [[spoil(v) for v in row] for row in value] if key == "modes"
+                    else [spoil(v) for v in value])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match=f'"{key}".* must be a finite number') as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
     def test_other_window_refused(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(make_model(), path)

@@ -35,7 +35,7 @@ HEADER_LATLON = HEADER + ",lat,lon"
 
 def csv_file(tmp_path, lines, name="blips.csv"):
     path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -147,6 +147,18 @@ AWKWARD = np.concatenate([
 ])
 
 
+# number texts at the edges of ingest's decimal fast path, ``-?D+.D+`` of at
+# most 16 digits whose digits read as an integer are at most 2**53 ...
+FAST_TEXTS = ["-0.0", "0.0", "007.50", "900719925474099.2", "-900719925474099.2",
+              "1234567890.123456", "0.333333333333333", "0.0001", "25000.0", "6.0"]
+# ... and texts that only float() reads: 17 digits, 2**53 + 1, 16 digits
+# above 2**53, 22 and 23 fraction digits, and no -?D+.D+ form
+SLOW_TEXTS = ["1234567890.1234567", "0.3333333333333333", "900719925474099.3", "9999999999.999999",
+              "0.0000000000000000000001", "0.00000000000000000000001", "1.", ".5", "-.5",
+              "+1.5", "1_0.5", " 1.5", "1.5 ", "1e-05", "١.٥", "nan", "-inf", "1", "-",
+              "1.2.3", "--1.5", "1-.5", "abc", ""]
+
+
 def random_float_column(rng, n):
     """Repeats of a small pool (like scan times and quantized altitudes),
     awkward values and fresh random floats, shuffled together."""
@@ -229,6 +241,38 @@ def assert_same_trajectories(got, want):
         assert a.type_code == b.type_code
         for field in ("t_s", "alt_ft"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def assert_ingest_matches_reference(path, caplog):
+    """``ingest`` gives ``reference_ingest``'s trajectories and warnings;
+    returns the trajectories."""
+    want, want_warnings = reference_ingest(path)
+    with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+        got = ingest(path)
+    assert_same_trajectories(got, want)
+    assert [r.getMessage() for r in caplog.records] == want_warnings
+    return got
+
+
+def long_id_rows():
+    """Rows whose ids (201 units) and types (101 units) have equal widths
+    and agree well past any width the parser compares in place, with the
+    rows of the 6 flights interleaved."""
+    flights = [ramp_flight("F" * 200 + str(k), 15000, 20000, 2000, type_code="T" * 100 + str(k % 2))
+               for k in range(6)]
+    return [row for group in zip(*flights) for row in group]
+
+
+def run_head_rows():
+    """Rows of which none has the id or the type of the row before: equal
+    widths a unit apart, prefixes of each other, a non-ASCII id, and a
+    malformed row between."""
+    flights = [("F01", "NBJT"), ("F02", "WBJT"), ("F0", "NBJX"), ("F012", "WBJ"), ("é1", "WBJX")]
+    ramps = [[f"{f},{c},{row.split(',', 2)[2]}" for row in ramp_flight("x", 15000, 20000, 2000)]
+             for f, c in flights]
+    rows = [row for group in zip(*ramps) for row in group]
+    rows.insert(6, "F01,NBJT,abc,1000")
+    return rows
 
 
 class TestIngest:
@@ -411,6 +455,52 @@ class TestIngest:
         assert [r.getMessage() for r in caplog.records] == [
             f'{tmp_path / "blips.csv"} line 5: a field holds a quote ("); row skipped',
             f"{tmp_path / 'blips.csv'}: skipped 1 malformed row(s)"]
+
+    @pytest.mark.parametrize("block_lines", [None, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_numbers_read_as_float_reads_them(self, tmp_path, caplog, monkeypatch, seed,
+                                              block_lines):
+        # every number text, read by position or by float(), gives float()'s
+        # bits, and a rejected one float()'s message: each text is one
+        # flight's time and another's altitude
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rng = np.random.default_rng(seed)
+        write_columns(tmp_path / "values.csv", "v", np.concatenate([
+            random_float_column(rng, 300), AWKWARD, -AWKWARD, rng.uniform(0.0, 60000.0, 50)]))
+        texts = (tmp_path / "values.csv").read_text().splitlines()[1:] + FAST_TEXTS + SLOW_TEXTS
+        rows = []
+        for i, text in enumerate(texts):
+            rows += [f"T{i},NBJT,{text},1000.0", f"T{i},NBJT,-1.0,1000.0",
+                     f"A{i},NBJT,1.0,{text}", f"A{i},NBJT,2.0,1000.0"]
+        lines = [HEADER] + [rows[i] for i in rng.permutation(len(rows))]
+        assert_ingest_matches_reference(csv_file(tmp_path, lines), caplog)
+
+    def test_only_numbers_off_the_fast_path_reach_float(self, tmp_path, monkeypatch):
+        texts = FAST_TEXTS + SLOW_TEXTS
+        lines = [HEADER] + [row for i, text in enumerate(texts)
+                            for row in (f"F{i},NBJT,{text},1000.0", f"F{i},NBJT,-1.0,1000.0")]
+        given = []
+
+        class Float(float):   # float, and a record of the texts it is given
+            def __new__(cls, text):
+                given.append(text)
+                return float(text)
+
+        monkeypatch.setattr(pipeline, "float", Float, raising=False)
+        ingest(csv_file(tmp_path, lines))
+        assert not set(given) & set(FAST_TEXTS)
+        assert set(SLOW_TEXTS) <= set(given)
+
+    @pytest.mark.parametrize("block_lines", [None, 2])
+    @pytest.mark.parametrize("make_rows", [long_id_rows, run_head_rows])
+    def test_id_and_type_runs_match_reference_ingest(self, tmp_path, caplog, monkeypatch,
+                                                     make_rows, block_lines):
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = make_rows()
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert len(got) == len({row.split(",", 1)[0] for row in rows})
 
     def test_mixed_type_flight_dropped(self, tmp_path, caplog):
         mixed = ramp_flight("M", 10000, 20000, 2000)
