@@ -131,9 +131,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = generative.load_model(args.model)
-    profiles = generative.sample_thrust(model, args.count, args.seed)
+    values = generative.sample_values(model, args.count, args.seed)
     path = Path(args.out) / f"samples_{model.type_code}.csv"
-    evaluation.write_samples_csv(path, profiles)
+    evaluation.write_samples_csv(path, model.basis.grid, values)
     print(f"wrote {args.count} sampled profiles to {path}")
     return EXIT_OK
 

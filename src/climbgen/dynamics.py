@@ -16,6 +16,13 @@ LRU cache.  It holds the refined nodes, the split at the CAS-Mach
 crossover and ``(D, k)`` per node; a call only interpolates the thrust and
 applies :func:`rocd`'s expression, so results are bit-identical to
 evaluating :func:`rocd` at the nodes.
+
+:func:`integrate_climb_block` integrates a block of thrust profiles on one
+grid through one kernel: it checks the block once, interpolates each row
+as :func:`integrate_climb` does, and applies the same rate, floor and
+trapezoid arithmetic to the whole block along its last axis, so each row
+is bit-identical to :func:`integrate_climb` of that row.  Callers hand it
+at most ``BLOCK_CLIMBS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ if TYPE_CHECKING:
 
 ROCD_FLOOR = 0.5      # m/s; below this a climb is declared infeasible
 N_NODES = 1000        # uniform quadrature nodes per climb; the profile grid's nodes are added
+BLOCK_CLIMBS = 64     # thrust profiles integrated at once: bounds the (rows, nodes) arrays held
 
 
 @dataclass(eq=False)
@@ -149,12 +157,25 @@ def rocd(
 
 
 def time_from_rocd(h: np.ndarray, rocd_values: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoidal time-at-altitude from pointwise climb rates."""
+    """Cumulative trapezoidal time-at-altitude from pointwise climb rates,
+    along the last axis of ``rocd_values``: one climb, or one per row."""
     h = np.asarray(h, dtype=float)
     r = np.asarray(rocd_values, dtype=float)
     inv = 1.0 / r
-    seg = 0.5 * np.diff(h) * (inv[1:] + inv[:-1])
-    return np.concatenate(([0.0], np.cumsum(seg)))
+    seg = 0.5 * np.diff(h) * (inv[..., 1:] + inv[..., :-1])
+    t = np.zeros(r.shape)
+    np.cumsum(seg, axis=-1, out=t[..., 1:])
+    return t
+
+
+def check_thrust(grid: np.ndarray, values: np.ndarray) -> None:
+    """The checks of a thrust profile's grid and of its values, one profile
+    or one per row: a strictly increasing grid of at least 2 nodes, and
+    finite values."""
+    if grid.size < 2 or np.any(np.diff(grid) <= 0.0):
+        raise DomainError("grid must be strictly increasing with at least 2 nodes")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("thrust values must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +245,40 @@ def _climb_kernel(
     return kernel
 
 
+def _kernel(perf: "AircraftPerformance", mass: float, grid: np.ndarray, h_start: float,
+            h_end: float, delta_T: float) -> ClimbKernel:
+    """The climb's kernel, once the span is checked against the grid."""
+    if not h_start < h_end:
+        raise DomainError(f"need h_start < h_end, got {h_start} >= {h_end}")
+    if h_start < grid[0] - 1e-9 or h_end > grid[-1] + 1e-9:
+        raise DomainError(
+            f"thrust profile spans [{grid[0]:.1f}, {grid[-1]:.1f}] m, "
+            f"requested [{h_start:.1f}, {h_end:.1f}] m"
+        )
+    return _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end,
+                         delta_T)
+
+
+def _infeasible(rate: float, h: float) -> InfeasibleClimbError:
+    return InfeasibleClimbError(
+        f"climb rate {float(rate):.3f} m/s at {float(h):.0f} m "
+        f"is at or below the {ROCD_FLOOR} m/s floor",
+        altitude_m=float(h),
+    )
+
+
+def _times(kernel: ClimbKernel, r: np.ndarray) -> np.ndarray:
+    """Times at the kernel's output altitudes from the rates at its rate
+    nodes, along the last axis: the parts either side of the crossover are
+    integrated on their own and joined at it."""
+    n = kernel.n_left
+    if n == r.shape[-1]:
+        return time_from_rocd(kernel.h, r)
+    t_left = time_from_rocd(kernel.h_rate[:n], r[..., :n])
+    t_right = time_from_rocd(kernel.h_rate[n:], r[..., n:]) + t_left[..., -1:]
+    return np.concatenate([t_left[..., :-1], t_right], axis=-1)
+
+
 def integrate_climb(
     perf: "AircraftPerformance",
     mass: float,
@@ -246,33 +301,81 @@ def integrate_climb(
     cached per ``(perf, mass, grid bytes, h_start, h_end, delta_T)`` (at
     most 64 kept, least recently used dropped first).  The rates behind
     ``t`` are bit-identical to evaluating :func:`rocd` at the nodes, and the
-    returned arrays are the caller's own.
+    returned arrays are the caller's own.  The floor test and the
+    trapezoid sums are those of :func:`integrate_climb_block`, which
+    integrates many profiles of one grid at once.
     """
-    if not h_start < h_end:
-        raise DomainError(f"need h_start < h_end, got {h_start} >= {h_end}")
     grid = thrust_profile.grid
-    if h_start < grid[0] - 1e-9 or h_end > grid[-1] + 1e-9:
-        raise DomainError(
-            f"thrust profile spans [{grid[0]:.1f}, {grid[-1]:.1f}] m, "
-            f"requested [{h_start:.1f}, {h_end:.1f}] m"
-        )
-
-    kernel = _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end, delta_T)
+    kernel = _kernel(perf, mass, grid, h_start, h_end, delta_T)
     r = kernel.rates(np.interp(kernel.h_rate, grid, thrust_profile.values))
     bad = r <= ROCD_FLOOR
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise InfeasibleClimbError(
-            f"climb rate {float(r[i]):.3f} m/s at {float(kernel.h_rate[i]):.0f} m "
-            f"is at or below the {ROCD_FLOOR} m/s floor",
-            altitude_m=float(kernel.h_rate[i]),
-        )
+        raise _infeasible(r[i], kernel.h_rate[i])
+    return ClimbTrajectory(t=_times(kernel, r), h=kernel.h.copy())
 
-    n = kernel.n_left
-    if n == r.size:
-        t = time_from_rocd(kernel.h, r)
-    else:
-        t_left = time_from_rocd(kernel.h_rate[:n], r[:n])
-        t_right = time_from_rocd(kernel.h_rate[n:], r[n:]) + t_left[-1]
-        t = np.concatenate([t_left[:-1], t_right])
-    return ClimbTrajectory(t=t, h=kernel.h.copy())
+
+@dataclass(frozen=True, eq=False)
+class ClimbBlock:
+    """The climbs of a block of thrust profiles, one row per profile.
+
+    ``h`` holds the output altitudes every climb shares and ``t`` one row
+    of times per profile.  A climb whose rate falls to the floor is
+    infeasible: ``fail_m`` holds the first rate node where it does and
+    ``fail_rate`` the rate there, both NaN for a feasible climb, and its
+    ``t`` row is NaN past the start.
+    """
+
+    h: np.ndarray
+    t: np.ndarray
+    fail_m: np.ndarray
+    fail_rate: np.ndarray
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return np.isnan(self.fail_m)
+
+    def error(self, row: int) -> InfeasibleClimbError:
+        """The ``InfeasibleClimbError`` that ``integrate_climb`` raises for
+        the row's profile."""
+        return _infeasible(self.fail_rate[row], self.fail_m[row])
+
+
+def integrate_climb_block(
+    perf: "AircraftPerformance",
+    mass: float,
+    grid: np.ndarray,
+    values: np.ndarray,
+    h_start: float,
+    h_end: float,
+    delta_T: float = 0.0,
+) -> ClimbBlock:
+    """:func:`integrate_climb` of each row of ``values``, thrust (N) of one
+    profile per row on ``grid``, without raising for an infeasible climb.
+
+    The grid, the values and the span get the checks of ``ThrustProfile``
+    and :func:`integrate_climb` once per block, and one cached
+    :class:`ClimbKernel` serves every row.  Each row is interpolated by
+    ``np.interp`` as :func:`integrate_climb` does; the rates, the floor
+    test and the trapezoid sums then run on the whole block, so a row's
+    times and failure are bit for bit those of :func:`integrate_climb`.
+    The arrays held grow with the rows; callers pass at most
+    ``BLOCK_CLIMBS``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size:
+        raise DomainError("values must hold one row per profile on the 1-d grid")
+    check_thrust(grid, values)
+    kernel = _kernel(perf, mass, grid, h_start, h_end, delta_T)
+    thrust = np.empty((values.shape[0], kernel.h_rate.size))
+    for row, profile in zip(thrust, values):
+        row[:] = np.interp(kernel.h_rate, grid, profile)
+    r = kernel.rates(thrust)
+    bad = r <= ROCD_FLOOR
+    first = np.argmax(bad, axis=-1)
+    failed = bad[np.arange(first.size), first]
+    fail_m = np.where(failed, kernel.h_rate[first], np.nan)
+    fail_rate = np.where(failed, r[np.arange(first.size), first], np.nan)
+    r[failed] = np.nan   # no division by a rate that may be 0
+    return ClimbBlock(h=kernel.h.copy(), t=_times(kernel, r), fail_m=fail_m, fail_rate=fail_rate)

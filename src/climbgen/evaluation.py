@@ -9,7 +9,8 @@ coverage counts the test blips inside the window.
 
 ``model_climb``, a thrust profile's climb through the modeled window at
 nominal mass, is the climb that every model query and score uses:
-``evaluate_type`` and the CLI's ``predict`` and ``bounds`` all call it.
+``evaluate_type`` and the CLI's ``predict`` and ``bounds`` all call it,
+and ``model_climbs`` gives it for a block of sampled profiles at once.
 ``evaluate_type`` scores one type and only then writes its five
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
@@ -27,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .atmosphere import FT, fl_to_m
-from .dynamics import ClimbTrajectory, integrate_climb
+from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_climb,
+                       integrate_climb_block)
 from .errors import DataError, DomainError, InfeasibleClimbError, write_json
-from .generative import GenerativeClimbModel, bound_profiles, sample_thrust
+from .generative import GenerativeClimbModel, bound_profiles, sample_values
 from .learning import INTERVAL_FL, ThrustProfile, default_grid
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
 from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
@@ -43,6 +45,7 @@ KDE_GRID_SIZE = 1024
 KDE_PLOT_SIZE = 256     # points per flight level in kde_<type>.csv
 DENSITY_FLOOR = 1e-12
 MIN_KL_SAMPLES = 20
+_WINDOW_M = (fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]))
 
 
 @dataclass(frozen=True)
@@ -83,14 +86,18 @@ class MetricsReport:
             raise DomainError(f"{self.type_code}: metrics out of range")
 
 
-def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float | None:
-    """Time of the first upward crossing of ``target_ft``: the first exact
-    hit or the first segment that brackets the target, whichever comes
-    first.  A segment that ends on the first exact hit counts as that hit.
+def _crossing(alt_ft: np.ndarray, target_ft: float):
+    """How the time of the first upward crossing of ``target_ft`` is read
+    from the times at the altitudes ``alt_ft``: a function of those times,
+    along their first axis, so that one altitude column serves every
+    column of a block of climbs' transposed times; None when the target is
+    out of reach.
 
-    Falls back to a short linear extrapolation from the boundary segment
-    when the data start just above / end just below the target (clipped
-    trajectories); returns None when the target is out of reach.
+    The crossing is the first exact hit or the first segment that brackets
+    the target, whichever comes first.  A segment that ends on the first
+    exact hit counts as that hit.  When the data start just above / end
+    just below the target (clipped trajectories), it is a short linear
+    extrapolation from the boundary segment.
     """
     # Data that start above the target cross it only after their first
     # blip at or below it; from there, the first blip at or above the
@@ -101,16 +108,37 @@ def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float
     k = start + int(np.argmax(alt_ft[start:] >= target_ft))
     if alt_ft[start] <= target_ft <= alt_ft[k]:
         if alt_ft[k] == target_ft:
-            return float(t[k])
+            return lambda t: t[k]
         frac = (target_ft - alt_ft[k - 1]) / (alt_ft[k] - alt_ft[k - 1])
-        return float(t[k - 1] + frac * (t[k] - t[k - 1]))
+        return lambda t: t[k - 1] + frac * (t[k] - t[k - 1])
     if alt_ft[0] > target_ft >= alt_ft[0] - EXTRAP_TOL_FT and alt_ft[1] > alt_ft[0]:
-        slope = (t[1] - t[0]) / (alt_ft[1] - alt_ft[0])
-        return float(t[0] - slope * (alt_ft[0] - target_ft))
+        rise, below = alt_ft[1] - alt_ft[0], alt_ft[0] - target_ft
+        return lambda t: t[0] - (t[1] - t[0]) / rise * below
     if alt_ft[-1] < target_ft <= alt_ft[-1] + EXTRAP_TOL_FT and alt_ft[-1] > alt_ft[-2]:
-        slope = (t[-1] - t[-2]) / (alt_ft[-1] - alt_ft[-2])
-        return float(t[-1] + slope * (target_ft - alt_ft[-1]))
+        rise, above = alt_ft[-1] - alt_ft[-2], target_ft - alt_ft[-1]
+        return lambda t: t[-1] + (t[-1] - t[-2]) / rise * above
     return None
+
+
+def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float | None:
+    """Time of the first upward crossing of ``target_ft`` by one track, as
+    ``_crossing`` reads it; None when the target is out of reach."""
+    read = _crossing(alt_ft, target_ft)
+    return None if read is None else float(read(t))
+
+
+def _arrival_columns(climbs: ClimbBlock) -> np.ndarray:
+    """The arrival times of ``arrival_times`` for every climb of a block,
+    one row per report flight level ``REPORT_FLS`` and one column per
+    climb; no column when the climbs, which share their altitudes, do not
+    span the levels.  Each crossing is located once on the shared
+    altitudes and read from every row."""
+    alt = climbs.h / FT
+    reads = [_crossing(alt, fl * 100.0) for fl in (REF_FL, *REPORT_FLS)]
+    if None in reads:
+        return np.empty((len(REPORT_FLS), 0))
+    t0 = reads[0](climbs.t.T)
+    return np.array([read(climbs.t.T) - t0 for read in reads[1:]])
 
 
 def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
@@ -250,9 +278,15 @@ def nominal_profile(perf: AircraftPerformance) -> ThrustProfile:
 def model_climb(perf: AircraftPerformance, profile: ThrustProfile) -> ClimbTrajectory:
     """The climb ``profile`` drives through the modeled window
     ``INTERVAL_FL`` at ``perf.nominal_mass``: the one climb that every
-    prediction, bound, sample and score integrates."""
-    return integrate_climb(perf, perf.nominal_mass, profile,
-                           fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]))
+    prediction, bound and score integrates; ``model_climbs`` gives it for
+    a block of profiles."""
+    return integrate_climb(perf, perf.nominal_mass, profile, *_WINDOW_M)
+
+
+def model_climbs(perf: AircraftPerformance, grid: np.ndarray, values: np.ndarray) -> ClimbBlock:
+    """``model_climb`` of each row of ``values``, thrust on ``grid``, as
+    one block; an infeasible climb is flagged, not raised."""
+    return integrate_climb_block(perf, perf.nominal_mass, grid, values, *_WINDOW_M)
 
 
 def evaluate_type(
@@ -268,8 +302,13 @@ def evaluate_type(
     ``arrivals_test`` and ``kde_<type>.csv``) under ``out``.
 
     Every climb is integrated and the report built before the first file
-    is written, so a type that raises writes none.  A sampled climb is
-    kept only as its arrival times and a copy of every tenth node.
+    is written, so a type that raises writes none.  The sampled profiles
+    are one block of thrust values (``generative.sample_values``),
+    integrated ``dynamics.BLOCK_CLIMBS`` rows at a time by
+    ``model_climbs``; the first infeasible sample raises the
+    ``InfeasibleClimbError`` that ``model_climb`` of it would.  A sampled
+    climb is kept only as its arrival times, read as columns of its block
+    by ``_arrival_columns``, and a copy of every tenth node.
     """
     code = model.type_code
     mean_traj = model_climb(perf, model.mean_profile())
@@ -299,18 +338,18 @@ def evaluate_type(
 
     curves = [(name, traj.h, traj.t) for name, traj in (
         ("mean_traj", mean_traj), ("nominal_traj", nominal_traj), ("slow", slow), ("fast", fast))]
-    profiles = sample_thrust(model, len(observed), seed)
-    gen250, gen325 = [], []
-    for k, profile in enumerate(profiles):
-        traj = model_climb(perf, profile)
-        # copies: a slice is a view that would keep the whole climb alive
-        curves.append((f"sample_{k}", traj.h[::10].copy(), traj.t[::10].copy()))
-        sample = arrival_times(traj)
-        if sample is not None:
-            gen250.append(sample.t_fl250)
-            gen325.append(sample.t_fl325)
-    gen250 = np.array(gen250)
-    gen325 = np.array(gen325)
+    grid = model.basis.grid
+    samples = sample_values(model, len(observed), seed)
+    generated = []
+    for start in range(0, len(samples), BLOCK_CLIMBS):
+        climbs = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
+        if not climbs.feasible.all():
+            raise climbs.error(int(np.argmin(climbs.feasible)))
+        # copies: a slice is a view that would keep the whole block alive
+        h, t = climbs.h[::10].copy(), climbs.t[:, ::10].copy()
+        curves += [(f"sample_{start + k}", h, row) for k, row in enumerate(t)]
+        generated.append(_arrival_columns(climbs))
+    gen250, gen325 = np.concatenate(generated, axis=1)
 
     report = MetricsReport(
         type_code=code,
@@ -325,13 +364,12 @@ def evaluate_type(
     )
 
     out = Path(out)
-    grid = model.basis.grid
     write_columns(
         out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
         grid, model.mean_profile().values, lower.values, upper.values,
         nominal.values, min_level_thrust(perf, grid),
     )
-    write_samples_csv(out / f"sampled_thrust_{code}.csv", profiles)
+    write_samples_csv(out / f"sampled_thrust_{code}.csv", grid, samples)
     names, h, t = zip(*curves)
     write_columns(
         out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
@@ -396,11 +434,12 @@ def run_report(
     return reports
 
 
-def write_samples_csv(path: str | Path, profiles: list[ThrustProfile]) -> None:
-    """Sampled thrust profiles, one row per sample and grid node."""
+def write_samples_csv(path: str | Path, grid: np.ndarray, values: np.ndarray) -> None:
+    """Sampled thrust profiles, thrust on ``grid`` one sample per row of
+    ``values``, as one CSV row per sample and grid node."""
     write_columns(
         path, "sample_id,h_m,thrust_N",
-        repeat_each([str(s) for s in range(len(profiles))], [p.grid.size for p in profiles]),
-        np.concatenate([p.grid for p in profiles]),
-        np.concatenate([p.values for p in profiles]),
+        repeat_each([str(s) for s in range(len(values))], [grid.size] * len(values)),
+        np.tile(grid, len(values)),
+        values.ravel(),
     )

@@ -142,10 +142,16 @@ def sample_weights(model: GenerativeClimbModel, count: int, seed: int) -> np.nda
     return z * np.sqrt(model.basis.variance)
 
 
+def sample_values(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
+    """The thrust (N) on ``model.basis.grid`` of ``count`` sampled
+    profiles, one per row: the reconstructions of drawn weights."""
+    return model.basis.mean + sample_weights(model, count, seed) @ model.basis.modes
+
+
 def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[ThrustProfile]:
-    """Sample synthetic thrust profiles by reconstructing drawn weights."""
-    values = model.basis.mean + sample_weights(model, count, seed) @ model.basis.modes
-    return [ThrustProfile(model.basis.grid.copy(), row) for row in values]
+    """Sample synthetic thrust profiles: the rows of ``sample_values``."""
+    return [ThrustProfile(model.basis.grid.copy(), row)
+            for row in sample_values(model, count, seed)]
 
 
 def confidence_radius(n: int, level: float) -> float:

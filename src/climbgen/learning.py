@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .atmosphere import FT, fl_to_m
-from .dynamics import rate_factors
+from .dynamics import check_thrust, rate_factors
 from .errors import (ClimbgenError, DegenerateConditionError, DegenerateModelError, DomainError,
                      FlightRejectedError)
 
@@ -115,10 +115,7 @@ class ThrustProfile:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise DomainError("grid and values must be 1-d arrays of equal length")
-        if self.grid.size < 2 or np.any(np.diff(self.grid) <= 0.0):
-            raise DomainError("grid must be strictly increasing with at least 2 nodes")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("thrust values must be finite")
+        check_thrust(self.grid, self.values)
 
 
 @dataclass(eq=False)

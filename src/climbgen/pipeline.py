@@ -10,7 +10,9 @@ The file is read in the one dialect ``write_columns`` writes: a row is
 one line of fields joined by commas, and a field holds no comma, no quote
 and no line break.  Lines are split as ``str.splitlines`` splits them,
 and a line with a quote or the wrong number of commas is a malformed row.
-The file is read ``BLOCK_LINES`` lines at a time and never held whole.
+The file is read ``BLOCK_LINES`` lines at a time and never held whole,
+in reads of ``READ_BYTES`` whose newlines are counted, so no object is
+made per line.
 Each block is parsed by position arithmetic on its code units (its bytes
 when ASCII, else its UTF-32 units): the positions of its newlines, commas
 and quotes give every line's and field's bounds; a decimal ``-?D+.D+`` of
@@ -39,7 +41,8 @@ bounded however large the fleet.  ``write_trajectories_csv`` writes the
 same blocks.
 
 ``simulate_fleet`` simulates one type at a time and writes its blips as
-soon as the type is done.  Every climb flies ``SIMULATED_FL``, the modeled
+soon as the type is done; a type's climbs are integrated a block of draws
+at a time.  Every climb flies ``SIMULATED_FL``, the modeled
 window with 10 FL to spare on each side, and "student_t" weights are drawn
 with ``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
 
@@ -69,10 +72,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .atmosphere import FT, fl_to_m
-from .dynamics import integrate_climb
-from .errors import (DataError, DomainError, InfeasibleClimbError, ScenarioError, ValidationError,
-                     json_number, read_json, write_json)
-from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, derive_rocd, median3
+# integrate_climb is bound here only because the benchmark's span table
+# (bench/spans.py REQUIRED_BINDINGS) requires it; the simulator integrates
+# with integrate_climb_block
+from .dynamics import BLOCK_CLIMBS, integrate_climb, integrate_climb_block  # noqa: F401
+from .errors import (DataError, DomainError, ScenarioError, ValidationError, json_number,
+                     read_json, write_json)
+from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, derive_rocd, median3
 from .performance import AircraftPerformance, nominal_thrust
 
 logger = logging.getLogger(__name__)
@@ -81,6 +87,7 @@ _HEADER = ["flight_id", "type_code", "t_s", "alt_ft"]
 _HEADER_LATLON = _HEADER + ["lat", "lon"]
 ALT_MAX_FT = 60000.0
 BLOCK_LINES = 1 << 15   # lines per parse or write block: bounds the strings held at once
+READ_BYTES = 1 << 13    # bytes per read of a blip file: bounds the bytes held past a block
 MAX_REDRAWS = 100
 ROCD_MIN_FPM = 500.0    # climb-rate floor of a kept blip
 SIMULATED_FL = (INTERVAL_FL[0] - 10.0, INTERVAL_FL[1] + 10.0)   # brackets the modeled window
@@ -175,22 +182,50 @@ _RUN_WIDTH = 32         # widest id or type compared in place with the row befor
 _POW10 = np.array([float(10 ** k) for k in range(_NUMBER_WIDTH)])   # exact doubles
 
 
+def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
+    """The next ``BLOCK_LINES`` lines that end in ``b"\\n"`` of the bytes
+    ``rest`` and then of an open binary file, or all that is left of them,
+    and the bytes read past the block.
+
+    The file is read ``READ_BYTES`` at a time.  Each read's newlines are
+    counted, and only the read in which the block ends is scanned for
+    their positions, so no object is made per line and less than one read
+    is held past the block."""
+    pieces, n_lines, chunk = [], 0, rest
+    while n_lines + (n := chunk.count(b"\n")) < BLOCK_LINES:
+        pieces.append(chunk)
+        n_lines += n
+        chunk = fh.read(READ_BYTES)
+        if not chunk:
+            return b"".join(pieces), b""
+    ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+    stop = int(ends[BLOCK_LINES - n_lines - 1]) + 1
+    pieces.append(chunk[:stop])
+    return b"".join(pieces), chunk[stop:]
+
+
 def _text_blocks(path: Path) -> Iterator[str]:
     """The text of a blip file in blocks whose lines are those of
     ``read_text().splitlines()``, each line ended by ``"\\n"``; the whole
     file is never held.
 
-    A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``,
-    decoded as UTF-8.  No multibyte UTF-8 character holds the byte
-    ``b"\\n"``, and a block ends only after one, so every character and
-    every ``"\\r\\n"`` pair lies inside one block.  A block that holds any
-    other separator of ``str.splitlines`` is rewritten with ``"\\n"`` alone.
-    A missing or unreadable file raises ``ValidationError``.
+    A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``
+    (``_next_block``), decoded as UTF-8.  No multibyte UTF-8 character
+    holds the byte ``b"\\n"``, and a block ends only after one, so every
+    character and every ``"\\r\\n"`` pair lies inside one block, wherever a
+    read ends.  A block that holds any other separator of
+    ``str.splitlines`` is rewritten with ``"\\n"`` alone.  A missing or
+    unreadable file raises ``ValidationError``.
     """
     try:
-        with open(path, "rb") as fh:
+        # unbuffered: the bytes read past a block are held only in ``rest``
+        with open(path, "rb", buffering=0) as fh:
             offset = 0
-            while data := b"".join(islice(fh, BLOCK_LINES)):
+            rest = b""
+            while True:
+                data, rest = _next_block(fh, rest)
+                if not data:
+                    break
                 try:
                     text = data.decode("utf-8")
                 except UnicodeDecodeError as exc:
@@ -715,45 +750,56 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
                    rng: np.random.Generator, truth: dict[str, dict]
                    ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The flight id, time and altitude columns of one type's blips; each
-    flight's ground truth is added to ``truth``."""
+    flight's ground truth is added to ``truth``.
+
+    Weights are drawn one flight at a time, as many as the flights still
+    missing and at most ``dynamics.BLOCK_CLIMBS``, and their climbs are
+    integrated as one block.  The draws are then taken in order: a
+    feasible one is the next flight, an infeasible one that flight's
+    redraw.  No draw is made that the flights do not need, so the next
+    type's draws come from the same place in ``rng``.  A scenario with
+    altitude noise draws the noise between flights, so it takes one draw
+    at a time."""
     spec = scenario.types[type_code]
     h0, h1 = fl_to_m(SIMULATED_FL[0]), fl_to_m(SIMULATED_FL[1])
     grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
     base = nominal_thrust(perf, grid) + spec.thrust_bias_n
     modes = truth_modes(grid, len(spec.mode_sds))
+    block_size = 1 if scenario.alt_noise_ft > 0.0 else BLOCK_CLIMBS
     flight_ids: list[str] = []
     times, alts = [], []
-    for i in range(spec.count):
-        flight_id = f"{type_code}-{i:05d}"
-        for attempt in range(MAX_REDRAWS + 1):
-            weights = _draw_weights(spec, rng)
-            values = base + weights @ modes if weights.size else base.copy()
-            try:
-                traj = integrate_climb(
-                    perf, perf.nominal_mass, ThrustProfile(grid, values),
-                    h0, h1, delta_T=scenario.delta_t_k,
-                )
-            except InfeasibleClimbError:
-                if attempt == MAX_REDRAWS:
+    redraws = 0
+    while len(times) < spec.count:
+        draws = [_draw_weights(spec, rng) for _ in range(min(block_size, spec.count - len(times)))]
+        climbs = integrate_climb_block(
+            perf, perf.nominal_mass, grid,
+            [base + weights @ modes if weights.size else base for weights in draws],
+            h0, h1, delta_T=scenario.delta_t_k,
+        )
+        for weights, t, feasible in zip(draws, climbs.t, climbs.feasible):
+            if not feasible:
+                if redraws == MAX_REDRAWS:
                     raise ScenarioError(
                         f"{type_code}: no feasible thrust draw in {MAX_REDRAWS} attempts"
-                    ) from None
+                    )
+                redraws += 1
                 continue
-            break
-        t_blips = np.arange(0.0, traj.t[-1], scenario.blip_interval_s)
-        alt = np.interp(t_blips, traj.t, traj.h) / FT
-        if scenario.alt_noise_ft > 0.0:
-            alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
-        if scenario.quantization_ft > 0.0:
-            alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
-        flight_ids += [flight_id] * t_blips.size
-        times.append(t_blips)
-        alts.append(alt)
-        truth[flight_id] = {
-            "type_code": type_code,
-            "thrust_bias_n": spec.thrust_bias_n,
-            "weights": [float(w) for w in weights],
-        }
+            redraws = 0
+            flight_id = f"{type_code}-{len(times):05d}"
+            t_blips = np.arange(0.0, t[-1], scenario.blip_interval_s)
+            alt = np.interp(t_blips, t, climbs.h) / FT
+            if scenario.alt_noise_ft > 0.0:
+                alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
+            if scenario.quantization_ft > 0.0:
+                alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+            flight_ids += [flight_id] * t_blips.size
+            times.append(t_blips)
+            alts.append(alt)
+            truth[flight_id] = {
+                "type_code": type_code,
+                "thrust_bias_n": spec.thrust_bias_n,
+                "weights": [float(w) for w in weights],
+            }
     return flight_ids, np.concatenate(times), np.concatenate(alts)
 
 
@@ -769,8 +815,12 @@ def simulate_fleet(
     Each flight draws a true thrust profile (nominal + bias + weighted
     cosine modes), is integrated through ``SIMULATED_FL``, and sampled
     at the blip interval with optional Gaussian noise and altitude
-    quantization.  Infeasible draws are retried up to 100 times.  Output
-    is byte-identical for a fixed seed.
+    quantization.  An infeasible draw is redrawn, up to ``MAX_REDRAWS``
+    times in a row.  The climbs of a type's draws are integrated a block
+    at a time by ``dynamics.integrate_climb_block``, which gives each
+    climb bit for bit as ``integrate_climb`` does, and the draws come from
+    ``rng`` in the order one flight at a time would make them.  Output is
+    byte-identical for a fixed seed.
 
     Types are simulated in sorted order, and each type's blips are written
     as soon as the type is done, so only one type's columns are held at a

@@ -27,6 +27,7 @@ from climbgen.dynamics import (
     drag,
     energy_share,
     integrate_climb,
+    integrate_climb_block,
     rate_factors,
     rocd,
     time_from_rocd,
@@ -382,3 +383,100 @@ class TestClimbKernel:
             assert str(got.value) == str(want.value)
             assert got.value.altitude_m == want.value.altitude_m
         assert (want.value.altitude_m < h_cross) == (where == "left")
+
+
+class TestIntegrateClimbBlock:
+    SPANS = TestClimbKernel.SPANS
+
+    @staticmethod
+    def mixed_block(perf, grid, rows, seed, span):
+        """``rows`` bumpy profiles, every third one pushed under the floor
+        on 4 nodes of ``span`` that move from row to row, every other time
+        into the span's top 8 nodes (above the crossover, where it lies
+        inside the span)."""
+        rng = np.random.default_rng(seed)
+        values = nominal_thrust(perf, grid) + rng.normal(0.0, 2000.0, (rows, grid.size))
+        floor = min_level_thrust(perf, grid)
+        inside = np.flatnonzero((grid >= span[0]) & (grid <= span[1]))
+        for k in range(0, rows, 3):
+            low = inside[-8] if k % 2 else inside[0]
+            at = int(rng.integers(low, inside[-1] - 4))
+            values[k, at:at + 4] = floor[at:at + 4] - 3000.0
+        return values
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("delta_T", [-15.0, 0.0, 10.0])
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    def test_each_row_is_the_reference_climb(self, nbjt, rows, delta_T, span):
+        h1, h2 = self.SPANS[span]
+        grid = default_grid()
+        mass = nbjt.nominal_mass
+        values = self.mixed_block(nbjt, grid, rows, seed=rows, span=(h1, h2))
+        block = integrate_climb_block(nbjt, mass, grid, values, h1, h2, delta_T)
+        assert block.t.shape == (rows, block.h.size)
+        n_infeasible = 0
+        for k, row in enumerate(values):
+            args = (nbjt, mass, ThrustProfile(grid, row), h1, h2, delta_T)
+            try:
+                t, h, _ = reference_climb(*args)
+            except InfeasibleClimbError as want:
+                n_infeasible += 1
+                assert not block.feasible[k]
+                got = block.error(k)
+                assert str(got) == str(want) and got.altitude_m == want.altitude_m
+                assert np.isnan(block.t[k, 1:]).all()
+                # integrate_climb itself still raises the same error
+                with pytest.raises(InfeasibleClimbError) as single:
+                    integrate_climb(*args)
+                assert str(single.value) == str(want)
+                assert single.value.altitude_m == want.altitude_m
+                continue
+            assert block.feasible[k] and np.isnan(block.fail_m[k])
+            assert np.array_equal(block.t[k], t) and np.array_equal(block.h, h)
+            # a feasible row does not depend on its neighbours
+            alone = integrate_climb_block(nbjt, mass, grid, row[None, :], h1, h2, delta_T)
+            assert np.array_equal(alone.t[0], block.t[k])
+        assert n_infeasible == len(range(0, rows, 3))
+        if rows == 64 and span == "crossover":   # failures on both legs of the climb
+            below = block.fail_m < crossover_altitude(nbjt.schedule)
+            assert below.any() and (~below & ~block.feasible).any()
+
+    def test_arrays_are_the_callers_own(self, nbjt):
+        grid = default_grid()
+        span = (float(grid[0]), float(grid[-1]))
+        values = self.mixed_block(nbjt, grid, 4, seed=1, span=span)
+        args = (nbjt, nbjt.nominal_mass, grid, values, *span)
+        first = integrate_climb_block(*args)
+        first.h[:] = -1.0
+        first.t[:] = -1.0
+        again = integrate_climb_block(*args)
+        want = integrate_climb(nbjt, nbjt.nominal_mass, ThrustProfile(grid, values[1]),
+                               float(grid[0]), float(grid[-1]))
+        assert np.array_equal(again.h, want.h) and np.array_equal(again.t[1], want.t)
+
+    @pytest.mark.parametrize("case", ["nan_value", "inf_value", "grid_not_increasing",
+                                      "one_node", "row_width", "one_profile_not_a_block",
+                                      "span_reversed", "span_outside_grid"])
+    def test_the_checks_of_a_profile_and_a_climb(self, nbjt, case):
+        grid = default_grid()
+        values = np.tile(nominal_thrust(nbjt, grid), (3, 1))
+        h1, h2 = float(grid[0]), float(grid[-1])
+        if case == "nan_value":
+            values[2, 5] = np.nan
+        elif case == "inf_value":
+            values[0, 0] = np.inf
+        elif case == "grid_not_increasing":
+            grid = grid.copy()
+            grid[[3, 4]] = grid[[4, 3]]
+        elif case == "one_node":
+            grid, values = grid[:1], values[:, :1]
+        elif case == "row_width":
+            values = values[:, 1:]
+        elif case == "one_profile_not_a_block":
+            values = values[0]
+        elif case == "span_reversed":
+            h1, h2 = h2, h1
+        else:
+            h1 -= 500.0
+        with pytest.raises(DomainError):
+            integrate_climb_block(nbjt, nbjt.nominal_mass, grid, values, h1, h2)

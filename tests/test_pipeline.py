@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 import tracemalloc
 from itertools import cycle
 from pathlib import Path
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from climbgen import evaluation, pipeline
-from climbgen.errors import DataError, DomainError, ScenarioError
-from climbgen.learning import (INTERVAL_FL, MIN_PROFILE_BLIPS, default_grid, derive_rocd, median3,
-                               profile_from_flight)
+from climbgen.dynamics import integrate_climb
+from climbgen.errors import DataError, DomainError, InfeasibleClimbError, ScenarioError
+from climbgen.learning import (INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, default_grid,
+                               derive_rocd, median3, profile_from_flight)
 from climbgen.pipeline import (
     FleetScenario,
     Trajectory,
@@ -412,6 +414,52 @@ class TestIngest:
             data.decode("utf-8")
         assert whole.value.start == offset and len(lines) > 2 * pipeline.BLOCK_LINES
         with pytest.raises(DataError, match=f"not UTF-8 text: invalid start byte at byte {offset}$"):
+            ingest(path)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 700])
+    def test_blocks_are_whole_lines_wherever_a_read_ends(self, tmp_path, monkeypatch,
+                                                              block_lines):
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = [f"{f},NBJT,{k}.5,1{k}00.0" for k in range(40) for f in ("Fé", "F✈", "F𝔉")]
+        data = ("\r\n".join([HEADER] + rows[:50]) + "\r" + "\n".join(rows[50:])).encode()
+        path = tmp_path / "blips.csv"
+        path.write_bytes(data)
+        assert not data.endswith(b"\n")
+        lines = re.findall(rb"[^\n]*\n|[^\n]+\Z", data)
+        want = [b"".join(lines[i:i + block_lines]) for i in range(0, len(lines), block_lines)]
+        for read_bytes in (1, 2, 3, 5, 64, 1 << 20):
+            monkeypatch.setattr(pipeline, "READ_BYTES", read_bytes)
+            got, rest = [], b""
+            with open(path, "rb", buffering=0) as fh:
+                while (block := pipeline._next_block(fh, rest))[0]:
+                    got.append(block[0])
+                    rest = block[1]
+                    assert len(rest) < read_bytes
+            assert got == want
+
+    @pytest.mark.parametrize("block_lines", [2, 700])
+    @pytest.mark.parametrize("read_bytes", [3, 7])
+    def test_reads_that_end_inside_a_character_or_a_crlf_pair(self, tmp_path, caplog, monkeypatch,
+                                                              block_lines, read_bytes):
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(pipeline, "READ_BYTES", read_bytes)
+        rows = []
+        for k, flight_id in enumerate(["Fé", "F✈", "F𝔉", "Ωmega"]):
+            rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)
+        rows.insert(9, "F✈,NBJT,abc,1000")
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(("\r\n".join([HEADER] + rows) + "\r\n").encode())
+        data = path.read_bytes()
+        reads = range(read_bytes, len(data), read_bytes)
+        assert any(data[end - 1:end + 1] == b"\r\n" for end in reads)
+        assert any(data[end] & 0xC0 == 0x80 for end in reads)   # the next read starts mid-character
+        got = assert_ingest_matches_reference(path, caplog)
+        assert [t.flight_id for t in got] == ["Fé", "F✈", "F𝔉", "Ωmega"]
+        assert "line 11:" in caplog.records[0].getMessage()
+        # a bad byte still reports its offset in the file
+        path.write_bytes(data + "Ω,NBJT,0.0,1".encode() + b"\xff0\r\n")
+        offset = len(data) + len("Ω,NBJT,0.0,1".encode())
+        with pytest.raises(DataError, match=f"invalid start byte at byte {offset}$"):
             ingest(path)
 
     def test_peak_memory_is_one_block_plus_the_columns(self, tmp_path):
@@ -865,6 +913,111 @@ class TestSimulateFleet:
         with pytest.raises(ScenarioError):
             simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
                            truth_path=tmp_path / "t.json")
+
+
+def reference_simulate_type(perf, type_code, scenario, rng, truth, draws=None):
+    """The per-flight simulator that the block one replaced: draw weights,
+    integrate the climb with ``integrate_climb``, and redraw while it is
+    infeasible.  Appends each draw's feasibility to ``draws``."""
+    spec = scenario.types[type_code]
+    h0, h1 = pipeline.fl_to_m(pipeline.SIMULATED_FL[0]), pipeline.fl_to_m(pipeline.SIMULATED_FL[1])
+    grid = np.linspace(h0, h1, pipeline.TRUTH_GRID_SIZE)
+    base = pipeline.nominal_thrust(perf, grid) + spec.thrust_bias_n
+    modes = truth_modes(grid, len(spec.mode_sds))
+    flight_ids, times, alts = [], [], []
+    for i in range(spec.count):
+        flight_id = f"{type_code}-{i:05d}"
+        for attempt in range(pipeline.MAX_REDRAWS + 1):
+            weights = pipeline._draw_weights(spec, rng)
+            values = base + weights @ modes if weights.size else base.copy()
+            try:
+                traj = integrate_climb(perf, perf.nominal_mass, ThrustProfile(grid, values),
+                                       h0, h1, delta_T=scenario.delta_t_k)
+            except InfeasibleClimbError:
+                if draws is not None:
+                    draws.append(False)
+                if attempt == pipeline.MAX_REDRAWS:
+                    raise ScenarioError(f"{type_code}: no feasible thrust draw in "
+                                        f"{pipeline.MAX_REDRAWS} attempts") from None
+                continue
+            if draws is not None:
+                draws.append(True)
+            break
+        t_blips = np.arange(0.0, traj.t[-1], scenario.blip_interval_s)
+        alt = np.interp(t_blips, traj.t, traj.h) / pipeline.FT
+        if scenario.alt_noise_ft > 0.0:
+            alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
+        if scenario.quantization_ft > 0.0:
+            alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+        flight_ids += [flight_id] * t_blips.size
+        times.append(t_blips)
+        alts.append(alt)
+        truth[flight_id] = {"type_code": type_code, "thrust_bias_n": spec.thrust_bias_n,
+                            "weights": [float(w) for w in weights]}
+    return flight_ids, np.concatenate(times), np.concatenate(alts)
+
+
+def infeasible_fleet(weight_dist="normal", count=150, **fleet):
+    """Two types whose draws are infeasible about 30% of the time (NBJT,
+    simulated first) and about 25% (CPJT), so redraws fall inside and
+    across the blocks of draws of both types, which share one stream."""
+    return FleetScenario(types={
+        "NBJT": TypeScenario(count=count, thrust_bias_n=-9000.0, mode_sds=(9e4, 5e4, 3e4),
+                             weight_dist=weight_dist),
+        "CPJT": TypeScenario(count=count // 2, thrust_bias_n=-1600.0,
+                             mode_sds=(9e4, 5e4, 3e4), weight_dist=weight_dist),
+    }, **fleet)
+
+
+class TestSimulateMatchesPerFlightReference:
+    """``simulate_fleet`` writes the bytes of the per-flight simulator."""
+
+    def simulate(self, catalog, scenario, out, monkeypatch, reference):
+        with monkeypatch.context() as patch:
+            if reference:
+                patch.setattr(pipeline, "_simulate_type", reference_simulate_type)
+            simulate_fleet(catalog, scenario, seed=11, csv_path=out / "blips.csv",
+                           truth_path=out / "truth.json")
+        return [(out / name).read_bytes() for name in ("blips.csv", "truth.json")]
+
+    @pytest.mark.parametrize("scenario", [
+        infeasible_fleet("normal"),
+        infeasible_fleet("student_t", delta_t_k=-12.0),
+        infeasible_fleet("contaminated", quantization_ft=0.0),
+        infeasible_fleet("normal", count=40, alt_noise_ft=30.0),
+        infeasible_fleet("contaminated", count=40, alt_noise_ft=30.0, delta_t_k=10.0),
+        FleetScenario(types={"NBJT": TypeScenario(count=70, thrust_bias_n=-3000.0),
+                             "WBJT": TypeScenario(count=70, mode_sds=(1.7e5, 8e4))}),
+    ], ids=["normal", "student_t", "contaminated", "noise", "noise_contaminated", "no_modes"])
+    def test_blips_and_truth_byte_for_byte(self, catalog, tmp_path, monkeypatch, scenario):
+        want = self.simulate(catalog, scenario, tmp_path / "reference", monkeypatch, True)
+        got = self.simulate(catalog, scenario, tmp_path / "block", monkeypatch, False)
+        assert got == want
+        draws = []
+        reference_simulate_type(catalog["NBJT"], "NBJT", scenario, np.random.default_rng(11),
+                                {}, draws)
+        if scenario.types["NBJT"].mode_sds:
+            assert 0.2 < draws.count(False) / len(draws) < 0.45
+        else:
+            assert all(draws)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_redraw_limit_stops_at_the_same_flight(self, catalog, monkeypatch, seed):
+        # three infeasible draws in a row are likely somewhere in 150 flights
+        monkeypatch.setattr(pipeline, "MAX_REDRAWS", 2)
+        scenario = infeasible_fleet()
+        outcomes = []
+        for simulate_type in (reference_simulate_type, pipeline._simulate_type):
+            truth = {}
+            try:
+                simulate_type(catalog["NBJT"], "NBJT", scenario, np.random.default_rng(seed),
+                              truth)
+                outcomes.append((None, truth))
+            except ScenarioError as exc:
+                outcomes.append((str(exc), truth))
+        assert outcomes[0] == outcomes[1]
+        if seed == 0:
+            assert outcomes[0][0] == "NBJT: no feasible thrust draw in 2 attempts"
 
 
 class TestScenarioFile:
