@@ -9,7 +9,6 @@ sound; pressure follows the unmodified standard profile.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +131,6 @@ def mach_to_tas(mach: float | np.ndarray, state: AtmosphereState) -> float | np.
     return float(tas) if np.ndim(tas) == 0 else tas
 
 
-@functools.lru_cache(maxsize=256)
 def crossover_altitude(schedule: SpeedSchedule) -> float:
     """Altitude where the constant-CAS and constant-Mach legs give the
     same true airspeed.

@@ -151,14 +151,14 @@ def _cmd_bounds(args) -> int:
     out = Path(args.out)
     model, perf = _model_and_perf(args)
     lower, upper = generative.bound_profiles(model, args.level)
-    # the bound climbs of generative.bound_trajectories, from the envelope
-    # above; both are integrated before either file is written
-    slow = evaluation.model_climb(perf, lower)
-    fast = evaluation.model_climb(perf, upper)
+    # the slow and fast bound climbs of generative.bound_trajectories, from
+    # the envelope above, integrated before either file is written
+    climbs = evaluation.model_climbs(perf, model.basis.grid, np.array([lower.values, upper.values]))
+    climbs.raise_infeasible()
     write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
                   model.basis.grid, lower.values, model.mean_profile().values, upper.values)
     write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
-                  slow.h, fast.t, slow.t)
+                  climbs.h, climbs.t[1], climbs.t[0])
     print(f"wrote thrust and time bounds for {model.type_code} at level {args.level}")
     return EXIT_OK
 
@@ -166,16 +166,16 @@ def _cmd_bounds(args) -> int:
 def _cmd_predict(args) -> int:
     out = Path(args.out)
     model, perf = _model_and_perf(args)
-    mean_traj = evaluation.model_climb(perf, model.mean_profile())
-    nominal_traj = evaluation.model_climb(perf, evaluation.nominal_profile(perf))
+    climbs = evaluation.model_climbs(perf, model.basis.grid, np.array(
+        [model.basis.mean, evaluation.nominal_profile(perf).values]))
+    climbs.raise_infeasible()
     path = out / f"predict_{model.type_code}.csv"
-    write_columns(path, "h_m,t_model_s,t_nominal_s", mean_traj.h, mean_traj.t, nominal_traj.t)
-    summary = {"type_code": model.type_code}
-    for name, traj in (("model", mean_traj), ("nominal", nominal_traj)):
-        sample = evaluation.arrival_times(traj)
-        summary[f"{name}_t_fl250_s"] = sample.t_fl250 if sample else None
-        summary[f"{name}_t_fl325_s"] = sample.t_fl325 if sample else None
-    write_json(out / f"predict_{model.type_code}.json", summary)
+    write_columns(path, "h_m,t_model_s,t_nominal_s", climbs.h, *climbs.t)
+    # the window's climbs always span the report levels
+    (model_250, nominal_250), (model_325, nominal_325) = evaluation.arrival_columns(climbs).tolist()
+    write_json(out / f"predict_{model.type_code}.json", {
+        "type_code": model.type_code, "model_t_fl250_s": model_250, "model_t_fl325_s": model_325,
+        "nominal_t_fl250_s": nominal_250, "nominal_t_fl325_s": nominal_325})
     print(f"wrote mean and nominal climb predictions to {path}")
     return EXIT_OK
 

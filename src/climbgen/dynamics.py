@@ -340,6 +340,12 @@ class ClimbBlock:
         the row's profile."""
         return _infeasible(self.fail_rate[row], self.fail_m[row])
 
+    def raise_infeasible(self) -> None:
+        """Raise the ``error`` of the first infeasible row, if there is one."""
+        infeasible = np.flatnonzero(~self.feasible)
+        if infeasible.size:
+            raise self.error(int(infeasible[0]))
+
 
 def integrate_climb_block(
     perf: "AircraftPerformance",

@@ -7,10 +7,9 @@ the reference flight level ``REF_FL``, the bottom of the modeled window
 a common origin.  The second report level is the window's top, and
 coverage counts the test blips inside the window.
 
-``model_climb``, a thrust profile's climb through the modeled window at
-nominal mass, is the climb that every model query and score uses:
-``evaluate_type`` and the CLI's ``predict`` and ``bounds`` all call it,
-and ``model_climbs`` gives it for a block of sampled profiles at once.
+``model_climbs``, the climbs of a block of thrust profiles through the
+modeled window at nominal mass, is the climb that every model query and
+score uses, and ``arrival_columns`` reads a block's arrival times.
 ``evaluate_type`` scores one type and only then writes its five
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
@@ -28,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .atmosphere import FT, fl_to_m
-from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_climb,
+# integrate_climb is bound here only because the benchmark's span table
+# (bench/spans.py REQUIRED_BINDINGS) requires it
+from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_climb,  # noqa: F401
                        integrate_climb_block)
 from .errors import DataError, DomainError, InfeasibleClimbError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_values
@@ -127,7 +128,7 @@ def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float
     return None if read is None else float(read(t))
 
 
-def _arrival_columns(climbs: ClimbBlock) -> np.ndarray:
+def arrival_columns(climbs: ClimbBlock) -> np.ndarray:
     """The arrival times of ``arrival_times`` for every climb of a block,
     one row per report flight level ``REPORT_FLS`` and one column per
     climb; no column when the climbs, which share their altitudes, do not
@@ -275,17 +276,12 @@ def nominal_profile(perf: AircraftPerformance) -> ThrustProfile:
     return ThrustProfile(grid, nominal_thrust(perf, grid))
 
 
-def model_climb(perf: AircraftPerformance, profile: ThrustProfile) -> ClimbTrajectory:
-    """The climb ``profile`` drives through the modeled window
-    ``INTERVAL_FL`` at ``perf.nominal_mass``: the one climb that every
-    prediction, bound and score integrates; ``model_climbs`` gives it for
-    a block of profiles."""
-    return integrate_climb(perf, perf.nominal_mass, profile, *_WINDOW_M)
-
-
 def model_climbs(perf: AircraftPerformance, grid: np.ndarray, values: np.ndarray) -> ClimbBlock:
-    """``model_climb`` of each row of ``values``, thrust on ``grid``, as
-    one block; an infeasible climb is flagged, not raised."""
+    """The climbs that the rows of ``values``, thrust on ``grid``, drive
+    through the modeled window ``INTERVAL_FL`` at ``perf.nominal_mass``, as
+    one block: the climbs that every prediction, bound and score
+    integrates.  An infeasible climb is flagged, and
+    ``ClimbBlock.raise_infeasible`` raises the first one's error."""
     return integrate_climb_block(perf, perf.nominal_mass, grid, values, *_WINDOW_M)
 
 
@@ -302,22 +298,22 @@ def evaluate_type(
     ``arrivals_test`` and ``kde_<type>.csv``) under ``out``.
 
     Every climb is integrated and the report built before the first file
-    is written, so a type that raises writes none.  The sampled profiles
-    are one block of thrust values (``generative.sample_values``),
-    integrated ``dynamics.BLOCK_CLIMBS`` rows at a time by
-    ``model_climbs``; the first infeasible sample raises the
-    ``InfeasibleClimbError`` that ``model_climb`` of it would.  A sampled
-    climb is kept only as its arrival times, read as columns of its block
-    by ``_arrival_columns``, and a copy of every tenth node.
+    is written, so a type that raises writes none.  The mean, nominal,
+    lower and upper envelope climbs are one block of ``model_climbs``; the
+    sampled profiles (``generative.sample_values``) are integrated
+    ``dynamics.BLOCK_CLIMBS`` rows at a time.  The first infeasible row of
+    a block raises its ``InfeasibleClimbError``.  Arrival times are read as
+    columns of each block by ``arrival_columns``, and a sampled climb is
+    kept only as its arrival times and a copy of every tenth node.
     """
     code = model.type_code
-    mean_traj = model_climb(perf, model.mean_profile())
+    grid = model.basis.grid
     nominal = nominal_profile(perf)
-    nominal_traj = model_climb(perf, nominal)
     # the bound climbs of generative.bound_trajectories, keeping the envelope
     lower, upper = bound_profiles(model, level)
-    slow = model_climb(perf, lower)
-    fast = model_climb(perf, upper)
+    climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal.values,
+                                                lower.values, upper.values]))
+    climbs.raise_infeasible()
 
     observed = []
     for tr in test_trajectories:
@@ -331,33 +327,31 @@ def evaluate_type(
     obs250 = np.array([s.t_fl250 for s in observed])
     obs325 = np.array([s.t_fl325 for s in observed])
 
-    pred_model = arrival_times(mean_traj)
-    pred_nominal = arrival_times(nominal_traj)
-    if pred_model is None or pred_nominal is None:
+    predicted = arrival_columns(climbs)   # model, nominal, lower, upper
+    if not predicted.size:
         raise DataError(f"{code}: model trajectories do not span the report levels")
 
-    curves = [(name, traj.h, traj.t) for name, traj in (
-        ("mean_traj", mean_traj), ("nominal_traj", nominal_traj), ("slow", slow), ("fast", fast))]
-    grid = model.basis.grid
+    curves = [(name, climbs.h, t) for name, t in
+              zip(("mean_traj", "nominal_traj", "slow", "fast"), climbs.t)]
+    slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
     samples = sample_values(model, len(observed), seed)
     generated = []
     for start in range(0, len(samples), BLOCK_CLIMBS):
-        climbs = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
-        if not climbs.feasible.all():
-            raise climbs.error(int(np.argmin(climbs.feasible)))
+        block = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
+        block.raise_infeasible()
         # copies: a slice is a view that would keep the whole block alive
-        h, t = climbs.h[::10].copy(), climbs.t[:, ::10].copy()
+        h, t = block.h[::10].copy(), block.t[:, ::10].copy()
         curves += [(f"sample_{start + k}", h, row) for k, row in enumerate(t)]
-        generated.append(_arrival_columns(climbs))
+        generated.append(arrival_columns(block))
     gen250, gen325 = np.concatenate(generated, axis=1)
 
     report = MetricsReport(
         type_code=code,
         n_f=model.n_flights_fit,
-        mae_fl250_model=mae(pred_model.t_fl250, obs250),
-        mae_fl250_nominal=mae(pred_nominal.t_fl250, obs250),
-        mae_fl325_model=mae(pred_model.t_fl325, obs325),
-        mae_fl325_nominal=mae(pred_nominal.t_fl325, obs325),
+        mae_fl250_model=mae(predicted[0, 0], obs250),
+        mae_fl250_nominal=mae(predicted[0, 1], obs250),
+        mae_fl325_model=mae(predicted[1, 0], obs325),
+        mae_fl325_nominal=mae(predicted[1, 1], obs325),
         kl_fl250=kl_divergence(obs250, gen250),
         kl_fl325=kl_divergence(obs325, gen325),
         coverage_pct=coverage(test_trajectories, slow, fast),

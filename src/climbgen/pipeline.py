@@ -13,13 +13,14 @@ and a line with a quote or the wrong number of commas is a malformed row.
 The file is read ``BLOCK_LINES`` lines at a time and never held whole,
 in reads of ``READ_BYTES`` whose newlines are counted, so no object is
 made per line.
-Each block is parsed by position arithmetic on its code units (its bytes
-when ASCII, else its UTF-32 units): the positions of its newlines, commas
-and quotes give every line's and field's bounds; a decimal ``-?D+.D+`` of
-at most 16 digits is read as an integer over a power of ten, which equals
-``float``'s value bit for bit, and every other number goes through
-``float``; an id or type equal to the row's before shares its code, so
-only the head of each run becomes a string.  No object is built per row.
+Each block is parsed by position arithmetic on its UTF-8 bytes; no
+multibyte character holds an ASCII byte, so the positions of its
+newlines, commas and quotes give every line's and field's bounds.  A
+decimal ``-?D+.D+`` of at most 16 digits is read as an integer over a
+power of ten, which equals ``float``'s value bit for bit, and every other
+number is decoded and goes through ``float``; an id or type equal to the
+row's before shares its code, so only the head of each run is decoded.
+No object is built per row.
 Malformed rows are logged by line number and skipped; lat/lon must parse
 when present but are not kept.
 
@@ -175,10 +176,13 @@ def _write_rows(fh, *columns) -> None:
         fh.write("\n".join(block) + "\n")
 
 
-_OTHER_SEPARATORS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# every line separator of str.splitlines but "\n", as UTF-8 bytes: the ASCII
+# ones, then all, the three multibyte ones being slower to look for
+_ASCII_SEPARATORS = tuple(c.encode() for c in "\r\v\f\x1c\x1d\x1e")
+_ALL_SEPARATORS = _ASCII_SEPARATORS + tuple(c.encode() for c in "\x85\u2028\u2029")
 _DIGITS = 16            # most digits a number read by position may have
 _NUMBER_WIDTH = _DIGITS + 2   # a sign, the digits and the point
-_RUN_WIDTH = 32         # widest id or type compared in place with the row before
+_RUN_WIDTH = 32         # widest id or type, in bytes, compared in place with the row before
 _POW10 = np.array([float(10 ** k) for k in range(_NUMBER_WIDTH)])   # exact doubles
 
 
@@ -204,18 +208,18 @@ def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
     return b"".join(pieces), chunk[stop:]
 
 
-def _text_blocks(path: Path) -> Iterator[str]:
-    """The text of a blip file in blocks whose lines are those of
-    ``read_text().splitlines()``, each line ended by ``"\\n"``; the whole
+def _blocks(path: Path) -> Iterator[bytes]:
+    """The UTF-8 bytes of a blip file in blocks whose lines are those of
+    ``read_text().splitlines()``, each line ended by ``b"\\n"``; the whole
     file is never held.
 
     A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``
-    (``_next_block``), decoded as UTF-8.  No multibyte UTF-8 character
-    holds the byte ``b"\\n"``, and a block ends only after one, so every
-    character and every ``"\\r\\n"`` pair lies inside one block, wherever a
-    read ends.  A block that holds any other separator of
-    ``str.splitlines`` is rewritten with ``"\\n"`` alone.  A missing or
-    unreadable file raises ``ValidationError``.
+    (``_next_block``).  No multibyte UTF-8 character holds the byte
+    ``b"\\n"``, and a block ends only after one, so every character and
+    every ``"\\r\\n"`` pair lies inside one block, wherever a read ends.
+    Only a block that is not ASCII is checked to be UTF-8, and only one
+    that holds another separator of ``str.splitlines`` is rewritten with
+    ``"\\n"`` alone.  A missing or unreadable file is a ``ValidationError``.
     """
     try:
         # unbuffered: the bytes read past a block are held only in ``rest``
@@ -226,35 +230,29 @@ def _text_blocks(path: Path) -> Iterator[str]:
                 data, rest = _next_block(fh, rest)
                 if not data:
                     break
-                try:
-                    text = data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
-                                    f"at byte {offset + exc.start}") from None
+                separators = _ASCII_SEPARATORS
+                if not data.isascii():
+                    separators = _ALL_SEPARATORS
+                    try:
+                        data.decode("utf-8")   # checked only: the text is dropped
+                    except UnicodeDecodeError as exc:
+                        raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
+                                        f"at byte {offset + exc.start}") from None
                 offset += len(data)
-                del data   # only the text is held while the block is parsed
-                if any(separator in text for separator in _OTHER_SEPARATORS):
-                    text = "\n".join(text.splitlines()) + "\n"
-                elif not text.endswith("\n"):
-                    text += "\n"
-                yield text
+                if any(separator in data for separator in separators):
+                    data = ("\n".join(data.decode("utf-8").splitlines()) + "\n").encode("utf-8")
+                elif not data.endswith(b"\n"):
+                    data += b"\n"
+                yield data
     except FileNotFoundError:
         raise ValidationError(f"blip file not found: {path}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
 
 
-def _units(text: str) -> np.ndarray:
-    """The code units of a text, one per character: its bytes when it is
-    ASCII, else its UTF-32 units."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), np.uint8)
-    return np.frombuffer(text.encode("utf-32-le"), np.uint32)
-
-
-def _split_block(units: np.ndarray, n_fields: int
+def _split_block(data: bytes, n_fields: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    """The bounds of the fields of the rows of one block, as ``n_fields``
+    """The byte bounds of the fields of the rows of one block, as ``n_fields``
     rows of starts and of ends with one column per row, the index in the
     block of each row's line, and the malformed lines' indices and reasons.
 
@@ -263,6 +261,7 @@ def _split_block(units: np.ndarray, n_fields: int
     every comma and ``"\\n"``, and of every ``'"'``, give each line's bounds,
     comma count and quote flag, and each row's field bounds.
     """
+    units = np.frombuffer(data, np.uint8)
     separators = np.flatnonzero((units == ord(",")) | (units == ord("\n")))
     line_end = np.flatnonzero(units[separators] == ord("\n"))   # indices into separators
     n_commas = np.diff(line_end, prepend=-1) - 1
@@ -280,13 +279,12 @@ def _split_block(units: np.ndarray, n_fields: int
 
 
 def _is_digit(units: np.ndarray) -> np.ndarray:
-    return units - units.dtype.type(ord("0")) < 10   # unsigned: a unit below "0" wraps high
+    return units - np.uint8(ord("0")) < 10   # unsigned: a byte below "0" wraps high
 
 
-def _numbers(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Python ``float`` of each field ``text[starts[i]:ends[i]]`` (NaN where
-    it fails) and the mask of fields that do not parse.
+def _numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Python ``float`` of each field ``data[starts[i]:ends[i]]``, decoded
+    (NaN where it fails), and the mask of fields that do not parse.
 
     A field ``-?D+.D+`` of at most ``_DIGITS`` digits whose digits, read as
     one integer M, are at most 2**53 is read by position: M / 10**k, with k
@@ -297,14 +295,15 @@ def _numbers(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarray
     ``float`` itself: exponents, spaces, underscores, a ``+``, non-ASCII
     digits, nan, inf and text that is no number.
     """
+    units = np.frombuffer(data, np.uint8)
     width = ends - starts
-    # each field's last ``cap`` units, right-aligned: row j is the unit
+    # each field's last ``cap`` bytes, right-aligned: row j is the byte
     # ``cap - j`` before the field's end.  A field wider than ``cap`` (then
     # ``_NUMBER_WIDTH``) has more digits than the fast path reads.
     cap = min(int(width.max(initial=0)), _NUMBER_WIDTH)
     window = units[np.maximum(np.add.outer(np.arange(-cap, 0), ends), 0)]
     inside = np.arange(cap, 0, -1)[:, None] <= width
-    value = window - units.dtype.type(ord("0"))
+    value = window - np.uint8(ord("0"))
     digit = (value < 10) & inside
     point = (window == ord(".")) & inside
     value *= digit
@@ -324,18 +323,19 @@ def _numbers(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarray
     bad = np.zeros(width.size, bool)
     for i in np.flatnonzero(~fast).tolist():
         try:
-            values[i] = float(text[starts[i]:ends[i]])
+            values[i] = float(data[starts[i]:ends[i]].decode())
         except ValueError:
             values[i], bad[i] = math.nan, True
     return values, bad
 
 
-def _run_codes(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-               index: dict[str, int]) -> np.ndarray:
-    """Integer code of each field ``text[starts[i]:ends[i]]``, adding unseen
-    texts to ``index``.  A field of the same width and units as the field
-    before it, compared in place up to ``_RUN_WIDTH`` units, takes its code;
-    only the head of each run is sliced and looked up."""
+def _run_codes(data: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[str, int]
+               ) -> np.ndarray:
+    """Integer code of each field ``data[starts[i]:ends[i]]``, decoded,
+    adding unseen texts to ``index``.  A field of the same bytes as the
+    field before it, compared in place up to ``_RUN_WIDTH`` bytes, takes its
+    code; only the head of each run is sliced, decoded and looked up."""
+    units = np.frombuffer(data, np.uint8)
     width = ends - starts
     cap = min(int(width.max(initial=0)), _RUN_WIDTH)
     same = (width[1:] == width[:-1]) & (width[1:] <= cap)
@@ -344,7 +344,7 @@ def _run_codes(text: str, units: np.ndarray, starts: np.ndarray, ends: np.ndarra
         same &= (unit[1:] == unit[:-1]) | (width[1:] <= j)
     head = np.ones(width.size, bool)
     head[1:] = ~same
-    codes = [index.setdefault(text[a:b], len(index))
+    codes = [index.setdefault(data[a:b].decode(), len(index))
              for a, b in zip(starts[head].tolist(), ends[head].tolist())]
     return np.array(codes, np.int32)[np.cumsum(head) - 1]
 
@@ -367,17 +367,16 @@ def _row_error(row: list[str]) -> str:
     return f"blip altitude {alt_ft} outside [0, {ALT_MAX_FT:.0f}] ft"
 
 
-def _parse_block(path: Path, text: str, first_line_no: int, n_fields: int,
+def _parse_block(path: Path, data: bytes, first_line_no: int, n_fields: int,
                  flight_index: dict[str, int], type_index: dict[str, int]
                  ) -> tuple[tuple[np.ndarray, ...], int]:
     """The flight and type codes, times and altitudes of the valid rows of
     one block, in line order, and the number of rows skipped.  Each skipped
-    row is logged with its line number, in line order.  Only the text of
-    run heads, of numbers off the fast path and of skipped rows is sliced
-    into strings."""
-    units = _units(text)
-    starts, ends, row_line, errors = _split_block(units, n_fields)
-    numbers, bad = _numbers(text, units, starts[2:].ravel(), ends[2:].ravel())
+    row is logged with its line number, in line order.  Only the bytes of
+    run heads, of numbers off the fast path and of skipped rows are sliced
+    and decoded."""
+    starts, ends, row_line, errors = _split_block(data, n_fields)
+    numbers, bad = _numbers(data, starts[2:].ravel(), ends[2:].ravel())
     numbers, bad = numbers.reshape(n_fields - 2, -1), bad.reshape(n_fields - 2, -1)
     t_s, alt_ft = numbers[0], numbers[1]
     empty = starts == ends
@@ -385,15 +384,15 @@ def _parse_block(path: Path, text: str, first_line_no: int, n_fields: int,
     bad = bad.any(axis=0) | empty[0] | empty[1] | ~np.isfinite(t_s)
     bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
     if bad.any():
-        errors += [(int(row_line[i]), _row_error([text[a:b] for a, b in zip(starts[:, i],
-                                                                            ends[:, i])]))
+        errors += [(int(row_line[i]), _row_error([data[a:b].decode() for a, b in
+                                                  zip(starts[:, i], ends[:, i])]))
                    for i in np.flatnonzero(bad).tolist()]
         keep = ~bad
         starts, ends, t_s, alt_ft = starts[:, keep], ends[:, keep], t_s[keep], alt_ft[keep]
     for i, reason in sorted(errors):
         logger.warning("%s line %d: %s; row skipped", path, first_line_no + i, reason)
-    return (_run_codes(text, units, starts[0], ends[0], flight_index),
-            _run_codes(text, units, starts[1], ends[1], type_index),
+    return (_run_codes(data, starts[0], ends[0], flight_index),
+            _run_codes(data, starts[1], ends[1], type_index),
             t_s, alt_ft), len(errors)
 
 
@@ -409,9 +408,9 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
     The file is read ``BLOCK_LINES`` lines at a time and never held whole;
-    each block is parsed by position arithmetic on its code units into
-    numeric columns, with strings made only of run heads of ids and types,
-    of numbers off the decimal fast path and of rejected rows.  Every value
+    each block is parsed by position arithmetic on its UTF-8 bytes into
+    numeric columns, and only run heads of ids and types, numbers off the
+    decimal fast path and rejected rows are decoded into strings.  Every value
     and every rejection is ``float``'s.  A row is a line of fields joined by
     commas, none of them quoted, as ``write_columns`` writes it; a block
     that holds a line separator other than ``"\\n"`` is first rewritten
@@ -421,11 +420,12 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     ``DataError``.
     """
     path = Path(csv_path)
-    blocks = _text_blocks(path)
-    text = next(blocks, None)
-    if text is None:
+    blocks = _blocks(path)
+    data = next(blocks, None)
+    if data is None:
         raise DataError(f"{path}: empty file")
-    header_line, text = text.split("\n", 1)
+    header_bytes, data = data.split(b"\n", 1)
+    header_line = header_bytes.decode()
     header = header_line.split(",")
     if header not in (_HEADER, _HEADER_LATLON):
         mark = (" (the file starts with a UTF-8 byte-order mark)" if header_line[:1] == "\ufeff"
@@ -441,10 +441,10 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     parts: tuple[list[np.ndarray], ...] = ([], [], [], [])
     skipped = 0
     first_line_no = 2
-    for text in chain([text], blocks):
-        columns, n_skipped = _parse_block(path, text, first_line_no, len(header),
+    for data in chain([data], blocks):
+        columns, n_skipped = _parse_block(path, data, first_line_no, len(header),
                                           flight_index, type_index)
-        first_line_no += text.count("\n")
+        first_line_no += data.count(b"\n")
         skipped += n_skipped
         for part, values in zip(parts, columns):
             part.append(values)

@@ -108,12 +108,13 @@ class TestWorkflow:
                      "--level", "0.9", "--out", str(workdir / "bounds90")]) == 0
         assert len(calls) == 1
 
-    def test_predict_and_bounds_climb_through_model_climb(self, workdir, tmp_path, count_calls):
-        climbs = count_calls(evaluation, "model_climb")
+    def test_predict_and_bounds_climb_through_model_climbs(self, workdir, tmp_path, count_calls):
+        climbs = count_calls(evaluation, "model_climbs")
         model = str(workdir / "models" / "model_NBJT.json")
         assert main(["predict", "--model", model, "--out", str(tmp_path)]) == 0
         assert main(["bounds", "--model", model, "--out", str(tmp_path)]) == 0
-        assert len(climbs) == 4   # mean and nominal, then slow and fast
+        # one 2-row block each: mean and nominal, then slow and fast
+        assert [values.shape[0] for _, _, values in climbs] == [2, 2]
 
     def test_predict(self, workdir):
         assert main(["predict", "--model", str(workdir / "models" / "model_NBJT.json"),

@@ -10,7 +10,7 @@ import pytest
 
 from climbgen import evaluation, generative, pipeline
 from climbgen.dynamics import ClimbTrajectory, integrate_climb
-from climbgen.errors import DataError
+from climbgen.errors import DataError, InfeasibleClimbError
 from climbgen.evaluation import (
     ArrivalSample,
     arrival_times,
@@ -21,7 +21,7 @@ from climbgen.evaluation import (
     run_report,
     silverman_bandwidth,
 )
-from climbgen.learning import default_grid
+from climbgen.learning import ThrustProfile, default_grid
 from climbgen.performance import nominal_thrust
 from climbgen.pipeline import Trajectory
 
@@ -206,10 +206,49 @@ class TestModelClimb:
         nominal = evaluation.nominal_profile(perf)
         assert np.array_equal(nominal.grid, grid)
         assert np.array_equal(nominal.values, nominal_thrust(perf, grid))
-        for profile in (model.mean_profile(), nominal):
-            got = evaluation.model_climb(perf, profile)
+        profiles = (model.mean_profile(), nominal)
+        climbs = evaluation.model_climbs(perf, grid, np.array([p.values for p in profiles]))
+        assert climbs.feasible.all()
+        for got, profile in zip(climbs.t, profiles):
             want = integrate_climb(perf, perf.nominal_mass, profile, grid[0], grid[-1])
-            assert np.array_equal(got.t, want.t) and np.array_equal(got.h, want.h)
+            assert np.array_equal(got, want.t) and np.array_equal(climbs.h, want.h)
+
+
+    @pytest.mark.parametrize("block_climbs", [None, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_an_infeasible_sample_raises_its_own_error(self, small_world, catalog, tmp_path,
+                                                       monkeypatch, seed, block_climbs):
+        # a wide model whose mean and envelope at a low level climb, but
+        # some of whose samples do not: evaluate raises the first such
+        # sample's error, in whichever block it lies, and writes nothing
+        if block_climbs:
+            monkeypatch.setattr(evaluation, "BLOCK_CLIMBS", block_climbs)
+        model, split_data, _, _ = small_world
+        perf = catalog["NBJT"]
+        basis = dataclasses.replace(model.basis, variance=model.basis.variance * 30.0,
+                                    total_variance=model.basis.total_variance * 30.0)
+        wide = generative.GenerativeClimbModel("NBJT", basis, model.n_flights_fit)
+        grid = basis.grid
+
+        def climb(profile):
+            return integrate_climb(perf, perf.nominal_mass, profile, grid[0], grid[-1])
+
+        for profile in (wide.mean_profile(), *generative.bound_profiles(wide, 0.01)):
+            climb(profile)
+        n = sum(arrival_times(tr) is not None for tr in split_data.test)
+        errors = []
+        for row in generative.sample_values(wide, n, seed):
+            try:
+                climb(ThrustProfile(grid, row))
+            except InfeasibleClimbError as exc:
+                errors.append(exc)
+        assert 2 <= len(errors) < n and str(errors[0]) != str(errors[1])
+        out = tmp_path / "out"
+        with pytest.raises(InfeasibleClimbError) as got:
+            evaluation.evaluate_type(wide, perf, split_data.test, out, seed=seed, level=0.01)
+        assert str(got.value) == str(errors[0])
+        assert got.value.altitude_m == errors[0].altitude_m
+        assert not out.exists()
 
 
 class TestRunReport:

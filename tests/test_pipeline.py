@@ -384,6 +384,43 @@ class TestIngest:
         assert [r.getMessage() for r in caplog.records] == want_warnings
         assert len(want_warnings) == 2
 
+    @pytest.mark.parametrize("separator", ["\r", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_one_kind_of_separator_per_block_matches_reference_ingest(self, tmp_path, caplog,
+                                                                      monkeypatch, separator):
+        # blocks of ASCII rows whose only separator besides "\n" is one
+        # kind, multibyte or not, and one malformed row
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
+        rows = ramp_flight("A", 15000, 20000, 2000)[:8] + ramp_flight("B", 16000, 21000, 2000)[:8]
+        rows[5] = "A,NBJT,abc,1000"
+        pairs = [rows[k] + separator + rows[k + 1] for k in range(0, len(rows), 2)]
+        path = tmp_path / "blips.csv"
+        path.write_bytes(("\n".join([HEADER] + pairs) + "\n").encode())
+        got = assert_ingest_matches_reference(path, caplog)
+        assert [t.n_blips for t in got] == [7, 8]
+
+    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    def test_a_last_line_without_its_newline(self, tmp_path, caplog, monkeypatch, block_lines):
+        # a plain "\n" file whose last line lacks its newline reads as the
+        # same file with it: the last line, a valid blip, is kept
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = ramp_flight("A", 15000, 20000, 2000) + ramp_flight("B", 15000, 21000, 2500)
+        rows.insert(5, "A,NBJT,abc,1000")
+        data = ("\n".join([HEADER] + rows) + "\n").encode()
+        path = tmp_path / "blips.csv"
+        read = []
+        for text in (data, data[:-1]):
+            path.write_bytes(text)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+                read.append((ingest(path), [r.getMessage() for r in caplog.records]))
+        assert not path.read_bytes().endswith(b"\n")
+        assert not any(s in data.decode() for s in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e"))
+        (got, got_warnings), (want, want_warnings) = read[1], read[0]
+        assert_same_trajectories(got, want)
+        assert got_warnings == want_warnings and len(want_warnings) == 2
+        assert got[-1].t_s[-1] == float(rows[-1].split(",")[2])
+
     @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_hostile_ids_survive_write_and_ingest(self, tmp_path, caplog, monkeypatch, seed,
