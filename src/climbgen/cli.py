@@ -80,14 +80,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_prepare(args) -> int:
     out = Path(args.out)
     trajectories = pipeline.ingest(args.csv)
+    ingested = len(trajectories)
     filtered = pipeline.filter_climbs(trajectories)
+    del trajectories   # only their count is written: one copy of the flights is held
     if not filtered:
         raise DataError("no flights survive the climb filter")
     split_data = pipeline.split(filtered, seed=args.seed)
     pipeline.write_trajectories_csv(split_data.train, out / "train.csv")
     pipeline.write_trajectories_csv(split_data.test, out / "test.csv")
     summary = {
-        "ingested": len(trajectories),
+        "ingested": ingested,
         "filtered": len(filtered),
         "train": len(split_data.train),
         "test": len(split_data.test),
@@ -96,7 +98,7 @@ def _cmd_prepare(args) -> int:
         "rocd_min_fpm": pipeline.ROCD_MIN_FPM,
     }
     write_json(out / "prepare_summary.json", summary)
-    print(f"kept {len(filtered)}/{len(trajectories)} flights -> "
+    print(f"kept {len(filtered)}/{ingested} flights -> "
           f"{len(split_data.train)} train / {len(split_data.test)} test")
     return EXIT_OK
 
@@ -166,8 +168,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_predict(args) -> int:
     out = Path(args.out)
     model, perf = _model_and_perf(args)
-    climbs = evaluation.model_climbs(perf, model.basis.grid, np.array(
-        [model.basis.mean, evaluation.nominal_profile(perf).values]))
+    grid = model.basis.grid
+    climbs = evaluation.model_climbs(perf, grid, np.array(
+        [model.basis.mean, performance.nominal_thrust(perf, grid)]))
     climbs.raise_infeasible()
     path = out / f"predict_{model.type_code}.csv"
     write_columns(path, "h_m,t_model_s,t_nominal_s", climbs.h, *climbs.t)

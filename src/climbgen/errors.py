@@ -103,7 +103,9 @@ def write_json(path: str | Path, doc) -> None:
     document always gives the same bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)   # written as encoded, never held whole
+        fh.write("\n")
 
 
 def json_number(value, where: str) -> float:

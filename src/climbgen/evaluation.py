@@ -14,8 +14,12 @@ score uses, and ``arrival_columns`` reads a block's arrival times.
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
 next.  Each type's thrust envelope is built once and reused by
-``profiles_<type>.csv``.  CSV artifacts are written by
-``pipeline.write_columns`` and JSON ones by ``errors.write_json``.
+``profiles_<type>.csv``, and the nominal thrust is taken on the model's
+own grid.  A kernel density is summed over chunks of grid points, so
+neither it nor the KL divergence holds a (grid, sample) matrix, and the
+memory they hold does not grow with the samples.  CSV artifacts are
+written by ``pipeline.write_columns`` and JSON ones by
+``errors.write_json``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_clim
                        integrate_climb_block)
 from .errors import DataError, DomainError, InfeasibleClimbError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_values
-from .learning import INTERVAL_FL, ThrustProfile, default_grid
+from .learning import INTERVAL_FL
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
 from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
 
@@ -46,6 +50,7 @@ KDE_GRID_SIZE = 1024
 KDE_PLOT_SIZE = 256     # points per flight level in kde_<type>.csv
 DENSITY_FLOOR = 1e-12
 MIN_KL_SAMPLES = 20
+_KDE_CHUNK_CELLS = 1 << 16   # kernel values summed at once: bounds a KDE's memory
 _WINDOW_M = (fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]))
 
 
@@ -186,10 +191,20 @@ def silverman_bandwidth(sample: np.ndarray) -> float:
 
 
 def kde_density(sample: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian kernel density of a sample evaluated on a grid."""
-    z = (grid[:, None] - sample[None, :]) / bandwidth
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (sample.size * bandwidth * np.sqrt(2.0 * np.pi))
-    return dens
+    """Gaussian kernel density of a sample evaluated on a grid.
+
+    The kernel is summed over chunks of grid points of about
+    ``_KDE_CHUNK_CELLS`` kernel values, not over one (grid, sample) matrix,
+    so the memory held does not grow with the sample.  Each point's sum
+    runs over the whole sample in one row, as the one-matrix sum does, so
+    the density is the same bit for bit.
+    """
+    step = max(1, _KDE_CHUNK_CELLS // max(sample.size, 1))
+    sums = np.empty(grid.size)
+    for start in range(0, grid.size, step):
+        z = (grid[start:start + step, None] - sample[None, :]) / bandwidth
+        sums[start:start + step] = np.exp(-0.5 * z * z).sum(axis=1)
+    return sums / (sample.size * bandwidth * np.sqrt(2.0 * np.pi))
 
 
 def _kde_pair(p: np.ndarray, q: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,12 +285,6 @@ _REPORT_COLUMNS = (
 REPORT_HEADER = ",".join(column for column, _, _ in _REPORT_COLUMNS)
 
 
-def nominal_profile(perf: AircraftPerformance) -> ThrustProfile:
-    """The nominal max-climb thrust of ``perf`` on ``learning.default_grid()``."""
-    grid = default_grid()
-    return ThrustProfile(grid, nominal_thrust(perf, grid))
-
-
 def model_climbs(perf: AircraftPerformance, grid: np.ndarray, values: np.ndarray) -> ClimbBlock:
     """The climbs that the rows of ``values``, thrust on ``grid``, drive
     through the modeled window ``INTERVAL_FL`` at ``perf.nominal_mass``, as
@@ -308,10 +317,10 @@ def evaluate_type(
     """
     code = model.type_code
     grid = model.basis.grid
-    nominal = nominal_profile(perf)
+    nominal = nominal_thrust(perf, grid)
     # the bound climbs of generative.bound_trajectories, keeping the envelope
     lower, upper = bound_profiles(model, level)
-    climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal.values,
+    climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal,
                                                 lower.values, upper.values]))
     climbs.raise_infeasible()
 
@@ -361,7 +370,7 @@ def evaluate_type(
     write_columns(
         out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
         grid, model.mean_profile().values, lower.values, upper.values,
-        nominal.values, min_level_thrust(perf, grid),
+        nominal, min_level_thrust(perf, grid),
     )
     write_samples_csv(out / f"sampled_thrust_{code}.csv", grid, samples)
     names, h, t = zip(*curves)

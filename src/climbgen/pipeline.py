@@ -41,21 +41,23 @@ blocks of ``flight_blocks``: runs of whole flights of at most
 bounded however large the fleet.  ``write_trajectories_csv`` writes the
 same blocks.
 
-``simulate_fleet`` simulates one type at a time and writes its blips as
-soon as the type is done; a type's climbs are integrated a block of draws
-at a time.  Every climb flies ``SIMULATED_FL``, the modeled
-window with 10 FL to spare on each side, and "student_t" weights are drawn
-with ``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
+``simulate_fleet`` simulates one type at a time and hands its finished
+flights to the writer a run of at least ``BLOCK_LINES`` rows at a time; a
+type's climbs are integrated a block of draws at a time, so the blips
+and climbs held at once do not grow with a type's flights.
+Every climb flies ``SIMULATED_FL``, the modeled window with 10 FL to
+spare on each side, and "student_t" weights are drawn with
+``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
 
 Every CSV artifact goes through ``write_columns`` or its row writer, and
 every JSON artifact through ``errors.write_json``; each makes its file's
 directory when it is missing, so a failure before the first write leaves
-no output directory behind.  Whole columns, not
-rows, are formatted.  A number is written as
-``repr(float(x))``, the shortest text that reads back to the same float,
-and each distinct bit pattern in a column is formatted once, so the few
-values radar columns repeat (scan times, quantized altitudes, the grid)
-cost one ``repr`` each.
+no output directory behind.  The writer slices ``BLOCK_LINES`` rows at a
+time from every column and formats only those, so one block's texts are
+held at once.  A number is written as ``repr(float(x))``, the shortest
+text that reads back to the same float, and each distinct bit pattern in
+a block is formatted once, so the few values radar columns repeat (scan
+times, quantized altitudes, the grid) cost one ``repr`` each per block.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -87,7 +89,7 @@ logger = logging.getLogger(__name__)
 _HEADER = ["flight_id", "type_code", "t_s", "alt_ft"]
 _HEADER_LATLON = _HEADER + ["lat", "lon"]
 ALT_MAX_FT = 60000.0
-BLOCK_LINES = 1 << 15   # lines per parse or write block: bounds the strings held at once
+BLOCK_LINES = 1 << 13   # lines per parse or write block: bounds the rows held at once
 READ_BYTES = 1 << 13    # bytes per read of a blip file: bounds the bytes held past a block
 MAX_REDRAWS = 100
 ROCD_MIN_FPM = 500.0    # climb-rate floor of a kept blip
@@ -136,7 +138,7 @@ def _float_texts(values) -> list[str]:
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 
 
@@ -153,9 +155,10 @@ def write_columns(path: str | Path, header: str, *columns) -> None:
 
     A column is a list of ready texts or an array of numbers, written as
     ``_float_texts`` gives it.  Every line, the last one included, ends in
-    a newline; no rows give exactly ``header + "\\n"``.  Rows are joined
-    and written ``BLOCK_LINES`` at a time, so the whole file's text is
-    never held at once.  The file's directory is made if it is missing.
+    a newline; no rows give exactly ``header + "\\n"``.  Rows are sliced,
+    formatted and written ``BLOCK_LINES`` at a time, so neither the whole
+    file's text nor a whole column's is held at once.  The file's
+    directory is made if it is missing.
     """
     if header.count(",") + 1 != len(columns):
         raise ValueError(f"header {header!r} does not name {len(columns)} columns")
@@ -169,11 +172,13 @@ def write_columns(path: str | Path, header: str, *columns) -> None:
 
 def _write_rows(fh, *columns) -> None:
     """Write equal-length columns, as ``write_columns`` takes them, to an
-    open file as CSV rows, ``BLOCK_LINES`` rows at a time."""
-    texts = [c if isinstance(c, list) else _float_texts(c) for c in columns]
-    rows = map(",".join, zip(*texts))
-    while block := list(islice(rows, BLOCK_LINES)):
-        fh.write("\n".join(block) + "\n")
+    open file as CSV rows.  ``BLOCK_LINES`` rows at a time are sliced from
+    every column, formatted and written, so only one block's texts are
+    held."""
+    for start in range(0, len(columns[0]), BLOCK_LINES):
+        texts = [c[start:start + BLOCK_LINES] if isinstance(c, list)
+                 else _float_texts(c[start:start + BLOCK_LINES]) for c in columns]
+        fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 # every line separator of str.splitlines but "\n", as UTF-8 bytes: the ASCII
@@ -297,25 +302,28 @@ def _numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndar
     """
     units = np.frombuffer(data, np.uint8)
     width = ends - starts
-    # each field's last ``cap`` bytes, right-aligned: row j is the byte
-    # ``cap - j`` before the field's end.  A field wider than ``cap`` (then
-    # ``_NUMBER_WIDTH``) has more digits than the fast path reads.
+    # each field's last ``cap`` bytes, right-aligned, one offset at a time:
+    # step j reads the byte ``cap - j`` before the field's end.  A field
+    # wider than ``cap`` (then ``_NUMBER_WIDTH``) has more digits than the
+    # fast path reads.
     cap = min(int(width.max(initial=0)), _NUMBER_WIDTH)
-    window = units[np.maximum(np.add.outer(np.arange(-cap, 0), ends), 0)]
-    inside = np.arange(cap, 0, -1)[:, None] <= width
-    value = window - np.uint8(ord("0"))
-    digit = (value < 10) & inside
-    point = (window == ord(".")) & inside
-    value *= digit
     mantissa = np.zeros(width.size, np.int64)
     fraction = np.zeros(width.size, np.int64)
+    n_digits = np.zeros(width.size, np.int64)
+    n_points = np.zeros(width.size, np.int64)
     for j in range(cap):   # Horner's rule, left to right, over the digits
-        np.multiply(mantissa, 10, out=mantissa, where=~point[j])
-        mantissa += value[j]
-        fraction[point[j]] = cap - 1 - j
-    n_digits = digit.sum(axis=0)
+        unit = units[np.maximum(ends - (cap - j), 0)]
+        inside = width >= cap - j
+        value = unit - np.uint8(ord("0"))
+        digit = (value < 10) & inside
+        point = (unit == ord(".")) & inside
+        np.multiply(mantissa, 10, out=mantissa, where=~point)
+        np.add(mantissa, value, out=mantissa, where=digit)
+        fraction[point] = cap - 1 - j
+        n_digits += digit
+        n_points += point
     minus = units[starts] == ord("-")
-    fast = ((point.sum(axis=0) == 1) & (n_digits <= _DIGITS) & (n_digits + 1 + minus == width)
+    fast = ((n_points == 1) & (n_digits <= _DIGITS) & (n_digits + 1 + minus == width)
             & _is_digit(units[starts + minus]) & _is_digit(units[ends - 1])
             & (mantissa <= 2 ** 53))
     values = mantissa / _POW10[fraction]
@@ -748,9 +756,11 @@ def _draw_weights(spec: TypeScenario, rng: np.random.Generator) -> np.ndarray:
 
 def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetScenario,
                    rng: np.random.Generator, truth: dict[str, dict]
-                   ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The flight id, time and altitude columns of one type's blips; each
-    flight's ground truth is added to ``truth``.
+                   ) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """One type's blips as runs of whole flights, each of at least
+    ``BLOCK_LINES`` rows but the last: the flight id, time and altitude
+    columns of each run.  Each flight's ground truth is added to ``truth``
+    as the flight is made.
 
     Weights are drawn one flight at a time, as many as the flights still
     missing and at most ``dynamics.BLOCK_CLIMBS``, and their climbs are
@@ -768,9 +778,9 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
     block_size = 1 if scenario.alt_noise_ft > 0.0 else BLOCK_CLIMBS
     flight_ids: list[str] = []
     times, alts = [], []
-    redraws = 0
-    while len(times) < spec.count:
-        draws = [_draw_weights(spec, rng) for _ in range(min(block_size, spec.count - len(times)))]
+    n_flights = redraws = 0
+    while n_flights < spec.count:
+        draws = [_draw_weights(spec, rng) for _ in range(min(block_size, spec.count - n_flights))]
         climbs = integrate_climb_block(
             perf, perf.nominal_mass, grid,
             [base + weights @ modes if weights.size else base for weights in draws],
@@ -785,7 +795,8 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
                 redraws += 1
                 continue
             redraws = 0
-            flight_id = f"{type_code}-{len(times):05d}"
+            flight_id = f"{type_code}-{n_flights:05d}"
+            n_flights += 1
             t_blips = np.arange(0.0, t[-1], scenario.blip_interval_s)
             alt = np.interp(t_blips, t, climbs.h) / FT
             if scenario.alt_noise_ft > 0.0:
@@ -800,7 +811,11 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
                 "thrust_bias_n": spec.thrust_bias_n,
                 "weights": [float(w) for w in weights],
             }
-    return flight_ids, np.concatenate(times), np.concatenate(alts)
+            if len(flight_ids) >= BLOCK_LINES:
+                yield flight_ids, _concat(times), _concat(alts)
+                flight_ids = []
+    if flight_ids:
+        yield flight_ids, _concat(times), _concat(alts)
 
 
 def simulate_fleet(
@@ -822,10 +837,11 @@ def simulate_fleet(
     ``rng`` in the order one flight at a time would make them.  Output is
     byte-identical for a fixed seed.
 
-    Types are simulated in sorted order, and each type's blips are written
-    as soon as the type is done, so only one type's columns are held at a
-    time.  A ``ScenarioError`` leaves no blip file and no directory that
-    this call made.
+    Types are simulated in sorted order, and a type's blips are written a
+    run of whole flights of at least ``BLOCK_LINES`` rows at a time, as
+    soon as the run is done, so no more than one run's columns are held
+    however many flights a type has.  A ``ScenarioError`` leaves no blip
+    file and no directory that this call made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
@@ -842,9 +858,9 @@ def simulate_fleet(
         with open(partial, "w", encoding="utf-8") as fh:
             fh.write(",".join(_HEADER) + "\n")
             for type_code in sorted(scenario.types):
-                flight_ids, t_s, alt_ft = _simulate_type(catalog[type_code], type_code,
-                                                         scenario, rng, truth)
-                _write_rows(fh, flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
+                for flight_ids, t_s, alt_ft in _simulate_type(catalog[type_code], type_code,
+                                                              scenario, rng, truth):
+                    _write_rows(fh, flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
     except BaseException:
         partial.unlink(missing_ok=True)
         for directory in made:   # deepest first

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from climbgen import evaluation, generative, pipeline
+from climbgen import cli, evaluation, generative, pipeline
 from climbgen.dynamics import ClimbTrajectory, integrate_climb
 from climbgen.errors import DataError, InfeasibleClimbError
 from climbgen.evaluation import (
@@ -144,6 +144,34 @@ class TestKlDivergence:
         density = kde_density(s, grid, bw)
         assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("chunk_cells", [None, 64])
+    @pytest.mark.parametrize("n", [1, 20, 500, 20_000])
+    def test_kde_equals_the_one_matrix_sum_bit_for_bit(self, monkeypatch, n, chunk_cells):
+        if chunk_cells:
+            monkeypatch.setattr(evaluation, "_KDE_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(n)
+        s = rng.normal(300.0, 40.0, n)
+        bw = silverman_bandwidth(s) if n > 1 else 7.5
+        grid = np.linspace(s.min() - 3 * bw, s.max() + 3 * bw, evaluation.KDE_GRID_SIZE)
+        z = (grid[:, None] - s[None, :]) / bw
+        want = np.exp(-0.5 * z * z).sum(axis=1) / (s.size * bw * np.sqrt(2.0 * np.pi))
+        got = kde_density(s, grid, bw)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_samples(self):
+        # the kernel is summed over chunks of grid points; one (grid,
+        # sample) matrix of two 20 000-point samples takes about 470 MiB
+        rng = np.random.default_rng(4)
+        p, q = rng.normal(0.0, 1.0, 20_000), rng.normal(0.5, 1.2, 20_000)
+        tracemalloc.start()
+        try:
+            kl = kl_divergence(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kl > 0.0
+        assert peak < 10 * 2**20, f"{peak / 2**20:.1f} MiB"
+
 
 class TestCoverage:
     @pytest.fixture()
@@ -203,16 +231,43 @@ class TestModelClimb:
         model = small_world[0]
         perf = catalog["NBJT"]
         grid = default_grid()
-        nominal = evaluation.nominal_profile(perf)
-        assert np.array_equal(nominal.grid, grid)
-        assert np.array_equal(nominal.values, nominal_thrust(perf, grid))
-        profiles = (model.mean_profile(), nominal)
+        profiles = (model.mean_profile(), ThrustProfile(grid, nominal_thrust(perf, grid)))
         climbs = evaluation.model_climbs(perf, grid, np.array([p.values for p in profiles]))
         assert climbs.feasible.all()
         for got, profile in zip(climbs.t, profiles):
             want = integrate_climb(perf, perf.nominal_mass, profile, grid[0], grid[-1])
             assert np.array_equal(got, want.t) and np.array_equal(climbs.h, want.h)
 
+    def test_a_model_on_another_grid_is_scored_on_its_own_grid(self, small_world, catalog,
+                                                                tmp_path, monkeypatch):
+        # evaluate and predict take the nominal thrust on the model's grid:
+        # a 199-node copy of a fitted model is scored, not refused by numpy
+        model, split_data, _, _ = small_world
+        perf = catalog["NBJT"]
+        grid = model.basis.grid
+        fine = np.linspace(grid[0], grid[-1], 199)
+        basis = dataclasses.replace(
+            model.basis, grid=fine, mean=np.interp(fine, grid, model.basis.mean),
+            modes=np.array([np.interp(fine, grid, mode) for mode in model.basis.modes]))
+        copy = generative.GenerativeClimbModel("NBJT", basis, model.n_flights_fit)
+        nominal = evaluation.model_climbs(perf, fine, nominal_thrust(perf, fine)[None, :])
+        (nominal_250,), (nominal_325,) = evaluation.arrival_columns(nominal)
+        observed = [a for a in map(arrival_times, split_data.test) if a is not None]
+
+        report = evaluation.evaluate_type(copy, perf, split_data.test, tmp_path / "eval", seed=1)
+        assert report.mae_fl250_nominal == evaluation.mae(nominal_250,
+                                                          [a.t_fl250 for a in observed])
+        assert report.mae_fl325_nominal == evaluation.mae(nominal_325,
+                                                          [a.t_fl325 for a in observed])
+        lines = (tmp_path / "eval" / "profiles_NBJT.csv").read_text().splitlines()
+        column = lines[0].split(",").index("nominal_N")
+        assert [float(line.split(",")[column]) for line in lines[1:]] == \
+            nominal_thrust(perf, fine).tolist()
+
+        monkeypatch.setattr(generative, "load_model", lambda path: copy)
+        assert cli.main(["predict", "--model", "copy.json", "--out", str(tmp_path / "p")]) == 0
+        lines = (tmp_path / "p" / "predict_NBJT.csv").read_text().splitlines()
+        assert [float(line.split(",")[2]) for line in lines[1:]] == nominal.t[0].tolist()
 
     @pytest.mark.parametrize("block_climbs", [None, 4])
     @pytest.mark.parametrize("seed", [0, 1])

@@ -994,6 +994,23 @@ def reference_simulate_type(perf, type_code, scenario, rng, truth, draws=None):
     return flight_ids, np.concatenate(times), np.concatenate(alts)
 
 
+def reference_runs(*args):
+    """``reference_simulate_type`` in ``_simulate_type``'s interface: the
+    whole type as one run of flights."""
+    yield reference_simulate_type(*args)
+
+
+def joined_runs(runs):
+    """The flight id, time and altitude columns of ``_simulate_type``'s
+    runs, joined."""
+    flight_ids, times, alts = [], [], []
+    for run_ids, t_s, alt_ft in runs:
+        flight_ids += run_ids
+        times.append(t_s)
+        alts.append(alt_ft)
+    return flight_ids, np.concatenate(times), np.concatenate(alts)
+
+
 def infeasible_fleet(weight_dist="normal", count=150, **fleet):
     """Two types whose draws are infeasible about 30% of the time (NBJT,
     simulated first) and about 25% (CPJT), so redraws fall inside and
@@ -1012,7 +1029,7 @@ class TestSimulateMatchesPerFlightReference:
     def simulate(self, catalog, scenario, out, monkeypatch, reference):
         with monkeypatch.context() as patch:
             if reference:
-                patch.setattr(pipeline, "_simulate_type", reference_simulate_type)
+                patch.setattr(pipeline, "_simulate_type", reference_runs)
             simulate_fleet(catalog, scenario, seed=11, csv_path=out / "blips.csv",
                            truth_path=out / "truth.json")
         return [(out / name).read_bytes() for name in ("blips.csv", "truth.json")]
@@ -1043,18 +1060,60 @@ class TestSimulateMatchesPerFlightReference:
         # three infeasible draws in a row are likely somewhere in 150 flights
         monkeypatch.setattr(pipeline, "MAX_REDRAWS", 2)
         scenario = infeasible_fleet()
-        outcomes = []
-        for simulate_type in (reference_simulate_type, pipeline._simulate_type):
+        outcomes, columns = [], []
+        for simulate_type in (reference_simulate_type,
+                              lambda *args: joined_runs(pipeline._simulate_type(*args))):
             truth = {}
             try:
-                simulate_type(catalog["NBJT"], "NBJT", scenario, np.random.default_rng(seed),
-                              truth)
+                columns.append(simulate_type(catalog["NBJT"], "NBJT", scenario,
+                                             np.random.default_rng(seed), truth))
                 outcomes.append((None, truth))
             except ScenarioError as exc:
                 outcomes.append((str(exc), truth))
         assert outcomes[0] == outcomes[1]
         if seed == 0:
             assert outcomes[0][0] == "NBJT: no feasible thrust draw in 2 attempts"
+        if len(columns) == 2:
+            (want_ids, *want), (got_ids, *got) = columns
+            assert got_ids == want_ids
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("alt_noise_ft", [0.0, 30.0])
+    def test_runs_are_whole_flights_of_at_least_a_block(self, catalog, monkeypatch,
+                                                        alt_noise_ft):
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", 500)
+        scenario = infeasible_fleet(count=40, alt_noise_ft=alt_noise_ft)
+        runs = list(pipeline._simulate_type(catalog["NBJT"], "NBJT", scenario,
+                                            np.random.default_rng(3), {}))
+        assert len(runs) > 3
+        assert all(len(ids) >= 500 for ids, _, _ in runs[:-1])
+        assert all(len(ids) == t.size == alt.size for ids, t, alt in runs)
+        # no flight is cut between two runs
+        assert all(a[-1] != b[0] for (a, _, _), (b, _, _) in zip(runs, runs[1:]))
+        want = reference_simulate_type(catalog["NBJT"], "NBJT", scenario,
+                                       np.random.default_rng(3), {})
+        got = joined_runs(runs)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    def test_peak_memory_does_not_grow_with_the_flights(self, catalog, tmp_path):
+        # a type's blips are held a run of about BLOCK_LINES rows at a
+        # time, so 4x the flights peak within 1.5x; holding the whole
+        # type's columns and their text peaks at about 4x
+        def peak(count):
+            scenario = FleetScenario(types={"NBJT": TypeScenario(count=count,
+                                                                 mode_sds=(9e4, 5e4))})
+            tracemalloc.start()
+            try:
+                simulate_fleet(catalog, scenario, seed=2, csv_path=tmp_path / f"{count}.csv",
+                               truth_path=tmp_path / f"{count}.json")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(300)   # builds the cached climb kernel, which a first run would count
+        one, four = peak(300), peak(1200)
+        assert four <= 1.5 * one, (one, four)
 
 
 class TestScenarioFile:
