@@ -215,7 +215,10 @@ def _climb_kernel(
     grid = np.frombuffer(grid_bytes)
     base = np.linspace(h_start, h_end, N_NODES)
     inner = grid[(grid > h_start) & (grid < h_end)]
-    nodes = np.unique(np.concatenate([base, inner]))
+    # sorted, repeats dropped: np.unique's values, without the numpy.ma
+    # import it makes when called without optional outputs
+    nodes = np.sort(np.concatenate([base, inner]))
+    nodes = nodes[np.append(True, nodes[1:] != nodes[:-1])]
     h_cross = crossover_altitude(perf.schedule)
 
     if not h_start < h_cross < h_end:

@@ -39,7 +39,7 @@ from .errors import DataError, DomainError, InfeasibleClimbError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_values
 from .learning import INTERVAL_FL
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
-from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
+from .pipeline import DatasetSplit, Trajectory, repeat_each, write_blocks, write_columns
 
 logger = logging.getLogger(__name__)
 
@@ -313,7 +313,9 @@ def evaluate_type(
     ``dynamics.BLOCK_CLIMBS`` rows at a time.  The first infeasible row of
     a block raises its ``InfeasibleClimbError``.  Arrival times are read as
     columns of each block by ``arrival_columns``, and a sampled climb is
-    kept only as its arrival times and a copy of every tenth node.
+    kept only as its arrival times and a copy of every tenth node, one 2-D
+    array per block.  ``trajectories_model_<type>.csv`` is written from
+    those arrays a block of climbs at a time.
     """
     code = model.type_code
     grid = model.basis.grid
@@ -340,8 +342,7 @@ def evaluate_type(
     if not predicted.size:
         raise DataError(f"{code}: model trajectories do not span the report levels")
 
-    curves = [(name, climbs.h, t) for name, t in
-              zip(("mean_traj", "nominal_traj", "slow", "fast"), climbs.t)]
+    curves = [(["mean_traj", "nominal_traj", "slow", "fast"], climbs.h, climbs.t)]
     slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
     samples = sample_values(model, len(observed), seed)
     generated = []
@@ -350,7 +351,7 @@ def evaluate_type(
         block.raise_infeasible()
         # copies: a slice is a view that would keep the whole block alive
         h, t = block.h[::10].copy(), block.t[:, ::10].copy()
-        curves += [(f"sample_{start + k}", h, row) for k, row in enumerate(t)]
+        curves.append(([f"sample_{start + k}" for k in range(len(t))], h, t))
         generated.append(arrival_columns(block))
     gen250, gen325 = np.concatenate(generated, axis=1)
 
@@ -373,11 +374,9 @@ def evaluate_type(
         nominal, min_level_thrust(perf, grid),
     )
     write_samples_csv(out / f"sampled_thrust_{code}.csv", grid, samples)
-    names, h, t = zip(*curves)
-    write_columns(
-        out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
-        repeat_each(names, [x.size for x in h]), np.concatenate(h), np.concatenate(t),
-    )
+    write_blocks(out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
+                 ((repeat_each(names, [h.size] * len(names)), np.tile(h, len(names)), t.ravel())
+                  for names, h, t in curves))
     write_columns(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
         repeat_each([s.flight_id for s in observed], [2] * len(observed)),

@@ -29,6 +29,10 @@ per timestamp wins, which is the earliest line in the file).  A flight
 whose blips carry more than one type code, or that has fewer than 2
 distinct timestamps, is dropped with a warning.  The checks are one
 vectorized pass over the sorted columns, not a loop over flights.
+``ingest`` holds the columns it returns plus one block: each block is
+parsed into columns sized from the file's bytes, and the rows are sorted
+only when they are out of flight and time order.  Every file this module
+writes is in that order, so it is read without a sort.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
 window, ``learning.INTERVAL_FL``, and of each only the blips inside it
@@ -160,14 +164,28 @@ def write_columns(path: str | Path, header: str, *columns) -> None:
     file's text nor a whole column's is held at once.  The file's
     directory is made if it is missing.
     """
+    _check_columns(header, columns)
+    write_blocks(path, header, [columns])
+
+
+def write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence]) -> None:
+    """Write a CSV file under a ``header`` line from blocks of rows, one
+    after the other: each block is a tuple of equal-length columns, as
+    ``write_columns`` takes them.  Only one block is asked for at a time,
+    so a generator of blocks bounds what is held however long the file."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            _check_columns(header, columns)
+            _write_rows(fh, *columns)
+
+
+def _check_columns(header: str, columns: Sequence) -> None:
     if header.count(",") + 1 != len(columns):
         raise ValueError(f"header {header!r} does not name {len(columns)} columns")
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"columns of {header!r} differ in length")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        _write_rows(fh, *columns)
 
 
 def _write_rows(fh, *columns) -> None:
@@ -189,6 +207,8 @@ _DIGITS = 16            # most digits a number read by position may have
 _NUMBER_WIDTH = _DIGITS + 2   # a sign, the digits and the point
 _RUN_WIDTH = 32         # widest id or type, in bytes, compared in place with the row before
 _POW10 = np.array([float(10 ** k) for k in range(_NUMBER_WIDTH)])   # exact doubles
+_SEPARATES = np.zeros(256, bool)   # by byte: whether it ends a field, a comma or "\n"
+_SEPARATES[[ord(","), ord("\n")]] = True
 
 
 def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
@@ -267,7 +287,7 @@ def _split_block(data: bytes, n_fields: int
     comma count and quote flag, and each row's field bounds.
     """
     units = np.frombuffer(data, np.uint8)
-    separators = np.flatnonzero((units == ord(",")) | (units == ord("\n")))
+    separators = np.flatnonzero(_SEPARATES[units])
     line_end = np.flatnonzero(units[separators] == ord("\n"))   # indices into separators
     n_commas = np.diff(line_end, prepend=-1) - 1
     ends = separators[line_end]
@@ -277,9 +297,13 @@ def _split_block(data: bytes, n_fields: int
     errors = [(i, 'a field holds a quote (")' if quoted[i] else f"expected {n_fields} fields, "
                f"got {n_commas[i] + 1}") for i in np.flatnonzero(~rows & (ends > starts)).tolist()]
     row_line = np.flatnonzero(rows)
+    row_end = line_end[row_line]
     # row k of ``before`` is the separator before field k, or the row's end
-    before = np.concatenate(([-1], separators))[np.add.outer(np.arange(1 - n_fields, 2),
-                                                               line_end[row_line])]
+    before = np.empty((n_fields + 1, row_line.size), np.int64)
+    for k in range(n_fields + 1):
+        before[k] = separators[row_end + (k - n_fields)]
+    if row_line.size and row_line[0] == 0:
+        before[0, 0] = -1   # the block's first field follows no separator
     return before[:-1] + 1, before[1:], row_line, errors
 
 
@@ -308,11 +332,14 @@ def _numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndar
     # fast path reads.
     cap = min(int(width.max(initial=0)), _NUMBER_WIDTH)
     mantissa = np.zeros(width.size, np.int64)
-    fraction = np.zeros(width.size, np.int64)
-    n_digits = np.zeros(width.size, np.int64)
-    n_points = np.zeros(width.size, np.int64)
+    # counts and the point's place are at most ``cap``: one byte each
+    fraction = np.zeros(width.size, np.uint8)
+    n_digits = np.zeros(width.size, np.uint8)
+    n_points = np.zeros(width.size, np.uint8)
+    at = np.empty(width.size, np.int64)
     for j in range(cap):   # Horner's rule, left to right, over the digits
-        unit = units[np.maximum(ends - (cap - j), 0)]
+        np.subtract(ends, cap - j, out=at)
+        unit = units[np.maximum(at, 0, out=at)]
         inside = width >= cap - j
         value = unit - np.uint8(ord("0"))
         digit = (value < 10) & inside
@@ -412,6 +439,23 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
+def _resize(columns: list[np.ndarray], size: int) -> None:
+    """Resize each column in place to ``size`` rows, keeping its leading
+    rows.  The buffer is reallocated, which the C library can do for a
+    large one by remapping its pages instead of copying them.  No view of
+    a column may exist."""
+    for column in columns:
+        column.resize(size, refcheck=False)
+
+
+def _in_flight_order(flight: np.ndarray, t_s: np.ndarray) -> bool:
+    """Whether consecutive rows are in (flight code, time) order.  Codes are
+    numbered in order of first appearance, so codes that never fall make
+    each flight one run."""
+    return bool(np.all(flight[1:] >= flight[:-1])
+                and np.all((t_s[1:] >= t_s[:-1]) | (flight[1:] != flight[:-1])))
+
+
 def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
@@ -426,6 +470,15 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     line number, skipped, and counted.  A missing or unreadable file is a
     ``ValidationError``; non-UTF-8 text, an empty file or a wrong header a
     ``DataError``.
+
+    What is held is the flight, type, time and altitude columns and one
+    block.  Each block is parsed into the columns in place; they are sized
+    from the file's size and the bytes per line read so far, grown when
+    that falls short and trimmed at the end.  A file whose rows already
+    come in flight and time order, each flight one run and the flights in
+    ``sorted()`` order of their ids, as every file ``write_trajectories_csv``
+    and ``simulate_fleet`` write, is checked block by block and not sorted;
+    any other file takes one stable sort of its rows in line order.
     """
     path = Path(csv_path)
     blocks = _blocks(path)
@@ -442,66 +495,94 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
             f"{path}: header must be exactly {','.join(_HEADER)} "
             f"or {','.join(_HEADER_LATLON)}{mark}"
         )
+    try:
+        file_bytes = path.stat().st_size
+    except OSError:   # gone since it was opened: the columns grow as they fill
+        file_bytes = 0
 
     flight_index: dict[str, int] = {}
     type_index: dict[str, int] = {}
-    # one list of per-block arrays for each of flight, type, time and altitude
-    parts: tuple[list[np.ndarray], ...] = ([], [], [], [])
-    skipped = 0
+    # flight and type codes, time and altitude, filled a block at a time
+    columns = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0), np.empty(0)]
+    n = skipped = 0
+    in_order = True
     first_line_no = 2
+    read = len(header_bytes) + 1
     for data in chain([data], blocks):
-        columns, n_skipped = _parse_block(path, data, first_line_no, len(header),
-                                          flight_index, type_index)
+        values, n_skipped = _parse_block(path, data, first_line_no, len(header),
+                                         flight_index, type_index)
         first_line_no += data.count(b"\n")
+        read += len(data)
         skipped += n_skipped
-        for part, values in zip(parts, columns):
-            part.append(values)
+        stop = n + values[0].size
+        if stop > columns[0].size:
+            # the file's lines at the bytes per line read so far and a 64th
+            # more, or an eighth more rows than before if that is more
+            lines = max(stop, (first_line_no - 1) * file_bytes // read)
+            _resize(columns, max(lines + lines // 64, columns[0].size * 9 // 8))
+        for column, part in zip(columns, values):
+            column[n:stop] = part
+        # the row before the block too, so the check spans block bounds
+        in_order = in_order and _in_flight_order(columns[0][max(n - 1, 0):stop],
+                                                 columns[2][max(n - 1, 0):stop])
+        n = stop
+    _resize(columns, n)
     if skipped:
         logger.warning("%s: skipped %d malformed row(s)", path, skipped)
     if not flight_index:
         raise DataError(f"{path}: no valid blip rows")
 
-    # rank the flight codes in sorted() order of their ids
+    flight, type_code, t_s, alt_ft = columns
+    del columns
     flight_ids = sorted(flight_index)
-    rank = np.empty(len(flight_ids), np.int32)
-    rank[[flight_index[f] for f in flight_ids]] = np.arange(len(flight_ids))
-    flight, type_code, t_s, alt_ft = map(_concat, parts)
-    flight = rank[flight]
-    # the rows are in line order and the sort by flight, then time, is
-    # stable, so the first blip of a timestamp is the earliest line.  Each
-    # column is gathered on its own, so one copy at a time is made.
-    order = np.lexsort((t_s, flight))
-    flight = flight[order]
-    type_code = type_code[order]
-    t_s = t_s[order]
-    alt_ft = alt_ft[order]
-    del order
+    if not (in_order and flight_ids == list(flight_index)):
+        # rank the flight codes in sorted() order of their ids, a block at a
+        # time in place.  The rows are in line order and the sort by flight,
+        # then time, is stable, so the first blip of a timestamp is the
+        # earliest line.  Each column is gathered on its own, so one copy at
+        # a time is made.
+        rank = np.empty(len(flight_ids), np.int32)
+        rank[[flight_index[f] for f in flight_ids]] = np.arange(len(flight_ids))
+        for start in range(0, n, BLOCK_LINES):
+            flight[start:start + BLOCK_LINES] = rank[flight[start:start + BLOCK_LINES]]
+        order = np.lexsort((t_s, flight))
+        flight = flight[order]
+        type_code = type_code[order]
+        t_s = t_s[order]
+        alt_ft = alt_ft[order]
+        del order
+    # flight codes now run 0, 1, ... in row order, one run per flight
     type_names = list(type_index)
-    # one pass over the sorted rows: the flight codes run 0, 1, ... in order
-    first = np.empty(flight.size, bool)
-    first[0] = True
-    np.not_equal(flight[1:], flight[:-1], out=first[1:])
-    mixed = np.zeros(len(flight_ids), bool)
-    mixed[flight[1:][(type_code[1:] != type_code[:-1]) & ~first[1:]]] = True
-    keep = np.diff(t_s, prepend=-np.inf) > 0.0   # the first blip of each timestamp
-    keep |= first
-    counts = np.bincount(flight[keep], minlength=len(flight_ids))
+    mask = np.empty(n, bool)
+    mask[0] = True
+    np.not_equal(flight[1:], flight[:-1], out=mask[1:])
+    bounds = np.append(np.flatnonzero(mask), n)
+    starts = bounds[:-1]
+    mixed = np.minimum.reduceat(type_code, starts) != np.maximum.reduceat(type_code, starts)
+    # then whether a row repeats the timestamp before it in its flight; the
+    # first blip of a timestamp is kept
+    np.less_equal(t_s[1:], t_s[:-1], out=mask[1:])
+    mask[starts] = False
+    repeats = np.flatnonzero(mask)
+    del mask
+    counts = np.diff(bounds) - np.bincount(flight[repeats], minlength=len(flight_ids))
     usable = ~mixed & (counts >= 2)
-    bounds = np.append(np.flatnonzero(first), flight.size)
     for f in np.flatnonzero(~usable).tolist():
         if mixed[f]:
-            types = sorted(type_names[c] for c in np.unique(type_code[bounds[f]:bounds[f + 1]]))
+            types = sorted({type_names[c] for c in type_code[bounds[f]:bounds[f + 1]].tolist()})
             logger.warning("flight %s: mixed type codes %s; dropped", flight_ids[f],
                            ", ".join(types))
         else:
             logger.warning("flight %s: fewer than 2 distinct blips; dropped", flight_ids[f])
     if not usable.any():
         raise DataError(f"{path}: no usable flights")
-    flight_types = type_code[bounds[:-1][usable]].tolist()
-    keep &= usable[flight]
-    del flight, type_code, first
-    if not keep.all():
-        t_s, alt_ft = t_s[keep], alt_ft[keep]
+    flight_types = type_code[starts[usable]].tolist()
+    if repeats.size or not usable.all():
+        keep = usable[flight]
+        keep[repeats] = False
+        del flight, type_code
+        t_s = t_s[keep]
+        alt_ft = alt_ft[keep]
     stops = np.cumsum(counts[usable]).tolist()
     return [Trajectory(flight_id, type_names[code], t_s[a:b], alt_ft[a:b])
             for flight_id, code, a, b in zip(compress(flight_ids, usable), flight_types,
@@ -535,18 +616,17 @@ def write_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path)
     """Write trajectories back out in the ingest schema (4-column form),
     sorted by flight id.
 
-    Whole flights go through ``_write_rows`` a block of ``flight_blocks``
-    at a time, so the text columns of the whole file are never held at
-    once.
+    Whole flights go to ``write_blocks`` a block of ``flight_blocks`` at a
+    time, so the text columns of the whole file are never held at once.
     """
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_HEADER) + "\n")
-        for block, offsets, t_s, alt_ft in flight_blocks(
-                sorted(trajectories, key=lambda t: t.flight_id)):
-            counts = np.diff(offsets).tolist()
-            _write_rows(fh, repeat_each([tr.flight_id for tr in block], counts),
-                        repeat_each([tr.type_code for tr in block], counts), t_s, alt_ft)
+    def rows(block, offsets, t_s, alt_ft):
+        counts = np.diff(offsets).tolist()
+        return (repeat_each([tr.flight_id for tr in block], counts),
+                repeat_each([tr.type_code for tr in block], counts), t_s, alt_ft)
+
+    write_blocks(path, ",".join(_HEADER),
+                 (rows(*block) for block in flight_blocks(sorted(trajectories,
+                                                                 key=lambda t: t.flight_id))))
 
 
 def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray, offsets: np.ndarray,

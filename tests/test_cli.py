@@ -29,14 +29,20 @@ SCENARIO = {
 }
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a fresh interpreter, as a user would, with ``env``
-    added to the environment."""
+def run_python(*args, env=None):
+    """Run a fresh interpreter that imports climbgen from this source tree,
+    with ``env`` added to the environment."""
     src = str(Path(climbgen.__file__).parents[1])
     env = {**os.environ, **(env or {}),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "climbgen.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def run_cli(*args, env=None):
+    """Run the CLI in a fresh interpreter, as a user would, with ``env``
+    added to the environment."""
+    return run_python("-m", "climbgen.cli", *args, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -603,3 +609,22 @@ def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         models.append((out / "model_NBJT.json").read_bytes())
     assert models[0] == models[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "predict"])
+def test_climb_commands_do_not_import_numpy_ma(workdir, tmp_path, command):
+    """``numpy.ma`` costs 15-35 ms to import; ``np.unique`` without optional
+    outputs imports it, and no climb command needs it."""
+    if run_python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)").stdout == "True\n":
+        pytest.skip("importing numpy already imports numpy.ma")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**SCENARIO, "types": {"NBJT": {"count": 5}}}))
+    model = str(workdir / "models" / "model_NBJT.json")
+    args = {"simulate": ["--scenario", str(scenario), "--seed", "1"],
+            "bounds": ["--model", model, "--level", "0.95"],
+            "predict": ["--model", model]}[command]
+    proc = run_python("-c", "import sys; from climbgen.cli import main; "
+                      "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)",
+                      command, *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -306,6 +306,35 @@ class TestModelClimb:
         assert not out.exists()
 
 
+    def test_sampled_curves_are_written_a_block_of_climbs_at_a_time(self, small_world, catalog,
+                                                                  tmp_path, monkeypatch):
+        # trajectories_model_<type>.csv gets the four model curves, then each
+        # block's every-tenth-node sampled curves, one writer call each; the
+        # bytes do not depend on the block size
+        model, split_data, _, _ = small_world
+        perf = catalog["NBJT"]
+        name = "trajectories_model_NBJT.csv"
+        evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "whole", seed=1)
+        monkeypatch.setattr(evaluation, "BLOCK_CLIMBS", 4)
+        calls = []
+        write_rows = pipeline._write_rows
+
+        def spy(fh, *columns):
+            if fh.name.endswith(name):
+                calls.append(len(columns[0]))
+            write_rows(fh, *columns)
+
+        monkeypatch.setattr(pipeline, "_write_rows", spy)
+        evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "blocks", seed=1)
+        text = (tmp_path / "blocks" / name).read_bytes()
+        assert text == (tmp_path / "whole" / name).read_bytes()
+        series = [line.split(b",", 1)[0] for line in text.splitlines()[1:]]
+        n_samples = len({s for s in series if s.startswith(b"sample_")})
+        n_nodes = series.count(b"sample_0")
+        assert n_samples > 8 and calls[0] == 4 * series.count(b"mean_traj")
+        assert calls[1:] == [min(4, n_samples - k) * n_nodes for k in range(0, n_samples, 4)]
+
+
 class TestRunReport:
     def test_report_and_determinism(self, small_world, catalog, tmp_path):
         model, split_data, _, _ = small_world

@@ -62,7 +62,8 @@ def reference_ingest(csv_path):
     """The row-by-row ingest that the columnar one replaced, in the one
     dialect write_columns writes: each line split on its commas, a line
     with a quote malformed, and one validated blip per row, grouped in a
-    dict.  Returns the trajectories and the warnings it logged, in order."""
+    dict.  A flight whose rows carry more than one type is dropped.
+    Returns the trajectories and the warnings it logged, in order."""
     path = Path(csv_path)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -101,6 +102,10 @@ def reference_ingest(csv_path):
         raise DataError(f"{path}: no valid blip rows")
     trajectories = []
     for flight_id in sorted(flights):
+        types = sorted({b[2] for b in flights[flight_id]})
+        if len(types) > 1:
+            warnings.append(f"flight {flight_id}: mixed type codes {', '.join(types)}; dropped")
+            continue
         blips = sorted(flights[flight_id], key=lambda b: b[0])
         t_arr = np.array([b[0] for b in blips])
         alt_arr = np.array([b[1] for b in blips])
@@ -500,10 +505,11 @@ class TestIngest:
             ingest(path)
 
     def test_peak_memory_is_one_block_plus_the_columns(self, tmp_path):
-        # the file's text and line list are never held: the traced peak is
-        # the parsed columns plus one block's strings, about 86 B/row here;
-        # holding the whole text and its line list as well takes about 234
-        n = 8 * pipeline.BLOCK_LINES
+        # in-order rows are parsed into the returned columns in place and not
+        # sorted, and the file's text is never held: the traced peak is the
+        # four columns (24 B/row) and one block, about 34 B/row here.
+        # Joining per-block parts and sorting them took about 41
+        n = 32 * pipeline.BLOCK_LINES
         k = np.arange(n)
         path = tmp_path / "blips.csv"
         write_columns(path, HEADER, [f"F{i:04d}" for i in (k // 1000).tolist()], ["NBJT"] * n,
@@ -515,7 +521,7 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert sum(tr.n_blips for tr in trajectories) == n
-        assert peak / n < 128.0, f"{peak / n:.0f} B/row"
+        assert peak / n < 37.0, f"{peak / n:.1f} B/row"
 
     def test_stray_quote_skips_only_its_line(self, tmp_path, caplog):
         lines = ([HEADER] + ramp_flight("A", 10000, 20000, 2000)[:10]
@@ -596,6 +602,133 @@ class TestIngest:
         assert [t.flight_id for t in trajectories] == ["A"]
         assert [r.getMessage() for r in caplog.records] == [
             "flight M: mixed type codes NBJT, WBJT; dropped"]
+
+
+def flight_rows(flight_id, n, type_code="NBJT", t0=0.0):
+    """``n`` rows of one flight in time order, 6 s and 25 ft apart."""
+    return [f"{flight_id},{type_code},{t0 + 6.0 * i!r},{15000.0 + 25.0 * i!r}" for i in range(n)]
+
+
+def in_order_rows(n_flights=6, n_blips=40):
+    """Rows in flight and time order, as write_trajectories_csv and simulate
+    write them: each flight one run, the flights in sorted() order of ids."""
+    return [row for k in range(n_flights) for row in flight_rows(f"F{k:02d}", n_blips)]
+
+
+class TestIngestOrder:
+    """``ingest`` sorts only rows that are out of flight and time order, and
+    gives ``reference_ingest``'s flights and warnings either way."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """The row count of each ``np.lexsort`` call."""
+        calls = []
+        lexsort = np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            calls.append(len(keys[0]))
+            return lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        return calls
+
+    def test_in_order_rows_are_not_sorted(self, tmp_path, caplog, sorts):
+        rows = in_order_rows()
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert len(got) == 6 and sorts == []
+
+    @pytest.mark.parametrize("block_lines", [None, 3])
+    def test_shuffled_rows_are_sorted(self, tmp_path, caplog, monkeypatch, sorts, block_lines):
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = in_order_rows()
+        shuffled = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + shuffled), caplog)
+        assert sorts == [len(rows)]
+        want = ingest(csv_file(tmp_path, [HEADER] + rows, "in_order.csv"))
+        assert_same_trajectories(got, want)
+
+    def test_a_flight_split_into_two_runs_is_sorted(self, tmp_path, caplog, sorts):
+        rows = in_order_rows()
+        # the second half of F02 comes after F04, each half in time order
+        rows = rows[:100] + rows[120:200] + rows[100:120] + rows[200:]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert [t.n_blips for t in got] == [40] * 6 and sorts == [len(rows)]
+
+    @pytest.mark.parametrize("block_lines", [2, 3, 700])
+    def test_a_backward_time_step_at_a_block_boundary_is_sorted(self, tmp_path, caplog,
+                                                                monkeypatch, sorts, block_lines):
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = in_order_rows(n_flights=4, n_blips=500)
+        # the first block holds the header, so row r starts the third block;
+        # swapping rows r - 1 and r makes its time the only one that falls
+        r = 2 * block_lines - 1
+        rows[r - 1], rows[r] = rows[r], rows[r - 1]
+        path = csv_file(tmp_path, [HEADER] + rows)
+        with open(path, "rb", buffering=0) as fh:
+            first, rest = pipeline._next_block(fh, b"")
+            second, rest = pipeline._next_block(fh, rest)
+            third, _ = pipeline._next_block(fh, rest)
+        assert second.endswith((rows[r - 1] + "\n").encode())
+        assert third.startswith(rows[r].encode())
+        got = assert_ingest_matches_reference(path, caplog)
+        assert [t.n_blips for t in got] == [500] * 4 and sorts == [len(rows)]
+
+    def test_ids_first_seen_out_of_sorted_order_are_sorted(self, tmp_path, caplog, sorts):
+        # one run per flight, times in order, but sorted() puts "F10" first
+        rows = [row for flight_id in ("F8", "F9", "F10", "F11") for row in flight_rows(flight_id, 30)]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert [t.flight_id for t in got] == ["F10", "F11", "F8", "F9"]
+        assert sorts == [len(rows)]
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_duplicate_timestamps_and_a_mixed_type_flight(self, tmp_path, caplog, sorts, shuffle):
+        rows = in_order_rows()
+        rows[130] = rows[130].replace("NBJT", "WBJT")   # F03 mixes types
+        # repeats of a timestamp with another altitude, right after the first
+        # blip of it, so the rows stay in order; one flight keeps one blip
+        for i in (205, 41, 40, 3):
+            flight_id, type_code, t_s, _ = rows[i].split(",")
+            rows.insert(i + 1, f"{flight_id},{type_code},{t_s},30000.0")
+        rows += ["G,NBJT,6.0,15000.0", "G,NBJT,6.0,15025.0"]
+        if shuffle:
+            rows = [rows[i] for i in np.random.default_rng(2).permutation(len(rows))]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert [t.flight_id for t in got] == ["F00", "F01", "F02", "F04", "F05"]
+        assert all(t.n_blips == 40 for t in got)
+        if not shuffle:   # the first line of a timestamp wins
+            assert 30000.0 not in np.concatenate([t.alt_ft for t in got])
+        assert [r.getMessage() for r in caplog.records] == [
+            "flight F03: mixed type codes NBJT, WBJT; dropped",
+            "flight G: fewer than 2 distinct blips; dropped"]
+        assert sorts == ([len(rows)] if shuffle else [])
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_columns_grow_when_the_first_block_underestimates_the_rows(self, tmp_path, caplog,
+                                                                      monkeypatch, sorts,
+                                                                      long_first):
+        # the columns are sized from the first block's bytes per line: long
+        # lines there make the estimate short, and the columns grow
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", 64)
+        sizes = []
+        resize = pipeline._resize
+
+        def spy(columns, size):
+            sizes.append(size)
+            resize(columns, size)
+
+        monkeypatch.setattr(pipeline, "_resize", spy)
+        long_id = ("A" if long_first else "Z") * 300
+        flights = [flight_rows(long_id, 63)] + [flight_rows(f"F{k:02d}", 100) for k in range(30)]
+        if not long_first:
+            flights = flights[1:] + flights[:1]
+        rows = [row for flight in flights for row in flight]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert sum(t.n_blips for t in got) == len(rows) == sizes[-1] and sorts == []
+        if long_first:
+            assert sizes[0] < len(rows) and len(sizes) > 2
+        else:
+            assert sizes[0] > len(rows) and len(sizes) == 2
 
 
 class TestWriteColumns:
