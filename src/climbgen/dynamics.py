@@ -10,19 +10,19 @@ For a fixed aircraft, mass and temperature offset the climb rate is
 ``D`` is the drag and ``k`` the climb-rate gain.  :func:`rate_factors` is
 the only code that computes ``(D, k)``; :func:`rocd`,
 ``learning.invert_thrust`` and ``performance.min_level_thrust`` all read
-them.  :func:`integrate_climb` keeps a :class:`ClimbKernel` per
-``(perf, mass, profile grid bytes, h_start, h_end, delta_T)`` in a bounded
-LRU cache.  It holds the refined nodes, the split at the CAS-Mach
-crossover and ``(D, k)`` per node; a call only interpolates the thrust and
-applies :func:`rocd`'s expression, so results are bit-identical to
-evaluating :func:`rocd` at the nodes.
+them.
 
-:func:`integrate_climb_block` integrates a block of thrust profiles on one
-grid through one kernel: it checks the block once, interpolates each row
-as :func:`integrate_climb` does, and applies the same rate, floor and
-trapezoid arithmetic to the whole block along its last axis, so each row
-is bit-identical to :func:`integrate_climb` of that row.  Callers hand it
-at most ``BLOCK_CLIMBS`` rows at a time.
+One code path integrates climbs: :func:`integrate_climb_block`, a block
+of thrust profiles on one grid, one per row; :func:`integrate_climb` is
+its one-row call, which raises an infeasible climb's error.  A
+:class:`ClimbKernel` per ``(perf, mass, grid bytes, h_start, h_end,
+delta_T)``, kept in a bounded LRU cache and built once its grid is
+checked, holds the refined nodes, the split at the CAS-Mach crossover and
+``(D, k)`` per node.  A block only interpolates its rows and applies
+:func:`rocd`'s expression, so its rates are bit-identical to :func:`rocd`
+at the nodes; the floor test and the trapezoid sums run on the whole
+block, and the failure bookkeeping only when a rate is at the floor.
+Callers hand it at most ``BLOCK_CLIMBS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -161,20 +161,33 @@ def time_from_rocd(h: np.ndarray, rocd_values: np.ndarray) -> np.ndarray:
     along the last axis of ``rocd_values``: one climb, or one per row."""
     h = np.asarray(h, dtype=float)
     r = np.asarray(rocd_values, dtype=float)
+    return _trapezoid_times(0.5 * np.diff(h), r, r.shape[-1])
+
+
+def _trapezoid_times(half_step: np.ndarray, r: np.ndarray, n_left: int) -> np.ndarray:
+    """Cumulative trapezoidal time along the last axis of the climb rates
+    ``r``, on nodes whose steps are ``2 * half_step``.  When ``n_left`` is
+    less than the node count, nodes ``n_left - 1`` and ``n_left`` are one
+    altitude seen from either side of a jump in the rate: the two parts are
+    summed on their own, the right one from the left one's total, and that
+    altitude's time is returned once."""
     inv = 1.0 / r
-    seg = 0.5 * np.diff(h) * (inv[..., 1:] + inv[..., :-1])
-    t = np.zeros(r.shape)
-    np.cumsum(seg, axis=-1, out=t[..., 1:])
+    seg = half_step * (inv[..., 1:] + inv[..., :-1])
+    t = np.empty(r.shape[:-1] + (r.shape[-1] - (n_left < r.shape[-1]),))
+    t[..., 0] = 0.0
+    np.cumsum(seg[..., :n_left - 1], axis=-1, out=t[..., 1:n_left])
+    np.cumsum(seg[..., n_left:], axis=-1, out=t[..., n_left:])
+    t[..., n_left:] += t[..., n_left - 1:n_left]
     return t
 
 
-def check_thrust(grid: np.ndarray, values: np.ndarray) -> None:
+def check_thrust(grid: np.ndarray | None, values: np.ndarray | None) -> None:
     """The checks of a thrust profile's grid and of its values, one profile
     or one per row: a strictly increasing grid of at least 2 nodes, and
-    finite values."""
-    if grid.size < 2 or np.any(np.diff(grid) <= 0.0):
+    finite values.  None skips that check."""
+    if grid is not None and (grid.size < 2 or not (np.diff(grid) > 0.0).all()):   # NaN fails
         raise DomainError("grid must be strictly increasing with at least 2 nodes")
-    if not np.all(np.isfinite(values)):
+    if values is not None and not np.isfinite(values).all():
         raise DomainError("thrust values must be finite")
 
 
@@ -189,13 +202,15 @@ class ClimbKernel:
     the drag and the climb-rate gain of :func:`rate_factors`, each
     evaluated where :func:`rocd` would be: the left part's last node, the
     crossover itself, is evaluated just below it for the CAS-leg limit.
-    ``h`` holds the output altitudes.  Every array is read-only.
+    ``half_step`` holds half of each step between rate nodes (0 where the
+    parts meet), and ``h`` the output altitudes.  Every array is read-only.
     """
 
     h_rate: np.ndarray
     drag: np.ndarray
     gain: np.ndarray
     n_left: int
+    half_step: np.ndarray
     h: np.ndarray
 
     def rates(self, thrust: np.ndarray) -> np.ndarray:
@@ -213,6 +228,7 @@ def _climb_kernel(
     delta_T: float,
 ) -> ClimbKernel:
     grid = np.frombuffer(grid_bytes)
+    check_thrust(grid, None)   # a failing grid raises, and lru_cache keeps no entry for it
     base = np.linspace(h_start, h_end, N_NODES)
     inner = grid[(grid > h_start) & (grid < h_end)]
     # sorted, repeats dropped: np.unique's values, without the numpy.ma
@@ -236,86 +252,18 @@ def _climb_kernel(
     # each part is evaluated on its own, exactly as rocd would see it
     factors = [rate_factors(perf, mass, h_eval, delta_T) for _, h_eval in parts]
     d, k = (np.concatenate(col) for col in zip(*factors))
+    h_rate = np.concatenate([h for h, _ in parts])
     kernel = ClimbKernel(
-        h_rate=np.concatenate([h for h, _ in parts]),
+        h_rate=h_rate,
         drag=d,
         gain=k,
         n_left=parts[0][0].size,
+        half_step=0.5 * np.diff(h_rate),
         h=h_out,
     )
-    for name in ("h_rate", "drag", "gain", "h"):
+    for name in ("h_rate", "drag", "gain", "half_step", "h"):
         getattr(kernel, name).setflags(write=False)
     return kernel
-
-
-def _kernel(perf: "AircraftPerformance", mass: float, grid: np.ndarray, h_start: float,
-            h_end: float, delta_T: float) -> ClimbKernel:
-    """The climb's kernel, once the span is checked against the grid."""
-    if not h_start < h_end:
-        raise DomainError(f"need h_start < h_end, got {h_start} >= {h_end}")
-    if h_start < grid[0] - 1e-9 or h_end > grid[-1] + 1e-9:
-        raise DomainError(
-            f"thrust profile spans [{grid[0]:.1f}, {grid[-1]:.1f}] m, "
-            f"requested [{h_start:.1f}, {h_end:.1f}] m"
-        )
-    return _climb_kernel(perf, mass, np.asarray(grid, dtype=float).tobytes(), h_start, h_end,
-                         delta_T)
-
-
-def _infeasible(rate: float, h: float) -> InfeasibleClimbError:
-    return InfeasibleClimbError(
-        f"climb rate {float(rate):.3f} m/s at {float(h):.0f} m "
-        f"is at or below the {ROCD_FLOOR} m/s floor",
-        altitude_m=float(h),
-    )
-
-
-def _times(kernel: ClimbKernel, r: np.ndarray) -> np.ndarray:
-    """Times at the kernel's output altitudes from the rates at its rate
-    nodes, along the last axis: the parts either side of the crossover are
-    integrated on their own and joined at it."""
-    n = kernel.n_left
-    if n == r.shape[-1]:
-        return time_from_rocd(kernel.h, r)
-    t_left = time_from_rocd(kernel.h_rate[:n], r[..., :n])
-    t_right = time_from_rocd(kernel.h_rate[n:], r[..., n:]) + t_left[..., -1:]
-    return np.concatenate([t_left[..., :-1], t_right], axis=-1)
-
-
-def integrate_climb(
-    perf: "AircraftPerformance",
-    mass: float,
-    thrust_profile: "ThrustProfile",
-    h_start: float,
-    h_end: float,
-    delta_T: float = 0.0,
-) -> ClimbTrajectory:
-    """Integrate time-at-altitude for a climb driven by a thrust profile.
-
-    Thrust is linearly interpolated from the profile grid onto a uniform
-    ``N_NODES`` refinement augmented with the profile's own nodes, and
-    1/ROCD is integrated by the trapezoidal rule.  The energy share factor
-    switches branch at the CAS-Mach crossover, so the quadrature is split
-    there and the jump is handled with one-sided limits.  Raises
-    ``InfeasibleClimbError`` if the climb rate drops to the floor anywhere
-    on the refinement.
-
-    Everything except the thrust is taken from a :class:`ClimbKernel`
-    cached per ``(perf, mass, grid bytes, h_start, h_end, delta_T)`` (at
-    most 64 kept, least recently used dropped first).  The rates behind
-    ``t`` are bit-identical to evaluating :func:`rocd` at the nodes, and the
-    returned arrays are the caller's own.  The floor test and the
-    trapezoid sums are those of :func:`integrate_climb_block`, which
-    integrates many profiles of one grid at once.
-    """
-    grid = thrust_profile.grid
-    kernel = _kernel(perf, mass, grid, h_start, h_end, delta_T)
-    r = kernel.rates(np.interp(kernel.h_rate, grid, thrust_profile.values))
-    bad = r <= ROCD_FLOOR
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise _infeasible(r[i], kernel.h_rate[i])
-    return ClimbTrajectory(t=_times(kernel, r), h=kernel.h.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,9 +287,11 @@ class ClimbBlock:
         return np.isnan(self.fail_m)
 
     def error(self, row: int) -> InfeasibleClimbError:
-        """The ``InfeasibleClimbError`` that ``integrate_climb`` raises for
-        the row's profile."""
-        return _infeasible(self.fail_rate[row], self.fail_m[row])
+        """The ``InfeasibleClimbError`` of the row's climb, naming its first
+        rate node at the floor and the rate there."""
+        h = float(self.fail_m[row])
+        return InfeasibleClimbError(f"climb rate {float(self.fail_rate[row]):.3f} m/s at {h:.0f} m "
+                                    f"is at or below the {ROCD_FLOOR} m/s floor", altitude_m=h)
 
     def raise_infeasible(self) -> None:
         """Raise the ``error`` of the first infeasible row, if there is one."""
@@ -359,32 +309,57 @@ def integrate_climb_block(
     h_end: float,
     delta_T: float = 0.0,
 ) -> ClimbBlock:
-    """:func:`integrate_climb` of each row of ``values``, thrust (N) of one
-    profile per row on ``grid``, without raising for an infeasible climb.
+    """The climbs of the rows of ``values``, thrust (N) of one profile per
+    row on ``grid``, without raising for an infeasible climb.
 
-    The grid, the values and the span get the checks of ``ThrustProfile``
-    and :func:`integrate_climb` once per block, and one cached
-    :class:`ClimbKernel` serves every row.  Each row is interpolated by
-    ``np.interp`` as :func:`integrate_climb` does; the rates, the floor
-    test and the trapezoid sums then run on the whole block, so a row's
-    times and failure are bit for bit those of :func:`integrate_climb`.
-    The arrays held grow with the rows; callers pass at most
-    ``BLOCK_CLIMBS``.
+    Thrust is linearly interpolated from the grid onto a uniform
+    ``N_NODES`` refinement of the span augmented with the grid's own nodes,
+    and 1/ROCD is integrated by the trapezoidal rule.  The energy share
+    factor switches branch at the CAS-Mach crossover, so the quadrature is
+    split there and the jump is handled with one-sided limits.  A climb
+    whose rate is at or below ``ROCD_FLOOR`` at any node is infeasible.
+    A row does not depend on its neighbours.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or values.ndim != 2 or values.shape[1] != grid.size:
         raise DomainError("values must hold one row per profile on the 1-d grid")
-    check_thrust(grid, values)
-    kernel = _kernel(perf, mass, grid, h_start, h_end, delta_T)
-    thrust = np.empty((values.shape[0], kernel.h_rate.size))
-    for row, profile in zip(thrust, values):
-        row[:] = np.interp(kernel.h_rate, grid, profile)
+    check_thrust(None, values)
+    if not h_start < h_end:
+        raise DomainError(f"need h_start < h_end, got {h_start} >= {h_end}")
+    if h_start < grid[0] - 1e-9 or h_end > grid[-1] + 1e-9:
+        raise DomainError(f"thrust profile spans [{grid[0]:.1f}, {grid[-1]:.1f}] m, "
+                          f"requested [{h_start:.1f}, {h_end:.1f}] m")
+    kernel = _climb_kernel(perf, mass, grid.tobytes(), h_start, h_end, delta_T)
+    thrust = np.empty((len(values), kernel.h_rate.size))
+    for i in range(len(values)):
+        thrust[i] = np.interp(kernel.h_rate, grid, values[i])
     r = kernel.rates(thrust)
     bad = r <= ROCD_FLOOR
-    first = np.argmax(bad, axis=-1)
-    failed = bad[np.arange(first.size), first]
-    fail_m = np.where(failed, kernel.h_rate[first], np.nan)
-    fail_rate = np.where(failed, r[np.arange(first.size), first], np.nan)
-    r[failed] = np.nan   # no division by a rate that may be 0
-    return ClimbBlock(h=kernel.h.copy(), t=_times(kernel, r), fail_m=fail_m, fail_rate=fail_rate)
+    fail_m, fail_rate = np.full((2, r.shape[0]), np.nan)
+    if bad.any():
+        first = np.argmax(bad, axis=-1)
+        failed = bad[np.arange(first.size), first]
+        fail_m = np.where(failed, kernel.h_rate[first], np.nan)
+        fail_rate = np.where(failed, r[np.arange(first.size), first], np.nan)
+        r[failed] = np.nan   # no division by a rate that may be 0
+    return ClimbBlock(h=kernel.h.copy(), t=_trapezoid_times(kernel.half_step, r, kernel.n_left),
+                      fail_m=fail_m, fail_rate=fail_rate)
+
+
+def integrate_climb(
+    perf: "AircraftPerformance",
+    mass: float,
+    thrust_profile: "ThrustProfile",
+    h_start: float,
+    h_end: float,
+    delta_T: float = 0.0,
+) -> ClimbTrajectory:
+    """Integrate time-at-altitude for a climb driven by a thrust profile:
+    the one-row :func:`integrate_climb_block`.  An infeasible climb raises
+    its ``InfeasibleClimbError``."""
+    block = integrate_climb_block(perf, mass, thrust_profile.grid, thrust_profile.values[None],
+                                  h_start, h_end, delta_T)
+    if not block.feasible[0]:
+        raise block.error(0)
+    return ClimbTrajectory(t=block.t[0], h=block.h)

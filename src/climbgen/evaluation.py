@@ -9,17 +9,22 @@ coverage counts the test blips inside the window.
 
 ``model_climbs``, the climbs of a block of thrust profiles through the
 modeled window at nominal mass, is the climb that every model query and
-score uses, and ``arrival_columns`` reads a block's arrival times.
+score uses.  One reader locates every crossing: ``_crossing`` finds a
+level's crossing on a track's altitudes once and reads its time along
+the first axis of the times, so a block of climbs, which share their
+altitudes, is read a column per climb (``arrival_columns``), and one
+observed flight or one climb is a one-column block (``arrival_times``,
+``coverage``).  A test flight that a metric skips is logged once per type
+and reason, with the count and the first three ids.
+
 ``evaluate_type`` scores one type and only then writes its five
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
-next.  Each type's thrust envelope is built once and reused by
-``profiles_<type>.csv``, and the nominal thrust is taken on the model's
-own grid.  A kernel density is summed over chunks of grid points, so
-neither it nor the KL divergence holds a (grid, sample) matrix, and the
-memory they hold does not grow with the samples.  CSV artifacts are
-written by ``pipeline.write_columns`` and JSON ones by
-``errors.write_json``.
+next.  Each type's thrust envelope is built once, and the nominal thrust
+is taken on the model's own grid.  A kernel density is summed over
+chunks of grid points, so neither it nor the KL divergence holds a
+(grid, sample) matrix.  CSV artifacts are written by
+``pipeline.write_columns`` and JSON ones by ``errors.write_json``.
 """
 
 from __future__ import annotations
@@ -126,47 +131,40 @@ def _crossing(alt_ft: np.ndarray, target_ft: float):
     return None
 
 
-def _crossing_time(t: np.ndarray, alt_ft: np.ndarray, target_ft: float) -> float | None:
-    """Time of the first upward crossing of ``target_ft`` by one track, as
-    ``_crossing`` reads it; None when the target is out of reach."""
-    read = _crossing(alt_ft, target_ft)
-    return None if read is None else float(read(t))
+def _arrivals(alt_ft: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+    """Arrival times at the report flight levels ``REPORT_FLS``,
+    zero-referenced at the ``REF_FL`` crossing, of tracks that share the
+    altitudes ``alt_ft``: one row per level, read along the first axis of
+    ``t`` (one track's times, or one column per climb).  None when the
+    altitudes do not span the levels.  Each crossing is located once on
+    the shared altitudes."""
+    reads = [_crossing(alt_ft, fl * 100.0) for fl in (REF_FL, *REPORT_FLS)]
+    if None in reads:
+        return None
+    t0 = reads[0](t)
+    return np.array([read(t) - t0 for read in reads[1:]])
 
 
 def arrival_columns(climbs: ClimbBlock) -> np.ndarray:
     """The arrival times of ``arrival_times`` for every climb of a block,
     one row per report flight level ``REPORT_FLS`` and one column per
-    climb; no column when the climbs, which share their altitudes, do not
-    span the levels.  Each crossing is located once on the shared
-    altitudes and read from every row."""
-    alt = climbs.h / FT
-    reads = [_crossing(alt, fl * 100.0) for fl in (REF_FL, *REPORT_FLS)]
-    if None in reads:
-        return np.empty((len(REPORT_FLS), 0))
-    t0 = reads[0](climbs.t.T)
-    return np.array([read(climbs.t.T) - t0 for read in reads[1:]])
+    climb; no column when the climbs do not span the levels."""
+    times = _arrivals(climbs.h / FT, climbs.t.T)
+    return np.empty((len(REPORT_FLS), 0)) if times is None else times
 
 
 def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
     """Arrival times at the report flight levels ``REPORT_FLS``,
     zero-referenced at the ``REF_FL`` crossing; None when the trajectory
-    does not span them."""
+    does not span them.  One track is read as a one-climb block is."""
     if isinstance(traj, ClimbTrajectory):
         t, alt, flight_id = traj.t, traj.h / FT, "model"
     else:
         t, alt, flight_id = traj.t_s, traj.alt_ft, traj.flight_id
-    if t.size < 2:
+    times = _arrivals(alt, t) if t.size >= 2 else None
+    if times is None:
         return None
-    t0 = _crossing_time(t, alt, REF_FL * 100.0)
-    if t0 is None:
-        return None
-    times = []
-    for fl in REPORT_FLS:
-        tq = _crossing_time(t, alt, fl * 100.0)
-        if tq is None:
-            return None
-        times.append(tq - t0)
-    return ArrivalSample(flight_id=flight_id, t_fl250=times[0], t_fl325=times[1])
+    return ArrivalSample(flight_id=flight_id, t_fl250=float(times[0]), t_fl325=float(times[1]))
 
 
 def mae(predicted: float | np.ndarray, observed: np.ndarray) -> float:
@@ -178,11 +176,23 @@ def mae(predicted: float | np.ndarray, observed: np.ndarray) -> float:
     return float(np.mean(np.abs(pred - obs)))
 
 
+def _quartiles(s: np.ndarray) -> np.ndarray:
+    """``np.percentile(s, [75, 25])`` bit for bit, by its linear method and
+    arithmetic, without the ``numpy.ma`` import that it makes."""
+    at = (s.size - 1) * np.array([0.75, 0.25])
+    below = np.floor(at).astype(np.intp)
+    above = np.minimum(below + 1, s.size - 1)
+    part = np.partition(s, np.concatenate((below, above)))
+    low, high, gamma = part[below], part[above], at - below
+    step = high - low
+    return np.where(gamma >= 0.5, high - step * (1 - gamma), low + step * gamma)
+
+
 def silverman_bandwidth(sample: np.ndarray) -> float:
     """Silverman's rule-of-thumb bandwidth for a Gaussian KDE."""
     s = np.asarray(sample, dtype=float)
     std = float(np.std(s, ddof=1))
-    q75, q25 = np.percentile(s, [75.0, 25.0])
+    q75, q25 = _quartiles(s)
     iqr = float(q75 - q25)
     scale = min(std, iqr / 1.34) if iqr > 0.0 else std
     if scale <= 0.0:
@@ -238,6 +248,14 @@ def kl_divergence(sample_p: np.ndarray, sample_q: np.ndarray) -> float:
     return max(kl, 0.0)   # quadrature truncation can dip epsilon-negative
 
 
+def _warn_skipped(flights: list[Trajectory], reason: str) -> None:
+    """One warning for the test flights of one type skipped for one reason:
+    their count and the first three ids."""
+    if flights:
+        logger.warning("type %s: %d test flight(s) %s (first: %s)", flights[0].type_code,
+                       len(flights), reason, ", ".join(tr.flight_id for tr in flights[:3]))
+
+
 def coverage(
     test_trajectories: list[Trajectory],
     slow: ClimbTrajectory,
@@ -245,26 +263,27 @@ def coverage(
 ) -> float:
     """Percentage of the test blips inside ``INTERVAL_FL`` whose time,
     zero-referenced at the ``REF_FL`` crossing, lies within
-    [fast.t(alt), slow.t(alt)]."""
+    [fast.t(alt), slow.t(alt)].  Flights without that crossing are skipped,
+    with one warning."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
-    inside = 0
-    total = 0
+    inside = total = 0
+    skipped = []
     for tr in test_trajectories:
-        t0 = _crossing_time(tr.t_s, tr.alt_ft, REF_FL * 100.0)
-        if t0 is None:
-            logger.warning("coverage: flight %s has no FL%.0f crossing; skipped",
-                           tr.flight_id, REF_FL)
+        read = _crossing(tr.alt_ft, REF_FL * 100.0)
+        if read is None:
+            skipped.append(tr)
             continue
+        t0 = read(tr.t_s)
         mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
         if not np.any(mask):
             continue
         alt_m = tr.alt_ft[mask] * FT
         tau = tr.t_s[mask] - t0
-        t_fast = fast.time_at(alt_m)
-        t_slow = slow.time_at(alt_m)
         eps = 1e-9
-        inside += int(np.count_nonzero((tau >= t_fast - eps) & (tau <= t_slow + eps)))
+        inside += int(np.count_nonzero((tau >= fast.time_at(alt_m) - eps)
+                                       & (tau <= slow.time_at(alt_m) + eps)))
         total += int(np.count_nonzero(mask))
+    _warn_skipped(skipped, f"have no FL{REF_FL:.0f} crossing; skipped from coverage")
     if total == 0:
         raise DataError("coverage: no test blips inside the interval")
     return 100.0 * inside / total
@@ -304,18 +323,16 @@ def evaluate_type(
 ) -> MetricsReport:
     """Score one aircraft type, then write its five plot-ready CSVs
     (``profiles``, ``sampled_thrust``, ``trajectories_model``,
-    ``arrivals_test`` and ``kde_<type>.csv``) under ``out``.
+    ``arrivals_test`` and ``kde_<type>.csv``) under ``out``; a type that
+    raises writes none.
 
-    Every climb is integrated and the report built before the first file
-    is written, so a type that raises writes none.  The mean, nominal,
-    lower and upper envelope climbs are one block of ``model_climbs``; the
-    sampled profiles (``generative.sample_values``) are integrated
-    ``dynamics.BLOCK_CLIMBS`` rows at a time.  The first infeasible row of
-    a block raises its ``InfeasibleClimbError``.  Arrival times are read as
-    columns of each block by ``arrival_columns``, and a sampled climb is
-    kept only as its arrival times and a copy of every tenth node, one 2-D
-    array per block.  ``trajectories_model_<type>.csv`` is written from
-    those arrays a block of climbs at a time.
+    The mean, nominal, lower and upper envelope climbs are one block of
+    ``model_climbs``; the sampled profiles are integrated
+    ``dynamics.BLOCK_CLIMBS`` rows at a time, and the first infeasible row
+    of a block raises its ``InfeasibleClimbError``.  A sampled climb is
+    kept only as its arrival times and every tenth node, one 2-D array per
+    block, from which ``trajectories_model_<type>.csv`` is written a block
+    at a time.
     """
     code = model.type_code
     grid = model.basis.grid
@@ -326,13 +343,10 @@ def evaluate_type(
                                                 lower.values, upper.values]))
     climbs.raise_infeasible()
 
-    observed = []
-    for tr in test_trajectories:
-        sample = arrival_times(tr)
-        if sample is None:
-            logger.warning("flight %s does not span the report levels; excluded", tr.flight_id)
-            continue
-        observed.append(sample)
+    samples = [arrival_times(tr) for tr in test_trajectories]
+    observed = [sample for sample in samples if sample is not None]
+    _warn_skipped([tr for tr, sample in zip(test_trajectories, samples) if sample is None],
+                  "do not span the report levels; excluded")
     if not observed:
         raise DataError(f"{code}: no test flight spans the report levels")
     obs250 = np.array([s.t_fl250 for s in observed])

@@ -110,27 +110,30 @@ def fit_type_model(
 
     The profiles are made by ``learning.flight_profiles`` a block of
     ``pipeline.flight_blocks`` at a time, so at most
-    ``pipeline.BLOCK_LINES`` blips are inverted at once.  A flight it
-    rejects is skipped with a warning, in flight order; fewer than
+    ``pipeline.BLOCK_LINES`` blips are inverted at once, and each block's
+    thrust rows join the one data matrix that ``learning.fit_fpca`` takes.
+    A flight it rejects is skipped with a warning, in flight order; fewer than
     ``MIN_FIT_PROFILES`` profiles raise ``TooFewFlightsError``, and
     profiles or a retained mode without variance raise
     ``DegenerateModelError``; both name the type.
     """
-    profiles = []
+    grid = default_grid()
+    blocks = [np.empty((0, grid.size))]   # so that no flight joins to zero rows
     for block, offsets, t_s, alt_ft in flight_blocks(trajectories):
-        for profile in flight_profiles(perf, [tr.flight_id for tr in block], t_s, alt_ft, offsets):
-            if isinstance(profile, ThrustProfile):
-                profiles.append(profile)
-            else:
-                logger.warning("%s", profile)
-    if len(profiles) < MIN_FIT_PROFILES:
-        raise TooFewFlightsError(f"type {perf.type_code}: only {len(profiles)} usable flights")
+        values, errors = flight_profiles(perf, [tr.flight_id for tr in block], t_s, alt_ft,
+                                         offsets)
+        blocks.append(values)
+        for error in errors:
+            logger.warning("%s", error)
+    values = np.concatenate(blocks)
+    if len(values) < MIN_FIT_PROFILES:
+        raise TooFewFlightsError(f"type {perf.type_code}: only {len(values)} usable flights")
     try:
-        basis = fit_fpca(profiles, n_max=n_max)
+        basis = fit_fpca(grid, values, n_max=n_max)
     except DegenerateModelError as exc:
         raise DegenerateModelError(f"type {perf.type_code}: {exc}") from None
     return GenerativeClimbModel(type_code=perf.type_code, basis=basis,
-                                n_flights_fit=len(profiles))
+                                n_flights_fit=len(values))
 
 
 def sample_weights(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:

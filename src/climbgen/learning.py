@@ -7,13 +7,16 @@ median filter against altitude-quantization spikes.  It takes the joined
 columns of many flights with their offsets, and no difference or median
 spans two flights.
 
-``flight_profiles`` profiles a block of flights at once: one
-``derive_rocd``, one ``invert_thrust`` (so one ``dynamics.rate_factors``
-call), one sort by flight and altitude to average duplicate altitudes,
-then one interpolation per flight.  ``generative.fit_type_model`` hands it
-the blocks of ``pipeline.flight_blocks``, at most ``pipeline.BLOCK_LINES``
-blips each, so the arrays held at once stay bounded;
-``profile_from_flight`` is its one-flight call.
+One code path profiles flights: ``flight_profiles`` profiles a block of
+flights at once, with one ``derive_rocd``, one ``invert_thrust`` (so one
+``dynamics.rate_factors`` call), one sort by flight and altitude to
+average duplicate altitudes, then one interpolation per flight.  It
+returns the accepted flights' thrust as the rows of one array.
+``generative.fit_type_model`` hands it the blocks of
+``pipeline.flight_blocks``, at most ``pipeline.BLOCK_LINES`` blips each,
+and joins the rows into the data matrix that ``fit_fpca`` decomposes
+(Ramsay & Silverman 2005, ch. 8).  ``profile_from_flight`` is its
+one-flight call.
 
 The effective thrust absorbs thrust, mass, and speed-schedule
 misspecification: it is whatever thrust makes the total-energy model
@@ -199,9 +202,10 @@ def flight_profiles(
     alt_ft: np.ndarray,
     offsets: np.ndarray,
     delta_T: float = 0.0,
-) -> list[ThrustProfile | ClimbgenError]:
-    """Effective thrust on ``default_grid()`` of each flight of joined blip
-    columns, or the error that rejects the flight.
+) -> tuple[np.ndarray, list[ClimbgenError]]:
+    """Effective thrust on ``default_grid()`` of the flights of joined blip
+    columns: one row per accepted flight, in flight order, and the errors
+    that reject the other flights, in flight order.
 
     ``offsets`` are the flights' first indices into ``t_s`` and ``alt_ft``
     followed by their length.  A flight needs ``MIN_PROFILE_BLIPS`` blips
@@ -229,41 +233,40 @@ def flight_profiles(
     ]
     fitted = n_inside >= MIN_PROFILE_BLIPS
     indices = np.flatnonzero(fitted).tolist()
-    if not indices:
-        return results
-    rows = fitted[flight]
-    rocd = derive_rocd(t_s[rows], alt_ft[rows], np.concatenate(([0], np.cumsum(sizes[fitted]))))
-    rocd_ms = rocd[inside[rows]] * FT / 60.0
-    inside &= rows
-    h, flight = alt_m[inside], flight[inside]
-    try:
-        thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h, delta_T)
-    except ClimbgenError as exc:
-        if len(indices) == 1:
-            results[indices[0]] = exc
-        else:   # each flight on its own, so that only those it refuses are rejected
+    if indices:
+        rows = fitted[flight]
+        rocd = derive_rocd(t_s[rows], alt_ft[rows],
+                           np.concatenate(([0], np.cumsum(sizes[fitted]))))
+        rocd_ms = rocd[inside[rows]] * FT / 60.0
+        inside &= rows
+        try:
+            thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, alt_m[inside], delta_T)
+        except ClimbgenError as exc:
+            if len(indices) == 1:
+                results[indices[0]] = exc
+            else:   # each flight on its own, so that only those it refuses are rejected
+                for i in indices:
+                    a, b = offsets[i], offsets[i + 1]
+                    one, error = flight_profiles(perf, flight_ids[i:i + 1], t_s[a:b],
+                                                 alt_ft[a:b], [0, b - a], delta_T)
+                    results[i] = error[0] if error else one[0]
+        else:   # each flight's samples by altitude, each altitude's thrusts averaged
+            h, flight = alt_m[inside], flight[inside]
+            order = np.lexsort((h, flight))
+            h, flight, thrust = h[order], flight[order], thrust[order]
+            start = np.flatnonzero(np.concatenate(([True], (h[1:] != h[:-1])
+                                                   | (flight[1:] != flight[:-1]))))
+            thrust = np.add.reduceat(thrust, start) / np.diff(np.append(start, h.size))
+            h, flight = h[start], flight[start]
+            stops = np.cumsum(np.bincount(flight, minlength=sizes.size)).tolist()
             for i in indices:
-                a, b = offsets[i], offsets[i + 1]
-                results[i:i + 1] = flight_profiles(perf, flight_ids[i:i + 1], t_s[a:b],
-                                                   alt_ft[a:b], [0, b - a], delta_T)
-        return results
-
-    # each flight's samples by altitude, each altitude's thrusts averaged
-    order = np.lexsort((h, flight))
-    h, flight, thrust = h[order], flight[order], thrust[order]
-    start = np.flatnonzero(np.concatenate(([True], (h[1:] != h[:-1])
-                                           | (flight[1:] != flight[:-1]))))
-    thrust = np.add.reduceat(thrust, start) / np.diff(np.append(start, h.size))
-    h, flight = h[start], flight[start]
-    stops = np.cumsum(np.bincount(flight, minlength=sizes.size)).tolist()
-    for i in indices:
-        a, b = (stops[i - 1] if i else 0), stops[i]
-        if b - a < 2:
-            results[i] = FlightRejectedError(
-                f"flight {flight_ids[i]}: blips collapse to a single altitude")
-        else:
-            results[i] = ThrustProfile(grid=grid, values=np.interp(grid, h[a:b], thrust[a:b]))
-    return results
+                a, b = (stops[i - 1] if i else 0), stops[i]
+                results[i] = (np.interp(grid, h[a:b], thrust[a:b]) if b - a >= 2 else
+                              FlightRejectedError(f"flight {flight_ids[i]}: blips collapse to "
+                                                  "a single altitude"))
+    accepted = [r for r in results if isinstance(r, np.ndarray)]
+    return (np.array(accepted).reshape(len(accepted), grid.size),
+            [r for r in results if not isinstance(r, np.ndarray)])
 
 
 def profile_from_flight(
@@ -271,13 +274,13 @@ def profile_from_flight(
     traj: "Trajectory",
     delta_T: float = 0.0,
 ) -> ThrustProfile:
-    """Effective thrust on ``default_grid()`` of one flight, by
+    """Effective thrust on ``default_grid()`` of one flight: the one-flight
     :func:`flight_profiles`; a rejected flight raises its error."""
-    (profile,) = flight_profiles(perf, [traj.flight_id], traj.t_s, traj.alt_ft,
-                                 [0, traj.n_blips], delta_T)
-    if isinstance(profile, ClimbgenError):
-        raise profile
-    return profile
+    values, errors = flight_profiles(perf, [traj.flight_id], traj.t_s, traj.alt_ft,
+                                     [0, traj.n_blips], delta_T)
+    if errors:
+        raise errors[0]
+    return ThrustProfile(grid=default_grid(), values=values[0])
 
 
 def select_components(explained_variance: Sequence[float]) -> int:
@@ -310,10 +313,12 @@ def select_components(explained_variance: Sequence[float]) -> int:
     return int(min(max(n, 1), MAX_COMPONENTS))
 
 
-def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> FpcaBasis:
+def fit_fpca(grid: np.ndarray, values: np.ndarray, n_max: int = MAX_COMPONENTS) -> FpcaBasis:
     """Fit the mean, the orthonormal modes and their eigenvalues of a set
-    of thrust profiles.
+    of thrust profiles: ``values`` holds the thrust (N) of one profile per
+    row on ``grid``, the data matrix of the fPCA.
 
+    The grid and the values get the checks of ``ThrustProfile``.
     Eigen-decomposes the quadrature-weighted sample covariance (ddof 1)
     on the common grid; the retained count is min(n_max, knee of the
     cumulative curve of the eigenvalues' fractions of the total).  The
@@ -326,18 +331,18 @@ def fit_fpca(profiles: Sequence[ThrustProfile], n_max: int = MAX_COMPONENTS) -> 
     non-negative (tie: first non-zero node positive).  Profiles whose total
     variance is round-off raise ``DegenerateModelError``.
     """
-    if len(profiles) < MIN_FIT_PROFILES:
-        raise DomainError(f"need at least {MIN_FIT_PROFILES} profiles, got {len(profiles)}")
+    grid = np.asarray(grid, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or x.ndim != 2 or x.shape[1] != grid.size:
+        raise DomainError("values must hold one row per profile on the 1-d grid")
+    check_thrust(grid, x)
+    if len(x) < MIN_FIT_PROFILES:
+        raise DomainError(f"need at least {MIN_FIT_PROFILES} profiles, got {len(x)}")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    if n_max > len(profiles):
-        raise DomainError(f"cannot request {n_max} modes from {len(profiles)} profiles")
-    grid = profiles[0].grid
-    for p in profiles[1:]:
-        if not np.array_equal(p.grid, grid):
-            raise DomainError("all profiles must share an identical grid")
+    if n_max > len(x):
+        raise DomainError(f"cannot request {n_max} modes from {len(x)} profiles")
 
-    x = np.stack([p.values for p in profiles])
     mean = x.mean(axis=0)
     centered = x - mean
     cov = np.einsum("ij,ik->jk", centered, centered, optimize=False) / (x.shape[0] - 1)

@@ -611,18 +611,24 @@ def test_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert models[0] == models[1]
 
 
-@pytest.mark.parametrize("command", ["simulate", "bounds", "predict"])
+@pytest.mark.parametrize("command", ["simulate", "prepare", "fit", "sample", "bounds",
+                                     "predict", "evaluate"])
 def test_climb_commands_do_not_import_numpy_ma(workdir, tmp_path, command):
     """``numpy.ma`` costs 15-35 ms to import; ``np.unique`` without optional
-    outputs imports it, and no climb command needs it."""
+    outputs and ``np.percentile`` import it, and no command needs it."""
     if run_python("-c", "import sys, numpy; print('numpy.ma' in sys.modules)").stdout == "True\n":
         pytest.skip("importing numpy already imports numpy.ma")
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({**SCENARIO, "types": {"NBJT": {"count": 5}}}))
     model = str(workdir / "models" / "model_NBJT.json")
     args = {"simulate": ["--scenario", str(scenario), "--seed", "1"],
+            "prepare": ["--csv", str(workdir / "sim" / "blips.csv"), "--seed", "3"],
+            "fit": ["--train", str(workdir / "prep" / "train.csv")],
+            "sample": ["--model", model, "--count", "20", "--seed", "1"],
             "bounds": ["--model", model, "--level", "0.95"],
-            "predict": ["--model", model]}[command]
+            "predict": ["--model", model],
+            "evaluate": ["--model-dir", str(workdir / "models"),
+                         "--test", str(workdir / "prep" / "test.csv"), "--seed", "7"]}[command]
     proc = run_python("-c", "import sys; from climbgen.cli import main; "
                       "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)",
                       command, *args, "--out", str(tmp_path / "out"))

@@ -223,6 +223,22 @@ class TestIntegrateClimb:
         with pytest.raises(DomainError):
             integrate_climb(nbjt, nbjt.nominal_mass, profile, grid[0] - 500.0, grid[-1])
 
+    def test_a_grid_is_checked_once_and_a_failing_one_on_every_call(self, nbjt):
+        # the grid is checked where its kernel is built: a good grid is not
+        # checked again on a cache hit, and a failing one leaves no entry
+        grid = default_grid()
+        values = nominal_thrust(nbjt, grid)[None, :]
+        swapped = grid.copy()
+        swapped[[3, 4]] = swapped[[4, 3]]
+        span = (float(grid[0]), float(grid[-1]))
+        dynamics._climb_kernel.cache_clear()
+        for _ in range(2):
+            integrate_climb_block(nbjt, nbjt.nominal_mass, grid, values, *span)
+            with pytest.raises(DomainError, match="strictly increasing"):
+                integrate_climb_block(nbjt, nbjt.nominal_mass, swapped, values, *span)
+        info = dynamics._climb_kernel.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
     def test_call_counter_increments(self, nbjt, count_calls):
         # once per call: on a kernel miss, on a hit, and on an infeasible climb;
         # a kernel is built only for a span and temperature offset not seen before

@@ -37,6 +37,14 @@ def constant_rate_traj(flight_id, alt0, alt1, rate_fpm, dt=5.0):
     return make_traj(flight_id, t, alt0 + t * rate_fps)
 
 
+def crossing_time(t, alt, target_ft):
+    """The shared reader's crossing time of one track, which a block of
+    two copies of the track reads in both columns."""
+    read = evaluation._crossing(alt, target_ft)
+    assert np.array_equal(read(np.column_stack((t, t))), np.full(2, read(t)))
+    return read(t)
+
+
 class TestArrivalTimes:
     def test_constant_climb_hand_value(self):
         traj = constant_rate_traj("A", 14000.0, 33500.0, 2540.0)
@@ -56,7 +64,7 @@ class TestArrivalTimes:
         # the climb crosses FL150 at t = 5, dips back, and lands on it at t = 30
         t = np.array([0.0, 10.0, 20.0, 30.0])
         alt = np.array([14900.0, 15100.0, 14950.0, 15000.0])
-        assert evaluation._crossing_time(t, alt, 15000.0) == 5.0
+        assert crossing_time(t, alt, 15000.0) == 5.0
         traj = make_traj("E", [0.0, 10.0, 20.0, 30.0, 40.0, 50.0],
                          [14900.0, 15100.0, 14950.0, 15000.0, 25000.0, 32500.0])
         sample = arrival_times(traj)
@@ -65,10 +73,10 @@ class TestArrivalTimes:
     def test_exact_hits_and_data_that_start_above(self):
         # a monotone climb onto the level keeps the blip's own timestamp
         t = np.array([0.0, 7.0, 19.0])
-        assert evaluation._crossing_time(t, np.array([14900.0, 15000.0, 15100.0]), 15000.0) == 7.0
+        assert crossing_time(t, np.array([14900.0, 15000.0, 15100.0]), 15000.0) == 7.0
         # data that start above the level cross it after their first return
-        assert evaluation._crossing_time(t, np.array([15100.0, 15000.0, 14900.0]), 15000.0) == 7.0
-        assert evaluation._crossing_time(t, np.array([15100.0, 14900.0, 15100.0]), 15000.0) == 13.0
+        assert crossing_time(t, np.array([15100.0, 15000.0, 14900.0]), 15000.0) == 7.0
+        assert crossing_time(t, np.array([15100.0, 14900.0, 15100.0]), 15000.0) == 13.0
 
     def test_non_spanning_trajectory_excluded(self):
         traj = make_traj("C", [0.0, 100.0, 200.0], [16000.0, 20000.0, 24000.0])
@@ -92,6 +100,20 @@ class TestArrivalTimes:
         sample = arrival_times(traj)
         assert sample is not None
         assert 0.0 < sample.t_fl250 < sample.t_fl325
+
+    def test_a_climb_reads_as_its_column_of_the_block(self, small_world, nbjt):
+        model = small_world[0]
+        grid = model.basis.grid
+        values = np.vstack((model.basis.mean, generative.sample_values(model, 6, seed=3)))
+        block = evaluation.model_climbs(nbjt, grid, values)
+        assert block.feasible.all()
+        columns = evaluation.arrival_columns(block)
+        assert columns.shape == (2, len(values))
+        for column, row in zip(columns.T, values):
+            climb = integrate_climb(nbjt, nbjt.nominal_mass, ThrustProfile(grid, row),
+                                    float(grid[0]), float(grid[-1]))
+            sample = arrival_times(climb)
+            assert np.array([sample.t_fl250, sample.t_fl325]).tobytes() == column.tobytes()
 
     def test_ordering_enforced(self):
         with pytest.raises(Exception):
@@ -135,6 +157,14 @@ class TestKlDivergence:
     def test_degenerate_sample(self):
         with pytest.raises(DataError):
             kl_divergence(np.full(30, 5.0), np.arange(30.0))
+
+    def test_quartiles_are_np_percentile_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for n in range(2, 2001):
+            sample = rng.normal(600.0, 40.0, n)
+            for s in (sample, np.round(sample, -1), np.floor(sample / 100.0)):   # ties
+                assert (evaluation._quartiles(s).tobytes()
+                        == np.percentile(s, [75.0, 25.0]).tobytes()), n
 
     def test_kde_integrates_to_one(self):
         rng = np.random.default_rng(3)
@@ -353,6 +383,25 @@ class TestRunReport:
         assert 0.0 <= row.coverage_pct <= 100.0
         doc = json.loads((out_a / "metrics_report.json").read_text())
         assert doc[0]["type_code"] == "NBJT"
+
+    def test_skipped_flights_are_one_warning_per_reason(self, small_world, catalog, tmp_path,
+                                                        caplog):
+        # four flights that top out below FL325 and four that start above
+        # FL150: the eight miss the report levels, and the four also miss
+        # the coverage reference
+        model, split_data, _, _ = small_world
+        short = [constant_rate_traj(f"S{i}", 14000.0, 30000.0, 2000.0 + i) for i in range(4)]
+        high = [constant_rate_traj(f"H{i}", 16000.0, 33500.0, 2000.0 + i) for i in range(4)]
+        with caplog.at_level("WARNING", logger="climbgen.evaluation"):
+            evaluation.evaluate_type(model, catalog["NBJT"], short + split_data.test + high,
+                                     tmp_path, seed=1)
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines == [
+            "type NBJT: 8 test flight(s) do not span the report levels; excluded "
+            "(first: S0, S1, S2)",
+            "type NBJT: 4 test flight(s) have no FL150 crossing; skipped from coverage "
+            "(first: H0, H1, H2)",
+        ]
 
     def test_missing_model_skipped_with_warning(self, small_world, catalog, tmp_path, caplog):
         _, split_data, _, _ = small_world

@@ -108,9 +108,9 @@ class TestFitTypeModel:
         assert len(list(flight_blocks(radar_fleet))) >= 5
         fitted = []   # the profiles fit_type_model hands the fPCA fit
 
-        def recording(profiles, n_max):
-            fitted.append(profiles)
-            return fit_fpca(profiles, n_max)
+        def recording(grid, values, n_max):
+            fitted.append(values)
+            return fit_fpca(grid, values, n_max)
 
         monkeypatch.setattr(generative, "fit_fpca", recording)
         with caplog.at_level(logging.WARNING, logger="climbgen.generative"):
@@ -123,7 +123,7 @@ class TestFitTypeModel:
                 rejected.append(str(exc))
         assert [r.getMessage() for r in caplog.records] == rejected
         assert model.n_flights_fit == len(alone) == len(fitted[0])
-        assert [p.values.tobytes() for p in fitted[0]] == [p.values.tobytes() for p in alone]
+        assert [row.tobytes() for row in fitted[0]] == [p.values.tobytes() for p in alone]
         # every kind of rejection is among them
         for reason in ("blips in the altitude interval", "collapse to a single altitude",
                        "rocd_obs must be finite"):

@@ -196,20 +196,16 @@ class TestSelectComponents:
 class TestFitFpca:
     def test_identical_profiles(self):
         grid = default_grid()
-        values = 90000.0 - 2.0 * (grid - grid[0])
-        profiles = [ThrustProfile(grid, values.copy()) for _ in range(12)]
+        values = np.tile(90000.0 - 2.0 * (grid - grid[0]), (12, 1))
         with pytest.raises(DegenerateModelError, match="no variance"):
-            fit_fpca(profiles)
+            fit_fpca(grid, values)
 
     def test_rank_one_construction(self):
         grid = default_grid()
         mean = np.full(grid.size, 80000.0)
         shape = orthonormal_shapes(grid, 1)[0]
-        profiles = []
-        for i in range(12):
-            sign = 1.0 if i % 2 == 0 else -1.0
-            profiles.append(ThrustProfile(grid, mean + sign * 3000.0 * shape))
-        basis = fit_fpca(profiles)
+        signs = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+        basis = fit_fpca(grid, mean + signs[:, None] * 3000.0 * shape)
         assert basis.explained_variance[0] == pytest.approx(1.0, abs=1e-9)
         # first mode proportional to the generating shape (orientation fixed
         # by the sign convention)
@@ -227,11 +223,8 @@ class TestFitFpca:
     def test_orthonormality_invariant(self):
         grid = default_grid()
         rng = np.random.default_rng(5)
-        profiles = [
-            ThrustProfile(grid, 90000.0 + 5000.0 * rng.standard_normal(grid.size))
-            for _ in range(25)
-        ]
-        basis = fit_fpca(profiles, n_max=6)
+        values = 90000.0 + 5000.0 * rng.standard_normal((25, grid.size))
+        basis = fit_fpca(grid, values, n_max=6)
         w = trapezoid_weights(grid)
         gram = basis.modes @ (w[:, None] * basis.modes.T)
         off = gram - np.eye(basis.n_modes)
@@ -240,39 +233,48 @@ class TestFitFpca:
     def test_permutation_invariance(self):
         grid = default_grid()
         rng = np.random.default_rng(9)
-        profiles = [
-            ThrustProfile(grid, 90000.0 + 4000.0 * rng.standard_normal(grid.size))
-            for _ in range(20)
-        ]
-        basis_a = fit_fpca(profiles, n_max=4)
-        order = rng.permutation(len(profiles))
-        basis_b = fit_fpca([profiles[i] for i in order], n_max=4)
+        values = 90000.0 + 4000.0 * rng.standard_normal((20, grid.size))
+        basis_a = fit_fpca(grid, values, n_max=4)
+        order = rng.permutation(len(values))
+        basis_b = fit_fpca(grid, values[order], n_max=4)
         assert basis_a.mean == pytest.approx(basis_b.mean)
         assert basis_a.modes == pytest.approx(basis_b.modes, abs=1e-9)
 
     def test_too_few_profiles(self):
         grid = default_grid()
-        profiles = [ThrustProfile(grid, np.full(grid.size, 1.0)) for _ in range(5)]
         with pytest.raises(DomainError):
-            fit_fpca(profiles)
+            fit_fpca(grid, np.ones((5, grid.size)))
 
     def test_more_modes_than_profiles(self):
         grid = default_grid()
         rng = np.random.default_rng(3)
-        profiles = [ThrustProfile(grid, rng.standard_normal(grid.size)) for _ in range(10)]
         with pytest.raises(DomainError):
-            fit_fpca(profiles, n_max=11)
+            fit_fpca(grid, rng.standard_normal((10, grid.size)), n_max=11)
 
-    def test_grid_mismatch(self):
+    @pytest.mark.parametrize("case", ["nan_value", "grid_not_increasing", "nan_in_grid",
+                                      "row_width", "one_profile_not_a_block"])
+    def test_the_checks_of_a_profile(self, case):
+        # the values are one row per profile on the grid, and each row
+        # gets the checks of a ThrustProfile
         grid = default_grid()
-        other = np.linspace(fl_to_m(150.0), fl_to_m(300.0), GRID_SIZE)
-        profiles = [ThrustProfile(grid, np.zeros(grid.size)) for _ in range(9)]
-        profiles.append(ThrustProfile(other, np.zeros(other.size)))
+        values = np.random.default_rng(3).standard_normal((12, grid.size))
+        if case == "nan_value":
+            values[4, 7] = np.nan
+        elif case == "grid_not_increasing":
+            grid = grid.copy()
+            grid[[3, 4]] = grid[[4, 3]]
+        elif case == "nan_in_grid":
+            grid = grid.copy()
+            grid[5] = np.nan
+        elif case == "row_width":
+            values = values[:, 1:]
+        else:
+            values = values[0]
         with pytest.raises(DomainError):
-            fit_fpca(profiles)
+            fit_fpca(grid, values)
 
 
-def _rank3_basis(grid, n_flights, seed, return_profiles=False):
+def _rank3_basis(grid, n_flights, seed):
     """Profiles whose empirical variance ratios are exactly 9:4:1.
 
     Random weights are whitened so the sample covariance is the identity,
@@ -287,11 +289,7 @@ def _rank3_basis(grid, n_flights, seed, return_profiles=False):
     white = z @ np.linalg.inv(chol).T
     weights = white * np.array([3.0, 2.0, 1.0]) * 1000.0
     mean = 85000.0 - 1.5 * (grid - grid[0])
-    profiles = [ThrustProfile(grid, mean + weights[i] @ shapes) for i in range(n_flights)]
-    basis = fit_fpca(profiles)
-    if return_profiles:
-        return basis, profiles, weights
-    return basis
+    return fit_fpca(grid, mean + weights @ shapes)
 
 
 class TestProjectWeights:
