@@ -82,7 +82,7 @@ def _cmd_prepare(args) -> int:
     trajectories = pipeline.ingest(args.csv)
     ingested = len(trajectories)
     filtered = pipeline.filter_climbs(trajectories)
-    del trajectories   # only their count is written: one copy of the flights is held
+    del trajectories   # only their count is written; the kept flights view their blips
     if not filtered:
         raise DataError("no flights survive the climb filter")
     split_data = pipeline.split(filtered, seed=args.seed)

@@ -122,6 +122,8 @@ def _crossing(alt_ft: np.ndarray, target_ft: float):
             return lambda t: t[k]
         frac = (target_ft - alt_ft[k - 1]) / (alt_ft[k] - alt_ft[k - 1])
         return lambda t: t[k - 1] + frac * (t[k] - t[k - 1])
+    if alt_ft.size < 2:   # no segment to extrapolate
+        return None
     if alt_ft[0] > target_ft >= alt_ft[0] - EXTRAP_TOL_FT and alt_ft[1] > alt_ft[0]:
         rise, below = alt_ft[1] - alt_ft[0], alt_ft[0] - target_ft
         return lambda t: t[0] - (t[1] - t[0]) / rise * below

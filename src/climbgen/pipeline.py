@@ -27,12 +27,15 @@ when present but are not kept.
 Blips are grouped by flight, sorted by time and deduplicated (first blip
 per timestamp wins, which is the earliest line in the file).  A flight
 whose blips carry more than one type code, or that has fewer than 2
-distinct timestamps, is dropped with a warning.  The checks are one
-vectorized pass over the sorted columns, not a loop over flights.
-``ingest`` holds the columns it returns plus one block: each block is
-parsed into columns sized from the file's bytes, and the rows are sorted
-only when they are out of flight and time order.  Every file this module
-writes is in that order, so it is read without a sort.
+distinct timestamps, is dropped with a warning.  Neither check loops over
+flights: types are checked a block at a time as the rows are read, and
+timestamps in one vectorized pass over the sorted columns.
+``ingest`` holds the flight-code, time and altitude columns plus one
+block: each block is parsed into columns sized from the file's bytes, and
+the rows are sorted only when they are out of flight and time order.  No
+column of types is held: a flight takes the type of its first row, and
+only a mixed flight's types are kept, for its warning.  Every file this
+module writes is in that order, so it is read without a sort.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
 window, ``learning.INTERVAL_FL``, and of each only the blips inside it
@@ -42,8 +45,11 @@ blocks of ``flight_blocks``: runs of whole flights of at most
 ``BLOCK_LINES`` blips, with their offsets into the joined ``t_s`` and
 ``alt_ft`` columns.  Each block takes one ``median3`` and one
 ``derive_rocd``, each within the flights, so the arrays held at once stay
-bounded however large the fleet.  ``write_trajectories_csv`` writes the
-same blocks.
+bounded however large the fleet.  A kept flight's arrays may be views of
+its input flight's arrays: a flight whose kept blips are one run of its
+blips keeps a slice of them, and only a flight that the rate rule cuts in
+the middle is copied, so the filter holds no second copy of the flights.
+``write_trajectories_csv`` writes the same blocks.
 
 ``simulate_fleet`` simulates one type at a time and hands its finished
 flights to the writer a run of at least ``BLOCK_LINES`` rows at a time; a
@@ -456,6 +462,25 @@ def _in_flight_order(flight: np.ndarray, t_s: np.ndarray) -> bool:
                 and np.all((t_s[1:] >= t_s[:-1]) | (flight[1:] != flight[:-1])))
 
 
+def _note_types(flight: np.ndarray, types: np.ndarray, flight_type: np.ndarray,
+                mixed: dict[int, set[int]]) -> np.ndarray:
+    """``flight_type``, each flight's type code by flight code, extended by
+    the flights a block of rows starts, given the rows' flight and type
+    codes in line order; the type of a row that differs from its flight's
+    is added to the flight's set in ``mixed``.
+
+    A flight takes the type of its first row.  Flight codes are numbered
+    in order of first appearance, so a row is its flight's first when its
+    code is above every code before it, and those rows come in code order.
+    """
+    first = flight > np.maximum.accumulate(np.concatenate(([flight_type.size - 1], flight[:-1])))
+    flight_type = np.concatenate((flight_type, types[first]))
+    differs = np.flatnonzero(types != flight_type[flight])
+    for f, code in set(zip(flight[differs].tolist(), types[differs].tolist())):
+        mixed.setdefault(f, {int(flight_type[f])}).add(code)
+    return flight_type
+
+
 def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
@@ -471,10 +496,13 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     ``ValidationError``; non-UTF-8 text, an empty file or a wrong header a
     ``DataError``.
 
-    What is held is the flight, type, time and altitude columns and one
-    block.  Each block is parsed into the columns in place; they are sized
-    from the file's size and the bytes per line read so far, grown when
-    that falls short and trimmed at the end.  A file whose rows already
+    What is held is the flight-code, time and altitude columns and one
+    block.  A flight's type is that of its first row in line order; a row
+    of another type marks its flight mixed, and only the types of mixed
+    flights are kept, for their warning.  Each block is parsed into the
+    columns in place; they are sized from the file's size and the bytes
+    per line read so far, grown when that falls short and trimmed at the
+    end.  A file whose rows already
     come in flight and time order, each flight one run and the flights in
     ``sorted()`` order of their ids, as every file ``write_trajectories_csv``
     and ``simulate_fleet`` write, is checked block by block and not sorted;
@@ -502,29 +530,33 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
 
     flight_index: dict[str, int] = {}
     type_index: dict[str, int] = {}
-    # flight and type codes, time and altitude, filled a block at a time
-    columns = [np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0), np.empty(0)]
+    # flight code, time and altitude, filled a block at a time
+    columns = [np.empty(0, np.int32), np.empty(0), np.empty(0)]
+    # each flight's type code, and each mixed flight's type codes
+    flight_type = np.empty(0, np.int32)
+    mixed_types: dict[int, set[int]] = {}
     n = skipped = 0
     in_order = True
     first_line_no = 2
     read = len(header_bytes) + 1
     for data in chain([data], blocks):
-        values, n_skipped = _parse_block(path, data, first_line_no, len(header),
-                                         flight_index, type_index)
+        (flight, types, *values), n_skipped = _parse_block(path, data, first_line_no,
+                                                           len(header), flight_index, type_index)
         first_line_no += data.count(b"\n")
         read += len(data)
         skipped += n_skipped
-        stop = n + values[0].size
+        flight_type = _note_types(flight, types, flight_type, mixed_types)
+        stop = n + flight.size
         if stop > columns[0].size:
             # the file's lines at the bytes per line read so far and a 64th
             # more, or an eighth more rows than before if that is more
             lines = max(stop, (first_line_no - 1) * file_bytes // read)
             _resize(columns, max(lines + lines // 64, columns[0].size * 9 // 8))
-        for column, part in zip(columns, values):
+        for column, part in zip(columns, (flight, *values)):
             column[n:stop] = part
         # the row before the block too, so the check spans block bounds
         in_order = in_order and _in_flight_order(columns[0][max(n - 1, 0):stop],
-                                                 columns[2][max(n - 1, 0):stop])
+                                                 columns[1][max(n - 1, 0):stop])
         n = stop
     _resize(columns, n)
     if skipped:
@@ -532,9 +564,10 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     if not flight_index:
         raise DataError(f"{path}: no valid blip rows")
 
-    flight, type_code, t_s, alt_ft = columns
+    flight, t_s, alt_ft = columns
     del columns
     flight_ids = sorted(flight_index)
+    codes = [flight_index[f] for f in flight_ids]   # each flight's code, in sorted() order
     if not (in_order and flight_ids == list(flight_index)):
         # rank the flight codes in sorted() order of their ids, a block at a
         # time in place.  The rows are in line order and the sort by flight,
@@ -542,45 +575,45 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
         # earliest line.  Each column is gathered on its own, so one copy at
         # a time is made.
         rank = np.empty(len(flight_ids), np.int32)
-        rank[[flight_index[f] for f in flight_ids]] = np.arange(len(flight_ids))
+        rank[codes] = np.arange(len(flight_ids))
         for start in range(0, n, BLOCK_LINES):
             flight[start:start + BLOCK_LINES] = rank[flight[start:start + BLOCK_LINES]]
         order = np.lexsort((t_s, flight))
         flight = flight[order]
-        type_code = type_code[order]
         t_s = t_s[order]
         alt_ft = alt_ft[order]
         del order
     # flight codes now run 0, 1, ... in row order, one run per flight
     type_names = list(type_index)
+    mixed = np.zeros(len(flight_ids), bool)
+    mixed[list(mixed_types)] = True
+    mixed = mixed[codes]
     mask = np.empty(n, bool)
     mask[0] = True
     np.not_equal(flight[1:], flight[:-1], out=mask[1:])
     bounds = np.append(np.flatnonzero(mask), n)
-    starts = bounds[:-1]
-    mixed = np.minimum.reduceat(type_code, starts) != np.maximum.reduceat(type_code, starts)
     # then whether a row repeats the timestamp before it in its flight; the
     # first blip of a timestamp is kept
     np.less_equal(t_s[1:], t_s[:-1], out=mask[1:])
-    mask[starts] = False
+    mask[bounds[:-1]] = False
     repeats = np.flatnonzero(mask)
     del mask
     counts = np.diff(bounds) - np.bincount(flight[repeats], minlength=len(flight_ids))
     usable = ~mixed & (counts >= 2)
     for f in np.flatnonzero(~usable).tolist():
         if mixed[f]:
-            types = sorted({type_names[c] for c in type_code[bounds[f]:bounds[f + 1]].tolist()})
+            types = sorted(type_names[c] for c in mixed_types[codes[f]])
             logger.warning("flight %s: mixed type codes %s; dropped", flight_ids[f],
                            ", ".join(types))
         else:
             logger.warning("flight %s: fewer than 2 distinct blips; dropped", flight_ids[f])
     if not usable.any():
         raise DataError(f"{path}: no usable flights")
-    flight_types = type_code[starts[usable]].tolist()
+    flight_types = flight_type[codes][usable].tolist()
     if repeats.size or not usable.all():
         keep = usable[flight]
         keep[repeats] = False
-        del flight, type_code
+        del flight
         t_s = t_s[keep]
         alt_ft = alt_ft[keep]
     stops = np.cumsum(counts[usable]).tolist()
@@ -668,7 +701,10 @@ def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
     blips, the number its thrust profile needs.
 
     The flights are filtered a block of ``flight_blocks`` at a time, by one
-    ``median3`` and one ``derive_rocd`` per block, each within the flights."""
+    ``median3`` and one ``derive_rocd`` per block, each within the flights.
+    A kept flight's arrays may be views of its input flight's arrays: when
+    its kept blips are one run of its blips, it holds that slice of them;
+    only a flight cut in the middle gets a copy."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     kept = []
     # a flight of fewer than 2 blips neither climbs nor has a rate
@@ -683,10 +719,18 @@ def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
         counts = np.bincount(flight[keep], minlength=len(block))
         accepted = counts >= MIN_PROFILE_BLIPS
         keep &= accepted[flight]
-        t_s, alt_ft = t_s[keep], alt_ft[keep]
-        stops = np.cumsum(counts[accepted]).tolist()
-        kept += [Trajectory(tr.flight_id, tr.type_code, t_s[a:b], alt_ft[a:b])
-                 for tr, a, b in zip(compress(block, accepted), [0] + stops[:-1], stops)]
+        # each accepted flight's first and last kept blip in the block: its
+        # kept blips are one run of its own when they number last - first + 1
+        rows = np.flatnonzero(keep)
+        n_kept = counts[accepted]
+        stops = np.cumsum(n_kept)
+        first, last = rows[stops - n_kept], rows[stops - 1]
+        run = last - first + 1 == n_kept
+        for tr, start, a, b, is_run in zip(compress(block, accepted),
+                                           offsets[:-1][accepted].tolist(),
+                                           first.tolist(), last.tolist(), run.tolist()):
+            own = slice(a - start, b - start + 1) if is_run else keep[start:start + tr.n_blips]
+            kept.append(Trajectory(tr.flight_id, tr.type_code, tr.t_s[own], tr.alt_ft[own]))
     logger.info("filter_climbs: kept %d of %d flights", len(kept), len(trajectories))
     return kept
 

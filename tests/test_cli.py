@@ -7,13 +7,14 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import climbgen
-from climbgen import evaluation, generative, performance
+from climbgen import evaluation, generative, performance, pipeline
 from climbgen.cli import main
 from climbgen.generative import bound_profiles, fit_type_model, load_model, save_model
 from climbgen.pipeline import filter_climbs, ingest, split
@@ -634,3 +635,36 @@ def test_climb_commands_do_not_import_numpy_ma(workdir, tmp_path, command):
                       command, *args, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def traced_peak(call, *args):
+    """The traced peak of memory while ``call(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_prepare_peak_memory_is_ingest_peak(tmp_path):
+    """``prepare`` holds one copy of the flights: the flights the filter
+    keeps whole are views of the ingested ones, so its traced peak is
+    ingest's on the same file plus the command's own objects (the parser,
+    the split's lists): 0.05 to 0.2 MiB, within a margin of 0.5 MiB.  A
+    copy of the kept blips beside the ingested ones read 0.7 MiB over."""
+    n = 32 * pipeline.BLOCK_LINES
+    k = np.arange(n)
+    path = tmp_path / "blips.csv"
+    # 820 climbs of 320 blips wholly inside the modeled window, in order
+    pipeline.write_columns(path, "flight_id,type_code,t_s,alt_ft",
+                           [f"F{i:04d}" for i in (k // 320).tolist()], ["NBJT"] * n,
+                           (k % 320) * 6.0, 15000.0 + (k % 320) * 50.0)
+    ingest_peak, flights = traced_peak(ingest, path)
+    assert sum(tr.n_blips for tr in flights) == n
+    del flights
+    peak, code = traced_peak(main, ["prepare", "--csv", str(path), "--out", str(tmp_path / "prep"),
+                                    "--seed", "1"])
+    assert code == 0
+    assert json.loads((tmp_path / "prep" / "prepare_summary.json").read_text())["filtered"] == 820
+    assert peak < ingest_peak + 2**19, f"{(peak - ingest_peak) / 2**10:.0f} KiB over ingest"

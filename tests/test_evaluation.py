@@ -255,6 +255,19 @@ class TestCoverage:
         with pytest.raises(DataError):
             coverage([], slow, fast)
 
+    def test_one_blip_flight_is_skipped(self, bands, caplog):
+        # a blip just above FL150 has no segment to extrapolate its
+        # crossing from: the flight is skipped with the one warning
+        slow, fast = bands
+        traj = constant_rate_traj("A", 14500.0, 33500.0, 3.0 / 0.3048 * 60.0)
+        alone = coverage([traj], slow, fast)
+        with caplog.at_level("WARNING", logger="climbgen.evaluation"):
+            got = coverage([traj, make_traj("X", [0.0], [15200.0])], slow, fast)
+        assert got == alone
+        assert [r.getMessage() for r in caplog.records] == [
+            "type NBJT: 1 test flight(s) have no FL150 crossing; skipped from coverage "
+            "(first: X)"]
+
 
 class TestModelClimb:
     def test_the_window_climb_at_nominal_mass(self, small_world, catalog):
