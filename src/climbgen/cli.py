@@ -68,9 +68,8 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     catalog = _load_catalog(args)
     scenario = pipeline.load_scenario(args.scenario)
-    counts = pipeline.simulate_fleet(
-        catalog, scenario, args.seed, out / "blips.csv", out / "truth.json"
-    )
+    counts = pipeline.simulate_fleet(catalog, scenario, args.seed, out / "blips.csv",
+                                     out / "truth.json")
     total = sum(counts.values())
     print(f"simulated {total} flights ({', '.join(f'{k}: {v}' for k, v in sorted(counts.items()))})")
     print(f"wrote {out / 'blips.csv'} and {out / 'truth.json'}")
@@ -206,7 +205,10 @@ def _cmd_evaluate(args) -> int:
               f"mae325 model/nominal = {report.mae_fl325_model:.1f}/{report.mae_fl325_nominal:.1f} s, "
               f"kl = {report.kl_fl250:.3f}/{report.kl_fl325:.3f} nats, "
               f"coverage = {report.coverage_pct:.1f}%")
-    if not reports:
+    n_types = len({tr.type_code for tr in test_trajectories})
+    if len(reports) < n_types:
+        print(f"warning: {n_types - len(reports)} of {n_types} type(s) skipped; see the warnings")
+    elif not reports:
         print("warning: nothing to evaluate (empty test set or missing models)")
     print(f"wrote {out / 'metrics_report.csv'}")
     return EXIT_OK

@@ -56,6 +56,7 @@ from .learning import (
     default_grid,
     fit_fpca,
     flight_profiles,
+    trapezoid_weights,
 )
 from .pipeline import flight_blocks
 
@@ -341,8 +342,6 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
 
 
 def _check_orthonormal(basis: FpcaBasis, path: Path, tol: float = 1e-6) -> None:
-    from .learning import trapezoid_weights
-
     w = trapezoid_weights(basis.grid)
     gram = basis.modes @ (w[:, None] * basis.modes.T)
     if not np.allclose(gram, np.eye(basis.n_modes), atol=tol):

@@ -53,8 +53,8 @@ the middle is copied, so the filter holds no second copy of the flights.
 
 ``simulate_fleet`` simulates one type at a time and hands its finished
 flights to the writer a run of at least ``BLOCK_LINES`` rows at a time; a
-type's climbs are integrated a block of draws at a time, so the blips
-and climbs held at once do not grow with a type's flights.
+type's climbs are integrated a block of draws at a time, whatever the
+radar settings, so the blips and climbs held do not grow with its flights.
 Every climb flies ``SIMULATED_FL``, the modeled window with 10 FL to
 spare on each side, and "student_t" weights are drawn with
 ``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
@@ -879,32 +879,32 @@ def _draw_weights(spec: TypeScenario, rng: np.random.Generator) -> np.ndarray:
 
 
 def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetScenario,
-                   rng: np.random.Generator, truth: dict[str, dict]
+                   rng: np.random.Generator, radar: np.random.Generator, truth: dict[str, dict]
                    ) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
     """One type's blips as runs of whole flights, each of at least
     ``BLOCK_LINES`` rows but the last: the flight id, time and altitude
     columns of each run.  Each flight's ground truth is added to ``truth``
     as the flight is made.
 
-    Weights are drawn one flight at a time, as many as the flights still
-    missing and at most ``dynamics.BLOCK_CLIMBS``, and their climbs are
-    integrated as one block.  The draws are then taken in order: a
-    feasible one is the next flight, an infeasible one that flight's
-    redraw.  No draw is made that the flights do not need, so the next
-    type's draws come from the same place in ``rng``.  A scenario with
-    altitude noise draws the noise between flights, so it takes one draw
-    at a time."""
+    The truth stage draws weights from ``rng``, as many as the flights
+    still missing and at most ``dynamics.BLOCK_CLIMBS``, integrates their
+    climbs as one block and takes the draws in order: a feasible one is
+    the next flight, an infeasible one that flight's redraw.  No draw is
+    made that the flights do not need, so the next type's draws come from
+    the same place in ``rng``.  The radar stage samples each climb at the
+    blip interval, adds noise drawn from ``radar`` and quantizes, so the
+    radar settings change no draw of the truth."""
     spec = scenario.types[type_code]
     h0, h1 = fl_to_m(SIMULATED_FL[0]), fl_to_m(SIMULATED_FL[1])
     grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
     base = nominal_thrust(perf, grid) + spec.thrust_bias_n
     modes = truth_modes(grid, len(spec.mode_sds))
-    block_size = 1 if scenario.alt_noise_ft > 0.0 else BLOCK_CLIMBS
     flight_ids: list[str] = []
     times, alts = [], []
     n_flights = redraws = 0
     while n_flights < spec.count:
-        draws = [_draw_weights(spec, rng) for _ in range(min(block_size, spec.count - n_flights))]
+        # truth stage
+        draws = [_draw_weights(spec, rng) for _ in range(min(BLOCK_CLIMBS, spec.count - n_flights))]
         climbs = integrate_climb_block(
             perf, perf.nominal_mass, grid,
             [base + weights @ modes if weights.size else base for weights in draws],
@@ -913,28 +913,25 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
         for weights, t, feasible in zip(draws, climbs.t, climbs.feasible):
             if not feasible:
                 if redraws == MAX_REDRAWS:
-                    raise ScenarioError(
-                        f"{type_code}: no feasible thrust draw in {MAX_REDRAWS} attempts"
-                    )
+                    raise ScenarioError(f"{type_code}: no feasible thrust draw in "
+                                        f"{MAX_REDRAWS} attempts")
                 redraws += 1
                 continue
             redraws = 0
             flight_id = f"{type_code}-{n_flights:05d}"
             n_flights += 1
+            truth[flight_id] = {"type_code": type_code, "thrust_bias_n": spec.thrust_bias_n,
+                                "weights": [float(w) for w in weights]}
+            # radar stage
             t_blips = np.arange(0.0, t[-1], scenario.blip_interval_s)
             alt = np.interp(t_blips, t, climbs.h) / FT
             if scenario.alt_noise_ft > 0.0:
-                alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
+                alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
             if scenario.quantization_ft > 0.0:
                 alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
             flight_ids += [flight_id] * t_blips.size
             times.append(t_blips)
             alts.append(alt)
-            truth[flight_id] = {
-                "type_code": type_code,
-                "thrust_bias_n": spec.thrust_bias_n,
-                "weights": [float(w) for w in weights],
-            }
             if len(flight_ids) >= BLOCK_LINES:
                 yield flight_ids, _concat(times), _concat(alts)
                 flight_ids = []
@@ -957,9 +954,10 @@ def simulate_fleet(
     quantization.  An infeasible draw is redrawn, up to ``MAX_REDRAWS``
     times in a row.  The climbs of a type's draws are integrated a block
     at a time by ``dynamics.integrate_climb_block``, which gives each
-    climb bit for bit as ``integrate_climb`` does, and the draws come from
-    ``rng`` in the order one flight at a time would make them.  Output is
-    byte-identical for a fixed seed.
+    climb bit for bit as ``integrate_climb`` does.  The noise comes from
+    a generator spawned from the seed's, so ``truth.json`` depends only
+    on the types, ``delta_t_k`` and the seed.  Output is byte-identical
+    for a fixed seed.
 
     Types are simulated in sorted order, and a type's blips are written a
     run of whole flights of at least ``BLOCK_LINES`` rows at a time, as
@@ -971,20 +969,19 @@ def simulate_fleet(
     if missing:
         raise ScenarioError(f"scenario types missing from the catalog: {', '.join(missing)}")
     rng = np.random.default_rng(seed)
+    radar = rng.spawn(1)[0]   # leaves rng's own stream as it is
     truth: dict[str, dict] = {}
     csv_path = Path(csv_path)
     # written beside the blip file and renamed over it once complete, so a
     # failed run leaves no partial blip file, nor a directory made for it
     partial = csv_path.with_name(csv_path.name + ".part")
     made = [d for d in (partial.parent, *partial.parent.parents) if not d.exists()]
-    partial.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(",".join(_HEADER) + "\n")
-            for type_code in sorted(scenario.types):
-                for flight_ids, t_s, alt_ft in _simulate_type(catalog[type_code], type_code,
-                                                              scenario, rng, truth):
-                    _write_rows(fh, flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
+        write_blocks(partial, ",".join(_HEADER),
+                     ((flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
+                      for type_code in sorted(scenario.types)
+                      for flight_ids, t_s, alt_ft in _simulate_type(
+                          catalog[type_code], type_code, scenario, rng, radar, truth)))
     except BaseException:
         partial.unlink(missing_ok=True)
         for directory in made:   # deepest first

@@ -137,6 +137,30 @@ class TestWorkflow:
         assert text.splitlines()[0].startswith("type_code")
         assert len(text.splitlines()) == 2
 
+    def test_evaluate_counts_the_types_it_skips(self, workdir, tmp_path, capsys, caplog):
+        # the fitted model with its spectrum widened 1e4 times has an
+        # infeasible envelope climb, so its one test type is skipped: the
+        # summary counts it and points to the warning, exit status 0
+        model = load_model(workdir / "models" / "model_NBJT.json")
+        basis = dataclasses.replace(model.basis, variance=model.basis.variance * 1e4,
+                                    total_variance=model.basis.total_variance * 1e4)
+        wide = generative.GenerativeClimbModel(model.type_code, basis, model.n_flights_fit)
+        generative.save_model(wide, tmp_path / "models" / "model_NBJT.json")
+
+        def evaluate(models):
+            capsys.readouterr()
+            assert main(["evaluate", "--model-dir", str(models),
+                         "--test", str(workdir / "prep" / "test.csv"),
+                         "--out", str(tmp_path / "eval"), "--seed", "2"]) == 0
+            return capsys.readouterr().out
+
+        assert "warning" not in evaluate(workdir / "models")
+        printed = evaluate(tmp_path / "models")
+        assert "warning: 1 of 1 type(s) skipped; see the warnings\n" in printed
+        assert "nothing to evaluate" not in printed
+        assert "type NBJT: bound climb unbounded" in caplog.text
+        assert len((tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()) == 1
+
     def test_evaluate_level_sets_profile_envelope(self, workdir):
         assert main(["evaluate", "--model-dir", str(workdir / "models"),
                      "--test", str(workdir / "prep" / "test.csv"),

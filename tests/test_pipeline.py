@@ -5,7 +5,7 @@ import logging
 import math
 import re
 import tracemalloc
-from itertools import cycle
+from itertools import cycle, product
 from pathlib import Path
 
 import numpy as np
@@ -1145,10 +1145,11 @@ class TestSimulateFleet:
                            truth_path=tmp_path / "t.json")
 
 
-def reference_simulate_type(perf, type_code, scenario, rng, truth, draws=None):
-    """The per-flight simulator that the block one replaced: draw weights,
-    integrate the climb with ``integrate_climb``, and redraw while it is
-    infeasible.  Appends each draw's feasibility to ``draws``."""
+def reference_simulate_type(perf, type_code, scenario, rng, radar, truth, draws=None):
+    """The per-flight simulator that the block one replaced: draw weights
+    from ``rng``, integrate the climb with ``integrate_climb``, and redraw
+    while it is infeasible; then draw the flight's altitude noise from
+    ``radar``.  Appends each draw's feasibility to ``draws``."""
     spec = scenario.types[type_code]
     h0, h1 = pipeline.fl_to_m(pipeline.SIMULATED_FL[0]), pipeline.fl_to_m(pipeline.SIMULATED_FL[1])
     grid = np.linspace(h0, h1, pipeline.TRUTH_GRID_SIZE)
@@ -1176,7 +1177,7 @@ def reference_simulate_type(perf, type_code, scenario, rng, truth, draws=None):
         t_blips = np.arange(0.0, traj.t[-1], scenario.blip_interval_s)
         alt = np.interp(t_blips, traj.t, traj.h) / pipeline.FT
         if scenario.alt_noise_ft > 0.0:
-            alt = alt + scenario.alt_noise_ft * rng.standard_normal(alt.size)
+            alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
         if scenario.quantization_ft > 0.0:
             alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
         flight_ids += [flight_id] * t_blips.size
@@ -1191,6 +1192,12 @@ def reference_runs(*args):
     """``reference_simulate_type`` in ``_simulate_type``'s interface: the
     whole type as one run of flights."""
     yield reference_simulate_type(*args)
+
+
+def streams(seed):
+    """The truth and radar generators ``simulate_fleet`` makes from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return rng, rng.spawn(1)[0]
 
 
 def joined_runs(runs):
@@ -1241,12 +1248,65 @@ class TestSimulateMatchesPerFlightReference:
         got = self.simulate(catalog, scenario, tmp_path / "block", monkeypatch, False)
         assert got == want
         draws = []
-        reference_simulate_type(catalog["NBJT"], "NBJT", scenario, np.random.default_rng(11),
-                                {}, draws)
+        reference_simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(11), {}, draws)
         if scenario.types["NBJT"].mode_sds:
             assert 0.2 < draws.count(False) / len(draws) < 0.45
         else:
             assert all(draws)
+
+    def test_truth_does_not_depend_on_the_radar(self, catalog, tmp_path):
+        # the radar settings change the blips but no draw of the truth: the
+        # noise comes from the radar stream, and every scenario integrates
+        # the same blocks of draws
+        truths, blips = set(), set()
+        for noise, step, interval in product((0.0, 30.0), (0.0, 25.0, 100.0), (6.0, 12.0)):
+            out = tmp_path / f"{noise}-{step}-{interval}"
+            scenario = infeasible_fleet(count=40, alt_noise_ft=noise, quantization_ft=step,
+                                        blip_interval_s=interval)
+            simulate_fleet(catalog, scenario, seed=11, csv_path=out / "blips.csv",
+                           truth_path=out / "truth.json")
+            truths.add((out / "truth.json").read_bytes())
+            blips.add((out / "blips.csv").read_bytes())
+        assert len(truths) == 1 and len(blips) == 12
+
+    def test_noise_is_the_radar_streams_draws_in_blip_order(self, catalog, tmp_path):
+        # exact altitudes plus 30 ft times the spawned stream's normals, one
+        # per blip in file order, give the noisy fleet's altitudes bit for bit
+        columns = []
+        for noise in (0.0, 30.0):
+            scenario = infeasible_fleet(count=40, alt_noise_ft=noise, quantization_ft=0.0)
+            simulate_fleet(catalog, scenario, seed=11, csv_path=tmp_path / f"{noise}.csv",
+                           truth_path=tmp_path / f"{noise}.json")
+            flights = ingest(tmp_path / f"{noise}.csv")
+            columns.append([np.concatenate([getattr(tr, f) for tr in flights])
+                            for f in ("t_s", "alt_ft")])
+        (exact_t, exact_alt), (noisy_t, noisy_alt) = columns
+        _, radar = streams(11)
+        assert np.array_equal(noisy_t, exact_t)
+        assert np.array_equal(noisy_alt, exact_alt + 30.0 * radar.standard_normal(exact_alt.size))
+
+    @pytest.mark.parametrize("alt_noise_ft, quantization_ft", [(0.0, 25.0), (30.0, 100.0)])
+    def test_every_scenario_integrates_in_blocks(self, catalog, monkeypatch, count_calls,
+                                                 alt_noise_ft, quantization_ft):
+        # each block holds as many draws as the flights still missing, at
+        # most BLOCK_CLIMBS, whatever the radar settings; the reference's
+        # feasibility of each draw replays how many flights each block made
+        monkeypatch.setattr(pipeline, "BLOCK_CLIMBS", 8)
+        scenario = infeasible_fleet(count=40, alt_noise_ft=alt_noise_ft,
+                                    quantization_ft=quantization_ft)
+        calls = count_calls(pipeline, "integrate_climb_block")
+        got = joined_runs(pipeline._simulate_type(catalog["NBJT"], "NBJT", scenario,
+                                                  *streams(3), {}))
+        draws = []
+        want = reference_simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(3), {}, draws)
+        assert got[0] == want[0] and np.array_equal(got[2], want[2])
+        assert draws.count(False) > 5
+        missing, sizes = 40, [len(args[3]) for args in calls]
+        for size in sizes:
+            assert size == min(8, missing)
+            missing -= draws[:size].count(True)
+            del draws[:size]
+        assert missing == 0 and draws == [] and sizes[0] == 8
 
     @pytest.mark.parametrize("seed", range(4))
     def test_redraw_limit_stops_at_the_same_flight(self, catalog, monkeypatch, seed):
@@ -1258,8 +1318,8 @@ class TestSimulateMatchesPerFlightReference:
                               lambda *args: joined_runs(pipeline._simulate_type(*args))):
             truth = {}
             try:
-                columns.append(simulate_type(catalog["NBJT"], "NBJT", scenario,
-                                             np.random.default_rng(seed), truth))
+                columns.append(simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(seed),
+                                             truth))
                 outcomes.append((None, truth))
             except ScenarioError as exc:
                 outcomes.append((str(exc), truth))
@@ -1276,15 +1336,13 @@ class TestSimulateMatchesPerFlightReference:
                                                         alt_noise_ft):
         monkeypatch.setattr(pipeline, "BLOCK_LINES", 500)
         scenario = infeasible_fleet(count=40, alt_noise_ft=alt_noise_ft)
-        runs = list(pipeline._simulate_type(catalog["NBJT"], "NBJT", scenario,
-                                            np.random.default_rng(3), {}))
+        runs = list(pipeline._simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(3), {}))
         assert len(runs) > 3
         assert all(len(ids) >= 500 for ids, _, _ in runs[:-1])
         assert all(len(ids) == t.size == alt.size for ids, t, alt in runs)
         # no flight is cut between two runs
         assert all(a[-1] != b[0] for (a, _, _), (b, _, _) in zip(runs, runs[1:]))
-        want = reference_simulate_type(catalog["NBJT"], "NBJT", scenario,
-                                       np.random.default_rng(3), {})
+        want = reference_simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(3), {})
         got = joined_runs(runs)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
