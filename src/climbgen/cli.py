@@ -208,8 +208,6 @@ def _cmd_evaluate(args) -> int:
     n_types = len({tr.type_code for tr in test_trajectories})
     if len(reports) < n_types:
         print(f"warning: {n_types - len(reports)} of {n_types} type(s) skipped; see the warnings")
-    elif not reports:
-        print("warning: nothing to evaluate (empty test set or missing models)")
     print(f"wrote {out / 'metrics_report.csv'}")
     return EXIT_OK
 

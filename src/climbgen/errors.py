@@ -1,11 +1,25 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the rules every
+JSON input is read by.
 
 Two broad families matter to the CLI: ``ValidationError`` (bad inputs,
 bad files, bad configuration; exit code 2) and ``DataError`` (the inputs
 were well formed but the data cannot support the requested operation;
-exit code 3).  ``read_json`` maps every way a JSON input can fail to be
-read onto one of these classes, with the path in the message, and
-``json_number`` is the one rule for a number in one.  ``write_json``
+exit code 3).
+
+The performance catalog, the scenario and the model file are read by
+``read_json``, which hands the parsed document to the reader's builder
+and raises every way the file can fail, the builder's ``ClimbgenError``
+included, as one error class that names the file.  A builder checks its
+document with three rules, each of which raises ``ValidationError``
+naming the key at fault:
+
+- ``json_object``: an object holds every required key and no other;
+- ``json_number`` and ``json_numbers``: a number, or an array of
+  numbers, is a finite JSON number (not ``true``, text, ``null``,
+  ``NaN``, ``Infinity`` or an integer past the float range);
+- ``json_count``: a count is a JSON integer of at least 1.
+
+``check_type_code`` is the rule for a type code, and ``write_json``
 writes every JSON artifact, as ``pipeline.write_columns`` does every CSV.
 """
 
@@ -14,7 +28,11 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Collection
+
+import numpy as np
 
 _TYPE_CODE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
@@ -79,14 +97,15 @@ class DegenerateNodeError(DataError):
     """All basis modes vanish at the requested grid node."""
 
 
-def read_json(path: Path, what: str, error: type[ClimbgenError]):
-    """The parsed content of a UTF-8 JSON file.
+def read_json(path: Path, what: str, error: type[ClimbgenError], build: Callable):
+    """``build`` of the parsed content of a UTF-8 JSON file.
 
-    A missing, unreadable (e.g. a directory) or non-UTF-8 file, or text
-    that is not JSON, raises ``error`` naming ``what`` and the path.
+    A missing, unreadable (e.g. a directory) or non-UTF-8 file, text
+    that is not JSON, or a ``ClimbgenError`` that ``build`` raises on the
+    content, raises ``error`` naming ``what`` and the path.
     """
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -95,6 +114,10 @@ def read_json(path: Path, what: str, error: type[ClimbgenError]):
         raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except ValueError as exc:   # JSONDecodeError, or an integer past int_max_str_digits
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return build(doc)
+    except ClimbgenError as exc:
+        raise error(f"{what} {path}: {exc}") from None
 
 
 def write_json(path: str | Path, doc) -> None:
@@ -108,17 +131,70 @@ def write_json(path: str | Path, doc) -> None:
         fh.write("\n")
 
 
+def _shown(value) -> str:
+    """``value`` as JSON text, cut to 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def json_object(doc, where: str, required: Collection[str], optional: Collection[str] = ()
+                ) -> None:
+    """Raise ``ValidationError`` naming ``where`` (nothing at the top
+    level) unless ``doc`` is a JSON object that holds every key of
+    ``required`` and no key outside ``required`` and ``optional``."""
+    at = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{at}expected a JSON object, got {_shown(doc)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValidationError(f"{at}missing key(s) {', '.join(missing)}")
+    unknown = sorted(set(doc).difference(required, optional))
+    if unknown:
+        raise ValidationError(f"{at}unknown key(s) {', '.join(unknown)}")
+
+
 def json_number(value, where: str) -> float:
-    """``value``, read from a JSON input, as a float.  Raise ``ValueError``
-    naming ``where`` unless it is a finite JSON number: ``true``, text,
-    ``null``, ``NaN``, ``Infinity`` and integers past the float range are not."""
+    """``value``, read from a JSON input, as a float.  Raise
+    ``ValidationError`` naming ``where`` unless it is a finite JSON number."""
     if type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    raise ValueError(f"{where} must be a finite number, got {json.dumps(value)}")
+    raise ValidationError(f"{where} must be a finite number, got {_shown(value)}")
 
 
-def check_type_code(code, where: str, error: type[ClimbgenError]) -> None:
-    """Raise ``error`` naming ``where`` unless ``code`` can name files such
-    as ``model_<type>.json``: a string that ``_TYPE_CODE`` matches whole."""
+def json_numbers(value, where: str, depth: int = 1) -> np.ndarray:
+    """``value``, read from a JSON input, as a float array of ``depth``
+    dimensions.  Raise ``ValidationError`` naming ``where`` unless it is an
+    array of finite JSON numbers or, at depth 2, of such arrays of one
+    length; an entry that ``json_number`` refuses is named as one."""
+    what = " of ".join(["an array"] + ["equal-length arrays"] * (depth - 1)) + " of finite numbers"
+    flat, shape = [value], []
+    for _ in range(depth):
+        for row in flat:
+            if type(row) is not list:
+                raise ValidationError(f"{where} must be {what}, got {_shown(row)}")
+        lengths = set(map(len, flat))
+        if len(lengths) > 1:
+            raise ValidationError(f"{where} must be {what}, got lengths {sorted(lengths)}")
+        shape.append(lengths.pop() if lengths else 0)
+        flat = list(chain.from_iterable(flat))
+    # all floats and all finite is one test; only another array reads entry by entry
+    if set(map(type, flat)) <= {float} and np.isfinite(array := np.array(flat, float)).all():
+        return array.reshape(shape)
+    return np.array([json_number(v, f"{where} entry") for v in flat], float).reshape(shape)
+
+
+def json_count(value, where: str) -> int:
+    """``value``, read from a JSON input, as a count.  Raise
+    ``ValidationError`` naming ``where`` unless it is a JSON integer >= 1
+    (``true`` is not, although ``bool`` is an ``int``)."""
+    if type(value) is int and value >= 1:
+        return value
+    raise ValidationError(f"{where} must be a JSON integer >= 1, got {_shown(value)}")
+
+
+def check_type_code(code, where: str) -> None:
+    """Raise ``ValidationError`` naming ``where`` unless ``code`` can name
+    files such as ``model_<type>.json``: a string that ``_TYPE_CODE``
+    matches whole."""
     if not isinstance(code, str) or not _TYPE_CODE.fullmatch(code):
-        raise error(f"{where}: type_code must match {_TYPE_CODE.pattern}, got {json.dumps(code)}")
+        raise ValidationError(f"{where} must match {_TYPE_CODE.pattern}, got {_shown(code)}")

@@ -36,17 +36,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .dynamics import ClimbTrajectory, integrate_climb
-from .errors import (
-    DegenerateModelError,
-    DegenerateNodeError,
-    DomainError,
-    ModelFileError,
-    TooFewFlightsError,
-    check_type_code,
-    json_number,
-    read_json,
-    write_json,
-)
+from .errors import (DegenerateModelError, DegenerateNodeError, DomainError, ModelFileError,
+                     TooFewFlightsError, check_type_code, json_count, json_number, json_numbers,
+                     json_object, read_json, write_json)
 from .learning import (
     INTERVAL_FL,
     MAX_COMPONENTS,
@@ -68,17 +60,8 @@ logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 2
 
-_MODEL_KEYS = {
-    "schema_version",
-    "type_code",
-    "interval_fl",
-    "grid_m",
-    "mean_N",
-    "modes",
-    "variance",
-    "total_variance",
-    "n_flights_fit",
-}
+_MODEL_KEYS = ("schema_version", "type_code", "interval_fl", "grid_m", "mean_N", "modes",
+               "variance", "total_variance", "n_flights_fit")
 
 
 @dataclass(eq=False)
@@ -275,74 +258,46 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
     write_json(path, doc)
 
 
-def _json_numbers(value, where: str):
-    """A JSON number, or an array of numbers or of such arrays, with every
-    number but a float read by ``errors.json_number`` naming ``where``.  A
-    float is a JSON number, and ``FpcaBasis`` refuses a non-finite one for
-    the whole array."""
-    if isinstance(value, list):
-        return [_json_numbers(entry, where) for entry in value]
-    return value if type(value) is float else json_number(value, where)
+def _model(doc) -> GenerativeClimbModel:
+    if isinstance(doc, dict) and doc.get("schema_version") == 1:
+        raise ModelFileError("schema_version 1 is no longer read; re-run climbgen fit")
+    json_object(doc, "", _MODEL_KEYS)
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ModelFileError(f"unsupported schema_version {json.dumps(doc['schema_version'])} "
+                             f"(supported: {SCHEMA_VERSION})")
+    if doc["interval_fl"] != list(INTERVAL_FL):
+        raise ModelFileError(f"interval_fl must be the modeled window {list(INTERVAL_FL)}, "
+                             f"got {json.dumps(doc['interval_fl'])}")
+    check_type_code(doc["type_code"], '"type_code"')
+    n_flights_fit = json_count(doc["n_flights_fit"], '"n_flights_fit"')
+    grid = json_numbers(doc["grid_m"], '"grid_m"')
+    if not np.array_equal(grid, default_grid()):
+        raise ModelFileError("grid_m is not the modeled window's grid")
+    basis = FpcaBasis(grid=grid, mean=json_numbers(doc["mean_N"], '"mean_N"'),
+                      modes=json_numbers(doc["modes"], '"modes"', depth=2),
+                      variance=json_numbers(doc["variance"], '"variance"'),
+                      total_variance=json_number(doc["total_variance"], '"total_variance"'))
+    if np.any(np.diff(basis.variance) > 0.0):
+        raise ModelFileError("variance is not non-increasing")
+    # the kept eigenvalues' sum, up to the round-off of summing in another order
+    if basis.total_variance < np.sum(basis.variance) * (1.0 - 1e-12):
+        raise ModelFileError("total_variance is below the sum of variance")
+    gram = basis.modes @ (trapezoid_weights(grid)[:, None] * basis.modes.T)
+    if not np.allclose(gram, np.eye(basis.n_modes), atol=1e-6):
+        raise ModelFileError("basis modes are not orthonormal")
+    return GenerativeClimbModel(type_code=doc["type_code"], basis=basis,
+                                n_flights_fit=n_flights_fit)
 
 
 def load_model(path: str | Path) -> GenerativeClimbModel:
-    """Load a model file, refusing a schema-1 file (fitted before the
-    weight density was the spectrum) and unknown schema versions, a window
-    other than ``INTERVAL_FL``, a ``type_code`` that
+    """Load a model file.  Every error is a ``ModelFileError`` naming the
+    file (``errors.read_json``), and the key at fault where there is one.
+    It refuses a schema-1 file (fitted before the weight density was the
+    spectrum) and unknown schema versions, a missing or unknown key, a
+    window other than ``INTERVAL_FL``, a ``type_code`` that
     ``errors.check_type_code`` refuses, an ``n_flights_fit`` that is not a
-    JSON integer >= 1, a basis entry that ``errors.json_number`` refuses
-    (text, ``true``, ``null``, a non-finite number), a variance that is
-    not positive and non-increasing, a ``total_variance`` below the sum of
-    ``variance`` and a grid other than ``default_grid()``, and validating
-    the basis invariants."""
-    path = Path(path)
-    doc = read_json(path, "model file", ModelFileError)
-    if isinstance(doc, dict) and doc.get("schema_version") == 1:
-        raise ModelFileError(f"model file {path} has schema 1, which this version no longer "
-                             f"reads; re-run climbgen fit")
-    if not isinstance(doc, dict) or set(doc) != _MODEL_KEYS:
-        raise ModelFileError(f"model file {path} does not match the expected schema")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ModelFileError(
-            f"unsupported schema version {doc['schema_version']!r} "
-            f"(supported: {SCHEMA_VERSION})"
-        )
-    if doc["interval_fl"] != list(INTERVAL_FL):
-        raise ModelFileError(f"model file {path}: interval_fl must be the modeled window "
-                             f"{list(INTERVAL_FL)}, got {json.dumps(doc['interval_fl'])}")
-    check_type_code(doc["type_code"], f"model file {path}", ModelFileError)
-    # bool is an int subclass, but JSON true is not a flight count
-    if type(doc["n_flights_fit"]) is not int or doc["n_flights_fit"] < 1:
-        raise ModelFileError(f"model file {path}: n_flights_fit must be a JSON integer >= 1, "
-                             f"got {json.dumps(doc['n_flights_fit'])}")
-    try:
-        basis = FpcaBasis(
-            grid=_json_numbers(doc["grid_m"], '"grid_m" entry'),
-            mean=_json_numbers(doc["mean_N"], '"mean_N" entry'),
-            modes=_json_numbers(doc["modes"], '"modes" entry'),
-            variance=_json_numbers(doc["variance"], '"variance" entry'),
-            total_variance=_json_numbers(doc["total_variance"], '"total_variance"'),
-        )
-    except (DomainError, DegenerateModelError, TypeError, ValueError, IndexError) as exc:
-        raise ModelFileError(f"model file {path} is invalid: {exc}") from None
-    if basis.grid.ndim != 1 or basis.grid.size < 2:
-        raise ModelFileError(f"model file {path}: grid needs at least 2 nodes")
-    if np.any(np.diff(basis.grid) <= 0.0):
-        raise ModelFileError(f"model file {path}: grid is not strictly increasing")
-    if not np.array_equal(basis.grid, default_grid()):
-        raise ModelFileError(f"model file {path}: grid_m is not the modeled window's grid")
-    if np.any(np.diff(basis.variance) > 0.0):
-        raise ModelFileError(f"model file {path}: variance is not non-increasing")
-    # the kept eigenvalues' sum, up to the round-off of summing in another order
-    if basis.total_variance < np.sum(basis.variance) * (1.0 - 1e-12):
-        raise ModelFileError(f"model file {path}: total_variance is below the sum of variance")
-    _check_orthonormal(basis, path)
-    return GenerativeClimbModel(type_code=doc["type_code"], basis=basis,
-                                n_flights_fit=doc["n_flights_fit"])
-
-
-def _check_orthonormal(basis: FpcaBasis, path: Path, tol: float = 1e-6) -> None:
-    w = trapezoid_weights(basis.grid)
-    gram = basis.modes @ (w[:, None] * basis.modes.T)
-    if not np.allclose(gram, np.eye(basis.n_modes), atol=tol):
-        raise ModelFileError(f"model file {path}: basis modes are not orthonormal")
+    count, a basis entry that is not a finite JSON number, a grid other
+    than ``default_grid()``, a variance that is not positive and
+    non-increasing, a ``total_variance`` below the sum of ``variance``, and
+    modes that are not orthonormal."""
+    return read_json(Path(path), "model file", ModelFileError, _model)

@@ -148,7 +148,8 @@ class FpcaBasis:
         self.variance = np.asarray(self.variance, dtype=float)
         self.total_variance = float(self.total_variance)
         if self.mean.shape != self.grid.shape or self.modes.shape[1] != self.grid.size:
-            raise DomainError("basis arrays are dimensionally inconsistent")
+            raise DomainError(f"basis arrays are dimensionally inconsistent: mean {self.mean.shape}, "
+                              f"modes {self.modes.shape} on a grid of {self.grid.size} nodes")
         if self.variance.shape != (self.modes.shape[0],):
             raise DomainError("one variance entry per mode required")
         for name in ("grid", "mean", "modes", "variance", "total_variance"):

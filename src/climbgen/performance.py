@@ -2,8 +2,8 @@
 profile, loaded from an open JSON parameter file.
 
 File format: a JSON array with one record per aircraft type and exactly
-these keys, each but ``type_code`` a finite JSON number
-(``errors.json_number``)::
+these keys, each but ``type_code`` a finite JSON number, as the rules
+of ``errors`` read them::
 
     type_code      ICAO-style designator (string); a letter or digit, then
                    letters, digits, "_", "." or "-"
@@ -33,22 +33,12 @@ import numpy as np
 from . import dynamics
 from .atmosphere import SpeedSchedule
 from .errors import (DomainError, ModelValidityError, ValidationError, check_type_code,
-                     json_number, read_json)
+                     json_number, json_object, read_json)
 
 PERF_H_MAX = 15000.0   # m, validity ceiling of the thrust model
 
-_FILE_KEYS = (
-    "type_code",
-    "c_D0",
-    "c_D2",
-    "S_m2",
-    "m_nom_kg",
-    "v_cas_ms",
-    "mach",
-    "c_T1_N",
-    "c_T2_m",
-    "c_T3_per_m2",
-)
+_FILE_KEYS = ("type_code", "c_D0", "c_D2", "S_m2", "m_nom_kg", "v_cas_ms", "mach", "c_T1_N",
+              "c_T2_m", "c_T3_per_m2")
 
 
 @dataclass(frozen=True)
@@ -66,19 +56,22 @@ class AircraftPerformance:
     c_t3: float          # 1/m^2
 
     def __post_init__(self):
-        for name in ("c_d0", "c_d2", "wing_area", "nominal_mass", "c_t1", "c_t2"):
+        # each named by its key in a catalog file
+        for name, key in (("c_d0", "c_D0"), ("c_d2", "c_D2"), ("wing_area", "S_m2"),
+                          ("nominal_mass", "m_nom_kg"), ("c_t1", "c_T1_N"), ("c_t2", "c_T2_m")):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
-                raise ValidationError(f"{self.type_code or '<record>'}: {name} must be positive, got {value}")
+                raise ValidationError(f"{self.type_code or '<record>'}: {key} must be positive, got {value}")
         if not np.isfinite(self.c_t3) or self.c_t3 < 0.0:
-            raise ValidationError(f"{self.type_code}: c_t3 must be non-negative, got {self.c_t3}")
-        # the thrust model must stay positive across its validity interval
-        probe = np.linspace(0.0, PERF_H_MAX, 256)
-        thrust = self.c_t1 * (1.0 - probe / self.c_t2 + self.c_t3 * probe**2)
-        if np.any(thrust <= 0.0):
-            raise ValidationError(
-                f"{self.type_code}: nominal thrust non-positive below {PERF_H_MAX:.0f} m"
-            )
+            raise ValidationError(f"{self.type_code}: c_T3_per_m2 must be non-negative, got {self.c_t3}")
+        # the thrust quadratic must stay positive across its validity interval:
+        # its least value there is at its vertex 1 / (2 c_t2 c_t3) when that
+        # lies inside, else at the top
+        curvature = self.c_t2 * self.c_t3
+        h = min(PERF_H_MAX, 0.5 / curvature) if curvature > 0.0 else PERF_H_MAX
+        if self.c_t1 * (1.0 - h / self.c_t2 + self.c_t3 * h**2) <= 0.0:
+            raise ValidationError(f"{self.type_code}: nominal thrust non-positive at {h:.0f} m, "
+                                  f"below {PERF_H_MAX:.0f} m")
 
 
 def nominal_thrust(perf: AircraftPerformance, h: float | np.ndarray) -> float | np.ndarray:
@@ -100,54 +93,40 @@ def min_level_thrust(
     return dynamics.rate_factors(perf, perf.nominal_mass, h, delta_T)[0]
 
 
-def _record_to_performance(record: dict, index: int) -> AircraftPerformance:
-    if not isinstance(record, dict):
-        raise ValidationError(f"record {index}: expected an object")
-    missing = [k for k in _FILE_KEYS if k not in record]
-    if missing:
-        raise ValidationError(f"record {index}: missing required field(s) {', '.join(missing)}")
-    unknown = [k for k in record if k not in _FILE_KEYS]
-    if unknown:
-        raise ValidationError(f"record {index}: unknown field(s) {', '.join(sorted(unknown))}")
+def _record_to_performance(record, index: int) -> AircraftPerformance:
+    json_object(record, f"record {index}", _FILE_KEYS)
     type_code = record["type_code"]
-    check_type_code(type_code, f"record {index}", ValidationError)
-    try:
-        values = {key: json_number(record[key], f"field {key}") for key in _FILE_KEYS[1:]}
-    except ValueError as exc:
-        raise ValidationError(f"{type_code}: {exc}") from None
+    check_type_code(type_code, f"record {index}: type_code")
+    values = {key: json_number(record[key], f"{type_code}: field {key}") for key in _FILE_KEYS[1:]}
     try:
         schedule = SpeedSchedule(v_cas=values["v_cas_ms"], mach=values["mach"])
     except DomainError as exc:
         raise ValidationError(f"{type_code}: {exc}") from None
     return AircraftPerformance(
-        type_code=type_code,
-        c_d0=values["c_D0"],
-        c_d2=values["c_D2"],
-        wing_area=values["S_m2"],
-        nominal_mass=values["m_nom_kg"],
-        schedule=schedule,
-        c_t1=values["c_T1_N"],
-        c_t2=values["c_T2_m"],
-        c_t3=values["c_T3_per_m2"],
-    )
+        type_code=type_code, c_d0=values["c_D0"], c_d2=values["c_D2"], wing_area=values["S_m2"],
+        nominal_mass=values["m_nom_kg"], schedule=schedule, c_t1=values["c_T1_N"],
+        c_t2=values["c_T2_m"], c_t3=values["c_T3_per_m2"])
 
 
-def load_performance(path: str | Path) -> dict[str, AircraftPerformance]:
-    """Load a catalog of aircraft performance records, keyed by type code.
-
-    The result is sorted by type code so loading is order-independent.
-    """
-    path = Path(path)
-    raw = read_json(path, "performance file", ValidationError)
+def _catalog(raw) -> dict[str, AircraftPerformance]:
     if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"performance file {path} must be a non-empty JSON array")
+        raise ValidationError("expected a non-empty JSON array of records")
     catalog: dict[str, AircraftPerformance] = {}
     for index, record in enumerate(raw):
         perf = _record_to_performance(record, index)
         if perf.type_code in catalog:
-            raise ValidationError(f"duplicate type code {perf.type_code}")
+            raise ValidationError(f"record {index}: duplicate type code {perf.type_code}")
         catalog[perf.type_code] = perf
     return {code: catalog[code] for code in sorted(catalog)}
+
+
+def load_performance(path: str | Path) -> dict[str, AircraftPerformance]:
+    """Load a catalog of aircraft performance records, keyed by type code.
+    Every error names the file (``errors.read_json``).
+
+    The result is sorted by type code so loading is order-independent.
+    """
+    return read_json(Path(path), "performance file", ValidationError, _catalog)
 
 
 def default_catalog_path() -> Path:

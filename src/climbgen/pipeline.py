@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -89,8 +88,8 @@ from .atmosphere import FT, fl_to_m
 # (bench/spans.py REQUIRED_BINDINGS) requires it; the simulator integrates
 # with integrate_climb_block
 from .dynamics import BLOCK_CLIMBS, integrate_climb, integrate_climb_block  # noqa: F401
-from .errors import (DataError, DomainError, ScenarioError, ValidationError, json_number,
-                     read_json, write_json)
+from .errors import (DataError, DomainError, ScenarioError, ValidationError, json_count,
+                     json_number, json_numbers, json_object, read_json, write_json)
 from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, derive_rocd, median3
 from .performance import AircraftPerformance, nominal_thrust
 
@@ -121,7 +120,7 @@ class Trajectory:
     def __post_init__(self):
         self.t_s = np.asarray(self.t_s, dtype=float)
         self.alt_ft = np.asarray(self.alt_ft, dtype=float)
-        if np.any(self.t_s[1:] <= self.t_s[:-1]):
+        if not np.all(self.t_s[1:] > self.t_s[:-1]):   # NaN fails
             raise DomainError(f"flight {self.flight_id}: timestamps not strictly increasing")
 
     @property
@@ -763,12 +762,13 @@ class TypeScenario:
 
     count: int
     thrust_bias_n: float = 0.0
-    mode_sds: tuple[float, ...] = ()
+    mode_sds: tuple[float, ...] = ()   # a sequence of numbers, held as a tuple of floats
     weight_dist: str = "normal"
     contam_frac: float = 0.1
     contam_scale: float = 3.0
 
     def __post_init__(self):
+        object.__setattr__(self, "mode_sds", tuple(map(float, self.mode_sds)))
         if self.count < 1:
             raise DomainError("count must be at least 1")
         if self.weight_dist not in ("normal", "student_t", "contaminated"):
@@ -797,54 +797,44 @@ class FleetScenario:
                 raise DomainError(f"{name} must not be negative")
 
 
-def _count(code: str, spec: dict) -> int:
-    count = spec["count"]
-    # bool is an int subclass, but JSON true is not a count
-    if type(count) is not int:
-        raise TypeError(f'type {code}: "count" must be a JSON integer, got {json.dumps(count)}')
-    return count
+def _keys(cls) -> list[str]:
+    """The keys a scenario object of dataclass ``cls`` may hold: its fields."""
+    return [f.name for f in dataclasses.fields(cls)]
 
 
-def _check_keys(where: str, doc, cls) -> None:
-    """Raise unless ``doc`` is a JSON object whose keys all name fields of
-    the dataclass ``cls``."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"{where} must be a JSON object")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+# the rule by which a scenario key becomes its field; every other field is one number
+_FIELD_RULES = {"count": json_count, "mode_sds": json_numbers,
+                "weight_dist": lambda text, where: str(text)}
 
 
-# how a scenario value becomes its field; every other field is one number
-_FIELD_TYPES = {"mode_sds": lambda sds, key: tuple(json_number(s, f"{key} entry") for s in sds),
-                "weight_dist": lambda text, key: str(text)}
-
-
-def _given_fields(doc: dict, skip: str) -> dict:
-    """The keys ``doc`` gives, but ``skip``, as dataclass field values: a
-    key the file leaves out takes its default from the dataclass."""
-    return {key: _FIELD_TYPES.get(key, json_number)(value, f'"{key}"')
+def _given_fields(doc: dict, where: str, skip: str = "") -> dict:
+    """The keys ``doc`` gives, but ``skip``, as dataclass field values,
+    each checked by its rule naming ``where`` and the key."""
+    return {key: _FIELD_RULES.get(key, json_number)(value, f'{where}"{key}"')
             for key, value in doc.items() if key != skip}
+
+
+def _scenario(doc) -> FleetScenario:
+    json_object(doc, "", ["types"], _keys(FleetScenario))
+    if not isinstance(doc["types"], dict):
+        raise ValidationError('"types" must be a JSON object of type codes')
+    types = {}
+    for code, spec in doc["types"].items():
+        json_object(spec, f"type {code}", ["count"], _keys(TypeScenario))
+        try:
+            types[code] = TypeScenario(**_given_fields(spec, f"type {code}: "))
+        except DomainError as exc:
+            raise ValidationError(f"type {code}: {exc}") from None
+    return FleetScenario(types=types, **_given_fields(doc, "", skip="types"))
 
 
 def load_scenario(path: str | Path) -> FleetScenario:
     """Load a scenario file.  Its top-level keys are the fields of
     :class:`FleetScenario` and each type's keys those of
-    :class:`TypeScenario`; an unknown key raises ``ScenarioError``."""
-    path = Path(path)
-    doc = read_json(path, "scenario file", ScenarioError)
-    try:
-        _check_keys("the scenario", doc, FleetScenario)
-        specs = doc["types"]
-        if not isinstance(specs, dict):
-            raise TypeError('"types" must be a JSON object')
-        for code, spec in specs.items():
-            _check_keys(f"type {code}", spec, TypeScenario)
-        types = {code: TypeScenario(count=_count(code, spec), **_given_fields(spec, "count"))
-                 for code, spec in specs.items()}
-        return FleetScenario(types=types, **_given_fields(doc, "types"))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise ScenarioError(f"scenario file {path} is invalid: {exc}") from None
+    :class:`TypeScenario`; ``types`` and each type's ``count`` are
+    required, and any other key left out takes the dataclass default.
+    Every error is a ``ScenarioError`` naming the file (``errors.read_json``)."""
+    return read_json(Path(path), "scenario file", ScenarioError, _scenario)
 
 
 def truth_modes(grid: np.ndarray, n_modes: int) -> np.ndarray:

@@ -426,7 +426,7 @@ class TestExitCodes:
         for command in ("sample", "predict"):
             assert main([command, "--model", str(bad), "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
-            assert f"model file {bad} is invalid" in err and "must be finite" in err
+            assert f'model file {bad}: "{key}"' in err and "must be a finite number, got" in err
             assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("n_nodes", [0, 1])
@@ -440,7 +440,7 @@ class TestExitCodes:
         proc = run_cli("sample", "--model", str(bad), "--out", str(tmp_path / "o"), "--seed", "1")
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "at least 2 nodes" in proc.stderr
+        assert f"model file {bad}: grid_m is not the modeled window's grid" in proc.stderr
 
     def test_model_grid_off_the_modeled_grid_is_validation_error(self, tmp_path, workdir):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
@@ -474,6 +474,62 @@ class TestExitCodes:
             assert f"model file {bad}: basis modes are not orthonormal" in proc.stderr
             assert not (tmp_path / command[0]).exists()
 
+    # per reader and case: how the valid document is spoilt, and what the error says
+    READER_CASES = {
+        "catalog": {
+            "not-an-object": (lambda d: ["NBJT", *d[1:]], "record 0: expected a JSON object"),
+            "missing-key": (lambda d: [{k: v for k, v in d[0].items() if k != "c_D0"}, *d[1:]],
+                            "record 0: missing key(s) c_D0"),
+            "unknown-key": (lambda d: [{**d[0], "c_D9": 0.0}, *d[1:]],
+                            "record 0: unknown key(s) c_D9"),
+            "true-for-a-number": (lambda d: [{**d[0], "c_D0": True}, *d[1:]],
+                                  "NBJT: field c_D0 must be a finite number, got true"),
+            "scalar-for-an-array": (lambda d: d[0]["c_D0"], "expected a non-empty JSON array"),
+        },
+        "scenario": {
+            "not-an-object": (lambda d: {**d, "types": {"NBJT": 90}},
+                              "type NBJT: expected a JSON object, got 90"),
+            "missing-key": (lambda d: {k: v for k, v in d.items() if k != "types"},
+                            "missing key(s) types"),
+            "unknown-key": (lambda d: {**d, "fl_low": 150.0}, "unknown key(s) fl_low"),
+            "true-for-a-number": (
+                lambda d: {**d, "types": {"NBJT": {**d["types"]["NBJT"], "count": True}}},
+                'type NBJT: "count" must be a JSON integer >= 1, got true'),
+            "scalar-for-an-array": (
+                lambda d: {**d, "types": {"NBJT": {**d["types"]["NBJT"], "mode_sds": 1e5}}},
+                'type NBJT: "mode_sds" must be an array of finite numbers, got 100000.0'),
+        },
+        "model": {
+            "not-an-object": (lambda d: [d], "expected a JSON object"),
+            "missing-key": (lambda d: {k: v for k, v in d.items() if k != "variance"},
+                            "missing key(s) variance"),
+            "unknown-key": (lambda d: {**d, "extra": 1}, "unknown key(s) extra"),
+            "true-for-a-number": (lambda d: {**d, "n_flights_fit": True},
+                                  '"n_flights_fit" must be a JSON integer >= 1, got true'),
+            "scalar-for-an-array": (lambda d: {**d, "variance": d["variance"][0]},
+                                    '"variance" must be an array of finite numbers'),
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(READER_CASES["model"]))
+    @pytest.mark.parametrize("reader", list(READER_CASES))
+    def test_bad_json_input_names_the_file_and_the_key(self, tmp_path, workdir, reader, case):
+        spoil, message = self.READER_CASES[reader][case]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SCENARIO))
+        valid = {"catalog": performance.default_catalog_path(), "scenario": scenario,
+                 "model": workdir / "models" / "model_NBJT.json"}[reader]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spoil(json.loads(valid.read_text()))))
+        command = {"catalog": ["simulate", "--scenario", str(scenario), "--perf-file", str(bad)],
+                   "scenario": ["simulate", "--scenario", str(bad)],
+                   "model": ["sample", "--model", str(bad)]}[reader]
+        proc = run_cli(*command, "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{bad}: " in proc.stderr and message in proc.stderr, proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_catalog_type_code_not_a_file_name_is_validation_error(self, tmp_path):
         records = json.loads(performance.default_catalog_path().read_text())
         nbjt = next(r for r in records if r["type_code"] == "NBJT")
@@ -491,8 +547,8 @@ class TestExitCodes:
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         bad = tmp_path / "model_bad.json"
-        for version, message in ((42, "unsupported schema version 42"),
-                                 (1, f"model file {bad} has schema 1")):
+        for version, message in ((42, f"model file {bad}: unsupported schema_version 42"),
+                                 (1, f"model file {bad}: schema_version 1 is no longer read")):
             bad.write_text(json.dumps({**doc, "schema_version": version}))
             assert main(["sample", "--model", str(bad), "--out", str(tmp_path / "o"),
                          "--seed", "1"]) == 2

@@ -405,7 +405,7 @@ class TestPersistence:
         save_model(model, path)
         doc = json.loads(path.read_text())
         for bad, match in (({**doc, "schema_version": 99}, "version"),
-                           (schema_1(doc), "has schema 1.*re-run climbgen fit")):
+                           (schema_1(doc), "schema_version 1 is no longer read.*re-run climbgen fit")):
             path.write_text(json.dumps(bad))
             with pytest.raises(ModelFileError, match=match):
                 load_model(path)
@@ -439,6 +439,23 @@ class TestPersistence:
         with pytest.raises(ModelFileError, match=f'"{key}".* must be a finite number') as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key, spoil, message", [
+        ("modes", lambda modes: [modes[0][:-1]] + modes[1:],
+         '"modes" must be an array of equal-length arrays of finite numbers, got lengths [99, 100]'),
+        ("modes", lambda modes: modes[0], '"modes" must be an array of equal-length arrays'),
+        ("grid_m", lambda grid: [grid], '"grid_m" entry must be a finite number, got [4572.0, '),
+        ("mean_N", lambda mean: mean[:-1],
+         "basis arrays are dimensionally inconsistent: mean (99,), modes (3, 100)"),
+    ], ids=["ragged-modes", "flat-modes", "nested-grid", "short-mean"])
+    def test_basis_array_of_the_wrong_shape_refused(self, tmp_path, key, spoil, message):
+        path = tmp_path / "model.json"
+        save_model(make_model(), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, key: spoil(doc[key])}))
+        with pytest.raises(ModelFileError) as info:
+            load_model(path)
+        assert f"model file {path}: {message}" in str(info.value)
 
     def test_other_window_refused(self, tmp_path):
         path = tmp_path / "model.json"

@@ -13,6 +13,7 @@ from climbgen.errors import DomainError, ValidationError
 from climbgen.performance import (
     PERF_H_MAX,
     AircraftPerformance,
+    default_catalog_path,
     load_performance,
     min_level_thrust,
     nominal_thrust,
@@ -59,10 +60,13 @@ class TestLoadPerformance:
         assert catalog["AAA1"].wing_area == 120.0
         assert catalog["BBB2"].schedule == SpeedSchedule(v_cas=139.0, mach=0.75)
 
-    def test_negative_coefficient_names_field(self, tmp_path):
-        bad = [dict(TWO_TYPES[0], c_D0=-0.01)]
-        with pytest.raises(ValidationError, match="(?i)c_d0"):
-            load_performance(write_perf(tmp_path, bad))
+    @pytest.mark.parametrize("key, value", [("c_D0", -0.01), ("S_m2", -1.0), ("m_nom_kg", -1.0),
+                                            ("c_T3_per_m2", -1e-10)])
+    def test_negative_coefficient_names_field(self, tmp_path, key, value):
+        path = write_perf(tmp_path, [dict(TWO_TYPES[0], **{key: value})])
+        with pytest.raises(ValidationError, match=f"AAA1: {key} must be") as info:
+            load_performance(path)
+        assert f"performance file {path}: " in str(info.value)
 
     @pytest.mark.parametrize("value", [True, math.nan, -math.inf, "0.025", None],
                              ids=["true", "nan", "minus-infinity", "text", "null"])
@@ -133,6 +137,22 @@ class TestNominalThrust:
                 nominal_mass=50000.0, schedule=SpeedSchedule(150.0, 0.78),
                 c_t1=100000.0, c_t2=9000.0, c_t3=0.0,   # thrust < 0 below 15 km
             )
+
+    @pytest.mark.parametrize("c_t3, refused", [(9.9414e-9, True), (1.0e-8, False)],
+                             ids=["dips-below-zero", "stays-positive"])
+    def test_thrust_minimum_between_altitudes_decides(self, tmp_path, c_t3, refused):
+        # the quadratic's vertex 1 / (2 c_T2 c_T3) is near 10029 m: there the
+        # thrust dips to c_T1 (1 - 1 / (4 c_T2^2 c_T3)), just below zero for
+        # the first value and just above it for the second
+        records = json.loads(default_catalog_path().read_text())
+        nbjt = next(r for r in records if r["type_code"] == "NBJT")
+        path = write_perf(tmp_path, [{**nbjt, "c_T2_m": 5014.7009, "c_T3_per_m2": c_t3}])
+        if refused:
+            with pytest.raises(ValidationError, match="NBJT: nominal thrust non-positive at 10029 m"):
+                load_performance(path)
+        else:
+            perf = load_performance(path)["NBJT"]
+            assert np.all(nominal_thrust(perf, np.linspace(0.0, PERF_H_MAX, 100001)) > 0.0)
 
 
 class TestMinLevelThrust:

@@ -999,6 +999,15 @@ class TestFilterClimbs:
                 assert median3(x).tobytes() == want.tobytes()
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("t_s", [[0.0, math.nan, 12.0], [math.nan, 6.0], [0.0, 6.0, 6.0],
+                                     [0.0, 12.0, 6.0]],
+                             ids=["nan-inside", "nan-first", "repeated", "backwards"])
+    def test_timestamps_not_strictly_increasing_refused(self, t_s):
+        with pytest.raises(DomainError, match="flight A: timestamps not strictly increasing"):
+            Trajectory("A", "NBJT", t_s, [15000.0 + 100.0 * k for k in range(len(t_s))])
+
+
 class TestSplit:
     def make_trajs(self, n):
         return [
