@@ -206,8 +206,11 @@ def _cmd_evaluate(args) -> int:
               f"kl = {report.kl_fl250:.3f}/{report.kl_fl325:.3f} nats, "
               f"coverage = {report.coverage_pct:.1f}%")
     n_types = len({tr.type_code for tr in test_trajectories})
+    skipped = f"{n_types - len(reports)} of {n_types} type(s) skipped; see the warnings"
+    if not reports:
+        raise DataError(skipped)
     if len(reports) < n_types:
-        print(f"warning: {n_types - len(reports)} of {n_types} type(s) skipped; see the warnings")
+        print(f"warning: {skipped}")
     print(f"wrote {out / 'metrics_report.csv'}")
     return EXIT_OK
 

@@ -98,10 +98,13 @@ def _record_to_performance(record, index: int) -> AircraftPerformance:
     type_code = record["type_code"]
     check_type_code(type_code, f"record {index}: type_code")
     values = {key: json_number(record[key], f"{type_code}: field {key}") for key in _FILE_KEYS[1:]}
-    try:
-        schedule = SpeedSchedule(v_cas=values["v_cas_ms"], mach=values["mach"])
-    except DomainError as exc:
-        raise ValidationError(f"{type_code}: {exc}") from None
+    # checked here, not by SpeedSchedule, so the message names the key
+    v_cas, mach = values["v_cas_ms"], values["mach"]
+    if v_cas <= 0.0:
+        raise ValidationError(f"{type_code}: v_cas_ms must be positive, got {v_cas}")
+    if not 0.0 < mach < 1.0:
+        raise ValidationError(f"{type_code}: mach must lie in (0, 1), got {mach}")
+    schedule = SpeedSchedule(v_cas=v_cas, mach=mach)
     return AircraftPerformance(
         type_code=type_code, c_d0=values["c_D0"], c_d2=values["c_D2"], wing_area=values["S_m2"],
         nominal_mass=values["m_nom_kg"], schedule=schedule, c_t1=values["c_T1_N"],

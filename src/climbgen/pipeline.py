@@ -13,14 +13,20 @@ and a line with a quote or the wrong number of commas is a malformed row.
 The file is read ``BLOCK_LINES`` lines at a time and never held whole,
 in reads of ``READ_BYTES`` whose newlines are counted, so no object is
 made per line.
-Each block is parsed by position arithmetic on its UTF-8 bytes; no
-multibyte character holds an ASCII byte, so the positions of its
-newlines, commas and quotes give every line's and field's bounds.  A
-decimal ``-?D+.D+`` of at most 16 digits is read as an integer over a
-power of ten, which equals ``float``'s value bit for bit, and every other
-number is decoded and goes through ``float``; an id or type equal to the
-row's before shares its code, so only the head of each run is decoded.
-No object is built per row.
+Each block is read by one ``np.loadtxt`` call, numpy's C reader, into id
+and type byte strings and float64 numbers.  numpy reads a number with
+the C parser ``float`` uses and refuses one that is not ASCII or holds an
+underscore, so every value it reads is ``float``'s.  A block goes to a
+short per-line path instead, each line split on its commas and each
+number read by ``float``, when numpy would read it otherwise or a row is
+not a valid blip: when it holds a quote (numpy keeps one inside a field),
+a NUL (numpy's byte strings drop trailing NULs, so ``"A"`` and
+``"A\\x00"`` would be one id), a ``"\\x1f"`` (numpy strips it around a
+number as space, ``float`` refuses it) or no data line (numpy warns);
+when numpy refuses a field or a line's field count (an empty lat or lon,
+``float``'s underscores and non-ASCII digits); or when a row fails a blip
+check.  An id or type equal to the row's before shares its code, so only
+the head of each run is decoded.
 Malformed rows are logged by line number and skipped; lat/lon must parse
 when present but are not kept.
 
@@ -208,12 +214,11 @@ def _write_rows(fh, *columns) -> None:
 # ones, then all, the three multibyte ones being slower to look for
 _ASCII_SEPARATORS = tuple(c.encode() for c in "\r\v\f\x1c\x1d\x1e")
 _ALL_SEPARATORS = _ASCII_SEPARATORS + tuple(c.encode() for c in "\x85\u2028\u2029")
-_DIGITS = 16            # most digits a number read by position may have
-_NUMBER_WIDTH = _DIGITS + 2   # a sign, the digits and the point
-_RUN_WIDTH = 32         # widest id or type, in bytes, compared in place with the row before
-_POW10 = np.array([float(10 ** k) for k in range(_NUMBER_WIDTH)])   # exact doubles
-_SEPARATES = np.zeros(256, bool)   # by byte: whether it ends a field, a comma or "\n"
-_SEPARATES[[ord(","), ord("\n")]] = True
+# bytes that send a block to the per-line path: numpy's reader keeps a quote
+# inside a field, its byte-string columns drop trailing NULs (so "A" and
+# "A\x00" would be one id), and it strips "\x1f" around a number as space,
+# which float() refuses
+_REFUSED_BYTES = (b'"', b"\x00", b"\x1f")
 
 
 def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
@@ -280,160 +285,106 @@ def _blocks(path: Path) -> Iterator[bytes]:
         raise ValidationError(f"cannot read blip file {path}: {exc.strerror or exc}") from None
 
 
-def _split_block(data: bytes, n_fields: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, str]]]:
-    """The byte bounds of the fields of the rows of one block, as ``n_fields``
-    rows of starts and of ends with one column per row, the index in the
-    block of each row's line, and the malformed lines' indices and reasons.
+def _read_block(data: bytes, n_fields: int) -> tuple[np.ndarray, ...] | None:
+    """The id, type, time and altitude columns of one block, read by one
+    ``np.loadtxt`` call, or None when the block must be read a line at a
+    time: it holds a byte of ``_REFUSED_BYTES`` or no data line (numpy
+    warns on those), numpy refuses it, or a row is not a valid blip.
 
-    A row is a line of exactly ``n_fields - 1`` commas and no quote, split
-    on its commas; any other non-blank line is malformed.  The positions of
-    every comma and ``"\\n"``, and of every ``'"'``, give each line's bounds,
-    comma count and quote flag, and each row's field bounds.
+    The block's bytes are read as Latin-1, so the ``S`` id and type
+    columns hold their UTF-8 bytes unchanged; each is as wide as the
+    block's widest field, so no id or type is cut.  numpy reads a number with
+    the C parser ``float`` uses, and refuses any that is not ASCII or
+    holds an underscore, so a value read here is ``float``'s.
     """
+    if any(byte in data for byte in _REFUSED_BYTES) or not data.strip(b"\n"):
+        return None
     units = np.frombuffer(data, np.uint8)
-    separators = np.flatnonzero(_SEPARATES[units])
-    line_end = np.flatnonzero(units[separators] == ord("\n"))   # indices into separators
-    n_commas = np.diff(line_end, prepend=-1) - 1
-    ends = separators[line_end]
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    quoted = np.diff(np.searchsorted(np.flatnonzero(units == ord('"')), ends), prepend=0) > 0
-    rows = (n_commas == n_fields - 1) & ~quoted
-    errors = [(i, 'a field holds a quote (")' if quoted[i] else f"expected {n_fields} fields, "
-               f"got {n_commas[i] + 1}") for i in np.flatnonzero(~rows & (ends > starts)).tolist()]
-    row_line = np.flatnonzero(rows)
-    row_end = line_end[row_line]
-    # row k of ``before`` is the separator before field k, or the row's end
-    before = np.empty((n_fields + 1, row_line.size), np.int64)
-    for k in range(n_fields + 1):
-        before[k] = separators[row_end + (k - n_fields)]
-    if row_line.size and row_line[0] == 0:
-        before[0, 0] = -1   # the block's first field follows no separator
-    return before[:-1] + 1, before[1:], row_line, errors
-
-
-def _is_digit(units: np.ndarray) -> np.ndarray:
-    return units - np.uint8(ord("0")) < 10   # unsigned: a byte below "0" wraps high
-
-
-def _numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Python ``float`` of each field ``data[starts[i]:ends[i]]``, decoded
-    (NaN where it fails), and the mask of fields that do not parse.
-
-    A field ``-?D+.D+`` of at most ``_DIGITS`` digits whose digits, read as
-    one integer M, are at most 2**53 is read by position: M / 10**k, with k
-    its fraction digits.  M and 10**k (k < 16) are exact doubles, so the
-    one correctly rounded division gives ``float``'s value bit for bit
-    (Clinger 1990, "How to read floating point numbers accurately"), and a
-    ``-`` negates it, ``-0.0`` included.  Every other field goes through
-    ``float`` itself: exponents, spaces, underscores, a ``+``, non-ASCII
-    digits, nan, inf and text that is no number.
-    """
-    units = np.frombuffer(data, np.uint8)
-    width = ends - starts
-    # each field's last ``cap`` bytes, right-aligned, one offset at a time:
-    # step j reads the byte ``cap - j`` before the field's end.  A field
-    # wider than ``cap`` (then ``_NUMBER_WIDTH``) has more digits than the
-    # fast path reads.
-    cap = min(int(width.max(initial=0)), _NUMBER_WIDTH)
-    mantissa = np.zeros(width.size, np.int64)
-    # counts and the point's place are at most ``cap``: one byte each
-    fraction = np.zeros(width.size, np.uint8)
-    n_digits = np.zeros(width.size, np.uint8)
-    n_points = np.zeros(width.size, np.uint8)
-    at = np.empty(width.size, np.int64)
-    for j in range(cap):   # Horner's rule, left to right, over the digits
-        np.subtract(ends, cap - j, out=at)
-        unit = units[np.maximum(at, 0, out=at)]
-        inside = width >= cap - j
-        value = unit - np.uint8(ord("0"))
-        digit = (value < 10) & inside
-        point = (unit == ord(".")) & inside
-        np.multiply(mantissa, 10, out=mantissa, where=~point)
-        np.add(mantissa, value, out=mantissa, where=digit)
-        fraction[point] = cap - 1 - j
-        n_digits += digit
-        n_points += point
-    minus = units[starts] == ord("-")
-    fast = ((n_points == 1) & (n_digits <= _DIGITS) & (n_digits + 1 + minus == width)
-            & _is_digit(units[starts + minus]) & _is_digit(units[ends - 1])
-            & (mantissa <= 2 ** 53))
-    values = mantissa / _POW10[fraction]
-    np.negative(values, out=values, where=minus)
-    bad = np.zeros(width.size, bool)
-    for i in np.flatnonzero(~fast).tolist():
-        try:
-            values[i] = float(data[starts[i]:ends[i]].decode())
-        except ValueError:
-            values[i], bad[i] = math.nan, True
-    return values, bad
-
-
-def _run_codes(data: bytes, starts: np.ndarray, ends: np.ndarray, index: dict[str, int]
-               ) -> np.ndarray:
-    """Integer code of each field ``data[starts[i]:ends[i]]``, decoded,
-    adding unseen texts to ``index``.  A field of the same bytes as the
-    field before it, compared in place up to ``_RUN_WIDTH`` bytes, takes its
-    code; only the head of each run is sliced, decoded and looked up."""
-    units = np.frombuffer(data, np.uint8)
-    width = ends - starts
-    cap = min(int(width.max(initial=0)), _RUN_WIDTH)
-    same = (width[1:] == width[:-1]) & (width[1:] <= cap)
-    for j in range(cap):
-        unit = units[np.minimum(starts + j, units.size - 1)]
-        same &= (unit[1:] == unit[:-1]) | (width[1:] <= j)
-    head = np.ones(width.size, bool)
-    head[1:] = ~same
-    codes = [index.setdefault(data[a:b].decode(), len(index))
-             for a, b in zip(starts[head].tolist(), ends[head].tolist())]
-    return np.array(codes, np.int32)[np.cumsum(head) - 1]
-
-
-def _row_error(row: list[str]) -> str:
-    """The first check a rejected row fails, in the order they are made:
-    numbers parse (time, altitude, then any non-empty lat/lon), id and
-    type are non-empty, time is finite, altitude is in range."""
+    ends = np.flatnonzero((units == ord(",")) | (units == ord("\n")))
+    width = int(np.diff(ends, prepend=-1).max())   # the widest field and its end
+    dtype = np.dtype([("id", f"S{width}"), ("type", f"S{width}")]
+                     + [(f"x{k}", np.float64) for k in range(n_fields - 2)])
     try:
-        t_s, alt_ft = float(row[2]), float(row[3])
-        for field in row[4:]:
-            if field:
-                float(field)
-    except ValueError as exc:
-        return str(exc)
+        rows = np.loadtxt(data.decode("latin-1").split("\n"), dtype, delimiter=",",
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ids, types, t_s, alt_ft = (rows[name] for name in dtype.names[:4])
+    valid = ((ids != b"") & (types != b"") & np.isfinite(t_s)
+             & (alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
+    return (ids, types, t_s, alt_ft) if valid.all() else None
+
+
+def _blip(row: list[str]) -> tuple[float, float]:
+    """The time and altitude of a row of fields, or a ``ValueError`` for
+    the first check it fails, in the order they are made: numbers parse
+    (time, altitude, then any non-empty lat/lon), id and type are
+    non-empty, time is finite, altitude is in range."""
+    t_s, alt_ft = float(row[2]), float(row[3])
+    for field in row[4:]:
+        if field:
+            float(field)
     if not row[0] or not row[1]:
-        return "blip needs a flight_id and type_code"
+        raise ValueError("blip needs a flight_id and type_code")
     if not math.isfinite(t_s):
-        return "blip time must be finite"
-    return f"blip altitude {alt_ft} outside [0, {ALT_MAX_FT:.0f}] ft"
+        raise ValueError("blip time must be finite")
+    if not 0.0 <= alt_ft <= ALT_MAX_FT:
+        raise ValueError(f"blip altitude {alt_ft} outside [0, {ALT_MAX_FT:.0f}] ft")
+    return t_s, alt_ft
+
+
+def _read_lines(path: Path, text: str, first_line_no: int, n_fields: int
+                ) -> tuple[tuple[np.ndarray, ...], int]:
+    """The id, type, time and altitude columns of the valid rows of one
+    block's text, read a line at a time, and the number of rows skipped.
+    A row is a non-blank line of ``n_fields`` fields and no quote whose
+    blip passes ``_blip``; every other non-blank line is logged with its
+    line number and skipped."""
+    rows, skipped = [], 0
+    for i, line in enumerate(text.split("\n")):
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            if '"' in line:
+                raise ValueError('a field holds a quote (")')
+            if len(fields) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+            rows.append((fields[0], fields[1], *_blip(fields)))
+        except ValueError as exc:
+            logger.warning("%s line %d: %s; row skipped", path, first_line_no + i, exc)
+            skipped += 1
+    ids, types, t_s, alt_ft = zip(*rows) if rows else ((),) * 4
+    return (np.array(ids, object), np.array(types, object), np.array(t_s, np.float64),
+            np.array(alt_ft, np.float64)), skipped
+
+
+def _codes(column: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """Integer code of each text of a column of UTF-8 ``bytes`` or of
+    ``str``, adding unseen texts to ``index``.  A text equal to the one
+    before it takes its code, so only the head of each run is decoded and
+    looked up."""
+    head = np.ones(column.size, bool)
+    np.not_equal(column[1:], column[:-1], out=head[1:])
+    texts = column[head].tolist()
+    if column.dtype.kind == "S":
+        texts = [text.decode() for text in texts]
+    codes = np.array([index.setdefault(text, len(index)) for text in texts], np.int32)
+    return codes[np.cumsum(head) - 1]
 
 
 def _parse_block(path: Path, data: bytes, first_line_no: int, n_fields: int,
                  flight_index: dict[str, int], type_index: dict[str, int]
                  ) -> tuple[tuple[np.ndarray, ...], int]:
     """The flight and type codes, times and altitudes of the valid rows of
-    one block, in line order, and the number of rows skipped.  Each skipped
-    row is logged with its line number, in line order.  Only the bytes of
-    run heads, of numbers off the fast path and of skipped rows are sliced
-    and decoded."""
-    starts, ends, row_line, errors = _split_block(data, n_fields)
-    numbers, bad = _numbers(data, starts[2:].ravel(), ends[2:].ravel())
-    numbers, bad = numbers.reshape(n_fields - 2, -1), bad.reshape(n_fields - 2, -1)
-    t_s, alt_ft = numbers[0], numbers[1]
-    empty = starts == ends
-    bad[2:] &= ~empty[4:]   # lat/lon: checked where present, not kept
-    bad = bad.any(axis=0) | empty[0] | empty[1] | ~np.isfinite(t_s)
-    bad |= ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))
-    if bad.any():
-        errors += [(int(row_line[i]), _row_error([data[a:b].decode() for a, b in
-                                                  zip(starts[:, i], ends[:, i])]))
-                   for i in np.flatnonzero(bad).tolist()]
-        keep = ~bad
-        starts, ends, t_s, alt_ft = starts[:, keep], ends[:, keep], t_s[keep], alt_ft[keep]
-    for i, reason in sorted(errors):
-        logger.warning("%s line %d: %s; row skipped", path, first_line_no + i, reason)
-    return (_run_codes(data, starts[0], ends[0], flight_index),
-            _run_codes(data, starts[1], ends[1], type_index),
-            t_s, alt_ft), len(errors)
+    one block, in line order, and the number of rows skipped: by
+    ``_read_block`` when it reads the block, else by ``_read_lines``,
+    which logs each skipped row with its line number, in line order."""
+    columns, skipped = _read_block(data, n_fields), 0
+    if columns is None:
+        columns, skipped = _read_lines(path, data.decode(), first_line_no, n_fields)
+    ids, types, t_s, alt_ft = columns
+    return (_codes(ids, flight_index), _codes(types, type_index), t_s, alt_ft), skipped
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -483,14 +434,15 @@ def _note_types(flight: np.ndarray, types: np.ndarray, flight_type: np.ndarray,
 def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
-    The file is read ``BLOCK_LINES`` lines at a time and never held whole;
-    each block is parsed by position arithmetic on its UTF-8 bytes into
-    numeric columns, and only run heads of ids and types, numbers off the
-    decimal fast path and rejected rows are decoded into strings.  Every value
-    and every rejection is ``float``'s.  A row is a line of fields joined by
-    commas, none of them quoted, as ``write_columns`` writes it; a block
-    that holds a line separator other than ``"\\n"`` is first rewritten
-    with ``"\\n"`` alone.  Malformed rows are logged with their
+    The file is read ``BLOCK_LINES`` lines at a time and never held whole.
+    Each block is read by one ``np.loadtxt`` call (``_read_block``), or a
+    line at a time (``_read_lines``) when numpy would read it otherwise
+    than ``float`` and the one dialect do or one of its rows is not a valid
+    blip; only run heads of ids and types are decoded into strings.  Every
+    value and every rejection is ``float``'s.  A row is a line of fields
+    joined by commas, none of them quoted, as ``write_columns`` writes it;
+    a block that holds a line separator other than ``"\\n"`` is first
+    rewritten with ``"\\n"`` alone.  Malformed rows are logged with their
     line number, skipped, and counted.  A missing or unreadable file is a
     ``ValidationError``; non-UTF-8 text, an empty file or a wrong header a
     ``DataError``.

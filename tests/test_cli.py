@@ -139,25 +139,25 @@ class TestWorkflow:
 
     def test_evaluate_counts_the_types_it_skips(self, workdir, tmp_path, capsys, caplog):
         # the fitted model with its spectrum widened 1e4 times has an
-        # infeasible envelope climb, so its one test type is skipped: the
-        # summary counts it and points to the warning, exit status 0
+        # infeasible envelope climb, so its one test type is skipped: with
+        # no type scored, the data error counts it and points to the warning
         model = load_model(workdir / "models" / "model_NBJT.json")
         basis = dataclasses.replace(model.basis, variance=model.basis.variance * 1e4,
                                     total_variance=model.basis.total_variance * 1e4)
         wide = generative.GenerativeClimbModel(model.type_code, basis, model.n_flights_fit)
         generative.save_model(wide, tmp_path / "models" / "model_NBJT.json")
 
-        def evaluate(models):
+        def evaluate(models, status):
             capsys.readouterr()
             assert main(["evaluate", "--model-dir", str(models),
                          "--test", str(workdir / "prep" / "test.csv"),
-                         "--out", str(tmp_path / "eval"), "--seed", "2"]) == 0
-            return capsys.readouterr().out
+                         "--out", str(tmp_path / "eval"), "--seed", "2"]) == status
+            return capsys.readouterr()
 
-        assert "warning" not in evaluate(workdir / "models")
-        printed = evaluate(tmp_path / "models")
-        assert "warning: 1 of 1 type(s) skipped; see the warnings\n" in printed
-        assert "nothing to evaluate" not in printed
+        assert "warning" not in evaluate(workdir / "models", 0).out
+        printed = evaluate(tmp_path / "models", 3)
+        assert printed.err == "data error: 1 of 1 type(s) skipped; see the warnings\n"
+        assert "nothing to evaluate" not in printed.out + printed.err
         assert "type NBJT: bound climb unbounded" in caplog.text
         assert len((tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()) == 1
 

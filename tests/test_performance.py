@@ -68,6 +68,16 @@ class TestLoadPerformance:
             load_performance(path)
         assert f"performance file {path}: " in str(info.value)
 
+    @pytest.mark.parametrize("key, value, rule", [("v_cas_ms", -1.0, "must be positive"),
+                                                  ("v_cas_ms", 0.0, "must be positive"),
+                                                  ("mach", 1.2, "must lie in (0, 1)"),
+                                                  ("mach", 0.0, "must lie in (0, 1)")])
+    def test_speed_schedule_names_its_catalog_key(self, tmp_path, key, value, rule):
+        path = write_perf(tmp_path, [dict(TWO_TYPES[0], **{key: value})])
+        with pytest.raises(ValidationError) as info:
+            load_performance(path)
+        assert str(info.value) == f"performance file {path}: AAA1: {key} {rule}, got {value}"
+
     @pytest.mark.parametrize("value", [True, math.nan, -math.inf, "0.025", None],
                              ids=["true", "nan", "minus-infinity", "text", "null"])
     def test_field_not_a_finite_number_names_field(self, tmp_path, value):

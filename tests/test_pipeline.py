@@ -154,16 +154,19 @@ AWKWARD = np.concatenate([
 ])
 
 
-# number texts at the edges of ingest's decimal fast path, ``-?D+.D+`` of at
-# most 16 digits whose digits read as an integer are at most 2**53 ...
+# plain decimal texts, ``-?D+.D+``, at the edges of exact reading: at most
+# 16 digits whose digits read as an integer are at most 2**53 ...
 FAST_TEXTS = ["-0.0", "0.0", "007.50", "900719925474099.2", "-900719925474099.2",
               "1234567890.123456", "0.333333333333333", "0.0001", "25000.0", "6.0"]
-# ... and texts that only float() reads: 17 digits, 2**53 + 1, 16 digits
-# above 2**53, 22 and 23 fraction digits, and no -?D+.D+ form
+# ... and texts past those edges: 17 digits, 2**53 + 1, 16 digits above
+# 2**53, 22 and 23 fraction digits, and no -?D+.D+ form
 SLOW_TEXTS = ["1234567890.1234567", "0.3333333333333333", "900719925474099.3", "9999999999.999999",
               "0.0000000000000000000001", "0.00000000000000000000001", "1.", ".5", "-.5",
               "+1.5", "1_0.5", " 1.5", "1.5 ", "1e-05", "١.٥", "nan", "-inf", "1", "-",
               "1.2.3", "--1.5", "1-.5", "abc", ""]
+# the texts of both that np.loadtxt refuses, or whose rows fail a blip check
+# as a time, so only float() reads them
+REFUSED_TEXTS = ["1_0.5", "١.٥", "nan", "-inf", "-", "1.2.3", "--1.5", "1-.5", "abc", ""]
 
 
 def random_float_column(rng, n):
@@ -263,7 +266,7 @@ def assert_ingest_matches_reference(path, caplog):
 
 def long_id_rows():
     """Rows whose ids (201 units) and types (101 units) have equal widths
-    and agree well past any width the parser compares in place, with the
+    and agree well past any fixed width an id could be cut to, with the
     rows of the 6 flights interleaved."""
     flights = [ramp_flight("F" * 200 + str(k), 15000, 20000, 2000, type_code="T" * 100 + str(k % 2))
                for k in range(6)]
@@ -552,7 +555,7 @@ class TestIngest:
     @pytest.mark.parametrize("seed", range(3))
     def test_numbers_read_as_float_reads_them(self, tmp_path, caplog, monkeypatch, seed,
                                               block_lines):
-        # every number text, read by position or by float(), gives float()'s
+        # every number text, read by np.loadtxt or by float(), gives float()'s
         # bits, and a rejected one float()'s message: each text is one
         # flight's time and another's altitude
         if block_lines:
@@ -568,10 +571,18 @@ class TestIngest:
         lines = [HEADER] + [rows[i] for i in rng.permutation(len(rows))]
         assert_ingest_matches_reference(csv_file(tmp_path, lines), caplog)
 
-    def test_only_numbers_off_the_fast_path_reach_float(self, tmp_path, monkeypatch):
+    def test_only_blocks_that_np_loadtxt_refuses_reach_float(self, tmp_path, caplog,
+                                                             monkeypatch):
+        # each text is one flight's first time, in a block with the flight's
+        # second row and no other; both rows' altitude tags the block.  The
+        # blocks np.loadtxt reads give float() no text, the others give it
+        # each of theirs, and every text gets float()'s answer
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
         texts = FAST_TEXTS + SLOW_TEXTS
-        lines = [HEADER] + [row for i, text in enumerate(texts)
-                            for row in (f"F{i},NBJT,{text},1000.0", f"F{i},NBJT,-1.0,1000.0")]
+        tags = [repr(1000.0 + i) for i in range(len(texts))]
+        lines = [HEADER, "G,NBJT,0.0,999.0"] + [
+            row for i, text in enumerate(texts)
+            for row in (f"F{i},NBJT,{text},{tags[i]}", f"F{i},NBJT,-1.0,{tags[i]}")]
         given = []
 
         class Float(float):   # float, and a record of the texts it is given
@@ -579,10 +590,81 @@ class TestIngest:
                 given.append(text)
                 return float(text)
 
-        monkeypatch.setattr(pipeline, "float", Float, raising=False)
-        ingest(csv_file(tmp_path, lines))
-        assert not set(given) & set(FAST_TEXTS)
-        assert set(SLOW_TEXTS) <= set(given)
+        path = csv_file(tmp_path, lines)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "float", Float, raising=False)
+            ingest(path)
+        caplog.clear()
+        assert_ingest_matches_reference(path, caplog)
+        refused = [i for i, text in enumerate(texts) if text in REFUSED_TEXTS]
+        assert len(refused) == len(REFUSED_TEXTS)
+        assert set(given) == {"-1.0"} | {x for i in refused for x in (texts[i], tags[i])}
+
+    # each test below holds rows that np.loadtxt reads without an error
+    # and that pass its block's blip checks, yet that float() or the one
+    # dialect read otherwise: a guard sends their blocks to the per-line path
+
+    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    def test_a_quote_np_loadtxt_keeps_in_a_field_skips_its_row(self, tmp_path, caplog,
+                                                               monkeypatch, block_lines):
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = ramp_flight("A", 15000, 20000, 2000)[:6]
+        for flight_id, type_code in (('F"1', "NBJT"), ('"B"', "NBJT"), ("C", 'NBJT"')):
+            rows += [f"{flight_id},{type_code},{6.0 * k},{15000.0 + 100.0 * k}" for k in range(3)]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert [t.flight_id for t in got] == ["A"]
+        assert caplog.records[-1].getMessage().endswith("skipped 9 malformed row(s)")
+
+    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    def test_texts_that_differ_by_a_trailing_nul_stay_apart(self, tmp_path, caplog,
+                                                            monkeypatch, block_lines):
+        # np.loadtxt's byte-string columns drop trailing NULs
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = (ramp_flight("A", 15000, 20000, 2000)[:4]
+                + ramp_flight("A\x00", 15000, 20000, 2000, t0=3.0)[:4]
+                + ramp_flight("B", 15000, 20000, 2000)[:4])
+        rows[-1] = rows[-1].replace("NBJT", "NBJT\x00")
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert [(t.flight_id, t.n_blips) for t in got] == [("A", 4), ("A\x00", 4)]
+
+    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    def test_a_block_of_blank_lines_only(self, tmp_path, caplog, monkeypatch, block_lines):
+        # np.loadtxt warns on a block with no data line
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        blank = [""] * (2 * pipeline.BLOCK_LINES)
+        lines = ([HEADER] + ramp_flight("A", 15000, 20000, 2000)[:5] + blank
+                 + ramp_flight("B", 15000, 20000, 2000)[:5])
+        got = assert_ingest_matches_reference(csv_file(tmp_path, lines), caplog)
+        assert [t.flight_id for t in got] == ["A", "B"] and not caplog.records
+
+    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    def test_empty_lat_and_lon_are_kept(self, tmp_path, caplog, monkeypatch, block_lines):
+        # np.loadtxt refuses an empty number; the per-line path allows an
+        # empty lat or lon
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = [row + latlon for row, latlon in
+                zip(ramp_flight("A", 15000, 20000, 2000)[:9], cycle([",,", ",1.5,", ",,-2.5"]))]
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER_LATLON] + rows), caplog)
+        assert [t.n_blips for t in got] == [9] and not caplog.records
+
+    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    def test_a_unit_separator_around_a_number_skips_its_row(self, tmp_path, caplog,
+                                                            monkeypatch, block_lines):
+        # np.loadtxt strips "\x1f" around a number as space; float() does
+        # not.  In an id or a type it is any other character
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        rows = (ramp_flight("A", 15000, 20000, 2000)[:6]
+                + ramp_flight("F\x1f", 15000, 20000, 2000, type_code="\x1fNBJT")[:6])
+        flight_id, type_code, t_s, alt_ft = rows[1].split(",")
+        rows[1] = f"{flight_id},{type_code},\x1f{t_s},{alt_ft}"
+        rows[4] = rows[4] + "\x1f"
+        got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
+        assert [(t.flight_id, t.n_blips) for t in got] == [("A", 4), ("F\x1f", 6)]
 
     @pytest.mark.parametrize("block_lines", [None, 2])
     @pytest.mark.parametrize("make_rows", [long_id_rows, run_head_rows])
