@@ -4,7 +4,9 @@ evaluate.
 Outputs land under --out, which the first file written makes.  Exit
 codes: 0 on success; 2 on a validation error (bad arguments, schemas, or
 a missing or unreadable input) or an OS error writing an output; 3 on a
-data error (well-formed inputs that cannot support the operation).  Set
+data error (well-formed inputs that cannot support the operation).
+``fit`` and ``evaluate`` skip a type whose work raises a data error, with
+one warning, and exit 3 only when no type yields a model or a row.  Set
 ``CLIMBGEN_LOG`` to a level name (DEBUG, INFO, ...) to control logging.
 """
 
@@ -19,14 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, generative, learning, performance, pipeline
-from .errors import (
-    ClimbgenError,
-    DataError,
-    DegenerateModelError,
-    TooFewFlightsError,
-    ValidationError,
-    write_json,
-)
+from .errors import DataError, ValidationError, write_json
 from .pipeline import write_columns
 
 logger = logging.getLogger(__name__)
@@ -117,8 +112,8 @@ def _cmd_fit(args) -> int:
             continue
         try:
             model = generative.fit_type_model(catalog[type_code], by_type[type_code])
-        except (TooFewFlightsError, DegenerateModelError) as exc:
-            logger.warning("%s; skipped", exc)
+        except DataError as exc:
+            logger.warning("type %s: %s; skipped", type_code, exc)
             continue
         generative.save_model(model, Path(args.out) / f"model_{type_code}.json")
         fitted += 1
@@ -277,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ClimbgenError, OSError) as exc:   # an OSError names the output it could not write
+    except OSError as exc:   # names the output it could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,17 +1,26 @@
-"""Exception hierarchy shared across the package, and the rules every
+"""Exception classes shared across the package, and the rules every
 JSON input is read by.
 
-Two broad families matter to the CLI: ``ValidationError`` (bad inputs,
-bad files, bad configuration; exit code 2) and ``DataError`` (the inputs
-were well formed but the data cannot support the requested operation;
-exit code 3).
+Five classes, each told apart by some caller:
+
+- ``ClimbgenError``: the base of every error the package raises;
+- ``ValidationError``: bad arguments, configuration or file contents;
+  the CLI exits 2;
+- ``DataError``: well-formed inputs whose data cannot support the
+  operation; the CLI exits 3, and ``fit`` and ``evaluate`` skip the one
+  type whose work raised it;
+- ``DomainError``: a ``ValidationError`` that is also a ``ValueError``,
+  for a numeric input outside the modeled domain; the scenario reader
+  catches it to name the type at fault;
+- ``InfeasibleClimbError``: a ``DataError`` for a climb whose rate falls
+  to the feasibility floor, carrying the ``altitude_m`` where it did.
 
 The performance catalog, the scenario and the model file are read by
 ``read_json``, which hands the parsed document to the reader's builder
 and raises every way the file can fail, the builder's ``ClimbgenError``
-included, as one error class that names the file.  A builder checks its
-document with three rules, each of which raises ``ValidationError``
-naming the key at fault:
+included, as a ``ValidationError`` that names the file.  A builder
+checks its document with three rules, each of which raises
+``ValidationError`` naming the key at fault:
 
 - ``json_object``: an object holds every required key and no other;
 - ``json_number`` and ``json_numbers``: a number, or an array of
@@ -42,7 +51,7 @@ class ClimbgenError(Exception):
 
 
 class ValidationError(ClimbgenError):
-    """Invalid configuration, parameters, or file contents."""
+    """Invalid arguments, configuration, or file contents."""
 
 
 class DataError(ClimbgenError):
@@ -51,30 +60,6 @@ class DataError(ClimbgenError):
 
 class DomainError(ValidationError, ValueError):
     """Numeric input outside the modeled domain."""
-
-
-class ModelValidityError(ValidationError):
-    """A physical model produced a value outside its validity envelope."""
-
-
-class DegenerateConditionError(ValidationError):
-    """A flight condition makes the requested inversion singular."""
-
-
-class ModelFileError(ValidationError):
-    """Model file is corrupted, truncated, or has an unknown schema."""
-
-
-class ScenarioError(ValidationError):
-    """A simulation scenario cannot produce feasible flights."""
-
-
-class FlightRejectedError(DataError):
-    """A flight has too little usable data to fit a thrust profile."""
-
-
-class TooFewFlightsError(DataError):
-    """Too few of a type's flights give a thrust profile to fit a model."""
 
 
 class InfeasibleClimbError(DataError):
@@ -88,36 +73,28 @@ class InfeasibleClimbError(DataError):
         self.altitude_m = altitude_m
 
 
-class DegenerateModelError(DataError):
-    """Fitted thrust profiles, or a coordinate of their weights, have no
-    variance."""
-
-
-class DegenerateNodeError(DataError):
-    """All basis modes vanish at the requested grid node."""
-
-
-def read_json(path: Path, what: str, error: type[ClimbgenError], build: Callable):
+def read_json(path: Path, what: str, build: Callable):
     """``build`` of the parsed content of a UTF-8 JSON file.
 
     A missing, unreadable (e.g. a directory) or non-UTF-8 file, text
     that is not JSON, or a ``ClimbgenError`` that ``build`` raises on the
-    content, raises ``error`` naming ``what`` and the path.
+    content, raises ``ValidationError`` naming ``what`` and the path.
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise error(f"{what} not found: {path}") from None
+        raise ValidationError(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise ValidationError(f"{what} {path} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
     except ValueError as exc:   # JSONDecodeError, or an integer past int_max_str_digits
-        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return build(doc)
     except ClimbgenError as exc:
-        raise error(f"{what} {path}: {exc}") from None
+        raise ValidationError(f"{what} {path}: {exc}") from None
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -40,7 +40,7 @@ from .atmosphere import FT, fl_to_m
 # (bench/spans.py REQUIRED_BINDINGS) requires it
 from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_climb,  # noqa: F401
                        integrate_climb_block)
-from .errors import DataError, DomainError, InfeasibleClimbError, write_json
+from .errors import DataError, DomainError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_values
 from .learning import INTERVAL_FL
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
@@ -350,13 +350,13 @@ def evaluate_type(
     _warn_skipped([tr for tr, sample in zip(test_trajectories, samples) if sample is None],
                   "do not span the report levels; excluded")
     if not observed:
-        raise DataError(f"{code}: no test flight spans the report levels")
+        raise DataError("no test flight spans the report levels")
     obs250 = np.array([s.t_fl250 for s in observed])
     obs325 = np.array([s.t_fl325 for s in observed])
 
     predicted = arrival_columns(climbs)   # model, nominal, lower, upper
     if not predicted.size:
-        raise DataError(f"{code}: model trajectories do not span the report levels")
+        raise DataError("model trajectories do not span the report levels")
 
     curves = [(["mean_traj", "nominal_traj", "slow", "fast"], climbs.h, climbs.t)]
     slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
@@ -419,8 +419,9 @@ def run_report(
     """Evaluate every test-set type with a fitted model, one type at a
     time: ``evaluate_type`` writes each type's plot-ready CSVs under
     out_dir once the type is scored, and nothing of a type is held while
-    the next is scored.  A type whose bound climb is unbounded is skipped
-    and writes no file.  Last comes the metrics table (CSV + JSON twin)."""
+    the next is scored.  A type whose scoring raises a ``DataError`` is
+    skipped with one warning and writes no file.  Last comes the metrics
+    table (CSV + JSON twin), written only when it holds a row."""
     out = Path(out_dir)
 
     by_type: dict[str, list[Trajectory]] = {}
@@ -438,17 +439,17 @@ def run_report(
         try:
             reports.append(evaluate_type(models[type_code], catalog[type_code],
                                          by_type[type_code], out, seed=seed + index, level=level))
-        except InfeasibleClimbError as exc:
-            logger.warning("type %s: bound climb unbounded (%s); row skipped",
-                           type_code, exc)
+        except DataError as exc:
+            logger.warning("type %s: %s; row skipped", type_code, exc)
 
+    if not reports:
+        logger.warning("run_report: empty test set or no evaluable types; no report written")
+        return reports
     reports.sort(key=lambda r: (-r.n_f, r.type_code))
     write_columns(out / "metrics_report.csv", REPORT_HEADER,
                   *([fmt.format(getattr(r, field)) for r in reports]
                     for _, field, fmt in _REPORT_COLUMNS))
     write_json(out / "metrics_report.json", [r.__dict__ for r in reports])
-    if not reports:
-        logger.warning("run_report: empty test set or no evaluable types")
     return reports
 
 

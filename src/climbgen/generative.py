@@ -36,9 +36,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .dynamics import ClimbTrajectory, integrate_climb
-from .errors import (DegenerateModelError, DegenerateNodeError, DomainError, ModelFileError,
-                     TooFewFlightsError, check_type_code, json_count, json_number, json_numbers,
-                     json_object, read_json, write_json)
+from .errors import (DataError, DomainError, ValidationError, check_type_code, json_count,
+                     json_number, json_numbers, json_object, read_json, write_json)
 from .learning import (
     INTERVAL_FL,
     MAX_COMPONENTS,
@@ -97,9 +96,8 @@ def fit_type_model(
     ``pipeline.BLOCK_LINES`` blips are inverted at once, and each block's
     thrust rows join the one data matrix that ``learning.fit_fpca`` takes.
     A flight it rejects is skipped with a warning, in flight order; fewer than
-    ``MIN_FIT_PROFILES`` profiles raise ``TooFewFlightsError``, and
-    profiles or a retained mode without variance raise
-    ``DegenerateModelError``; both name the type.
+    ``MIN_FIT_PROFILES`` profiles, or profiles or a retained mode without
+    variance, raise ``DataError``, which the caller names by type.
     """
     grid = default_grid()
     blocks = [np.empty((0, grid.size))]   # so that no flight joins to zero rows
@@ -111,11 +109,8 @@ def fit_type_model(
             logger.warning("%s", error)
     values = np.concatenate(blocks)
     if len(values) < MIN_FIT_PROFILES:
-        raise TooFewFlightsError(f"type {perf.type_code}: only {len(values)} usable flights")
-    try:
-        basis = fit_fpca(grid, values, n_max=n_max)
-    except DegenerateModelError as exc:
-        raise DegenerateModelError(f"type {perf.type_code}: {exc}") from None
+        raise DataError(f"only {len(values)} usable flights")
+    basis = fit_fpca(grid, values, n_max=n_max)
     return GenerativeClimbModel(type_code=perf.type_code, basis=basis,
                                 n_flights_fit=len(values))
 
@@ -197,7 +192,7 @@ def bound_weights(
     n_vec = a * c
     norm = float(np.linalg.norm(n_vec))
     if norm <= 1e-300 or norm <= 1e-15 * float(np.max(c)):
-        raise DegenerateNodeError(f"all modes vanish at grid node {k}")
+        raise DataError(f"all modes vanish at grid node {k}")
     n_hat = n_vec / norm
     offset = math.sqrt(confidence_radius(model.basis.n_modes, level)) * (c * n_hat)
     return -offset, offset
@@ -260,37 +255,37 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
 
 def _model(doc) -> GenerativeClimbModel:
     if isinstance(doc, dict) and doc.get("schema_version") == 1:
-        raise ModelFileError("schema_version 1 is no longer read; re-run climbgen fit")
+        raise ValidationError("schema_version 1 is no longer read; re-run climbgen fit")
     json_object(doc, "", _MODEL_KEYS)
     if doc["schema_version"] != SCHEMA_VERSION:
-        raise ModelFileError(f"unsupported schema_version {json.dumps(doc['schema_version'])} "
-                             f"(supported: {SCHEMA_VERSION})")
+        raise ValidationError(f"unsupported schema_version {json.dumps(doc['schema_version'])} "
+                              f"(supported: {SCHEMA_VERSION})")
     if doc["interval_fl"] != list(INTERVAL_FL):
-        raise ModelFileError(f"interval_fl must be the modeled window {list(INTERVAL_FL)}, "
-                             f"got {json.dumps(doc['interval_fl'])}")
+        raise ValidationError(f"interval_fl must be the modeled window {list(INTERVAL_FL)}, "
+                              f"got {json.dumps(doc['interval_fl'])}")
     check_type_code(doc["type_code"], '"type_code"')
     n_flights_fit = json_count(doc["n_flights_fit"], '"n_flights_fit"')
     grid = json_numbers(doc["grid_m"], '"grid_m"')
     if not np.array_equal(grid, default_grid()):
-        raise ModelFileError("grid_m is not the modeled window's grid")
+        raise ValidationError("grid_m is not the modeled window's grid")
     basis = FpcaBasis(grid=grid, mean=json_numbers(doc["mean_N"], '"mean_N"'),
                       modes=json_numbers(doc["modes"], '"modes"', depth=2),
                       variance=json_numbers(doc["variance"], '"variance"'),
                       total_variance=json_number(doc["total_variance"], '"total_variance"'))
     if np.any(np.diff(basis.variance) > 0.0):
-        raise ModelFileError("variance is not non-increasing")
+        raise ValidationError("variance is not non-increasing")
     # the kept eigenvalues' sum, up to the round-off of summing in another order
     if basis.total_variance < np.sum(basis.variance) * (1.0 - 1e-12):
-        raise ModelFileError("total_variance is below the sum of variance")
+        raise ValidationError("total_variance is below the sum of variance")
     gram = basis.modes @ (trapezoid_weights(grid)[:, None] * basis.modes.T)
     if not np.allclose(gram, np.eye(basis.n_modes), atol=1e-6):
-        raise ModelFileError("basis modes are not orthonormal")
+        raise ValidationError("basis modes are not orthonormal")
     return GenerativeClimbModel(type_code=doc["type_code"], basis=basis,
                                 n_flights_fit=n_flights_fit)
 
 
 def load_model(path: str | Path) -> GenerativeClimbModel:
-    """Load a model file.  Every error is a ``ModelFileError`` naming the
+    """Load a model file.  Every error is a ``ValidationError`` naming the
     file (``errors.read_json``), and the key at fault where there is one.
     It refuses a schema-1 file (fitted before the weight density was the
     spectrum) and unknown schema versions, a missing or unknown key, a
@@ -300,4 +295,4 @@ def load_model(path: str | Path) -> GenerativeClimbModel:
     than ``default_grid()``, a variance that is not positive and
     non-increasing, a ``total_variance`` below the sum of ``variance``, and
     modes that are not orthonormal."""
-    return read_json(Path(path), "model file", ModelFileError, _model)
+    return read_json(Path(path), "model file", _model)

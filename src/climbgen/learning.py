@@ -35,8 +35,7 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import check_thrust, rate_factors
-from .errors import (ClimbgenError, DegenerateConditionError, DegenerateModelError, DomainError,
-                     FlightRejectedError)
+from .errors import ClimbgenError, DataError, DomainError, ValidationError
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
@@ -132,7 +131,7 @@ class FpcaBasis:
     also the variances of the fitted weight density ``N(0, diag(variance))``;
     ``total_variance`` is the sum of all eigenvalues, retained or not.
     Every value must be finite; a variance that is not positive raises
-    ``DegenerateModelError``.
+    ``DataError``.
     """
 
     grid: np.ndarray
@@ -156,7 +155,7 @@ class FpcaBasis:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DomainError(f"basis {name} must be finite")
         if np.any(self.variance <= 0.0):
-            raise DegenerateModelError("zero variance in a weight coordinate; retain fewer modes")
+            raise DataError("zero variance in a weight coordinate; retain fewer modes")
 
     @property
     def explained_variance(self) -> np.ndarray:
@@ -191,7 +190,7 @@ def invert_thrust(
         raise DomainError("rocd_obs must be finite")
     d, k = rate_factors(perf, mass, h, delta_T)
     if not np.all(k > 0.0):
-        raise DegenerateConditionError("climb-rate gain is not positive")
+        raise ValidationError("climb-rate gain is not positive")
     t = d + r / k
     return float(t) if np.ndim(t) == 0 else t
 
@@ -227,8 +226,8 @@ def flight_profiles(
     inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
     n_inside = np.bincount(flight[inside], minlength=sizes.size)
     results: list = [
-        FlightRejectedError(f"flight {flight_id}: {n} blips in the altitude interval, "
-                            f"need at least {MIN_PROFILE_BLIPS}")
+        DataError(f"flight {flight_id}: {n} blips in the altitude interval, "
+                  f"need at least {MIN_PROFILE_BLIPS}")
         if n < MIN_PROFILE_BLIPS else None
         for flight_id, n in zip(flight_ids, n_inside.tolist())
     ]
@@ -263,8 +262,8 @@ def flight_profiles(
             for i in indices:
                 a, b = (stops[i - 1] if i else 0), stops[i]
                 results[i] = (np.interp(grid, h[a:b], thrust[a:b]) if b - a >= 2 else
-                              FlightRejectedError(f"flight {flight_ids[i]}: blips collapse to "
-                                                  "a single altitude"))
+                              DataError(f"flight {flight_ids[i]}: blips collapse to "
+                                        "a single altitude"))
     accepted = [r for r in results if isinstance(r, np.ndarray)]
     return (np.array(accepted).reshape(len(accepted), grid.size),
             [r for r in results if not isinstance(r, np.ndarray)])
@@ -330,7 +329,7 @@ def fit_fpca(grid: np.ndarray, values: np.ndarray, n_max: int = MAX_COMPONENTS) 
     BLAS, so the result does not depend on the BLAS thread count.
     Mode signs are fixed so each mode's quadrature integral is
     non-negative (tie: first non-zero node positive).  Profiles whose total
-    variance is round-off raise ``DegenerateModelError``.
+    variance is round-off raise ``DataError``.
     """
     grid = np.asarray(grid, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -360,7 +359,7 @@ def fit_fpca(grid: np.ndarray, values: np.ndarray, n_max: int = MAX_COMPONENTS) 
     # round-off floor: centering identical profiles leaves eigenvalue dust
     scale = float(np.mean(x**2)) * float(grid[-1] - grid[0])
     if total <= 1e-20 * max(scale, 1e-300):
-        raise DegenerateModelError("the thrust profiles have no variance")
+        raise DataError("the thrust profiles have no variance")
 
     n_keep = min(n_max, select_components(evals / total), x.shape[0] - 1)
     n_keep = max(n_keep, 1)

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import dynamics
 from .atmosphere import SpeedSchedule
-from .errors import (DomainError, ModelValidityError, ValidationError, check_type_code,
-                     json_number, json_object, read_json)
+from .errors import (DomainError, ValidationError, check_type_code, json_number, json_object,
+                     read_json)
 
 PERF_H_MAX = 15000.0   # m, validity ceiling of the thrust model
 
@@ -81,7 +81,7 @@ def nominal_thrust(perf: AircraftPerformance, h: float | np.ndarray) -> float | 
         raise DomainError(f"altitude outside thrust model interval [0, {PERF_H_MAX:.0f}] m")
     t = perf.c_t1 * (1.0 - h_arr / perf.c_t2 + perf.c_t3 * h_arr**2)
     if np.any(t <= 0.0):
-        raise ModelValidityError(f"{perf.type_code}: nominal thrust non-positive at {h}")
+        raise ValidationError(f"{perf.type_code}: nominal thrust non-positive at {h}")
     return float(t) if np.ndim(t) == 0 else t
 
 
@@ -129,7 +129,7 @@ def load_performance(path: str | Path) -> dict[str, AircraftPerformance]:
 
     The result is sorted by type code so loading is order-independent.
     """
-    return read_json(Path(path), "performance file", ValidationError, _catalog)
+    return read_json(Path(path), "performance file", _catalog)
 
 
 def default_catalog_path() -> Path:

@@ -94,8 +94,8 @@ from .atmosphere import FT, fl_to_m
 # (bench/spans.py REQUIRED_BINDINGS) requires it; the simulator integrates
 # with integrate_climb_block
 from .dynamics import BLOCK_CLIMBS, integrate_climb, integrate_climb_block  # noqa: F401
-from .errors import (DataError, DomainError, ScenarioError, ValidationError, json_count,
-                     json_number, json_numbers, json_object, read_json, write_json)
+from .errors import (DataError, DomainError, ValidationError, json_count, json_number,
+                     json_numbers, json_object, read_json, write_json)
 from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, derive_rocd, median3
 from .performance import AircraftPerformance, nominal_thrust
 
@@ -785,8 +785,8 @@ def load_scenario(path: str | Path) -> FleetScenario:
     :class:`FleetScenario` and each type's keys those of
     :class:`TypeScenario`; ``types`` and each type's ``count`` are
     required, and any other key left out takes the dataclass default.
-    Every error is a ``ScenarioError`` naming the file (``errors.read_json``)."""
-    return read_json(Path(path), "scenario file", ScenarioError, _scenario)
+    Every error is a ``ValidationError`` naming the file (``errors.read_json``)."""
+    return read_json(Path(path), "scenario file", _scenario)
 
 
 def truth_modes(grid: np.ndarray, n_modes: int) -> np.ndarray:
@@ -855,8 +855,8 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
         for weights, t, feasible in zip(draws, climbs.t, climbs.feasible):
             if not feasible:
                 if redraws == MAX_REDRAWS:
-                    raise ScenarioError(f"{type_code}: no feasible thrust draw in "
-                                        f"{MAX_REDRAWS} attempts")
+                    raise ValidationError(f"{type_code}: no feasible thrust draw in "
+                                          f"{MAX_REDRAWS} attempts")
                 redraws += 1
                 continue
             redraws = 0
@@ -904,12 +904,12 @@ def simulate_fleet(
     Types are simulated in sorted order, and a type's blips are written a
     run of whole flights of at least ``BLOCK_LINES`` rows at a time, as
     soon as the run is done, so no more than one run's columns are held
-    however many flights a type has.  A ``ScenarioError`` leaves no blip
+    however many flights a type has.  A ``ValidationError`` leaves no blip
     file and no directory that this call made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
-        raise ScenarioError(f"scenario types missing from the catalog: {', '.join(missing)}")
+        raise ValidationError(f"scenario types missing from the catalog: {', '.join(missing)}")
     rng = np.random.default_rng(seed)
     radar = rng.spawn(1)[0]   # leaves rng's own stream as it is
     truth: dict[str, dict] = {}

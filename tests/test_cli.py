@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import climbgen
-from climbgen import evaluation, generative, performance, pipeline
+from climbgen import errors, evaluation, generative, performance, pipeline
 from climbgen.cli import main
 from climbgen.generative import bound_profiles, fit_type_model, load_model, save_model
 from climbgen.pipeline import filter_climbs, ingest, split
@@ -151,15 +152,45 @@ class TestWorkflow:
             capsys.readouterr()
             assert main(["evaluate", "--model-dir", str(models),
                          "--test", str(workdir / "prep" / "test.csv"),
-                         "--out", str(tmp_path / "eval"), "--seed", "2"]) == status
+                         "--out", str(tmp_path / f"eval{status}"), "--seed", "2"]) == status
             return capsys.readouterr()
 
         assert "warning" not in evaluate(workdir / "models", 0).out
         printed = evaluate(tmp_path / "models", 3)
         assert printed.err == "data error: 1 of 1 type(s) skipped; see the warnings\n"
         assert "nothing to evaluate" not in printed.out + printed.err
-        assert "type NBJT: bound climb unbounded" in caplog.text
-        assert len((tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()) == 1
+        assert re.search(r"type NBJT: climb rate .* m/s floor; row skipped", caplog.text)
+        assert not (tmp_path / "eval3").exists()   # no report that looks like a finished run
+
+    def test_evaluate_skips_a_type_with_too_few_test_flights(self, workdir, tmp_path, capsys,
+                                                             caplog):
+        # a second type, NBJT's record and model under another code, has two
+        # test flights, fewer than the KL needs: its row alone is skipped
+        records = json.loads(performance.default_catalog_path().read_text())
+        (tmp_path / "perf.json").write_text(json.dumps(records + [{**records[0],
+                                                                   "type_code": "NBJ2"}]))
+        model = load_model(workdir / "models" / "model_NBJT.json")
+        save_model(model, tmp_path / "models" / "model_NBJT.json")
+        save_model(dataclasses.replace(model, type_code="NBJ2"),
+                   tmp_path / "models" / "model_NBJ2.json")
+        lines = (workdir / "prep" / "test.csv").read_text().splitlines()
+        first_two = list(dict.fromkeys(line.split(",", 1)[0] for line in lines[1:]))[:2]
+        copies = ["X" + line.replace(",NBJT,", ",NBJ2,") for line in lines[1:]
+                  if line.split(",", 1)[0] in first_two]
+        (tmp_path / "test.csv").write_text("\n".join(lines + copies) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--model-dir", str(tmp_path / "models"),
+                     "--test", str(tmp_path / "test.csv"),
+                     "--perf-file", str(tmp_path / "perf.json"),
+                     "--out", str(tmp_path / "eval"), "--seed", "2"]) == 0
+        assert "warning: 1 of 2 type(s) skipped; see the warnings\n" in capsys.readouterr().out
+        assert [r.getMessage() for r in caplog.records if "row skipped" in r.getMessage()] == [
+            f"type NBJ2: kl_divergence: need at least {evaluation.MIN_KL_SAMPLES} points per "
+            "sample; row skipped"]
+        rows = (tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("NBJT,")
+        assert len(list((tmp_path / "eval").glob("*_NBJT.csv"))) == 5
+        assert not list((tmp_path / "eval").glob("*NBJ2*"))
 
     def test_evaluate_level_sets_profile_envelope(self, workdir):
         assert main(["evaluate", "--model-dir", str(workdir / "models"),
@@ -192,6 +223,16 @@ class TestWorkflow:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("cls", [value for value in vars(errors).values()
+                                     if isinstance(value, type)
+                                     and issubclass(value, errors.ClimbgenError)],
+                             ids=lambda cls: cls.__name__)
+    def test_every_error_class_has_an_exit_code(self, cls):
+        # main maps ValidationError to 2 and DataError to 3, and nothing
+        # raises the bare base class, so every error gets its code
+        assert (cls is errors.ClimbgenError
+                or issubclass(cls, (errors.ValidationError, errors.DataError)))
+
     def test_missing_scenario_is_validation_error(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2

@@ -424,16 +424,14 @@ class TestRunReport:
             reports = run_report({}, split_data, catalog, tmp_path / "out", seed=0)
         assert reports == []
         assert "no fitted model" in " ".join(r.message for r in caplog.records)
-        assert (tmp_path / "out" / "metrics_report.csv").exists()
+        assert not (tmp_path / "out").exists()   # no report that looks like a finished run
 
-    def test_empty_test_set_succeeds_with_empty_table(self, small_world, catalog, tmp_path):
+    def test_empty_test_set_writes_no_report(self, small_world, catalog, tmp_path):
         model, _, _, _ = small_world
         empty = pipeline.DatasetSplit(train=[], test=[])
         reports = run_report({"NBJT": model}, empty, catalog, tmp_path / "out", seed=0)
         assert reports == []
-        text = (tmp_path / "out" / "metrics_report.csv").read_text()
-        assert text.splitlines()[0].startswith("type_code")
-        assert len(text.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_models_read_only(self, small_world, catalog, tmp_path):
         model, split_data, _, _ = small_world

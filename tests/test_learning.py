@@ -6,8 +6,7 @@ import pytest
 from climbgen.atmosphere import FT, G0, fl_to_m, isa_state, schedule_speed
 from climbgen import dynamics
 from climbgen.dynamics import energy_share, integrate_climb, rate_factors, rocd
-from climbgen.errors import (ClimbgenError, DegenerateConditionError, DegenerateModelError,
-                             DomainError, FlightRejectedError)
+from climbgen.errors import ClimbgenError, DataError, DomainError, ValidationError
 from climbgen.learning import (
     GRID_SIZE,
     MIN_PROFILE_BLIPS,
@@ -92,7 +91,7 @@ class TestInvertThrust:
         h = np.array([6000.0, 9000.0])
         _, k = rate_factors(nbjt, nbjt.nominal_mass, h, delta_T)
         assert k[0] > 0.0 >= k[1]
-        with pytest.raises(DegenerateConditionError, match="climb-rate gain"):
+        with pytest.raises(ValidationError, match="climb-rate gain is not positive"):
             invert_thrust(nbjt, nbjt.nominal_mass, 5.0, h, delta_T)
 
 
@@ -103,8 +102,8 @@ def reference_profile(perf, traj):
     inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
     n_inside = int(np.count_nonzero(inside))
     if n_inside < MIN_PROFILE_BLIPS:
-        raise FlightRejectedError(f"flight {traj.flight_id}: {n_inside} blips in the altitude "
-                                  f"interval, need at least {MIN_PROFILE_BLIPS}")
+        raise DataError(f"flight {traj.flight_id}: {n_inside} blips in the altitude "
+                        f"interval, need at least {MIN_PROFILE_BLIPS}")
     h = alt_m[inside]
     rocd_ms = derive_rocd(traj.t_s, traj.alt_ft)[inside] * FT / 60.0
     thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h)
@@ -115,7 +114,7 @@ def reference_profile(perf, traj):
         t_sorted = np.add.reduceat(t_sorted, start) / np.diff(np.append(start, h_sorted.size))
         h_sorted = uniq
     if h_sorted.size < 2:
-        raise FlightRejectedError(f"flight {traj.flight_id}: blips collapse to a single altitude")
+        raise DataError(f"flight {traj.flight_id}: blips collapse to a single altitude")
     return ThrustProfile(grid, np.interp(grid, h_sorted, t_sorted))
 
 
@@ -143,7 +142,7 @@ class TestProfileFromFlight:
     def test_three_blips_rejected(self, nbjt):
         grid = default_grid()
         traj = make_traj("F2", [0.0, 10.0, 20.0], [16000.0, 16300.0, 16600.0])
-        with pytest.raises(FlightRejectedError):
+        with pytest.raises(DataError, match="flight F2: 3 blips in the altitude interval"):
             profile_from_flight(nbjt, traj)
 
     def test_linear_thrust_recovered_from_dense_blips(self, nbjt):
@@ -197,7 +196,7 @@ class TestFitFpca:
     def test_identical_profiles(self):
         grid = default_grid()
         values = np.tile(90000.0 - 2.0 * (grid - grid[0]), (12, 1))
-        with pytest.raises(DegenerateModelError, match="no variance"):
+        with pytest.raises(DataError, match="the thrust profiles have no variance"):
             fit_fpca(grid, values)
 
     def test_rank_one_construction(self):

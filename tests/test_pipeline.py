@@ -13,7 +13,7 @@ import pytest
 
 from climbgen import evaluation, pipeline
 from climbgen.dynamics import integrate_climb
-from climbgen.errors import DataError, DomainError, InfeasibleClimbError, ScenarioError
+from climbgen.errors import DataError, DomainError, InfeasibleClimbError, ValidationError
 from climbgen.learning import (INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, default_grid,
                                derive_rocd, median3, profile_from_flight)
 from climbgen.pipeline import (
@@ -1206,7 +1206,7 @@ class TestSimulateFleet:
         scenario = FleetScenario(
             types={"NBJT": TypeScenario(count=2, thrust_bias_n=-80000.0)},
         )
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValidationError, match="^NBJT: no feasible thrust draw in"):
             simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
                            truth_path=tmp_path / "t.json")
 
@@ -1214,7 +1214,7 @@ class TestSimulateFleet:
         # the first type's blips are written before the second fails
         scenario = FleetScenario(types={"NBJT": TypeScenario(count=2),
                                         "WBJT": TypeScenario(count=2, thrust_bias_n=-1e6)})
-        with pytest.raises(ScenarioError, match="WBJT: no feasible thrust draw"):
+        with pytest.raises(ValidationError, match="WBJT: no feasible thrust draw"):
             simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
                            truth_path=tmp_path / "t.json")
         assert list(tmp_path.iterdir()) == []
@@ -1223,7 +1223,7 @@ class TestSimulateFleet:
     def test_infeasible_type_leaves_no_directory(self, catalog, tmp_path, failing):
         types = {"NBJT": TypeScenario(count=2), "WBJT": TypeScenario(count=2)}
         types[failing] = TypeScenario(count=1, thrust_bias_n=-1e6)
-        with pytest.raises(ScenarioError, match=f"{failing}: no feasible thrust draw"):
+        with pytest.raises(ValidationError, match=f"{failing}: no feasible thrust draw"):
             simulate_fleet(catalog, FleetScenario(types=types), seed=1,
                            csv_path=tmp_path / "out" / "sim" / "b.csv",
                            truth_path=tmp_path / "out" / "sim" / "t.json")
@@ -1231,7 +1231,7 @@ class TestSimulateFleet:
 
     def test_unknown_type_rejected(self, catalog, tmp_path):
         scenario = FleetScenario(types={"ZZZZ": TypeScenario(count=1)})
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValidationError, match="scenario types missing from the catalog: ZZZZ"):
             simulate_fleet(catalog, scenario, seed=1, csv_path=tmp_path / "b.csv",
                            truth_path=tmp_path / "t.json")
 
@@ -1259,8 +1259,8 @@ def reference_simulate_type(perf, type_code, scenario, rng, radar, truth, draws=
                 if draws is not None:
                     draws.append(False)
                 if attempt == pipeline.MAX_REDRAWS:
-                    raise ScenarioError(f"{type_code}: no feasible thrust draw in "
-                                        f"{pipeline.MAX_REDRAWS} attempts") from None
+                    raise ValidationError(f"{type_code}: no feasible thrust draw in "
+                                          f"{pipeline.MAX_REDRAWS} attempts") from None
                 continue
             if draws is not None:
                 draws.append(True)
@@ -1412,7 +1412,7 @@ class TestSimulateMatchesPerFlightReference:
                 columns.append(simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(seed),
                                              truth))
                 outcomes.append((None, truth))
-            except ScenarioError as exc:
+            except ValidationError as exc:
                 outcomes.append((str(exc), truth))
         assert outcomes[0] == outcomes[1]
         if seed == 0:
@@ -1480,17 +1480,18 @@ class TestScenarioFile:
         assert load_scenario(path) == FleetScenario(types={"NBJT": TypeScenario(count=3)})
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValidationError, match="scenario file not found"):
             load_scenario(tmp_path / "missing.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValidationError, match="scenario file .* is not valid JSON"):
             load_scenario(path)
 
     def test_invalid_field(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(json.dumps({"types": {"NBJT": {"count": 0}}}))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValidationError,
+                           match='scenario file .*"count" must be a JSON integer >= 1, got 0'):
             load_scenario(path)
