@@ -24,7 +24,7 @@ from . import evaluation, generative, learning, performance, pipeline
 from .errors import DataError, ValidationError, write_json
 from .pipeline import write_columns
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("climbgen.cli")   # not "__main__" under python -m
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -150,7 +150,7 @@ def _cmd_bounds(args) -> int:
     # the slow and fast bound climbs of generative.bound_trajectories, from
     # the envelope above, integrated before either file is written
     climbs = evaluation.model_climbs(perf, model.basis.grid, np.array([lower.values, upper.values]))
-    climbs.raise_infeasible()
+    climbs.raise_infeasible(["slow bound", "fast bound"])
     write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
                   model.basis.grid, lower.values, model.mean_profile().values, upper.values)
     write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
@@ -165,7 +165,7 @@ def _cmd_predict(args) -> int:
     grid = model.basis.grid
     climbs = evaluation.model_climbs(perf, grid, np.array(
         [model.basis.mean, performance.nominal_thrust(perf, grid)]))
-    climbs.raise_infeasible()
+    climbs.raise_infeasible(["mean", "nominal"])
     path = out / f"predict_{model.type_code}.csv"
     write_columns(path, "h_m,t_model_s,t_nominal_s", climbs.h, *climbs.t)
     # the window's climbs always span the report levels
@@ -258,12 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CLIMBGEN_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the call logs at its own CLIMBGEN_LOG level to the sys.stderr of the
+    # call; the handler sits on the package logger, so the root logger's
+    # handlers still get every record, and it goes when the call returns
+    package = logging.getLogger("climbgen")
+    level = package.level
+    package.setLevel(os.environ.get("CLIMBGEN_LOG", "WARNING").upper())
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package.addHandler(handler)
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -275,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:   # names the output it could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

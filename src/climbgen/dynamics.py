@@ -286,18 +286,20 @@ class ClimbBlock:
     def feasible(self) -> np.ndarray:
         return np.isnan(self.fail_m)
 
-    def error(self, row: int) -> InfeasibleClimbError:
-        """The ``InfeasibleClimbError`` of the row's climb, naming its first
-        rate node at the floor and the rate there."""
+    def error(self, row: int, climb: str = "climb") -> InfeasibleClimbError:
+        """The ``InfeasibleClimbError`` of the row's climb, named ``climb``,
+        giving its first rate node at the floor and the rate there."""
         h = float(self.fail_m[row])
-        return InfeasibleClimbError(f"climb rate {float(self.fail_rate[row]):.3f} m/s at {h:.0f} m "
-                                    f"is at or below the {ROCD_FLOOR} m/s floor", altitude_m=h)
+        return InfeasibleClimbError(f"{climb} rate {float(self.fail_rate[row]):.3f} m/s at "
+                                    f"{h:.0f} m is at or below the {ROCD_FLOOR} m/s floor",
+                                    altitude_m=h)
 
-    def raise_infeasible(self) -> None:
-        """Raise the ``error`` of the first infeasible row, if there is one."""
+    def raise_infeasible(self, names: list[str]) -> None:
+        """Raise the ``error`` of the first infeasible row, if there is one,
+        naming the climb by the row's entry of ``names``."""
         infeasible = np.flatnonzero(~self.feasible)
         if infeasible.size:
-            raise self.error(int(infeasible[0]))
+            raise self.error(infeasible[0], f"{names[infeasible[0]]} climb")
 
 
 def integrate_climb_block(

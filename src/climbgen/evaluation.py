@@ -311,7 +311,8 @@ def model_climbs(perf: AircraftPerformance, grid: np.ndarray, values: np.ndarray
     through the modeled window ``INTERVAL_FL`` at ``perf.nominal_mass``, as
     one block: the climbs that every prediction, bound and score
     integrates.  An infeasible climb is flagged, and
-    ``ClimbBlock.raise_infeasible`` raises the first one's error."""
+    ``ClimbBlock.raise_infeasible`` raises the first one's error, naming
+    that climb."""
     return integrate_climb_block(perf, perf.nominal_mass, grid, values, *_WINDOW_M)
 
 
@@ -331,7 +332,9 @@ def evaluate_type(
     The mean, nominal, lower and upper envelope climbs are one block of
     ``model_climbs``; the sampled profiles are integrated
     ``dynamics.BLOCK_CLIMBS`` rows at a time, and the first infeasible row
-    of a block raises its ``InfeasibleClimbError``.  A sampled climb is
+    of a block raises its ``InfeasibleClimbError``, which names the climb:
+    the mean, nominal, lower-envelope or upper-envelope climb, or sample
+    *k*, counted from 0.  A sampled climb is
     kept only as its arrival times and every tenth node, one 2-D array per
     block, from which ``trajectories_model_<type>.csv`` is written a block
     at a time.
@@ -343,7 +346,7 @@ def evaluate_type(
     lower, upper = bound_profiles(model, level)
     climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal,
                                                 lower.values, upper.values]))
-    climbs.raise_infeasible()
+    climbs.raise_infeasible(["mean", "nominal", "lower-envelope", "upper-envelope"])
 
     samples = [arrival_times(tr) for tr in test_trajectories]
     observed = [sample for sample in samples if sample is not None]
@@ -364,7 +367,7 @@ def evaluate_type(
     generated = []
     for start in range(0, len(samples), BLOCK_CLIMBS):
         block = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
-        block.raise_infeasible()
+        block.raise_infeasible([f"sample {start + k}" for k in range(len(block.t))])
         # copies: a slice is a view that would keep the whole block alive
         h, t = block.h[::10].copy(), block.t[:, ::10].copy()
         curves.append(([f"sample_{start + k}" for k in range(len(t))], h, t))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -92,15 +93,19 @@ class TestWorkflow:
         assert (workdir / "bounds" / "bounds_thrust_NBJT.csv").exists()
         assert (workdir / "bounds" / "bounds_time_NBJT.csv").exists()
 
-    def test_bounds_on_an_infeasible_climb_writes_no_file(self, workdir, tmp_path):
+    def test_bounds_on_an_infeasible_climb_writes_no_file(self, workdir, tmp_path, capsys):
         model = load_model(workdir / "models" / "model_NBJT.json")
         basis = dataclasses.replace(model.basis, variance=model.basis.variance * 1e4,
                                     total_variance=model.basis.total_variance * 1e4)
         wide = generative.GenerativeClimbModel(model.type_code, basis, model.n_flights_fit)
         generative.save_model(wide, tmp_path / "model_NBJT.json")
         out = tmp_path / "bounds"
+        capsys.readouterr()
         assert main(["bounds", "--model", str(tmp_path / "model_NBJT.json"),
                      "--level", "0.95", "--out", str(out)]) == 3
+        # the slow bound climb is the one that fails, and the message names it
+        assert re.fullmatch(r"data error: slow bound climb rate -?[0-9.]+ m/s at [0-9]+ m "
+                            r"is at or below the 0\.5 m/s floor\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_bounds_builds_the_envelope_once(self, workdir, monkeypatch):
@@ -157,9 +162,15 @@ class TestWorkflow:
 
         assert "warning" not in evaluate(workdir / "models", 0).out
         printed = evaluate(tmp_path / "models", 3)
-        assert printed.err == "data error: 1 of 1 type(s) skipped; see the warnings\n"
+        # the warnings, named as a fresh process prints them, then the count
+        skipped, empty, counted = printed.err.splitlines()
+        assert re.fullmatch(r"WARNING climbgen\.evaluation: type NBJT: lower-envelope climb "
+                            r"rate .* m/s floor; row skipped", skipped)
+        assert empty.startswith("WARNING climbgen.evaluation: run_report: ")
+        assert counted == "data error: 1 of 1 type(s) skipped; see the warnings"
         assert "nothing to evaluate" not in printed.out + printed.err
-        assert re.search(r"type NBJT: climb rate .* m/s floor; row skipped", caplog.text)
+        assert re.search(r"type NBJT: lower-envelope climb rate .* m/s floor; row skipped",
+                         caplog.text)
         assert not (tmp_path / "eval3").exists()   # no report that looks like a finished run
 
     def test_evaluate_skips_a_type_with_too_few_test_flights(self, workdir, tmp_path, capsys,
@@ -241,6 +252,19 @@ class TestExitCodes:
         monkeypatch.setenv("CLIMBGEN_LOG", "DEBUG")
         assert main(["simulate", "--scenario", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+
+    def test_the_cli_logger_keeps_its_name_under_python_m(self, tmp_path, workdir):
+        # run as python -m climbgen.cli, the module is __main__; its warning
+        # still goes through the package's handler, named as the module
+        records = json.loads(performance.default_catalog_path().read_text())
+        perf = tmp_path / "perf.json"
+        perf.write_text(json.dumps([r for r in records if r["type_code"] != "NBJT"]))
+        proc = run_cli("fit", "--train", str(workdir / "prep" / "train.csv"),
+                       "--perf-file", str(perf), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "WARNING climbgen.cli: type NBJT missing from the performance catalog; skipped",
+            "data error: no type could be fitted"]
 
     def test_bad_interval_is_validation_error(self, tmp_path, workdir):
         # the modeled window is fixed, so --interval is not an option
@@ -756,6 +780,86 @@ def test_climb_commands_do_not_import_numpy_ma(workdir, tmp_path, command):
                       command, *args, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(climbgen.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_on_its_own(module):
+    """Each module loads when a fresh interpreter imports it first: the
+    package imports none of them, so no fixed order hides an import cycle."""
+    proc = run_python("-c", f"import climbgen.{module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_binds_no_names():
+    """Every name is imported from its module; the package loads none."""
+    assert len(MODULES) == 9
+    proc = run_python("-c", "import sys, climbgen; print("
+                      "[n for n in vars(climbgen) if not n.startswith('__')], "
+                      "[m for m in sys.modules if m.startswith('climbgen.')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n"
+
+
+# calls main four times in one interpreter, each call with its own
+# CLIMBGEN_LOG and its own redirected stderr, and puts a handler on the root
+# logger after the first call; prints each call's exit code and stderr, and
+# the messages that root handler received, as one JSON line
+MAIN_CALLS = """
+import contextlib, io, json, logging, os, sys
+from climbgen.cli import main
+
+class Kept(logging.Handler):
+    messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+blips, out = sys.argv[1:]
+calls = []
+for k, level in enumerate(["WARNING", "INFO", "ERROR", "WARNING"]):
+    os.environ["CLIMBGEN_LOG"] = level
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["prepare", "--csv", blips, "--out", f"{out}/{k}", "--seed", "3"])
+    calls.append([code, err.getvalue()])
+    if k == 0:
+        kept = Kept()
+        logging.getLogger().addHandler(kept)
+print(json.dumps({"calls": calls, "kept": kept.messages,
+                  "root": logging.getLogger().handlers == [kept]}))
+"""
+
+
+def test_each_main_call_logs_at_its_level_to_its_stderr(workdir, tmp_path):
+    """Each ``main`` call in one process logs at its own ``CLIMBGEN_LOG``
+    level to the stderr of that call, each line once, in the format a fresh
+    process prints, and a handler on the root logger receives every record."""
+    lines = (workdir / "sim" / "blips.csv").read_text().splitlines(keepends=True)
+    blips = tmp_path / "blips.csv"
+    blips.write_text("".join(lines[:2] + ["A,NBJT,x,16000\n"] + lines[2:]))
+    proc = run_python("-c", MAIN_CALLS, str(blips), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    got = json.loads(proc.stdout.splitlines()[-1])
+    (code1, err1), (code2, err2), (code3, err3), (code4, err4) = got["calls"]
+    assert [code1, code2, code3, code4] == [0, 0, 0, 0]
+    line, count = err1.splitlines()
+    assert line.startswith(f"WARNING climbgen.pipeline: {blips} line 3: ")
+    assert line.endswith("; row skipped")
+    assert count == f"WARNING climbgen.pipeline: {blips}: skipped 1 malformed row(s)"
+    info = [x for x in err2.splitlines() if not x.startswith("WARNING ")]
+    assert [x for x in err2.splitlines() if x not in info] == [line, count]
+    assert info and all(x.startswith("INFO climbgen.") for x in info)
+    assert "INFO climbgen.pipeline: filter_climbs: kept " in err2
+    assert err3 == ""
+    assert err4 == err1
+    # the root handler got calls 2 and 4's records, at each call's level
+    assert sum("malformed" in m for m in got["kept"]) == 2
+    assert sum(m.startswith("filter_climbs: kept ") for m in got["kept"]) == 1
+    assert got["root"]
 
 
 def traced_peak(call, *args):

@@ -312,6 +312,27 @@ class TestModelClimb:
         lines = (tmp_path / "p" / "predict_NBJT.csv").read_text().splitlines()
         assert [float(line.split(",")[2]) for line in lines[1:]] == nominal.t[0].tolist()
 
+    def test_an_infeasible_lower_envelope_is_named(self, small_world, catalog, tmp_path):
+        # a model widened 1e4 times: its mean climbs, its lower envelope does
+        # not, and evaluate raises that climb's error, naming it, and writes
+        # nothing
+        model, split_data, _, _ = small_world
+        perf = catalog["NBJT"]
+        basis = dataclasses.replace(model.basis, variance=model.basis.variance * 1e4,
+                                    total_variance=model.basis.total_variance * 1e4)
+        wide = generative.GenerativeClimbModel("NBJT", basis, model.n_flights_fit)
+        grid = basis.grid
+        lower, _ = generative.bound_profiles(wide, 0.95)
+        integrate_climb(perf, perf.nominal_mass, wide.mean_profile(), grid[0], grid[-1])
+        with pytest.raises(InfeasibleClimbError) as want:
+            integrate_climb(perf, perf.nominal_mass, lower, grid[0], grid[-1])
+        out = tmp_path / "out"
+        with pytest.raises(InfeasibleClimbError) as got:
+            evaluation.evaluate_type(wide, perf, split_data.test, out, seed=1)
+        assert str(got.value) == f"lower-envelope {want.value}"
+        assert got.value.altitude_m == want.value.altitude_m
+        assert not out.exists()
+
     @pytest.mark.parametrize("block_climbs", [None, 4])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_an_infeasible_sample_raises_its_own_error(self, small_world, catalog, tmp_path,
@@ -335,17 +356,19 @@ class TestModelClimb:
             climb(profile)
         n = sum(arrival_times(tr) is not None for tr in split_data.test)
         errors = []
-        for row in generative.sample_values(wide, n, seed):
+        for k, row in enumerate(generative.sample_values(wide, n, seed)):
             try:
                 climb(ThrustProfile(grid, row))
             except InfeasibleClimbError as exc:
-                errors.append(exc)
-        assert 2 <= len(errors) < n and str(errors[0]) != str(errors[1])
+                errors.append((k, exc))
+        assert 2 <= len(errors) < n and str(errors[0][1]) != str(errors[1][1])
+        first, error = errors[0]
         out = tmp_path / "out"
         with pytest.raises(InfeasibleClimbError) as got:
             evaluation.evaluate_type(wide, perf, split_data.test, out, seed=seed, level=0.01)
-        assert str(got.value) == str(errors[0])
-        assert got.value.altitude_m == errors[0].altitude_m
+        # the same error, naming the sample, counted from 0
+        assert str(got.value) == f"sample {first} {error}"
+        assert got.value.altitude_m == error.altitude_m
         assert not out.exists()
 
 
