@@ -264,11 +264,15 @@ def main(argv: list[str] | None = None) -> int:
     # handlers still get every record, and it goes when the call returns
     package = logging.getLogger("climbgen")
     level = package.level
-    package.setLevel(os.environ.get("CLIMBGEN_LOG", "WARNING").upper())
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     package.addHandler(handler)
     try:
+        name = os.environ.get("CLIMBGEN_LOG") or "WARNING"
+        if not isinstance(logging.getLevelName(name.upper()), int):   # before any output
+            raise ValidationError(f"CLIMBGEN_LOG={name!r} names no logging level; "
+                                  "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        package.setLevel(name.upper())
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,8 +127,11 @@ def rate_factors(
     """The thrust-independent factors ``(D, k)`` of the climb rate at
     altitude, so that ``rocd = k * (thrust - D)``: the drag ``D`` (N) at
     ``mass`` and schedule speed, and the gain ``k = ratio * V * f / (mass g0)``
-    (m/s per N) from the temperature ratio ``(T - delta_T) / T``, the
-    schedule true airspeed ``V`` and the energy share factor ``f``."""
+    (m/s per N) from the temperature ratio ``(T_isa - delta_T) / T_isa``
+    of the ISA temperature, the schedule true airspeed ``V`` and the
+    energy share factor ``f``.  BADA 3's ``(T - delta_T) / T`` of the
+    actual temperature differs from that ratio by 0.43% near FL300 at
+    +-15 K, and ``energy_share``'s lapse-rate term omits it."""
     state = isa_state(h, delta_T)
     v_tas, mach = schedule_speed(perf.schedule, state)
     d = drag(perf, mass, state, v_tas)

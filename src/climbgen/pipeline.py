@@ -8,8 +8,9 @@ CSV schema (UTF-8, header required)::
 
 The file is read in the one dialect ``write_columns`` writes: a row is
 one line of fields joined by commas, and a field holds no comma, no quote
-and no line break.  Lines are split as ``str.splitlines`` splits them,
-and a line with a quote or the wrong number of commas is a malformed row.
+and no line break.  A line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as
+Python's universal newlines end it, and no other byte ends a line; a
+line with a quote or the wrong number of commas is a malformed row.
 The file is read ``BLOCK_LINES`` lines at a time and never held whole,
 in reads of ``READ_BYTES`` whose newlines are counted, so no object is
 made per line.
@@ -19,14 +20,11 @@ the C parser ``float`` uses and refuses one that is not ASCII or holds an
 underscore, so every value it reads is ``float``'s.  A block goes to a
 short per-line path instead, each line split on its commas and each
 number read by ``float``, when numpy would read it otherwise or a row is
-not a valid blip: when it holds a quote (numpy keeps one inside a field),
-a NUL (numpy's byte strings drop trailing NULs, so ``"A"`` and
-``"A\\x00"`` would be one id), a ``"\\x1f"`` (numpy strips it around a
-number as space, ``float`` refuses it) or no data line (numpy warns);
-when numpy refuses a field or a line's field count (an empty lat or lon,
-``float``'s underscores and non-ASCII digits); or when a row fails a blip
-check.  An id or type equal to the row's before shares its code, so only
-the head of each run is decoded.
+not a valid blip: when it holds a byte of ``_REFUSED_BYTES`` or no data
+line, when numpy refuses a field or a line's field count (an empty lat
+or lon, ``float``'s underscores and non-ASCII digits), or when a row
+fails a blip check.  An id or type equal to the row's before shares its
+code, so only the head of each run is decoded.
 Malformed rows are logged by line number and skipped; lat/lon must parse
 when present but are not kept.
 
@@ -210,15 +208,11 @@ def _write_rows(fh, *columns) -> None:
         fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-# every line separator of str.splitlines but "\n", as UTF-8 bytes: the ASCII
-# ones, then all, the three multibyte ones being slower to look for
-_ASCII_SEPARATORS = tuple(c.encode() for c in "\r\v\f\x1c\x1d\x1e")
-_ALL_SEPARATORS = _ASCII_SEPARATORS + tuple(c.encode() for c in "\x85\u2028\u2029")
 # bytes that send a block to the per-line path: numpy's reader keeps a quote
 # inside a field, its byte-string columns drop trailing NULs (so "A" and
-# "A\x00" would be one id), and it strips "\x1f" around a number as space,
-# which float() refuses
-_REFUSED_BYTES = (b'"', b"\x00", b"\x1f")
+# "A\x00" would be one id), and it strips "\x1c"-"\x1f" around a number as
+# space, which float() refuses
+_REFUSED_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
@@ -244,17 +238,18 @@ def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
 
 
 def _blocks(path: Path) -> Iterator[bytes]:
-    """The UTF-8 bytes of a blip file in blocks whose lines are those of
-    ``read_text().splitlines()``, each line ended by ``b"\\n"``; the whole
-    file is never held.
+    """The UTF-8 bytes of a blip file in blocks of whole lines, each line
+    ended by ``b"\\n"``; the whole file is never held.  A line ends at
+    ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as Python's universal newlines end
+    it.
 
     A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``
     (``_next_block``).  No multibyte UTF-8 character holds the byte
     ``b"\\n"``, and a block ends only after one, so every character and
     every ``"\\r\\n"`` pair lies inside one block, wherever a read ends.
     Only a block that is not ASCII is checked to be UTF-8, and only one
-    that holds another separator of ``str.splitlines`` is rewritten with
-    ``"\\n"`` alone.  A missing or unreadable file is a ``ValidationError``.
+    that holds ``b"\\r"`` has its line ends replaced.  A missing or
+    unreadable file is a ``ValidationError``.
     """
     try:
         # unbuffered: the bytes read past a block are held only in ``rest``
@@ -265,18 +260,16 @@ def _blocks(path: Path) -> Iterator[bytes]:
                 data, rest = _next_block(fh, rest)
                 if not data:
                     break
-                separators = _ASCII_SEPARATORS
                 if not data.isascii():
-                    separators = _ALL_SEPARATORS
                     try:
                         data.decode("utf-8")   # checked only: the text is dropped
                     except UnicodeDecodeError as exc:
                         raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
                                         f"at byte {offset + exc.start}") from None
                 offset += len(data)
-                if any(separator in data for separator in separators):
-                    data = ("\n".join(data.decode("utf-8").splitlines()) + "\n").encode("utf-8")
-                elif not data.endswith(b"\n"):
+                if b"\r" in data:
+                    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                if not data.endswith(b"\n"):
                     data += b"\n"
                 yield data
     except FileNotFoundError:
@@ -440,12 +433,11 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     than ``float`` and the one dialect do or one of its rows is not a valid
     blip; only run heads of ids and types are decoded into strings.  Every
     value and every rejection is ``float``'s.  A row is a line of fields
-    joined by commas, none of them quoted, as ``write_columns`` writes it;
-    a block that holds a line separator other than ``"\\n"`` is first
-    rewritten with ``"\\n"`` alone.  Malformed rows are logged with their
-    line number, skipped, and counted.  A missing or unreadable file is a
-    ``ValidationError``; non-UTF-8 text, an empty file or a wrong header a
-    ``DataError``.
+    joined by commas, none of them quoted, as ``write_columns`` writes it,
+    and a line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as in Python's
+    text mode.  Malformed rows are logged with their line number, skipped,
+    and counted.  A missing or unreadable file is a ``ValidationError``;
+    non-UTF-8 text, an empty file or a wrong header a ``DataError``.
 
     What is held is the flight-code, time and altitude columns and one
     block.  A flight's type is that of its first row in line order; a row
@@ -453,10 +445,10 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     flights are kept, for their warning.  Each block is parsed into the
     columns in place; they are sized from the file's size and the bytes
     per line read so far, grown when that falls short and trimmed at the
-    end.  A file whose rows already
-    come in flight and time order, each flight one run and the flights in
-    ``sorted()`` order of their ids, as every file ``write_trajectories_csv``
-    and ``simulate_fleet`` write, is checked block by block and not sorted;
+    end.  A file whose rows already come in flight and time order, each
+    flight one run and the flights in ``sorted()`` order of their ids, as
+    every file ``write_trajectories_csv`` and ``simulate_fleet`` write, is
+    checked block by block and not sorted;
     any other file takes one stable sort of its rows in line order.
     """
     path = Path(csv_path)

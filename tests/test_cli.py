@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import pkgutil
@@ -252,6 +253,22 @@ class TestExitCodes:
         monkeypatch.setenv("CLIMBGEN_LOG", "DEBUG")
         assert main(["simulate", "--scenario", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("value", ["verbose", "10", "Warning "])
+    def test_log_level_env_var_naming_no_level_is_validation_error(self, tmp_path, workdir,
+                                                                   monkeypatch, capsys, value):
+        # one error line naming the variable, its value and the levels, and
+        # no --out directory
+        monkeypatch.setenv("CLIMBGEN_LOG", value)
+        package = logging.getLogger("climbgen")
+        level, handlers = package.level, list(package.handlers)
+        assert main(["prepare", "--csv", str(workdir / "sim" / "blips.csv"),
+                     "--out", str(tmp_path / "o"), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: CLIMBGEN_LOG={value!r} names no logging level; "
+            "use DEBUG, INFO, WARNING, ERROR or CRITICAL"]
+        assert not (tmp_path / "o").exists()
+        assert package.level == level and package.handlers == handlers
 
     def test_the_cli_logger_keeps_its_name_under_python_m(self, tmp_path, workdir):
         # run as python -m climbgen.cli, the module is __main__; its warning

@@ -60,12 +60,14 @@ def level_rows(flight_id, alt, t_start, duration, dt=10.0, type_code="NBJT"):
 
 def reference_ingest(csv_path):
     """The row-by-row ingest that the columnar one replaced, in the one
-    dialect write_columns writes: each line split on its commas, a line
-    with a quote malformed, and one validated blip per row, grouped in a
-    dict.  A flight whose rows carry more than one type is dropped.
-    Returns the trajectories and the warnings it logged, in order."""
+    dialect write_columns writes: the text read with universal newlines,
+    so a line ends at "\\n", "\\r\\n" or "\\r", each line split on its
+    commas, a line with a quote malformed, and one validated blip per row,
+    grouped in a dict.  A flight whose rows carry more than one type is
+    dropped.  Returns the trajectories and the warnings it logged, in
+    order."""
     path = Path(csv_path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8").split("\n")
     header = lines[0].split(",")
     has_latlon = len(header) == 6
     warnings = []
@@ -211,12 +213,13 @@ def random_blip_file(tmp_path, seed, latlon):
     return csv_file(tmp_path, lines, f"random{seed}.csv")
 
 
-# text that no field of the one dialect holds (a comma, quotes, every line
-# separator of str.splitlines) and text that any field may hold (multibyte
-# characters, spaces and controls that separate no lines)
-BENIGN = ["é", "✈", "𝔉", " ", "  ", "\t", "\x1f", "\x00"]
-HOSTILE = [",", '"', '""', '"Q', 'Q"', "\r\n", "\r", "\n", "\v", "\f", "\x1c", "\x1d",
-           "\x1e", "\x85", "\u2028", "\u2029"] + BENIGN
+# the line separators of str.splitlines that end no line of a blip file
+FORMER_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# text that no field of the one dialect holds (a comma, quotes, the line
+# ends of universal newlines) and text that any field may hold (multibyte
+# characters, spaces, controls and the other separators of str.splitlines)
+BENIGN = ["é", "✈", "𝔉", " ", "  ", "\t", "\x1f", "\x00"] + FORMER_SEPARATORS
+HOSTILE = [",", '"', '""', '"Q', 'Q"', "\r\n", "\r", "\n"] + BENIGN
 
 
 def hostile_blip_file(tmp_path, seed):
@@ -353,7 +356,7 @@ class TestIngest:
             assert np.array_equal(a.t_s, b.t_s)
             assert np.array_equal(a.alt_ft, b.alt_ft)
 
-    @pytest.mark.parametrize("block_lines", [None, 3])
+    @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_ingest(self, tmp_path, caplog, monkeypatch, seed, block_lines):
         if block_lines:
@@ -366,45 +369,74 @@ class TestIngest:
         assert [r.getMessage() for r in caplog.records] == want_warnings
         assert len(want_warnings) > len(MALFORMED[6 if seed % 2 else 4])
 
-    @pytest.mark.parametrize("block_lines", [1, 2, 3])
-    def test_every_line_separator_matches_reference_ingest(self, tmp_path, caplog, monkeypatch,
-                                                           block_lines):
-        # blocks are cut after b"\n" only; every other separator that
-        # str.splitlines knows must still split lines inside a block
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
-        separators = cycle(["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
-                            "\u2028", "\u2029", "\n"])
+    @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r", "mixed"])
+    def test_every_line_end_reads_as_a_newline(self, tmp_path, caplog, monkeypatch, line_end,
+                                               block_lines):
+        # a line ends at "\n", "\r\n" or "\r", as universal newlines end it,
+        # though blocks are cut after b"\n" only: a file of one of them or
+        # of a mix, with blank lines and no last newline, gives the
+        # trajectories, warnings and line numbers of its "\n" copy
+        if block_lines:
+            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
         rows = []
         for k, flight_id in enumerate(["Fé", "F✈", "F𝔉", "Ωmega"]):
             rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)[:6]
         rows.insert(7, "F✈,NBJT,abc,1000")
-        pieces = [HEADER]
-        for i, row in enumerate(rows):
-            pieces += [next(separators) * (2 if i % 5 == 0 else 1), row]
-        path = tmp_path / "separators.csv"
-        path.write_text("".join(pieces), encoding="utf-8", newline="")
+        path = tmp_path / "line_ends.csv"
+        read = []
+        for ends in (["\n"], ["\r\n", "\r", "\n"] if line_end == "mixed" else [line_end]):
+            ends = cycle(ends)
+            pieces = [HEADER]
+            for i, row in enumerate(rows):
+                pieces += [next(ends) * (2 if i % 5 == 0 else 1), row]
+            path.write_text("".join(pieces), encoding="utf-8", newline="")
+            caplog.clear()
+            read.append((assert_ingest_matches_reference(path, caplog),
+                         [r.getMessage() for r in caplog.records]))
         assert not path.read_bytes().endswith(b"\n")
-        want, want_warnings = reference_ingest(path)
-        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
-            got = ingest(path)
+        (want, want_warnings), (got, got_warnings) = read
         assert [t.flight_id for t in want] == ["Fé", "F✈", "F𝔉", "Ωmega"]
         assert_same_trajectories(got, want)
-        assert [r.getMessage() for r in caplog.records] == want_warnings
-        assert len(want_warnings) == 2
+        assert got_warnings == want_warnings and len(want_warnings) == 2
+        assert " line 11: " in want_warnings[0]
 
-    @pytest.mark.parametrize("separator", ["\r", "\x1e", "\x85", "\u2028", "\u2029"])
-    def test_one_kind_of_separator_per_block_matches_reference_ingest(self, tmp_path, caplog,
-                                                                      monkeypatch, separator):
-        # blocks of ASCII rows whose only separator besides "\n" is one
-        # kind, multibyte or not, and one malformed row
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
-        rows = ramp_flight("A", 15000, 20000, 2000)[:8] + ramp_flight("B", 16000, 21000, 2000)[:8]
-        rows[5] = "A,NBJT,abc,1000"
-        pairs = [rows[k] + separator + rows[k + 1] for k in range(0, len(rows), 2)]
-        path = tmp_path / "blips.csv"
-        path.write_bytes(("\n".join([HEADER] + pairs) + "\n").encode())
-        got = assert_ingest_matches_reference(path, caplog)
-        assert [t.n_blips for t in got] == [7, 8]
+    @pytest.mark.parametrize("read_by", ["loadtxt", "lines"])
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    @pytest.mark.parametrize("separator", FORMER_SEPARATORS)
+    def test_a_former_line_separator_is_a_field_character(self, tmp_path, caplog, monkeypatch,
+                                                          separator, block_lines, read_by):
+        # the separators of str.splitlines that universal newlines do not
+        # know end no line: ids and types holding one round-trip through the
+        # writer and ingest.  With read_by "lines" a quoted row before each
+        # row and after the last sends every block of two or more lines to
+        # the per-line path; "\x1c"-"\x1e" send their blocks there anyway
+        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        k = np.arange(6.0)
+        flights = [Trajectory(flight_id=flight_id, type_code=type_code, t_s=6.0 * k,
+                              alt_ft=15000.0 + 200.0 * k)
+                   for flight_id, type_code in sorted([(f"{separator}A", "NBJT"),
+                                                       (f"B{separator}", f"NB{separator}JT"),
+                                                       (f"C{separator}C", separator)])]
+        written = tmp_path / "written.csv"
+        write_trajectories_csv(flights, written)
+        lines = written.read_text(encoding="utf-8").split("\n")[:-1]
+        if read_by == "lines":
+            quoted = '"Q",NBJT,0.0,15000.0'
+            lines[1:] = [x for line in lines[1:] for x in (quoted, line)] + [quoted]
+        per_line = []
+        read_lines = pipeline._read_lines
+        monkeypatch.setattr(pipeline, "_read_lines",
+                            lambda path, text, *args: per_line.append(text)
+                            or read_lines(path, text, *args))
+        got = assert_ingest_matches_reference(csv_file(tmp_path, lines), caplog)
+        assert_same_trajectories(got, flights)
+        rows_read_by_lines = sum(separator in line for text in per_line
+                                 for line in text.split("\n"))
+        by_lines = (read_by == "lines" and block_lines > 1) or separator in "\x1c\x1d\x1e"
+        assert rows_read_by_lines == (18 if by_lines else 0)
+        write_trajectories_csv(got, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
 
     @pytest.mark.parametrize("block_lines", [None, 1, 2])
     def test_a_last_line_without_its_newline(self, tmp_path, caplog, monkeypatch, block_lines):
@@ -423,7 +455,7 @@ class TestIngest:
             with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
                 read.append((ingest(path), [r.getMessage() for r in caplog.records]))
         assert not path.read_bytes().endswith(b"\n")
-        assert not any(s in data.decode() for s in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e"))
+        assert b"\r" not in data
         (got, got_warnings), (want, want_warnings) = read[1], read[0]
         assert_same_trajectories(got, want)
         assert got_warnings == want_warnings and len(want_warnings) == 2
@@ -437,8 +469,7 @@ class TestIngest:
         # writes back on one line, field for field
         if block_lines:
             monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
-        with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
-            first = ingest(hostile_blip_file(tmp_path, seed))
+        first = assert_ingest_matches_reference(hostile_blip_file(tmp_path, seed), caplog)
         for text in BENIGN:
             assert any(text in tr.flight_id for tr in first)
             assert any(text in tr.type_code for tr in first)
@@ -652,19 +683,21 @@ class TestIngest:
         assert [t.n_blips for t in got] == [9] and not caplog.records
 
     @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_a_unit_separator_around_a_number_skips_its_row(self, tmp_path, caplog,
-                                                            monkeypatch, block_lines):
-        # np.loadtxt strips "\x1f" around a number as space; float() does
-        # not.  In an id or a type it is any other character
+                                                            monkeypatch, separator, block_lines):
+        # np.loadtxt strips "\x1c"-"\x1f" around a number as space; float()
+        # does not.  In an id or a type each is any other character
         if block_lines:
             monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
         rows = (ramp_flight("A", 15000, 20000, 2000)[:6]
-                + ramp_flight("F\x1f", 15000, 20000, 2000, type_code="\x1fNBJT")[:6])
+                + ramp_flight(f"F{separator}", 15000, 20000, 2000,
+                              type_code=f"{separator}NBJT")[:6])
         flight_id, type_code, t_s, alt_ft = rows[1].split(",")
-        rows[1] = f"{flight_id},{type_code},\x1f{t_s},{alt_ft}"
-        rows[4] = rows[4] + "\x1f"
+        rows[1] = f"{flight_id},{type_code},{separator}{t_s},{alt_ft}"
+        rows[4] = rows[4] + separator
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
-        assert [(t.flight_id, t.n_blips) for t in got] == [("A", 4), ("F\x1f", 6)]
+        assert [(t.flight_id, t.n_blips) for t in got] == [("A", 4), (f"F{separator}", 6)]
 
     @pytest.mark.parametrize("block_lines", [None, 2])
     @pytest.mark.parametrize("make_rows", [long_id_rows, run_head_rows])
