@@ -97,7 +97,9 @@ def fit_type_model(
     thrust rows join the one data matrix that ``learning.fit_fpca`` takes.
     A flight it rejects is skipped with a warning, in flight order; fewer than
     ``MIN_FIT_PROFILES`` profiles, or profiles or a retained mode without
-    variance, raise ``DataError``, which the caller names by type.
+    variance, raise ``DataError``, which the caller names by type.  An
+    error that no one flight causes, such as a climb-rate gain that is not
+    positive, propagates from ``flight_profiles`` at the first block.
     """
     grid = default_grid()
     blocks = [np.empty((0, grid.size))]   # so that no flight joins to zero rows
@@ -243,10 +245,10 @@ def save_model(model: GenerativeClimbModel, path: str | Path) -> None:
         "schema_version": SCHEMA_VERSION,
         "type_code": model.type_code,
         "interval_fl": list(INTERVAL_FL),
-        "grid_m": [float(v) for v in model.basis.grid],
-        "mean_N": [float(v) for v in model.basis.mean],
-        "modes": [[float(v) for v in row] for row in model.basis.modes],
-        "variance": [float(v) for v in model.basis.variance],
+        "grid_m": model.basis.grid.tolist(),
+        "mean_N": model.basis.mean.tolist(),
+        "modes": model.basis.modes.tolist(),
+        "variance": model.basis.variance.tolist(),
         "total_variance": model.basis.total_variance,
         "n_flights_fit": int(model.n_flights_fit),
     }

@@ -10,8 +10,11 @@ spans two flights.
 One code path profiles flights: ``flight_profiles`` profiles a block of
 flights at once, with one ``derive_rocd``, one ``invert_thrust`` (so one
 ``dynamics.rate_factors`` call), one sort by flight and altitude to
-average duplicate altitudes, then one interpolation per flight.  It
-returns the accepted flights' thrust as the rows of one array.
+average duplicate altitudes, then one interpolation per flight.  A flight
+whose climb rate is not finite in the window is masked out of the
+inversion and rejected by name; an error that no one flight causes is
+raised once for the block.  It returns the accepted flights' thrust as
+the rows of one array.
 ``generative.fit_type_model`` hands it the blocks of
 ``pipeline.flight_blocks``, at most ``pipeline.BLOCK_LINES`` blips each,
 and joins the rows into the data matrix that ``fit_fpca`` decomposes
@@ -35,7 +38,7 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import check_thrust, rate_factors
-from .errors import ClimbgenError, DataError, DomainError, ValidationError
+from .errors import DataError, DomainError, ValidationError
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
@@ -202,21 +205,23 @@ def flight_profiles(
     alt_ft: np.ndarray,
     offsets: np.ndarray,
     delta_T: float = 0.0,
-) -> tuple[np.ndarray, list[ClimbgenError]]:
+) -> tuple[np.ndarray, list[DataError]]:
     """Effective thrust on ``default_grid()`` of the flights of joined blip
     columns: one row per accepted flight, in flight order, and the errors
     that reject the other flights, in flight order.
 
     ``offsets`` are the flights' first indices into ``t_s`` and ``alt_ft``
     followed by their length.  A flight needs ``MIN_PROFILE_BLIPS`` blips
-    inside the grid's altitude span.  The climb rates ``derive_rocd`` gives
-    on each such flight's blips are inverted at its blips inside the span,
-    by one ``invert_thrust`` call for all flights; then each flight's
-    (altitude, thrust) samples, duplicate altitudes (quantization)
-    averaged, are interpolated onto the grid, and outside the blip
-    coverage the nearest value is held.  If the inversion refuses the
-    joined blips, each flight is inverted on its own, so only the flights
-    it refuses are rejected.
+    inside the grid's altitude span.  ``derive_rocd`` gives the climb rates
+    on each such flight's blips; a flight whose rate is not finite at a
+    blip inside the span (an altitude that is NaN or infinite) is rejected
+    by a ``DataError`` that names it, and its samples are dropped.  The
+    other flights' rates are inverted at their blips inside the span by
+    one ``invert_thrust`` call; then each flight's (altitude, thrust)
+    samples, duplicate altitudes (quantization) averaged, are interpolated
+    onto the grid, and outside the blip coverage the nearest value is
+    held.  An error that no one flight causes, such as a climb-rate gain
+    that is not positive at ``delta_T``, is raised, once.
     """
     grid = default_grid()
     offsets = np.asarray(offsets)
@@ -232,38 +237,29 @@ def flight_profiles(
         for flight_id, n in zip(flight_ids, n_inside.tolist())
     ]
     fitted = n_inside >= MIN_PROFILE_BLIPS
-    indices = np.flatnonzero(fitted).tolist()
-    if indices:
-        rows = fitted[flight]
-        rocd = derive_rocd(t_s[rows], alt_ft[rows],
-                           np.concatenate(([0], np.cumsum(sizes[fitted]))))
-        rocd_ms = rocd[inside[rows]] * FT / 60.0
-        inside &= rows
-        try:
-            thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, alt_m[inside], delta_T)
-        except ClimbgenError as exc:
-            if len(indices) == 1:
-                results[indices[0]] = exc
-            else:   # each flight on its own, so that only those it refuses are rejected
-                for i in indices:
-                    a, b = offsets[i], offsets[i + 1]
-                    one, error = flight_profiles(perf, flight_ids[i:i + 1], t_s[a:b],
-                                                 alt_ft[a:b], [0, b - a], delta_T)
-                    results[i] = error[0] if error else one[0]
-        else:   # each flight's samples by altitude, each altitude's thrusts averaged
-            h, flight = alt_m[inside], flight[inside]
-            order = np.lexsort((h, flight))
-            h, flight, thrust = h[order], flight[order], thrust[order]
-            start = np.flatnonzero(np.concatenate(([True], (h[1:] != h[:-1])
-                                                   | (flight[1:] != flight[:-1]))))
-            thrust = np.add.reduceat(thrust, start) / np.diff(np.append(start, h.size))
-            h, flight = h[start], flight[start]
-            stops = np.cumsum(np.bincount(flight, minlength=sizes.size)).tolist()
-            for i in indices:
-                a, b = (stops[i - 1] if i else 0), stops[i]
-                results[i] = (np.interp(grid, h[a:b], thrust[a:b]) if b - a >= 2 else
-                              DataError(f"flight {flight_ids[i]}: blips collapse to "
-                                        "a single altitude"))
+    rows = fitted[flight]
+    rocd = derive_rocd(t_s[rows], alt_ft[rows], np.concatenate(([0], np.cumsum(sizes[fitted]))))
+    inside &= rows   # the samples: the fitted flights' blips inside the span
+    h, flight, rocd_ms = alt_m[inside], flight[inside], rocd[inside[rows]] * FT / 60.0
+    n_bad = np.bincount(flight[~np.isfinite(rocd_ms)], minlength=sizes.size)
+    for i in np.flatnonzero(n_bad).tolist():
+        results[i] = DataError(f"flight {flight_ids[i]}: climb rate not finite at "
+                               f"{n_bad[i]} blip(s) in the altitude interval")
+    fitted &= n_bad == 0
+    kept = fitted[flight]
+    h, flight = h[kept], flight[kept]
+    thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms[kept], h, delta_T)
+    # each flight's samples by altitude, each altitude's thrusts averaged
+    order = np.lexsort((h, flight))
+    h, flight, thrust = h[order], flight[order], thrust[order]
+    start = np.flatnonzero((np.diff(h, prepend=np.nan) != 0.0) | (np.diff(flight, prepend=-1) != 0))
+    thrust = np.add.reduceat(thrust, start) / np.diff(np.append(start, h.size))
+    h, flight = h[start], flight[start]
+    stops = np.cumsum(np.bincount(flight, minlength=sizes.size)).tolist()
+    for i in np.flatnonzero(fitted).tolist():
+        a, b = (stops[i - 1] if i else 0), stops[i]
+        results[i] = (np.interp(grid, h[a:b], thrust[a:b]) if b - a >= 2 else
+                      DataError(f"flight {flight_ids[i]}: blips collapse to a single altitude"))
     accepted = [r for r in results if isinstance(r, np.ndarray)]
     return (np.array(accepted).reshape(len(accepted), grid.size),
             [r for r in results if not isinstance(r, np.ndarray)])

@@ -12,7 +12,7 @@ and no line break.  A line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as
 Python's universal newlines end it, and no other byte ends a line; a
 line with a quote or the wrong number of commas is a malformed row.
 The file is read ``BLOCK_LINES`` lines at a time and never held whole,
-in reads of ``READ_BYTES`` whose newlines are counted, so no object is
+in reads of ``READ_BYTES`` whose line ends are counted, so no object is
 made per line.
 Each block is read by one ``np.loadtxt`` call, numpy's C reader, into id
 and type byte strings and float64 numbers.  numpy reads a number with
@@ -216,25 +216,39 @@ _REFUSED_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
-    """The next ``BLOCK_LINES`` lines that end in ``b"\\n"`` of the bytes
-    ``rest`` and then of an open binary file, or all that is left of them,
-    and the bytes read past the block.
+    """The next ``BLOCK_LINES`` lines of the bytes ``rest`` and then of an
+    open binary file, or all that is left of them, and the bytes read past
+    the block.  Every line end counts: ``b"\\n"``, a ``b"\\r\\n"`` pair
+    once, and a lone ``b"\\r"``; no block ends between a pair's two bytes.
 
-    The file is read ``READ_BYTES`` at a time.  Each read's newlines are
-    counted, and only the read in which the block ends is scanned for
-    their positions, so no object is made per line and less than one read
-    is held past the block."""
+    The file is read ``READ_BYTES`` at a time.  Each read's line ends are
+    counted, a ``b"\\r"`` that ends a read with the next read's first byte,
+    and only the read in which the block ends is scanned for their
+    positions, so no object is made per line and at most one read is held
+    past the block."""
     pieces, n_lines, chunk = [], 0, rest
-    while n_lines + (n := chunk.count(b"\n")) < BLOCK_LINES:
-        pieces.append(chunk)
+    while n_lines + (n := _line_ends(chunk)) < BLOCK_LINES:
+        held = chunk[-1:] if chunk.endswith(b"\r") else b""   # the pair it may start
+        pieces.append(chunk[:len(chunk) - len(held)])
         n_lines += n
         chunk = fh.read(READ_BYTES)
         if not chunk:
-            return b"".join(pieces), b""
-    ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            return b"".join(pieces) + held, b""
+        chunk = held + chunk
+    units = np.frombuffer(chunk, np.uint8)
+    lone_cr = (units == ord("\r")) & (np.append(units[1:], ord("\n")) != ord("\n"))
+    ends = np.flatnonzero((units == ord("\n")) | lone_cr)
     stop = int(ends[BLOCK_LINES - n_lines - 1]) + 1
     pieces.append(chunk[:stop])
     return b"".join(pieces), chunk[stop:]
+
+
+def _line_ends(chunk: bytes) -> int:
+    """The line ends of ``chunk``, a ``b"\\r"`` that ends it not counted."""
+    if b"\r" not in chunk:
+        return chunk.count(b"\n")
+    return (chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            - chunk.endswith(b"\r"))
 
 
 def _blocks(path: Path) -> Iterator[bytes]:
@@ -243,10 +257,11 @@ def _blocks(path: Path) -> Iterator[bytes]:
     ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as Python's universal newlines end
     it.
 
-    A block is ``BLOCK_LINES`` lines of the file that end in ``b"\\n"``
+    A block is ``BLOCK_LINES`` lines of the file, every line end counted
     (``_next_block``).  No multibyte UTF-8 character holds the byte
-    ``b"\\n"``, and a block ends only after one, so every character and
-    every ``"\\r\\n"`` pair lies inside one block, wherever a read ends.
+    ``b"\\n"`` or ``b"\\r"``, and a block ends only after one and never
+    inside a ``"\\r\\n"`` pair, so every character and every pair lies
+    inside one block, wherever a read ends.
     Only a block that is not ASCII is checked to be UTF-8, and only one
     that holds ``b"\\r"`` has its line ends replaced.  A missing or
     unreadable file is a ``ValidationError``.
@@ -855,7 +870,7 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
             flight_id = f"{type_code}-{n_flights:05d}"
             n_flights += 1
             truth[flight_id] = {"type_code": type_code, "thrust_bias_n": spec.thrust_bias_n,
-                                "weights": [float(w) for w in weights]}
+                                "weights": weights.tolist()}
             # radar stage
             t_blips = np.arange(0.0, t[-1], scenario.blip_interval_s)
             alt = np.interp(t_blips, t, climbs.h) / FT

@@ -3,14 +3,16 @@ chi-square radius, ellipsoid tangency bounds, and persistence."""
 
 import json
 import logging
+import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.stats
 
-from climbgen import generative, pipeline
+from climbgen import generative, learning, pipeline
 from climbgen.errors import ClimbgenError, DataError, DomainError, ValidationError
 from climbgen.generative import (
     GenerativeClimbModel,
@@ -119,8 +121,20 @@ class TestFitTypeModel:
         assert [row.tobytes() for row in fitted[0]] == [p.values.tobytes() for p in alone]
         # every kind of rejection is among them
         for reason in ("blips in the altitude interval", "collapse to a single altitude",
-                       "rocd_obs must be finite"):
+                       "climb rate not finite at"):
             assert any(reason in text for text in rejected), reason
+
+    def test_an_error_no_flight_causes_raises_once(self, small_world, catalog, caplog,
+                                                   monkeypatch):
+        # at delta_T = 240 K the climb-rate gain is not positive above 7408 m:
+        # the fit raises it at the first block, and no flight is warned of
+        _, split_data, _, _ = small_world
+        monkeypatch.setattr(generative, "flight_profiles",
+                            partial(learning.flight_profiles, delta_T=240.0))
+        with caplog.at_level(logging.WARNING, logger="climbgen.generative"):
+            with pytest.raises(ValidationError, match="climb-rate gain is not positive"):
+                fit_type_model(catalog["NBJT"], split_data.train)
+        assert not caplog.records
 
     def test_peak_memory_is_one_block_plus_the_profiles(self, catalog):
         # the flights are profiled a block of BLOCK_LINES blips at a time:
@@ -306,6 +320,23 @@ class TestBoundProfiles:
         recon = model.mean_profile().values
         assert lower.values == pytest.approx(recon, abs=0.05)
         assert upper.values == pytest.approx(recon, abs=0.05)
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_equals_the_closed_form_envelope(self, small_world, fitted):
+        # the tangency bound at each node is the mean plus or minus
+        # sqrt(q) * sqrt(sum_i variance_i * mode_i(h)^2), q the chi-square
+        # radius of the model's mode count
+        models = ([small_world[0]] if fitted else
+                  [make_model(mu=(300.0, 100.0, -50.0)), make_model(variances=(4e6,), mu=(0.0,)),
+                   make_model(variances=(9e6, 4e6, 1e6, 2.5e5, 1e4), mu=(0.0,) * 5)])
+        for model in models:
+            basis = model.basis
+            for level in (1e-6, 0.5, 0.9, 0.95, 0.99):
+                half = (math.sqrt(confidence_radius(basis.n_modes, level))
+                        * np.sqrt(basis.variance @ basis.modes**2))
+                lower, upper = bound_profiles(model, level)
+                assert np.all(np.abs(upper.values - (basis.mean + half)) <= 1e-12 * half)
+                assert np.all(np.abs(lower.values - (basis.mean - half)) <= 1e-12 * half)
 
     def test_pointwise_ordering(self):
         model = make_model(mu=(300.0, 100.0, -50.0))

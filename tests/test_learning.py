@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from climbgen.atmosphere import FT, G0, fl_to_m, isa_state, schedule_speed
-from climbgen import dynamics
+from climbgen import dynamics, learning
 from climbgen.dynamics import energy_share, integrate_climb, rate_factors, rocd
 from climbgen.errors import ClimbgenError, DataError, DomainError, ValidationError
 from climbgen.learning import (
@@ -15,6 +15,7 @@ from climbgen.learning import (
     default_grid,
     derive_rocd,
     fit_fpca,
+    flight_profiles,
     invert_thrust,
     profile_from_flight,
     project_weights,
@@ -106,6 +107,10 @@ def reference_profile(perf, traj):
                         f"interval, need at least {MIN_PROFILE_BLIPS}")
     h = alt_m[inside]
     rocd_ms = derive_rocd(traj.t_s, traj.alt_ft)[inside] * FT / 60.0
+    n_bad = int(np.count_nonzero(~np.isfinite(rocd_ms)))
+    if n_bad:
+        raise DataError(f"flight {traj.flight_id}: climb rate not finite at {n_bad} blip(s) "
+                        "in the altitude interval")
     thrust = invert_thrust(perf, perf.nominal_mass, rocd_ms, h)
     order = np.argsort(h, kind="stable")
     h_sorted, t_sorted = h[order], thrust[order]
@@ -170,6 +175,56 @@ class TestProfileFromFlight:
         first_inside = invert_thrust(nbjt, nbjt.nominal_mass, 1800.0 * FT / 60.0,
                                      alt_ft[0] * FT)
         assert profile.values[0] == pytest.approx(first_inside, rel=1e-12)
+
+
+class TestFlightProfiles:
+    def test_one_inversion_masks_flights_whose_climb_rate_is_not_finite(self, nbjt,
+                                                                        count_calls):
+        # finite climbs mixed with climbs whose altitudes hold NaN or inf:
+        # one invert_thrust call, the other flights' rows as each is
+        # profiled alone, and a flight whose rate is not finite in the
+        # window rejected by name.  The median filter removes the rate spike
+        # of one infinite blip but not of two; a NaN far below the window
+        # leaves the rates in it finite
+        t = np.arange(0.0, 600.0, 6.0)
+        flights = [make_traj(f"F{k}", t, 12000.0 + (1800.0 + 50.0 * k) * t / 60.0)
+                   for k in range(9)]
+        flights[1].alt_ft[41] = np.nan
+        flights[4].alt_ft[44:46] = np.inf
+        flights[7].alt_ft[47] = -np.inf
+        flights[6].alt_ft[0] = np.nan
+        calls = count_calls(learning, "invert_thrust")
+        values, errors = flight_profiles(nbjt, [tr.flight_id for tr in flights],
+                                         np.concatenate([tr.t_s for tr in flights]),
+                                         np.concatenate([tr.alt_ft for tr in flights]),
+                                         np.arange(len(flights) + 1) * t.size)
+        assert len(calls) == 1
+        alone, rejected = [], []
+        for tr in flights:
+            try:
+                alone.append(profile_from_flight(nbjt, tr).values)
+            except DataError as exc:
+                rejected.append(str(exc))
+        assert [str(e) for e in errors] == rejected
+        assert [text.split(":")[0] for text in rejected] == ["flight F1", "flight F4"]
+        assert all(" climb rate not finite at " in text for text in rejected)
+        assert [row.tobytes() for row in values] == [row.tobytes() for row in alone]
+
+    def test_an_error_no_flight_causes_raises_once(self, nbjt, count_calls):
+        # the climb-rate gain is not positive above 7408 m at delta_T = 240 K,
+        # so no flight can be profiled: the block raises, after one inversion
+        t = np.arange(0.0, 600.0, 6.0)
+        flights = [make_traj(f"F{k}", t, 12000.0 + (1800.0 + 50.0 * k) * t / 60.0)
+                   for k in range(4)]
+        calls = count_calls(learning, "invert_thrust")
+        with pytest.raises(ValidationError, match="climb-rate gain is not positive"):
+            flight_profiles(nbjt, [tr.flight_id for tr in flights],
+                            np.concatenate([tr.t_s for tr in flights]),
+                            np.concatenate([tr.alt_ft for tr in flights]),
+                            np.arange(len(flights) + 1) * t.size, delta_T=240.0)
+        assert len(calls) == 1
+        with pytest.raises(ValidationError, match="climb-rate gain is not positive"):
+            profile_from_flight(nbjt, flights[0], delta_T=240.0)
 
 
 class TestSelectComponents:

@@ -374,11 +374,13 @@ class TestIngest:
     def test_every_line_end_reads_as_a_newline(self, tmp_path, caplog, monkeypatch, line_end,
                                                block_lines):
         # a line ends at "\n", "\r\n" or "\r", as universal newlines end it,
-        # though blocks are cut after b"\n" only: a file of one of them or
-        # of a mix, with blank lines and no last newline, gives the
-        # trajectories, warnings and line numbers of its "\n" copy
+        # and each ends a line of a block: a file of one of them or of a mix,
+        # with blank lines and no last newline, read 3 bytes at a time, is
+        # cut into the blocks of its "\n" copy, so it too is never held
+        # whole, and gives its trajectories, warnings and line numbers
         if block_lines:
             monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(pipeline, "READ_BYTES", 3)
         rows = []
         for k, flight_id in enumerate(["Fé", "F✈", "F𝔉", "Ωmega"]):
             rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)[:6]
@@ -392,10 +394,13 @@ class TestIngest:
                 pieces += [next(ends) * (2 if i % 5 == 0 else 1), row]
             path.write_text("".join(pieces), encoding="utf-8", newline="")
             caplog.clear()
-            read.append((assert_ingest_matches_reference(path, caplog),
+            read.append((list(pipeline._blocks(path)), assert_ingest_matches_reference(path, caplog),
                          [r.getMessage() for r in caplog.records]))
-        assert not path.read_bytes().endswith(b"\n")
-        (want, want_warnings), (got, got_warnings) = read
+        data = path.read_bytes()
+        assert not data.endswith(b"\n")
+        assert any(data[end - 1] == ord("\r") for end in range(3, len(data), 3))
+        (want_blocks, want, want_warnings), (got_blocks, got, got_warnings) = read
+        assert got_blocks == want_blocks
         assert [t.flight_id for t in want] == ["Fé", "F✈", "F𝔉", "Ωmega"]
         assert_same_trajectories(got, want)
         assert got_warnings == want_warnings and len(want_warnings) == 2
@@ -501,7 +506,9 @@ class TestIngest:
         path = tmp_path / "blips.csv"
         path.write_bytes(data)
         assert not data.endswith(b"\n")
-        lines = re.findall(rb"[^\n]*\n|[^\n]+\Z", data)
+        # the lone "\r" after rows[49] ends a line too
+        lines = re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", data)
+        assert len(lines) == 1 + len(rows)
         want = [b"".join(lines[i:i + block_lines]) for i in range(0, len(lines), block_lines)]
         for read_bytes in (1, 2, 3, 5, 64, 1 << 20):
             monkeypatch.setattr(pipeline, "READ_BYTES", read_bytes)
@@ -510,13 +517,14 @@ class TestIngest:
                 while (block := pipeline._next_block(fh, rest))[0]:
                     got.append(block[0])
                     rest = block[1]
-                    assert len(rest) < read_bytes
+                    assert len(rest) <= read_bytes
             assert got == want
 
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
     @pytest.mark.parametrize("block_lines", [2, 700])
     @pytest.mark.parametrize("read_bytes", [3, 7])
     def test_reads_that_end_inside_a_character_or_a_crlf_pair(self, tmp_path, caplog, monkeypatch,
-                                                              block_lines, read_bytes):
+                                                              block_lines, read_bytes, line_end):
         monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
         monkeypatch.setattr(pipeline, "READ_BYTES", read_bytes)
         rows = []
@@ -524,16 +532,16 @@ class TestIngest:
             rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)
         rows.insert(9, "F✈,NBJT,abc,1000")
         path = tmp_path / "crlf.csv"
-        path.write_bytes(("\r\n".join([HEADER] + rows) + "\r\n").encode())
+        path.write_bytes((line_end.join([HEADER] + rows) + line_end).encode())
         data = path.read_bytes()
         reads = range(read_bytes, len(data), read_bytes)
-        assert any(data[end - 1:end + 1] == b"\r\n" for end in reads)
+        assert any(data[end - 1] == ord("\r") for end in reads)   # inside a pair, if "\r\n"
         assert any(data[end] & 0xC0 == 0x80 for end in reads)   # the next read starts mid-character
         got = assert_ingest_matches_reference(path, caplog)
         assert [t.flight_id for t in got] == ["Fé", "F✈", "F𝔉", "Ωmega"]
         assert "line 11:" in caplog.records[0].getMessage()
         # a bad byte still reports its offset in the file
-        path.write_bytes(data + "Ω,NBJT,0.0,1".encode() + b"\xff0\r\n")
+        path.write_bytes(data + "Ω,NBJT,0.0,1".encode() + b"\xff0" + line_end.encode())
         offset = len(data) + len("Ω,NBJT,0.0,1".encode())
         with pytest.raises(DataError, match=f"invalid start byte at byte {offset}$"):
             ingest(path)
