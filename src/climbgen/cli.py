@@ -128,8 +128,12 @@ def _cmd_fit(args) -> int:
 def _cmd_sample(args) -> int:
     model = generative.load_model(args.model)
     values = generative.sample_values(model, args.count, args.seed)
+    grid, n = model.basis.grid, len(values)
     path = Path(args.out) / f"samples_{model.type_code}.csv"
-    evaluation.write_samples_csv(path, model.basis.grid, values)
+    # one row per sample and grid node
+    write_columns(path, "sample_id,h_m,thrust_N",
+                  pipeline.repeat_each([str(k) for k in range(n)], [grid.size] * n),
+                  np.tile(grid, n), values.ravel())
     print(f"wrote {args.count} sampled profiles to {path}")
     return EXIT_OK
 

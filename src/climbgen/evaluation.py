@@ -17,7 +17,7 @@ observed flight or one climb is a one-column block (``arrival_times``,
 ``coverage``).  A test flight that a metric skips is logged once per type
 and reason, with the count and the first three ids.
 
-``evaluate_type`` scores one type and only then writes its five
+``evaluate_type`` scores one type and only then writes its three
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
 next.  Each type's thrust envelope is built once, and the nominal thrust
@@ -44,7 +44,7 @@ from .errors import DataError, DomainError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_values
 from .learning import INTERVAL_FL
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
-from .pipeline import DatasetSplit, Trajectory, repeat_each, write_blocks, write_columns
+from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
 
 logger = logging.getLogger(__name__)
 
@@ -324,20 +324,17 @@ def evaluate_type(
     seed: int,
     level: float = 0.95,
 ) -> MetricsReport:
-    """Score one aircraft type, then write its five plot-ready CSVs
-    (``profiles``, ``sampled_thrust``, ``trajectories_model``,
-    ``arrivals_test`` and ``kde_<type>.csv``) under ``out``; a type that
-    raises writes none.
+    """Score one aircraft type, then write its three plot-ready CSVs
+    (``profiles``, ``arrivals_test`` and ``kde_<type>.csv``) under ``out``;
+    a type that raises writes none.
 
     The mean, nominal, lower and upper envelope climbs are one block of
     ``model_climbs``; the sampled profiles are integrated
     ``dynamics.BLOCK_CLIMBS`` rows at a time, and the first infeasible row
     of a block raises its ``InfeasibleClimbError``, which names the climb:
     the mean, nominal, lower-envelope or upper-envelope climb, or sample
-    *k*, counted from 0.  A sampled climb is
-    kept only as its arrival times and every tenth node, one 2-D array per
-    block, from which ``trajectories_model_<type>.csv`` is written a block
-    at a time.
+    *k*, counted from 0.  A sampled climb is kept only as its arrival
+    times.
     """
     code = model.type_code
     grid = model.basis.grid
@@ -361,16 +358,12 @@ def evaluate_type(
     if not predicted.size:
         raise DataError("model trajectories do not span the report levels")
 
-    curves = [(["mean_traj", "nominal_traj", "slow", "fast"], climbs.h, climbs.t)]
     slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
     samples = sample_values(model, len(observed), seed)
     generated = []
     for start in range(0, len(samples), BLOCK_CLIMBS):
         block = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
         block.raise_infeasible([f"sample {start + k}" for k in range(len(block.t))])
-        # copies: a slice is a view that would keep the whole block alive
-        h, t = block.h[::10].copy(), block.t[:, ::10].copy()
-        curves.append(([f"sample_{start + k}" for k in range(len(t))], h, t))
         generated.append(arrival_columns(block))
     gen250, gen325 = np.concatenate(generated, axis=1)
 
@@ -392,10 +385,6 @@ def evaluate_type(
         grid, model.mean_profile().values, lower.values, upper.values,
         nominal, min_level_thrust(perf, grid),
     )
-    write_samples_csv(out / f"sampled_thrust_{code}.csv", grid, samples)
-    write_blocks(out / f"trajectories_model_{code}.csv", "series,h_m,t_s",
-                 ((repeat_each(names, [h.size] * len(names)), np.tile(h, len(names)), t.ravel())
-                  for names, h, t in curves))
     write_columns(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
         repeat_each([s.flight_id for s in observed], [2] * len(observed)),
@@ -455,13 +444,3 @@ def run_report(
     write_json(out / "metrics_report.json", [r.__dict__ for r in reports])
     return reports
 
-
-def write_samples_csv(path: str | Path, grid: np.ndarray, values: np.ndarray) -> None:
-    """Sampled thrust profiles, thrust on ``grid`` one sample per row of
-    ``values``, as one CSV row per sample and grid node."""
-    write_columns(
-        path, "sample_id,h_m,thrust_N",
-        repeat_each([str(s) for s in range(len(values))], [grid.size] * len(values)),
-        np.tile(grid, len(values)),
-        values.ravel(),
-    )

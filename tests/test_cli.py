@@ -201,7 +201,8 @@ class TestWorkflow:
             "sample; row skipped"]
         rows = (tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("NBJT,")
-        assert len(list((tmp_path / "eval").glob("*_NBJT.csv"))) == 5
+        assert {p.name for p in (tmp_path / "eval").glob("*_NBJT.csv")} == {
+            f"{kind}_NBJT.csv" for kind in ("profiles", "arrivals_test", "kde")}
         assert not list((tmp_path / "eval").glob("*NBJ2*"))
 
     def test_evaluate_level_sets_profile_envelope(self, workdir):

@@ -372,33 +372,34 @@ class TestModelClimb:
         assert not out.exists()
 
 
-    def test_sampled_curves_are_written_a_block_of_climbs_at_a_time(self, small_world, catalog,
-                                                                  tmp_path, monkeypatch):
-        # trajectories_model_<type>.csv gets the four model curves, then each
-        # block's every-tenth-node sampled curves, one writer call each; the
-        # bytes do not depend on the block size
+    def test_sampled_climbs_integrated_in_blocks_change_no_byte(self, small_world, catalog,
+                                                                tmp_path, monkeypatch):
+        # the sampled climbs are integrated BLOCK_CLIMBS at a time; the three
+        # CSVs and the report do not depend on the block size
         model, split_data, _, _ = small_world
         perf = catalog["NBJT"]
-        name = "trajectories_model_NBJT.csv"
-        evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "whole", seed=1)
+        names = {f"{kind}_NBJT.csv" for kind in ("profiles", "arrivals_test", "kde")}
+        whole = evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "whole", seed=1)
         monkeypatch.setattr(evaluation, "BLOCK_CLIMBS", 4)
-        calls = []
-        write_rows = pipeline._write_rows
+        rows = []
+        model_climbs = evaluation.model_climbs
 
-        def spy(fh, *columns):
-            if fh.name.endswith(name):
-                calls.append(len(columns[0]))
-            write_rows(fh, *columns)
+        def spy(perf, grid, values):
+            rows.append(len(values))
+            return model_climbs(perf, grid, values)
 
-        monkeypatch.setattr(pipeline, "_write_rows", spy)
-        evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "blocks", seed=1)
-        text = (tmp_path / "blocks" / name).read_bytes()
-        assert text == (tmp_path / "whole" / name).read_bytes()
-        series = [line.split(b",", 1)[0] for line in text.splitlines()[1:]]
-        n_samples = len({s for s in series if s.startswith(b"sample_")})
-        n_nodes = series.count(b"sample_0")
-        assert n_samples > 8 and calls[0] == 4 * series.count(b"mean_traj")
-        assert calls[1:] == [min(4, n_samples - k) * n_nodes for k in range(0, n_samples, 4)]
+        monkeypatch.setattr(evaluation, "model_climbs", spy)
+        blocks = evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "blocks", seed=1)
+        # the four model climbs, then the samples four at a time
+        n_samples = sum(rows[1:])
+        assert n_samples > 8 and rows[0] == 4
+        assert rows[1:] == [min(4, n_samples - k) for k in range(0, n_samples, 4)]
+        for out in ("whole", "blocks"):
+            assert {p.name for p in (tmp_path / out).iterdir()} == names
+        for name in names:
+            assert (tmp_path / "blocks" / name).read_bytes() == \
+                (tmp_path / "whole" / name).read_bytes()
+        assert repr(blocks) == repr(whole)
 
 
 class TestRunReport:
@@ -492,7 +493,8 @@ class TestRunReport:
         assert calls == ["NBJT", "WIDE"]
         assert [r.type_code for r in reports] == ["NBJT"]
         assert not list(tmp_path.glob("*_WIDE.csv"))
-        assert len(list(tmp_path.glob("*_NBJT.csv"))) == 5
+        assert {p.name for p in tmp_path.glob("*_NBJT.csv")} == {
+            f"{kind}_NBJT.csv" for kind in ("profiles", "arrivals_test", "kde")}
 
         lines = (tmp_path / "profiles_NBJT.csv").read_text().splitlines()
         header = lines[0].split(",")
