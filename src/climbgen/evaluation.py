@@ -14,8 +14,11 @@ level's crossing on a track's altitudes once and reads its time along
 the first axis of the times, so a block of climbs, which share their
 altitudes, is read a column per climb (``arrival_columns``), and one
 observed flight or one climb is a one-column block (``arrival_times``,
-``coverage``).  A test flight that a metric skips is logged once per type
-and reason, with the count and the first three ids.
+``coverage``).  The MAE and the KL read the test flights that cross
+``REF_FL``, FL250 and then FL325; coverage reads the window blips of the
+flights with a ``REF_FL`` crossing.  A flight that a metric cannot read
+is skipped, not fatal, and logged once per type and metric, with the
+count and the first three ids.
 
 ``evaluate_type`` scores one type and only then writes its three
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
@@ -61,18 +64,12 @@ _WINDOW_M = (fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]))
 
 @dataclass(frozen=True)
 class ArrivalSample:
-    """Zero-referenced arrival times (s) at the two report flight levels."""
+    """Zero-referenced arrival times (s) at the two report flight levels,
+    the first before the second, as ``arrival_times`` reads them."""
 
     flight_id: str
     t_fl250: float
     t_fl325: float
-
-    def __post_init__(self):
-        if not self.t_fl250 < self.t_fl325:
-            raise DomainError(
-                f"{self.flight_id}: FL250 arrival {self.t_fl250} not before "
-                f"FL325 arrival {self.t_fl325}"
-            )
 
 
 @dataclass(frozen=True)
@@ -158,13 +155,15 @@ def arrival_columns(climbs: ClimbBlock) -> np.ndarray:
 def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
     """Arrival times at the report flight levels ``REPORT_FLS``,
     zero-referenced at the ``REF_FL`` crossing; None when the trajectory
-    does not span them.  One track is read as a one-climb block is."""
+    does not cross the levels in order: it misses one, or its FL325
+    arrival does not follow its FL250 arrival.  One track is read as a
+    one-climb block is."""
     if isinstance(traj, ClimbTrajectory):
         t, alt, flight_id = traj.t, traj.h / FT, "model"
     else:
         t, alt, flight_id = traj.t_s, traj.alt_ft, traj.flight_id
     times = _arrivals(alt, t) if t.size >= 2 else None
-    if times is None:
+    if times is None or not times[0] < times[1]:
         return None
     return ArrivalSample(flight_id=flight_id, t_fl250=float(times[0]), t_fl325=float(times[1]))
 
@@ -264,31 +263,28 @@ def coverage(
     fast: ClimbTrajectory,
 ) -> float:
     """Percentage of the test blips inside ``INTERVAL_FL`` whose time,
-    zero-referenced at the ``REF_FL`` crossing, lies within
-    [fast.t(alt), slow.t(alt)].  Flights without that crossing are skipped,
-    with one warning."""
+    zero-referenced at their flight's ``REF_FL`` crossing, lies within
+    [fast.t(alt), slow.t(alt)].  Each flight's crossing is read on its
+    own; the band is read once, at every window blip of the flights that
+    have a crossing.  Flights without one are skipped, with one warning."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
-    inside = total = 0
-    skipped = []
+    alts, taus, skipped = [np.empty(0)], [np.empty(0)], []
     for tr in test_trajectories:
         read = _crossing(tr.alt_ft, REF_FL * 100.0)
         if read is None:
             skipped.append(tr)
             continue
-        t0 = read(tr.t_s)
         mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
-        if not np.any(mask):
-            continue
-        alt_m = tr.alt_ft[mask] * FT
-        tau = tr.t_s[mask] - t0
-        eps = 1e-9
-        inside += int(np.count_nonzero((tau >= fast.time_at(alt_m) - eps)
-                                       & (tau <= slow.time_at(alt_m) + eps)))
-        total += int(np.count_nonzero(mask))
+        alts.append(tr.alt_ft[mask])
+        taus.append(tr.t_s[mask] - read(tr.t_s))
     _warn_skipped(skipped, f"have no FL{REF_FL:.0f} crossing; skipped from coverage")
-    if total == 0:
+    alt_m, tau = np.concatenate(alts) * FT, np.concatenate(taus)
+    if not tau.size:
         raise DataError("coverage: no test blips inside the interval")
-    return 100.0 * inside / total
+    eps = 1e-9
+    inside = int(np.count_nonzero((tau >= fast.time_at(alt_m) - eps)
+                                  & (tau <= slow.time_at(alt_m) + eps)))
+    return 100.0 * inside / tau.size
 
 
 # metrics_report.csv: (column, MetricsReport field, format) per column
@@ -348,16 +344,14 @@ def evaluate_type(
     samples = [arrival_times(tr) for tr in test_trajectories]
     observed = [sample for sample in samples if sample is not None]
     _warn_skipped([tr for tr, sample in zip(test_trajectories, samples) if sample is None],
-                  "do not span the report levels; excluded")
+                  "do not cross the report levels in order; excluded")
     if not observed:
-        raise DataError("no test flight spans the report levels")
+        raise DataError("no test flight crosses the report levels in order")
     obs250 = np.array([s.t_fl250 for s in observed])
     obs325 = np.array([s.t_fl325 for s in observed])
 
+    # the window's climbs always span the report levels
     predicted = arrival_columns(climbs)   # model, nominal, lower, upper
-    if not predicted.size:
-        raise DataError("model trajectories do not span the report levels")
-
     slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
     samples = sample_values(model, len(observed), seed)
     generated = []

@@ -205,6 +205,24 @@ class TestWorkflow:
             f"{kind}_NBJT.csv" for kind in ("profiles", "arrivals_test", "kde")}
         assert not list((tmp_path / "eval").glob("*NBJ2*"))
 
+    def test_evaluate_excludes_a_flight_out_of_order(self, workdir, tmp_path, caplog):
+        # A-ODD reaches FL325 at t = 50 s and FL150 only at t = 129.5 s:
+        # its FL325 arrival comes first, so the MAE and the KL exclude it
+        # with a warning and the report is still written
+        odd = [f"A-ODD,NBJT,{t},{alt}" for t, alt in
+               [(0.0, 30000.0), (60.0, 33000.0), (120.0, 14000.0), (300.0, 33000.0)]]
+        lines = (workdir / "prep" / "test.csv").read_text().splitlines()
+        (tmp_path / "test.csv").write_text("\n".join(lines + odd) + "\n")
+        assert main(["evaluate", "--model-dir", str(workdir / "models"),
+                     "--test", str(tmp_path / "test.csv"),
+                     "--out", str(tmp_path / "eval"), "--seed", "2"]) == 0
+        assert [r.getMessage() for r in caplog.records if "A-ODD" in r.getMessage()] == [
+            "type NBJT: 1 test flight(s) do not cross the report levels in order; excluded "
+            "(first: A-ODD)"]
+        rows = (tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("NBJT,")
+        assert "A-ODD" not in (tmp_path / "eval" / "arrivals_test_NBJT.csv").read_text()
+
     def test_evaluate_level_sets_profile_envelope(self, workdir):
         assert main(["evaluate", "--model-dir", str(workdir / "models"),
                      "--test", str(workdir / "prep" / "test.csv"),

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from climbgen import cli, evaluation, generative, pipeline
+from climbgen.atmosphere import FT
 from climbgen.dynamics import ClimbTrajectory, integrate_climb
 from climbgen.errors import DataError, InfeasibleClimbError
 from climbgen.evaluation import (
-    ArrivalSample,
     arrival_times,
     coverage,
     kde_density,
@@ -115,9 +115,13 @@ class TestArrivalTimes:
             sample = arrival_times(climb)
             assert np.array([sample.t_fl250, sample.t_fl325]).tobytes() == column.tobytes()
 
-    def test_ordering_enforced(self):
-        with pytest.raises(Exception):
-            ArrivalSample(flight_id="X", t_fl250=100.0, t_fl325=50.0)
+    def test_out_of_order_arrivals_excluded(self):
+        # FL325 at t = 50 s, then down through FL150 and up through it at
+        # t = 129.5 s: the FL325 arrival comes before the FL250 arrival
+        traj = make_traj("A-ODD", [0.0, 60.0, 120.0, 300.0], [30000.0, 33000.0, 14000.0, 33000.0])
+        t250, t325 = evaluation._arrivals(traj.alt_ft, traj.t_s)
+        assert t250 == pytest.approx(94.74, abs=0.01) and t325 == pytest.approx(-79.47, abs=0.01)
+        assert arrival_times(traj) is None
 
 
 class TestMae:
@@ -203,6 +207,47 @@ class TestKlDivergence:
         assert peak < 10 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+def reference_coverage(test_trajectories, slow, fast):
+    """Coverage as it was computed a flight at a time, band read per flight."""
+    low_ft, high_ft = evaluation.INTERVAL_FL[0] * 100.0, evaluation.INTERVAL_FL[1] * 100.0
+    inside = total = 0
+    for tr in test_trajectories:
+        read = evaluation._crossing(tr.alt_ft, evaluation.REF_FL * 100.0)
+        if read is None:
+            continue
+        t0 = read(tr.t_s)
+        mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
+        if not np.any(mask):
+            continue
+        alt_m = tr.alt_ft[mask] * FT
+        tau = tr.t_s[mask] - t0
+        eps = 1e-9
+        inside += int(np.count_nonzero((tau >= fast.time_at(alt_m) - eps)
+                                       & (tau <= slow.time_at(alt_m) + eps)))
+        total += int(np.count_nonzero(mask))
+    if total == 0:
+        raise DataError("coverage: no test blips inside the interval")
+    return 100.0 * inside / total
+
+
+def random_tracks(seed, n):
+    """Tracks around the window: climbs with plateaus, dips below FL150
+    and altitudes on a 100 ft step, so some blips hit a level exactly; one
+    to 30 blips each, and some with no blip inside the window."""
+    rng = np.random.default_rng(seed)
+    tracks = []
+    for i in range(n):
+        size = int(rng.choice([1, 2, rng.integers(3, 31)], p=[0.1, 0.15, 0.75]))
+        t = np.cumsum(rng.uniform(4.0, 40.0, size))
+        rate_fps = rng.choice([-20.0, 0.0, 30.0, 50.0], size, p=[0.15, 0.15, 0.4, 0.3])
+        low, high = (12000.0, 34000.0) if rng.random() < 0.2 else (13500.0, 15500.0)
+        alt = rng.uniform(low, high) + np.cumsum(rate_fps * rng.uniform(4.0, 40.0, size))
+        if rng.random() < 0.5:
+            alt = np.round(alt, -2)
+        tracks.append(make_traj(f"R{i}", t, alt))
+    return tracks
+
+
 class TestCoverage:
     @pytest.fixture()
     def bands(self):
@@ -254,6 +299,38 @@ class TestCoverage:
         slow, fast = bands
         with pytest.raises(DataError):
             coverage([], slow, fast)
+
+    def test_equals_the_per_flight_reference(self, bands, small_world, nbjt):
+        model, split_data, _, _ = small_world
+        grid = model.basis.grid
+        model_bands = generative.bound_trajectories(
+            model, nbjt, nbjt.nominal_mass, float(grid[0]), float(grid[-1]), 0.5)
+        for slow, fast in (bands, model_bands):
+            assert coverage(split_data.test, slow, fast) == \
+                reference_coverage(split_data.test, slow, fast)
+        tracks = random_tracks(7, 600) + [
+            make_traj("dip", [0.0, 10.0, 20.0, 30.0, 40.0],
+                      [14000.0, 15500.0, 14800.0, 16000.0, 17000.0]),
+            make_traj("plateau", [0.0, 10.0, 20.0, 30.0], [15000.0, 15000.0, 20000.0, 20000.0]),
+            make_traj("hits", [0.0, 50.0, 90.0], [15000.0, 25000.0, 32500.0]),
+            make_traj("one", [0.0], [15000.0]),
+            make_traj("two", [0.0, 30.0], [14900.0, 16500.0]),
+            make_traj("over", [0.0, 60.0], [14000.0, 33000.0]),   # no window blip
+        ]
+        window = [((tr.alt_ft >= 15000.0) & (tr.alt_ft <= 32500.0)).sum() for tr in tracks]
+        assert {1, 2} <= {tr.n_blips for tr in tracks} and 0 in window
+        rng = np.random.default_rng(8)
+        for slow, fast in (bands, model_bands):
+            for _ in range(200):
+                chosen = [tracks[k] for k in rng.choice(len(tracks), rng.integers(1, 9))]
+                try:
+                    expected = reference_coverage(chosen, slow, fast)
+                except DataError:
+                    with pytest.raises(DataError):
+                        coverage(chosen, slow, fast)
+                    continue
+                assert coverage(chosen, slow, fast) == expected
+            assert coverage(tracks, slow, fast) == reference_coverage(tracks, slow, fast)
 
     def test_one_blip_flight_is_skipped(self, bands, caplog):
         # a blip just above FL150 has no segment to extrapolate its
@@ -434,7 +511,7 @@ class TestRunReport:
                                      tmp_path, seed=1)
         lines = [r.getMessage() for r in caplog.records]
         assert lines == [
-            "type NBJT: 8 test flight(s) do not span the report levels; excluded "
+            "type NBJT: 8 test flight(s) do not cross the report levels in order; excluded "
             "(first: S0, S1, S2)",
             "type NBJT: 4 test flight(s) have no FL150 crossing; skipped from coverage "
             "(first: H0, H1, H2)",
