@@ -153,10 +153,10 @@ def _cmd_bounds(args) -> int:
     lower, upper = generative.bound_profiles(model, args.level)
     # the slow and fast bound climbs of generative.bound_trajectories, from
     # the envelope above, integrated before either file is written
-    climbs = evaluation.model_climbs(perf, model.basis.grid, np.array([lower.values, upper.values]))
+    climbs = evaluation.model_climbs(perf, model.basis.grid, np.array([lower, upper]))
     climbs.raise_infeasible(["slow bound", "fast bound"])
     write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
-                  model.basis.grid, lower.values, model.mean_profile().values, upper.values)
+                  model.basis.grid, lower, model.basis.mean, upper)
     write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
                   climbs.h, climbs.t[1], climbs.t[0])
     print(f"wrote thrust and time bounds for {model.type_code} at level {args.level}")

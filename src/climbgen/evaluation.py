@@ -5,7 +5,7 @@ All arrival times are zero-referenced at the flight's upward crossing of
 the reference flight level ``REF_FL``, the bottom of the modeled window
 ``learning.INTERVAL_FL``, so observed, predicted, and sampled climbs share
 a common origin.  The second report level is the window's top, and
-coverage counts the test blips inside the window.
+coverage counts the test blips inside the window from that crossing on.
 
 ``model_climbs``, the climbs of a block of thrust profiles through the
 modeled window at nominal mass, is the climb that every model query and
@@ -15,19 +15,21 @@ the first axis of the times, so a block of climbs, which share their
 altitudes, is read a column per climb (``arrival_columns``), and one
 observed flight or one climb is a one-column block (``arrival_times``,
 ``coverage``).  The MAE and the KL read the test flights that cross
-``REF_FL``, FL250 and then FL325; coverage reads the window blips of the
-flights with a ``REF_FL`` crossing.  A flight that a metric cannot read
-is skipped, not fatal, and logged once per type and metric, with the
-count and the first three ids.
+``REF_FL``, FL250 and then FL325; coverage reads each flight's window
+blips at or after its ``REF_FL`` crossing.  A track of fewer than two
+blips has no crossing.  A flight that a metric cannot read is skipped,
+not fatal, and logged once per type and metric, with the count and the
+first three ids.
 
 ``evaluate_type`` scores one type and only then writes its three
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
-next.  Each type's thrust envelope is built once, and the nominal thrust
-is taken on the model's own grid.  A kernel density is summed over
-chunks of grid points, so neither it nor the KL divergence holds a
-(grid, sample) matrix.  CSV artifacts are written by
-``pipeline.write_columns`` and JSON ones by ``errors.write_json``.
+next.  Each type's thrust envelope is built once, as two arrays on the
+model's own grid, beside its mean and the nominal thrust on that grid.
+A kernel density is summed over chunks of grid points, so neither it nor
+the KL divergence holds a (grid, sample) matrix.  CSV artifacts are
+written by ``pipeline.write_columns`` and JSON ones by
+``errors.write_json``.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _crossing(alt_ft: np.ndarray, target_ft: float):
     from the times at the altitudes ``alt_ft``: a function of those times,
     along their first axis, so that one altitude column serves every
     column of a block of climbs' transposed times; None when the target is
-    out of reach.
+    out of reach or the track has fewer than two blips.
 
     The crossing is the first exact hit or the first segment that brackets
     the target, whichever comes first.  A segment that ends on the first
@@ -107,6 +109,8 @@ def _crossing(alt_ft: np.ndarray, target_ft: float):
     just below the target (clipped trajectories), it is a short linear
     extrapolation from the boundary segment.
     """
+    if alt_ft.size < 2:
+        return None
     # Data that start above the target cross it only after their first
     # blip at or below it; from there, the first blip at or above the
     # target is the exact hit, or ends the first bracketing segment.
@@ -119,8 +123,6 @@ def _crossing(alt_ft: np.ndarray, target_ft: float):
             return lambda t: t[k]
         frac = (target_ft - alt_ft[k - 1]) / (alt_ft[k] - alt_ft[k - 1])
         return lambda t: t[k - 1] + frac * (t[k] - t[k - 1])
-    if alt_ft.size < 2:   # no segment to extrapolate
-        return None
     if alt_ft[0] > target_ft >= alt_ft[0] - EXTRAP_TOL_FT and alt_ft[1] > alt_ft[0]:
         rise, below = alt_ft[1] - alt_ft[0], alt_ft[0] - target_ft
         return lambda t: t[0] - (t[1] - t[0]) / rise * below
@@ -162,7 +164,7 @@ def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
         t, alt, flight_id = traj.t, traj.h / FT, "model"
     else:
         t, alt, flight_id = traj.t_s, traj.alt_ft, traj.flight_id
-    times = _arrivals(alt, t) if t.size >= 2 else None
+    times = _arrivals(alt, t)
     if times is None or not times[0] < times[1]:
         return None
     return ArrivalSample(flight_id=flight_id, t_fl250=float(times[0]), t_fl325=float(times[1]))
@@ -262,11 +264,11 @@ def coverage(
     slow: ClimbTrajectory,
     fast: ClimbTrajectory,
 ) -> float:
-    """Percentage of the test blips inside ``INTERVAL_FL`` whose time,
-    zero-referenced at their flight's ``REF_FL`` crossing, lies within
-    [fast.t(alt), slow.t(alt)].  Each flight's crossing is read on its
-    own; the band is read once, at every window blip of the flights that
-    have a crossing.  Flights without one are skipped, with one warning."""
+    """Percentage of the test blips inside ``INTERVAL_FL``, at or after
+    their flight's ``REF_FL`` crossing, whose time, zero-referenced at that
+    crossing, lies within [fast.t(alt), slow.t(alt)].  Each flight's
+    crossing is read on its own; the band is read once, at every such blip.
+    Flights without a crossing are skipped, with one warning."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     alts, taus, skipped = [np.empty(0)], [np.empty(0)], []
     for tr in test_trajectories:
@@ -274,9 +276,10 @@ def coverage(
         if read is None:
             skipped.append(tr)
             continue
-        mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
+        t0 = read(tr.t_s)
+        mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft) & (tr.t_s >= t0)
         alts.append(tr.alt_ft[mask])
-        taus.append(tr.t_s[mask] - read(tr.t_s))
+        taus.append(tr.t_s[mask] - t0)
     _warn_skipped(skipped, f"have no FL{REF_FL:.0f} crossing; skipped from coverage")
     alt_m, tau = np.concatenate(alts) * FT, np.concatenate(taus)
     if not tau.size:
@@ -337,8 +340,7 @@ def evaluate_type(
     nominal = nominal_thrust(perf, grid)
     # the bound climbs of generative.bound_trajectories, keeping the envelope
     lower, upper = bound_profiles(model, level)
-    climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal,
-                                                lower.values, upper.values]))
+    climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal, lower, upper]))
     climbs.raise_infeasible(["mean", "nominal", "lower-envelope", "upper-envelope"])
 
     samples = [arrival_times(tr) for tr in test_trajectories]
@@ -376,8 +378,7 @@ def evaluate_type(
     out = Path(out)
     write_columns(
         out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
-        grid, model.mean_profile().values, lower.values, upper.values,
-        nominal, min_level_thrust(perf, grid),
+        grid, model.basis.mean, lower, upper, nominal, min_level_thrust(perf, grid),
     )
     write_columns(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",

@@ -202,21 +202,18 @@ def bound_weights(
 
 def bound_profiles(
     model: GenerativeClimbModel, level: float = 0.95
-) -> tuple[ThrustProfile, ThrustProfile]:
-    """Pointwise lower and upper thrust envelopes at a confidence level.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise lower and upper thrust envelopes (N) at a confidence
+    level: two arrays on ``model.basis.grid``.
 
-    One tangency solve per grid node and envelope (2 * n_g in total);
-    each node's bound is the basis reconstruction at the extreme weights.
+    One tangency solve per grid node; each node's bounds are the basis
+    reconstructions at its two extreme weights, which are each other's
+    negatives, so the bounds lie at the same distance from the mean.
     """
-    grid = model.basis.grid
-    lower = np.empty(grid.size)
-    upper = np.empty(grid.size)
-    for k in range(grid.size):
-        w_lo, w_up = bound_weights(model, k, level)
-        a = model.basis.modes[:, k]
-        lower[k] = model.basis.mean[k] + a @ w_lo
-        upper[k] = model.basis.mean[k] + a @ w_up
-    return ThrustProfile(grid.copy(), lower), ThrustProfile(grid.copy(), upper)
+    half = np.empty(model.basis.grid.size)
+    for k in range(half.size):
+        half[k] = model.basis.modes[:, k] @ bound_weights(model, k, level)[1]
+    return model.basis.mean - half, model.basis.mean + half
 
 
 def bound_trajectories(
@@ -233,9 +230,10 @@ def bound_trajectories(
     upper; an infeasible lower envelope raises ``InfeasibleClimbError``
     naming the failing altitude.
     """
+    grid = model.basis.grid
     lower, upper = bound_profiles(model, level)
-    slow = integrate_climb(perf, mass, lower, h_start, h_end)
-    fast = integrate_climb(perf, mass, upper, h_start, h_end)
+    slow = integrate_climb(perf, mass, ThrustProfile(grid, lower), h_start, h_end)
+    fast = integrate_climb(perf, mass, ThrustProfile(grid, upper), h_start, h_end)
     return slow, fast
 
 

@@ -233,9 +233,9 @@ class TestWorkflow:
         model = load_model(workdir / "models" / "model_NBJT.json")
         lower, upper = bound_profiles(model, 0.90)
         lower95, _ = bound_profiles(model, 0.95)
-        assert np.array_equal(table[:, header.index("lower_N")], lower.values)
-        assert np.array_equal(table[:, header.index("upper_N")], upper.values)
-        assert not np.array_equal(lower.values, lower95.values)
+        assert np.array_equal(table[:, header.index("lower_N")], lower)
+        assert np.array_equal(table[:, header.index("upper_N")], upper)
+        assert not np.array_equal(lower, lower95)
 
     @pytest.mark.parametrize("command", ["sample", "bounds", "predict"])
     def test_commands_deterministic(self, workdir, command, tmp_path):

@@ -115,6 +115,15 @@ class TestArrivalTimes:
             sample = arrival_times(climb)
             assert np.array([sample.t_fl250, sample.t_fl325]).tobytes() == column.tobytes()
 
+    @pytest.mark.parametrize("t, alt_ft", [([], []), ([0.0], [15000.0]), ([0.0], [25000.0])])
+    def test_fewer_than_two_blips_have_no_crossing(self, t, alt_ft):
+        # one rule in the shared reader: no crossing of any level, not even
+        # for a blip exactly at FL150
+        traj = make_traj("S", t, alt_ft)
+        assert evaluation._crossing(traj.alt_ft, 15000.0) is None
+        assert evaluation._arrivals(traj.alt_ft, traj.t_s) is None
+        assert arrival_times(traj) is None
+
     def test_out_of_order_arrivals_excluded(self):
         # FL325 at t = 50 s, then down through FL150 and up through it at
         # t = 129.5 s: the FL325 arrival comes before the FL250 arrival
@@ -208,19 +217,20 @@ class TestKlDivergence:
 
 
 def reference_coverage(test_trajectories, slow, fast):
-    """Coverage as it was computed a flight at a time, band read per flight."""
+    """Coverage as it was computed a flight at a time, band read per flight:
+    the window blips at or after the flight's FL150 crossing (tau >= 0)."""
     low_ft, high_ft = evaluation.INTERVAL_FL[0] * 100.0, evaluation.INTERVAL_FL[1] * 100.0
     inside = total = 0
     for tr in test_trajectories:
         read = evaluation._crossing(tr.alt_ft, evaluation.REF_FL * 100.0)
         if read is None:
             continue
-        t0 = read(tr.t_s)
-        mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
+        tau = tr.t_s - read(tr.t_s)
+        mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft) & (tau >= 0.0)
         if not np.any(mask):
             continue
         alt_m = tr.alt_ft[mask] * FT
-        tau = tr.t_s[mask] - t0
+        tau = tau[mask]
         eps = 1e-9
         inside += int(np.count_nonzero((tau >= fast.time_at(alt_m) - eps)
                                        & (tau <= slow.time_at(alt_m) + eps)))
@@ -332,18 +342,31 @@ class TestCoverage:
                 assert coverage(chosen, slow, fast) == expected
             assert coverage(tracks, slow, fast) == reference_coverage(tracks, slow, fast)
 
-    def test_one_blip_flight_is_skipped(self, bands, caplog):
-        # a blip just above FL150 has no segment to extrapolate its
-        # crossing from: the flight is skipped with the one warning
+    @pytest.mark.parametrize("alt_ft", [[], [15200.0], [15000.0]])
+    def test_a_flight_of_fewer_than_two_blips_is_skipped(self, bands, caplog, alt_ft):
+        # a track of fewer than two blips has no crossing, not even a blip
+        # exactly at FL150: the flight is skipped with the one warning
         slow, fast = bands
         traj = constant_rate_traj("A", 14500.0, 33500.0, 3.0 / 0.3048 * 60.0)
         alone = coverage([traj], slow, fast)
+        short = make_traj("X", [0.0] * len(alt_ft), alt_ft)
         with caplog.at_level("WARNING", logger="climbgen.evaluation"):
-            got = coverage([traj, make_traj("X", [0.0], [15200.0])], slow, fast)
+            got = coverage([short, traj], slow, fast)
         assert got == alone
         assert [r.getMessage() for r in caplog.records] == [
             "type NBJT: 1 test flight(s) have no FL150 crossing; skipped from coverage "
             "(first: X)"]
+
+    def test_blips_before_the_crossing_are_not_scored(self, bands):
+        # A-ODD's one window blip, 30000 ft at t = 0, comes 129.5 s before
+        # its FL150 crossing, so A-ODD has no blip to score
+        slow, fast = bands
+        traj = constant_rate_traj("A", 14500.0, 33500.0, 8.0 / 0.3048 * 60.0)
+        odd = make_traj("A-ODD", [0.0, 60.0, 120.0, 300.0], [30000.0, 33000.0, 14000.0, 33000.0])
+        assert coverage([traj], slow, fast) == pytest.approx(100.0)
+        assert coverage([odd, traj], slow, fast) == coverage([traj], slow, fast)
+        with pytest.raises(DataError, match="no test blips inside the interval"):
+            coverage([odd], slow, fast)
 
 
 class TestModelClimb:
@@ -402,7 +425,8 @@ class TestModelClimb:
         lower, _ = generative.bound_profiles(wide, 0.95)
         integrate_climb(perf, perf.nominal_mass, wide.mean_profile(), grid[0], grid[-1])
         with pytest.raises(InfeasibleClimbError) as want:
-            integrate_climb(perf, perf.nominal_mass, lower, grid[0], grid[-1])
+            integrate_climb(perf, perf.nominal_mass, ThrustProfile(grid, lower),
+                            grid[0], grid[-1])
         out = tmp_path / "out"
         with pytest.raises(InfeasibleClimbError) as got:
             evaluation.evaluate_type(wide, perf, split_data.test, out, seed=1)
@@ -426,16 +450,17 @@ class TestModelClimb:
         wide = generative.GenerativeClimbModel("NBJT", basis, model.n_flights_fit)
         grid = basis.grid
 
-        def climb(profile):
-            return integrate_climb(perf, perf.nominal_mass, profile, grid[0], grid[-1])
+        def climb(values):
+            return integrate_climb(perf, perf.nominal_mass, ThrustProfile(grid, values),
+                                   grid[0], grid[-1])
 
-        for profile in (wide.mean_profile(), *generative.bound_profiles(wide, 0.01)):
-            climb(profile)
+        for values in (basis.mean, *generative.bound_profiles(wide, 0.01)):
+            climb(values)
         n = sum(arrival_times(tr) is not None for tr in split_data.test)
         errors = []
         for k, row in enumerate(generative.sample_values(wide, n, seed)):
             try:
-                climb(ThrustProfile(grid, row))
+                climb(row)
             except InfeasibleClimbError as exc:
                 errors.append((k, exc))
         assert 2 <= len(errors) < n and str(errors[0][1]) != str(errors[1][1])
@@ -577,8 +602,8 @@ class TestRunReport:
         header = lines[0].split(",")
         table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         lower, upper = original(model, 0.9)
-        assert np.array_equal(table[:, header.index("lower_N")], lower.values)
-        assert np.array_equal(table[:, header.index("upper_N")], upper.values)
+        assert np.array_equal(table[:, header.index("lower_N")], lower)
+        assert np.array_equal(table[:, header.index("upper_N")], upper)
 
     def test_one_type_held_at_a_time(self, small_world, catalog, tmp_path):
         """Scoring a second type holds nothing of the first: two types of

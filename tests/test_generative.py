@@ -317,9 +317,9 @@ class TestBoundProfiles:
     def test_collapse_at_tiny_level(self):
         model = make_model(mu=(300.0, 100.0, -50.0))
         lower, upper = bound_profiles(model, level=1e-12)
-        recon = model.mean_profile().values
-        assert lower.values == pytest.approx(recon, abs=0.05)
-        assert upper.values == pytest.approx(recon, abs=0.05)
+        recon = model.basis.mean
+        assert lower == pytest.approx(recon, abs=0.05)
+        assert upper == pytest.approx(recon, abs=0.05)
 
     @pytest.mark.parametrize("fitted", [False, True])
     def test_equals_the_closed_form_envelope(self, small_world, fitted):
@@ -335,15 +335,18 @@ class TestBoundProfiles:
                 half = (math.sqrt(confidence_radius(basis.n_modes, level))
                         * np.sqrt(basis.variance @ basis.modes**2))
                 lower, upper = bound_profiles(model, level)
-                assert np.all(np.abs(upper.values - (basis.mean + half)) <= 1e-12 * half)
-                assert np.all(np.abs(lower.values - (basis.mean - half)) <= 1e-12 * half)
+                for bound in (lower, upper):   # two arrays on the model's grid
+                    assert isinstance(bound, np.ndarray) and bound.dtype == np.float64
+                    assert bound.shape == basis.grid.shape
+                assert np.all(np.abs(upper - (basis.mean + half)) <= 1e-12 * half)
+                assert np.all(np.abs(lower - (basis.mean - half)) <= 1e-12 * half)
 
     def test_pointwise_ordering(self):
         model = make_model(mu=(300.0, 100.0, -50.0))
         lower, upper = bound_profiles(model, level=0.95)
-        recon = model.mean_profile().values
-        assert np.all(lower.values <= recon + 1e-9)
-        assert np.all(upper.values >= recon - 1e-9)
+        recon = model.basis.mean
+        assert np.all(lower <= recon + 1e-9)
+        assert np.all(upper >= recon - 1e-9)
 
     def test_dominates_sampled_percentiles(self):
         model = make_model()
@@ -351,8 +354,8 @@ class TestBoundProfiles:
         values = np.stack([p.values for p in sample_thrust(model, 100_000, seed=11)])
         hi = np.percentile(values, 97.5, axis=0)
         lo = np.percentile(values, 2.5, axis=0)
-        assert np.all(upper.values >= hi - 1e-6)
-        assert np.all(lower.values <= lo + 1e-6)
+        assert np.all(upper >= hi - 1e-6)
+        assert np.all(lower <= lo + 1e-6)
 
     def test_matches_rejection_sampled_surface_extremes(self):
         # max of the node value over a dense sample of ellipsoid-surface points
@@ -365,8 +368,8 @@ class TestBoundProfiles:
         w_surface = radius * direction * np.sqrt(model.basis.variance)
         for k in (0, 33, 99):
             node_values = model.basis.mean[k] + w_surface @ model.basis.modes[:, k]
-            assert upper.values[k] >= node_values.max()
-            assert upper.values[k] == pytest.approx(node_values.max(), rel=1e-3)
+            assert upper[k] >= node_values.max()
+            assert upper[k] == pytest.approx(node_values.max(), rel=1e-3)
 
 
 class TestBoundTrajectories:
@@ -402,8 +405,8 @@ class TestPersistence:
         loaded = load_model(path)
         lo_a, up_a = bound_profiles(model)
         lo_b, up_b = bound_profiles(loaded)
-        assert np.array_equal(lo_a.values, lo_b.values)
-        assert np.array_equal(up_a.values, up_b.values)
+        assert np.array_equal(lo_a, lo_b)
+        assert np.array_equal(up_a, up_b)
         assert loaded.n_flights_fit == model.n_flights_fit
         assert json.loads(path.read_text())["interval_fl"] == list(INTERVAL_FL)
 
