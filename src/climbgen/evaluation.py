@@ -18,8 +18,11 @@ observed flight or one climb is a one-column block (``arrival_times``,
 ``REF_FL``, FL250 and then FL325; coverage reads each flight's window
 blips at or after its ``REF_FL`` crossing.  A track of fewer than two
 blips has no crossing.  A flight that a metric cannot read is skipped,
-not fatal, and logged once per type and metric, with the count and the
-first three ids.
+not fatal, and logged once per type and reason, with the count and the
+first three ids: the MAE and the KL name the flights that miss a level
+apart from those that cross the levels out of order, and coverage names
+the flights without a crossing apart from those with window blips
+before it, which it leaves out.
 
 ``evaluate_type`` scores one type and only then writes its three
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
@@ -268,19 +271,26 @@ def coverage(
     their flight's ``REF_FL`` crossing, whose time, zero-referenced at that
     crossing, lies within [fast.t(alt), slow.t(alt)].  Each flight's
     crossing is read on its own; the band is read once, at every such blip.
-    Flights without a crossing are skipped, with one warning."""
+    Flights without a crossing are skipped, with one warning, and flights
+    with blips inside the interval before their crossing are named in
+    another."""
     low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
-    alts, taus, skipped = [np.empty(0)], [np.empty(0)], []
+    alts, taus, skipped, early = [np.empty(0)], [np.empty(0)], [], []
     for tr in test_trajectories:
         read = _crossing(tr.alt_ft, REF_FL * 100.0)
         if read is None:
             skipped.append(tr)
             continue
         t0 = read(tr.t_s)
-        mask = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft) & (tr.t_s >= t0)
+        inside = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
+        mask = inside & (tr.t_s >= t0)
+        if np.count_nonzero(mask) < np.count_nonzero(inside):
+            early.append(tr)
         alts.append(tr.alt_ft[mask])
         taus.append(tr.t_s[mask] - t0)
     _warn_skipped(skipped, f"have no FL{REF_FL:.0f} crossing; skipped from coverage")
+    _warn_skipped(early, f"have window blips before their FL{REF_FL:.0f} crossing; "
+                         "those blips skipped from coverage")
     alt_m, tau = np.concatenate(alts) * FT, np.concatenate(taus)
     if not tau.size:
         raise DataError("coverage: no test blips inside the interval")
@@ -345,8 +355,13 @@ def evaluate_type(
 
     samples = [arrival_times(tr) for tr in test_trajectories]
     observed = [sample for sample in samples if sample is not None]
-    _warn_skipped([tr for tr, sample in zip(test_trajectories, samples) if sample is None],
-                  "do not cross the report levels in order; excluded")
+    excluded = [tr for tr, sample in zip(test_trajectories, samples) if sample is None]
+    missed = [_arrivals(tr.alt_ft, tr.t_s) is None for tr in excluded]
+    levels = ", ".join(f"FL{fl:.0f}" for fl in (REF_FL, *REPORT_FLS))
+    _warn_skipped([tr for tr, miss in zip(excluded, missed) if miss],
+                  f"miss one of {levels}; excluded")
+    _warn_skipped([tr for tr, miss in zip(excluded, missed) if not miss],
+                  "cross the report levels out of order; excluded")
     if not observed:
         raise DataError("no test flight crosses the report levels in order")
     obs250 = np.array([s.t_fl250 for s in observed])

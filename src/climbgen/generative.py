@@ -8,10 +8,13 @@ projections onto the eigenvectors of the covariance it decomposes, so
 their sample mean is 0 and their cross-covariances vanish exactly in
 sample, not only in expectation.  The confidence region is the
 axis-aligned ellipsoid whose radius is the chi-square quantile for the
-number of modes, found by bisection on the chi-square CDF, which at an
+number of modes, found by Newton steps on the chi-square CDF, which at an
 integer number of degrees of freedom is a finite sum (Abramowitz &
-Stegun 26.4.4-26.4.5).  For the thrust value at one grid node, the extreme
-weights over that ellipsoid have the closed form
+Stegun 26.4.4-26.4.5), with its density as the slope.  Every CDF
+evaluation narrows a bracket of the root and a step that would leave it
+is a bisection instead, so the steps close on the root and stop at the
+first one below ``1e-15 * x``.  For the thrust value at one grid node,
+the extreme weights over that ellipsoid have the closed form
 
     w_pm = +- sqrt(q) * (c o n_hat),        c = sqrt(basis.variance),
     n_hat = (a o c) / ||a o c||_2,          a_i = psi_i(h_k),
@@ -140,14 +143,28 @@ def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[Th
 
 def confidence_radius(n: int, level: float) -> float:
     """Chi-square quantile with ``n`` degrees of freedom at ``level``, by
-    bisection on the chi-square CDF.  At integer ``n`` that CDF is the
-    finite sum of Abramowitz & Stegun eqs. 26.4.4-26.4.5:
+    safeguarded Newton steps on the chi-square CDF (``rtsafe``, Press et
+    al., *Numerical Recipes* 9.4).  At integer ``n`` that CDF is the finite
+    sum of Abramowitz & Stegun eqs. 26.4.4-26.4.5:
 
         P(x) = H - exp(-x/2) * sum_j (x/2)^j / Gamma(j + 1),   j = a, a + 1, ... < n/2,
 
     with ``a = 0, H = 1`` for even ``n`` and ``a = 1/2, H = erf(sqrt(x/2))``
-    for odd ``n``.  Each term is formed in log space, so neither a power of
-    a large ``x/2`` overflows nor ``exp(-x/2)`` underflows on its own."""
+    for odd ``n``, and its derivative is the density
+    ``x^(n/2 - 1) exp(-x/2) / (2^(n/2) Gamma(n/2))``.  Each term is formed in
+    log space, so neither a power of a large ``x/2`` overflows nor
+    ``exp(-x/2)`` underflows on its own.
+
+    The steps start at ``x = n`` and stay inside a bracket ``[lo, hi]``
+    with ``P(lo) < level <= P(hi)`` that every CDF evaluation narrows.  A
+    step that would not land strictly inside it, or that the density
+    cannot take because it underflowed to 0, is a bisection instead, or a
+    doubling of ``x`` while ``hi`` is unbounded.  So every evaluation
+    shrinks the bracket: Newton steps shrink quadratically near the root,
+    and where the computed CDF equals ``level`` on an interval, bisections
+    halve the bracket down to the least ``x`` whose CDF reaches ``level``,
+    as a plain bisection would.  The search stops at the first step below
+    ``1e-15 * x``."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if not 0.0 < level < 1.0:
@@ -164,21 +181,32 @@ def confidence_radius(n: int, level: float) -> float:
             tail += math.exp(j * log_half - half - log_gamma)
         return (math.erf(math.sqrt(half)) if a else 1.0) - tail
 
-    hi = float(max(n, 1))
-    while cdf(hi) < level:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError("confidence level too close to 1")
-    lo = 0.0
+    log_norm = math.log(2.0) + math.lgamma(0.5 * n)
+
+    def density(x: float) -> float:
+        half = 0.5 * x
+        return math.exp((0.5 * n - 1.0) * math.log(half) - half - log_norm)
+
+    lo, hi, x = 0.0, math.inf, float(n)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < level:
-            lo = mid
+        gap = cdf(x) - level
+        if gap < 0.0:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+            hi = x
+        slope = density(x)
+        x_new = x - gap / slope if slope > 0.0 else lo
+        if not lo < x_new < hi:
+            if hi == math.inf:
+                x_new = 2.0 * x
+                if x_new > 1e12:
+                    raise DomainError("confidence level too close to 1")
+            else:
+                x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * x:
+            return x_new
+        x = x_new
+    return x
 
 
 def bound_weights(

@@ -217,8 +217,10 @@ class TestWorkflow:
                      "--test", str(tmp_path / "test.csv"),
                      "--out", str(tmp_path / "eval"), "--seed", "2"]) == 0
         assert [r.getMessage() for r in caplog.records if "A-ODD" in r.getMessage()] == [
-            "type NBJT: 1 test flight(s) do not cross the report levels in order; excluded "
-            "(first: A-ODD)"]
+            "type NBJT: 1 test flight(s) cross the report levels out of order; excluded "
+            "(first: A-ODD)",
+            "type NBJT: 1 test flight(s) have window blips before their FL150 crossing; "
+            "those blips skipped from coverage (first: A-ODD)"]
         rows = (tmp_path / "eval" / "metrics_report.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("NBJT,")
         assert "A-ODD" not in (tmp_path / "eval" / "arrivals_test_NBJT.csv").read_text()

@@ -368,6 +368,25 @@ class TestCoverage:
         with pytest.raises(DataError, match="no test blips inside the interval"):
             coverage([odd], slow, fast)
 
+    def test_flights_with_blips_before_the_crossing_are_named(self, bands, caplog):
+        # A-ODD's window blip at t = 0 and B-DIP's 20000 ft blip at t = 0
+        # come before their FL150 crossings (129.5 s and 90 s): one warning
+        # names both, and B-DIP scores as it would without that blip
+        slow, fast = bands
+        traj = constant_rate_traj("A", 14500.0, 33500.0, 8.0 / 0.3048 * 60.0)
+        odd = make_traj("A-ODD", [0.0, 60.0, 120.0, 300.0], [30000.0, 33000.0, 14000.0, 33000.0])
+        dip = make_traj("B-DIP", [0.0, 60.0, 120.0, 400.0], [20000.0, 14000.0, 16000.0, 30000.0])
+        late = make_traj("B-DIP", [60.0, 120.0, 400.0], [14000.0, 16000.0, 30000.0])
+        with caplog.at_level("WARNING", logger="climbgen.evaluation"):
+            got = coverage([odd, traj, dip], slow, fast)
+            assert [r.getMessage() for r in caplog.records] == [
+                "type NBJT: 2 test flight(s) have window blips before their FL150 crossing; "
+                "those blips skipped from coverage (first: A-ODD, B-DIP)"]
+            caplog.clear()
+            assert got == coverage([traj, late], slow, fast)
+            assert coverage([traj], slow, fast) == pytest.approx(100.0)
+        assert caplog.records == []
+
 
 class TestModelClimb:
     def test_the_window_climb_at_nominal_mass(self, small_world, catalog):
@@ -536,10 +555,28 @@ class TestRunReport:
                                      tmp_path, seed=1)
         lines = [r.getMessage() for r in caplog.records]
         assert lines == [
-            "type NBJT: 8 test flight(s) do not cross the report levels in order; excluded "
+            "type NBJT: 8 test flight(s) miss one of FL150, FL250, FL325; excluded "
             "(first: S0, S1, S2)",
             "type NBJT: 4 test flight(s) have no FL150 crossing; skipped from coverage "
             "(first: H0, H1, H2)",
+        ]
+
+    def test_a_flight_out_of_order_is_named_apart_from_one_that_misses_a_level(
+            self, small_world, catalog, tmp_path, caplog):
+        # S0 tops out below FL325; A-ODD reaches FL325 before FL150 and
+        # FL250: both are excluded from the MAE and the KL, each for its
+        # own reason
+        model, split_data, _, _ = small_world
+        short = constant_rate_traj("S0", 14000.0, 30000.0, 2000.0)
+        odd = make_traj("A-ODD", [0.0, 60.0, 120.0, 300.0], [30000.0, 33000.0, 14000.0, 33000.0])
+        with caplog.at_level("WARNING", logger="climbgen.evaluation"):
+            evaluation.evaluate_type(model, catalog["NBJT"], [odd, short, *split_data.test],
+                                     tmp_path, seed=1)
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[:2] == [
+            "type NBJT: 1 test flight(s) miss one of FL150, FL250, FL325; excluded (first: S0)",
+            "type NBJT: 1 test flight(s) cross the report levels out of order; excluded "
+            "(first: A-ODD)",
         ]
 
     def test_missing_model_skipped_with_warning(self, small_world, catalog, tmp_path, caplog):

@@ -192,6 +192,36 @@ class TestSampleThrust:
         assert np.max(np.abs(off)) < 0.02
 
 
+def reference_confidence_radius(n, level):
+    """The chi-square quantile by bisection on the same finite-sum CDF
+    (Abramowitz & Stegun 26.4.4-26.4.5), down to a bracket of 1e-14
+    relative: the oracle for ``confidence_radius``'s Newton steps."""
+    a = 0.5 * (n % 2)
+    terms = [(k + a, math.lgamma(k + a + 1.0)) for k in range(n // 2)]
+
+    def cdf(x):
+        half = 0.5 * x
+        tail = sum(math.exp(j * math.log(half) - half - log_gamma) for j, log_gamma in terms)
+        return (math.erf(math.sqrt(half)) if a else 1.0) - tail
+
+    hi = float(n)
+    while cdf(hi) < level:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+ORACLE_LEVELS = (0.01, 0.05, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
+
+
 class TestConfidenceRadius:
     def test_one_dof_is_squared_normal_quantile(self):
         assert confidence_radius(1, 0.95) == pytest.approx(3.8415, abs=1e-4)
@@ -214,6 +244,18 @@ class TestConfidenceRadius:
         assert confidence_radius(1, level) == pytest.approx(
             scipy.stats.chi2.ppf(level, 1), rel=1e-9, abs=0.0
         )
+
+    @pytest.mark.parametrize("level", ORACLE_LEVELS)
+    def test_matches_the_bisection_oracle(self, level):
+        for n in range(1, 41):
+            assert confidence_radius(n, level) == pytest.approx(
+                reference_confidence_radius(n, level), rel=1e-13, abs=0.0), n
+
+    def test_increases_with_level_and_with_n(self):
+        radii = np.array([[confidence_radius(n, level) for level in ORACLE_LEVELS]
+                          for n in range(1, 41)])
+        assert np.all(np.diff(radii, axis=1) > 0.0)
+        assert np.all(np.diff(radii, axis=0) > 0.0)
 
     def test_tiny_level_gives_tiny_radius(self):
         assert confidence_radius(2, 1e-10) < 1e-8
