@@ -23,9 +23,10 @@ checks its document with three rules, each of which raises
 ``ValidationError`` naming the key at fault:
 
 - ``json_object``: an object holds every required key and no other;
-- ``json_number`` and ``json_numbers``: a number, or an array of
-  numbers, is a finite JSON number (not ``true``, text, ``null``,
-  ``NaN``, ``Infinity`` or an integer past the float range);
+- ``json_number`` and ``json_numbers``: a number is a finite JSON
+  number (not ``true``, text, ``null``, ``NaN``, ``Infinity`` or an
+  integer past the float range), and ``json_numbers`` reads each entry
+  of an array of numbers by ``json_number``;
 - ``json_count``: a count is a JSON integer of at least 1.
 
 ``check_type_code`` is the rule for a type code, and ``write_json``
@@ -142,7 +143,8 @@ def json_numbers(value, where: str, depth: int = 1) -> np.ndarray:
     """``value``, read from a JSON input, as a float array of ``depth``
     dimensions.  Raise ``ValidationError`` naming ``where`` unless it is an
     array of finite JSON numbers or, at depth 2, of such arrays of one
-    length; an entry that ``json_number`` refuses is named as one."""
+    length.  Each entry is read by ``json_number``, and one that it
+    refuses is named as an entry."""
     what = " of ".join(["an array"] + ["equal-length arrays"] * (depth - 1)) + " of finite numbers"
     flat, shape = [value], []
     for _ in range(depth):
@@ -154,9 +156,6 @@ def json_numbers(value, where: str, depth: int = 1) -> np.ndarray:
             raise ValidationError(f"{where} must be {what}, got lengths {sorted(lengths)}")
         shape.append(lengths.pop() if lengths else 0)
         flat = list(chain.from_iterable(flat))
-    # all floats and all finite is one test; only another array reads entry by entry
-    if set(map(type, flat)) <= {float} and np.isfinite(array := np.array(flat, float)).all():
-        return array.reshape(shape)
     return np.array([json_number(v, f"{where} entry") for v in flat], float).reshape(shape)
 
 

@@ -15,14 +15,16 @@ the first axis of the times, so a block of climbs, which share their
 altitudes, is read a column per climb (``arrival_columns``), and one
 observed flight or one climb is a one-column block (``arrival_times``,
 ``coverage``).  The MAE and the KL read the test flights that cross
-``REF_FL``, FL250 and then FL325; coverage reads each flight's window
-blips at or after its ``REF_FL`` crossing.  A track of fewer than two
-blips has no crossing.  A flight that a metric cannot read is skipped,
-not fatal, and logged once per type and reason, with the count and the
-first three ids: the MAE and the KL name the flights that miss a level
-apart from those that cross the levels out of order, and coverage names
-the flights without a crossing apart from those with window blips
-before it, which it leaves out.
+``REF_FL``, FL250 and then FL325: ``evaluate_type`` reads each flight
+once, and that read gives its arrivals or its reason for exclusion.
+Coverage reads each flight's window blips at or after its ``REF_FL``
+crossing.  A track of fewer than two blips has no crossing.  A flight
+that a metric cannot read is skipped, not fatal, and logged once per
+type and reason, with the count and the first three ids: the MAE and
+the KL name the flights that miss a level apart from those that cross
+the levels out of order, and coverage names the flights without a
+crossing apart from those with window blips before it, which it leaves
+out.
 
 ``evaluate_type`` scores one type and only then writes its three
 plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
@@ -72,7 +74,6 @@ class ArrivalSample:
     """Zero-referenced arrival times (s) at the two report flight levels,
     the first before the second, as ``arrival_times`` reads them."""
 
-    flight_id: str
     t_fl250: float
     t_fl325: float
 
@@ -163,14 +164,11 @@ def arrival_times(traj: Trajectory | ClimbTrajectory) -> ArrivalSample | None:
     does not cross the levels in order: it misses one, or its FL325
     arrival does not follow its FL250 arrival.  One track is read as a
     one-climb block is."""
-    if isinstance(traj, ClimbTrajectory):
-        t, alt, flight_id = traj.t, traj.h / FT, "model"
-    else:
-        t, alt, flight_id = traj.t_s, traj.alt_ft, traj.flight_id
-    times = _arrivals(alt, t)
+    times = (_arrivals(traj.h / FT, traj.t) if isinstance(traj, ClimbTrajectory)
+             else _arrivals(traj.alt_ft, traj.t_s))
     if times is None or not times[0] < times[1]:
         return None
-    return ArrivalSample(flight_id=flight_id, t_fl250=float(times[0]), t_fl325=float(times[1]))
+    return ArrivalSample(t_fl250=float(times[0]), t_fl325=float(times[1]))
 
 
 def mae(predicted: float | np.ndarray, observed: np.ndarray) -> float:
@@ -353,24 +351,23 @@ def evaluate_type(
     climbs = model_climbs(perf, grid, np.array([model.basis.mean, nominal, lower, upper]))
     climbs.raise_infeasible(["mean", "nominal", "lower-envelope", "upper-envelope"])
 
-    samples = [arrival_times(tr) for tr in test_trajectories]
-    observed = [sample for sample in samples if sample is not None]
-    excluded = [tr for tr, sample in zip(test_trajectories, samples) if sample is None]
-    missed = [_arrivals(tr.alt_ft, tr.t_s) is None for tr in excluded]
+    reads = [_arrivals(tr.alt_ft, tr.t_s) for tr in test_trajectories]
+    in_order = [times is not None and times[0] < times[1] for times in reads]
     levels = ", ".join(f"FL{fl:.0f}" for fl in (REF_FL, *REPORT_FLS))
-    _warn_skipped([tr for tr, miss in zip(excluded, missed) if miss],
+    _warn_skipped([tr for tr, times in zip(test_trajectories, reads) if times is None],
                   f"miss one of {levels}; excluded")
-    _warn_skipped([tr for tr, miss in zip(excluded, missed) if not miss],
+    _warn_skipped([tr for tr, times, ok in zip(test_trajectories, reads, in_order)
+                   if times is not None and not ok],
                   "cross the report levels out of order; excluded")
-    if not observed:
+    if not any(in_order):
         raise DataError("no test flight crosses the report levels in order")
-    obs250 = np.array([s.t_fl250 for s in observed])
-    obs325 = np.array([s.t_fl325 for s in observed])
+    ids = [tr.flight_id for tr, ok in zip(test_trajectories, in_order) if ok]
+    obs250, obs325 = np.array([times for times, ok in zip(reads, in_order) if ok]).T.copy()
 
     # the window's climbs always span the report levels
     predicted = arrival_columns(climbs)   # model, nominal, lower, upper
     slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
-    samples = sample_values(model, len(observed), seed)
+    samples = sample_values(model, len(ids), seed)
     generated = []
     for start in range(0, len(samples), BLOCK_CLIMBS):
         block = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
@@ -397,9 +394,9 @@ def evaluate_type(
     )
     write_columns(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
-        repeat_each([s.flight_id for s in observed], [2] * len(observed)),
+        repeat_each(ids, [2] * len(ids)),
         np.column_stack((obs250, obs325)).ravel(),
-        [repr(fl * 100.0) for fl in REPORT_FLS] * len(observed),
+        [repr(fl * 100.0) for fl in REPORT_FLS] * len(ids),
     )
     kde = [_kde_pair(obs250, gen250, KDE_PLOT_SIZE), _kde_pair(obs325, gen325, KDE_PLOT_SIZE)]
     write_columns(

@@ -26,7 +26,8 @@ misspecification: it is whatever thrust makes the total-energy model
 reproduce the observed climb rate at nominal mass and schedule speed.
 Profiles live on a common altitude grid; the basis consists of the
 pointwise mean plus discretized eigenfunctions that are orthonormal in
-the trapezoidal quadrature inner product.
+the trapezoidal quadrature inner product.  An eigenfunction's sign is
+arbitrary; ``fit_fpca`` signs every mode at once by one array rule.
 """
 
 from __future__ import annotations
@@ -323,8 +324,10 @@ def fit_fpca(grid: np.ndarray, values: np.ndarray, n_max: int = MAX_COMPONENTS) 
     (Ramsay & Silverman 2005, ch. 8), so the basis is also the fitted
     weight density.  The covariance is summed by ``np.einsum`` without
     BLAS, so the result does not depend on the BLAS thread count.
-    Mode signs are fixed so each mode's quadrature integral is
-    non-negative (tie: first non-zero node positive).  Profiles whose total
+    A mode's sign is arbitrary, so one rule fixes it: the mode's
+    quadrature integral is made positive when its magnitude exceeds
+    1e-10 of the mode's largest magnitude, and otherwise the mode's first
+    node above that threshold is made positive.  Profiles whose total
     variance is round-off raise ``DataError``.
     """
     grid = np.asarray(grid, dtype=float)
@@ -358,23 +361,15 @@ def fit_fpca(grid: np.ndarray, values: np.ndarray, n_max: int = MAX_COMPONENTS) 
         raise DataError("the thrust profiles have no variance")
 
     n_keep = min(n_max, select_components(evals / total), x.shape[0] - 1)
-    n_keep = max(n_keep, 1)
-    modes = np.empty((n_keep, grid.size))
-    for i in range(n_keep):
-        modes[i] = _fix_sign(evecs[:, i] / sqrt_w, w)
+    # C order, so each row's integral is summed as a lone mode's would be
+    modes = np.ascontiguousarray(evecs[:, :n_keep].T) / sqrt_w
+    threshold = 1e-10 * np.max(np.abs(modes), axis=1)
+    integral = np.sum(w * modes, axis=1)
+    first_node = modes[np.arange(n_keep), np.argmax(np.abs(modes) > threshold[:, None], axis=1)]
+    signed_by = np.where(np.abs(integral) > threshold, integral, first_node)
+    modes *= np.where(signed_by < 0.0, -1.0, 1.0)[:, None]
     return FpcaBasis(grid=grid.copy(), mean=mean, modes=modes, variance=evals[:n_keep],
                      total_variance=total)
-
-
-def _fix_sign(mode: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    integral = float(np.sum(weights * mode))
-    scale = float(np.max(np.abs(mode)))
-    if abs(integral) > 1e-10 * scale:
-        return mode if integral > 0.0 else -mode
-    nonzero = np.flatnonzero(np.abs(mode) > 1e-10 * scale)
-    if nonzero.size and mode[nonzero[0]] < 0.0:
-        return -mode
-    return mode
 
 
 def project_weights(basis: FpcaBasis, profile: ThrustProfile) -> np.ndarray:

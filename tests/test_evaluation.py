@@ -10,7 +10,7 @@ import pytest
 
 from climbgen import cli, evaluation, generative, pipeline
 from climbgen.atmosphere import FT
-from climbgen.dynamics import ClimbTrajectory, integrate_climb
+from climbgen.dynamics import BLOCK_CLIMBS, ClimbTrajectory, integrate_climb
 from climbgen.errors import DataError, InfeasibleClimbError
 from climbgen.evaluation import (
     arrival_times,
@@ -578,6 +578,36 @@ class TestRunReport:
             "type NBJT: 1 test flight(s) cross the report levels out of order; excluded "
             "(first: A-ODD)",
         ]
+
+    def test_each_test_flight_is_read_once(self, small_world, catalog, tmp_path, caplog,
+                                           count_calls):
+        # A-ODD crosses the levels out of order and CUT, a test flight cut
+        # below FL325, misses one: one read of each flight names its reason
+        model, split_data, _, _ = small_world
+        first = split_data.test[0]
+        below = first.alt_ft < 31500.0
+        cut = Trajectory("CUT", first.type_code, first.t_s[below], first.alt_ft[below])
+        odd = make_traj("A-ODD", [0.0, 60.0, 120.0, 300.0], [30000.0, 33000.0, 14000.0, 33000.0])
+        flights = [odd, *split_data.test, cut]
+        plain = evaluation.evaluate_type(model, catalog["NBJT"], split_data.test,
+                                         tmp_path / "plain", seed=1)
+        reads = count_calls(evaluation, "_arrivals")
+        one_track = count_calls(evaluation, "arrival_times")
+        with caplog.at_level("WARNING", logger="climbgen.evaluation"):
+            report = evaluation.evaluate_type(model, catalog["NBJT"], flights, tmp_path / "both",
+                                              seed=1)
+        model_blocks = 1 + -(-len(split_data.test) // BLOCK_CLIMBS)
+        assert len(reads) == len(flights) + model_blocks
+        assert one_track == []
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[:2] == [
+            "type NBJT: 1 test flight(s) miss one of FL150, FL250, FL325; excluded (first: CUT)",
+            "type NBJT: 1 test flight(s) cross the report levels out of order; excluded "
+            "(first: A-ODD)",
+        ]
+        for field in ("mae_fl250_model", "mae_fl250_nominal", "mae_fl325_model",
+                      "mae_fl325_nominal", "kl_fl250", "kl_fl325"):
+            assert getattr(report, field) == getattr(plain, field)
 
     def test_missing_model_skipped_with_warning(self, small_world, catalog, tmp_path, caplog):
         _, split_data, _, _ = small_world

@@ -23,7 +23,7 @@ from climbgen.learning import (
     trapezoid_weights,
 )
 from climbgen.performance import min_level_thrust, nominal_thrust
-from climbgen.pipeline import Trajectory
+from climbgen.pipeline import Trajectory, truth_modes
 
 
 def orthonormal_shapes(grid, count):
@@ -327,23 +327,56 @@ class TestFitFpca:
         with pytest.raises(DomainError):
             fit_fpca(grid, values)
 
+    def test_one_sign_rule_signs_every_mode(self):
+        # the flat truth shape's integral is far from zero, the cosine
+        # shapes' integrals are round-off: both branches of the rule run
+        grid = default_grid()
+        weights = _whitened_weights(40, [4.0, 3.0, 2.0, 1.0], seed=21)
+        basis = fit_fpca(grid, 85000.0 + weights @ truth_modes(grid, 4), n_max=4)
+        w = trapezoid_weights(grid)
+        by_integral = []
+        for mode in basis.modes:
+            assert np.array_equal(reference_fix_sign(mode, w), mode)
+            assert np.array_equal(reference_fix_sign(-mode, w), mode)
+            by_integral.append(abs(np.sum(w * mode)) > 1e-10 * np.max(np.abs(mode)))
+        assert basis.n_modes >= 2 and by_integral[0] and not all(by_integral)
+        assert basis.modes.flags.c_contiguous
 
-def _rank3_basis(grid, n_flights, seed):
-    """Profiles whose empirical variance ratios are exactly 9:4:1.
+
+def reference_fix_sign(mode, weights):
+    """One mode signed by the rule that ``fit_fpca`` applies to all at
+    once: a clearly non-zero quadrature integral is made positive, and
+    otherwise the first node above the threshold."""
+    integral = float(np.sum(weights * mode))
+    scale = float(np.max(np.abs(mode)))
+    if abs(integral) > 1e-10 * scale:
+        return mode if integral > 0.0 else -mode
+    nonzero = np.flatnonzero(np.abs(mode) > 1e-10 * scale)
+    if nonzero.size and mode[nonzero[0]] < 0.0:
+        return -mode
+    return mode
+
+
+def _whitened_weights(n_flights, sds, seed):
+    """Weights whose sample covariance is ``diag(1000 * sds)**2``.
 
     Random weights are whitened so the sample covariance is the identity,
     then scaled per mode; cross-covariances vanish exactly.
     """
     rng = np.random.default_rng(seed)
-    shapes = orthonormal_shapes(grid, 3)
-    z = rng.standard_normal((n_flights, 3))
+    z = rng.standard_normal((n_flights, len(sds)))
     z -= z.mean(axis=0)
     cov = z.T @ z / (n_flights - 1)
     chol = np.linalg.cholesky(cov)
     white = z @ np.linalg.inv(chol).T
-    weights = white * np.array([3.0, 2.0, 1.0]) * 1000.0
+    return white * np.array(sds) * 1000.0
+
+
+def _rank3_basis(grid, n_flights, seed):
+    """Profiles whose empirical variance ratios are exactly 9:4:1."""
+    weights = _whitened_weights(n_flights, [3.0, 2.0, 1.0], seed)
     mean = 85000.0 - 1.5 * (grid - grid[0])
-    return fit_fpca(grid, mean + weights @ shapes)
+    return fit_fpca(grid, mean + weights @ orthonormal_shapes(grid, 3))
 
 
 class TestProjectWeights:
