@@ -159,14 +159,6 @@ def rocd(
     return float(r) if np.ndim(r) == 0 else r
 
 
-def time_from_rocd(h: np.ndarray, rocd_values: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoidal time-at-altitude from pointwise climb rates,
-    along the last axis of ``rocd_values``: one climb, or one per row."""
-    h = np.asarray(h, dtype=float)
-    r = np.asarray(rocd_values, dtype=float)
-    return _trapezoid_times(0.5 * np.diff(h), r, r.shape[-1])
-
-
 def _trapezoid_times(half_step: np.ndarray, r: np.ndarray, n_left: int) -> np.ndarray:
     """Cumulative trapezoidal time along the last axis of the climb rates
     ``r``, on nodes whose steps are ``2 * half_step``.  When ``n_left`` is

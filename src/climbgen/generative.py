@@ -11,9 +11,12 @@ axis-aligned ellipsoid whose radius is the chi-square quantile for the
 number of modes, found by Newton steps on the chi-square CDF, which at an
 integer number of degrees of freedom is a finite sum (Abramowitz &
 Stegun 26.4.4-26.4.5), with its density as the slope.  Every CDF
-evaluation narrows a bracket of the root and a step that would leave it
-is a bisection instead, so the steps close on the root and stop at the
-first one below ``1e-15 * x``.  For the thrust value at one grid node,
+evaluation narrows a bracket of the root.  A Newton step already below
+``1e-15 * x`` is the result, taken before the bracket test; any other step
+that would leave the bracket is a bisection instead.  The steps aim half an
+ulp below the level, where the stretch of ``x`` on which the computed CDF
+equals the level begins, so the result is the least ``x`` whose computed
+CDF reaches the level.  For the thrust value at one grid node,
 the extreme weights over that ellipsoid have the closed form
 
     w_pm = +- sqrt(q) * (c o n_hat),        c = sqrt(basis.variance),
@@ -157,14 +160,22 @@ def confidence_radius(n: int, level: float) -> float:
 
     The steps start at ``x = n`` and stay inside a bracket ``[lo, hi]``
     with ``P(lo) < level <= P(hi)`` that every CDF evaluation narrows.  A
-    step that would not land strictly inside it, or that the density
-    cannot take because it underflowed to 0, is a bisection instead, or a
-    doubling of ``x`` while ``hi`` is unbounded.  So every evaluation
-    shrinks the bracket: Newton steps shrink quadratically near the root,
-    and where the computed CDF equals ``level`` on an interval, bisections
-    halve the bracket down to the least ``x`` whose CDF reaches ``level``,
-    as a plain bisection would.  The search stops at the first step below
-    ``1e-15 * x``."""
+    Newton step shorter than ``1e-15 * x`` is returned at once, before the
+    bracket test, as ``rtsafe`` tests each step for convergence before it
+    bisects: such a step can land on an end of the bracket, and bisecting
+    back from the other end would take many more evaluations.  Any
+    other step that would not land strictly inside the bracket, or that the
+    density cannot take because it underflowed to 0, is a bisection
+    instead, or a doubling of ``x`` while ``hi`` is unbounded; the search
+    also stops at the first such step below ``1e-15 * x``.
+
+    Near the root the computed CDF moves in steps of an ulp of ``level``, so
+    it equals ``level`` on a whole stretch of ``x``, and a step aimed at
+    ``level`` itself could stop anywhere on it.  So each step aims half an
+    ulp below ``level``, where the stretch begins, and the result is, to
+    the tolerance, the least ``x`` whose computed CDF reaches ``level``:
+    the quantile as a bisection on the same CDF defines it
+    (``reference_confidence_radius`` in the tests)."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if not 0.0 < level < 1.0:
@@ -187,15 +198,21 @@ def confidence_radius(n: int, level: float) -> float:
         half = 0.5 * x
         return math.exp((0.5 * n - 1.0) * math.log(half) - half - log_norm)
 
+    half_ulp = 0.5 * math.ulp(level)
     lo, hi, x = 0.0, math.inf, float(n)
     for _ in range(200):
-        gap = cdf(x) - level
-        if gap < 0.0:
+        p = cdf(x)
+        if p < level:
             lo = x
         else:
             hi = x
         slope = density(x)
-        x_new = x - gap / slope if slope > 0.0 else lo
+        if slope > 0.0:
+            x_new = x - (p - level + half_ulp) / slope
+            if abs(x_new - x) <= 1e-15 * x:
+                return x_new
+        else:
+            x_new = lo
         if not lo < x_new < hi:
             if hi == math.inf:
                 x_new = 2.0 * x

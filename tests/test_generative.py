@@ -222,6 +222,22 @@ def reference_confidence_radius(n, level):
 ORACLE_LEVELS = (0.01, 0.05, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9)
 
 
+class CountingMath:
+    """Stands in for ``generative.math`` and counts the ``log`` calls.  Each
+    step of ``confidence_radius`` takes the log of ``x / 2`` once in the CDF
+    and once in the density, so half the count is its CDF evaluations."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
 class TestConfidenceRadius:
     def test_one_dof_is_squared_normal_quantile(self):
         assert confidence_radius(1, 0.95) == pytest.approx(3.8415, abs=1e-4)
@@ -256,6 +272,25 @@ class TestConfidenceRadius:
                           for n in range(1, 41)])
         assert np.all(np.diff(radii, axis=1) > 0.0)
         assert np.all(np.diff(radii, axis=0) > 0.0)
+
+    def test_cdf_evaluations_on_the_oracle_grid(self, monkeypatch):
+        # a Newton step within tolerance is taken even on an end of the
+        # bracket, so no cell bisects back from far away; the bounds also
+        # keep the 200-step fallback out of reach
+        counting = CountingMath()
+        monkeypatch.setattr(generative, "math", counting)
+
+        def evaluations(n, level):
+            counting.logs = 0
+            confidence_radius(n, level)
+            return counting.logs // 2
+
+        counts = {(n, level): evaluations(n, level)
+                  for n in range(1, 41) for level in ORACLE_LEVELS}
+        assert sum(counts.values()) <= 6000
+        assert max(counts.values()) <= 50
+        # the levels model_queries bounds at, on models of up to 10 modes
+        assert max(counts[n, level] for n in range(1, 11) for level in (0.9, 0.95, 0.99)) <= 11
 
     def test_tiny_level_gives_tiny_radius(self):
         assert confidence_radius(2, 1e-10) < 1e-8
