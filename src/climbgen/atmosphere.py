@@ -38,17 +38,17 @@ def fl_to_m(fl: float) -> float:
 
 @dataclass(frozen=True)
 class AtmosphereState:
-    """Atmospheric conditions at one altitude (fields may be arrays).
+    """Atmospheric conditions at an array of altitudes.
 
     ``T`` is the standard-atmosphere temperature; density is evaluated at
     ``T + delta_T`` so the offset propagates to everything density-driven.
     """
 
-    h: float | np.ndarray
-    T: float | np.ndarray
+    h: np.ndarray
+    T: np.ndarray
     delta_T: float
-    p: float | np.ndarray
-    rho: float | np.ndarray
+    p: np.ndarray
+    rho: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,11 @@ class SpeedSchedule:
             raise DomainError(f"mach must lie in (0, 1), got {self.mach}")
 
 
-def isa_state(h: float | np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
-    """Standard-atmosphere temperature, pressure, and density at altitude.
+def isa_state(h: np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
+    """Standard-atmosphere temperature, pressure, and density at altitudes.
 
     Args:
-        h: geodetic altitude in metres, within [0, 20000].
+        h: geodetic altitudes in metres, within [0, 20000].
         delta_T: temperature offset in K applied on top of the standard
             profile (affects density, not pressure).
     """
@@ -91,8 +91,6 @@ def isa_state(h: float | np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
     if np.any(T + delta_T <= 0.0):
         raise DomainError("delta_T drives the effective temperature non-positive")
     rho = p / (R_AIR * (T + delta_T))
-    if np.ndim(h) == 0:
-        return AtmosphereState(float(h_arr), float(T), float(delta_T), float(p), float(rho))
     return AtmosphereState(h_arr, T, float(delta_T), p, rho)
 
 
@@ -106,29 +104,27 @@ def pressure_to_altitude(p: float) -> float:
     return H_TROPOPAUSE + R_AIR * T_TROPOPAUSE / G0 * np.log(P_TROPOPAUSE / p)
 
 
-def speed_of_sound(state: AtmosphereState) -> float | np.ndarray:
+def speed_of_sound(state: AtmosphereState) -> np.ndarray:
     """Speed of sound sqrt(kappa R (T + dT)) in m/s."""
     return np.sqrt(KAPPA * R_AIR * (state.T + state.delta_T))
 
 
-def cas_to_tas(v_cas: float | np.ndarray, state: AtmosphereState) -> float | np.ndarray:
+def cas_to_tas(v_cas: float | np.ndarray, state: AtmosphereState) -> np.ndarray:
     """True airspeed from calibrated airspeed, full compressible conversion."""
     v = np.asarray(v_cas, dtype=float)
     if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
         raise DomainError("v_cas must be finite and positive")
     inner = (1.0 + MU * RHO0 * v * v / (2.0 * P0)) ** (1.0 / MU) - 1.0
     outer = (1.0 + (P0 / state.p) * inner) ** MU - 1.0
-    tas = np.sqrt(2.0 * state.p / (MU * state.rho) * outer)
-    return float(tas) if np.ndim(tas) == 0 else tas
+    return np.sqrt(2.0 * state.p / (MU * state.rho) * outer)
 
 
-def mach_to_tas(mach: float | np.ndarray, state: AtmosphereState) -> float | np.ndarray:
+def mach_to_tas(mach: float | np.ndarray, state: AtmosphereState) -> np.ndarray:
     """True airspeed for a Mach number: M * sqrt(kappa R (T + dT))."""
     m = np.asarray(mach, dtype=float)
     if not np.all(np.isfinite(m)) or np.any(m < 0.0):
         raise DomainError("mach must be finite and non-negative")
-    tas = m * speed_of_sound(state)
-    return float(tas) if np.ndim(tas) == 0 else tas
+    return m * speed_of_sound(state)
 
 
 def crossover_altitude(schedule: SpeedSchedule) -> float:
@@ -154,7 +150,7 @@ def crossover_altitude(schedule: SpeedSchedule) -> float:
 
 def schedule_speed(
     schedule: SpeedSchedule, state: AtmosphereState
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """True airspeed and Mach number at a state, following the schedule.
 
     Below the crossover altitude the CAS leg applies; at and above it the
@@ -164,9 +160,5 @@ def schedule_speed(
     a = speed_of_sound(state)
     tas_cas = cas_to_tas(schedule.v_cas, state)
     tas_mach = mach_to_tas(schedule.mach, state)
-    on_cas = np.asarray(state.h) < h_cross
-    tas = np.where(on_cas, tas_cas, tas_mach)
-    mach = np.where(on_cas, tas_cas / a, schedule.mach)
-    if np.ndim(state.h) == 0:
-        return float(tas), float(mach)
-    return tas, mach
+    on_cas = state.h < h_cross
+    return np.where(on_cas, tas_cas, tas_mach), np.where(on_cas, tas_cas / a, schedule.mach)

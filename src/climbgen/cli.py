@@ -127,13 +127,20 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = generative.load_model(args.model)
-    values = generative.sample_values(model, args.count, args.seed)
-    grid, n = model.basis.grid, len(values)
+    grid = model.basis.grid
+    # about BLOCK_LINES lines per block, so the samples held stay bounded
+    samples = generative.sample_blocks(model, args.count, args.seed,
+                                       pipeline.BLOCK_LINES // grid.size)
+
+    def blocks():   # one row per sample and grid node
+        start = 0
+        for values in samples:
+            n = len(values)
+            yield (pipeline.repeat_each([str(k) for k in range(start, start + n)], [grid.size] * n),
+                   np.tile(grid, n), values.ravel())
+            start += n
     path = Path(args.out) / f"samples_{model.type_code}.csv"
-    # one row per sample and grid node
-    write_columns(path, "sample_id,h_m,thrust_N",
-                  pipeline.repeat_each([str(k) for k in range(n)], [grid.size] * n),
-                  np.tile(grid, n), values.ravel())
+    pipeline.write_blocks(path, "sample_id,h_m,thrust_N", blocks())
     print(f"wrote {args.count} sampled profiles to {path}")
     return EXIT_OK
 

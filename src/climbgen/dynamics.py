@@ -77,19 +77,18 @@ def drag(
     mass: float,
     state: AtmosphereState,
     v_tas: float | np.ndarray,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Aerodynamic drag from the parabolic polar in wings-level flight, in N."""
     q = 0.5 * state.rho * np.asarray(v_tas, dtype=float) ** 2 * perf.wing_area
     c_lift = mass * G0 / q
-    d = q * (perf.c_d0 + perf.c_d2 * c_lift**2)
-    return float(d) if np.ndim(d) == 0 else d
+    return q * (perf.c_d0 + perf.c_d2 * c_lift**2)
 
 
 def energy_share(
     mach: float | np.ndarray,
-    h: float | np.ndarray,
+    h: np.ndarray,
     schedule: SpeedSchedule,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Energy share factor f(M): the fraction of excess power that goes
     into climbing, by flight condition.
 
@@ -108,22 +107,21 @@ def energy_share(
     f_cas_strato = 1.0 / (1.0 + compress)
     f_mach_tropo = 1.0 / (1.0 + lapse_term)
 
-    below_cross = np.asarray(h) < crossover_altitude(schedule)
-    below_trop = np.asarray(h) < H_TROPOPAUSE
-    f = np.where(
+    below_cross = h < crossover_altitude(schedule)
+    below_trop = h < H_TROPOPAUSE
+    return np.where(
         below_cross,
         np.where(below_trop, f_cas_tropo, f_cas_strato),
         np.where(below_trop, f_mach_tropo, 1.0),
     )
-    return float(f) if np.ndim(f) == 0 else f
 
 
 def rate_factors(
     perf: "AircraftPerformance",
     mass: float,
-    h: float | np.ndarray,
+    h: np.ndarray,
     delta_T: float = 0.0,
-) -> tuple:
+) -> tuple[np.ndarray, np.ndarray]:
     """The thrust-independent factors ``(D, k)`` of the climb rate at
     altitude, so that ``rocd = k * (thrust - D)``: the drag ``D`` (N) at
     ``mass`` and schedule speed, and the gain ``k = ratio * V * f / (mass g0)``
@@ -135,7 +133,7 @@ def rate_factors(
     state = isa_state(h, delta_T)
     v_tas, mach = schedule_speed(perf.schedule, state)
     d = drag(perf, mass, state, v_tas)
-    f = energy_share(mach, h, perf.schedule)
+    f = energy_share(mach, state.h, perf.schedule)
     ratio = (state.T - delta_T) / state.T
     return d, ratio * v_tas * f / (mass * G0)
 
@@ -144,9 +142,9 @@ def rocd(
     perf: "AircraftPerformance",
     mass: float,
     t_hr: float | np.ndarray,
-    h: float | np.ndarray,
+    h: np.ndarray,
     delta_T: float = 0.0,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Rate of climb (m/s) for a given engine thrust at altitude.
 
     Excess power (thrust minus drag, times TAS) is converted to climb rate
@@ -155,8 +153,7 @@ def rocd(
     Negative results are returned as-is.
     """
     d, k = rate_factors(perf, mass, h, delta_T)
-    r = k * (np.asarray(t_hr, dtype=float) - d)
-    return float(r) if np.ndim(r) == 0 else r
+    return k * (np.asarray(t_hr, dtype=float) - d)
 
 
 def _trapezoid_times(half_step: np.ndarray, r: np.ndarray, n_left: int) -> np.ndarray:

@@ -37,7 +37,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -123,19 +123,37 @@ def fit_type_model(
                                 n_flights_fit=len(values))
 
 
-def sample_weights(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` weight vectors, deterministic for a fixed seed."""
+def sample_blocks(model: GenerativeClimbModel, count: int, seed: int,
+                  rows: int) -> Iterator[np.ndarray]:
+    """The thrust (N) on ``model.basis.grid`` of ``count`` sampled
+    profiles, one per row, in blocks of ``rows >= 1`` rows (the last of up
+    to ``rows + 1``): the reconstructions of weights drawn from
+    ``N(0, diag(basis.variance))``.  Every draw comes in order from one
+    ``np.random.default_rng(seed)``, so the rows do not depend on ``rows``,
+    bit for bit.  A ``count`` below 1 raises at the call, before any block
+    is asked for."""
     if count < 1:
         raise DomainError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, model.basis.n_modes))
-    return z * np.sqrt(model.basis.variance)
+    scale = np.sqrt(model.basis.variance)
+
+    def blocks():
+        start = 0
+        while start < count:
+            # a lone last row joins the block before it: numpy multiplies one
+            # row by its matrix-vector kernel, whose sums can differ in the
+            # last bit from those of the matrix-matrix kernel
+            n = count - start if count - start <= rows + 1 else rows
+            z = rng.standard_normal((n, model.basis.n_modes))
+            yield model.basis.mean + (z * scale) @ model.basis.modes
+            start += n
+    return blocks()
 
 
 def sample_values(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
     """The thrust (N) on ``model.basis.grid`` of ``count`` sampled
-    profiles, one per row: the reconstructions of drawn weights."""
-    return model.basis.mean + sample_weights(model, count, seed) @ model.basis.modes
+    profiles, one per row: ``sample_blocks`` in one block."""
+    return next(sample_blocks(model, count, seed, count))
 
 
 def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[ThrustProfile]:

@@ -59,12 +59,12 @@ def default_grid() -> np.ndarray:
     return np.linspace(fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]), GRID_SIZE)
 
 
-def median3(x: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
+def median3(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """3-point running median within each flight; each flight's end
     points pass through unchanged.
 
     ``offsets`` are the flights' first indices into ``x`` followed by its
-    length, and no flight is empty; without them ``x`` is one flight.
+    length, and no flight is empty.
     """
     x = np.asarray(x, dtype=float)
     out = x.copy()
@@ -72,23 +72,19 @@ def median3(x: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
         a, b, c = x[:-2], x[1:-1], x[2:]
         # the median of three, exactly as np.median gives it for finite input
         out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-    if offsets is not None:
-        offsets = np.asarray(offsets)
-        ends = np.concatenate((offsets[:-1], offsets[1:] - 1))
-        out[ends] = x[ends]
+    ends = np.concatenate((offsets[:-1], offsets[1:] - 1))
+    out[ends] = x[ends]
     return out
 
 
-def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray,
-                offsets: np.ndarray | None = None) -> np.ndarray:
+def derive_rocd(t_s: np.ndarray, alt_ft: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Climb rate (ft/min) of each blip by central differences (one-sided
     at a flight's ends), median-filtered within each flight.
 
     ``offsets`` are the flights' first indices into the columns followed
-    by their length; without them the columns are one flight.  Each flight
-    has at least 2 blips, and no difference or median spans two flights.
+    by their length.  Each flight has at least 2 blips, and no difference
+    or median spans two flights.
     """
-    offsets = np.array([0, t_s.size]) if offsets is None else np.asarray(offsets)
     first, last = offsets[:-1], offsets[1:] - 1
     r = np.empty(t_s.size)
     # the differences across two flights are overwritten below; their
@@ -175,10 +171,10 @@ def invert_thrust(
     perf: "AircraftPerformance",
     mass: float,
     rocd_obs: float | np.ndarray,
-    h: float | np.ndarray,
+    h: np.ndarray,
     delta_T: float = 0.0,
-) -> float | np.ndarray:
-    """Effective thrust that reproduces an observed climb rate.
+) -> np.ndarray:
+    """Effective thrust that reproduces observed climb rates.
 
     The algebraic inverse of :func:`climbgen.dynamics.rocd` on the same
     rate factors (drag D and climb-rate gain k at the given mass and the
@@ -195,8 +191,7 @@ def invert_thrust(
     d, k = rate_factors(perf, mass, h, delta_T)
     if not np.all(k > 0.0):
         raise ValidationError("climb-rate gain is not positive")
-    t = d + r / k
-    return float(t) if np.ndim(t) == 0 else t
+    return d + r / k
 
 
 def flight_profiles(

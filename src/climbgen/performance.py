@@ -74,7 +74,7 @@ class AircraftPerformance:
                                   f"below {PERF_H_MAX:.0f} m")
 
 
-def nominal_thrust(perf: AircraftPerformance, h: float | np.ndarray) -> float | np.ndarray:
+def nominal_thrust(perf: AircraftPerformance, h: np.ndarray) -> np.ndarray:
     """Nominal max-climb thrust c_T1 * (1 - h/c_T2 + c_T3 h^2), in N."""
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0.0) or np.any(h_arr > PERF_H_MAX):
@@ -82,12 +82,12 @@ def nominal_thrust(perf: AircraftPerformance, h: float | np.ndarray) -> float | 
     t = perf.c_t1 * (1.0 - h_arr / perf.c_t2 + perf.c_t3 * h_arr**2)
     if np.any(t <= 0.0):
         raise ValidationError(f"{perf.type_code}: nominal thrust non-positive at {h}")
-    return float(t) if np.ndim(t) == 0 else t
+    return t
 
 
 def min_level_thrust(
-    perf: AircraftPerformance, h: float | np.ndarray, delta_T: float = 0.0
-) -> float | np.ndarray:
+    perf: AircraftPerformance, h: np.ndarray, delta_T: float = 0.0
+) -> np.ndarray:
     """Thrust for zero climb rate: the drag ``D`` of
     :func:`climbgen.dynamics.rate_factors` at nominal mass."""
     return dynamics.rate_factors(perf, perf.nominal_mass, h, delta_T)[0]

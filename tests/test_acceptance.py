@@ -140,10 +140,10 @@ class TestAcceptance:
                     c_t2=float(rng.uniform(16000.0, 50000.0)),
                     c_t3=float(rng.uniform(0.0, 3e-10)),
                 )
-            h = float(rng.uniform(fl_to_m(150.0), fl_to_m(325.0)))
+            h = np.array([rng.uniform(fl_to_m(150.0), fl_to_m(325.0))])
             r = float(rng.uniform(2.54, 20.0))
             thrust = invert_thrust(perf, perf.nominal_mass, r, h)
-            back = rocd(perf, perf.nominal_mass, thrust, h)
+            back = rocd(perf, perf.nominal_mass, thrust, h)[0]
             worst = max(worst, abs(back - r) / r)
         elapsed = time.perf_counter() - start
         ok = worst < 1e-9 and elapsed < 1.0

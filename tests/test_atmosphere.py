@@ -2,7 +2,8 @@
 
 Derived expected values are frozen from independent evaluations of the
 closed forms (see the inline oracles); they are not computed through the
-module under test.
+module under test.  The module takes and returns arrays: a single
+altitude is a one-element array.
 """
 
 import math
@@ -55,18 +56,17 @@ def oracle_cas_to_tas(v_cas, h):
 
 class TestIsaState:
     def test_sea_level_definition(self):
-        state = isa_state(0.0)
+        state = isa_state(np.array([0.0]))
         assert state.T == pytest.approx(288.15)
         assert state.p == pytest.approx(101325.0)
         assert state.rho == pytest.approx(1.225, rel=1e-6)
 
     def test_tropopause_temperature(self):
-        assert isa_state(11000.0).T == pytest.approx(216.65)
-        assert isa_state(15000.0).T == pytest.approx(216.65)
+        assert isa_state(np.array([11000.0, 15000.0])).T == pytest.approx(216.65)
 
     def test_5000m_against_oracle(self):
         # frozen from the independent closed-form evaluation above
-        state = isa_state(5000.0)
+        state = isa_state(np.array([5000.0]))
         assert state.T == pytest.approx(255.65, abs=1e-9)
         assert state.p == pytest.approx(54019.888188145786, rel=1e-12)
         assert state.rho == pytest.approx(0.736115547399152, rel=1e-12)
@@ -85,13 +85,13 @@ class TestIsaState:
             p += dh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             h += dh
             if h in (2000.0, 5000.0, 8000.0, 11000.0):
-                assert isa_state(h).p == pytest.approx(p, rel=1e-4)
-        assert isa_state(11000.0).p == pytest.approx(p, rel=1e-4)
+                assert isa_state(np.array([h])).p == pytest.approx(p, rel=1e-4)
+        assert isa_state(np.array([11000.0])).p == pytest.approx(p, rel=1e-4)
 
     def test_delta_t_shifts_density_not_pressure(self):
-        base = isa_state(6000.0)
-        hot = isa_state(6000.0, delta_T=15.0)
-        assert hot.p == base.p
+        base = isa_state(np.array([6000.0]))
+        hot = isa_state(np.array([6000.0]), delta_T=15.0)
+        assert np.array_equal(hot.p, base.p)
         assert hot.rho == pytest.approx(hot.p / (R_AIR * (hot.T + 15.0)), rel=1e-12)
         assert hot.rho < base.rho
 
@@ -103,44 +103,46 @@ class TestIsaState:
     @pytest.mark.parametrize("h", [-1.0, 20001.0, float("nan"), float("inf")])
     def test_out_of_range_altitude(self, h):
         with pytest.raises(DomainError):
-            isa_state(h)
+            isa_state(np.array([h]))
 
 
 class TestAirspeedConversions:
     def test_cas_equals_tas_at_sea_level(self):
-        assert cas_to_tas(150.0, isa_state(0.0)) == pytest.approx(150.0, rel=1e-12)
+        assert cas_to_tas(150.0, isa_state(np.array([0.0]))) == pytest.approx(150.0, rel=1e-12)
 
     def test_cas_to_tas_8000m_against_oracle(self):
         # frozen from oracle_cas_to_tas(150, 8000)
-        got = cas_to_tas(150.0, isa_state(8000.0))
+        got = cas_to_tas(150.0, isa_state(np.array([8000.0])))
         assert got == pytest.approx(220.34332293475447, rel=1e-12)
         assert got == pytest.approx(oracle_cas_to_tas(150.0, 8000.0), rel=1e-12)
 
     def test_tas_grows_with_altitude(self):
-        assert cas_to_tas(150.0, isa_state(10000.0)) > cas_to_tas(150.0, isa_state(5000.0))
+        low, high = cas_to_tas(150.0, isa_state(np.array([5000.0, 10000.0])))
+        assert high > low
 
     @pytest.mark.parametrize("bad", [0.0, -10.0, float("nan")])
     def test_cas_to_tas_rejects_bad_input(self, bad):
         with pytest.raises(DomainError):
-            cas_to_tas(bad, isa_state(0.0))
+            cas_to_tas(bad, isa_state(np.array([0.0])))
 
     def test_mach_one_sea_level_speed_of_sound(self):
-        assert mach_to_tas(1.0, isa_state(0.0)) == pytest.approx(340.29, abs=5e-3)
-        assert mach_to_tas(1.0, isa_state(0.0)) == pytest.approx(
+        sea_level = isa_state(np.array([0.0]))
+        assert mach_to_tas(1.0, sea_level) == pytest.approx(340.29, abs=5e-3)
+        assert mach_to_tas(1.0, sea_level) == pytest.approx(
             math.sqrt(KAPPA * R_AIR * 288.15), rel=1e-12
         )
 
     def test_mach_078_at_tropopause(self):
-        got = mach_to_tas(0.78, isa_state(11000.0))
+        got = mach_to_tas(0.78, isa_state(np.array([11000.0])))
         assert got == pytest.approx(230.15420493707578, rel=1e-12)
         assert got == pytest.approx(230.16, abs=1e-2)
 
     def test_mach_zero(self):
-        assert mach_to_tas(0.0, isa_state(7000.0)) == 0.0
+        assert np.array_equal(mach_to_tas(0.0, isa_state(np.array([7000.0]))), [0.0])
 
     def test_mach_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            mach_to_tas(float("nan"), isa_state(0.0))
+            mach_to_tas(float("nan"), isa_state(np.array([0.0])))
 
 
 class TestCrossover:
@@ -150,8 +152,8 @@ class TestCrossover:
         schedule = SpeedSchedule(v_cas=154.3, mach=0.78)
 
         def gap(h):
-            state = isa_state(h)
-            return cas_to_tas(schedule.v_cas, state) - mach_to_tas(schedule.mach, state)
+            state = isa_state(np.array([h]))
+            return (cas_to_tas(schedule.v_cas, state) - mach_to_tas(schedule.mach, state))[0]
 
         lo, hi = 0.0, 20000.0
         assert gap(lo) < 0.0 < gap(hi)
@@ -166,7 +168,7 @@ class TestCrossover:
     def test_tas_legs_agree_at_crossover(self):
         for v_cas, mach in ((154.3, 0.78), (139.4, 0.75), (160.4, 0.82)):
             schedule = SpeedSchedule(v_cas=v_cas, mach=mach)
-            state = isa_state(crossover_altitude(schedule))
+            state = isa_state(np.array([crossover_altitude(schedule)]))
             assert cas_to_tas(v_cas, state) == pytest.approx(
                 mach_to_tas(mach, state), rel=1e-9
             )
@@ -185,14 +187,12 @@ class TestCrossover:
     def test_schedule_speed_switches_legs(self):
         schedule = SpeedSchedule(v_cas=154.3, mach=0.78)
         h_cross = crossover_altitude(schedule)
-        below = isa_state(h_cross - 500.0)
-        above = isa_state(h_cross + 500.0)
-        tas_below, mach_below = schedule_speed(schedule, below)
-        tas_above, mach_above = schedule_speed(schedule, above)
-        assert tas_below == pytest.approx(cas_to_tas(154.3, below))
+        state = isa_state(np.array([h_cross - 500.0, h_cross + 500.0]))
+        (tas_below, tas_above), (mach_below, mach_above) = schedule_speed(schedule, state)
+        assert tas_below == pytest.approx(cas_to_tas(154.3, state)[0])
         assert mach_above == 0.78
         assert mach_below < 0.78
-        assert tas_above == pytest.approx(mach_to_tas(0.78, above))
+        assert tas_above == pytest.approx(mach_to_tas(0.78, state)[1])
 
 
 class TestUnits:

@@ -931,3 +931,31 @@ def test_prepare_peak_memory_is_ingest_peak(tmp_path):
     assert code == 0
     assert json.loads((tmp_path / "prep" / "prepare_summary.json").read_text())["filtered"] == 820
     assert peak < ingest_peak + 2**19, f"{(peak - ingest_peak) / 2**10:.0f} KiB over ingest"
+
+
+def test_sample_writes_one_draw_a_block_at_a_time(workdir, tmp_path):
+    """``sample`` draws and writes ``BLOCK_LINES // 100`` = 81 profiles at
+    a time from one random stream: its file is byte for byte the one
+    written from every profile drawn at once, and its traced peak does not
+    grow with ``--count``.  Holding every sample at once read 6.6 MiB
+    over at ``--count 3000``."""
+    model_path = str(workdir / "models" / "model_NBJT.json")
+    model = load_model(model_path)
+    grid = model.basis.grid
+    count = 3 * (pipeline.BLOCK_LINES // grid.size) + 1   # three blocks and a lone row
+
+    def sample(n, out):
+        return main(["sample", "--model", model_path, "--count", str(n), "--seed", "5",
+                     "--out", str(out)])
+
+    assert sample(count, tmp_path / "blocks") == 0
+    values = generative.sample_values(model, count, 5)
+    pipeline.write_columns(tmp_path / "whole.csv", "sample_id,h_m,thrust_N",
+                           pipeline.repeat_each([str(k) for k in range(count)], [grid.size] * count),
+                           np.tile(grid, count), values.ravel())
+    assert ((tmp_path / "blocks" / "samples_NBJT.csv").read_bytes()
+            == (tmp_path / "whole.csv").read_bytes())
+    (small, code_small), (large, code_large) = (traced_peak(sample, n, tmp_path / str(n))
+                                                for n in (300, 3000))
+    assert code_small == code_large == 0
+    assert large < small + 2**20, f"{(large - small) / 2**10:.0f} KiB over --count 300"

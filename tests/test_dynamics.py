@@ -39,14 +39,14 @@ from climbgen.performance import min_level_thrust, nominal_thrust
 class TestDrag:
     def test_parasitic_only(self):
         stub = SimpleNamespace(c_d0=0.03, c_d2=0.0, wing_area=100.0)
-        state = isa_state(5000.0)
+        state = isa_state(np.array([5000.0]))
         v = 200.0
         expected = 0.5 * state.rho * v * v * 100.0 * 0.03
         assert drag(stub, 50000.0, state, v) == pytest.approx(expected, rel=1e-12)
 
     def test_induced_term_scales_with_mass_squared(self):
         stub = SimpleNamespace(c_d0=0.0, c_d2=0.04, wing_area=100.0)
-        state = isa_state(5000.0)
+        state = isa_state(np.array([5000.0]))
         d1 = drag(stub, 40000.0, state, 200.0)
         d2 = drag(stub, 80000.0, state, 200.0)
         assert d2 == pytest.approx(4.0 * d1, rel=1e-12)
@@ -60,14 +60,14 @@ class TestDrag:
         q = 0.5 * rho * v * v
         cl = m * 9.80665 / (q * nbjt.wing_area)
         oracle = q * nbjt.wing_area * (nbjt.c_d0 + nbjt.c_d2 * cl * cl)
-        assert drag(nbjt, m, isa_state(h), v) == pytest.approx(oracle, rel=1e-12)
+        assert drag(nbjt, m, isa_state(np.array([h])), v) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestEnergyShare:
     SCHEDULE = SpeedSchedule(v_cas=154.3, mach=0.78)   # crossover ~8938 m
 
     def test_constant_mach_above_tropopause_is_one(self):
-        assert energy_share(0.78, 12000.0, self.SCHEDULE) == 1.0
+        assert np.array_equal(energy_share(0.78, np.array([12000.0]), self.SCHEDULE), [1.0])
 
     def test_constant_cas_below_tropopause_oracle(self):
         # independent evaluation of the constant-CAS troposphere form at M=0.5
@@ -76,39 +76,37 @@ class TestEnergyShare:
         base = 1.0 + 0.2 * m2
         compress = base ** (-2.5) * (base**3.5 - 1.0)
         oracle = 1.0 / (1.0 + lapse + compress)
-        assert energy_share(0.5, 5000.0, self.SCHEDULE) == pytest.approx(oracle, rel=1e-12)
+        assert energy_share(0.5, np.array([5000.0]), self.SCHEDULE) == pytest.approx(oracle, rel=1e-12)
 
     def test_bounded_share_below_crossover(self):
-        for mach in np.linspace(0.05, 0.95, 19):
-            f = energy_share(mach, 5000.0, self.SCHEDULE)
-            assert 0.0 < f <= 1.0
+        f = energy_share(np.linspace(0.05, 0.95, 19), np.full(19, 5000.0), self.SCHEDULE)
+        assert np.all((0.0 < f) & (f <= 1.0))
 
     def test_constant_mach_below_tropopause_exceeds_one(self):
         # climbing at constant Mach in the troposphere releases kinetic energy
-        f = energy_share(0.78, 10000.0, self.SCHEDULE)
+        f = energy_share(0.78, np.array([10000.0]), self.SCHEDULE)
         assert f == pytest.approx(1.0 / (1.0 + 1.4 * 287.05287 * (-0.0065) / (2 * 9.80665) * 0.78**2))
         assert f > 1.0
 
     def test_piecewise_switches_at_crossover(self):
         h_cross = crossover_altitude(self.SCHEDULE)
-        below = energy_share(0.78, h_cross - 1.0, self.SCHEDULE)
-        above = energy_share(0.78, h_cross + 1.0, self.SCHEDULE)
+        below, above = energy_share(0.78, np.array([h_cross - 1.0, h_cross + 1.0]), self.SCHEDULE)
         assert below != above
 
 
 class TestRocd:
     def test_thrust_equals_drag_gives_zero(self, nbjt):
-        h = fl_to_m(200.0)
+        h = np.array([fl_to_m(200.0)])
         assert rocd(nbjt, nbjt.nominal_mass, min_level_thrust(nbjt, h), h) == pytest.approx(0.0, abs=1e-10)
 
     def test_delta_t_zero_collapses_leading_factor(self, nbjt):
-        h = fl_to_m(200.0)
+        h = np.array([fl_to_m(200.0)])
         t_hr = nominal_thrust(nbjt, h)
         state = isa_state(h)
         r0 = rocd(nbjt, nbjt.nominal_mass, t_hr, h, delta_T=0.0)
         r15 = rocd(nbjt, nbjt.nominal_mass, t_hr, h, delta_T=15.0)
         # with dT=0 the temperature ratio is exactly 1; with dT>0 it shrinks
-        assert r15 != r0
+        assert r15[0] != r0[0]
         ratio = (state.T - 15.0) / state.T
         assert ratio < 1.0
 
@@ -145,7 +143,7 @@ class TestRocd:
         base = 1.0 + 0.2 * m2
         f = 1.0 / (1.0 + lapse + base ** (-2.5) * (base**3.5 - 1.0))
         oracle = (t_hr - d) * v / (m * 9.80665) * f
-        assert rocd(nbjt, m, t_hr, h) == pytest.approx(oracle, rel=1e-12)
+        assert rocd(nbjt, m, t_hr, np.array([h])) == pytest.approx(oracle, rel=1e-12)
 
 
 def oracle_rate_factors(perf, mass, h, delta_T):
@@ -199,16 +197,44 @@ class TestRateFactorsOracle:
         h_cross = oracle_rate_factors(perf, mass, 0.0, 0.0)[2]
         assert h_cross == pytest.approx(crossover_altitude(perf.schedule), abs=1e-6)
         heights = [fl_to_m(150.0), fl_to_m(250.0), fl_to_m(325.0), h_cross - 10.0, h_cross + 10.0]
-        for h in heights:
-            d, k, _ = oracle_rate_factors(perf, mass, h, delta_T)
-            got_d, got_k = rate_factors(perf, mass, h, delta_T)
-            assert got_d == pytest.approx(d, rel=1e-12) and got_k == pytest.approx(k, rel=1e-12)
-            thrust = 1.3 * d
-            rate = k * (thrust - d)
-            assert rocd(perf, mass, thrust, h, delta_T) == pytest.approx(rate, rel=1e-12)
-            assert invert_thrust(perf, mass, rate, h, delta_T) == pytest.approx(thrust, rel=1e-12)
+        d, k = np.array([oracle_rate_factors(perf, mass, h, delta_T)[:2] for h in heights]).T
+        h = np.array(heights)
+        got_d, got_k = rate_factors(perf, mass, h, delta_T)
+        assert got_d == pytest.approx(d, rel=1e-12) and got_k == pytest.approx(k, rel=1e-12)
+        thrust = 1.3 * d
+        rate = k * (thrust - d)
+        assert rocd(perf, mass, thrust, h, delta_T) == pytest.approx(rate, rel=1e-12)
+        assert invert_thrust(perf, mass, rate, h, delta_T) == pytest.approx(thrust, rel=1e-12)
         # FL325 flies the Mach leg, FL150 and FL250 the CAS leg
         assert heights[1] < h_cross < heights[2]
+
+
+class TestEnergyBalanceGainOracle:
+    """The climb-rate gain from the total-energy balance alone,
+    ``(Thr - D) V = m g0 dh/dt + m V dV/dt`` along the speed schedule, so
+    ``k = V / (m g0) / (1 + (V / g0) dV/dh)`` at ISA.  ``dV/dh`` is a
+    central difference of ``schedule_speed``; the oracle shares the
+    atmosphere and the speed schedule with ``rate_factors``, not
+    ``energy_share`` or the temperature ratio."""
+
+    STEP = 0.01        # m, the central difference's half step
+    TOLERANCE = 1e-8   # relative; the difference's own error is about 3e-10
+
+    @pytest.mark.parametrize("type_code", ["NBJT", "WBJT", "CPJT"])
+    def test_gain_matches_the_energy_balance_at_isa(self, catalog, type_code):
+        perf = catalog[type_code]
+        mass = perf.nominal_mass
+        h = default_grid()
+        # the schedule's speed has a kink at the crossover
+        h = h[np.abs(h - crossover_altitude(perf.schedule)) > 5.0]
+
+        def speed(h):
+            return schedule_speed(perf.schedule, isa_state(h))[0]
+
+        v = speed(h)
+        dv_dh = (speed(h + self.STEP) - speed(h - self.STEP)) / (2.0 * self.STEP)
+        oracle = v / (mass * G0) / (1.0 + v / G0 * dv_dh)
+        assert rate_factors(perf, mass, h)[1] == pytest.approx(oracle, rel=self.TOLERANCE)
 
 
 class TestIntegrateClimb:
@@ -416,7 +442,7 @@ class TestClimbKernel:
             below = np.nextafter(h_cross, h1)
             thrust_cross = np.interp(h_cross, grid, profile.values)
             r = kernel.rates(np.interp(kernel.h_rate, grid, profile.values))
-            assert r[n - 1] == rocd(nbjt, mass, thrust_cross, below, delta_T)
+            assert r[n - 1] == rocd(nbjt, mass, thrust_cross, np.array([below]), delta_T)[0]
             assert r[n - 1] != r[n]
         else:
             assert kernel.n_left == kernel.h_rate.size

@@ -22,8 +22,8 @@ from climbgen.generative import (
     confidence_radius,
     fit_type_model,
     load_model,
+    sample_blocks,
     sample_thrust,
-    sample_weights,
     save_model,
 )
 from climbgen.learning import (INTERVAL_FL, FpcaBasis, default_grid, fit_fpca, profile_from_flight,
@@ -184,9 +184,21 @@ class TestSampleThrust:
         se = pointwise_sd / np.sqrt(n)
         assert np.all(np.abs(values.mean(axis=0) - recon) < 3.0 * se + 1e-9)
 
+    def test_blocks_are_one_draw_bit_for_bit(self):
+        # a lone last row would take numpy's matrix-vector kernel, which
+        # differs in the last bit at 163 = 2 * 81 + 1 samples of this model
+        model = make_model(variances=tuple(10.0 ** np.arange(7, -3, -1)), mu=(0.0,) * 10)
+        for count in range(1, 250):
+            blocks = list(sample_blocks(model, count, 7, 81))
+            assert [len(b) for b in blocks[:-1]] == [81] * (len(blocks) - 1)
+            assert np.array_equal(np.concatenate(blocks), generative.sample_values(model, count, 7))
+
     def test_empirical_covariance_nearly_diagonal(self):
         model = make_model()
-        w = sample_weights(model, 100_000, seed=3)
+        # the drawn weights, solved back from the sampled profiles
+        w = np.concatenate([
+            np.linalg.lstsq(model.basis.modes.T, (values - model.basis.mean).T, rcond=None)[0].T
+            for values in sample_blocks(model, 100_000, 3, 10_000)])
         corr = np.corrcoef(w.T)
         off = corr - np.diag(np.diag(corr))
         assert np.max(np.abs(off)) < 0.02

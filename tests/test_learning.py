@@ -40,18 +40,16 @@ def make_traj(flight_id, t, alt_ft):
 
 class TestInvertThrust:
     def test_zero_climb_matches_min_level_thrust(self, nbjt):
+        h = fl_to_m(np.array([170.0, 250.0, 310.0]))
         for delta_T in (-15.0, 0.0, 15.0):
-            for fl in (170.0, 250.0, 310.0):
-                h = fl_to_m(fl)
-                t_hr = invert_thrust(nbjt, nbjt.nominal_mass, 0.0, h, delta_T)
-                assert t_hr == min_level_thrust(nbjt, h, delta_T)
+            t_hr = invert_thrust(nbjt, nbjt.nominal_mass, 0.0, h, delta_T)
+            assert np.array_equal(t_hr, min_level_thrust(nbjt, h, delta_T))
 
     @pytest.mark.parametrize("r", [2.54, 10.0, 20.0])
     def test_forward_round_trip(self, nbjt, r):
-        for fl in (160.0, 240.0, 320.0):
-            h = fl_to_m(fl)
-            t_hr = invert_thrust(nbjt, nbjt.nominal_mass, r, h)
-            assert rocd(nbjt, nbjt.nominal_mass, t_hr, h) == pytest.approx(r, rel=1e-9)
+        h = fl_to_m(np.array([160.0, 240.0, 320.0]))
+        t_hr = invert_thrust(nbjt, nbjt.nominal_mass, r, h)
+        assert rocd(nbjt, nbjt.nominal_mass, t_hr, h) == pytest.approx(r, rel=1e-9)
 
     @pytest.mark.parametrize("delta_T", [-15.0, 10.0, 15.0])
     def test_forward_round_trip_with_temperature_offset(self, catalog, delta_T):
@@ -63,7 +61,7 @@ class TestInvertThrust:
             assert np.max(np.abs(back - r) / r) <= 1e-12, perf.type_code
 
     def test_affine_in_rocd_with_known_slope(self, nbjt):
-        h = fl_to_m(200.0)
+        h = np.array([fl_to_m(200.0)])
         state = isa_state(h)
         v, mach = schedule_speed(nbjt.schedule, state)
         f = energy_share(mach, h, nbjt.schedule)
@@ -76,7 +74,7 @@ class TestInvertThrust:
 
     def test_rejects_nonfinite_rocd(self, nbjt):
         with pytest.raises(DomainError):
-            invert_thrust(nbjt, nbjt.nominal_mass, float("nan"), 6000.0)
+            invert_thrust(nbjt, nbjt.nominal_mass, float("nan"), np.array([6000.0]))
 
     @pytest.mark.parametrize("cause", ["energy share", "temperature ratio"])
     def test_rejects_degenerate_rate_factor(self, nbjt, monkeypatch, cause):
@@ -106,7 +104,7 @@ def reference_profile(perf, traj):
         raise DataError(f"flight {traj.flight_id}: {n_inside} blips in the altitude "
                         f"interval, need at least {MIN_PROFILE_BLIPS}")
     h = alt_m[inside]
-    rocd_ms = derive_rocd(traj.t_s, traj.alt_ft)[inside] * FT / 60.0
+    rocd_ms = derive_rocd(traj.t_s, traj.alt_ft, np.array([0, traj.n_blips]))[inside] * FT / 60.0
     n_bad = int(np.count_nonzero(~np.isfinite(rocd_ms)))
     if n_bad:
         raise DataError(f"flight {traj.flight_id}: climb rate not finite at {n_bad} blip(s) "
@@ -173,8 +171,8 @@ class TestProfileFromFlight:
         traj = make_traj("F4", t, alt_ft)
         profile = profile_from_flight(nbjt, traj)
         first_inside = invert_thrust(nbjt, nbjt.nominal_mass, 1800.0 * FT / 60.0,
-                                     alt_ft[0] * FT)
-        assert profile.values[0] == pytest.approx(first_inside, rel=1e-12)
+                                     alt_ft[:1] * FT)
+        assert profile.values[:1] == pytest.approx(first_inside, rel=1e-12)
 
 
 class TestFlightProfiles:

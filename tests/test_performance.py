@@ -127,18 +127,18 @@ class TestNominalThrust:
         )
 
     def test_sea_level_coefficient(self, linear_perf):
-        assert nominal_thrust(linear_perf, 0.0) == pytest.approx(150000.0)
+        assert nominal_thrust(linear_perf, np.array([0.0])) == pytest.approx(150000.0)
 
     def test_linear_form_hand_value(self, linear_perf):
-        h = 25000 * 0.3048   # 7620 m
+        h = np.array([25000 * 0.3048])   # 7620 m
         assert nominal_thrust(linear_perf, h) == pytest.approx(150000.0 * (1 - 7620.0 / 50000.0))
         assert nominal_thrust(linear_perf, h) == pytest.approx(127140.0)
 
     def test_altitude_above_interval_rejected(self, linear_perf):
         with pytest.raises(DomainError):
-            nominal_thrust(linear_perf, PERF_H_MAX + 1.0)
+            nominal_thrust(linear_perf, np.array([PERF_H_MAX + 1.0]))
         with pytest.raises(DomainError):
-            nominal_thrust(linear_perf, -5.0)
+            nominal_thrust(linear_perf, np.array([-5.0]))
 
     def test_invalid_coefficients_rejected_at_construction(self):
         with pytest.raises(ValidationError):
@@ -167,14 +167,13 @@ class TestNominalThrust:
 
 class TestMinLevelThrust:
     def test_zero_climb_consistency(self, nbjt):
-        for fl in (160.0, 250.0, 320.0):
-            h = fl_to_m(fl)
-            thrust = min_level_thrust(nbjt, h)
-            assert abs(rocd(nbjt, nbjt.nominal_mass, thrust, h)) < 1e-8
+        h = fl_to_m(np.array([160.0, 250.0, 320.0]))
+        thrust = min_level_thrust(nbjt, h)
+        assert np.all(abs(rocd(nbjt, nbjt.nominal_mass, thrust, h)) < 1e-8)
 
     def test_mass_monotonicity(self, nbjt):
         heavy = dataclasses.replace(nbjt, nominal_mass=2 * nbjt.nominal_mass)
-        h = fl_to_m(250.0)
+        h = np.array([fl_to_m(250.0)])
         assert min_level_thrust(heavy, h) > min_level_thrust(nbjt, h)
 
     def test_fl250_against_drag_oracle(self, nbjt):
@@ -190,7 +189,7 @@ class TestMinLevelThrust:
         q = 0.5 * rho * v * v * nbjt.wing_area
         c_lift = nbjt.nominal_mass * 9.80665 / q
         drag_oracle = q * (nbjt.c_d0 + nbjt.c_d2 * c_lift**2)
-        assert min_level_thrust(nbjt, h) == pytest.approx(drag_oracle, rel=1e-12)
+        assert min_level_thrust(nbjt, np.array([h])) == pytest.approx(drag_oracle, rel=1e-12)
 
     def test_shipped_types_can_climb(self, catalog):
         h = np.linspace(fl_to_m(140.0), fl_to_m(335.0), 200)

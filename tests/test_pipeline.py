@@ -298,7 +298,8 @@ class TestIngest:
     def test_constant_ramp_rocd(self, tmp_path):
         lines = [HEADER] + ramp_flight("A", 10000, 30000, 2000)
         traj = ingest(csv_file(tmp_path, lines))[0]
-        assert derive_rocd(traj.t_s, traj.alt_ft)[1:-1] == pytest.approx(2000.0, abs=1.0)
+        assert derive_rocd(traj.t_s, traj.alt_ft, np.array([0, traj.n_blips]))[1:-1] == pytest.approx(
+            2000.0, abs=1.0)
 
     def test_shuffled_rows_identical(self, tmp_path):
         rows = ramp_flight("A", 10000, 20000, 2000) + ramp_flight("B", 5000, 15000, 1500)
@@ -947,7 +948,8 @@ class TestWriteColumns:
 
 def kept_rates(flight, kept):
     """The climb rates of the whole flight at the blips ``filter_climbs`` kept."""
-    return derive_rocd(flight.t_s, flight.alt_ft)[np.isin(flight.t_s, kept.t_s)]
+    rates = derive_rocd(flight.t_s, flight.alt_ft, np.array([0, flight.n_blips]))
+    return rates[np.isin(flight.t_s, kept.t_s)]
 
 
 def reference_filter_climbs(trajectories):
@@ -955,7 +957,8 @@ def reference_filter_climbs(trajectories):
     low_ft, high_ft = (fl * 100.0 for fl in INTERVAL_FL)
     kept = []
     for tr in trajectories:
-        raw, med = tr.alt_ft, median3(tr.alt_ft)
+        one_flight = np.array([0, tr.n_blips])
+        raw, med = tr.alt_ft, median3(tr.alt_ft, one_flight)
         entered = np.flatnonzero(med >= low_ft)
         if entered.size == 0:
             continue
@@ -970,7 +973,7 @@ def reference_filter_climbs(trajectories):
             continue
         keep = (raw >= low_ft) & (raw <= high_ft)
         if not keep.all():
-            keep &= derive_rocd(tr.t_s, raw) >= pipeline.ROCD_MIN_FPM
+            keep &= derive_rocd(tr.t_s, raw, one_flight) >= pipeline.ROCD_MIN_FPM
         if np.count_nonzero(keep) >= MIN_PROFILE_BLIPS:
             kept.append(Trajectory(tr.flight_id, tr.type_code, tr.t_s[keep], raw[keep]))
     return kept
@@ -1012,7 +1015,8 @@ class TestFilterClimbs:
         level = level_rows("A", 22000, 190.0, 100.0)
         up2 = ramp_flight("A", 22000, 30000, 2000, t0=300.0)
         trajs = self.make(tmp_path, up1 + level + up2[1:], "w.csv")
-        assert np.any(derive_rocd(trajs[0].t_s, trajs[0].alt_ft) < 500.0)
+        assert np.any(derive_rocd(trajs[0].t_s, trajs[0].alt_ft, np.array([0, trajs[0].n_blips]))
+                      < 500.0)
         kept = filter_climbs(trajs)
         assert len(kept) == 1
         assert np.array_equal(kept[0].t_s, trajs[0].t_s)
@@ -1110,7 +1114,7 @@ class TestFilterClimbs:
 
     def test_median3(self):
         x = np.array([1.0, 9.0, 2.0, 3.0])
-        assert np.array_equal(median3(x), np.array([1.0, 2.0, 3.0, 3.0]))
+        assert np.array_equal(median3(x, np.array([0, 4])), np.array([1.0, 2.0, 3.0, 3.0]))
 
     def test_median3_equals_np_median(self):
         rng = np.random.default_rng(0)
@@ -1119,7 +1123,9 @@ class TestFilterClimbs:
                 want = x.copy()
                 if n >= 3:
                     want[1:-1] = np.median(np.vstack([x[:-2], x[1:-1], x[2:]]), axis=0)
-                assert median3(x).tobytes() == want.tobytes()
+                # one flight of n blips; no flight when n is 0
+                offsets = np.array([0, n] if n else [0])
+                assert median3(x, offsets).tobytes() == want.tobytes()
 
 
 class TestTrajectory:
