@@ -1,5 +1,6 @@
-"""Two-layer standard atmosphere with a temperature offset, plus airspeed
-conversions (CAS / TAS / Mach) and the CAS-Mach crossover altitude.
+"""Two-layer standard atmosphere with a temperature offset, plus the
+CAS-to-TAS conversion, the speed of sound, the speed schedule's true
+airspeed and Mach number, and the CAS-Mach crossover altitude.
 
 All altitudes are metres internally; flight levels (hundreds of feet) are
 converted at API boundaries with :func:`fl_to_m`.  The temperature offset
@@ -94,16 +95,6 @@ def isa_state(h: np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
     return AtmosphereState(h_arr, T, float(delta_T), p, rho)
 
 
-def pressure_to_altitude(p: float) -> float:
-    """Invert the standard pressure profile (Pa -> m)."""
-    if not np.isfinite(p) or p <= 0.0:
-        raise DomainError(f"pressure must be positive, got {p}")
-    if p >= P_TROPOPAUSE:
-        T = T0 * (p / P0) ** (-BETA * R_AIR / G0)
-        return (T - T0) / BETA
-    return H_TROPOPAUSE + R_AIR * T_TROPOPAUSE / G0 * np.log(P_TROPOPAUSE / p)
-
-
 def speed_of_sound(state: AtmosphereState) -> np.ndarray:
     """Speed of sound sqrt(kappa R (T + dT)) in m/s."""
     return np.sqrt(KAPPA * R_AIR * (state.T + state.delta_T))
@@ -119,32 +110,29 @@ def cas_to_tas(v_cas: float | np.ndarray, state: AtmosphereState) -> np.ndarray:
     return np.sqrt(2.0 * state.p / (MU * state.rho) * outer)
 
 
-def mach_to_tas(mach: float | np.ndarray, state: AtmosphereState) -> np.ndarray:
-    """True airspeed for a Mach number: M * sqrt(kappa R (T + dT))."""
-    m = np.asarray(mach, dtype=float)
-    if not np.all(np.isfinite(m)) or np.any(m < 0.0):
-        raise DomainError("mach must be finite and non-negative")
-    return m * speed_of_sound(state)
-
-
 def crossover_altitude(schedule: SpeedSchedule) -> float:
     """Altitude where the constant-CAS and constant-Mach legs give the
     same true airspeed.
 
     Computed from the pressure-ratio closed form, then inverted through
     the standard pressure profile.  Raises ``DomainError`` if the legs do
-    not intersect within [0, 20000] m.
+    not intersect within [0, 20000] m, also where the closed form
+    overflows or underflows to a pressure of inf, 0 or NaN.
     """
     half = (KAPPA - 1.0) / 2.0
     a0 = np.sqrt(KAPPA * R_AIR * T0)
-    num = (1.0 + half * (schedule.v_cas / a0) ** 2) ** (1.0 / MU) - 1.0
-    den = (1.0 + half * schedule.mach**2) ** (1.0 / MU) - 1.0
-    p_cross = (num / den) * P0
-    h = pressure_to_altitude(p_cross)
-    if h < 0.0 or h > H_MAX:
-        raise DomainError(
-            f"CAS/Mach legs cross at {h:.0f} m, outside [0, {H_MAX:.0f}] m"
-        )
+    with np.errstate(all="ignore"):   # an inf, 0 or NaN pressure gives a non-finite h, refused below
+        num = (1.0 + half * (schedule.v_cas / a0) ** 2) ** (1.0 / MU) - 1.0
+        den = (1.0 + half * schedule.mach**2) ** (1.0 / MU) - 1.0
+        p = (num / den) * P0
+        if p >= P_TROPOPAUSE:
+            h = (T0 * (p / P0) ** (-BETA * R_AIR / G0) - T0) / BETA
+        else:
+            h = H_TROPOPAUSE + R_AIR * T_TROPOPAUSE / G0 * np.log(P_TROPOPAUSE / p)
+    if not 0.0 <= h <= H_MAX:   # NaN fails
+        where = f"; they cross at {h:.0f} m" if np.isfinite(h) else ""
+        raise DomainError(f"CAS/Mach legs of v_cas {schedule.v_cas} m/s and mach {schedule.mach} "
+                          f"do not cross in [0, {H_MAX:.0f}] m{where}")
     return float(h)
 
 
@@ -159,6 +147,5 @@ def schedule_speed(
     h_cross = crossover_altitude(schedule)
     a = speed_of_sound(state)
     tas_cas = cas_to_tas(schedule.v_cas, state)
-    tas_mach = mach_to_tas(schedule.mach, state)
     on_cas = state.h < h_cross
-    return np.where(on_cas, tas_cas, tas_mach), np.where(on_cas, tas_cas / a, schedule.mach)
+    return np.where(on_cas, tas_cas, schedule.mach * a), np.where(on_cas, tas_cas / a, schedule.mach)

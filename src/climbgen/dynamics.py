@@ -92,9 +92,10 @@ def energy_share(
     """Energy share factor f(M): the fraction of excess power that goes
     into climbing, by flight condition.
 
-    Conditions: constant CAS below the crossover altitude, constant Mach
-    at/above it; each splits at the tropopause.  Constant Mach above the
-    tropopause gives exactly 1 (TAS is constant there).
+    ``1 / (1 + lapse + compress)``: the temperature-lapse term applies
+    below the tropopause, the compressibility term on the constant-CAS leg
+    below the crossover altitude.  Constant Mach above the tropopause
+    gives exactly 1 (TAS is constant there).
     """
     m = np.asarray(mach, dtype=float)
     m2 = m * m
@@ -102,18 +103,8 @@ def energy_share(
     lapse_term = KAPPA * R_AIR * BETA / (2.0 * G0) * m2
     base = 1.0 + half * m2
     compress = base ** (-1.0 / (KAPPA - 1.0)) * (base ** (KAPPA / (KAPPA - 1.0)) - 1.0)
-
-    f_cas_tropo = 1.0 / (1.0 + lapse_term + compress)
-    f_cas_strato = 1.0 / (1.0 + compress)
-    f_mach_tropo = 1.0 / (1.0 + lapse_term)
-
-    below_cross = h < crossover_altitude(schedule)
-    below_trop = h < H_TROPOPAUSE
-    return np.where(
-        below_cross,
-        np.where(below_trop, f_cas_tropo, f_cas_strato),
-        np.where(below_trop, f_mach_tropo, 1.0),
-    )
+    return 1.0 / (1.0 + np.where(h < H_TROPOPAUSE, lapse_term, 0.0)
+                  + np.where(h < crossover_altitude(schedule), compress, 0.0))
 
 
 def rate_factors(
@@ -127,9 +118,15 @@ def rate_factors(
     ``mass`` and schedule speed, and the gain ``k = ratio * V * f / (mass g0)``
     (m/s per N) from the temperature ratio ``(T_isa - delta_T) / T_isa``
     of the ISA temperature, the schedule true airspeed ``V`` and the
-    energy share factor ``f``.  BADA 3's ``(T - delta_T) / T`` of the
-    actual temperature differs from that ratio by 0.43% near FL300 at
-    +-15 K, and ``energy_share``'s lapse-rate term omits it."""
+    energy share factor ``f``.
+
+    At ``delta_T != 0`` this gain is wrong, a known defect (ROADMAP.md,
+    item 3(a)).  BADA 3 writes the ratio ``(T - delta_T) / T`` of the
+    actual temperature ``T = T_isa + delta_T``, and applies it to
+    ``energy_share``'s lapse-rate term as well, which here has no ratio.
+    Against a total-energy balance between FL150 and FL325, BADA's gain
+    agrees to 3e-10 relative for the three shipped types; this one is off
+    by -0.54% to -1.15% at -15 K and by up to +0.22% at +10 K."""
     state = isa_state(h, delta_T)
     v_tas, mach = schedule_speed(perf.schedule, state)
     d = drag(perf, mass, state, v_tas)

@@ -7,6 +7,7 @@ altitude is a one-element array.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from climbgen.atmosphere import (
     crossover_altitude,
     fl_to_m,
     isa_state,
-    mach_to_tas,
     schedule_speed,
+    speed_of_sound,
 )
 from climbgen.errors import DomainError
 
@@ -127,33 +128,31 @@ class TestAirspeedConversions:
 
     def test_mach_one_sea_level_speed_of_sound(self):
         sea_level = isa_state(np.array([0.0]))
-        assert mach_to_tas(1.0, sea_level) == pytest.approx(340.29, abs=5e-3)
-        assert mach_to_tas(1.0, sea_level) == pytest.approx(
+        assert 1.0 * speed_of_sound(sea_level) == pytest.approx(340.29, abs=5e-3)
+        assert 1.0 * speed_of_sound(sea_level) == pytest.approx(
             math.sqrt(KAPPA * R_AIR * 288.15), rel=1e-12
         )
 
     def test_mach_078_at_tropopause(self):
-        got = mach_to_tas(0.78, isa_state(np.array([11000.0])))
+        got = 0.78 * speed_of_sound(isa_state(np.array([11000.0])))
         assert got == pytest.approx(230.15420493707578, rel=1e-12)
         assert got == pytest.approx(230.16, abs=1e-2)
 
     def test_mach_zero(self):
-        assert np.array_equal(mach_to_tas(0.0, isa_state(np.array([7000.0]))), [0.0])
-
-    def test_mach_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            mach_to_tas(float("nan"), isa_state(np.array([0.0])))
+        assert np.array_equal(0.0 * speed_of_sound(isa_state(np.array([7000.0]))), [0.0])
 
 
 class TestCrossover:
-    def test_against_bisection_oracle(self):
+    # the second crosses above the tropopause, near 13 580 m
+    @pytest.mark.parametrize("schedule", [SpeedSchedule(v_cas=154.3, mach=0.78),
+                                          SpeedSchedule(v_cas=120.0, mach=0.85)])
+    def test_against_bisection_oracle(self, schedule):
         # independent inversion: bisect TAS_CAS(h) - TAS_Mach(h) through the
         # module's conversion functions
-        schedule = SpeedSchedule(v_cas=154.3, mach=0.78)
 
         def gap(h):
             state = isa_state(np.array([h]))
-            return (cas_to_tas(schedule.v_cas, state) - mach_to_tas(schedule.mach, state))[0]
+            return (cas_to_tas(schedule.v_cas, state) - schedule.mach * speed_of_sound(state))[0]
 
         lo, hi = 0.0, 20000.0
         assert gap(lo) < 0.0 < gap(hi)
@@ -170,7 +169,7 @@ class TestCrossover:
             schedule = SpeedSchedule(v_cas=v_cas, mach=mach)
             state = isa_state(np.array([crossover_altitude(schedule)]))
             assert cas_to_tas(v_cas, state) == pytest.approx(
-                mach_to_tas(mach, state), rel=1e-9
+                mach * speed_of_sound(state), rel=1e-9
             )
 
     def test_higher_mach_raises_crossover(self):
@@ -184,6 +183,17 @@ class TestCrossover:
         with pytest.raises(DomainError):
             crossover_altitude(SpeedSchedule(v_cas=60.0, mach=0.95))   # above 20 km
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v_cas, mach", [(1e200, 0.78),    # closed form overflows: p = inf
+                                             (154.3, 1e-200),  # Mach leg's ratio is 0: p = inf
+                                             (1e-300, 0.78),   # CAS leg's ratio is 0: p = 0
+                                             (1e-9, 0.78)])    # 1 + tiny rounds to 1: p = 0
+    def test_closed_form_out_of_range_rejected_without_warnings(self, v_cas, mach):
+        # a warning would be raised as an error here, and not be a DomainError
+        message = f"CAS/Mach legs of v_cas {v_cas} m/s and mach {mach} do not cross in [0, 20000] m"
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            crossover_altitude(SpeedSchedule(v_cas=v_cas, mach=mach))
+
     def test_schedule_speed_switches_legs(self):
         schedule = SpeedSchedule(v_cas=154.3, mach=0.78)
         h_cross = crossover_altitude(schedule)
@@ -192,7 +202,7 @@ class TestCrossover:
         assert tas_below == pytest.approx(cas_to_tas(154.3, state)[0])
         assert mach_above == 0.78
         assert mach_below < 0.78
-        assert tas_above == pytest.approx(mach_to_tas(0.78, state)[1])
+        assert tas_above == pytest.approx(0.78 * speed_of_sound(state)[1])
 
 
 class TestUnits:

@@ -647,6 +647,27 @@ class TestExitCodes:
         assert "record 3: type_code" in proc.stderr and '"A/B"' in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [("v_cas_ms", 1e200), ("mach", 1e-200),
+                                            ("v_cas_ms", 1e-300)])
+    def test_catalog_schedule_whose_crossover_over_or_underflows_is_validation_error(
+            self, tmp_path, key, value):
+        # the crossover's closed form gives a pressure of inf or 0: one error
+        # line naming both legs, and no numpy warning before it
+        records = json.loads(performance.default_catalog_path().read_text())
+        perf = tmp_path / "perf.json"
+        perf.write_text(json.dumps([{**r, key: value} if r["type_code"] == "NBJT" else r
+                                    for r in records]))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SCENARIO))
+        proc = run_cli("simulate", "--scenario", str(scenario), "--perf-file", str(perf),
+                       "--out", str(tmp_path / "o"), "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        nbjt = {**next(r for r in records if r["type_code"] == "NBJT"), key: value}
+        assert proc.stderr.splitlines() == [
+            f"error: CAS/Mach legs of v_cas {nbjt['v_cas_ms']} m/s and mach {nbjt['mach']} "
+            "do not cross in [0, 20000] m"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         bad = tmp_path / "model_bad.json"

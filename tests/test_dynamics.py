@@ -17,7 +17,6 @@ from climbgen.atmosphere import (
     crossover_altitude,
     fl_to_m,
     isa_state,
-    mach_to_tas,
     schedule_speed,
 )
 from climbgen import dynamics
@@ -65,6 +64,7 @@ class TestDrag:
 
 class TestEnergyShare:
     SCHEDULE = SpeedSchedule(v_cas=154.3, mach=0.78)   # crossover ~8938 m
+    HIGH = SpeedSchedule(v_cas=120.0, mach=0.85)       # crossover ~13580 m, above the tropopause
 
     def test_constant_mach_above_tropopause_is_one(self):
         assert np.array_equal(energy_share(0.78, np.array([12000.0]), self.SCHEDULE), [1.0])
@@ -77,6 +77,33 @@ class TestEnergyShare:
         compress = base ** (-2.5) * (base**3.5 - 1.0)
         oracle = 1.0 / (1.0 + lapse + compress)
         assert energy_share(0.5, np.array([5000.0]), self.SCHEDULE) == pytest.approx(oracle, rel=1e-12)
+
+    def test_constant_cas_above_tropopause_oracle(self):
+        # independent evaluation of the constant-CAS stratosphere form at M=0.7:
+        # no lapse-rate term, as the temperature is constant
+        m2 = 0.49
+        base = 1.0 + 0.2 * m2
+        oracle = 1.0 / (1.0 + base ** (-2.5) * (base**3.5 - 1.0))
+        assert energy_share(0.7, np.array([12000.0]), self.HIGH) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("leg, h", [("cas", 5000.0), ("cas", 12000.0),
+                                        ("mach", 10000.0), ("mach", 12000.0)])
+    def test_each_leg_and_layer_matches_the_three_factor_form(self, leg, h):
+        # one factor per flight condition, written from the module's constants:
+        # the one expression gives each bit for bit
+        m = np.linspace(0.3, 0.9, 7)
+        m2 = m * m
+        half = (KAPPA - 1.0) / 2.0
+        lapse = KAPPA * R_AIR * BETA / (2.0 * G0) * m2
+        base = 1.0 + half * m2
+        compress = base ** (-1.0 / (KAPPA - 1.0)) * (base ** (KAPPA / (KAPPA - 1.0)) - 1.0)
+        expected = {("cas", True): 1.0 / (1.0 + lapse + compress),
+                    ("cas", False): 1.0 / (1.0 + compress),
+                    ("mach", True): 1.0 / (1.0 + lapse),
+                    ("mach", False): np.ones(7)}[leg, h < 11000.0]
+        schedule = self.HIGH if leg == "cas" else self.SCHEDULE
+        assert (h < crossover_altitude(schedule)) == (leg == "cas")
+        assert np.array_equal(energy_share(m, np.full(7, h), schedule), expected)
 
     def test_bounded_share_below_crossover(self):
         f = energy_share(np.linspace(0.05, 0.95, 19), np.full(19, 5000.0), self.SCHEDULE)
