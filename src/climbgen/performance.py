@@ -17,6 +17,9 @@ of ``errors`` read them::
     c_T2_m         altitude scale of the linear thrust decay, m
     c_T3_per_m2    quadratic thrust coefficient, 1/m^2
 
+A record whose CAS and Mach legs do not cross in [0, 20000] m
+(``atmosphere.crossover_altitude``) is refused, naming its type.
+
 The package ships synthetic-but-plausible parameter sets for three
 archetypes (narrow-body jet, wide-body jet, corporate jet) under
 ``climbgen/data/aircraft.json``.
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .atmosphere import SpeedSchedule
+from .atmosphere import SpeedSchedule, crossover_altitude
 from .errors import (DomainError, ValidationError, check_type_code, json_number, json_object,
                      read_json)
 
@@ -105,6 +108,10 @@ def _record_to_performance(record, index: int) -> AircraftPerformance:
     if not 0.0 < mach < 1.0:
         raise ValidationError(f"{type_code}: mach must lie in (0, 1), got {mach}")
     schedule = SpeedSchedule(v_cas=v_cas, mach=mach)
+    try:   # every climb of the type flies the crossover
+        crossover_altitude(schedule)
+    except DomainError as exc:
+        raise ValidationError(f"{type_code}: {exc}") from None
     return AircraftPerformance(
         type_code=type_code, c_d0=values["c_D0"], c_d2=values["c_D2"], wing_area=values["S_m2"],
         nominal_mass=values["m_nom_kg"], schedule=schedule, c_t1=values["c_T1_N"],

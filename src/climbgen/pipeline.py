@@ -11,9 +11,8 @@ one line of fields joined by commas, and a field holds no comma, no quote
 and no line break.  A line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as
 Python's universal newlines end it, and no other byte ends a line; a
 line with a quote or the wrong number of commas is a malformed row.
-The file is read ``BLOCK_LINES`` lines at a time and never held whole,
-in reads of ``READ_BYTES`` whose line ends are counted, so no object is
-made per line.
+The file is read through Python's text layer in blocks of whole lines of
+at most ``BLOCK_CHARS`` characters, a longer line a block of its own.
 Each block is read by one ``np.loadtxt`` call, numpy's C reader, into id
 and type byte strings and float64 numbers.  numpy reads a number with
 the C parser ``float`` uses and refuses one that is not ASCII or holds an
@@ -35,11 +34,12 @@ distinct timestamps, is dropped with a warning.  Neither check loops over
 flights: types are checked a block at a time as the rows are read, and
 timestamps in one vectorized pass over the sorted columns.
 ``ingest`` holds the flight-code, time and altitude columns plus one
-block: each block is parsed into columns sized from the file's bytes, and
-the rows are sorted only when they are out of flight and time order.  No
-column of types is held: a flight takes the type of its first row, and
-only a mixed flight's types are kept, for its warning.  Every file this
-module writes is in that order, so it is read without a sort.
+block of at most ``BLOCK_CHARS`` characters and one line, whatever the
+line length: each block is parsed into columns sized from the file's
+bytes, and the rows are sorted only when they are out of flight and time
+order.  No column of types is held: a flight takes the type of its first
+row, and only a mixed flight's types are kept, for its warning.  Every
+file this module writes is in that order, so it is read without a sort.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
 window, ``learning.INTERVAL_FL``, and of each only the blips inside it
@@ -102,8 +102,9 @@ logger = logging.getLogger(__name__)
 _HEADER = ["flight_id", "type_code", "t_s", "alt_ft"]
 _HEADER_LATLON = _HEADER + ["lat", "lon"]
 ALT_MAX_FT = 60000.0
-BLOCK_LINES = 1 << 13   # lines per parse or write block: bounds the rows held at once
-READ_BYTES = 1 << 13    # bytes per read of a blip file: bounds the bytes held past a block
+BLOCK_CHARS = 1 << 16   # characters per block of a blip file read: bounds the text held
+BLOCK_LINES = 1 << 13   # rows per write or flight block: bounds the rows held at once
+BLIP_INTERVAL_MIN_S = 0.1   # s, under any radar or ADS-B update interval
 MAX_REDRAWS = 100
 ROCD_MIN_FPM = 500.0    # climb-rate floor of a kept blip
 SIMULATED_FL = (INTERVAL_FL[0] - 10.0, INTERVAL_FL[1] + 10.0)   # brackets the modeled window
@@ -215,78 +216,30 @@ def _write_rows(fh, *columns) -> None:
 _REFUSED_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _next_block(fh, rest: bytes) -> tuple[bytes, bytes]:
-    """The next ``BLOCK_LINES`` lines of the bytes ``rest`` and then of an
-    open binary file, or all that is left of them, and the bytes read past
-    the block.  Every line end counts: ``b"\\n"``, a ``b"\\r\\n"`` pair
-    once, and a lone ``b"\\r"``; no block ends between a pair's two bytes.
-
-    The file is read ``READ_BYTES`` at a time.  Each read's line ends are
-    counted, a ``b"\\r"`` that ends a read with the next read's first byte,
-    and only the read in which the block ends is scanned for their
-    positions, so no object is made per line and at most one read is held
-    past the block."""
-    pieces, n_lines, chunk = [], 0, rest
-    while n_lines + (n := _line_ends(chunk)) < BLOCK_LINES:
-        held = chunk[-1:] if chunk.endswith(b"\r") else b""   # the pair it may start
-        pieces.append(chunk[:len(chunk) - len(held)])
-        n_lines += n
-        chunk = fh.read(READ_BYTES)
-        if not chunk:
-            return b"".join(pieces) + held, b""
-        chunk = held + chunk
-    units = np.frombuffer(chunk, np.uint8)
-    lone_cr = (units == ord("\r")) & (np.append(units[1:], ord("\n")) != ord("\n"))
-    ends = np.flatnonzero((units == ord("\n")) | lone_cr)
-    stop = int(ends[BLOCK_LINES - n_lines - 1]) + 1
-    pieces.append(chunk[:stop])
-    return b"".join(pieces), chunk[stop:]
-
-
-def _line_ends(chunk: bytes) -> int:
-    """The line ends of ``chunk``, a ``b"\\r"`` that ends it not counted."""
-    if b"\r" not in chunk:
-        return chunk.count(b"\n")
-    return (chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            - chunk.endswith(b"\r"))
-
-
 def _blocks(path: Path) -> Iterator[bytes]:
-    """The UTF-8 bytes of a blip file in blocks of whole lines, each line
-    ended by ``b"\\n"``; the whole file is never held.  A line ends at
-    ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as Python's universal newlines end
-    it.
-
-    A block is ``BLOCK_LINES`` lines of the file, every line end counted
-    (``_next_block``).  No multibyte UTF-8 character holds the byte
-    ``b"\\n"`` or ``b"\\r"``, and a block ends only after one and never
-    inside a ``"\\r\\n"`` pair, so every character and every pair lies
-    inside one block, wherever a read ends.
-    Only a block that is not ASCII is checked to be UTF-8, and only one
-    that holds ``b"\\r"`` has its line ends replaced.  A missing or
-    unreadable file is a ``ValidationError``.
+    """The UTF-8 bytes of a blip file in blocks of whole lines, each ended
+    by ``b"\\n"``, read through Python's text layer: its UTF-8 decoding
+    and universal newlines.  Each read takes ``BLOCK_CHARS`` characters
+    less the line begun before it and is cut at its last newline, so a
+    block holds at most ``BLOCK_CHARS`` characters but for a longer line,
+    read on to its end as a block of its own.  A missing or unreadable
+    file is a ``ValidationError``, text that is not UTF-8 a ``DataError``
+    naming the offset of its first bad byte.
     """
     try:
-        # unbuffered: the bytes read past a block are held only in ``rest``
-        with open(path, "rb", buffering=0) as fh:
-            offset = 0
-            rest = b""
-            while True:
-                data, rest = _next_block(fh, rest)
-                if not data:
-                    break
-                if not data.isascii():
-                    try:
-                        data.decode("utf-8")   # checked only: the text is dropped
-                    except UnicodeDecodeError as exc:
-                        raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
-                                        f"at byte {offset + exc.start}") from None
-                offset += len(data)
-                if b"\r" in data:
-                    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                if not data.endswith(b"\n"):
-                    data += b"\n"
-                yield data
+        with open(path, encoding="utf-8", newline=None) as fh:
+            rest = ""
+            try:
+                while text := rest + fh.read(BLOCK_CHARS - len(rest)):
+                    if not (cut := text.rfind("\n") + 1):
+                        text += fh.readline()
+                        cut = len(text)
+                    block, rest = text[:cut], text[cut:]
+                    yield (block if block.endswith("\n") else block + "\n").encode()
+            except UnicodeDecodeError as exc:   # exc.object: any bytes held, then this read's
+                offset = fh.buffer.tell() - len(exc.object) + exc.start
+                raise DataError(f"blip file {path} is not UTF-8 text: {exc.reason} "
+                                f"at byte {offset}") from None
     except FileNotFoundError:
         raise ValidationError(f"blip file not found: {path}") from None
     except OSError as exc:
@@ -442,29 +395,31 @@ def _note_types(flight: np.ndarray, types: np.ndarray, flight_type: np.ndarray,
 def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
-    The file is read ``BLOCK_LINES`` lines at a time and never held whole.
-    Each block is read by one ``np.loadtxt`` call (``_read_block``), or a
-    line at a time (``_read_lines``) when numpy would read it otherwise
-    than ``float`` and the one dialect do or one of its rows is not a valid
-    blip; only run heads of ids and types are decoded into strings.  Every
-    value and every rejection is ``float``'s.  A row is a line of fields
-    joined by commas, none of them quoted, as ``write_columns`` writes it,
-    and a line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as in Python's
-    text mode.  Malformed rows are logged with their line number, skipped,
-    and counted.  A missing or unreadable file is a ``ValidationError``;
-    non-UTF-8 text, an empty file or a wrong header a ``DataError``.
+    The file is read in blocks of whole lines (``_blocks``) and never held
+    whole.  Each block is read by one ``np.loadtxt`` call
+    (``_read_block``), or a line at a time (``_read_lines``) when numpy
+    would read it otherwise than ``float`` and the one dialect do or one
+    of its rows is not a valid blip; only run heads of ids and types are
+    decoded into strings.  Every value and every rejection is ``float``'s.
+    A row is a line of fields joined by commas, none of them quoted, as
+    ``write_columns`` writes it, and a line ends at ``"\\n"``,
+    ``"\\r\\n"`` or ``"\\r"``, as in Python's text mode.  Malformed rows
+    are logged with their line number, skipped, and counted.  A missing or
+    unreadable file is a ``ValidationError``; non-UTF-8 text, an empty
+    file or a wrong header a ``DataError``.
 
-    What is held is the flight-code, time and altitude columns and one
-    block.  A flight's type is that of its first row in line order; a row
-    of another type marks its flight mixed, and only the types of mixed
-    flights are kept, for their warning.  Each block is parsed into the
-    columns in place; they are sized from the file's size and the bytes
-    per line read so far, grown when that falls short and trimmed at the
-    end.  A file whose rows already come in flight and time order, each
-    flight one run and the flights in ``sorted()`` order of their ids, as
-    every file ``write_trajectories_csv`` and ``simulate_fleet`` write, is
-    checked block by block and not sorted;
-    any other file takes one stable sort of its rows in line order.
+    What is held is the flight-code, time and altitude columns, one block
+    of at most ``BLOCK_CHARS`` characters and one line, however long the
+    lines are.  A flight's type is that of its first row in line order; a
+    row of another type marks its flight mixed, and only the types of
+    mixed flights are kept, for their warning.  Each block is parsed into
+    the columns in place; they are sized from the file's size and the
+    bytes per line read so far, grown when that falls short and trimmed at
+    the end.  A file whose rows already come in flight and time order,
+    each flight one run and the flights in ``sorted()`` order of their
+    ids, as every file ``write_trajectories_csv`` and ``simulate_fleet``
+    write, is checked block by block and not sorted; any other file takes
+    one stable sort of its rows in line order.
     """
     path = Path(csv_path)
     blocks = _blocks(path)
@@ -527,15 +482,13 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     flight_ids = sorted(flight_index)
     codes = [flight_index[f] for f in flight_ids]   # each flight's code, in sorted() order
     if not (in_order and flight_ids == list(flight_index)):
-        # rank the flight codes in sorted() order of their ids, a block at a
-        # time in place.  The rows are in line order and the sort by flight,
-        # then time, is stable, so the first blip of a timestamp is the
-        # earliest line.  Each column is gathered on its own, so one copy at
-        # a time is made.
+        # rank the flight codes in sorted() order of their ids.  The rows are
+        # in line order and the sort by flight, then time, is stable, so the
+        # first blip of a timestamp is the earliest line.  Each column is
+        # gathered on its own, so one copy at a time is made.
         rank = np.empty(len(flight_ids), np.int32)
         rank[codes] = np.arange(len(flight_ids))
-        for start in range(0, n, BLOCK_LINES):
-            flight[start:start + BLOCK_LINES] = rank[flight[start:start + BLOCK_LINES]]
+        flight = rank[flight]
         order = np.lexsort((t_s, flight))
         flight = flight[order]
         t_s = t_s[order]
@@ -749,8 +702,8 @@ class FleetScenario:
     def __post_init__(self):
         if not self.types:
             raise DomainError("scenario must define at least one type")
-        if self.blip_interval_s <= 0.0:
-            raise DomainError("blip_interval_s must be positive")
+        if not self.blip_interval_s >= BLIP_INTERVAL_MIN_S:
+            raise DomainError(f"blip_interval_s must be at least {BLIP_INTERVAL_MIN_S} s")
         for name in ("alt_noise_ft", "quantization_ft"):
             if getattr(self, name) < 0.0:
                 raise DomainError(f"{name} must not be negative")

@@ -509,6 +509,16 @@ class TestExitCodes:
         assert str(bad) in err and f"{key} must not be negative" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("interval", [1e-300, 0.05, 0.0, -6.0])
+    def test_blip_interval_below_its_floor_is_validation_error(self, tmp_path, capsys, interval):
+        # a tiny interval would ask for one huge blip array per flight
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO, "blip_interval_s": interval}))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: scenario file {bad}: blip_interval_s must be at least 0.1 s"]
+        assert not (tmp_path / "o").exists()
+
     def test_byte_order_mark_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bom.csv"
         bad.write_bytes(b"\xef\xbb\xbfflight_id,type_code,t_s,alt_ft\n"
@@ -647,25 +657,33 @@ class TestExitCodes:
         assert "record 3: type_code" in proc.stderr and '"A/B"' in proc.stderr
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", [("v_cas_ms", 1e200), ("mach", 1e-200),
-                                            ("v_cas_ms", 1e-300)])
-    def test_catalog_schedule_whose_crossover_over_or_underflows_is_validation_error(
-            self, tmp_path, key, value):
-        # the crossover's closed form gives a pressure of inf or 0: one error
-        # line naming both legs, and no numpy warning before it
+    @pytest.mark.parametrize("legs, scenario_type, where", [
+        ({"v_cas_ms": 1e200}, "NBJT", ""), ({"mach": 1e-200}, "NBJT", ""),
+        ({"v_cas_ms": 1e-300}, "NBJT", ""),
+        ({"v_cas_ms": 250, "mach": 0.5}, "NBJT", "; they cross at -7688 m"),
+        ({"v_cas_ms": 250, "mach": 0.5}, "WBJT", "; they cross at -7688 m"),
+    ], ids=["overflow", "underflow", "cas-underflow", "below-0-m", "other-type-flown"])
+    def test_catalog_schedule_whose_legs_do_not_cross_is_validation_error(
+            self, tmp_path, legs, scenario_type, where):
+        # one error line naming the file, the type and both legs, and no
+        # numpy warning before it, also where the crossover's closed form
+        # gives a pressure of inf or 0.  The catalog is refused as it is
+        # read, so a scenario that flies only other types does not pass it
         records = json.loads(performance.default_catalog_path().read_text())
         perf = tmp_path / "perf.json"
-        perf.write_text(json.dumps([{**r, key: value} if r["type_code"] == "NBJT" else r
+        perf.write_text(json.dumps([{**r, **legs} if r["type_code"] == "NBJT" else r
                                     for r in records]))
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(SCENARIO))
+        scenario.write_text(json.dumps({**SCENARIO, "types": {
+            scenario_type: SCENARIO["types"]["NBJT"]}}))
         proc = run_cli("simulate", "--scenario", str(scenario), "--perf-file", str(perf),
                        "--out", str(tmp_path / "o"), "--seed", "1")
         assert proc.returncode == 2, proc.stderr
-        nbjt = {**next(r for r in records if r["type_code"] == "NBJT"), key: value}
+        nbjt = {**next(r for r in records if r["type_code"] == "NBJT"), **legs}
         assert proc.stderr.splitlines() == [
-            f"error: CAS/Mach legs of v_cas {nbjt['v_cas_ms']} m/s and mach {nbjt['mach']} "
-            "do not cross in [0, 20000] m"]
+            f"error: performance file {perf}: NBJT: CAS/Mach legs of v_cas "
+            f"{float(nbjt['v_cas_ms'])} m/s and mach {float(nbjt['mach'])} "
+            f"do not cross in [0, 20000] m{where}"]
         assert not (tmp_path / "o").exists()
 
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):

@@ -1,5 +1,6 @@
 """Ingestion, climb filtering, splitting, and fleet simulation tests."""
 
+import io
 import json
 import logging
 import math
@@ -248,6 +249,84 @@ def hostile_blip_file(tmp_path, seed):
     return path
 
 
+# block sizes, in characters, that cut the small files below into many
+# blocks: a line a block, each read ending inside its line, and a line or
+# a few lines a block
+SMALL_BLOCKS = [1, 32, 96]
+
+
+class ShortReads(io.BufferedReader):
+    """A binary file that gives Python's text layer at most ``size`` bytes
+    a read, so its reads end inside characters and ``"\\r\\n"`` pairs."""
+
+    def __init__(self, path, size):
+        super().__init__(io.FileIO(path))
+        self.size = size
+
+    def read1(self, n=-1):
+        return super().read1(self.size if n < 0 else min(n, self.size))
+
+
+def read_in_short_reads(monkeypatch, size):
+    """Make ``ingest`` read a blip file through ``ShortReads`` of ``size``."""
+    monkeypatch.setattr(pipeline, "open", lambda path, **kwargs: io.TextIOWrapper(
+        ShortReads(path, size), **kwargs), raising=False)
+
+
+def fuzz_blip_file(tmp_path, seed):
+    """A seeded blip file under a 4- or 6-column header, of flights whose
+    ids and types hold ``HOSTILE`` texts or none, some number texts of
+    ``FAST_TEXTS`` and ``SLOW_TEXTS``, quoted fields, duplicate
+    timestamps, one-blip and mixed-type flights, blank and ``MALFORMED``
+    rows, in flight order or shuffled, with "\\n", "\\r\\n", "\\r" or
+    mixed line ends and maybe no last newline.  Flight ``F-OK`` is valid,
+    so some flight is always usable."""
+    rng = np.random.default_rng(seed)
+
+    def pick(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    def hostile(text):
+        at = int(rng.integers(len(text) + 1))
+        return text[:at] + pick(HOSTILE) + text[at:] if rng.random() < 0.2 else text
+
+    latlon = rng.random() < 0.5
+    rows = []
+    for k in range(int(rng.integers(2, 7))):
+        flight_id = "F-OK" if k == 0 else hostile(f"F{k}")
+        types = ["NBJT"] if k == 0 else [hostile(pick(["NBJT", "WBJT", "Wé", "NB\u2028JT"]))]
+        if k and rng.random() < 0.15:
+            types.append("AJET")
+        n = int(rng.integers(2 if k == 0 else 1, 25))
+        t = np.round(rng.uniform(0.0, 3000.0) + np.cumsum(rng.choice([0.0, 0.5, 6.0], n)), 1)
+        t[0] -= 1.0   # so F-OK has two distinct timestamps
+        alt = np.round((rng.uniform(5000.0, 30000.0) + 30.0 * (t - t[0])) / 25.0) * 25.0
+        for i, (ti, ai) in enumerate(zip(t.tolist(), alt.tolist())):
+            fields = [flight_id, types[i % len(types)], repr(ti), repr(ai)]
+            if latlon:
+                fields += [pick(["", "1.5", repr(float(rng.normal()))]) for _ in range(2)]
+            if k and rng.random() < 0.1:
+                fields[int(rng.integers(2, len(fields)))] = pick(FAST_TEXTS + SLOW_TEXTS)
+            if k and rng.random() < 0.01:
+                at = int(rng.integers(len(fields)))
+                fields[at] = f'"{fields[at]}"'
+            rows.append(",".join(fields))
+    bad = MALFORMED[6 if latlon else 4]
+    rows += [pick(bad).format(f="F1", c="NBJT") for _ in range(int(rng.integers(-3, 4)))]
+    rows += [""] * int(rng.integers(0, 4))
+    if rng.random() < 0.5:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    ends = pick(["\n", "\r\n", "\r", "mixed"])
+    text = HEADER_LATLON if latlon else HEADER
+    for row in rows:
+        text += (pick(["\n", "\r\n", "\r"]) if ends == "mixed" else ends) + row
+    if rng.random() < 0.7:
+        text += "\n" if ends == "mixed" else ends
+    path = tmp_path / f"fuzz{seed}.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
 def assert_same_trajectories(got, want):
     assert [t.flight_id for t in got] == [t.flight_id for t in want]
     for a, b in zip(got, want):
@@ -357,11 +436,11 @@ class TestIngest:
             assert np.array_equal(a.t_s, b.t_s)
             assert np.array_equal(a.alt_ft, b.alt_ft)
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
+    @pytest.mark.parametrize("block_chars", [None, *SMALL_BLOCKS])
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_reference_ingest(self, tmp_path, caplog, monkeypatch, seed, block_lines):
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+    def test_matches_reference_ingest(self, tmp_path, caplog, monkeypatch, seed, block_chars):
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         path = random_blip_file(tmp_path, seed, latlon=seed % 2 == 1)
         want, want_warnings = reference_ingest(path)
         with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
@@ -370,18 +449,18 @@ class TestIngest:
         assert [r.getMessage() for r in caplog.records] == want_warnings
         assert len(want_warnings) > len(MALFORMED[6 if seed % 2 else 4])
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
+    @pytest.mark.parametrize("block_chars", [None, *SMALL_BLOCKS])
     @pytest.mark.parametrize("line_end", ["\r\n", "\r", "mixed"])
     def test_every_line_end_reads_as_a_newline(self, tmp_path, caplog, monkeypatch, line_end,
-                                               block_lines):
+                                               block_chars):
         # a line ends at "\n", "\r\n" or "\r", as universal newlines end it,
         # and each ends a line of a block: a file of one of them or of a mix,
         # with blank lines and no last newline, read 3 bytes at a time, is
         # cut into the blocks of its "\n" copy, so it too is never held
         # whole, and gives its trajectories, warnings and line numbers
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
-        monkeypatch.setattr(pipeline, "READ_BYTES", 3)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
+        read_in_short_reads(monkeypatch, 3)
         rows = []
         for k, flight_id in enumerate(["Fé", "F✈", "F𝔉", "Ωmega"]):
             rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)[:6]
@@ -408,16 +487,18 @@ class TestIngest:
         assert " line 11: " in want_warnings[0]
 
     @pytest.mark.parametrize("read_by", ["loadtxt", "lines"])
-    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    @pytest.mark.parametrize("block_chars", [1, 64, 96])
     @pytest.mark.parametrize("separator", FORMER_SEPARATORS)
     def test_a_former_line_separator_is_a_field_character(self, tmp_path, caplog, monkeypatch,
-                                                          separator, block_lines, read_by):
+                                                          separator, block_chars, read_by):
         # the separators of str.splitlines that universal newlines do not
         # know end no line: ids and types holding one round-trip through the
         # writer and ingest.  With read_by "lines" a quoted row before each
         # row and after the last sends every block of two or more lines to
-        # the per-line path; "\x1c"-"\x1e" send their blocks there anyway
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        # the per-line path, and at 64 characters or more every block holds
+        # two or more of these lines, each under 32 characters.  "\x1c"-"\x1e"
+        # send their blocks there anyway
+        monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         k = np.arange(6.0)
         flights = [Trajectory(flight_id=flight_id, type_code=type_code, t_s=6.0 * k,
                               alt_ft=15000.0 + 200.0 * k)
@@ -439,17 +520,17 @@ class TestIngest:
         assert_same_trajectories(got, flights)
         rows_read_by_lines = sum(separator in line for text in per_line
                                  for line in text.split("\n"))
-        by_lines = (read_by == "lines" and block_lines > 1) or separator in "\x1c\x1d\x1e"
+        by_lines = (read_by == "lines" and block_chars > 1) or separator in "\x1c\x1d\x1e"
         assert rows_read_by_lines == (18 if by_lines else 0)
         write_trajectories_csv(got, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2])
-    def test_a_last_line_without_its_newline(self, tmp_path, caplog, monkeypatch, block_lines):
+    @pytest.mark.parametrize("block_chars", [None, 1, 32])
+    def test_a_last_line_without_its_newline(self, tmp_path, caplog, monkeypatch, block_chars):
         # a plain "\n" file whose last line lacks its newline reads as the
         # same file with it: the last line, a valid blip, is kept
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = ramp_flight("A", 15000, 20000, 2000) + ramp_flight("B", 15000, 21000, 2500)
         rows.insert(5, "A,NBJT,abc,1000")
         data = ("\n".join([HEADER] + rows) + "\n").encode()
@@ -467,14 +548,14 @@ class TestIngest:
         assert got_warnings == want_warnings and len(want_warnings) == 2
         assert got[-1].t_s[-1] == float(rows[-1].split(",")[2])
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2, 3])
+    @pytest.mark.parametrize("block_chars", [None, *SMALL_BLOCKS])
     @pytest.mark.parametrize("seed", range(4))
     def test_hostile_ids_survive_write_and_ingest(self, tmp_path, caplog, monkeypatch, seed,
-                                                  block_lines):
+                                                  block_chars):
         # every flight ingest returns has an id and type that write_columns
         # writes back on one line, field for field
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         first = assert_ingest_matches_reference(hostile_blip_file(tmp_path, seed), caplog)
         for text in BENIGN:
             assert any(text in tr.flight_id for tr in first)
@@ -486,7 +567,7 @@ class TestIngest:
         assert (tmp_path / "twice.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
 
     def test_bad_byte_in_a_later_block_gives_its_offset_in_the_file(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
+        monkeypatch.setattr(pipeline, "BLOCK_CHARS", 32)
         lines = [HEADER] + ramp_flight("A", 15000, 20000, 2000)
         data = ("\n".join(lines) + "\n").encode() + b"B,NBJT,0.0,1\xff00\n"
         path = tmp_path / "blips.csv"
@@ -494,40 +575,50 @@ class TestIngest:
         offset = data.index(b"\xff")
         with pytest.raises(UnicodeDecodeError) as whole:
             data.decode("utf-8")
-        assert whole.value.start == offset and len(lines) > 2 * pipeline.BLOCK_LINES
+        assert whole.value.start == offset and offset > 2 * pipeline.BLOCK_CHARS
         with pytest.raises(DataError, match=f"not UTF-8 text: invalid start byte at byte {offset}$"):
             ingest(path)
 
-    @pytest.mark.parametrize("block_lines", [1, 2, 700])
-    def test_blocks_are_whole_lines_wherever_a_read_ends(self, tmp_path, monkeypatch,
-                                                              block_lines):
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+    @pytest.mark.parametrize("read_bytes", [1, 3, 8192])
+    @pytest.mark.parametrize("final_newline", [False, True])
+    def test_blocks_are_whole_lines_of_at_most_block_chars(self, tmp_path, monkeypatch,
+                                                           final_newline, read_bytes):
+        # each block is whole lines, each ended by "\n", of at most
+        # BLOCK_CHARS characters, or one longer line; it takes every line
+        # that fits, so a block and the next block's first line are longer
+        # than BLOCK_CHARS; and the blocks join to the file's text, with a
+        # last newline added where the file lacks it
+        read_in_short_reads(monkeypatch, read_bytes)
         rows = [f"{f},NBJT,{k}.5,1{k}00.0" for k in range(40) for f in ("Fé", "F✈", "F𝔉")]
+        rows[7] = "F" * 150 + rows[7]
         data = ("\r\n".join([HEADER] + rows[:50]) + "\r" + "\n".join(rows[50:])).encode()
+        data += b"\n" if final_newline else b""
         path = tmp_path / "blips.csv"
         path.write_bytes(data)
-        assert not data.endswith(b"\n")
         # the lone "\r" after rows[49] ends a line too
-        lines = re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", data)
+        lines = [line.decode() + "\n" for line in re.split(rb"\r\n|\r|\n", data.removesuffix(b"\n"))]
         assert len(lines) == 1 + len(rows)
-        want = [b"".join(lines[i:i + block_lines]) for i in range(0, len(lines), block_lines)]
-        for read_bytes in (1, 2, 3, 5, 64, 1 << 20):
-            monkeypatch.setattr(pipeline, "READ_BYTES", read_bytes)
-            got, rest = [], b""
-            with open(path, "rb", buffering=0) as fh:
-                while (block := pipeline._next_block(fh, rest))[0]:
-                    got.append(block[0])
-                    rest = block[1]
-                    assert len(rest) <= read_bytes
-            assert got == want
+        for block_chars in (1, 2, 3, 5, 64, 1 << 20):
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
+            blocks = [block.decode() for block in pipeline._blocks(path)]
+            assert "".join(blocks) == "".join(lines)
+            for block in blocks:
+                assert block.endswith("\n")
+                assert len(block) <= block_chars or block.count("\n") == 1
+            if final_newline:
+                for block, after in zip(blocks, blocks[1:]):
+                    assert len(block) + after.index("\n") + 1 > block_chars
+        assert len(blocks) == (1 if final_newline else 2)   # at 1 << 20 characters
 
     @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
-    @pytest.mark.parametrize("block_lines", [2, 700])
+    @pytest.mark.parametrize("block_chars", [None, 1, 96])
     @pytest.mark.parametrize("read_bytes", [3, 7])
     def test_reads_that_end_inside_a_character_or_a_crlf_pair(self, tmp_path, caplog, monkeypatch,
-                                                              block_lines, read_bytes, line_end):
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
-        monkeypatch.setattr(pipeline, "READ_BYTES", read_bytes)
+                                                              block_chars, read_bytes, line_end):
+        # Python's text layer is given the file read_bytes at a time
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
+        read_in_short_reads(monkeypatch, read_bytes)
         rows = []
         for k, flight_id in enumerate(["Fé", "F✈", "F𝔉", "Ωmega"]):
             rows += ramp_flight(flight_id, 15000 + 1000 * k, 20000 + 1000 * k, 2000)
@@ -546,6 +637,66 @@ class TestIngest:
         offset = len(data) + len("Ω,NBJT,0.0,1".encode())
         with pytest.raises(DataError, match=f"invalid start byte at byte {offset}$"):
             ingest(path)
+
+    @pytest.mark.parametrize("block_chars", [None, 1024])
+    @pytest.mark.parametrize("where", ["after a character", "inside a character", "after a pair"])
+    def test_a_bad_byte_gives_the_offset_bytes_decode_gives(self, tmp_path, monkeypatch, where,
+                                                            block_chars):
+        # Python's text layer reads the file in chunks of 8 KiB or, for a
+        # block of 64 Ki characters, more: a bad byte at offsets either side
+        # of such chunks' ends gives bytes.decode's reason and offset
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
+        head = {"after a character": "é".encode(), "inside a character": b"x\xc3",
+                "after a pair": b"\r\n"}[where]
+        row = b"F,NBJT,0.0,15000.0\r\n"
+        clean = (HEADER + "\r\n").encode() + row * (70000 // len(row))
+        path = tmp_path / "bad.csv"
+        for offset in (5, 8190, 8191, 8192, 8193, 16384, 20000, 65535, 65536, 65537):
+            data = bytearray(clean)
+            data[offset - 2:offset + 1] = head + (b"(" if where == "inside a character" else b"\xff")
+            path.write_bytes(data)
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            assert whole.value.start == offset - (where == "inside a character")
+            with pytest.raises(DataError, match=f": {whole.value.reason} at byte "
+                                                f"{whole.value.start}$"):
+                ingest(path)
+
+    def test_seeded_fuzz_matches_reference_ingest(self, tmp_path, caplog, monkeypatch):
+        # each file, read at the default block size and at a few characters,
+        # gives reference_ingest's trajectories, warnings and line numbers
+        sizes = [pipeline.BLOCK_CHARS, 1, 2, 3, 5, 8]
+        for seed in range(300):
+            path = fuzz_blip_file(tmp_path, seed)
+            want, want_warnings = reference_ingest(path)
+            for block_chars in (sizes[0], sizes[1 + seed % 5]):
+                monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="climbgen.pipeline"):
+                    got = ingest(path)
+                assert_same_trajectories(got, want)
+                assert [r.getMessage() for r in caplog.records] == want_warnings, (seed, block_chars)
+
+    def test_long_lines_hold_a_few_blocks_not_the_file(self, tmp_path):
+        # 2000 six-column rows of 2 KB, a 4 MB file: the traced peak is the
+        # columns and copies of one block, however long the lines: the text
+        # read, the block's text and UTF-8 bytes, and np.loadtxt's copies,
+        # about 11 blocks of 64 KiB here.  Blocks of 8192 lines held the
+        # whole file, several times over
+        lat = "45." + "1" * 1000
+        rows = [f"F{k // 100:02d},NBJT,{6.0 * (k % 100)!r},{15000.0 + 25.0 * (k % 100)!r},{lat},{lat}"
+                for k in range(2000)]
+        path = csv_file(tmp_path, [HEADER_LATLON] + rows)
+        tracemalloc.start()
+        try:
+            trajectories = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(tr.n_blips for tr in trajectories) == len(rows)
+        assert path.stat().st_size > 4e6
+        assert peak < 16 * pipeline.BLOCK_CHARS + 20 * len(rows), f"{peak / 2**20:.2f} MiB"
 
     def test_peak_memory_is_one_block_plus_the_columns(self, tmp_path):
         # in-order rows are parsed into the returned columns in place and not
@@ -591,15 +742,15 @@ class TestIngest:
             f'{tmp_path / "blips.csv"} line 5: a field holds a quote ("); row skipped',
             f"{tmp_path / 'blips.csv'}: skipped 1 malformed row(s)"]
 
-    @pytest.mark.parametrize("block_lines", [None, 3])
+    @pytest.mark.parametrize("block_chars", [None, 96])
     @pytest.mark.parametrize("seed", range(3))
     def test_numbers_read_as_float_reads_them(self, tmp_path, caplog, monkeypatch, seed,
-                                              block_lines):
+                                              block_chars):
         # every number text, read by np.loadtxt or by float(), gives float()'s
         # bits, and a rejected one float()'s message: each text is one
         # flight's time and another's altitude
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rng = np.random.default_rng(seed)
         write_columns(tmp_path / "values.csv", "v", np.concatenate([
             random_float_column(rng, 300), AWKWARD, -AWKWARD, rng.uniform(0.0, 60000.0, 50)]))
@@ -614,15 +765,19 @@ class TestIngest:
     def test_only_blocks_that_np_loadtxt_refuses_reach_float(self, tmp_path, caplog,
                                                              monkeypatch):
         # each text is one flight's first time, in a block with the flight's
-        # second row and no other; both rows' altitude tags the block.  The
-        # blocks np.loadtxt reads give float() no text, the others give it
-        # each of theirs, and every text gets float()'s answer
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", 2)
+        # second row and no other: every row's id is padded to a line of 64
+        # characters, so a block of 128 holds two rows, or the header and
+        # the first.  Both rows' altitude tags the block.  The blocks
+        # np.loadtxt reads give float() no text, the others give it each of
+        # theirs, and every text gets float()'s answer
+        monkeypatch.setattr(pipeline, "BLOCK_CHARS", 128)
         texts = FAST_TEXTS + SLOW_TEXTS
         tags = [repr(1000.0 + i) for i in range(len(texts))]
-        lines = [HEADER, "G,NBJT,0.0,999.0"] + [
+        rows = ["G,NBJT,0.0,999.0"] + [
             row for i, text in enumerate(texts)
             for row in (f"F{i},NBJT,{text},{tags[i]}", f"F{i},NBJT,-1.0,{tags[i]}")]
+        lines = [HEADER] + [row.replace(",", "_" * (63 - len(row)) + ",", 1) for row in rows]
+        assert {len(line) for line in lines[1:]} == {63}
         given = []
 
         class Float(float):   # float, and a record of the texts it is given
@@ -631,6 +786,7 @@ class TestIngest:
                 return float(text)
 
         path = csv_file(tmp_path, lines)
+        assert [block.count(b"\n") for block in pipeline._blocks(path)] == [2] * (len(texts) + 1)
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "float", Float, raising=False)
             ingest(path)
@@ -644,11 +800,11 @@ class TestIngest:
     # and that pass its block's blip checks, yet that float() or the one
     # dialect read otherwise: a guard sends their blocks to the per-line path
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    @pytest.mark.parametrize("block_chars", [None, 1, 32])
     def test_a_quote_np_loadtxt_keeps_in_a_field_skips_its_row(self, tmp_path, caplog,
-                                                               monkeypatch, block_lines):
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+                                                               monkeypatch, block_chars):
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = ramp_flight("A", 15000, 20000, 2000)[:6]
         for flight_id, type_code in (('F"1', "NBJT"), ('"B"', "NBJT"), ("C", 'NBJT"')):
             rows += [f"{flight_id},{type_code},{6.0 * k},{15000.0 + 100.0 * k}" for k in range(3)]
@@ -656,12 +812,12 @@ class TestIngest:
         assert [t.flight_id for t in got] == ["A"]
         assert caplog.records[-1].getMessage().endswith("skipped 9 malformed row(s)")
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    @pytest.mark.parametrize("block_chars", [None, 1, 32])
     def test_texts_that_differ_by_a_trailing_nul_stay_apart(self, tmp_path, caplog,
-                                                            monkeypatch, block_lines):
+                                                            monkeypatch, block_chars):
         # np.loadtxt's byte-string columns drop trailing NULs
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = (ramp_flight("A", 15000, 20000, 2000)[:4]
                 + ramp_flight("A\x00", 15000, 20000, 2000, t0=3.0)[:4]
                 + ramp_flight("B", 15000, 20000, 2000)[:4])
@@ -669,36 +825,36 @@ class TestIngest:
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
         assert [(t.flight_id, t.n_blips) for t in got] == [("A", 4), ("A\x00", 4)]
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2])
-    def test_a_block_of_blank_lines_only(self, tmp_path, caplog, monkeypatch, block_lines):
+    @pytest.mark.parametrize("block_chars", [None, 1, 32])
+    def test_a_block_of_blank_lines_only(self, tmp_path, caplog, monkeypatch, block_chars):
         # np.loadtxt warns on a block with no data line
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
-        blank = [""] * (2 * pipeline.BLOCK_LINES)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
+        blank = [""] * (2 * pipeline.BLOCK_CHARS)
         lines = ([HEADER] + ramp_flight("A", 15000, 20000, 2000)[:5] + blank
                  + ramp_flight("B", 15000, 20000, 2000)[:5])
         got = assert_ingest_matches_reference(csv_file(tmp_path, lines), caplog)
         assert [t.flight_id for t in got] == ["A", "B"] and not caplog.records
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2])
-    def test_empty_lat_and_lon_are_kept(self, tmp_path, caplog, monkeypatch, block_lines):
+    @pytest.mark.parametrize("block_chars", [None, 1, 32])
+    def test_empty_lat_and_lon_are_kept(self, tmp_path, caplog, monkeypatch, block_chars):
         # np.loadtxt refuses an empty number; the per-line path allows an
         # empty lat or lon
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = [row + latlon for row, latlon in
                 zip(ramp_flight("A", 15000, 20000, 2000)[:9], cycle([",,", ",1.5,", ",,-2.5"]))]
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER_LATLON] + rows), caplog)
         assert [t.n_blips for t in got] == [9] and not caplog.records
 
-    @pytest.mark.parametrize("block_lines", [None, 1, 2])
+    @pytest.mark.parametrize("block_chars", [None, 1, 32])
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_a_unit_separator_around_a_number_skips_its_row(self, tmp_path, caplog,
-                                                            monkeypatch, separator, block_lines):
+                                                            monkeypatch, separator, block_chars):
         # np.loadtxt strips "\x1c"-"\x1f" around a number as space; float()
         # does not.  In an id or a type each is any other character
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = (ramp_flight("A", 15000, 20000, 2000)[:6]
                 + ramp_flight(f"F{separator}", 15000, 20000, 2000,
                               type_code=f"{separator}NBJT")[:6])
@@ -708,12 +864,12 @@ class TestIngest:
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
         assert [(t.flight_id, t.n_blips) for t in got] == [("A", 4), (f"F{separator}", 6)]
 
-    @pytest.mark.parametrize("block_lines", [None, 2])
+    @pytest.mark.parametrize("block_chars", [None, 40, 700])
     @pytest.mark.parametrize("make_rows", [long_id_rows, run_head_rows])
     def test_id_and_type_runs_match_reference_ingest(self, tmp_path, caplog, monkeypatch,
-                                                     make_rows, block_lines):
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+                                                     make_rows, block_chars):
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = make_rows()
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
         assert len(got) == len({row.split(",", 1)[0] for row in rows})
@@ -762,10 +918,10 @@ class TestIngestOrder:
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
         assert len(got) == 6 and sorts == []
 
-    @pytest.mark.parametrize("block_lines", [None, 3])
-    def test_shuffled_rows_are_sorted(self, tmp_path, caplog, monkeypatch, sorts, block_lines):
-        if block_lines:
-            monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+    @pytest.mark.parametrize("block_chars", [None, 96])
+    def test_shuffled_rows_are_sorted(self, tmp_path, caplog, monkeypatch, sorts, block_chars):
+        if block_chars:
+            monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = in_order_rows()
         shuffled = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + shuffled), caplog)
@@ -780,20 +936,20 @@ class TestIngestOrder:
         got = assert_ingest_matches_reference(csv_file(tmp_path, [HEADER] + rows), caplog)
         assert [t.n_blips for t in got] == [40] * 6 and sorts == [len(rows)]
 
-    @pytest.mark.parametrize("block_lines", [2, 3, 700])
+    @pytest.mark.parametrize("block_chars", [64, 96, 16000])
     def test_a_backward_time_step_at_a_block_boundary_is_sorted(self, tmp_path, caplog,
-                                                                monkeypatch, sorts, block_lines):
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+                                                                monkeypatch, sorts, block_chars):
+        monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rows = in_order_rows(n_flights=4, n_blips=500)
-        # the first block holds the header, so row r starts the third block;
-        # swapping rows r - 1 and r makes its time the only one that falls
-        r = 2 * block_lines - 1
+        # row r starts the third block, the first holding the header;
+        # swapping rows r - 1 and r, of one length, keeps the blocks' bounds
+        # and makes r's time the only one that falls
+        first, second, *_ = pipeline._blocks(csv_file(tmp_path, [HEADER] + rows))
+        r = first.count(b"\n") - 1 + second.count(b"\n")
+        assert len(rows[r - 1]) == len(rows[r])
         rows[r - 1], rows[r] = rows[r], rows[r - 1]
         path = csv_file(tmp_path, [HEADER] + rows)
-        with open(path, "rb", buffering=0) as fh:
-            first, rest = pipeline._next_block(fh, b"")
-            second, rest = pipeline._next_block(fh, rest)
-            third, _ = pipeline._next_block(fh, rest)
+        first, second, third, *_ = pipeline._blocks(path)
         assert second.endswith((rows[r - 1] + "\n").encode())
         assert third.startswith(rows[r].encode())
         got = assert_ingest_matches_reference(path, caplog)
@@ -829,10 +985,10 @@ class TestIngestOrder:
         assert sorts == ([len(rows)] if shuffle else [])
 
     @pytest.mark.parametrize("shuffle", [False, True])
-    @pytest.mark.parametrize("block_lines", [2, 3, 700])
+    @pytest.mark.parametrize("block_chars", [64, 96, 14000])
     def test_a_type_first_seen_in_a_later_block_marks_its_flight_mixed(
-            self, tmp_path, caplog, monkeypatch, block_lines, shuffle):
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", block_lines)
+            self, tmp_path, caplog, monkeypatch, block_chars, shuffle):
+        monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         # the flights' types alternate, so a flight read with another's
         # type would be dropped as mixed
         rows = [row if k // 100 % 2 == 0 else row.replace("NBJT", "WBJT")
@@ -857,7 +1013,7 @@ class TestIngestOrder:
                                                                       long_first):
         # the columns are sized from the first block's bytes per line: long
         # lines there make the estimate short, and the columns grow
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", 64)
+        monkeypatch.setattr(pipeline, "BLOCK_CHARS", 2048)
         sizes = []
         resize = pipeline._resize
 
