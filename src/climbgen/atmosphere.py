@@ -61,9 +61,9 @@ class SpeedSchedule:
     mach: float    # dimensionless
 
     def __post_init__(self):
-        if not np.isfinite(self.v_cas) or self.v_cas <= 0.0:
-            raise DomainError(f"v_cas must be positive, got {self.v_cas}")
-        if not np.isfinite(self.mach) or not 0.0 < self.mach < 1.0:
+        if not 0.0 < self.v_cas < np.inf:   # NaN fails; each is named by its catalog key
+            raise DomainError(f"v_cas_ms must be positive, got {self.v_cas}")
+        if not 0.0 < self.mach < 1.0:
             raise DomainError(f"mach must lie in (0, 1), got {self.mach}")
 
 
@@ -80,8 +80,6 @@ def isa_state(h: np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
         raise DomainError("altitude must be finite")
     if np.any(h_arr < 0.0) or np.any(h_arr > H_MAX):
         raise DomainError(f"altitude must lie in [0, {H_MAX:.0f}] m")
-    if not np.isfinite(delta_T):
-        raise DomainError("delta_T must be finite")
 
     T = np.where(h_arr < H_TROPOPAUSE, T0 + BETA * h_arr, T_TROPOPAUSE)
     p = np.where(
@@ -89,8 +87,8 @@ def isa_state(h: np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
         P0 * ((T0 + BETA * np.minimum(h_arr, H_TROPOPAUSE)) / T0) ** (-G0 / (BETA * R_AIR)),
         P_TROPOPAUSE * np.exp(-G0 * (h_arr - H_TROPOPAUSE) / (R_AIR * T_TROPOPAUSE)),
     )
-    if np.any(T + delta_T <= 0.0):
-        raise DomainError("delta_T drives the effective temperature non-positive")
+    if not (np.all(T + delta_T > 0.0) and np.isfinite(KAPPA * R_AIR * (T0 + float(delta_T)))):
+        raise DomainError(f"delta_T {delta_T} K: T + delta_T not positive, or gas law overflows")
     rho = p / (R_AIR * (T + delta_T))
     return AtmosphereState(h_arr, T, float(delta_T), p, rho)
 

@@ -45,7 +45,7 @@ from .atmosphere import (
     isa_state,
     schedule_speed,
 )
-from .errors import DomainError, InfeasibleClimbError
+from .errors import DomainError, InfeasibleClimbError, ValidationError
 
 if TYPE_CHECKING:
     from .learning import ThrustProfile
@@ -107,6 +107,7 @@ def energy_share(
                   + np.where(h < crossover_altitude(schedule), compress, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow or NaN is refused below
 def rate_factors(
     perf: "AircraftPerformance",
     mass: float,
@@ -118,7 +119,8 @@ def rate_factors(
     ``mass`` and schedule speed, and the gain ``k = ratio * V * f / (mass g0)``
     (m/s per N) from the temperature ratio ``(T_isa - delta_T) / T_isa``
     of the ISA temperature, the schedule true airspeed ``V`` and the
-    energy share factor ``f``.
+    energy share factor ``f``.  A drag that is not finite or a gain that
+    is not finite and positive raises ``ValidationError``; each error names the type.
 
     At ``delta_T != 0`` this gain is wrong, a known defect (ROADMAP.md,
     item 3(a)).  BADA 3 writes the ratio ``(T - delta_T) / T`` of the
@@ -127,12 +129,19 @@ def rate_factors(
     Against a total-energy balance between FL150 and FL325, BADA's gain
     agrees to 3e-10 relative for the three shipped types; this one is off
     by -0.54% to -1.15% at -15 K and by up to +0.22% at +10 K."""
-    state = isa_state(h, delta_T)
+    try:
+        state = isa_state(h, delta_T)
+    except DomainError as exc:
+        raise DomainError(f"{perf.type_code}: {exc}") from None
     v_tas, mach = schedule_speed(perf.schedule, state)
     d = drag(perf, mass, state, v_tas)
-    f = energy_share(mach, state.h, perf.schedule)
-    ratio = (state.T - delta_T) / state.T
-    return d, ratio * v_tas * f / (mass * G0)
+    k = ((state.T - delta_T) / state.T * v_tas * energy_share(mach, state.h, perf.schedule)
+         / (mass * G0))
+    if not np.all((k > 0.0) & (k < np.inf)):
+        raise ValidationError(f"{perf.type_code}: climb-rate gain is not positive and finite")
+    if not np.isfinite(d).all():
+        raise ValidationError(f"{perf.type_code}: drag is not finite")
+    return d, k
 
 
 def rocd(
@@ -146,8 +155,8 @@ def rocd(
 
     Excess power (thrust minus drag, times TAS) is converted to climb rate
     through the nominal mass, scaled by the temperature ratio and the
-    energy share factor: ``k * (thrust - D)`` with :func:`rate_factors`.
-    Negative results are returned as-is.
+    energy share factor: ``k * (thrust - D)`` with :func:`rate_factors`,
+    which refuses factors no climb can use; thrust below drag is negative.
     """
     d, k = rate_factors(perf, mass, h, delta_T)
     return k * (np.asarray(t_hr, dtype=float) - d)

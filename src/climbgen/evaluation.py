@@ -52,7 +52,7 @@ from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_clim
                        integrate_climb_block)
 from .errors import DataError, DomainError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_values
-from .learning import INTERVAL_FL
+from .learning import INTERVAL_FL, in_window
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
 from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
 
@@ -272,7 +272,6 @@ def coverage(
     Flights without a crossing are skipped, with one warning, and flights
     with blips inside the interval before their crossing are named in
     another."""
-    low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     alts, taus, skipped, early = [np.empty(0)], [np.empty(0)], [], []
     for tr in test_trajectories:
         read = _crossing(tr.alt_ft, REF_FL * 100.0)
@@ -280,7 +279,7 @@ def coverage(
             skipped.append(tr)
             continue
         t0 = read(tr.t_s)
-        inside = (tr.alt_ft >= low_ft) & (tr.alt_ft <= high_ft)
+        inside = in_window(tr.alt_ft)
         mask = inside & (tr.t_s >= t0)
         if np.count_nonzero(mask) < np.count_nonzero(inside):
             early.append(tr)

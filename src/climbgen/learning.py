@@ -39,7 +39,7 @@ import numpy as np
 
 from .atmosphere import FT, fl_to_m
 from .dynamics import check_thrust, rate_factors
-from .errors import DataError, DomainError, ValidationError
+from .errors import DataError, DomainError
 
 if TYPE_CHECKING:
     from .performance import AircraftPerformance
@@ -57,6 +57,11 @@ def default_grid() -> np.ndarray:
     """``GRID_SIZE`` equally spaced altitudes (metres) spanning the modeled
     window ``INTERVAL_FL``."""
     return np.linspace(fl_to_m(INTERVAL_FL[0]), fl_to_m(INTERVAL_FL[1]), GRID_SIZE)
+
+
+def in_window(alt_ft: np.ndarray) -> np.ndarray:
+    """Whether each altitude (ft) lies in the window ``INTERVAL_FL``, both ends included."""
+    return (alt_ft >= INTERVAL_FL[0] * 100.0) & (alt_ft <= INTERVAL_FL[1] * 100.0)
 
 
 def median3(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -182,15 +187,13 @@ def invert_thrust(
 
         T_hr = D + rocd / k
 
-    so zero climb gives exactly the drag,
-    :func:`climbgen.performance.min_level_thrust`.
+    so zero climb gives exactly the drag, ``performance.min_level_thrust``;
+    factors no climb can use raise from ``rate_factors``.
     """
     r = np.asarray(rocd_obs, dtype=float)
     if not np.all(np.isfinite(r)):
         raise DomainError("rocd_obs must be finite")
     d, k = rate_factors(perf, mass, h, delta_T)
-    if not np.all(k > 0.0):
-        raise ValidationError("climb-rate gain is not positive")
     return d + r / k
 
 
@@ -208,11 +211,11 @@ def flight_profiles(
 
     ``offsets`` are the flights' first indices into ``t_s`` and ``alt_ft``
     followed by their length.  A flight needs ``MIN_PROFILE_BLIPS`` blips
-    inside the grid's altitude span.  ``derive_rocd`` gives the climb rates
+    in the window, by ``in_window``.  ``derive_rocd`` gives the climb rates
     on each such flight's blips; a flight whose rate is not finite at a
-    blip inside the span (an altitude that is NaN or infinite) is rejected
+    blip in the window (an altitude that is NaN or infinite) is rejected
     by a ``DataError`` that names it, and its samples are dropped.  The
-    other flights' rates are inverted at their blips inside the span by
+    other flights' rates are inverted at their blips in the window by
     one ``invert_thrust`` call; then each flight's (altitude, thrust)
     samples, duplicate altitudes (quantization) averaged, are interpolated
     onto the grid, and outside the blip coverage the nearest value is
@@ -223,8 +226,7 @@ def flight_profiles(
     offsets = np.asarray(offsets)
     sizes = np.diff(offsets)
     flight = np.repeat(np.arange(sizes.size), sizes)
-    alt_m = alt_ft * FT
-    inside = (alt_m >= grid[0] - 1e-9) & (alt_m <= grid[-1] + 1e-9)
+    inside = in_window(alt_ft)
     n_inside = np.bincount(flight[inside], minlength=sizes.size)
     results: list = [
         DataError(f"flight {flight_id}: {n} blips in the altitude interval, "
@@ -235,8 +237,8 @@ def flight_profiles(
     fitted = n_inside >= MIN_PROFILE_BLIPS
     rows = fitted[flight]
     rocd = derive_rocd(t_s[rows], alt_ft[rows], np.concatenate(([0], np.cumsum(sizes[fitted]))))
-    inside &= rows   # the samples: the fitted flights' blips inside the span
-    h, flight, rocd_ms = alt_m[inside], flight[inside], rocd[inside[rows]] * FT / 60.0
+    inside &= rows   # the samples: the fitted flights' blips in the window
+    h, flight, rocd_ms = alt_ft[inside] * FT, flight[inside], rocd[inside[rows]] * FT / 60.0
     n_bad = np.bincount(flight[~np.isfinite(rocd_ms)], minlength=sizes.size)
     for i in np.flatnonzero(n_bad).tolist():
         results[i] = DataError(f"flight {flight_ids[i]}: climb rate not finite at "

@@ -82,10 +82,7 @@ def nominal_thrust(perf: AircraftPerformance, h: np.ndarray) -> np.ndarray:
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < 0.0) or np.any(h_arr > PERF_H_MAX):
         raise DomainError(f"altitude outside thrust model interval [0, {PERF_H_MAX:.0f}] m")
-    t = perf.c_t1 * (1.0 - h_arr / perf.c_t2 + perf.c_t3 * h_arr**2)
-    if np.any(t <= 0.0):
-        raise ValidationError(f"{perf.type_code}: nominal thrust non-positive at {h}")
-    return t
+    return perf.c_t1 * (1.0 - h_arr / perf.c_t2 + perf.c_t3 * h_arr**2)
 
 
 def min_level_thrust(
@@ -101,14 +98,8 @@ def _record_to_performance(record, index: int) -> AircraftPerformance:
     type_code = record["type_code"]
     check_type_code(type_code, f"record {index}: type_code")
     values = {key: json_number(record[key], f"{type_code}: field {key}") for key in _FILE_KEYS[1:]}
-    # checked here, not by SpeedSchedule, so the message names the key
-    v_cas, mach = values["v_cas_ms"], values["mach"]
-    if v_cas <= 0.0:
-        raise ValidationError(f"{type_code}: v_cas_ms must be positive, got {v_cas}")
-    if not 0.0 < mach < 1.0:
-        raise ValidationError(f"{type_code}: mach must lie in (0, 1), got {mach}")
-    schedule = SpeedSchedule(v_cas=v_cas, mach=mach)
-    try:   # every climb of the type flies the crossover
+    try:   # the schedule's checks, and its crossover, which every climb of the type flies
+        schedule = SpeedSchedule(v_cas=values["v_cas_ms"], mach=values["mach"])
         crossover_altitude(schedule)
     except DomainError as exc:
         raise ValidationError(f"{type_code}: {exc}") from None

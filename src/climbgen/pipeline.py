@@ -42,10 +42,10 @@ row, and only a mixed flight's types are kept, for its warning.  Every
 file this module writes is in that order, so it is read without a sort.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
-window, ``learning.INTERVAL_FL``, and of each only the blips inside it
-that climb at ``ROCD_MIN_FPM`` or more, by the climb rates
-``learning.derive_rocd`` gives on the whole flight.  It works on the
-blocks of ``flight_blocks``: runs of whole flights of at most
+window, ``learning.INTERVAL_FL``, and of each only the blips in it (by
+``learning.in_window``) that climb at ``ROCD_MIN_FPM`` or more, by the
+climb rates ``learning.derive_rocd`` gives on the whole flight.  It
+works on the blocks of ``flight_blocks``: runs of whole flights of at most
 ``BLOCK_LINES`` blips, with their offsets into the joined ``t_s`` and
 ``alt_ft`` columns.  Each block takes one ``median3`` and one
 ``derive_rocd``, each within the flights, so the arrays held at once stay
@@ -94,7 +94,7 @@ from .atmosphere import FT, fl_to_m
 from .dynamics import BLOCK_CLIMBS, integrate_climb, integrate_climb_block  # noqa: F401
 from .errors import (DataError, DomainError, ValidationError, json_count, json_number,
                      json_numbers, json_object, read_json, write_json)
-from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, derive_rocd, median3
+from .learning import INTERVAL_FL, MIN_PROFILE_BLIPS, derive_rocd, in_window, median3
 from .performance import AircraftPerformance, nominal_thrust
 
 logger = logging.getLogger(__name__)
@@ -574,13 +574,13 @@ def write_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path)
 
 
 def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray, offsets: np.ndarray,
-                     flight: np.ndarray, low_ft: float, high_ft: float) -> np.ndarray:
-    """Whether each flight of a block climbs through ``[low_ft, high_ft]``:
-    once its median altitude reaches ``low_ft`` it reaches ``high_ft``
-    without falling back under ``low_ft``.  A flight that lies wholly
-    inside the window and ends higher than it starts also counts.
+                     flight: np.ndarray) -> np.ndarray:
+    """Whether each flight of a block climbs through the window ``INTERVAL_FL``,
+    ``[low_ft, high_ft]``: once its median altitude reaches ``low_ft`` it reaches
+    ``high_ft`` without falling back under ``low_ft``.  A flight that lies wholly
+    inside the window (to 1e-6 ft) and ends higher than it starts also counts.
     ``flight`` is each blip's flight in the block."""
-    tol = 1e-6
+    low_ft, high_ft = (fl * 100.0 for fl in INTERVAL_FL)
     starts, last = offsets[:-1], offsets[1:] - 1
     index = np.arange(raw_alt.size)
     none = raw_alt.size
@@ -594,8 +594,8 @@ def _climbed_through(raw_alt: np.ndarray, med_alt: np.ndarray, offsets: np.ndarr
     # that lie entirely inside the interval are retained: these are partial
     # radar pickups or the output of a previous filter pass (this keeps the
     # filter idempotent).
-    within = ((np.minimum.reduceat(raw_alt, starts) >= low_ft - tol)
-              & (np.maximum.reduceat(raw_alt, starts) <= high_ft + tol)
+    within = ((np.minimum.reduceat(raw_alt, starts) >= low_ft - 1e-6)
+              & (np.maximum.reduceat(raw_alt, starts) <= high_ft + 1e-6)
               & (med_alt[last] > med_alt[starts]))
     return entered & np.where(crossed, ~dipped, within)
 
@@ -616,14 +616,12 @@ def filter_climbs(trajectories: Sequence[Trajectory]) -> list[Trajectory]:
     A kept flight's arrays may be views of its input flight's arrays: when
     its kept blips are one run of its blips, it holds that slice of them;
     only a flight cut in the middle gets a copy."""
-    low_ft, high_ft = INTERVAL_FL[0] * 100.0, INTERVAL_FL[1] * 100.0
     kept = []
     # a flight of fewer than 2 blips neither climbs nor has a rate
     for block, offsets, t_s, alt_ft in flight_blocks(tr for tr in trajectories if tr.n_blips >= 2):
         flight = np.repeat(np.arange(len(block)), np.diff(offsets))
-        climbed = _climbed_through(alt_ft, median3(alt_ft, offsets), offsets, flight,
-                                   low_ft, high_ft)
-        keep = (alt_ft >= low_ft) & (alt_ft <= high_ft)
+        climbed = _climbed_through(alt_ft, median3(alt_ft, offsets), offsets, flight)
+        keep = in_window(alt_ft)
         whole = np.logical_and.reduceat(keep, offsets[:-1])
         keep &= whole[flight] | (derive_rocd(t_s, alt_ft, offsets) >= ROCD_MIN_FPM)
         keep &= climbed[flight]
@@ -704,9 +702,11 @@ class FleetScenario:
             raise DomainError("scenario must define at least one type")
         if not self.blip_interval_s >= BLIP_INTERVAL_MIN_S:
             raise DomainError(f"blip_interval_s must be at least {BLIP_INTERVAL_MIN_S} s")
-        for name in ("alt_noise_ft", "quantization_ft"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must not be negative")
+        for name in ("alt_noise_ft", "quantization_ft"):   # bounded, the radar stage stays finite
+            value = getattr(self, name)
+            if not (value == 0.0 or ALT_MAX_FT * 2**-52 <= value <= ALT_MAX_FT):
+                raise DomainError(f"{name} must not be negative, and if positive must lie in "
+                                  f"[{ALT_MAX_FT * 2**-52:.3g}, {ALT_MAX_FT:.0f}] ft, got {value}")
 
 
 def _keys(cls) -> list[str]:

@@ -106,6 +106,22 @@ class TestIsaState:
         with pytest.raises(DomainError):
             isa_state(np.array([h]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta_T", [-216.65, -300.0, 6e305, 1e306, math.inf, math.nan],
+                             ids=["zero-at-tropopause", "negative", "sound-speed-overflows",
+                                  "density-overflows", "infinite", "nan"])
+    def test_delta_t_without_a_positive_finite_gas_law_rejected(self, delta_T):
+        # a warning would be raised as an error here, and not be a DomainError:
+        # at 6e305 K kappa R (T + delta_T) overflows, at 1e306 K R (T + delta_T)
+        with pytest.raises(DomainError, match=re.escape(f"delta_T {delta_T} K: ")):
+            isa_state(np.array([0.0, 15000.0]), delta_T)
+
+    def test_delta_t_checked_where_it_is_flown(self):
+        # -250 K leaves T + delta_T positive below 5869 m, not above it
+        assert isa_state(np.array([0.0, 5000.0]), -250.0).rho.min() > 0.0
+        with pytest.raises(DomainError):
+            isa_state(np.array([6000.0]), -250.0)
+
 
 class TestAirspeedConversions:
     def test_cas_equals_tas_at_sea_level(self):

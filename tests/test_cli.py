@@ -686,6 +686,52 @@ class TestExitCodes:
             f"do not cross in [0, 20000] m{where}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, spoil, message", [
+        ("predict", {"m_nom_kg": 1e308}, "NBJT: climb-rate gain is not positive and finite"),
+        ("simulate", {"m_nom_kg": 1e308}, "NBJT: climb-rate gain is not positive and finite"),
+        ("simulate", {"delta_t_k": 6e305},
+         "NBJT: delta_T 6e+305 K: T + delta_T not positive, or gas law overflows"),
+        ("simulate", {"delta_t_k": 1e306},
+         "NBJT: delta_T 1e+306 K: T + delta_T not positive, or gas law overflows"),
+    ], ids=["heavy-predict", "heavy-simulate", "gas-law-simulate", "density-simulate"])
+    def test_rate_factors_no_climb_can_use_are_validation_error(self, tmp_path, workdir,
+                                                               command, spoil, message):
+        # one error line naming the type, and no numpy warning before it: the
+        # mass makes the climb-rate gain 0 and the drag infinite, and the
+        # temperature offsets overflow the gas law
+        records = json.loads(performance.default_catalog_path().read_text())
+        perf = tmp_path / "perf.json"
+        perf.write_text(json.dumps([{**r, **spoil} if r["type_code"] == "NBJT"
+                                    and "m_nom_kg" in spoil else r for r in records]))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, **spoil} if "delta_t_k" in spoil
+                                       else SCENARIO))
+        args = {"predict": ["--model", str(workdir / "models" / "model_NBJT.json")],
+                "simulate": ["--scenario", str(scenario), "--seed", "1"]}[command]
+        proc = run_cli(command, *args, "--perf-file", str(perf), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("quantization_ft", 1e-320), ("quantization_ft", 1e-12),
+                                            ("alt_noise_ft", 1e308), ("alt_noise_ft", 60001.0)],
+                             ids=["step-overflows", "step-below-floor", "noise-overflows",
+                                  "noise-above-ceiling"])
+    def test_radar_setting_the_radar_stage_cannot_take_is_validation_error(self, tmp_path,
+                                                                         key, value):
+        # before, a 1e-320 ft step wrote inf altitudes and 1e308 ft of noise
+        # altitudes such as -6.4e307, which ingest refuses, after an overflow
+        # warning; now the scenario is refused, naming the key
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO, key: value}))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o"),
+                       "--seed", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: scenario file {bad}: {key} must not be negative, and if positive must lie "
+            f"in [1.33e-11, 60000] ft, got {value}"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         bad = tmp_path / "model_bad.json"

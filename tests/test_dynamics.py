@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,7 @@ from climbgen.dynamics import (
     rate_factors,
     rocd,
 )
-from climbgen.errors import DomainError, InfeasibleClimbError
+from climbgen.errors import DomainError, InfeasibleClimbError, ValidationError
 from climbgen.learning import ThrustProfile, default_grid, invert_thrust
 from climbgen.performance import min_level_thrust, nominal_thrust
 
@@ -234,6 +235,45 @@ class TestRateFactorsOracle:
         assert invert_thrust(perf, mass, rate, h, delta_T) == pytest.approx(thrust, rel=1e-12)
         # FL325 flies the Mach leg, FL150 and FL250 the CAS leg
         assert heights[1] < h_cross < heights[2]
+
+
+class TestRateFactorsRefusal:
+    """Factors no climb can use are refused where they are computed, so the
+    climb kernel, ``rocd``, ``min_level_thrust`` and ``invert_thrust`` all
+    refuse them, naming the type, with no numpy warning first."""
+
+    H = np.array([fl_to_m(150.0), fl_to_m(325.0)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass, delta_T, error, message", [
+        (1e308, 0.0, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
+        (1e-320, 0.0, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
+        (1e305, 0.0, ValidationError, "NBJT: drag is not finite"),
+        (None, 240.0, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
+        (None, 1e305, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
+        (None, 6e305, DomainError,
+         "NBJT: delta_T 6e+305 K: T + delta_T not positive, or gas law overflows"),
+    ], ids=["gain-zero", "gain-infinite", "drag-infinite", "temperature-ratio-negative",
+            "airspeed-overflows", "gas-law-overflows"])
+    def test_every_reader_refuses(self, nbjt, mass, delta_T, error, message):
+        # 1e308 kg makes the gain 0 and 1e-320 kg infinite; 1e305 kg overflows
+        # the lift coefficient's square; at 240 K the temperature ratio is
+        # negative at FL325, and at 1e305 K the CAS-to-TAS conversion overflows
+        mass = nbjt.nominal_mass if mass is None else mass
+        perf = dataclasses.replace(nbjt, nominal_mass=mass)
+        grid = default_grid()
+        calls = {
+            "rate_factors": lambda: rate_factors(perf, mass, self.H, delta_T),
+            "rocd": lambda: rocd(perf, mass, 1e5, self.H, delta_T),
+            "min_level_thrust": lambda: min_level_thrust(perf, self.H, delta_T),
+            "invert_thrust": lambda: invert_thrust(perf, mass, 5.0, self.H, delta_T),
+            "climb kernel": lambda: integrate_climb_block(perf, mass, grid,
+                                                          np.full((1, grid.size), 1e5),
+                                                          grid[0], grid[-1], delta_T),
+        }
+        for call in calls.values():
+            with pytest.raises(error, match=re.escape(message)):
+                call()
 
 
 class TestEnergyBalanceGainOracle:

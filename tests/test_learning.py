@@ -88,9 +88,12 @@ class TestInvertThrust:
         else:
             delta_T = 240.0   # (T - delta_T) / T <= 0 where the ISA T <= 240 K, above 7408 m
         h = np.array([6000.0, 9000.0])
-        _, k = rate_factors(nbjt, nbjt.nominal_mass, h, delta_T)
-        assert k[0] > 0.0 >= k[1]
-        with pytest.raises(ValidationError, match="climb-rate gain is not positive"):
+        _, k = rate_factors(nbjt, nbjt.nominal_mass, h[:1], delta_T)
+        assert k[0] > 0.0
+        message = "NBJT: climb-rate gain is not positive"
+        with pytest.raises(ValidationError, match=message):
+            rate_factors(nbjt, nbjt.nominal_mass, h[1:], delta_T)
+        with pytest.raises(ValidationError, match=message):
             invert_thrust(nbjt, nbjt.nominal_mass, 5.0, h, delta_T)
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from climbgen import evaluation, pipeline
+from climbgen import evaluation, learning, pipeline
+from climbgen.atmosphere import FT
 from climbgen.dynamics import integrate_climb
 from climbgen.errors import DataError, DomainError, InfeasibleClimbError, ValidationError
 from climbgen.learning import (INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, default_grid,
@@ -1291,6 +1292,35 @@ class TestTrajectory:
     def test_timestamps_not_strictly_increasing_refused(self, t_s):
         with pytest.raises(DomainError, match="flight A: timestamps not strictly increasing"):
             Trajectory("A", "NBJT", t_s, [15000.0 + 100.0 * k for k in range(len(t_s))])
+
+
+class TestTheWindow:
+    def test_filter_profiles_and_coverage_take_the_same_blips(self, nbjt, count_calls):
+        # a climb through the window with a blip on each edge and one on the
+        # float just outside each: prepare keeps, fit inverts and evaluate
+        # scores the same blips, the ones in_window takes
+        alt_ft = np.concatenate(([np.nextafter(15000.0, 0.0)], np.arange(15000.0, 32501.0, 500.0),
+                                 [np.nextafter(32500.0, np.inf)]))
+        flight = Trajectory("F1", "NBJT", np.arange(alt_ft.size) * 15.0, alt_ft)
+        (kept,) = filter_climbs([flight])
+        assert np.array_equal(kept.alt_ft, alt_ft[1:-1])
+        inverted = count_calls(learning, "invert_thrust")
+        values, errors = learning.flight_profiles(nbjt, ["F1"], flight.t_s, flight.alt_ft,
+                                                  [0, flight.n_blips])
+        assert values.shape[0] == 1 and not errors
+        assert np.array_equal(inverted[0][3], kept.alt_ft * FT)
+
+        class Band:   # holds every time, and records the altitudes it is read at
+            def __init__(self, t):
+                self.t, self.read = t, []
+
+            def time_at(self, h):
+                self.read.append(h)
+                return np.full(h.shape, self.t)
+
+        slow, fast = Band(1e9), Band(-1e9)
+        assert evaluation.coverage([flight], slow, fast) == 100.0
+        assert np.array_equal(slow.read[0], kept.alt_ft * FT)
 
 
 class TestSplit:
