@@ -29,6 +29,7 @@ P_TROPOPAUSE = P0 * (T_TROPOPAUSE / T0) ** (-G0 / (BETA * R_AIR))
 H_MAX = 20000.0       # m, top of the modeled altitude interval
 
 MU = (KAPPA - 1.0) / KAPPA
+_DELTA_T_MAX = MU * np.finfo(float).max / (4.0 * R_AIR)   # K; see isa_state
 FT = 0.3048           # m per foot
 
 
@@ -73,7 +74,10 @@ def isa_state(h: np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
     Args:
         h: geodetic altitudes in metres, within [0, 20000].
         delta_T: temperature offset in K applied on top of the standard
-            profile (affects density, not pressure).
+            profile (affects density, not pressure); ``T + delta_T > 0`` and
+            ``delta_T <= MU * float max / (4 R_AIR)`` (4.47e304 K), so that the
+            largest gas-law quantity, ``cas_to_tas``'s ``2 p / (MU rho) =
+            2 R_AIR (T + delta_T) / MU``, stays within half the largest float.
     """
     h_arr = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h_arr)):
@@ -87,7 +91,7 @@ def isa_state(h: np.ndarray, delta_T: float = 0.0) -> AtmosphereState:
         P0 * ((T0 + BETA * np.minimum(h_arr, H_TROPOPAUSE)) / T0) ** (-G0 / (BETA * R_AIR)),
         P_TROPOPAUSE * np.exp(-G0 * (h_arr - H_TROPOPAUSE) / (R_AIR * T_TROPOPAUSE)),
     )
-    if not (np.all(T + delta_T > 0.0) and np.isfinite(KAPPA * R_AIR * (T0 + float(delta_T)))):
+    if not (np.all(T + delta_T > 0.0) and delta_T <= _DELTA_T_MAX):
         raise DomainError(f"delta_T {delta_T} K: T + delta_T not positive, or gas law overflows")
     rho = p / (R_AIR * (T + delta_T))
     return AtmosphereState(h_arr, T, float(delta_T), p, rho)

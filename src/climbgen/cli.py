@@ -128,9 +128,7 @@ def _cmd_fit(args) -> int:
 def _cmd_sample(args) -> int:
     model = generative.load_model(args.model)
     grid = model.basis.grid
-    # about BLOCK_LINES lines per block, so the samples held stay bounded
-    samples = generative.sample_blocks(model, args.count, args.seed,
-                                       pipeline.BLOCK_LINES // grid.size)
+    samples = generative.sample_blocks(model, args.count, args.seed)
 
     def blocks():   # one row per sample and grid node
         start = 0

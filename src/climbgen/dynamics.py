@@ -22,7 +22,7 @@ checked, holds the refined nodes, the split at the CAS-Mach crossover and
 :func:`rocd`'s expression, so its rates are bit-identical to :func:`rocd`
 at the nodes; the floor test and the trapezoid sums run on the whole
 block, and the failure bookkeeping only when a rate is at the floor.
-Callers hand it at most ``BLOCK_CLIMBS`` rows at a time.
+Callers hand it at most ``BLOCK_CLIMBS + 1`` rows at a time.
 """
 
 from __future__ import annotations

@@ -48,10 +48,10 @@ import numpy as np
 from .atmosphere import FT, fl_to_m
 # integrate_climb is bound here only because the benchmark's span table
 # (bench/spans.py REQUIRED_BINDINGS) requires it
-from .dynamics import (BLOCK_CLIMBS, ClimbBlock, ClimbTrajectory, integrate_climb,  # noqa: F401
+from .dynamics import (ClimbBlock, ClimbTrajectory, integrate_climb,  # noqa: F401
                        integrate_climb_block)
 from .errors import DataError, DomainError, write_json
-from .generative import GenerativeClimbModel, bound_profiles, sample_values
+from .generative import GenerativeClimbModel, bound_profiles, sample_blocks
 from .learning import INTERVAL_FL, in_window
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
 from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
@@ -335,12 +335,12 @@ def evaluate_type(
     a type that raises writes none.
 
     The mean, nominal, lower and upper envelope climbs are one block of
-    ``model_climbs``; the sampled profiles are integrated
-    ``dynamics.BLOCK_CLIMBS`` rows at a time, and the first infeasible row
-    of a block raises its ``InfeasibleClimbError``, which names the climb:
-    the mean, nominal, lower-envelope or upper-envelope climb, or sample
-    *k*, counted from 0.  A sampled climb is kept only as its arrival
-    times.
+    ``model_climbs``; the sampled profiles are integrated a block of
+    ``generative.sample_blocks`` at a time, as each is drawn, and the first
+    infeasible row of a block raises its ``InfeasibleClimbError``, which
+    names the climb: the mean, nominal, lower-envelope or upper-envelope
+    climb, or sample *k*, counted from 0.  A sampled climb is kept only as
+    its arrival times.
     """
     code = model.type_code
     grid = model.basis.grid
@@ -366,12 +366,12 @@ def evaluate_type(
     # the window's climbs always span the report levels
     predicted = arrival_columns(climbs)   # model, nominal, lower, upper
     slow, fast = (ClimbTrajectory(t=t, h=climbs.h) for t in climbs.t[2:])
-    samples = sample_values(model, len(ids), seed)
-    generated = []
-    for start in range(0, len(samples), BLOCK_CLIMBS):
-        block = model_climbs(perf, grid, samples[start:start + BLOCK_CLIMBS])
-        block.raise_infeasible([f"sample {start + k}" for k in range(len(block.t))])
+    generated, start = [], 0
+    for values in sample_blocks(model, len(ids), seed):
+        block = model_climbs(perf, grid, values)
+        block.raise_infeasible([f"sample {start + k}" for k in range(len(values))])
         generated.append(arrival_columns(block))
+        start += len(values)
     gen250, gen325 = np.concatenate(generated, axis=1)
 
     report = MetricsReport(

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import ClimbTrajectory, integrate_climb
+from .dynamics import BLOCK_CLIMBS, ClimbTrajectory, integrate_climb
 from .errors import (DataError, DomainError, ValidationError, check_type_code, json_count,
                      json_number, json_numbers, json_object, read_json, write_json)
 from .learning import (
@@ -123,15 +123,14 @@ def fit_type_model(
                                 n_flights_fit=len(values))
 
 
-def sample_blocks(model: GenerativeClimbModel, count: int, seed: int,
-                  rows: int) -> Iterator[np.ndarray]:
+def sample_blocks(model: GenerativeClimbModel, count: int, seed: int) -> Iterator[np.ndarray]:
     """The thrust (N) on ``model.basis.grid`` of ``count`` sampled
-    profiles, one per row, in blocks of ``rows >= 1`` rows (the last of up
-    to ``rows + 1``): the reconstructions of weights drawn from
-    ``N(0, diag(basis.variance))``.  Every draw comes in order from one
-    ``np.random.default_rng(seed)``, so the rows do not depend on ``rows``,
-    bit for bit.  A ``count`` below 1 raises at the call, before any block
-    is asked for."""
+    profiles, one per row, in blocks of ``dynamics.BLOCK_CLIMBS`` rows (the
+    last of up to ``BLOCK_CLIMBS + 1``): the reconstructions of weights
+    drawn from ``N(0, diag(basis.variance))``.  Every draw comes in order
+    from one ``np.random.default_rng(seed)``, and the rows do not depend
+    on the block size, bit for bit.  A ``count`` below 1 raises at the
+    call, before any block is asked for."""
     if count < 1:
         raise DomainError("count must be at least 1")
     rng = np.random.default_rng(seed)
@@ -143,7 +142,7 @@ def sample_blocks(model: GenerativeClimbModel, count: int, seed: int,
             # a lone last row joins the block before it: numpy multiplies one
             # row by its matrix-vector kernel, whose sums can differ in the
             # last bit from those of the matrix-matrix kernel
-            n = count - start if count - start <= rows + 1 else rows
+            n = count - start if count - start <= BLOCK_CLIMBS + 1 else BLOCK_CLIMBS
             z = rng.standard_normal((n, model.basis.n_modes))
             yield model.basis.mean + (z * scale) @ model.basis.modes
             start += n
@@ -152,8 +151,8 @@ def sample_blocks(model: GenerativeClimbModel, count: int, seed: int,
 
 def sample_values(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
     """The thrust (N) on ``model.basis.grid`` of ``count`` sampled
-    profiles, one per row: ``sample_blocks`` in one block."""
-    return next(sample_blocks(model, count, seed, count))
+    profiles, one per row: the blocks of ``sample_blocks`` joined."""
+    return np.concatenate(list(sample_blocks(model, count, seed)))
 
 
 def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[ThrustProfile]:

@@ -55,10 +55,10 @@ blips keeps a slice of them, and only a flight that the rate rule cuts in
 the middle is copied, so the filter holds no second copy of the flights.
 ``write_trajectories_csv`` writes the same blocks.
 
-``simulate_fleet`` simulates one type at a time and hands its finished
-flights to the writer a run of at least ``BLOCK_LINES`` rows at a time; a
-type's climbs are integrated a block of draws at a time, whatever the
-radar settings, so the blips and climbs held do not grow with its flights.
+``simulate_fleet`` simulates one type at a time, a block of
+``dynamics.BLOCK_CLIMBS`` draws at a time: the truth stage integrates the
+block's climbs and the radar stage samples the feasible ones into blips
+for the writer, so the blips and climbs held do not grow with the flights.
 Every climb flies ``SIMULATED_FL``, the modeled window with 10 FL to
 spare on each side, and "student_t" weights are drawn with
 ``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
@@ -346,14 +346,6 @@ def _parse_block(path: Path, data: bytes, first_line_no: int, n_fields: int,
         columns, skipped = _read_lines(path, data.decode(), first_line_no, n_fields)
     ids, types, t_s, alt_ft = columns
     return (_codes(ids, flight_index), _codes(types, type_index), t_s, alt_ft), skipped
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts joined into one array; the list is emptied, so each part
-    is freed as soon as it is copied."""
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined
 
 
 def _resize(columns: list[np.ndarray], size: int) -> None:
@@ -780,39 +772,38 @@ def _draw_weights(spec: TypeScenario, rng: np.random.Generator) -> np.ndarray:
     return sds * z / np.sqrt(STUDENT_T_DOF / (STUDENT_T_DOF - 2.0))
 
 
-def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetScenario,
-                   rng: np.random.Generator, radar: np.random.Generator, truth: dict[str, dict]
-                   ) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
-    """One type's blips as runs of whole flights, each of at least
-    ``BLOCK_LINES`` rows but the last: the flight id, time and altitude
-    columns of each run.  Each flight's ground truth is added to ``truth``
-    as the flight is made.
+def _truth_blocks(perf: AircraftPerformance, type_code: str, scenario: FleetScenario,
+                  rng: np.random.Generator, truth: dict[str, dict]
+                  ) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """The truth stage of one type: for each block of draws with a feasible
+    climb, the feasible climbs' flight ids, one row of times per climb and
+    the altitudes they share.  Each flight's ground truth is added to
+    ``truth`` as the flight is made.
 
-    The truth stage draws weights from ``rng``, as many as the flights
-    still missing and at most ``dynamics.BLOCK_CLIMBS``, integrates their
-    climbs as one block and takes the draws in order: a feasible one is
-    the next flight, an infeasible one that flight's redraw.  No draw is
-    made that the flights do not need, so the next type's draws come from
-    the same place in ``rng``.  The radar stage samples each climb at the
-    blip interval, adds noise drawn from ``radar`` and quantizes, so the
-    radar settings change no draw of the truth."""
+    Weights are drawn from ``rng``, as many as the flights still missing
+    and at most ``dynamics.BLOCK_CLIMBS``, and their climbs integrated as
+    one block.  The draws are taken in order: a feasible one is the next
+    flight, an infeasible one that flight's redraw, up to ``MAX_REDRAWS``
+    in a row.  No draw is made that the flights do not need, so the next
+    type's draws come from the same place in ``rng``.  A thrust draw that
+    is not finite is a ``ValidationError`` naming the type and its keys."""
     spec = scenario.types[type_code]
     h0, h1 = fl_to_m(SIMULATED_FL[0]), fl_to_m(SIMULATED_FL[1])
     grid = np.linspace(h0, h1, TRUTH_GRID_SIZE)
     base = nominal_thrust(perf, grid) + spec.thrust_bias_n
     modes = truth_modes(grid, len(spec.mode_sds))
-    flight_ids: list[str] = []
-    times, alts = [], []
     n_flights = redraws = 0
     while n_flights < spec.count:
-        # truth stage
-        draws = [_draw_weights(spec, rng) for _ in range(min(BLOCK_CLIMBS, spec.count - n_flights))]
-        climbs = integrate_climb_block(
-            perf, perf.nominal_mass, grid,
-            [base + weights @ modes if weights.size else base for weights in draws],
-            h0, h1, delta_T=scenario.delta_t_k,
-        )
-        for weights, t, feasible in zip(draws, climbs.t, climbs.feasible):
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            draws = [_draw_weights(spec, rng) for _ in range(min(BLOCK_CLIMBS, spec.count - n_flights))]
+            values = np.array([base + weights @ modes if weights.size else base for weights in draws])
+        if not np.isfinite(values).all():
+            raise ValidationError(f"type {type_code}: a thrust draw is not finite; "
+                                  "lower mode_sds, contam_scale or thrust_bias_n")
+        climbs = integrate_climb_block(perf, perf.nominal_mass, grid, values, h0, h1,
+                                       delta_T=scenario.delta_t_k)
+        flight_ids = []
+        for weights, feasible in zip(draws, climbs.feasible.tolist()):
             if not feasible:
                 if redraws == MAX_REDRAWS:
                     raise ValidationError(f"{type_code}: no feasible thrust draw in "
@@ -820,25 +811,29 @@ def _simulate_type(perf: AircraftPerformance, type_code: str, scenario: FleetSce
                 redraws += 1
                 continue
             redraws = 0
-            flight_id = f"{type_code}-{n_flights:05d}"
+            flight_ids.append(f"{type_code}-{n_flights:05d}")
             n_flights += 1
-            truth[flight_id] = {"type_code": type_code, "thrust_bias_n": spec.thrust_bias_n,
-                                "weights": weights.tolist()}
-            # radar stage
-            t_blips = np.arange(0.0, t[-1], scenario.blip_interval_s)
-            alt = np.interp(t_blips, t, climbs.h) / FT
-            if scenario.alt_noise_ft > 0.0:
-                alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
-            if scenario.quantization_ft > 0.0:
-                alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
-            flight_ids += [flight_id] * t_blips.size
-            times.append(t_blips)
-            alts.append(alt)
-            if len(flight_ids) >= BLOCK_LINES:
-                yield flight_ids, _concat(times), _concat(alts)
-                flight_ids = []
-    if flight_ids:
-        yield flight_ids, _concat(times), _concat(alts)
+            truth[flight_ids[-1]] = {"type_code": type_code, "thrust_bias_n": spec.thrust_bias_n,
+                                     "weights": weights.tolist()}
+        if flight_ids:
+            yield flight_ids, climbs.t[climbs.feasible], climbs.h
+
+
+def _radar(t: np.ndarray, h: np.ndarray, scenario: FleetScenario, radar: np.random.Generator
+           ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The radar stage: the blips of a block of climbs, one row of times
+    ``t`` per climb at the altitudes ``h`` they share, as each climb's
+    number of blips and the blips' times and altitudes (ft), climb after
+    climb.  Each climb is sampled at the blip interval from t = 0; the
+    block then takes one draw of altitude noise from ``radar``, one per
+    blip, and one rounding to the altitude step."""
+    times = [np.arange(0.0, row[-1], scenario.blip_interval_s) for row in t]
+    alt = np.concatenate([np.interp(t_blips, row, h) for t_blips, row in zip(times, t)]) / FT
+    if scenario.alt_noise_ft > 0.0:
+        alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
+    if scenario.quantization_ft > 0.0:
+        alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+    return [t_blips.size for t_blips in times], np.concatenate(times), alt
 
 
 def simulate_fleet(
@@ -861,11 +856,11 @@ def simulate_fleet(
     on the types, ``delta_t_k`` and the seed.  Output is byte-identical
     for a fixed seed.
 
-    Types are simulated in sorted order, and a type's blips are written a
-    run of whole flights of at least ``BLOCK_LINES`` rows at a time, as
-    soon as the run is done, so no more than one run's columns are held
-    however many flights a type has.  A ``ValidationError`` leaves no blip
-    file and no directory that this call made.
+    Types are simulated in sorted order, a block of draws at a time
+    (``_truth_blocks``, then ``_radar``), and a block's blips are written
+    before the next block is drawn, so no more than one block's climbs and
+    blips are held however many flights a type has.  A ``ValidationError``
+    leaves no blip file and no directory that this call made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
@@ -873,17 +868,20 @@ def simulate_fleet(
     rng = np.random.default_rng(seed)
     radar = rng.spawn(1)[0]   # leaves rng's own stream as it is
     truth: dict[str, dict] = {}
+
+    def blocks():   # the blip columns of each block of climbs
+        for type_code in sorted(scenario.types):
+            for flight_ids, t, h in _truth_blocks(catalog[type_code], type_code, scenario, rng,
+                                                  truth):
+                counts, t_s, alt_ft = _radar(t, h, scenario, radar)
+                yield repeat_each(flight_ids, counts), [type_code] * t_s.size, t_s, alt_ft
     csv_path = Path(csv_path)
     # written beside the blip file and renamed over it once complete, so a
     # failed run leaves no partial blip file, nor a directory made for it
     partial = csv_path.with_name(csv_path.name + ".part")
     made = [d for d in (partial.parent, *partial.parent.parents) if not d.exists()]
     try:
-        write_blocks(partial, ",".join(_HEADER),
-                     ((flight_ids, [type_code] * len(flight_ids), t_s, alt_ft)
-                      for type_code in sorted(scenario.types)
-                      for flight_ids, t_s, alt_ft in _simulate_type(
-                          catalog[type_code], type_code, scenario, rng, radar, truth)))
+        write_blocks(partial, ",".join(_HEADER), blocks())
     except BaseException:
         partial.unlink(missing_ok=True)
         for directory in made:   # deepest first

@@ -116,6 +116,23 @@ class TestIsaState:
         with pytest.raises(DomainError, match=re.escape(f"delta_T {delta_T} K: ")):
             isa_state(np.array([0.0, 15000.0]), delta_T)
 
+    @pytest.mark.filterwarnings("error")
+    def test_delta_t_is_bounded_where_the_airspeed_stays_finite(self):
+        # at the bound, cas_to_tas's 2 p / (MU rho), the largest gas-law
+        # quantity, is half the largest float, and the schedule's speeds are
+        # finite with no warning at every altitude; the next float up is
+        # refused (from about 9e304 K that quantity overflowed with a warning)
+        bound = MU * np.finfo(float).max / (4.0 * R_AIR)
+        assert 4.47e304 < bound < 4.48e304
+        h = np.array([0.0, 5000.0, 11000.0, 15000.0, 20000.0])
+        state = isa_state(h, bound)
+        for speeds in (*schedule_speed(SpeedSchedule(154.3, 0.78), state), speed_of_sound(state),
+                       2.0 * state.p / (MU * state.rho)):
+            assert np.isfinite(speeds).all()
+        past = np.nextafter(bound, np.inf)
+        with pytest.raises(DomainError, match=re.escape(f"delta_T {past} K: ")):
+            isa_state(h, past)
+
     def test_delta_t_checked_where_it_is_flown(self):
         # -250 K leaves T + delta_T positive below 5869 m, not above it
         assert isa_state(np.array([0.0, 5000.0]), -250.0).rho.min() > 0.0

@@ -732,6 +732,25 @@ class TestExitCodes:
             f"in [1.33e-11, 60000] ft, got {value}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"mode_sds": [1e5], "weight_dist": "contaminated", "contam_frac": 0.99,
+         "contam_scale": 1e306},
+        {"mode_sds": [1e308, 1e308]},
+    ], ids=["contaminated", "normal"])
+    def test_a_thrust_draw_that_overflows_is_validation_error(self, tmp_path, spec):
+        # before, the draw overflowed with a numpy warning, a traceback under
+        # PYTHONWARNINGS=error, and the integrator refused it naming no key;
+        # now the truth stage refuses it, naming the type and the keys
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({"types": {"NBJT": {"count": 3, **spec}}}))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o"),
+                       "--seed", "1", env={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: type NBJT: a thrust draw is not finite; "
+            "lower mode_sds, contam_scale or thrust_bias_n"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         bad = tmp_path / "model_bad.json"

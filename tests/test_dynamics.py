@@ -250,7 +250,8 @@ class TestRateFactorsRefusal:
         (1e-320, 0.0, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
         (1e305, 0.0, ValidationError, "NBJT: drag is not finite"),
         (None, 240.0, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
-        (None, 1e305, ValidationError, "NBJT: climb-rate gain is not positive and finite"),
+        (None, 1e305, DomainError,
+         "NBJT: delta_T 1e+305 K: T + delta_T not positive, or gas law overflows"),
         (None, 6e305, DomainError,
          "NBJT: delta_T 6e+305 K: T + delta_T not positive, or gas law overflows"),
     ], ids=["gain-zero", "gain-infinite", "drag-infinite", "temperature-ratio-negative",
@@ -258,7 +259,8 @@ class TestRateFactorsRefusal:
     def test_every_reader_refuses(self, nbjt, mass, delta_T, error, message):
         # 1e308 kg makes the gain 0 and 1e-320 kg infinite; 1e305 kg overflows
         # the lift coefficient's square; at 240 K the temperature ratio is
-        # negative at FL325, and at 1e305 K the CAS-to-TAS conversion overflows
+        # negative at FL325; at 1e305 K the CAS-to-TAS conversion would
+        # overflow, and the atmosphere refuses the offset first
         mass = nbjt.nominal_mass if mass is None else mass
         perf = dataclasses.replace(nbjt, nominal_mass=mass)
         grid = default_grid()

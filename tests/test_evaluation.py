@@ -460,8 +460,6 @@ class TestModelClimb:
         # a wide model whose mean and envelope at a low level climb, but
         # some of whose samples do not: evaluate raises the first such
         # sample's error, in whichever block it lies, and writes nothing
-        if block_climbs:
-            monkeypatch.setattr(evaluation, "BLOCK_CLIMBS", block_climbs)
         model, split_data, _, _ = small_world
         perf = catalog["NBJT"]
         basis = dataclasses.replace(model.basis, variance=model.basis.variance * 30.0,
@@ -485,6 +483,8 @@ class TestModelClimb:
         assert 2 <= len(errors) < n and str(errors[0][1]) != str(errors[1][1])
         first, error = errors[0]
         out = tmp_path / "out"
+        if block_climbs:
+            monkeypatch.setattr(generative, "BLOCK_CLIMBS", block_climbs)
         with pytest.raises(InfeasibleClimbError) as got:
             evaluation.evaluate_type(wide, perf, split_data.test, out, seed=seed, level=0.01)
         # the same error, naming the sample, counted from 0
@@ -495,13 +495,14 @@ class TestModelClimb:
 
     def test_sampled_climbs_integrated_in_blocks_change_no_byte(self, small_world, catalog,
                                                                 tmp_path, monkeypatch):
-        # the sampled climbs are integrated BLOCK_CLIMBS at a time; the three
-        # CSVs and the report do not depend on the block size
+        # the sampled climbs are integrated a block of BLOCK_CLIMBS rows at a
+        # time, as they are drawn; the three CSVs and the report do not
+        # depend on the block size
         model, split_data, _, _ = small_world
         perf = catalog["NBJT"]
         names = {f"{kind}_NBJT.csv" for kind in ("profiles", "arrivals_test", "kde")}
         whole = evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "whole", seed=1)
-        monkeypatch.setattr(evaluation, "BLOCK_CLIMBS", 4)
+        monkeypatch.setattr(generative, "BLOCK_CLIMBS", 4)
         rows = []
         model_climbs = evaluation.model_climbs
 
@@ -511,10 +512,11 @@ class TestModelClimb:
 
         monkeypatch.setattr(evaluation, "model_climbs", spy)
         blocks = evaluation.evaluate_type(model, perf, split_data.test, tmp_path / "blocks", seed=1)
-        # the four model climbs, then the samples four at a time
+        # the four model climbs, then the samples four at a time, a lone
+        # last sample joining the block before it
         n_samples = sum(rows[1:])
         assert n_samples > 8 and rows[0] == 4
-        assert rows[1:] == [min(4, n_samples - k) for k in range(0, n_samples, 4)]
+        assert rows[1:-1] == [4] * (len(rows) - 2) and 2 <= rows[-1] <= 5
         for out in ("whole", "blocks"):
             assert {p.name for p in (tmp_path / out).iterdir()} == names
         for name in names:

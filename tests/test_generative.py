@@ -184,21 +184,29 @@ class TestSampleThrust:
         se = pointwise_sd / np.sqrt(n)
         assert np.all(np.abs(values.mean(axis=0) - recon) < 3.0 * se + 1e-9)
 
-    def test_blocks_are_one_draw_bit_for_bit(self):
+    def test_blocks_are_one_draw_bit_for_bit(self, monkeypatch):
         # a lone last row would take numpy's matrix-vector kernel, which
         # differs in the last bit at 163 = 2 * 81 + 1 samples of this model
+        monkeypatch.setattr(generative, "BLOCK_CLIMBS", 81)
         model = make_model(variances=tuple(10.0 ** np.arange(7, -3, -1)), mu=(0.0,) * 10)
+        scale = np.sqrt(model.basis.variance)
         for count in range(1, 250):
-            blocks = list(sample_blocks(model, count, 7, 81))
+            blocks = list(sample_blocks(model, count, 7))
             assert [len(b) for b in blocks[:-1]] == [81] * (len(blocks) - 1)
-            assert np.array_equal(np.concatenate(blocks), generative.sample_values(model, count, 7))
+            assert 1 < len(blocks[-1]) <= 82 or count == 1
+            # the weights of all the rows in one draw, reconstructed at once
+            z = np.random.default_rng(7).standard_normal((count, model.basis.n_modes))
+            one_draw = model.basis.mean + (z * scale) @ model.basis.modes
+            assert np.array_equal(np.concatenate(blocks), one_draw)
+            assert np.array_equal(generative.sample_values(model, count, 7), one_draw)
 
-    def test_empirical_covariance_nearly_diagonal(self):
+    def test_empirical_covariance_nearly_diagonal(self, monkeypatch):
+        monkeypatch.setattr(generative, "BLOCK_CLIMBS", 10_000)
         model = make_model()
         # the drawn weights, solved back from the sampled profiles
         w = np.concatenate([
             np.linalg.lstsq(model.basis.modes.T, (values - model.basis.mean).T, rcond=None)[0].T
-            for values in sample_blocks(model, 100_000, 3, 10_000)])
+            for values in sample_blocks(model, 100_000, 3)])
         corr = np.corrcoef(w.T)
         off = corr - np.diag(np.diag(corr))
         assert np.max(np.abs(off)) < 0.02

@@ -14,8 +14,9 @@ import pytest
 
 from climbgen import evaluation, learning, pipeline
 from climbgen.atmosphere import FT
-from climbgen.dynamics import integrate_climb
-from climbgen.errors import DataError, DomainError, InfeasibleClimbError, ValidationError
+from climbgen.dynamics import integrate_climb, integrate_climb_block
+from climbgen.errors import (DataError, DomainError, InfeasibleClimbError, ValidationError,
+                             write_json)
 from climbgen.learning import (INTERVAL_FL, MIN_PROFILE_BLIPS, ThrustProfile, default_grid,
                                derive_rocd, median3, profile_from_flight)
 from climbgen.pipeline import (
@@ -1498,12 +1499,7 @@ def reference_simulate_type(perf, type_code, scenario, rng, radar, truth, draws=
             if draws is not None:
                 draws.append(True)
             break
-        t_blips = np.arange(0.0, traj.t[-1], scenario.blip_interval_s)
-        alt = np.interp(t_blips, traj.t, traj.h) / pipeline.FT
-        if scenario.alt_noise_ft > 0.0:
-            alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
-        if scenario.quantization_ft > 0.0:
-            alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+        t_blips, alt = reference_radar(traj.t, traj.h, scenario, radar)
         flight_ids += [flight_id] * t_blips.size
         times.append(t_blips)
         alts.append(alt)
@@ -1512,10 +1508,33 @@ def reference_simulate_type(perf, type_code, scenario, rng, radar, truth, draws=
     return flight_ids, np.concatenate(times), np.concatenate(alts)
 
 
-def reference_runs(*args):
-    """``reference_simulate_type`` in ``_simulate_type``'s interface: the
-    whole type as one run of flights."""
-    yield reference_simulate_type(*args)
+def reference_radar(t, h, scenario, radar):
+    """The per-flight radar: one climb's blip times from t = 0 at the blip
+    interval, and their altitudes (ft) with the climb's own draw of noise
+    from ``radar``, then rounded to the altitude step."""
+    t_blips = np.arange(0.0, t[-1], scenario.blip_interval_s)
+    alt = np.interp(t_blips, t, h) / pipeline.FT
+    if scenario.alt_noise_ft > 0.0:
+        alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
+    if scenario.quantization_ft > 0.0:
+        alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+    return t_blips, alt
+
+
+def reference_simulate_fleet(catalog, scenario, seed, out):
+    """The per-flight simulator's ``blips.csv`` and ``truth.json`` under
+    ``out``: ``reference_simulate_type`` for each type in sorted order, from
+    the two streams ``simulate_fleet`` makes from ``seed``."""
+    rng, radar = streams(seed)
+    truth, columns = {}, []
+    for code in sorted(scenario.types):
+        flight_ids, t_s, alt_ft = reference_simulate_type(catalog[code], code, scenario, rng,
+                                                          radar, truth)
+        columns.append((flight_ids, [code] * len(flight_ids), t_s, alt_ft))
+    ids, codes, t_s, alt_ft = zip(*columns)
+    write_columns(out / "blips.csv", HEADER, sum(ids, []), sum(codes, []),
+                  np.concatenate(t_s), np.concatenate(alt_ft))
+    write_json(out / "truth.json", {"seed": seed, "flights": truth})
 
 
 def streams(seed):
@@ -1524,12 +1543,13 @@ def streams(seed):
     return rng, rng.spawn(1)[0]
 
 
-def joined_runs(runs):
-    """The flight id, time and altitude columns of ``_simulate_type``'s
-    runs, joined."""
+def two_stages(perf, type_code, scenario, rng, radar, truth):
+    """One type's flight id, time and altitude columns from the truth
+    stage's blocks, each sampled by the radar stage, joined."""
     flight_ids, times, alts = [], [], []
-    for run_ids, t_s, alt_ft in runs:
-        flight_ids += run_ids
+    for block_ids, t, h in pipeline._truth_blocks(perf, type_code, scenario, rng, truth):
+        counts, t_s, alt_ft = pipeline._radar(t, h, scenario, radar)
+        flight_ids += pipeline.repeat_each(block_ids, counts)
         times.append(t_s)
         alts.append(alt_ft)
     return flight_ids, np.concatenate(times), np.concatenate(alts)
@@ -1550,10 +1570,10 @@ def infeasible_fleet(weight_dist="normal", count=150, **fleet):
 class TestSimulateMatchesPerFlightReference:
     """``simulate_fleet`` writes the bytes of the per-flight simulator."""
 
-    def simulate(self, catalog, scenario, out, monkeypatch, reference):
-        with monkeypatch.context() as patch:
-            if reference:
-                patch.setattr(pipeline, "_simulate_type", reference_runs)
+    def simulate(self, catalog, scenario, out, reference):
+        if reference:
+            reference_simulate_fleet(catalog, scenario, 11, out)
+        else:
             simulate_fleet(catalog, scenario, seed=11, csv_path=out / "blips.csv",
                            truth_path=out / "truth.json")
         return [(out / name).read_bytes() for name in ("blips.csv", "truth.json")]
@@ -1567,9 +1587,9 @@ class TestSimulateMatchesPerFlightReference:
         FleetScenario(types={"NBJT": TypeScenario(count=70, thrust_bias_n=-3000.0),
                              "WBJT": TypeScenario(count=70, mode_sds=(1.7e5, 8e4))}),
     ], ids=["normal", "student_t", "contaminated", "noise", "noise_contaminated", "no_modes"])
-    def test_blips_and_truth_byte_for_byte(self, catalog, tmp_path, monkeypatch, scenario):
-        want = self.simulate(catalog, scenario, tmp_path / "reference", monkeypatch, True)
-        got = self.simulate(catalog, scenario, tmp_path / "block", monkeypatch, False)
+    def test_blips_and_truth_byte_for_byte(self, catalog, tmp_path, scenario):
+        want = self.simulate(catalog, scenario, tmp_path / "reference", True)
+        got = self.simulate(catalog, scenario, tmp_path / "block", False)
         assert got == want
         draws = []
         reference_simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(11), {}, draws)
@@ -1619,8 +1639,7 @@ class TestSimulateMatchesPerFlightReference:
         scenario = infeasible_fleet(count=40, alt_noise_ft=alt_noise_ft,
                                     quantization_ft=quantization_ft)
         calls = count_calls(pipeline, "integrate_climb_block")
-        got = joined_runs(pipeline._simulate_type(catalog["NBJT"], "NBJT", scenario,
-                                                  *streams(3), {}))
+        got = two_stages(catalog["NBJT"], "NBJT", scenario, *streams(3), {})
         draws = []
         want = reference_simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(3), {}, draws)
         assert got[0] == want[0] and np.array_equal(got[2], want[2])
@@ -1638,8 +1657,7 @@ class TestSimulateMatchesPerFlightReference:
         monkeypatch.setattr(pipeline, "MAX_REDRAWS", 2)
         scenario = infeasible_fleet()
         outcomes, columns = [], []
-        for simulate_type in (reference_simulate_type,
-                              lambda *args: joined_runs(pipeline._simulate_type(*args))):
+        for simulate_type in (reference_simulate_type, two_stages):
             truth = {}
             try:
                 columns.append(simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(seed),
@@ -1656,24 +1674,59 @@ class TestSimulateMatchesPerFlightReference:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("alt_noise_ft", [0.0, 30.0])
-    def test_runs_are_whole_flights_of_at_least_a_block(self, catalog, monkeypatch,
-                                                        alt_noise_ft):
-        monkeypatch.setattr(pipeline, "BLOCK_LINES", 500)
+    def test_blocks_are_whole_flights_of_one_truth_block(self, catalog, monkeypatch,
+                                                          alt_noise_ft):
+        # each truth block yields the feasible climbs of at most BLOCK_CLIMBS
+        # draws, and the radar stage makes each block's blips, so every
+        # flight's blips are written in the one block that made its climb
+        monkeypatch.setattr(pipeline, "BLOCK_CLIMBS", 8)
         scenario = infeasible_fleet(count=40, alt_noise_ft=alt_noise_ft)
-        runs = list(pipeline._simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(3), {}))
-        assert len(runs) > 3
-        assert all(len(ids) >= 500 for ids, _, _ in runs[:-1])
-        assert all(len(ids) == t.size == alt.size for ids, t, alt in runs)
-        # no flight is cut between two runs
-        assert all(a[-1] != b[0] for (a, _, _), (b, _, _) in zip(runs, runs[1:]))
+        rng, radar = streams(3)
+        blocks = list(pipeline._truth_blocks(catalog["NBJT"], "NBJT", scenario, rng, {}))
+        assert len(blocks) > 5
+        assert all(1 <= len(ids) == len(t) <= 8 and t.shape[1] == h.size for ids, t, h in blocks)
+        assert any(len(ids) < 8 for ids, _, _ in blocks[:-1])   # a block that redrew
+        assert sum((ids for ids, _, _ in blocks), []) == [f"NBJT-{k:05d}" for k in range(40)]
+        flight_ids, times, alts = [], [], []
+        for ids, t, h in blocks:
+            counts, t_s, alt_ft = pipeline._radar(t, h, scenario, radar)
+            assert len(counts) == len(ids) and min(counts) > 0
+            assert sum(counts) == t_s.size == alt_ft.size
+            flight_ids += pipeline.repeat_each(ids, counts)
+            times.append(t_s)
+            alts.append(alt_ft)
         want = reference_simulate_type(catalog["NBJT"], "NBJT", scenario, *streams(3), {})
-        got = joined_runs(runs)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        assert flight_ids == want[0]
+        assert np.array_equal(np.concatenate(times), want[1])
+        assert np.array_equal(np.concatenate(alts), want[2])
+
+    def test_radar_stage_on_a_block_is_the_per_flight_radar(self, catalog):
+        # a block of draws, some of them infeasible, integrated at once; the
+        # radar stage samples its feasible climbs with one draw of noise and
+        # one rounding, bit for bit as the per-flight radar samples each
+        perf = catalog["NBJT"]
+        scenario = infeasible_fleet(alt_noise_ft=30.0, quantization_ft=100.0)
+        spec = scenario.types["NBJT"]
+        grid = np.linspace(*map(pipeline.fl_to_m, pipeline.SIMULATED_FL),
+                           pipeline.TRUTH_GRID_SIZE)
+        base = pipeline.nominal_thrust(perf, grid) + spec.thrust_bias_n
+        modes = truth_modes(grid, len(spec.mode_sds))
+        rng = np.random.default_rng(5)
+        values = [base + pipeline._draw_weights(spec, rng) @ modes for _ in range(64)]
+        climbs = integrate_climb_block(perf, perf.nominal_mass, grid, values, grid[0], grid[-1])
+        assert 5 < np.count_nonzero(~climbs.feasible) < 40
+        t = climbs.t[climbs.feasible]
+        counts, t_s, alt_ft = pipeline._radar(t, climbs.h, scenario, np.random.default_rng(9))
+        radar = np.random.default_rng(9)
+        want_t, want_alt = zip(*(reference_radar(row, climbs.h, scenario, radar) for row in t))
+        assert counts == [t_blips.size for t_blips in want_t]
+        assert np.array_equal(t_s, np.concatenate(want_t))
+        assert np.array_equal(alt_ft, np.concatenate(want_alt))
+        assert np.all(alt_ft % 100.0 == 0.0)
 
     def test_peak_memory_does_not_grow_with_the_flights(self, catalog, tmp_path):
-        # a type's blips are held a run of about BLOCK_LINES rows at a
-        # time, so 4x the flights peak within 1.5x; holding the whole
+        # a type's climbs and blips are held a block of BLOCK_CLIMBS draws
+        # at a time, so 4x the flights peak within 1.5x; holding the whole
         # type's columns and their text peaks at about 4x
         def peak(count):
             scenario = FleetScenario(types={"NBJT": TypeScenario(count=count,
