@@ -22,7 +22,6 @@ import numpy as np
 
 from . import evaluation, generative, learning, performance, pipeline
 from .errors import DataError, ValidationError, write_json
-from .pipeline import write_columns
 
 logger = logging.getLogger("climbgen.cli")   # not "__main__" under python -m
 
@@ -160,10 +159,10 @@ def _cmd_bounds(args) -> int:
     # the envelope above, integrated before either file is written
     climbs = evaluation.model_climbs(perf, model.basis.grid, np.array([lower, upper]))
     climbs.raise_infeasible(["slow bound", "fast bound"])
-    write_columns(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
-                  model.basis.grid, lower, model.basis.mean, upper)
-    write_columns(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
-                  climbs.h, climbs.t[1], climbs.t[0])
+    pipeline.write_blocks(out / f"bounds_thrust_{model.type_code}.csv", "h_m,lower_N,mean_N,upper_N",
+                          [(model.basis.grid, lower, model.basis.mean, upper)])
+    pipeline.write_blocks(out / f"bounds_time_{model.type_code}.csv", "h_m,t_fast_s,t_slow_s",
+                          [(climbs.h, climbs.t[1], climbs.t[0])])
     print(f"wrote thrust and time bounds for {model.type_code} at level {args.level}")
     return EXIT_OK
 
@@ -176,7 +175,7 @@ def _cmd_predict(args) -> int:
         [model.basis.mean, performance.nominal_thrust(perf, grid)]))
     climbs.raise_infeasible(["mean", "nominal"])
     path = out / f"predict_{model.type_code}.csv"
-    write_columns(path, "h_m,t_model_s,t_nominal_s", climbs.h, *climbs.t)
+    pipeline.write_blocks(path, "h_m,t_model_s,t_nominal_s", [(climbs.h, *climbs.t)])
     # the window's climbs always span the report levels
     (model_250, nominal_250), (model_325, nominal_325) = evaluation.arrival_columns(climbs).tolist()
     write_json(out / f"predict_{model.type_code}.json", {

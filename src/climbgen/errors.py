@@ -30,7 +30,7 @@ checks its document with three rules, each of which raises
 - ``json_count``: a count is a JSON integer of at least 1.
 
 ``check_type_code`` is the rule for a type code, and ``write_json``
-writes every JSON artifact, as ``pipeline.write_columns`` does every CSV.
+writes every JSON artifact, as ``pipeline.write_blocks`` does every CSV.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ next.  Each type's thrust envelope is built once, as two arrays on the
 model's own grid, beside its mean and the nominal thrust on that grid.
 A kernel density is summed over chunks of grid points, so neither it nor
 the KL divergence holds a (grid, sample) matrix.  CSV artifacts are
-written by ``pipeline.write_columns`` and JSON ones by
+written by ``pipeline.write_blocks`` and JSON ones by
 ``errors.write_json``.
 """
 
@@ -54,7 +54,7 @@ from .errors import DataError, DomainError, write_json
 from .generative import GenerativeClimbModel, bound_profiles, sample_blocks
 from .learning import INTERVAL_FL, in_window
 from .performance import AircraftPerformance, min_level_thrust, nominal_thrust
-from .pipeline import DatasetSplit, Trajectory, repeat_each, write_columns
+from .pipeline import DatasetSplit, Trajectory, repeat_each, write_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -387,21 +387,21 @@ def evaluate_type(
     )
 
     out = Path(out)
-    write_columns(
+    write_blocks(
         out / f"profiles_{code}.csv", "h_m,mean_N,lower_N,upper_N,nominal_N,min_level_N",
-        grid, model.basis.mean, lower, upper, nominal, min_level_thrust(perf, grid),
+        [(grid, model.basis.mean, lower, upper, nominal, min_level_thrust(perf, grid))],
     )
-    write_columns(
+    write_blocks(
         out / f"arrivals_test_{code}.csv", "flight_id,t_s,alt_ft",
-        repeat_each(ids, [2] * len(ids)),
-        np.column_stack((obs250, obs325)).ravel(),
-        [repr(fl * 100.0) for fl in REPORT_FLS] * len(ids),
+        [(repeat_each(ids, [2] * len(ids)),
+          np.column_stack((obs250, obs325)).ravel(),
+          [repr(fl * 100.0) for fl in REPORT_FLS] * len(ids))],
     )
     kde = [_kde_pair(obs250, gen250, KDE_PLOT_SIZE), _kde_pair(obs325, gen325, KDE_PLOT_SIZE)]
-    write_columns(
+    write_blocks(
         out / f"kde_{code}.csv", "fl,t_s,density_test,density_generated",
-        repeat_each([f"{fl:.0f}" for fl in REPORT_FLS], [KDE_PLOT_SIZE] * len(REPORT_FLS)),
-        *(np.concatenate(column) for column in zip(*kde)),
+        [(repeat_each([f"{fl:.0f}" for fl in REPORT_FLS], [KDE_PLOT_SIZE] * len(REPORT_FLS)),
+          *(np.concatenate(column) for column in zip(*kde)))],
     )
     return report
 
@@ -444,9 +444,9 @@ def run_report(
         logger.warning("run_report: empty test set or no evaluable types; no report written")
         return reports
     reports.sort(key=lambda r: (-r.n_f, r.type_code))
-    write_columns(out / "metrics_report.csv", REPORT_HEADER,
-                  *([fmt.format(getattr(r, field)) for r in reports]
-                    for _, field, fmt in _REPORT_COLUMNS))
+    write_blocks(out / "metrics_report.csv", REPORT_HEADER,
+                 [tuple([fmt.format(getattr(r, field)) for r in reports]
+                        for _, field, fmt in _REPORT_COLUMNS)])
     write_json(out / "metrics_report.json", [r.__dict__ for r in reports])
     return reports
 

@@ -6,7 +6,7 @@ CSV schema (UTF-8, header required)::
 
     flight_id,type_code,t_s,alt_ft[,lat,lon]
 
-The file is read in the one dialect ``write_columns`` writes: a row is
+The file is read in the one dialect ``write_blocks`` writes: a row is
 one line of fields joined by commas, and a field holds no comma, no quote
 and no line break.  A line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as
 Python's universal newlines end it, and no other byte ends a line; a
@@ -63,12 +63,13 @@ Every climb flies ``SIMULATED_FL``, the modeled window with 10 FL to
 spare on each side, and "student_t" weights are drawn with
 ``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
 
-Every CSV artifact goes through ``write_columns`` or its row writer, and
-every JSON artifact through ``errors.write_json``; each makes its file's
-directory when it is missing, so a failure before the first write leaves
-no output directory behind.  The writer slices ``BLOCK_LINES`` rows at a
-time from every column and formats only those, so one block's texts are
-held at once.  A number is written as ``repr(float(x))``, the shortest
+Every CSV artifact goes through ``write_blocks``, and every JSON
+artifact through ``errors.write_json``; each makes its file's directory
+when it is missing, so a failure before the first write leaves no output
+directory behind.  The writer checks each block of columns before it
+writes the block's rows, then slices ``BLOCK_LINES`` rows at a time from
+every column and formats only those, so one block's texts are held at
+once.  A number is written as ``repr(float(x))``, the shortest
 text that reads back to the same float, and each distinct bit pattern in
 a block is formatted once, so the few values radar columns repeat (scan
 times, quantized altitudes, the grid) cost one ``repr`` each per block.
@@ -164,49 +165,32 @@ def repeat_each(texts: Sequence[str], counts: Sequence[int]) -> list[str]:
     return column
 
 
-def write_columns(path: str | Path, header: str, *columns) -> None:
-    """Write equal-length columns as a CSV file under a ``header`` line.
-
-    A column is a list of ready texts or an array of numbers, written as
-    ``_float_texts`` gives it.  Every line, the last one included, ends in
-    a newline; no rows give exactly ``header + "\\n"``.  Rows are sliced,
-    formatted and written ``BLOCK_LINES`` at a time, so neither the whole
-    file's text nor a whole column's is held at once.  The file's
-    directory is made if it is missing.
-    """
-    _check_columns(header, columns)
-    write_blocks(path, header, [columns])
-
-
 def write_blocks(path: str | Path, header: str, blocks: Iterable[Sequence]) -> None:
     """Write a CSV file under a ``header`` line from blocks of rows, one
-    after the other: each block is a tuple of equal-length columns, as
-    ``write_columns`` takes them.  Only one block is asked for at a time,
-    so a generator of blocks bounds what is held however long the file."""
+    after the other; a one-block file is ``[(column, ...)]``.
+
+    A block is a tuple of equal-length columns, one per name in
+    ``header``; a column is a list of ready texts or an array of numbers,
+    written as ``_float_texts`` gives it.  Each block is checked before any
+    of its rows is written, then sliced, formatted and written
+    ``BLOCK_LINES`` rows at a time.  Only one block is asked for at a time,
+    so a generator of blocks bounds what is held however long the file.
+    Every line, the last one included, ends in a newline; no rows give
+    exactly ``header + "\\n"``.  The file's directory is made if it is
+    missing.
+    """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for columns in blocks:
-            _check_columns(header, columns)
-            _write_rows(fh, *columns)
-
-
-def _check_columns(header: str, columns: Sequence) -> None:
-    if header.count(",") + 1 != len(columns):
-        raise ValueError(f"header {header!r} does not name {len(columns)} columns")
-    if len({len(c) for c in columns}) > 1:
-        raise ValueError(f"columns of {header!r} differ in length")
-
-
-def _write_rows(fh, *columns) -> None:
-    """Write equal-length columns, as ``write_columns`` takes them, to an
-    open file as CSV rows.  ``BLOCK_LINES`` rows at a time are sliced from
-    every column, formatted and written, so only one block's texts are
-    held."""
-    for start in range(0, len(columns[0]), BLOCK_LINES):
-        texts = [c[start:start + BLOCK_LINES] if isinstance(c, list)
-                 else _float_texts(c[start:start + BLOCK_LINES]) for c in columns]
-        fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            if header.count(",") + 1 != len(columns):
+                raise ValueError(f"header {header!r} does not name {len(columns)} columns")
+            if len({len(c) for c in columns}) > 1:
+                raise ValueError(f"columns of {header!r} differ in length")
+            for start in range(0, len(columns[0]), BLOCK_LINES):
+                texts = [c[start:start + BLOCK_LINES] if isinstance(c, list)
+                         else _float_texts(c[start:start + BLOCK_LINES]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 # bytes that send a block to the per-line path: numpy's reader keeps a quote
@@ -394,7 +378,7 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     of its rows is not a valid blip; only run heads of ids and types are
     decoded into strings.  Every value and every rejection is ``float``'s.
     A row is a line of fields joined by commas, none of them quoted, as
-    ``write_columns`` writes it, and a line ends at ``"\\n"``,
+    ``write_blocks`` writes it, and a line ends at ``"\\n"``,
     ``"\\r\\n"`` or ``"\\r"``, as in Python's text mode.  Malformed rows
     are logged with their line number, skipped, and counted.  A missing or
     unreadable file is a ``ValidationError``; non-UTF-8 text, an empty
@@ -859,8 +843,11 @@ def simulate_fleet(
     Types are simulated in sorted order, a block of draws at a time
     (``_truth_blocks``, then ``_radar``), and a block's blips are written
     before the next block is drawn, so no more than one block's climbs and
-    blips are held however many flights a type has.  A ``ValidationError``
-    leaves no blip file and no directory that this call made.
+    blips are held however many flights a type has.  A climb of fewer than
+    ``learning.MIN_PROFILE_BLIPS`` blips, which no later stage can use, is
+    a ``ValidationError`` naming its type and flight.  A
+    ``ValidationError`` leaves no blip file and no directory that this call
+    made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
@@ -874,6 +861,12 @@ def simulate_fleet(
             for flight_ids, t, h in _truth_blocks(catalog[type_code], type_code, scenario, rng,
                                                   truth):
                 counts, t_s, alt_ft = _radar(t, h, scenario, radar)
+                for flight_id, n in zip(flight_ids, counts):
+                    if n < MIN_PROFILE_BLIPS:
+                        raise ValidationError(
+                            f"type {type_code}: flight {flight_id} has {n} blip(s), fewer than "
+                            f"the {MIN_PROFILE_BLIPS} a thrust profile needs; lower "
+                            "blip_interval_s, mode_sds, contam_scale or thrust_bias_n")
                 yield repeat_each(flight_ids, counts), [type_code] * t_s.size, t_s, alt_ft
     csv_path = Path(csv_path)
     # written beside the blip file and renamed over it once complete, so a

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import climbgen
-from climbgen import errors, evaluation, generative, performance, pipeline
+from climbgen import dynamics, errors, evaluation, generative, learning, performance, pipeline
 from climbgen.cli import main
 from climbgen.generative import bound_profiles, fit_type_model, load_model, save_model
 from climbgen.pipeline import filter_climbs, ingest, split
@@ -354,7 +354,7 @@ class TestExitCodes:
         assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
 
     def test_quoted_header_is_data_error(self, tmp_path, capsys):
-        # the header is read as write_columns writes it: no field is quoted
+        # the header is read as write_blocks writes it: no field is quoted
         bad = tmp_path / "quoted.csv"
         bad.write_text('"flight_id","type_code","t_s","alt_ft"\nA,NBJT,0.0,1000\nA,NBJT,6.0,1100\n')
         assert main(["prepare", "--csv", str(bad), "--out", str(tmp_path / "o")]) == 3
@@ -735,7 +735,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("spec", [
         {"mode_sds": [1e5], "weight_dist": "contaminated", "contam_frac": 0.99,
          "contam_scale": 1e306},
-        {"mode_sds": [1e308, 1e308]},
+        # a whole first block of draws: at count 3 the first block's draws
+        # are finite and its first climb has one blip, which the radar stage
+        # refuses before a later block's draw overflows
+        {"count": dynamics.BLOCK_CLIMBS, "mode_sds": [1e308, 1e308]},
     ], ids=["contaminated", "normal"])
     def test_a_thrust_draw_that_overflows_is_validation_error(self, tmp_path, spec):
         # before, the draw overflowed with a numpy warning, a traceback under
@@ -749,6 +752,27 @@ class TestExitCodes:
         assert proc.stderr.splitlines() == [
             "error: type NBJT: a thrust draw is not finite; "
             "lower mode_sds, contam_scale or thrust_bias_n"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scenario, blips", [
+        ({"types": {"NBJT": {"count": 3, "mode_sds": [1e300]}}}, 1),
+        ({"types": {"NBJT": {"count": 3}}, "blip_interval_s": 5000}, 1),
+        ({"types": {"NBJT": {"count": 3}}, "blip_interval_s": 400}, 2),
+    ], ids=["huge-thrust-draw", "interval-longer-than-the-climb", "two-blips-a-climb"])
+    def test_a_climb_too_short_to_profile_is_validation_error(self, tmp_path, scenario, blips):
+        # before, simulate exited 0 with flights of one or two blips each,
+        # which prepare then refused (exit 3); now the radar stage refuses
+        # the first such climb, naming its type, flight, blip count and the
+        # keys, and a nested --out leaves no directory
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o" / "sim"),
+                       "--seed", "1", env={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: type NBJT: flight NBJT-00000 has {blips} blip(s), fewer than the "
+            f"{learning.MIN_PROFILE_BLIPS} a thrust profile needs; lower blip_interval_s, "
+            "mode_sds, contam_scale or thrust_bias_n"]
         assert not (tmp_path / "o").exists()
 
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
@@ -1024,9 +1048,9 @@ def test_prepare_peak_memory_is_ingest_peak(tmp_path):
     k = np.arange(n)
     path = tmp_path / "blips.csv"
     # 820 climbs of 320 blips wholly inside the modeled window, in order
-    pipeline.write_columns(path, "flight_id,type_code,t_s,alt_ft",
-                           [f"F{i:04d}" for i in (k // 320).tolist()], ["NBJT"] * n,
-                           (k % 320) * 6.0, 15000.0 + (k % 320) * 50.0)
+    pipeline.write_blocks(path, "flight_id,type_code,t_s,alt_ft",
+                          [([f"F{i:04d}" for i in (k // 320).tolist()], ["NBJT"] * n,
+                            (k % 320) * 6.0, 15000.0 + (k % 320) * 50.0)])
     ingest_peak, flights = traced_peak(ingest, path)
     assert sum(tr.n_blips for tr in flights) == n
     del flights
@@ -1038,15 +1062,16 @@ def test_prepare_peak_memory_is_ingest_peak(tmp_path):
 
 
 def test_sample_writes_one_draw_a_block_at_a_time(workdir, tmp_path):
-    """``sample`` draws and writes ``BLOCK_LINES // 100`` = 81 profiles at
-    a time from one random stream: its file is byte for byte the one
-    written from every profile drawn at once, and its traced peak does not
-    grow with ``--count``.  Holding every sample at once read 6.6 MiB
-    over at ``--count 3000``."""
+    """``sample`` draws and writes ``dynamics.BLOCK_CLIMBS`` = 64 profiles
+    at a time from one random stream, a lone last row joining the block
+    before it: its file is byte for byte the one written from every
+    profile drawn at once, and its traced peak does not grow with
+    ``--count``.  Holding every sample at once read 6.6 MiB over at
+    ``--count 3000``."""
     model_path = str(workdir / "models" / "model_NBJT.json")
     model = load_model(model_path)
     grid = model.basis.grid
-    count = 3 * (pipeline.BLOCK_LINES // grid.size) + 1   # three blocks and a lone row
+    count = 3 * dynamics.BLOCK_CLIMBS + 1   # three blocks and a lone row
 
     def sample(n, out):
         return main(["sample", "--model", model_path, "--count", str(n), "--seed", "5",
@@ -1054,9 +1079,9 @@ def test_sample_writes_one_draw_a_block_at_a_time(workdir, tmp_path):
 
     assert sample(count, tmp_path / "blocks") == 0
     values = generative.sample_values(model, count, 5)
-    pipeline.write_columns(tmp_path / "whole.csv", "sample_id,h_m,thrust_N",
-                           pipeline.repeat_each([str(k) for k in range(count)], [grid.size] * count),
-                           np.tile(grid, count), values.ravel())
+    pipeline.write_blocks(tmp_path / "whole.csv", "sample_id,h_m,thrust_N",
+                          [(pipeline.repeat_each([str(k) for k in range(count)], [grid.size] * count),
+                            np.tile(grid, count), values.ravel())])
     assert ((tmp_path / "blocks" / "samples_NBJT.csv").read_bytes()
             == (tmp_path / "whole.csv").read_bytes())
     (small, code_small), (large, code_large) = (traced_peak(sample, n, tmp_path / str(n))

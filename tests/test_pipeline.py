@@ -30,7 +30,7 @@ from climbgen.pipeline import (
     simulate_fleet,
     split,
     truth_modes,
-    write_columns,
+    write_blocks,
     write_trajectories_csv,
 )
 
@@ -63,7 +63,7 @@ def level_rows(flight_id, alt, t_start, duration, dt=10.0, type_code="NBJT"):
 
 def reference_ingest(csv_path):
     """The row-by-row ingest that the columnar one replaced, in the one
-    dialect write_columns writes: the text read with universal newlines,
+    dialect write_blocks writes: the text read with universal newlines,
     so a line ends at "\\n", "\\r\\n" or "\\r", each line split on its
     commas, a line with a quote malformed, and one validated blip per row,
     grouped in a dict.  A flight whose rows carry more than one type is
@@ -141,7 +141,7 @@ MALFORMED = {
 
 
 def reference_write(path, header, *columns):
-    """The row loop that write_columns replaced: one ``repr(float(x))``
+    """The row loop that write_blocks replaced: one ``repr(float(x))``
     call per number, rows joined by newlines, one trailing newline."""
     lines = [header]
     for row in zip(*columns):
@@ -554,7 +554,7 @@ class TestIngest:
     @pytest.mark.parametrize("seed", range(4))
     def test_hostile_ids_survive_write_and_ingest(self, tmp_path, caplog, monkeypatch, seed,
                                                   block_chars):
-        # every flight ingest returns has an id and type that write_columns
+        # every flight ingest returns has an id and type that write_blocks
         # writes back on one line, field for field
         if block_chars:
             monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
@@ -709,8 +709,8 @@ class TestIngest:
         n = 32 * pipeline.BLOCK_LINES
         k = np.arange(n)
         path = tmp_path / "blips.csv"
-        write_columns(path, HEADER, [f"F{i:04d}" for i in (k // 1000).tolist()], ["NBJT"] * n,
-                      (k % 1000) * 6.0, 15000.0 + (k % 1000) * 25.0)
+        write_blocks(path, HEADER, [([f"F{i:04d}" for i in (k // 1000).tolist()], ["NBJT"] * n,
+                                     (k % 1000) * 6.0, 15000.0 + (k % 1000) * 25.0)])
         tracemalloc.start()
         try:
             trajectories = ingest(path)
@@ -754,8 +754,8 @@ class TestIngest:
         if block_chars:
             monkeypatch.setattr(pipeline, "BLOCK_CHARS", block_chars)
         rng = np.random.default_rng(seed)
-        write_columns(tmp_path / "values.csv", "v", np.concatenate([
-            random_float_column(rng, 300), AWKWARD, -AWKWARD, rng.uniform(0.0, 60000.0, 50)]))
+        write_blocks(tmp_path / "values.csv", "v", [(np.concatenate([
+            random_float_column(rng, 300), AWKWARD, -AWKWARD, rng.uniform(0.0, 60000.0, 50)]),)])
         texts = (tmp_path / "values.csv").read_text().splitlines()[1:] + FAST_TEXTS + SLOW_TEXTS
         rows = []
         for i, text in enumerate(texts):
@@ -1037,7 +1037,7 @@ class TestIngestOrder:
             assert sizes[0] > len(rows) and len(sizes) == 2
 
 
-class TestWriteColumns:
+class TestWriteBlocks:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_write(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
@@ -1052,12 +1052,12 @@ class TestWriteColumns:
             random_float_column(rng, n)[::-1],   # a strided view
         )
         header = "id,a,b,c,d,e"
-        write_columns(tmp_path / "new.csv", header, *columns)
+        write_blocks(tmp_path / "new.csv", header, [columns])
         reference_write(tmp_path / "old.csv", header, *columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_signed_zero_and_nan_payloads_keep_their_text(self, tmp_path):
-        write_columns(tmp_path / "z.csv", "v", AWKWARD)
+        write_blocks(tmp_path / "z.csv", "v", [(AWKWARD,)])
         reference_write(tmp_path / "r.csv", "v", AWKWARD)
         text = (tmp_path / "z.csv").read_text()
         assert text == (tmp_path / "r.csv").read_text()
@@ -1065,7 +1065,7 @@ class TestWriteColumns:
         assert "1e+16" in text and "0.0001" in text and "5e-324" in text
 
     def test_zero_rows_write_only_the_header(self, tmp_path):
-        write_columns(tmp_path / "e.csv", "a,b", [], np.empty(0))
+        write_blocks(tmp_path / "e.csv", "a,b", [([], np.empty(0))])
         reference_write(tmp_path / "r.csv", "a,b", [], np.empty(0))
         assert (tmp_path / "e.csv").read_bytes() == b"a,b\n" == (tmp_path / "r.csv").read_bytes()
         write_trajectories_csv([], tmp_path / "t.csv")
@@ -1089,9 +1089,19 @@ class TestWriteColumns:
 
     def test_header_and_lengths_must_match(self, tmp_path):
         with pytest.raises(ValueError):
-            write_columns(tmp_path / "x.csv", "a,b", np.zeros(2))
+            write_blocks(tmp_path / "x.csv", "a,b", [(np.zeros(2),)])
         with pytest.raises(ValueError):
-            write_columns(tmp_path / "x.csv", "a,b", np.zeros(2), np.zeros(3))
+            write_blocks(tmp_path / "x.csv", "a,b", [(np.zeros(2), np.zeros(3))])
+
+    @pytest.mark.parametrize("second", [(["B", "B"],), (["B", "B"], np.zeros(1))],
+                             ids=["missing-column", "short-column"])
+    def test_a_block_is_checked_before_its_rows_are_written(self, tmp_path, second):
+        # the first block's rows are written, the second block is refused
+        # whole: not one of its rows reaches the file
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError):
+            write_blocks(path, "a,b", iter([(["A", "A"], np.array([1.0, 2.0])), second]))
+        assert path.read_text() == "a,b\nA,1.0\nA,2.0\n"
 
     def test_trajectories_csv_matches_reference_write(self, tmp_path):
         lines = [HEADER] + ramp_flight("B", 8000, 35000, 1700) + ramp_flight("A", 9000, 34000, 2100)
@@ -1532,8 +1542,8 @@ def reference_simulate_fleet(catalog, scenario, seed, out):
                                                           radar, truth)
         columns.append((flight_ids, [code] * len(flight_ids), t_s, alt_ft))
     ids, codes, t_s, alt_ft = zip(*columns)
-    write_columns(out / "blips.csv", HEADER, sum(ids, []), sum(codes, []),
-                  np.concatenate(t_s), np.concatenate(alt_ft))
+    write_blocks(out / "blips.csv", HEADER, [(sum(ids, []), sum(codes, []),
+                                              np.concatenate(t_s), np.concatenate(alt_ft))])
     write_json(out / "truth.json", {"seed": seed, "flights": truth})
 
 
