@@ -149,16 +149,10 @@ def sample_blocks(model: GenerativeClimbModel, count: int, seed: int) -> Iterato
     return blocks()
 
 
-def sample_values(model: GenerativeClimbModel, count: int, seed: int) -> np.ndarray:
-    """The thrust (N) on ``model.basis.grid`` of ``count`` sampled
-    profiles, one per row: the blocks of ``sample_blocks`` joined."""
-    return np.concatenate(list(sample_blocks(model, count, seed)))
-
-
 def sample_thrust(model: GenerativeClimbModel, count: int, seed: int) -> list[ThrustProfile]:
-    """Sample synthetic thrust profiles: the rows of ``sample_values``."""
+    """Sample synthetic thrust profiles: the rows of ``sample_blocks``."""
     return [ThrustProfile(model.basis.grid.copy(), row)
-            for row in sample_values(model, count, seed)]
+            for values in sample_blocks(model, count, seed) for row in values]
 
 
 def confidence_radius(n: int, level: float) -> float:

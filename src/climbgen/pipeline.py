@@ -12,20 +12,21 @@ and no line break.  A line ends at ``"\\n"``, ``"\\r\\n"`` or ``"\\r"``, as
 Python's universal newlines end it, and no other byte ends a line; a
 line with a quote or the wrong number of commas is a malformed row.
 The file is read through Python's text layer in blocks of whole lines of
-at most ``BLOCK_CHARS`` characters, a longer line a block of its own.
-Each block is read by one ``np.loadtxt`` call, numpy's C reader, into id
-and type byte strings and float64 numbers.  numpy reads a number with
-the C parser ``float`` uses and refuses one that is not ASCII or holds an
+at most ``BLOCK_CHARS`` characters, a longer line a block of its own.  Each
+block is read by one ``np.loadtxt`` call, numpy's C reader, into id and
+type byte strings and float64 numbers.  numpy reads a number with the C
+parser ``float`` uses and refuses one that is not ASCII or holds an
 underscore, so every value it reads is ``float``'s.  A block goes to a
-short per-line path instead, each line split on its commas and each
-number read by ``float``, when numpy would read it otherwise or a row is
-not a valid blip: when it holds a byte of ``_REFUSED_BYTES`` or no data
-line, when numpy refuses a field or a line's field count (an empty lat
-or lon, ``float``'s underscores and non-ASCII digits), or when a row
-fails a blip check.  An id or type equal to the row's before shares its
-code, so only the head of each run is decoded.
-Malformed rows are logged by line number and skipped; lat/lon must parse
-when present but are not kept.
+short per-line path instead, each line split on its commas and each number
+read by ``float``, when numpy would read it otherwise or a row is not a
+valid blip: when it holds a byte of ``_REFUSED_BYTES`` or no data line,
+when numpy refuses a field or a line's field count (an empty lat or lon,
+``float``'s underscores and non-ASCII digits), or when a row fails a blip
+check.  So does a block whose columns, every row as wide as its widest
+field, would take over 8 times its bytes (a few long ids among many short
+rows).  An id or type equal to the row's before shares its code, so only
+the head of each run is decoded.  Malformed rows are logged by line number
+and skipped; lat/lon must parse when present but are not kept.
 
 Blips are grouped by flight, sorted by time and deduplicated (first blip
 per timestamp wins, which is the earliest line in the file).  A flight
@@ -33,13 +34,14 @@ whose blips carry more than one type code, or that has fewer than 2
 distinct timestamps, is dropped with a warning.  Neither check loops over
 flights: types are checked a block at a time as the rows are read, and
 timestamps in one vectorized pass over the sorted columns.
-``ingest`` holds the flight-code, time and altitude columns plus one
-block of at most ``BLOCK_CHARS`` characters and one line, whatever the
-line length: each block is parsed into columns sized from the file's
-bytes, and the rows are sorted only when they are out of flight and time
-order.  No column of types is held: a flight takes the type of its first
-row, and only a mixed flight's types are kept, for its warning.  Every
-file this module writes is in that order, so it is read without a sort.
+``ingest`` holds the flight-code, time and altitude columns plus one block
+of at most ``BLOCK_CHARS`` characters and one line, whatever the line
+length, and what either path makes of a block is a small multiple of its
+bytes.  Each block is parsed into columns sized from the file's bytes, and
+the rows are sorted only when they are out of flight and time order.  No
+column of types is held: a flight takes the type of its first row, and
+only a mixed flight's types are kept, for its warning.  Every file this
+module writes is in that order, so it is read without a sort.
 
 ``filter_climbs`` keeps the flights that climb through the one modeled
 window, ``learning.INTERVAL_FL``, and of each only the blips in it (by
@@ -59,9 +61,10 @@ the middle is copied, so the filter holds no second copy of the flights.
 ``dynamics.BLOCK_CLIMBS`` draws at a time: the truth stage integrates the
 block's climbs and the radar stage samples the feasible ones into blips
 for the writer, so the blips and climbs held do not grow with the flights.
-Every climb flies ``SIMULATED_FL``, the modeled window with 10 FL to
-spare on each side, and "student_t" weights are drawn with
-``STUDENT_T_DOF`` degrees of freedom; no scenario key changes either.
+Every climb flies ``SIMULATED_FL``, the modeled window with 10 FL to spare
+on each side, and "student_t" weights are drawn with ``STUDENT_T_DOF``
+degrees of freedom; no scenario key changes either.  A climb that
+``filter_climbs`` would drop for too few blips in the window is refused.
 
 Every CSV artifact goes through ``write_blocks``, and every JSON
 artifact through ``errors.write_json``; each makes its file's directory
@@ -234,13 +237,15 @@ def _read_block(data: bytes, n_fields: int) -> tuple[np.ndarray, ...] | None:
     """The id, type, time and altitude columns of one block, read by one
     ``np.loadtxt`` call, or None when the block must be read a line at a
     time: it holds a byte of ``_REFUSED_BYTES`` or no data line (numpy
-    warns on those), numpy refuses it, or a row is not a valid blip.
+    warns on those), its columns would take over 8 times its bytes, numpy
+    refuses it, or a row is not a valid blip.
 
-    The block's bytes are read as Latin-1, so the ``S`` id and type
-    columns hold their UTF-8 bytes unchanged; each is as wide as the
-    block's widest field, so no id or type is cut.  numpy reads a number with
-    the C parser ``float`` uses, and refuses any that is not ASCII or
-    holds an underscore, so a value read here is ``float``'s.
+    The block's bytes are read as Latin-1, so the ``S`` id and type columns
+    hold their UTF-8 bytes unchanged; each is as wide as the block's widest
+    field, so no id or type is cut, and a few long fields among many short
+    rows go to the per-line path, each row at its own length.  numpy reads a
+    number with the C parser ``float`` uses, and refuses any that is not
+    ASCII or holds an underscore, so a value read here is ``float``'s.
     """
     if any(byte in data for byte in _REFUSED_BYTES) or not data.strip(b"\n"):
         return None
@@ -249,6 +254,8 @@ def _read_block(data: bytes, n_fields: int) -> tuple[np.ndarray, ...] | None:
     width = int(np.diff(ends, prepend=-1).max())   # the widest field and its end
     dtype = np.dtype([("id", f"S{width}"), ("type", f"S{width}")]
                      + [(f"x{k}", np.float64) for k in range(n_fields - 2)])
+    if dtype.itemsize * (ends.size // n_fields) > 8 * len(data):   # a read row has n_fields ends
+        return None
     try:
         rows = np.loadtxt(data.decode("latin-1").split("\n"), dtype, delimiter=",",
                           comments=None, ndmin=1)
@@ -372,30 +379,27 @@ def ingest(csv_path: str | Path) -> list[Trajectory]:
     """Read a blip CSV into per-flight trajectories.
 
     The file is read in blocks of whole lines (``_blocks``) and never held
-    whole.  Each block is read by one ``np.loadtxt`` call
-    (``_read_block``), or a line at a time (``_read_lines``) when numpy
-    would read it otherwise than ``float`` and the one dialect do or one
-    of its rows is not a valid blip; only run heads of ids and types are
-    decoded into strings.  Every value and every rejection is ``float``'s.
-    A row is a line of fields joined by commas, none of them quoted, as
-    ``write_blocks`` writes it, and a line ends at ``"\\n"``,
-    ``"\\r\\n"`` or ``"\\r"``, as in Python's text mode.  Malformed rows
-    are logged with their line number, skipped, and counted.  A missing or
-    unreadable file is a ``ValidationError``; non-UTF-8 text, an empty
-    file or a wrong header a ``DataError``.
+    whole.  Each block is read by one ``np.loadtxt`` call (``_read_block``)
+    or, for the reasons the module docstring lists, a line at a time
+    (``_read_lines``); only run heads of ids and types are decoded into
+    strings.  Every value and every rejection is ``float``'s.  Malformed
+    rows are logged with their line number, skipped, and counted.  A
+    missing or unreadable file is a ``ValidationError``; non-UTF-8 text,
+    an empty file or a wrong header a ``DataError``.
 
     What is held is the flight-code, time and altitude columns, one block
     of at most ``BLOCK_CHARS`` characters and one line, however long the
-    lines are.  A flight's type is that of its first row in line order; a
-    row of another type marks its flight mixed, and only the types of
-    mixed flights are kept, for their warning.  Each block is parsed into
-    the columns in place; they are sized from the file's size and the
-    bytes per line read so far, grown when that falls short and trimmed at
-    the end.  A file whose rows already come in flight and time order,
-    each flight one run and the flights in ``sorted()`` order of their
-    ids, as every file ``write_trajectories_csv`` and ``simulate_fleet``
-    write, is checked block by block and not sorted; any other file takes
-    one stable sort of its rows in line order.
+    lines are, and on either path a small multiple of the block's bytes.
+    A flight's type is that of its first row in line order; a row of
+    another type marks its flight mixed, and only the types of mixed
+    flights are kept, for their warning.  Each block is parsed into the
+    columns in place; they are sized from the file's size and the bytes
+    per line read so far, grown when that falls short and trimmed at the
+    end.  A file whose rows already come in flight and time order, each
+    flight one run and the flights in ``sorted()`` order of their ids, as
+    every file ``write_trajectories_csv`` and ``simulate_fleet`` write, is
+    checked block by block and not sorted; any other file takes one
+    stable sort of its rows in line order.
     """
     path = Path(csv_path)
     blocks = _blocks(path)
@@ -844,10 +848,10 @@ def simulate_fleet(
     (``_truth_blocks``, then ``_radar``), and a block's blips are written
     before the next block is drawn, so no more than one block's climbs and
     blips are held however many flights a type has.  A climb of fewer than
-    ``learning.MIN_PROFILE_BLIPS`` blips, which no later stage can use, is
-    a ``ValidationError`` naming its type and flight.  A
-    ``ValidationError`` leaves no blip file and no directory that this call
-    made.
+    ``learning.MIN_PROFILE_BLIPS`` blips in the window by ``in_window``,
+    which no later stage can use, is a ``ValidationError`` naming its type,
+    flight and window count.  A ``ValidationError`` leaves no blip file and
+    no directory that this call made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
@@ -861,12 +865,14 @@ def simulate_fleet(
             for flight_ids, t, h in _truth_blocks(catalog[type_code], type_code, scenario, rng,
                                                   truth):
                 counts, t_s, alt_ft = _radar(t, h, scenario, radar)
-                for flight_id, n in zip(flight_ids, counts):
+                flight = np.repeat(np.arange(len(counts)), counts)
+                inside = np.bincount(flight[in_window(alt_ft)], minlength=len(counts))
+                for flight_id, n in zip(flight_ids, inside.tolist()):
                     if n < MIN_PROFILE_BLIPS:
                         raise ValidationError(
-                            f"type {type_code}: flight {flight_id} has {n} blip(s), fewer than "
-                            f"the {MIN_PROFILE_BLIPS} a thrust profile needs; lower "
-                            "blip_interval_s, mode_sds, contam_scale or thrust_bias_n")
+                            f"type {type_code}: flight {flight_id} has {n} blip(s) in the modeled "
+                            f"window, fewer than the {MIN_PROFILE_BLIPS} a thrust profile needs; "
+                            "lower blip_interval_s, mode_sds, contam_scale or thrust_bias_n")
                 yield repeat_each(flight_ids, counts), [type_code] * t_s.size, t_s, alt_ft
     csv_path = Path(csv_path)
     # written beside the blip file and renamed over it once complete, so a

@@ -755,24 +755,29 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("scenario, blips", [
-        ({"types": {"NBJT": {"count": 3, "mode_sds": [1e300]}}}, 1),
-        ({"types": {"NBJT": {"count": 3}}, "blip_interval_s": 5000}, 1),
-        ({"types": {"NBJT": {"count": 3}}, "blip_interval_s": 400}, 2),
-    ], ids=["huge-thrust-draw", "interval-longer-than-the-climb", "two-blips-a-climb"])
+        ({"types": {"NBJT": {"count": 3, "mode_sds": [1e300]}}}, 0),
+        ({"types": {"NBJT": {"count": 3}}, "blip_interval_s": 5000}, 0),
+        ({"types": {"NBJT": {"count": 3}}, "blip_interval_s": 400}, 1),
+        ({"types": {"NBJT": {"count": 30}}, "blip_interval_s": 250}, 2),
+        ({"types": {"NBJT": {"count": 30}}, "blip_interval_s": 200}, 3),
+    ], ids=["huge-thrust-draw", "interval-longer-than-the-climb", "two-blips-a-climb",
+            "two-blips-in-the-window", "three-blips-in-the-window"])
     def test_a_climb_too_short_to_profile_is_validation_error(self, tmp_path, scenario, blips):
-        # before, simulate exited 0 with flights of one or two blips each,
-        # which prepare then refused (exit 3); now the radar stage refuses
-        # the first such climb, naming its type, flight, blip count and the
-        # keys, and a nested --out leaves no directory
+        # before, simulate exited 0 with flights of too few blips in the
+        # modeled window, which prepare then refused (exit 3): one or two
+        # blips in all, or four in all and three or two in the window.  Now
+        # the radar stage refuses the first such climb, naming its type,
+        # flight, window blip count and the keys, and a nested --out leaves
+        # no directory
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(scenario))
         proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o" / "sim"),
                        "--seed", "1", env={"PYTHONWARNINGS": "error"})
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.splitlines() == [
-            f"error: type NBJT: flight NBJT-00000 has {blips} blip(s), fewer than the "
-            f"{learning.MIN_PROFILE_BLIPS} a thrust profile needs; lower blip_interval_s, "
-            "mode_sds, contam_scale or thrust_bias_n"]
+            f"error: type NBJT: flight NBJT-00000 has {blips} blip(s) in the modeled window, "
+            f"fewer than the {learning.MIN_PROFILE_BLIPS} a thrust profile needs; lower "
+            "blip_interval_s, mode_sds, contam_scale or thrust_bias_n"]
         assert not (tmp_path / "o").exists()
 
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
@@ -1078,7 +1083,7 @@ def test_sample_writes_one_draw_a_block_at_a_time(workdir, tmp_path):
                      "--out", str(out)])
 
     assert sample(count, tmp_path / "blocks") == 0
-    values = generative.sample_values(model, count, 5)
+    values = np.concatenate(list(generative.sample_blocks(model, count, 5)))
     pipeline.write_blocks(tmp_path / "whole.csv", "sample_id,h_m,thrust_N",
                           [(pipeline.repeat_each([str(k) for k in range(count)], [grid.size] * count),
                             np.tile(grid, count), values.ravel())])

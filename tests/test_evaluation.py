@@ -104,7 +104,7 @@ class TestArrivalTimes:
     def test_a_climb_reads_as_its_column_of_the_block(self, small_world, nbjt):
         model = small_world[0]
         grid = model.basis.grid
-        values = np.vstack((model.basis.mean, generative.sample_values(model, 6, seed=3)))
+        values = np.vstack((model.basis.mean, *generative.sample_blocks(model, 6, seed=3)))
         block = evaluation.model_climbs(nbjt, grid, values)
         assert block.feasible.all()
         columns = evaluation.arrival_columns(block)
@@ -475,7 +475,7 @@ class TestModelClimb:
             climb(values)
         n = sum(arrival_times(tr) is not None for tr in split_data.test)
         errors = []
-        for k, row in enumerate(generative.sample_values(wide, n, seed)):
+        for k, row in enumerate(np.concatenate(list(generative.sample_blocks(wide, n, seed)))):
             try:
                 climb(row)
             except InfeasibleClimbError as exc:

@@ -700,6 +700,34 @@ class TestIngest:
         assert path.stat().st_size > 4e6
         assert peak < 16 * pipeline.BLOCK_CHARS + 20 * len(rows), f"{peak / 2**20:.2f} MiB"
 
+    def test_a_few_wide_ids_send_their_block_to_the_per_line_path(self, tmp_path, caplog,
+                                                                  monkeypatch):
+        # two rows of a 10 000-character id among 1889 short rows, a 75 KB
+        # file: numpy's columns, every row as wide as the widest field, took
+        # 2 * 10 001 B a row, a 34.5 MiB traced peak.  That block is read a
+        # line at a time, each row at its own length, and the next by numpy
+        wide = "W" * 10_000
+        rows = [f"{wide},NBJT,{6.0 * k!r},{15000.0 + 25.0 * k!r}" for k in range(2)]
+        rows += [f"NBJT-{k // 100:05d},NBJT,{6.0 * (k % 100)!r},{15000.0 + 25.0 * (k % 100)!r}"
+                 for k in range(1889)]
+        path = csv_file(tmp_path, [HEADER] + rows)
+        per_line = []
+        read_lines = pipeline._read_lines
+        monkeypatch.setattr(pipeline, "_read_lines",
+                            lambda path, text, *args: per_line.append(text)
+                            or read_lines(path, text, *args))
+        assert_ingest_matches_reference(path, caplog)
+        assert len(per_line) == 1 and per_line[0].startswith(rows[0] + "\n" + rows[1] + "\n")
+        assert len(per_line[0]) <= pipeline.BLOCK_CHARS < path.stat().st_size
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_peak_memory_is_one_block_plus_the_columns(self, tmp_path):
         # in-order rows are parsed into the returned columns in place and not
         # sorted, and the file's text is never held: the traced peak is the
