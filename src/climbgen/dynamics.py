@@ -21,8 +21,11 @@ checked, holds the refined nodes, the split at the CAS-Mach crossover and
 ``(D, k)`` per node.  A block only interpolates its rows and applies
 :func:`rocd`'s expression, so its rates are bit-identical to :func:`rocd`
 at the nodes; the floor test and the trapezoid sums run on the whole
-block, and the failure bookkeeping only when a rate is at the floor.
-Callers hand it at most ``BLOCK_CLIMBS + 1`` rows at a time.
+block, and the failure bookkeeping only when a rate is at the floor.  It
+holds no block-sized temporaries: the interpolated thrust becomes the
+rates and then their reciprocals in one buffer, and the trapezoids are
+formed and summed in the returned times.  Callers hand it at most
+``BLOCK_CLIMBS + 1`` rows at a time.
 """
 
 from __future__ import annotations
@@ -168,14 +171,20 @@ def _trapezoid_times(half_step: np.ndarray, r: np.ndarray, n_left: int) -> np.nd
     less than the node count, nodes ``n_left - 1`` and ``n_left`` are one
     altitude seen from either side of a jump in the rate: the two parts are
     summed on their own, the right one from the left one's total, and that
-    altitude's time is returned once."""
-    inv = 1.0 / r
-    seg = half_step * (inv[..., 1:] + inv[..., :-1])
+    altitude's time is returned once.  ``r`` is overwritten with its
+    reciprocals, and each part's trapezoids are formed and summed in place
+    in the returned times."""
+    inv = np.divide(1.0, r, out=r)
     t = np.empty(r.shape[:-1] + (r.shape[-1] - (n_left < r.shape[-1]),))
     t[..., 0] = 0.0
-    np.cumsum(seg[..., :n_left - 1], axis=-1, out=t[..., 1:n_left])
-    np.cumsum(seg[..., n_left:], axis=-1, out=t[..., n_left:])
-    t[..., n_left:] += t[..., n_left - 1:n_left]
+    left, right = t[..., 1:n_left], t[..., n_left:]
+    np.add(inv[..., 1:n_left], inv[..., :n_left - 1], out=left)
+    np.add(inv[..., n_left + 1:], inv[..., n_left:-1], out=right)
+    left *= half_step[:n_left - 1]
+    right *= half_step[n_left:]
+    np.add.accumulate(left, axis=-1, out=left)
+    np.add.accumulate(right, axis=-1, out=right)
+    right += t[..., n_left - 1:n_left]
     return t
 
 
@@ -212,8 +221,12 @@ class ClimbKernel:
     h: np.ndarray
 
     def rates(self, thrust: np.ndarray) -> np.ndarray:
-        """Climb rate (m/s) at the rate nodes for thrust (N) at those nodes."""
-        return self.gain * (thrust - self.drag)
+        """Climb rate (m/s) at the rate nodes for thrust (N) at those nodes,
+        one profile or one per row, formed in ``thrust``'s own buffer and
+        returned: ``gain * (thrust - drag)`` bit for bit."""
+        thrust -= self.drag
+        thrust *= self.gain
+        return thrust
 
 
 @functools.lru_cache(maxsize=64)
@@ -319,6 +332,12 @@ def integrate_climb_block(
     split there and the jump is handled with one-sided limits.  A climb
     whose rate is at or below ``ROCD_FLOOR`` at any node is infeasible.
     A row does not depend on its neighbours.
+
+    No block-sized temporaries are held: one buffer takes the interpolated
+    thrust, then the rates and their reciprocals in place, and the
+    trapezoids are formed in the returned times.  The floor test is one
+    reduction over the buffer; only a block with a rate at the floor
+    builds the per-node test that finds each row's first such node.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -331,13 +350,14 @@ def integrate_climb_block(
         raise DomainError(f"thrust profile spans [{grid[0]:.1f}, {grid[-1]:.1f}] m, "
                           f"requested [{h_start:.1f}, {h_end:.1f}] m")
     kernel = _climb_kernel(perf, mass, grid.tobytes(), h_start, h_end, delta_T)
-    thrust = np.empty((len(values), kernel.h_rate.size))
+    r = np.empty((len(values), kernel.h_rate.size))
     for i in range(len(values)):
-        thrust[i] = np.interp(kernel.h_rate, grid, values[i])
-    r = kernel.rates(thrust)
-    bad = r <= ROCD_FLOOR
+        r[i] = np.interp(kernel.h_rate, grid, values[i])
+    kernel.rates(r)
     fail_m, fail_rate = np.full((2, r.shape[0]), np.nan)
-    if bad.any():
+    # fmin passes over a NaN rate, which is not at the floor, as the per-node test does
+    if np.fmin.reduce(r, axis=None, initial=np.inf) <= ROCD_FLOOR:
+        bad = r <= ROCD_FLOOR
         first = np.argmax(bad, axis=-1)
         failed = bad[np.arange(first.size), first]
         fail_m = np.where(failed, kernel.h_rate[first], np.nan)

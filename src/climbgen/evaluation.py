@@ -31,8 +31,9 @@ plot-ready CSVs, so a type that raises writes none; ``run_report`` calls
 it a type at a time and holds nothing of a type while it scores the
 next.  Each type's thrust envelope is built once, as two arrays on the
 model's own grid, beside its mean and the nominal thrust on that grid.
-A kernel density is summed over chunks of grid points, so neither it nor
-the KL divergence holds a (grid, sample) matrix.  CSV artifacts are
+A kernel density is summed over chunks of grid points, each chunk's
+kernel values formed in place in one buffer, so neither it nor the KL
+divergence holds a (grid, sample) matrix.  CSV artifacts are
 written by ``pipeline.write_blocks`` and JSON ones by
 ``errors.write_json``.
 """
@@ -209,15 +210,20 @@ def kde_density(sample: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.nd
 
     The kernel is summed over chunks of grid points of about
     ``_KDE_CHUNK_CELLS`` kernel values, not over one (grid, sample) matrix,
-    so the memory held does not grow with the sample.  Each point's sum
-    runs over the whole sample in one row, as the one-matrix sum does, so
-    the density is the same bit for bit.
+    so the memory held does not grow with the sample.  Each chunk's kernel
+    values are formed in place in one buffer.  Each point's sum runs over
+    the whole sample in one row, as the one-matrix sum does, so the density
+    is the same bit for bit.
     """
     step = max(1, _KDE_CHUNK_CELLS // max(sample.size, 1))
     sums = np.empty(grid.size)
     for start in range(0, grid.size, step):
-        z = (grid[start:start + step, None] - sample[None, :]) / bandwidth
-        sums[start:start + step] = np.exp(-0.5 * z * z).sum(axis=1)
+        z = np.subtract.outer(grid[start:start + step], sample)
+        z /= bandwidth
+        z *= z
+        z *= -0.5   # a power of two: (z * z) * -0.5 is (-0.5 * z) * z bit for bit
+        np.exp(z, out=z)
+        z.sum(axis=1, out=sums[start:start + step])
     return sums / (sample.size * bandwidth * np.sqrt(2.0 * np.pi))
 
 

@@ -10,7 +10,10 @@ sample, not only in expectation.  The confidence region is the
 axis-aligned ellipsoid whose radius is the chi-square quantile for the
 number of modes, found by Newton steps on the chi-square CDF, which at an
 integer number of degrees of freedom is a finite sum (Abramowitz &
-Stegun 26.4.4-26.4.5), with its density as the slope.  Every CDF
+Stegun 26.4.4-26.4.5), with its density as the slope.  The steps start
+at the Wilson-Hilferty approximation of the quantile (Wilson & Hilferty
+1931), ``n * (1 - 2/(9n) + z * sqrt(2/(9n)))**3`` with ``z`` the normal
+quantile at the level, or at ``n`` where that is not positive.  Every CDF
 evaluation narrows a bracket of the root.  A Newton step already below
 ``1e-15 * x`` is the result, taken before the bracket test; any other step
 that would leave the bracket is a bisection instead.  The steps aim half an
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -64,6 +68,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 2
+
+_STANDARD_NORMAL = statistics.NormalDist()
 
 _MODEL_KEYS = ("schema_version", "type_code", "interval_fl", "grid_m", "mean_N", "modes",
                "variance", "total_variance", "n_flights_fit")
@@ -169,7 +175,13 @@ def confidence_radius(n: int, level: float) -> float:
     log space, so neither a power of a large ``x/2`` overflows nor
     ``exp(-x/2)`` underflows on its own.
 
-    The steps start at ``x = n`` and stay inside a bracket ``[lo, hi]``
+    The steps start at the Wilson-Hilferty cube-root normal approximation
+    of the quantile (Wilson & Hilferty 1931),
+
+        x0 = n * (1 - 2/(9n) + z * sqrt(2/(9n)))**3,   z = Phi^-1(level),
+
+    or at ``x = n`` where ``x0`` is not positive (a small level at few
+    degrees of freedom).  They stay inside a bracket ``[lo, hi]``
     with ``P(lo) < level <= P(hi)`` that every CDF evaluation narrows.  A
     Newton step shorter than ``1e-15 * x`` is returned at once, before the
     bracket test, as ``rtsafe`` tests each step for convergence before it
@@ -210,7 +222,11 @@ def confidence_radius(n: int, level: float) -> float:
         return math.exp((0.5 * n - 1.0) * math.log(half) - half - log_norm)
 
     half_ulp = 0.5 * math.ulp(level)
-    lo, hi, x = 0.0, math.inf, float(n)
+    c = 2.0 / (9.0 * n)
+    x = n * (1.0 - c + _STANDARD_NORMAL.inv_cdf(level) * math.sqrt(c)) ** 3
+    if not x > 0.0:
+        x = float(n)
+    lo, hi = 0.0, math.inf
     for _ in range(200):
         p = cdf(x)
         if p < level:

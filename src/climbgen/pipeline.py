@@ -814,13 +814,16 @@ def _radar(t: np.ndarray, h: np.ndarray, scenario: FleetScenario, radar: np.rand
     number of blips and the blips' times and altitudes (ft), climb after
     climb.  Each climb is sampled at the blip interval from t = 0; the
     block then takes one draw of altitude noise from ``radar``, one per
-    blip, and one rounding to the altitude step."""
+    blip, and one rounding to the altitude step.  An altitude they put
+    outside ``[0, ALT_MAX_FT]``, or make not finite, is returned as it is
+    for the caller to refuse."""
     times = [np.arange(0.0, row[-1], scenario.blip_interval_s) for row in t]
     alt = np.concatenate([np.interp(t_blips, row, h) for t_blips, row in zip(times, t)]) / FT
-    if scenario.alt_noise_ft > 0.0:
-        alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
-    if scenario.quantization_ft > 0.0:
-        alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller
+        if scenario.alt_noise_ft > 0.0:
+            alt = alt + scenario.alt_noise_ft * radar.standard_normal(alt.size)
+        if scenario.quantization_ft > 0.0:
+            alt = np.round(alt / scenario.quantization_ft) * scenario.quantization_ft
     return [t_blips.size for t_blips in times], np.concatenate(times), alt
 
 
@@ -847,11 +850,13 @@ def simulate_fleet(
     Types are simulated in sorted order, a block of draws at a time
     (``_truth_blocks``, then ``_radar``), and a block's blips are written
     before the next block is drawn, so no more than one block's climbs and
-    blips are held however many flights a type has.  A climb of fewer than
-    ``learning.MIN_PROFILE_BLIPS`` blips in the window by ``in_window``,
-    which no later stage can use, is a ``ValidationError`` naming its type,
-    flight and window count.  A ``ValidationError`` leaves no blip file and
-    no directory that this call made.
+    blips are held however many flights a type has.  A blip altitude
+    outside ``[0, ALT_MAX_FT]``, the range ``ingest`` reads, is a
+    ``ValidationError`` naming its type, flight and altitude.  A climb of
+    fewer than ``learning.MIN_PROFILE_BLIPS`` blips in the window by
+    ``in_window``, which no later stage can use, is a ``ValidationError``
+    naming its type, flight and window count.  A ``ValidationError`` leaves
+    no blip file and no directory that this call made.
     """
     missing = sorted(set(scenario.types) - set(catalog))
     if missing:
@@ -866,6 +871,13 @@ def simulate_fleet(
                                                   truth):
                 counts, t_s, alt_ft = _radar(t, h, scenario, radar)
                 flight = np.repeat(np.arange(len(counts)), counts)
+                outside = ~((alt_ft >= 0.0) & (alt_ft <= ALT_MAX_FT))   # NaN is outside
+                if outside.any():
+                    at = int(np.argmax(outside))
+                    raise ValidationError(
+                        f"type {type_code}: flight {flight_ids[flight[at]]} has a blip at "
+                        f"{float(alt_ft[at])} ft, outside the [0, {ALT_MAX_FT:.0f}] ft that "
+                        "ingest reads; lower alt_noise_ft or quantization_ft")
                 inside = np.bincount(flight[in_window(alt_ft)], minlength=len(counts))
                 for flight_id, n in zip(flight_ids, inside.tolist()):
                     if n < MIN_PROFILE_BLIPS:

@@ -780,6 +780,26 @@ class TestExitCodes:
             "blip_interval_s, mode_sds, contam_scale or thrust_bias_n"]
         assert not (tmp_path / "o").exists()
 
+    def test_a_blip_outside_the_read_altitudes_is_validation_error(self, tmp_path):
+        # before, simulate exited 0 with 63 blips below 0 ft or above
+        # ALT_MAX_FT, which prepare skipped as malformed rows before it
+        # exited 3.  Now the radar stage refuses the first such blip, naming
+        # its type, flight and altitude and the keys, and a nested --out
+        # leaves no directory
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({"types": {"NBJT": {"count": 3}}, "alt_noise_ft": 20000}))
+        proc = run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "o" / "sim"),
+                       "--seed", "1", env={"PYTHONWARNINGS": "error"})
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        match = re.fullmatch(
+            r"error: type NBJT: flight NBJT-0000[0-2] has a blip at (\S+) ft, outside the "
+            rf"\[0, {pipeline.ALT_MAX_FT:.0f}\] ft that ingest reads; "
+            r"lower alt_noise_ft or quantization_ft", line)
+        assert match, line
+        assert not 0.0 <= float(match[1]) <= pipeline.ALT_MAX_FT
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_model_version_is_validation_error(self, tmp_path, workdir, capsys):
         doc = json.loads((workdir / "models" / "model_NBJT.json").read_text())
         bad = tmp_path / "model_bad.json"

@@ -636,6 +636,27 @@ class TestIntegrateClimbBlock:
                                float(grid[0]), float(grid[-1]))
         assert np.array_equal(again.h, want.h) and np.array_equal(again.t[1], want.t)
 
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    def test_inputs_and_the_cached_kernel_are_left_unchanged(self, nbjt, span):
+        # the rates are formed in place in the block's own buffer: neither
+        # the caller's thrust nor the kernel's arrays take them, also when a
+        # row is at the floor and the failure bookkeeping runs
+        h1, h2 = self.SPANS[span]
+        grid = default_grid()
+        mass = nbjt.nominal_mass
+        values = self.mixed_block(nbjt, grid, 7, seed=2, span=(h1, h2))
+        values_before = values.copy()
+        kernel = dynamics._climb_kernel(nbjt, mass, grid.tobytes(), h1, h2, 0.0)
+        names = ("h_rate", "drag", "gain", "half_step", "h")
+        kernel_before = {name: getattr(kernel, name).copy() for name in names}
+        for _ in range(2):
+            block = integrate_climb_block(nbjt, mass, grid, values, h1, h2)
+            assert not block.feasible.all()
+            assert np.array_equal(values, values_before)
+            assert dynamics._climb_kernel(nbjt, mass, grid.tobytes(), h1, h2, 0.0) is kernel
+            for name in names:
+                assert np.array_equal(getattr(kernel, name), kernel_before[name]), name
+
     @pytest.mark.parametrize("case", ["nan_value", "inf_value", "grid_not_increasing",
                                       "one_node", "row_width", "one_profile_not_a_block",
                                       "span_reversed", "span_outside_grid"])

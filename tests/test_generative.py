@@ -295,7 +295,9 @@ class TestConfidenceRadius:
     def test_cdf_evaluations_on_the_oracle_grid(self, monkeypatch):
         # a Newton step within tolerance is taken even on an end of the
         # bracket, so no cell bisects back from far away; the bounds also
-        # keep the 200-step fallback out of reach
+        # keep the 200-step fallback out of reach.  From the Wilson-Hilferty
+        # start the grid takes 3363 evaluations, at most 39 a cell and 6 at
+        # the three levels below; from x = n it took 5691, 48 and 11
         counting = CountingMath()
         monkeypatch.setattr(generative, "math", counting)
 
@@ -306,10 +308,10 @@ class TestConfidenceRadius:
 
         counts = {(n, level): evaluations(n, level)
                   for n in range(1, 41) for level in ORACLE_LEVELS}
-        assert sum(counts.values()) <= 6000
-        assert max(counts.values()) <= 50
+        assert sum(counts.values()) <= 3500
+        assert max(counts.values()) <= 40
         # the levels model_queries bounds at, on models of up to 10 modes
-        assert max(counts[n, level] for n in range(1, 11) for level in (0.9, 0.95, 0.99)) <= 11
+        assert max(counts[n, level] for n in range(1, 11) for level in (0.9, 0.95, 0.99)) <= 6
 
     def test_tiny_level_gives_tiny_radius(self):
         assert confidence_radius(2, 1e-10) < 1e-8
